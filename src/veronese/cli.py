@@ -10,16 +10,15 @@ from math import comb
 from typing import Optional, Sequence
 
 from .polycore import CoeffDomain, GF, PolyRing, QQ, parse_polynomial_list
-from .groebner import Ideal, ideal_equal
+from .groebner import Ideal
 from .invariants import krull_dim
-from .toric import (
-    ci_check, minimal_generators, toric_ideal_elimination,
-    toric_ideal_lattice, veronese_map,
-)
+from .toric import ci_check, veronese_map
 from .charp import AffineSemigroup, fedder_fpure, semigroup_member
 from .pipeline import (
-    ResourceCapError, _assemble, _check, _radical_cover, cd_certificate,
-    char_compare, ensure_within_cap, present_monomial_algebra, render_json,
+    ResourceCapError, _assemble, _check, _ci_result, _cover_result,
+    _fedder_details, _minimal_generator_details, _toric_routes,
+    cd_certificate, char_compare, ensure_within_cap, present_monomial_algebra,
+    render_json,
 )
 
 __all__ = ["main"]
@@ -119,14 +118,11 @@ def _cmd_veronese_ideal(args: argparse.Namespace) -> dict:
     char = _parse_char(args.char)
     dom = _domain(char)
     mmap = veronese_map(k, n)
-    ideal = toric_ideal_elimination(mmap, dom)
-    lattice = toric_ideal_lattice(mmap, dom)
-    mingens = minimal_generators(ideal)
+    ideal, _, agree = _toric_routes(mmap, dom)
     dims = krull_dim(ideal)
     checks = [
-        _check("toric_routes_agree", ideal_equal(ideal, lattice),
-               minimal_generators=[str(g) for g in mingens],
-               minimal_generator_count=len(mingens)),
+        _check("toric_routes_agree", agree,
+               **_minimal_generator_details(ideal)),
         _check("height_matches", dims.height == mmap.d - k,
                height=dims.height, expected=mmap.d - k,
                dimension=dims.dimension),
@@ -184,13 +180,7 @@ def _cmd_ci_check(args: argparse.Namespace) -> dict:
     idx = _variable_index(ring.names, args.invert)
     cands = tuple(parse_polynomial_list(args.candidates, ring))
     rep = ci_check(ideal, cands, idx)
-    checks = [_check(
-        "localized_complete_intersection", bool(rep.verified),
-        inverted=ring.names[idx],
-        candidates=[str(f) for f in rep.candidates],
-        candidates_in_ideal=rep.candidates_in_ideal,
-        generates_after_saturation=rep.generates_after_saturation,
-        count_matches_height=rep.count_matches_height)]
+    checks = [_ci_result("localized_complete_intersection", rep, ring)]
     params = {"ring": list(ring.names), "characteristic": char,
               "invert": ring.names[idx]}
     return _assemble("ci-check", params, checks, ())
@@ -201,10 +191,7 @@ def _cmd_radical_cover(args: argparse.Namespace) -> dict:
     ring, ideal = _parsed_ideal(args, _domain(char))
     subset = tuple(_variable_index(ring.names, nm)
                    for nm in _parse_names(args.subset))
-    ok, witnesses = _radical_cover(ideal, subset)
-    checks = [_check("radical_cover", ok,
-                     subset=[ring.names[i] for i in subset],
-                     witnesses=witnesses)]
+    checks = [_cover_result("radical_cover", ideal, subset)]
     params = {"ring": list(ring.names), "characteristic": char}
     return _assemble("radical-cover", params, checks, ())
 
@@ -213,10 +200,7 @@ def _cmd_fedder(args: argparse.Namespace) -> dict:
     p = args.p
     ring, ideal = _parsed_ideal(args, GF(p))
     rep = fedder_fpure(ideal, p)
-    checks = [_check(
-        f"f_pure_p{p}", rep.f_pure,
-        certificate=None if rep.certificate is None else str(rep.certificate),
-        colon_generators=len(rep.colon_generators))]
+    checks = [_check(f"f_pure_p{p}", rep.f_pure, **_fedder_details(rep))]
     params = {"ring": list(ring.names), "p": p}
     return _assemble("fedder", params, checks, ())
 

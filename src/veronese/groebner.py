@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Union
 
 from .polycore import (
     Block, GrevLex, MonomialOrder, PolyRing, Polynomial, Exponents, Scalar,
-    divide, _from_dict,
+    divide, _from_dict, _nf_dict, _support_mask,
 )
 
 __all__ = [
@@ -85,62 +85,6 @@ def _memo_key(order: MonomialOrder):
     return keyf
 
 
-def _support_mask(m: Exponents) -> int:
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
-def _nf_dict(work: dict, entries: list, keyf, p: int) -> dict:
-    """Full normal form of a term dict against monic basis entries.
-
-    Each entry is (lead, lead_key, mask, deg, tail).  Deterministic: the
-    current maximal term is reduced by the first entry whose lead divides it,
-    in basis insertion order.
-    """
-    work = dict(work)
-    result: dict[Exponents, Scalar] = {}
-    while work:
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        mdeg = sum(m)
-        mmask = _support_mask(m)
-        for lead, _lk, lmask, ldeg, tail in entries:
-            if ldeg > mdeg or lmask & ~mmask:
-                continue
-            divisible = True
-            for a, b in zip(lead, m):
-                if a > b:
-                    divisible = False
-                    break
-            if not divisible:
-                continue
-            q = tuple(b - a for a, b in zip(lead, m))
-            # work -= c * x^q * (lead + tail); the lead part is the popped term
-            if p:
-                for tm, tc in tail:
-                    nm = tuple(x + y for x, y in zip(tm, q))
-                    nv = (work.get(nm, 0) - c * tc) % p
-                    if nv:
-                        work[nm] = nv
-                    else:
-                        work.pop(nm, None)
-            else:
-                for tm, tc in tail:
-                    nm = tuple(x + y for x, y in zip(tm, q))
-                    nv = work.get(nm, 0) - c * tc
-                    if nv:
-                        work[nm] = nv
-                    else:
-                        work.pop(nm, None)
-            break
-        else:
-            result[m] = c
-    return result
-
-
 class _Engine:
     def __init__(self, ring: PolyRing, order: MonomialOrder, strategy: str):
         if strategy not in STRATEGIES:
@@ -151,7 +95,7 @@ class _Engine:
         self.dom = ring.domain
         self.p = ring.domain.characteristic
         self.keyf = _memo_key(order)
-        self.entries: list = []          # (lead, lead_key, mask, deg, tail)
+        self.entries: list = []          # (lead, None, mask, deg, tail)
         self.heap: list = []             # (sortkey, i, j)
         self.alive: set[tuple[int, int]] = set()
         self.lcms: dict[tuple[int, int], Exponents] = {}
@@ -228,7 +172,7 @@ class _Engine:
         else:
             tail = tuple(sorted(((m, c / lc) for m, c in h.items()),
                                 key=lambda t: self.keyf(t[0]), reverse=True))
-        entry = (lead, self.keyf(lead), _support_mask(lead), sum(lead), tail)
+        entry = (lead, None, _support_mask(lead), sum(lead), tail)
         self.entries.append(entry)
         self._update_pairs(len(self.entries) - 1)
 
@@ -331,7 +275,7 @@ def _gb_entries(gb: GroebnerBasis):
         lead = g.lead_monomial(gb.order)
         tail = tuple(t for t in g.terms if t[0] != lead)
         # elements are monic by construction
-        entries.append((lead, keyf(lead), _support_mask(lead), sum(lead), tail))
+        entries.append((lead, None, _support_mask(lead), sum(lead), tail))
     return entries, keyf
 
 

@@ -18,7 +18,7 @@ are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Mapping, Optional, Sequence
 
@@ -28,13 +28,17 @@ from .groebner import (
     radical_member,
 )
 from .toric import (
-    MonomialMap, _veronese_targets, ci_check, ci_sequence, integer_kernel,
+    CIReport, MonomialMap, _veronese_targets, ci_check, ci_sequence,
+    integer_kernel,
     integer_solve, minimal_generators, monomial_algebra_map,
     symmetric_minors_ideal, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
 )
 from .invariants import krull_dim, veronese_lc_piece
-from .charp import AffineSemigroup, fedder_fpure, semigroup_member
+from .charp import (
+    AffineSemigroup, FpurityReport, fedder_fpure, monomial_ideal_member,
+    semigroup_member,
+)
 
 __all__ = [
     "Check", "ResourceCapError", "CdCertificate", "PresentationReport",
@@ -172,6 +176,129 @@ def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# per-characteristic checks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Chart:
+    """One localized complete-intersection chart.  Without ``candidates``
+    the sequence is derived by ``ci_sequence`` for the pure power of
+    x-variable ``index``; with them, the candidate strings are parsed in
+    every characteristic and t-variable ``index`` is inverted.  ``details``
+    are recorded right after the inverted variable."""
+
+    index: int
+    candidates: Optional[tuple[str, ...]] = None
+    details: Mapping[str, object] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What a report checks in every characteristic besides the toric
+    routes: the height against ``expected`` (recorded under
+    ``expected_key``, with the Krull dimension when ``show_dimension``),
+    the charts in order, and the radical cover of ``cover`` when it is
+    nonempty."""
+
+    height_check: str
+    expected_key: str
+    expected: int
+    show_dimension: bool
+    charts: tuple[_Chart, ...]
+    cover: tuple[int, ...]
+
+
+def _toric_routes(mmap: MonomialMap, dom: CoeffDomain
+                  ) -> tuple[Ideal, Ideal, bool]:
+    """The presentation ideal by elimination, the lattice-route ideal, and
+    whether the two routes agree."""
+    ideal = toric_ideal_elimination(mmap, dom)
+    lattice = toric_ideal_lattice(mmap, dom)
+    return ideal, lattice, ideal_equal(ideal, lattice)
+
+
+def _minimal_generator_details(ideal: Ideal) -> dict:
+    mingens = minimal_generators(ideal)
+    return {"minimal_generators": [str(g) for g in mingens],
+            "minimal_generator_count": len(mingens)}
+
+
+def _ci_result(name: str, rep: CIReport, ring: PolyRing,
+               **extra: object) -> Check:
+    """A verified localized-CI report as a check; derived sequences must
+    also pass their bookkeeping tripwire and claimed length."""
+    ok = (bool(rep.verified) and rep.note is None
+          and len(rep.candidates) == rep.claimed_height)
+    return _check(
+        name, ok,
+        inverted=ring.names[rep.inverted],
+        **extra,
+        candidates=[str(f) for f in rep.candidates],
+        candidates_in_ideal=rep.candidates_in_ideal,
+        generates_after_saturation=rep.generates_after_saturation,
+        count_matches_height=rep.count_matches_height)
+
+
+def _cover_result(name: str, ideal: Ideal, subset: tuple[int, ...]) -> Check:
+    ok, witnesses = _radical_cover(ideal, subset)
+    return _check(name, ok, subset=[ideal.ring.names[i] for i in subset],
+                  witnesses=witnesses)
+
+
+def _fedder_details(rep: FpurityReport) -> dict:
+    return {"certificate": None if rep.certificate is None
+            else str(rep.certificate),
+            "colon_generators": len(rep.colon_generators)}
+
+
+def _height_constancy(heights: Mapping[int, int]) -> Check:
+    return _check("height_constant_across_characteristics",
+                  len(set(heights.values())) == 1,
+                  heights={str(c): h for c, h in heights.items()})
+
+
+def _characteristic_checks(mmap: MonomialMap, char: int, dom: CoeffDomain,
+                           plan: _Plan) -> tuple[Ideal, int, list[Check]]:
+    """The presentation ideal over one characteristic, its height, and the
+    checks: toric routes (with minimal generators in characteristic zero),
+    height, localized-CI charts, radical cover."""
+    label = f"char_{char}"
+    ideal, lattice, agree = _toric_routes(mmap, dom)
+    ring = ideal.ring
+    route_details: dict[str, object] = {
+        "generators": len(ideal.generators),
+        "lattice_generators": len(lattice.generators),
+    }
+    if char == 0:
+        route_details.update(_minimal_generator_details(ideal))
+    checks = [_check(f"toric_routes_agree_{label}", agree, **route_details)]
+
+    dims = krull_dim(ideal)
+    height_details: dict[str, object] = {
+        "height": dims.height, plan.expected_key: plan.expected}
+    if plan.show_dimension:
+        height_details["dimension"] = dims.dimension
+    checks.append(_check(f"{plan.height_check}_{label}",
+                         dims.height == plan.expected, **height_details))
+
+    for chart in plan.charts:
+        if chart.candidates is None:
+            rep = ci_sequence(mmap, chart.index, dom)
+            rep = ci_check(ideal, rep.candidates, rep.inverted, rep)
+        else:
+            cands = tuple(ring.parse(s) for s in chart.candidates)
+            rep = ci_check(ideal, cands, chart.index)
+        checks.append(_ci_result(
+            f"localized_ci_{label}_{ring.names[rep.inverted]}", rep, ring,
+            **chart.details))
+
+    if plan.cover:
+        checks.append(_cover_result(f"radical_cover_{label}", ideal,
+                                    plan.cover))
+    return ideal, dims.height, checks
+
+
+# ---------------------------------------------------------------------------
 # cited facts
 # ---------------------------------------------------------------------------
 
@@ -288,62 +415,25 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     mmap = veronese_map(k, n)
     doms = _characteristics(primes)
     expected = mmap.d - k
+    plan = _Plan(
+        height_check="height", expected_key="expected", expected=expected,
+        show_dimension=True,
+        charts=tuple(_Chart(j, details={"pure_power_of": f"x{j + 1}"})
+                     for j in range(k)),
+        cover=_pure_power_indices(mmap))
     checks: list[Check] = []
+    ideals: dict[int, Ideal] = {}
     heights: dict[int, int] = {}
-
     for char, dom in doms:
-        label = f"char_{char}"
-        ideal = toric_ideal_elimination(mmap, dom)
-        lattice = toric_ideal_lattice(mmap, dom)
-        route_details: dict[str, object] = {
-            "generators": len(ideal.generators),
-            "lattice_generators": len(lattice.generators),
-        }
-        if char == 0:
-            mingens = minimal_generators(ideal)
-            route_details["minimal_generators"] = [str(g) for g in mingens]
-            route_details["minimal_generator_count"] = len(mingens)
-        checks.append(_check(f"toric_routes_agree_{label}",
-                             ideal_equal(ideal, lattice), **route_details))
-
-        dims = krull_dim(ideal)
-        heights[char] = dims.height
-        checks.append(_check(f"height_{label}", dims.height == expected,
-                             height=dims.height, expected=expected,
-                             dimension=dims.dimension))
-
-        for j in range(k):
-            rep = ci_sequence(mmap, j, dom)
-            rep = ci_check(ideal, rep.candidates, rep.inverted, rep)
-            name = ideal.ring.names[rep.inverted]
-            ok = (bool(rep.verified) and rep.note is None
-                  and len(rep.candidates) == expected)
-            checks.append(_check(
-                f"localized_ci_{label}_{name}", ok,
-                inverted=name,
-                pure_power_of=f"x{j + 1}",
-                candidates=[str(f) for f in rep.candidates],
-                candidates_in_ideal=rep.candidates_in_ideal,
-                generates_after_saturation=rep.generates_after_saturation,
-                count_matches_height=rep.count_matches_height))
-
-        subset = _pure_power_indices(mmap)
-        ok, witnesses = _radical_cover(ideal, subset)
-        checks.append(_check(
-            f"radical_cover_{label}", ok,
-            subset=[ideal.ring.names[i] for i in subset],
-            witnesses=witnesses))
-
-    checks.append(_check(
-        "height_constant_across_characteristics",
-        len(set(heights.values())) == 1,
-        heights={str(c): h for c, h in heights.items()}))
+        ideals[char], heights[char], char_checks = _characteristic_checks(
+            mmap, char, dom, plan)
+        checks += char_checks
+    checks.append(_height_constancy(heights))
 
     if n == 2:
         minors = symmetric_minors_ideal(k, QQ)
         checks.append(_check(
-            "symmetric_minors_match",
-            ideal_equal(toric_ideal_elimination(mmap, QQ), minors),
+            "symmetric_minors_match", ideal_equal(ideals[0], minors),
             minor_count=len(minors.generators)))
 
     pieces = [veronese_lc_piece(k, n, i, 0).dimension for i in range(k + 1)]
@@ -351,12 +441,10 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
         "lc_degree_zero_vanishes", all(v == 0 for v in pieces),
         cohomological_indices=list(range(k + 1)), dimensions=pieces))
 
-    for char, dom in doms[1:]:
-        rep = fedder_fpure(toric_ideal_elimination(mmap, dom), char)
-        checks.append(_check(
-            f"f_pure_p{char}", rep.f_pure,
-            certificate=None if rep.certificate is None else str(rep.certificate),
-            colon_generators=len(rep.colon_generators)))
+    for char, _ in doms[1:]:
+        rep = fedder_fpure(ideals[char], char)
+        checks.append(_check(f"f_pure_p{char}", rep.f_pure,
+                             **_fedder_details(rep)))
 
     return CdCertificate(
         k=k, n=n, d=mmap.d, height=expected,
@@ -416,81 +504,37 @@ def present_monomial_algebra(
     ensure_within_cap(len(targets))
     mmap = monomial_algebra_map(targets)
     doms = _characteristics(primes)
-    checks: list[Check] = []
-    heights: dict[int, int] = {}
-
-    nullity = len(integer_kernel(mmap.targets))
     is_veronese = mmap.veronese_degree() is not None
 
     if ci_candidates is None and is_veronese:
-        derived_ci = True
-        ci_indices: tuple[int, ...] = tuple(range(mmap.k))
+        charts = tuple(_Chart(j) for j in range(mmap.k))
     else:
-        derived_ci = False
-        ci_indices = tuple(sorted(ci_candidates)) if ci_candidates else ()
+        charts = tuple(_Chart(i, tuple(ci_candidates[i]))
+                       for i in sorted(ci_candidates or ()))
 
     if radical_subset is not None:
         subset = tuple(dict.fromkeys(int(i) for i in radical_subset))
     else:
         subset = _pure_power_indices(mmap) if is_veronese else ()
 
+    plan = _Plan(
+        height_check="height_matches_lattice_nullity",
+        expected_key="lattice_nullity",
+        expected=len(integer_kernel(mmap.targets)),
+        show_dimension=False, charts=charts, cover=subset)
+    checks: list[Check] = []
+    ideals: dict[int, Ideal] = {}
+    heights: dict[int, int] = {}
     for char, dom in doms:
-        label = f"char_{char}"
-        ideal = toric_ideal_elimination(mmap, dom)
-        lattice = toric_ideal_lattice(mmap, dom)
-        route_details: dict[str, object] = {
-            "generators": len(ideal.generators),
-            "lattice_generators": len(lattice.generators),
-        }
-        if char == 0:
-            mingens = minimal_generators(ideal)
-            route_details["minimal_generators"] = [str(g) for g in mingens]
-            route_details["minimal_generator_count"] = len(mingens)
-        checks.append(_check(f"toric_routes_agree_{label}",
-                             ideal_equal(ideal, lattice), **route_details))
-
-        dims = krull_dim(ideal) if not ideal.is_zero() else None
-        height = (mmap.d - dims.dimension) if dims else 0
-        heights[char] = height
-        checks.append(_check(
-            f"height_matches_lattice_nullity_{label}", height == nullity,
-            height=height, lattice_nullity=nullity))
-
-        for idx in ci_indices:
-            if derived_ci:
-                rep = ci_sequence(mmap, idx, dom)
-                rep = ci_check(ideal, rep.candidates, rep.inverted, rep)
-                ok = bool(rep.verified) and rep.note is None
-                invert = rep.inverted
-            else:
-                cands = tuple(ideal.ring.parse(s) for s in ci_candidates[idx])
-                rep = ci_check(ideal, cands, idx)
-                ok = bool(rep.verified)
-                invert = idx
-            name = ideal.ring.names[invert]
-            checks.append(_check(
-                f"localized_ci_{label}_{name}", ok,
-                inverted=name,
-                candidates=[str(f) for f in rep.candidates],
-                candidates_in_ideal=rep.candidates_in_ideal,
-                generates_after_saturation=rep.generates_after_saturation,
-                count_matches_height=rep.count_matches_height))
-
-        if subset:
-            ok, witnesses = _radical_cover(ideal, subset)
-            checks.append(_check(
-                f"radical_cover_{label}", ok,
-                subset=[ideal.ring.names[i] for i in subset],
-                witnesses=witnesses))
-
-    checks.append(_check(
-        "height_constant_across_characteristics",
-        len(set(heights.values())) == 1,
-        heights={str(c): h for c, h in heights.items()}))
+        ideals[char], heights[char], char_checks = _characteristic_checks(
+            mmap, char, dom, plan)
+        checks += char_checks
+    checks.append(_height_constancy(heights))
 
     # normalization certification: common degree, lattice equality, and a
     # bounded multiple search for each missing degree-n monomial.  When it
     # fails, no claim (and no check) is emitted.
+    sg = AffineSemigroup(mmap.targets)
     degree = mmap.common_degree()
     normalization_certified = False
     if degree is not None:
@@ -499,7 +543,6 @@ def present_monomial_algebra(
         missing = [v for v in ver if v not in have]
         lattice_ok = all(integer_solve(mmap.targets, v) is not None
                          for v in missing)
-        sg = AffineSemigroup(mmap.targets)
         multiples: list[Optional[int]] = []
         for v in missing:
             found = None
@@ -523,38 +566,28 @@ def present_monomial_algebra(
                 cohomological_indices=list(range(mmap.k + 1)),
                 dimensions=pieces))
 
-    witness_base: Optional[tuple[int, ...]] = None
-    witness_gen: Optional[tuple[int, ...]] = None
     if fpurity_witness is not None:
         pair = tuple(fpurity_witness)
         if len(pair) != 2:
             raise ValueError("the purity witness must be a pair of vectors")
         witness_base = tuple(int(e) for e in pair[0])
         witness_gen = tuple(int(e) for e in pair[1])
-        sg = AffineSemigroup(mmap.targets)
         if len(witness_base) != mmap.k or len(witness_gen) != mmap.k:
             raise ValueError("witness vectors must match the target arity")
-
-    for char, dom in doms[1:]:
-        rep = fedder_fpure(toric_ideal_elimination(mmap, dom), char)
-        details: dict[str, object] = {
-            "f_pure": rep.f_pure,
-            "certificate": None if rep.certificate is None else str(rep.certificate),
-            "colon_generators": len(rep.colon_generators),
-        }
-        if fpurity_witness is None:
-            checks.append(_check(f"f_purity_recorded_p{char}", True, **details))
-            continue
         valid = (semigroup_member(sg, witness_base)[0]
                  and semigroup_member(sg, witness_gen)[0])
         residual = tuple(a - b for a, b in zip(witness_base, witness_gen))
-        if any(e < 0 for e in residual):
-            base_in = False
-            pfold_in = False
-        else:
-            base_in = semigroup_member(sg, residual)[0]
-            pfold_in = semigroup_member(
-                sg, tuple(char * e for e in residual))[0]
+        base_in = monomial_ideal_member(sg, witness_base, witness_gen)
+
+    for char, _ in doms[1:]:
+        rep = fedder_fpure(ideals[char], char)
+        details = {"f_pure": rep.f_pure, **_fedder_details(rep)}
+        if fpurity_witness is None:
+            checks.append(_check(f"f_purity_recorded_p{char}", True, **details))
+            continue
+        pfold_in = monomial_ideal_member(
+            sg, tuple(char * e for e in witness_base),
+            tuple(char * e for e in witness_gen))
         implies_not_f_pure = valid and (not base_in) and pfold_in
         consistent = (not implies_not_f_pure) or (not rep.f_pure)
         checks.append(_check(
@@ -570,7 +603,7 @@ def present_monomial_algebra(
 
     verdict = all(c.verdict for c in checks)
     height = heights[0] if len(set(heights.values())) == 1 else None
-    concluded = (verdict and height is not None and bool(ci_indices)
+    concluded = (verdict and height is not None and bool(charts)
                  and bool(subset) and normalization_certified)
     return PresentationReport(
         targets=mmap.targets,
@@ -620,7 +653,7 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
     ideal given by generator strings re-parsed over every field."""
     doms = _characteristics(primes)
     checks: list[Check] = []
-    heights: list[int] = []
+    heights: dict[int, int] = {}
 
     fixture_mode = ring_names is not None or generators is not None
     if (targets is None) == (not fixture_mode):
@@ -631,12 +664,9 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
         description = "toric ideal of " + "; ".join(
             ",".join(str(e) for e in t) for t in mmap.targets)
         for char, dom in doms:
-            ideal = toric_ideal_elimination(mmap, dom)
-            lattice = toric_ideal_lattice(mmap, dom)
-            checks.append(_check(f"toric_routes_agree_char_{char}",
-                                 ideal_equal(ideal, lattice)))
-            dims = krull_dim(ideal) if not ideal.is_zero() else None
-            heights.append((mmap.d - dims.dimension) if dims else 0)
+            ideal, _, agree = _toric_routes(mmap, dom)
+            checks.append(_check(f"toric_routes_agree_char_{char}", agree))
+            heights[char] = krull_dim(ideal).height
     else:
         if ring_names is None or generators is None:
             raise ValueError("ring_names and generators go together")
@@ -646,20 +676,14 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
         for char, dom in doms:
             ring = PolyRing(names, dom)
             gens = tuple(ring.parse(s) for s in generators)
-            ideal = Ideal(ring, gens)
-            dims = krull_dim(ideal) if not ideal.is_zero() else None
-            heights.append((len(names) - dims.dimension) if dims else 0)
+            heights[char] = krull_dim(Ideal(ring, gens)).height
 
-    constant = len(set(heights)) == 1
-    checks.append(_check(
-        "height_constant_across_characteristics", constant,
-        heights={str(c): h for (c, _), h in zip(doms, heights)}))
-
+    checks.append(_height_constancy(heights))
     return CharCompareReport(
         description=description,
-        characteristics=tuple(c for c, _ in doms),
-        heights=tuple(heights),
-        constant=constant,
+        characteristics=tuple(heights),
+        heights=tuple(heights.values()),
+        constant=checks[-1].verdict,
         checks=tuple(checks),
         cited_facts=_CHAR_COMPARE_CITED_FACTS,
         verdict=all(c.verdict for c in checks),

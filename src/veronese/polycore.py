@@ -490,6 +490,66 @@ def is_homogeneous(f: Polynomial) -> bool:
 # multivariate division
 # ---------------------------------------------------------------------------
 
+def _support_mask(m: Exponents) -> int:
+    mask = 0
+    for i, e in enumerate(m):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _nf_dict(work: dict, entries: list, keyf, p: int) -> dict:
+    """Full normal form of a term dict against monic divisor entries.
+
+    Each entry is (lead, quotient, mask, deg, tail).  ``quotient`` is None,
+    or a dict that receives the multiplier of every reduction step by that
+    entry.  Deterministic: the current maximal term is reduced by the first
+    entry whose lead divides it, in entry order.
+    """
+    work = dict(work)
+    result: dict[Exponents, Scalar] = {}
+    while work:
+        m = max(work, key=keyf)
+        c = work.pop(m)
+        mdeg = sum(m)
+        mmask = _support_mask(m)
+        for lead, quotient, lmask, ldeg, tail in entries:
+            if ldeg > mdeg or lmask & ~mmask:
+                continue
+            divisible = True
+            for a, b in zip(lead, m):
+                if a > b:
+                    divisible = False
+                    break
+            if not divisible:
+                continue
+            q = tuple(b - a for a, b in zip(lead, m))
+            if quotient is not None:
+                # the reduced term strictly decreases, so q is never repeated
+                quotient[q] = c
+            # work -= c * x^q * (lead + tail); the lead part is the popped term
+            if p:
+                for tm, tc in tail:
+                    nm = tuple(x + y for x, y in zip(tm, q))
+                    nv = (work.get(nm, 0) - c * tc) % p
+                    if nv:
+                        work[nm] = nv
+                    else:
+                        work.pop(nm, None)
+            else:
+                for tm, tc in tail:
+                    nm = tuple(x + y for x, y in zip(tm, q))
+                    nv = work.get(nm, 0) - c * tc
+                    if nv:
+                        work[nm] = nv
+                    else:
+                        work.pop(nm, None)
+            break
+        else:
+            result[m] = c
+    return result
+
+
 def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
            ) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division: f = sum(q_i * d_i) + r.
@@ -506,41 +566,19 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
             raise ValueError("divisor in a different ring")
         if d.is_zero():
             raise ValueError("zero divisor")
-    keyf = order.key
-    info = []
+    # reduce by the monic divisors d_i / lc_i; q_i is then the collected
+    # multiplier times 1 / lc_i
+    entries = []
+    lcinvs = []
     for d in divisors:
         lm = d.lead_monomial(order)
-        lc = d.coefficient(lm)
-        tail = tuple(t for t in d.terms if t[0] != lm)
-        info.append((lm, dom.invert(lc), tail))
-
-    work = f.as_dict()
-    quotients: list[dict[Exponents, Scalar]] = [{} for _ in divisors]
-    remainder: dict[Exponents, Scalar] = {}
-    p = dom.characteristic
-
-    while work:
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        for idx, (lm, lcinv, tail) in enumerate(info):
-            if all(a <= b for a, b in zip(lm, m)):
-                q = tuple(b - a for a, b in zip(lm, m))
-                factor = c * lcinv % p if p else c * lcinv
-                qd = quotients[idx]
-                qd[q] = qd.get(q, 0) + factor
-                for tm, tc in tail:
-                    nm = tuple(x + y for x, y in zip(tm, q))
-                    nv = work.get(nm, 0) - factor * tc
-                    nv = nv % p if p else nv
-                    if nv:
-                        work[nm] = nv
-                    else:
-                        work.pop(nm, None)
-                break
-        else:
-            remainder[m] = c
-
-    qs = [_from_dict(ring, qd) for qd in quotients]
+        lcinv = dom.invert(d.coefficient(lm))
+        tail = tuple((m, dom.normalize(c * lcinv)) for m, c in d.terms if m != lm)
+        entries.append((lm, {}, _support_mask(lm), sum(lm), tail))
+        lcinvs.append(lcinv)
+    remainder = _nf_dict(f.as_dict(), entries, order.key, dom.characteristic)
+    qs = [_from_dict(ring, {q: c * lcinv for q, c in entry[1].items()})
+          for entry, lcinv in zip(entries, lcinvs)]
     return qs, _from_dict(ring, remainder)
 
 

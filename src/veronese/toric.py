@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .polycore import (
@@ -189,9 +190,7 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Exponents]:
     basis = []
     for i in range(r, d):
         v = U[i]
-        g = 0
-        for e in v:
-            g = _gcd(g, abs(e))
+        g = gcd(*v)
         if g > 1:
             v = [e // g for e in v]
         lead = next((e for e in v if e != 0), 0)
@@ -200,12 +199,6 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Exponents]:
         basis.append(tuple(v))
     basis.sort()
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def integer_solve(rows: Sequence[Sequence[int]], target: Sequence[int]
