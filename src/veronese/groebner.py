@@ -95,7 +95,7 @@ class _Engine:
         self.dom = ring.domain
         self.p = ring.domain.characteristic
         self.keyf = _memo_key(order)
-        self.entries: list = []          # (lead, None, mask, deg, tail)
+        self.entries: list = []          # _nf_dict entries, no quotient
         self.heap: list = []             # (sortkey, i, j)
         self.alive: set[tuple[int, int]] = set()
         self.lcms: dict[tuple[int, int], Exponents] = {}

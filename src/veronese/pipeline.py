@@ -18,9 +18,10 @@ are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .polycore import CoeffDomain, GF, GrevLex, PolyRing, QQ, is_homogeneous
 from .groebner import (
@@ -179,8 +180,7 @@ def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
 # per-characteristic checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Chart:
+class _Chart(NamedTuple):
     """One localized complete-intersection chart.  Without ``candidates``
     the sequence is derived by ``ci_sequence`` for the pure power of
     x-variable ``index``; with them, the candidate strings are parsed in
@@ -189,11 +189,10 @@ class _Chart:
 
     index: int
     candidates: Optional[tuple[str, ...]] = None
-    details: Mapping[str, object] = field(default_factory=dict)
+    details: Mapping[str, object] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """What a report checks in every characteristic besides the toric
     routes: the height against ``expected`` (recorded under
     ``expected_key``, with the Krull dimension when ``show_dimension``),
@@ -531,10 +530,11 @@ def present_monomial_algebra(
         checks += char_checks
     checks.append(_height_constancy(heights))
 
+    sg = AffineSemigroup(mmap.targets)
+
     # normalization certification: common degree, lattice equality, and a
     # bounded multiple search for each missing degree-n monomial.  When it
     # fails, no claim (and no check) is emitted.
-    sg = AffineSemigroup(mmap.targets)
     degree = mmap.common_degree()
     normalization_certified = False
     if degree is not None:
@@ -681,7 +681,7 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
     checks.append(_height_constancy(heights))
     return CharCompareReport(
         description=description,
-        characteristics=tuple(heights),
+        characteristics=tuple(c for c, _ in doms),
         heights=tuple(heights.values()),
         constant=checks[-1].verdict,
         checks=tuple(checks),

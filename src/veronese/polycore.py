@@ -569,16 +569,17 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
     # reduce by the monic divisors d_i / lc_i; q_i is then the collected
     # multiplier times 1 / lc_i
     entries = []
-    lcinvs = []
+    scaled = []
     for d in divisors:
         lm = d.lead_monomial(order)
         lcinv = dom.invert(d.coefficient(lm))
         tail = tuple((m, dom.normalize(c * lcinv)) for m, c in d.terms if m != lm)
-        entries.append((lm, {}, _support_mask(lm), sum(lm), tail))
-        lcinvs.append(lcinv)
+        quotient: dict[Exponents, Scalar] = {}
+        entries.append((lm, quotient, _support_mask(lm), sum(lm), tail))
+        scaled.append((quotient, lcinv))
     remainder = _nf_dict(f.as_dict(), entries, order.key, dom.characteristic)
-    qs = [_from_dict(ring, {q: c * lcinv for q, c in entry[1].items()})
-          for entry, lcinv in zip(entries, lcinvs)]
+    qs = [_from_dict(ring, {q: c * lcinv for q, c in quotient.items()})
+          for quotient, lcinv in scaled]
     return qs, _from_dict(ring, remainder)
 
 
