@@ -181,13 +181,14 @@ def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Chart(NamedTuple):
-    """One localized complete-intersection chart.  Without ``candidates``
-    the sequence is derived by ``ci_sequence`` for the pure power of
-    x-variable ``index``; with them, the candidate strings are parsed in
-    every characteristic and t-variable ``index`` is inverted.  ``details``
-    are recorded right after the inverted variable."""
+    """One localized complete-intersection chart, ``variable`` being a
+    0-based index.  Without ``candidates`` the sequence is derived by
+    ``ci_sequence`` for the pure power of that x-variable; with them, the
+    candidate strings are parsed in every characteristic and that
+    t-variable is inverted.  ``details`` are recorded right after the
+    inverted variable."""
 
-    index: int
+    variable: int
     candidates: Optional[tuple[str, ...]] = None
     details: Mapping[str, object] = MappingProxyType({})
 
@@ -282,11 +283,11 @@ def _characteristic_checks(mmap: MonomialMap, char: int, dom: CoeffDomain,
 
     for chart in plan.charts:
         if chart.candidates is None:
-            rep = ci_sequence(mmap, chart.index, dom)
+            rep = ci_sequence(mmap, chart.variable, dom)
             rep = ci_check(ideal, rep.candidates, rep.inverted, rep)
         else:
             cands = tuple(ring.parse(s) for s in chart.candidates)
-            rep = ci_check(ideal, cands, chart.index)
+            rep = ci_check(ideal, cands, chart.variable)
         checks.append(_ci_result(
             f"localized_ci_{label}_{ring.names[rep.inverted]}", rep, ring,
             **chart.details))
