@@ -107,8 +107,10 @@ def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
                      ) -> tuple[bool, Optional[tuple[Exponents, ...]]]:
     """Decide membership of the target vector by depth-first search over
     generator subtractions, memoizing failed residuals.  Terminates because
-    every generator has positive total degree.  On success the witness
-    multiset is returned after re-verification by summation.
+    every generator has positive total degree.  The search keeps its own
+    stack, one frame per residual on the current path, so deep searches
+    cannot overflow the interpreter's recursion limit.  On success the
+    witness multiset is returned after re-verification by summation.
     """
     target = tuple(target)
     if len(target) != sg.arity:
@@ -117,28 +119,33 @@ def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
         raise ValueError(f"bad target {target!r}")
     gens = sg.generators
     failed: set[Exponents] = set()
-    path: list[Exponents] = []
-
-    def dfs(res: Exponents) -> bool:
-        if not any(res):
-            return True
-        if res in failed:
-            return False
-        for g in gens:
-            ok = True
-            for a, b in zip(g, res):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
+    path: list[Exponents] = []           # generators subtracted so far
+    # [residual, index of the next generator to try]; the residual of
+    # frame i + 1 is that of frame i minus path[i]
+    stack: list[list] = [[target, 0]] if any(target) else []
+    found = not stack
+    while stack and not found:
+        frame = stack[-1]
+        res, start = frame
+        for idx in range(start, len(gens)):
+            g = gens[idx]
+            if all(a <= b for a, b in zip(g, res)):
+                child = tuple(b - a for a, b in zip(g, res))
+                if child in failed:
+                    continue
+                frame[1] = idx + 1
                 path.append(g)
-                if dfs(tuple(b - a for a, b in zip(g, res))):
-                    return True
+                if any(child):
+                    stack.append([child, 0])
+                else:
+                    found = True
+                break
+        else:
+            failed.add(res)
+            stack.pop()
+            if stack:
                 path.pop()
-        failed.add(res)
-        return False
-
-    if not dfs(target):
+    if not found:
         return (False, None)
     witness = tuple(path)
     sums = [0] * sg.arity

@@ -1,6 +1,8 @@
 """Command-line interface: every subcommand prints one JSON report in the
 shared envelope and exits 0 when all verdicts are true, 1 when some verdict
-is false, 2 on bad input, 3 when the resource cap refuses the request."""
+is false, 2 on bad input, 3 when the resource cap refuses the request, and
+4 on an internal error (any other exception), reported as one stderr line
+without a traceback so that a crash never reads as a verdict."""
 from __future__ import annotations
 
 import argparse
@@ -16,7 +18,7 @@ from .toric import ci_check, veronese_map
 from .charp import AffineSemigroup, fedder_fpure, semigroup_member
 from .pipeline import (
     ResourceCapError, _assemble, _check, _ci_result, _cover_result,
-    _fedder_details, _minimal_generator_details, _toric_routes,
+    _fedder_details, _height_check, _minimal_generator_details, _toric_routes,
     cd_certificate, char_compare, ensure_within_cap, present_monomial_algebra,
     render_json,
 )
@@ -119,13 +121,11 @@ def _cmd_veronese_ideal(args: argparse.Namespace) -> dict:
     dom = _domain(char)
     mmap = veronese_map(k, n)
     ideal, _, agree = _toric_routes(mmap, dom)
-    dims = krull_dim(ideal)
     checks = [
         _check("toric_routes_agree", agree,
                **_minimal_generator_details(ideal)),
-        _check("height_matches", dims.height == mmap.d - k,
-               height=dims.height, expected=mmap.d - k,
-               dimension=dims.dimension),
+        _height_check("height_matches", krull_dim(ideal), "expected",
+                      mmap.d - k, show_dimension=True),
     ]
     params = {"k": k, "n": n, "d": mmap.d, "characteristic": char}
     return _assemble("veronese-ideal", params, checks, ())
@@ -354,20 +354,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
+        if args.timing:
+            report["elapsed_seconds"] = round(time.perf_counter() - start, 3)
+        text = render_json(report)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.timing:
-        report["elapsed_seconds"] = round(time.perf_counter() - start, 3)
-    text = render_json(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     return 0 if report["verdict"] else 1
 
 

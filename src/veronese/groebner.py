@@ -1,9 +1,17 @@
 """Deterministic Buchberger engine and ideal-theoretic operations.
 
-The engine keeps every basis element monic with its tail stored separately,
-memoizes order keys, and prunes S-pairs with the Gebauer-Moller update
-(Buchberger's coprime and chain criteria).  Output bases are reduced, monic
-and canonically sorted, so two runs with different generator orders or
+The engine keeps every basis element monic with its tail stored separately
+and memoizes one negated order key per monomial for the run.  Reduction
+(``polycore._nf_dict``) pops the maximal term of the working polynomial off
+a heap of those keys instead of rescanning it; terms that cancel stay in
+the working dict as zeros and are skipped when popped.  S-pairs are pruned
+by the Gebauer-Moller update (Buchberger's coprime and chain criteria) in a
+linear pass: new pairs are scanned in ascending lcm order, so only the next
+candidate can have an lcm dividing the current one (they must be equal);
+coprimality and most divisibility tests are settled by the support bitmasks
+the basis entries carry; each lcm(lead_i, lead_t) is computed once and
+reused by the chain criterion.  Output bases are reduced, monic and
+canonically sorted, so two runs with different generator orders or
 selection strategies agree structurally.
 """
 from __future__ import annotations
@@ -11,11 +19,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, itemgetter, le, neg, sub
 from typing import Iterable, Sequence, Union
 
 from .polycore import (
     Block, GrevLex, MonomialOrder, PolyRing, Polynomial, Exponents, Scalar,
-    divide, _from_dict, _nf_dict, _support_mask,
+    divide, _NegatedKeys, _from_dict, _nf_dict, _support_mask,
 )
 
 __all__ = [
@@ -71,20 +80,6 @@ class GroebnerBasis:
 # engine internals
 # ---------------------------------------------------------------------------
 
-def _memo_key(order: MonomialOrder):
-    cache: dict[Exponents, object] = {}
-    okey = order.key
-
-    def keyf(m: Exponents):
-        v = cache.get(m)
-        if v is None:
-            v = okey(m)
-            cache[m] = v
-        return v
-
-    return keyf
-
-
 class _Engine:
     def __init__(self, ring: PolyRing, order: MonomialOrder, strategy: str):
         if strategy not in STRATEGIES:
@@ -94,100 +89,100 @@ class _Engine:
         self.strategy = strategy
         self.dom = ring.domain
         self.p = ring.domain.characteristic
-        self.keyf = _memo_key(order)
+        self.negkeys = _NegatedKeys(order)
         self.entries: list = []          # _nf_dict entries, no quotient
         self.heap: list = []             # (sortkey, i, j)
-        self.alive: set[tuple[int, int]] = set()
-        self.lcms: dict[tuple[int, int], Exponents] = {}
+        # live pairs (i, j), i < j, with the lcm of their leads and its mask
+        self.alive: dict[tuple[int, int], tuple[Exponents, int]] = {}
         self._counter = 0
 
     # -- pair bookkeeping --------------------------------------------------
 
-    def _push_pair(self, i: int, t: int, lcm: Exponents) -> None:
-        self.alive.add((i, t))
-        self.lcms[(i, t)] = lcm
+    def _push_pair(self, i: int, t: int, lcm: Exponents, mask: int) -> None:
+        self.alive[(i, t)] = (lcm, mask)
         if self.strategy == "normal":
-            sortkey = (sum(lcm), self.keyf(lcm), i, t)
+            # smallest lcm first: undo the memo's negation
+            sortkey = (sum(lcm), tuple(map(neg, self.negkeys[lcm])), i, t)
         else:                            # fifo
             sortkey = (self._counter,)
             self._counter += 1
         heapq.heappush(self.heap, (sortkey, i, t))
 
     def _update_pairs(self, t: int) -> None:
-        """Gebauer-Moller update after inserting basis element t."""
+        """Gebauer-Moller update after inserting basis element t.
+
+        New pairs (i, t) are taken in ascending lcm order.  One is dropped
+        when an earlier kept pair or a later one has an lcm dividing its
+        own; a later lcm is no smaller, so it divides only when equal, and
+        equal lcms are adjacent.  Coprime pairs are kept for these tests
+        but never queued (product criterion).  Then an old pair (i, j) is
+        dropped when lead_t divides its lcm and neither lcm(i, t) nor
+        lcm(j, t) equals it (chain criterion).
+        """
         entries = self.entries
-        lead_t = entries[t][0]
+        negkeys = self.negkeys
+        lead_t, _, mask_t, _, _ = entries[t]
+        lcm_t: list[Exponents] = []      # lcm(lead_i, lead_t) by i
         cand = []
         for i in range(t):
-            lead_i = entries[i][0]
-            lcm = tuple(max(a, b) for a, b in zip(lead_i, lead_t))
-            coprime = all(min(a, b) == 0 for a, b in zip(lead_i, lead_t))
-            cand.append((i, lcm, coprime))
-        cand.sort(key=lambda x: (self.keyf(x[1]), x[0]))
+            lead_i, _, mask_i, _, _ = entries[i]
+            lcm = tuple([a if a > b else b for a, b in zip(lead_i, lead_t)])
+            lcm_t.append(lcm)
+            cand.append((negkeys[lcm], i, lcm, mask_i | mask_t,
+                         not mask_i & mask_t))
+        # ascending lcm, ties by i: stable sort on descending negated keys
+        cand.sort(key=itemgetter(0), reverse=True)
 
-        kept: list[tuple[int, Exponents, bool]] = []
-        for idx, (i, lcm, coprime) in enumerate(cand):
-            if coprime:
-                kept.append((i, lcm, True))
-                continue
-            dominated = False
-            for _, lcm2, _ in cand[idx + 1:]:
-                if all(a <= b for a, b in zip(lcm2, lcm)):
-                    dominated = True
-                    break
-            if not dominated:
-                for _, lcm2, _ in kept:
-                    if all(a <= b for a, b in zip(lcm2, lcm)):
-                        dominated = True
-                        break
-            if not dominated:
-                kept.append((i, lcm, False))
+        kept: list[tuple[int, Exponents, int, bool]] = []
+        last = len(cand) - 1
+        for idx, (_, i, lcm, mask, coprime) in enumerate(cand):
+            if not coprime:
+                if idx < last and cand[idx + 1][2] == lcm:
+                    continue
+                if any(not kmask & ~mask and all(map(le, klcm, lcm))
+                       for _, klcm, kmask, _ in kept):
+                    continue
+            kept.append((i, lcm, mask, coprime))
 
-        # chain criterion against surviving old pairs
-        for (i, j) in sorted(self.alive):
-            lcm_ij = self.lcms[(i, j)]
-            if not all(a <= b for a, b in zip(lead_t, lcm_ij)):
-                continue
-            lead_i = entries[i][0]
-            lead_j = entries[j][0]
-            lcm_it = tuple(max(a, b) for a, b in zip(lead_i, lead_t))
-            lcm_jt = tuple(max(a, b) for a, b in zip(lead_j, lead_t))
-            if lcm_it != lcm_ij and lcm_jt != lcm_ij:
-                self.alive.discard((i, j))
+        alive = self.alive
+        dropped = [
+            pair for pair, (lcm, mask) in alive.items()
+            if not mask_t & ~mask and all(map(le, lead_t, lcm))
+            and lcm_t[pair[0]] != lcm and lcm_t[pair[1]] != lcm]
+        for pair in dropped:
+            del alive[pair]
 
-        for i, lcm, coprime in kept:
+        for i, lcm, mask, coprime in kept:
             if not coprime:              # product criterion drops coprime pairs
-                self._push_pair(i, t, lcm)
+                self._push_pair(i, t, lcm, mask)
 
     # -- basis growth --------------------------------------------------------
 
     def insert(self, h: dict) -> None:
-        """Insert a nonzero, fully reduced term dict as a new monic element."""
-        lead = max(h, key=self.keyf)
-        lc = h.pop(lead)
+        """Insert a nonzero, fully reduced term dict, terms in descending
+        order as ``_nf_dict`` returns them, as a new monic element."""
+        terms = iter(h.items())
+        lead, lc = next(terms)
         if self.p:
             inv = pow(lc, -1, self.p)
-            tail = tuple(sorted(((m, c * inv % self.p) for m, c in h.items()),
-                                key=lambda t: self.keyf(t[0]), reverse=True))
+            tail = tuple((m, c * inv % self.p) for m, c in terms)
         else:
-            tail = tuple(sorted(((m, c / lc) for m, c in h.items()),
-                                key=lambda t: self.keyf(t[0]), reverse=True))
+            tail = tuple((m, c / lc) for m, c in terms)
         entry = (lead, None, _support_mask(lead), sum(lead), tail)
         self.entries.append(entry)
         self._update_pairs(len(self.entries) - 1)
 
-    def _spoly(self, i: int, j: int) -> dict:
+    def _spoly(self, i: int, j: int, lcm: Exponents) -> dict:
         lead_i, _, _, _, tail_i = self.entries[i]
         lead_j, _, _, _, tail_j = self.entries[j]
-        lcm = self.lcms[(i, j)]
-        qi = tuple(a - b for a, b in zip(lcm, lead_i))
-        qj = tuple(a - b for a, b in zip(lcm, lead_j))
+        qi = tuple(map(sub, lcm, lead_i))
+        qj = tuple(map(sub, lcm, lead_j))
         d: dict[Exponents, Scalar] = {}
         for m, c in tail_i:
-            d[tuple(x + y for x, y in zip(m, qi))] = c
+            d[tuple(map(add, m, qi))] = c
         p = self.p
         for m, c in tail_j:
-            nm = tuple(x + y for x, y in zip(m, qj))
+            nm = tuple(map(add, m, qj))
             nv = (d.get(nm, 0) - c) % p if p else d.get(nm, 0) - c
             if nv:
                 d[nm] = nv
@@ -199,18 +194,18 @@ class _Engine:
         for g in gens:
             if g.is_zero():
                 continue
-            h = _nf_dict(g.as_dict(), self.entries, self.keyf, self.p)
+            h = _nf_dict(g.as_dict(), self.entries, self.negkeys, self.p)
             if h:
                 self.insert(h)
         while self.heap:
             _, i, j = heapq.heappop(self.heap)
-            if (i, j) not in self.alive:
+            pair = self.alive.pop((i, j), None)
+            if pair is None:
                 continue
-            self.alive.discard((i, j))
-            s = self._spoly(i, j)
+            s = self._spoly(i, j, pair[0])
             if not s:
                 continue
-            h = _nf_dict(s, self.entries, self.keyf, self.p)
+            h = _nf_dict(s, self.entries, self.negkeys, self.p)
             if h:
                 self.insert(h)
         return self._finalize()
@@ -225,8 +220,7 @@ class _Engine:
             for j in range(n):
                 if i == j:
                     continue
-                lead_j = entries[j][0]
-                if all(a <= b for a, b in zip(lead_j, lead_i)):
+                if all(map(le, entries[j][0], lead_i)):
                     # equal leads cannot occur (new leads are always reduced),
                     # so this is strict divisibility by another lead
                     redundant = True
@@ -235,16 +229,16 @@ class _Engine:
                 keep.append(i)
 
         kept_entries = [entries[i] for i in keep]
-        out: list[dict] = []
+        out: list[tuple[Exponents, dict]] = []
         for pos, entry in enumerate(kept_entries):
             lead, _, _, _, tail = entry
             others = kept_entries[:pos] + kept_entries[pos + 1:]
-            reduced_tail = _nf_dict(dict(tail), others, self.keyf, self.p)
-            poly = dict(reduced_tail)
+            poly = _nf_dict(dict(tail), others, self.negkeys, self.p)
             poly[lead] = self.dom.one
-            out.append(poly)
-        out.sort(key=lambda d: self.keyf(max(d, key=self.keyf)))
-        return out
+            out.append((lead, poly))
+        # ascending leads
+        out.sort(key=lambda lp: self.negkeys[lp[0]], reverse=True)
+        return [poly for _, poly in out]
 
 
 @lru_cache(maxsize=256)
@@ -269,14 +263,14 @@ def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX,
 
 @lru_cache(maxsize=256)
 def _gb_entries(gb: GroebnerBasis):
-    keyf = _memo_key(gb.order)
+    negkeys = _NegatedKeys(gb.order)
     entries = []
     for g in gb.elements:
         lead = g.lead_monomial(gb.order)
         tail = tuple(t for t in g.terms if t[0] != lead)
         # elements are monic by construction
         entries.append((lead, None, _support_mask(lead), sum(lead), tail))
-    return entries, keyf
+    return entries, negkeys
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -285,8 +279,8 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise ValueError("polynomial from a different ring")
     if not gb.elements:
         return f
-    entries, keyf = _gb_entries(gb)
-    r = _nf_dict(f.as_dict(), entries, keyf, f.ring.domain.characteristic)
+    entries, negkeys = _gb_entries(gb)
+    r = _nf_dict(f.as_dict(), entries, negkeys, f.ring.domain.characteristic)
     return _from_dict(f.ring, r)
 
 

@@ -35,7 +35,7 @@ from .toric import (
     symmetric_minors_ideal, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
 )
-from .invariants import krull_dim, veronese_lc_piece
+from .invariants import DimensionResult, krull_dim, veronese_lc_piece
 from .charp import (
     AffineSemigroup, FpurityReport, fedder_fpure, monomial_ideal_member,
     semigroup_member,
@@ -251,6 +251,17 @@ def _fedder_details(rep: FpurityReport) -> dict:
             "colon_generators": len(rep.colon_generators)}
 
 
+def _height_check(name: str, dims: DimensionResult, expected_key: str,
+                  expected: int, show_dimension: bool) -> Check:
+    """The computed height against ``expected``, recorded under
+    ``expected_key``, with the Krull dimension when ``show_dimension``."""
+    details: dict[str, object] = {"height": dims.height,
+                                  expected_key: expected}
+    if show_dimension:
+        details["dimension"] = dims.dimension
+    return _check(name, dims.height == expected, **details)
+
+
 def _height_constancy(heights: Mapping[int, int]) -> Check:
     return _check("height_constant_across_characteristics",
                   len(set(heights.values())) == 1,
@@ -274,12 +285,9 @@ def _characteristic_checks(mmap: MonomialMap, char: int, dom: CoeffDomain,
     checks = [_check(f"toric_routes_agree_{label}", agree, **route_details)]
 
     dims = krull_dim(ideal)
-    height_details: dict[str, object] = {
-        "height": dims.height, plan.expected_key: plan.expected}
-    if plan.show_dimension:
-        height_details["dimension"] = dims.dimension
-    checks.append(_check(f"{plan.height_check}_{label}",
-                         dims.height == plan.expected, **height_details))
+    checks.append(_height_check(f"{plan.height_check}_{label}", dims,
+                                plan.expected_key, plan.expected,
+                                plan.show_dimension))
 
     for chart in plan.charts:
         if chart.candidates is None:

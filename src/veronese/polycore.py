@@ -11,7 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import isqrt
+from operator import add, itemgetter, le, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -126,6 +128,9 @@ def GF(p: int) -> PrimeField:
 # ---------------------------------------------------------------------------
 # monomials (bare exponent tuples) and monomial orders
 # ---------------------------------------------------------------------------
+#
+# Every order key is one flat tuple of ints whose length depends only on the
+# arity, so comparing keys as tuples is comparing monomials in the order.
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
@@ -152,9 +157,19 @@ def monomial_degree(a: Exponents) -> int:
     return sum(a)
 
 
-def _grevlex_key(m: Exponents):
+def _grevlex_key(m: Exponents) -> tuple[int, ...]:
     # graded, then reverse-lex: later variables count against a monomial
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m),) + tuple(map(neg, reversed(m)))
+
+
+def _getter(indices: Sequence[int]):
+    """m -> tuple(m[i] for i in indices), for any number of indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i, = indices
+        return lambda m: (m[i],)
+    return lambda m: ()
 
 
 @dataclass(frozen=True)
@@ -186,11 +201,17 @@ class Block:
 
     Any monomial containing an eliminated variable beats every monomial in
     the remaining variables alone, which is exactly the elimination
-    property needed to read off intersection ideals from a basis.
+    property needed to read off intersection ideals from a basis.  The key
+    is the grevlex key of the eliminated exponents followed by the inner
+    key of the rest.
     """
 
     eliminated: frozenset[int]
     inner: "MonomialOrder" = field(default_factory=GrevLex)
+    # arity -> (eliminated exponents reversed, remaining exponents) as two
+    # tuple-valued getters; a cache, so it takes no part in ==, hash or repr
+    _splits: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self) -> None:
         elim = frozenset(self.eliminated)
@@ -200,16 +221,18 @@ class Block:
             raise ValueError("eliminated indices must be nonnegative ints")
         object.__setattr__(self, "eliminated", elim)
 
-    def key(self, m: Exponents):
+    def _split(self, arity: int):
         elim = self.eliminated
-        block = []
-        rest = []
-        for i, e in enumerate(m):
-            if i in elim:
-                block.append(e)
-            else:
-                rest.append(e)
-        return (_grevlex_key(tuple(block)), self.inner.key(tuple(rest)))
+        block = [i for i in range(arity) if i in elim]
+        rest = [i for i in range(arity) if i not in elim]
+        split = self._splits[arity] = (_getter(block[::-1]), _getter(rest))
+        return split
+
+    def key(self, m: Exponents):
+        block_rev, rest = self._splits.get(len(m)) or self._split(len(m))
+        block = block_rev(m)
+        return ((sum(block),) + tuple(map(neg, block))
+                + self.inner.key(rest(m)))
 
     def __str__(self) -> str:
         return f"block(eliminate={sorted(self.eliminated)}, inner={self.inner})"
@@ -498,52 +521,62 @@ def _support_mask(m: Exponents) -> int:
     return mask
 
 
-def _nf_dict(work: dict, entries: list, keyf, p: int) -> dict:
+class _NegatedKeys(dict):
+    """Memo from monomial to its negated order key, filled on first lookup.
+
+    Negation reverses tuple comparison, so ascending negated keys list
+    monomials in descending order and a min-heap of them pops the largest.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, order: "MonomialOrder"):
+        super().__init__()
+        self.key = order.key
+
+    def __missing__(self, m: Exponents) -> tuple[int, ...]:
+        v = self[m] = tuple(map(neg, self.key(m)))
+        return v
+
+
+def _nf_dict(work: dict, entries: list, negkeys: _NegatedKeys, p: int) -> dict:
     """Full normal form of a term dict against monic divisor entries.
 
-    Each entry is (lead, quotient, mask, deg, tail).  ``quotient`` is None,
-    or a dict that receives the multiplier of every reduction step by that
-    entry.  Deterministic: the current maximal term is reduced by the first
-    entry whose lead divides it, in entry order.
+    Consumes ``work``.  Each entry is (lead, quotient, mask, deg, tail).
+    ``quotient`` is None, or a dict that receives the multiplier of every
+    reduction step by that entry.  Deterministic: the current maximal term
+    is reduced by the first entry whose lead divides it, in entry order.
+    The maximal term comes off a heap of (negated key, monomial); a term
+    whose coefficient cancelled stays in ``work`` as 0 and is skipped when
+    popped.  The result lists its terms in descending order.
     """
-    work = dict(work)
+    heap = [(negkeys[m], m) for m in work]
+    heapify(heap)
     result: dict[Exponents, Scalar] = {}
-    while work:
-        m = max(work, key=keyf)
+    while heap:
+        m = heappop(heap)[1]
         c = work.pop(m)
+        if not c:
+            continue
         mdeg = sum(m)
         mmask = _support_mask(m)
         for lead, quotient, lmask, ldeg, tail in entries:
-            if ldeg > mdeg or lmask & ~mmask:
+            if ldeg > mdeg or lmask & ~mmask or not all(map(le, lead, m)):
                 continue
-            divisible = True
-            for a, b in zip(lead, m):
-                if a > b:
-                    divisible = False
-                    break
-            if not divisible:
-                continue
-            q = tuple(b - a for a, b in zip(lead, m))
+            q = tuple(map(sub, m, lead))
             if quotient is not None:
                 # the reduced term strictly decreases, so q is never repeated
                 quotient[q] = c
-            # work -= c * x^q * (lead + tail); the lead part is the popped term
-            if p:
-                for tm, tc in tail:
-                    nm = tuple(x + y for x, y in zip(tm, q))
-                    nv = (work.get(nm, 0) - c * tc) % p
-                    if nv:
-                        work[nm] = nv
-                    else:
-                        work.pop(nm, None)
-            else:
-                for tm, tc in tail:
-                    nm = tuple(x + y for x, y in zip(tm, q))
-                    nv = work.get(nm, 0) - c * tc
-                    if nv:
-                        work[nm] = nv
-                    else:
-                        work.pop(nm, None)
+            # work -= c * x^q * (lead + tail); the lead part is the popped
+            # term, and every new term is smaller than it
+            for tm, tc in tail:
+                nm = tuple(map(add, tm, q))
+                old = work.get(nm)
+                if old is None:
+                    work[nm] = -c * tc % p if p else -c * tc
+                    heappush(heap, (negkeys[nm], nm))
+                else:
+                    work[nm] = (old - c * tc) % p if p else old - c * tc
             break
         else:
             result[m] = c
@@ -577,7 +610,8 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
         quotient: dict[Exponents, Scalar] = {}
         entries.append((lm, quotient, _support_mask(lm), sum(lm), tail))
         scaled.append((quotient, lcinv))
-    remainder = _nf_dict(f.as_dict(), entries, order.key, dom.characteristic)
+    remainder = _nf_dict(f.as_dict(), entries, _NegatedKeys(order),
+                         dom.characteristic)
     qs = [_from_dict(ring, {q: c * lcinv for q, c in quotient.items()})
           for quotient, lcinv in scaled]
     return qs, _from_dict(ring, remainder)

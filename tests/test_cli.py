@@ -1,6 +1,6 @@
 """Command-line interface: every subcommand end to end through main(), the
 exit-code contract (0 verdict-true, 1 verdict-false, 2 bad input, 3 resource
-cap), file output, and the timing flag."""
+cap, 4 internal error), file output, and the timing flag."""
 from __future__ import annotations
 
 import json
@@ -131,6 +131,23 @@ def test_semigroup_subcommand(capsys):
     assert rep2["verdict"] is False
 
 
+def test_semigroup_deep_searches_do_not_crash(capsys):
+    # a 5,000-step witness and a 1,500-deep failing search: both beyond
+    # the interpreter's default recursion limit
+    code, out, err = _run(capsys, "semigroup", "--generators", "1",
+                          "--target", "5000")
+    assert code == 0
+    assert "Traceback" not in err
+    witness = json.loads(out)["checks"][0]["details"]["witness"]
+    assert witness == [[1]] * 5000
+
+    code, out, err = _run(capsys, "semigroup", "--generators", "2",
+                          "--target", "3001")
+    assert code == 1
+    assert "Traceback" not in err
+    assert json.loads(out)["verdict"] is False
+
+
 def test_cd_certificate_subcommand(capsys):
     code, rep = _report(
         capsys, "cd-certificate", "-k", "2", "-n", "2", "--primes", "2")
@@ -191,6 +208,18 @@ def test_exit_three_on_resource_cap(capsys):
     assert "cap" in err
 
 
+def test_exit_four_on_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr("veronese.cli._cmd_height", broken)
+    code, out, err = _run(capsys, "height", "--ring", "x",
+                          "--ideal", "x")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: engine bug\n"
+
+
 def test_argparse_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["present"])                 # --targets is required
@@ -212,6 +241,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == "" and err == ""
     rep = json.loads(path.read_text())
     assert rep["checks"][0]["details"]["height"] == 1
+
+
+def test_exit_two_on_unwritable_out_file(tmp_path, capsys):
+    code, out, err = _run(capsys, "height", "--ring", "x", "--ideal", "x",
+                          "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_ideal_file_input(tmp_path, capsys):

@@ -1,0 +1,171 @@
+"""The reduction kernel and the flat order keys against reference copies of
+the code they replaced: a division loop that rescans ``max(work)`` on every
+step, and order keys built as nested tuples.  Division quotients,
+remainders and normal forms must agree exactly, and every order must sort
+monomials the same way under both keys."""
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import pytest
+
+from veronese.groebner import Ideal, buchberger, normal_form
+from veronese.polycore import (
+    Block, GF, GrevLex, Lex, PolyRing, QQ, _from_dict, _support_mask, divide,
+)
+
+_ORDERS = [
+    Lex(),
+    GrevLex(),
+    Block(frozenset({0, 2}), GrevLex()),
+    Block(frozenset({1, 3}), Lex()),
+    Block(frozenset({3}), GrevLex()),
+    Block(frozenset({0, 3}), Block(frozenset({1}), Lex())),
+]
+_DOMAINS = [QQ, GF(2), GF(5)]
+
+
+# ---------------------------------------------------------------------------
+# reference copies
+# ---------------------------------------------------------------------------
+
+def _nested_key(order, m):
+    """Order key as nested tuples: grevlex (deg, reversed negated
+    exponents), block (grevlex key of the block, inner key of the rest)."""
+    if isinstance(order, Lex):
+        return m
+    if isinstance(order, GrevLex):
+        return (sum(m), tuple(-e for e in reversed(m)))
+    block = tuple(e for i, e in enumerate(m) if i in order.eliminated)
+    rest = tuple(e for i, e in enumerate(m) if i not in order.eliminated)
+    return (_nested_key(GrevLex(), block), _nested_key(order.inner, rest))
+
+
+def _reference_nf(work, entries, keyf, p):
+    """Full normal form, taking the maximal term by rescanning the dict."""
+    work = dict(work)
+    result = {}
+    while work:
+        m = max(work, key=keyf)
+        c = work.pop(m)
+        mdeg = sum(m)
+        mmask = _support_mask(m)
+        for lead, quotient, lmask, ldeg, tail in entries:
+            if ldeg > mdeg or lmask & ~mmask:
+                continue
+            if any(a > b for a, b in zip(lead, m)):
+                continue
+            q = tuple(b - a for a, b in zip(lead, m))
+            if quotient is not None:
+                quotient[q] = c
+            for tm, tc in tail:
+                nm = tuple(x + y for x, y in zip(tm, q))
+                nv = work.get(nm, 0) - c * tc
+                if p:
+                    nv %= p
+                if nv:
+                    work[nm] = nv
+                else:
+                    work.pop(nm, None)
+            break
+        else:
+            result[m] = c
+    return result
+
+
+def _reference_divide(f, divisors, order):
+    ring = f.ring
+    dom = ring.domain
+    keyf = lambda m: _nested_key(order, m)          # noqa: E731
+    entries, scaled = [], []
+    for d in divisors:
+        lm = max((m for m, _ in d.terms), key=keyf)
+        lcinv = dom.invert(d.coefficient(lm))
+        tail = tuple((m, dom.normalize(c * lcinv))
+                     for m, c in d.terms if m != lm)
+        quotient = {}
+        entries.append((lm, quotient, _support_mask(lm), sum(lm), tail))
+        scaled.append((quotient, lcinv))
+    remainder = _reference_nf(f.as_dict(), entries, keyf,
+                              dom.characteristic)
+    qs = [_from_dict(ring, {q: c * lcinv for q, c in quotient.items()})
+          for quotient, lcinv in scaled]
+    return qs, _from_dict(ring, remainder)
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+# ---------------------------------------------------------------------------
+
+def _random_poly(rng, ring, terms, max_deg):
+    d = {}
+    for _ in range(terms):
+        m = tuple(rng.randint(0, max_deg) for _ in range(ring.arity))
+        d[m] = d.get(m, 0) + rng.randint(-4, 4)
+    return ring.from_dict(d)
+
+
+def _random_divisors(rng, ring):
+    out = []
+    while len(out) < rng.randint(1, 4):
+        g = _random_poly(rng, ring, rng.randint(1, 4), 2)
+        if not g.is_zero():
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+@pytest.mark.parametrize("dom", _DOMAINS, ids=str)
+def test_divide_matches_max_rescan_reference(order, dom):
+    rng = random.Random(f"{order}/{dom}")
+    ring = PolyRing(("a", "b", "c", "d"), dom)
+    for _ in range(40):
+        divisors = _random_divisors(rng, ring)
+        f = _random_poly(rng, ring, rng.randint(0, 8), 4)
+        assert divide(f, divisors, order) == \
+            _reference_divide(f, divisors, order)
+
+
+def _random_binomials(rng, ring):
+    """Two to three homogeneous binomials of degree 2 or 3: their bases
+    stay small under every order."""
+    out = []
+    for _ in range(rng.randint(2, 3)):
+        deg = rng.randint(2, 3)
+        a, b = (tuple(_composition(rng, deg, ring.arity)) for _ in range(2))
+        if a != b:
+            out.append(ring.monomial(a) - ring.monomial(b, rng.choice((1, 2))))
+    return out
+
+
+def _composition(rng, deg, parts):
+    exps = [0] * parts
+    for _ in range(deg):
+        exps[rng.randrange(parts)] += 1
+    return exps
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+@pytest.mark.parametrize("dom", _DOMAINS, ids=str)
+def test_normal_form_matches_max_rescan_reference(order, dom):
+    rng = random.Random(f"nf/{order}/{dom}")
+    ring = PolyRing(("a", "b", "c", "d"), dom)
+    for _ in range(6):
+        gb = buchberger(Ideal(ring, tuple(_random_binomials(rng, ring))),
+                        order)
+        if not gb.elements:
+            continue
+        for _ in range(8):
+            f = _random_poly(rng, ring, rng.randint(0, 8), 4)
+            _, expected = _reference_divide(f, list(gb.elements), order)
+            assert normal_form(f, gb) == expected
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_flat_keys_sort_like_nested_keys(order):
+    monomials = [m for m in product(range(4), repeat=4) if sum(m) <= 3]
+    random.Random(7).shuffle(monomials)
+    flat = sorted(monomials, key=order.key)
+    assert flat == sorted(monomials, key=lambda m: _nested_key(order, m))
+    assert len({order.key(m) for m in monomials}) == len(monomials)
