@@ -1,16 +1,21 @@
 """Deterministic Buchberger engine and ideal-theoretic operations.
 
-The engine keeps every basis element monic with its tail stored separately
-and memoizes one negated order key per monomial for the run.  Reduction
-(``polycore._nf_dict``) pops the maximal term of the working polynomial off
-a heap of those keys instead of rescanning it; terms that cancel stay in
-the working dict as zeros and are skipped when popped.  S-pairs are pruned
-by the Gebauer-Moller update (Buchberger's coprime and chain criteria) in a
-linear pass: new pairs are scanned in ascending lcm order, so only the next
-candidate can have an lcm dividing the current one (they must be equal);
-coprimality and most divisibility tests are settled by the support bitmasks
-the basis entries carry; each lcm(lead_i, lead_t) is computed once and
-reused by the chain criterion.  Output bases are reduced, monic and
+The engine keeps every basis element monic with its tail stored separately.
+Inside a run every monomial is one packed int (``polycore._Packing``, after
+Monagan and Pearce 2011): the int order is the monomial order, ``a + b`` is
+the product and ``(b - a) & guard == 0`` tests that a divides b, because a
+field that borrows sets its guard bit.  Reduction (``polycore._nf_dict``)
+pops the maximal term of the working polynomial off a heap of negated packed
+monomials; terms that cancel stay in the working dict as zeros and are
+skipped when popped.  The leads are also kept as exponent tuples, only to
+form lcms, and each lcm is packed once.  S-pairs are pruned by the
+Gebauer-Moller update (Buchberger's coprime and chain criteria) in a linear
+pass: new pairs are scanned in ascending lcm order, so only the next
+candidate can have an lcm dividing the current one (they must be equal); a
+pair is coprime when its packed lcm is the product of its packed leads; each
+lcm(lead_i, lead_t) is reused by the chain criterion.  A run whose
+monomials outgrow the packed fields is repeated with wider fields
+(``polycore._packed``).  Output bases are unpacked, reduced, monic and
 canonically sorted, so two runs with different generator orders or
 selection strategies agree structurally.
 """
@@ -19,12 +24,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, itemgetter, le, neg, sub
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .polycore import (
     Block, GrevLex, MonomialOrder, PolyRing, Polynomial, Exponents, Scalar,
-    divide, _NegatedKeys, _from_dict, _nf_dict, _support_mask,
+    divide, _Packing, _PackingOverflow, _from_dict, _nf_dict, _packed,
 )
 
 __all__ = [
@@ -81,28 +86,27 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    def __init__(self, ring: PolyRing, order: MonomialOrder, strategy: str):
+    def __init__(self, ring: PolyRing, strategy: str, packing: _Packing):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.ring = ring
-        self.order = order
         self.strategy = strategy
         self.dom = ring.domain
         self.p = ring.domain.characteristic
-        self.negkeys = _NegatedKeys(order)
+        self.packing = packing
+        self.guard = packing.guard
         self.entries: list = []          # _nf_dict entries, no quotient
+        self.leads: list[Exponents] = []  # the entries' leads, unpacked
         self.heap: list = []             # (sortkey, i, j)
-        # live pairs (i, j), i < j, with the lcm of their leads and its mask
-        self.alive: dict[tuple[int, int], tuple[Exponents, int]] = {}
+        # live pairs (i, j), i < j, with the packed lcm of their leads
+        self.alive: dict[tuple[int, int], int] = {}
         self._counter = 0
 
     # -- pair bookkeeping --------------------------------------------------
 
-    def _push_pair(self, i: int, t: int, lcm: Exponents, mask: int) -> None:
-        self.alive[(i, t)] = (lcm, mask)
+    def _push_pair(self, i: int, t: int, lcm: int, deg: int) -> None:
+        self.alive[(i, t)] = lcm
         if self.strategy == "normal":
-            # smallest lcm first: undo the memo's negation
-            sortkey = (sum(lcm), tuple(map(neg, self.negkeys[lcm])), i, t)
+            sortkey = (deg, lcm, i, t)   # smallest lcm first
         else:                            # fifo
             sortkey = (self._counter,)
             self._counter += 1
@@ -120,47 +124,48 @@ class _Engine:
         lcm(j, t) equals it (chain criterion).
         """
         entries = self.entries
-        negkeys = self.negkeys
-        lead_t, _, mask_t, _, _ = entries[t]
-        lcm_t: list[Exponents] = []      # lcm(lead_i, lead_t) by i
+        leads = self.leads
+        guard = self.guard
+        pack = self.packing.pack
+        lead_t = leads[t]
+        plead_t = entries[t][0]
+        lcm_t: list[int] = []            # packed lcm(lead_i, lead_t) by i
         cand = []
         for i in range(t):
-            lead_i, _, mask_i, _, _ = entries[i]
-            lcm = tuple([a if a > b else b for a, b in zip(lead_i, lead_t)])
+            e = tuple([a if a > b else b for a, b in zip(leads[i], lead_t)])
+            lcm = pack(e)
             lcm_t.append(lcm)
-            cand.append((negkeys[lcm], i, lcm, mask_i | mask_t,
-                         not mask_i & mask_t))
-        # ascending lcm, ties by i: stable sort on descending negated keys
-        cand.sort(key=itemgetter(0), reverse=True)
+            cand.append((lcm, i, sum(e), lcm == entries[i][0] + plead_t))
+        cand.sort()                      # ascending lcm, ties by i
 
-        kept: list[tuple[int, Exponents, int, bool]] = []
+        kept: list[tuple[int, int, int, bool]] = []
         last = len(cand) - 1
-        for idx, (_, i, lcm, mask, coprime) in enumerate(cand):
+        for idx, (lcm, i, deg, coprime) in enumerate(cand):
             if not coprime:
-                if idx < last and cand[idx + 1][2] == lcm:
+                if idx < last and cand[idx + 1][0] == lcm:
                     continue
-                if any(not kmask & ~mask and all(map(le, klcm, lcm))
-                       for _, klcm, kmask, _ in kept):
+                if any(not (lcm - klcm) & guard for _, klcm, _, _ in kept):
                     continue
-            kept.append((i, lcm, mask, coprime))
+            kept.append((i, lcm, deg, coprime))
 
         alive = self.alive
         dropped = [
-            pair for pair, (lcm, mask) in alive.items()
-            if not mask_t & ~mask and all(map(le, lead_t, lcm))
+            pair for pair, lcm in alive.items()
+            if not (lcm - plead_t) & guard
             and lcm_t[pair[0]] != lcm and lcm_t[pair[1]] != lcm]
         for pair in dropped:
             del alive[pair]
 
-        for i, lcm, mask, coprime in kept:
+        for i, lcm, deg, coprime in kept:
             if not coprime:              # product criterion drops coprime pairs
-                self._push_pair(i, t, lcm, mask)
+                self._push_pair(i, t, lcm, deg)
 
     # -- basis growth --------------------------------------------------------
 
     def insert(self, h: dict) -> None:
-        """Insert a nonzero, fully reduced term dict, terms in descending
-        order as ``_nf_dict`` returns them, as a new monic element."""
+        """Insert a nonzero, fully reduced packed term dict, terms in
+        descending order as ``_nf_dict`` returns them, as a new monic
+        element."""
         terms = iter(h.items())
         lead, lc = next(terms)
         if self.p:
@@ -168,21 +173,27 @@ class _Engine:
             tail = tuple((m, c * inv % self.p) for m, c in terms)
         else:
             tail = tuple((m, c / lc) for m, c in terms)
-        entry = (lead, None, _support_mask(lead), sum(lead), tail)
-        self.entries.append(entry)
+        self.entries.append((lead, None, tail))
+        self.leads.append(self.packing.unpack(lead))
         self._update_pairs(len(self.entries) - 1)
 
-    def _spoly(self, i: int, j: int, lcm: Exponents) -> dict:
-        lead_i, _, _, _, tail_i = self.entries[i]
-        lead_j, _, _, _, tail_j = self.entries[j]
-        qi = tuple(map(sub, lcm, lead_i))
-        qj = tuple(map(sub, lcm, lead_j))
-        d: dict[Exponents, Scalar] = {}
+    def _spoly(self, i: int, j: int, lcm: int) -> dict:
+        lead_i, _, tail_i = self.entries[i]
+        lead_j, _, tail_j = self.entries[j]
+        qi = lcm - lead_i
+        qj = lcm - lead_j
+        guard = self.guard
+        d: dict[int, Scalar] = {}
         for m, c in tail_i:
-            d[tuple(map(add, m, qi))] = c
+            nm = m + qi
+            if nm & guard:
+                raise _PackingOverflow
+            d[nm] = c
         p = self.p
         for m, c in tail_j:
-            nm = tuple(map(add, m, qj))
+            nm = m + qj
+            if nm & guard:
+                raise _PackingOverflow
             nv = (d.get(nm, 0) - c) % p if p else d.get(nm, 0) - c
             if nv:
                 d[nm] = nv
@@ -191,63 +202,53 @@ class _Engine:
         return d
 
     def run(self, gens: Sequence[Polynomial]) -> list[dict]:
+        pack_terms = self.packing.pack_terms
         for g in gens:
-            if g.is_zero():
-                continue
-            h = _nf_dict(g.as_dict(), self.entries, self.negkeys, self.p)
+            h = _nf_dict(pack_terms(g.terms), self.entries, self.guard, self.p)
             if h:
                 self.insert(h)
         while self.heap:
             _, i, j = heapq.heappop(self.heap)
-            pair = self.alive.pop((i, j), None)
-            if pair is None:
+            lcm = self.alive.pop((i, j), None)
+            if lcm is None:
                 continue
-            s = self._spoly(i, j, pair[0])
+            s = self._spoly(i, j, lcm)
             if not s:
                 continue
-            h = _nf_dict(s, self.entries, self.negkeys, self.p)
+            h = _nf_dict(s, self.entries, self.guard, self.p)
             if h:
                 self.insert(h)
         return self._finalize()
 
     def _finalize(self) -> list[dict]:
+        """The reduced basis as packed term dicts, ascending leads."""
         entries = self.entries
-        n = len(entries)
-        keep = []
-        for i in range(n):
-            lead_i = entries[i][0]
-            redundant = False
-            for j in range(n):
-                if i == j:
-                    continue
-                if all(map(le, entries[j][0], lead_i)):
-                    # equal leads cannot occur (new leads are always reduced),
-                    # so this is strict divisibility by another lead
-                    redundant = True
-                    break
-            if not redundant:
-                keep.append(i)
-
-        kept_entries = [entries[i] for i in keep]
-        out: list[tuple[Exponents, dict]] = []
-        for pos, entry in enumerate(kept_entries):
-            lead, _, _, _, tail = entry
-            others = kept_entries[:pos] + kept_entries[pos + 1:]
-            poly = _nf_dict(dict(tail), others, self.negkeys, self.p)
+        guard = self.guard
+        # equal leads cannot occur (new leads are always reduced), so a
+        # lead divisible by another lead is strictly divisible
+        kept = [entry for i, entry in enumerate(entries)
+                if not any(j != i and not (entry[0] - other[0]) & guard
+                           for j, other in enumerate(entries))]
+        out: list[tuple[int, dict]] = []
+        for pos, (lead, _, tail) in enumerate(kept):
+            others = kept[:pos] + kept[pos + 1:]
+            poly = _nf_dict(dict(tail), others, guard, self.p)
             poly[lead] = self.dom.one
             out.append((lead, poly))
-        # ascending leads
-        out.sort(key=lambda lp: self.negkeys[lp[0]], reverse=True)
+        out.sort(key=itemgetter(0))
         return [poly for _, poly in out]
 
 
 @lru_cache(maxsize=256)
 def _buchberger_cached(ideal: Ideal, order: MonomialOrder, strategy: str
                        ) -> GroebnerBasis:
-    engine = _Engine(ideal.ring, order, strategy)
-    dicts = engine.run(ideal.generators)
-    elements = tuple(_from_dict(ideal.ring, d) for d in dicts)
-    return GroebnerBasis(ideal.ring, order, elements)
+    ring = ideal.ring
+
+    def run(packing: _Packing) -> tuple[Polynomial, ...]:
+        dicts = _Engine(ring, strategy, packing).run(ideal.generators)
+        return tuple(_from_dict(ring, packing.unpack_terms(d)) for d in dicts)
+
+    return GroebnerBasis(ring, order, _packed(order, ring.arity, run))
 
 
 def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX,
@@ -262,15 +263,14 @@ def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX,
 
 
 @lru_cache(maxsize=256)
-def _gb_entries(gb: GroebnerBasis):
-    negkeys = _NegatedKeys(gb.order)
+def _gb_entries(gb: GroebnerBasis, packing: _Packing) -> list:
     entries = []
     for g in gb.elements:
-        lead = g.lead_monomial(gb.order)
-        tail = tuple(t for t in g.terms if t[0] != lead)
-        # elements are monic by construction
-        entries.append((lead, None, _support_mask(lead), sum(lead), tail))
-    return entries, negkeys
+        terms = packing.pack_terms(g.terms)
+        lead = max(terms)
+        del terms[lead]                  # elements are monic by construction
+        entries.append((lead, None, tuple(terms.items())))
+    return entries
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -279,9 +279,13 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise ValueError("polynomial from a different ring")
     if not gb.elements:
         return f
-    entries, negkeys = _gb_entries(gb)
-    r = _nf_dict(f.as_dict(), entries, negkeys, f.ring.domain.characteristic)
-    return _from_dict(f.ring, r)
+
+    def run(packing: _Packing) -> dict:
+        r = _nf_dict(packing.pack_terms(f.terms), _gb_entries(gb, packing),
+                     packing.guard, f.ring.domain.characteristic)
+        return packing.unpack_terms(r)
+
+    return _from_dict(f.ring, _packed(gb.order, gb.ring.arity, run))
 
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import isqrt
-from operator import add, itemgetter, le, neg, sub
+from operator import itemgetter, mul, neg
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -131,6 +132,21 @@ def GF(p: int) -> PrimeField:
 #
 # Every order key is one flat tuple of ints whose length depends only on the
 # arity, so comparing keys as tuples is comparing monomials in the order.
+#
+# Inside the reduction kernel a monomial is one int instead (packed exponent
+# vectors, as in Monagan & Pearce, "Sparse polynomial division using a
+# heap", J. Symbolic Comput. 46, 2011).  Every order key here is linear in
+# the exponents.  Replacing each key row by the sum of the rows up to it
+# keeps the comparison, because a later row decides only when all earlier
+# rows are equal, and leaves only 0/1 entries.  A packed monomial holds,
+# most significant first, one field per nonzero summed row and then one per
+# exponent, each ``bits`` wide with its top bit as a guard that stays clear.
+# Then int ``a < b`` is the order, ``a + b`` the product, and
+# ``(b - a) & guard == 0`` says that a divides b: a field of b smaller than
+# the one of a borrows and sets its guard bit.  Every field is at most the
+# total degree.  A created monomial whose guard bits are set raises
+# ``_PackingOverflow``, and ``_packed`` reruns the whole computation with
+# fields twice as wide.
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
@@ -251,6 +267,75 @@ def compare_monomials(order: MonomialOrder, a: Exponents, b: Exponents) -> int:
     if ka > kb:
         return 1
     return 0
+
+
+_FIELD_BITS = 8     # field width of the first packing tried
+
+
+class _PackingOverflow(Exception):
+    """A packed monomial outgrew the fields of its packing."""
+
+
+class _Packing:
+    """Packed monomials of one arity under one order, ``bits`` per field."""
+
+    __slots__ = ("units", "guard", "limit", "shifts", "mask")
+
+    def __init__(self, order: "MonomialOrder", arity: int, bits: int):
+        unit = [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
+        cols = [order.key(u) for u in unit]
+        rows, acc = [], [0] * arity
+        for r in range(len(cols[0])):
+            acc = [a + col[r] for a, col in zip(acc, cols)]
+            if any(acc):
+                rows.append(acc)
+        rows += unit                     # the exponent fields
+        if any(e not in (0, 1) for row in rows for e in row):
+            raise ValueError(f"cannot pack monomials under {order}")
+        top = len(rows) - 1
+        # the packed unit vectors: packing is linear while no field overflows
+        self.units = tuple(
+            sum(row[i] << bits * (top - r) for r, row in enumerate(rows))
+            for i in range(arity))
+        self.guard = sum(1 << bits * r + bits - 1 for r in range(len(rows)))
+        self.limit = 1 << bits - 1
+        self.shifts = tuple(bits * (arity - 1 - i) for i in range(arity))
+        self.mask = (1 << bits) - 1
+
+    def pack(self, m: Exponents) -> int:
+        if sum(m) >= self.limit:
+            raise _PackingOverflow
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, x: int) -> Exponents:
+        mask = self.mask
+        return tuple([x >> s & mask for s in self.shifts])
+
+    def pack_terms(self, terms: Iterable[tuple[Exponents, Scalar]]) -> dict:
+        pack = self.pack
+        return {pack(m): c for m, c in terms}
+
+    def unpack_terms(self, d: Mapping[int, Scalar]) -> dict:
+        unpack = self.unpack
+        return {unpack(x): c for x, c in d.items()}
+
+
+@lru_cache(maxsize=64)
+def _packing(order: "MonomialOrder", arity: int, bits: int) -> _Packing:
+    return _Packing(order, arity, bits)
+
+
+def _packed(order: "MonomialOrder", arity: int, run):
+    """``run(packing)`` under the narrowest packing, from ``_FIELD_BITS``
+    bits per field up, in which no monomial it creates overflows; after an
+    overflow the whole run is repeated with fields twice as wide, so
+    ``run`` must start from scratch on every call."""
+    bits = _FIELD_BITS
+    while True:
+        try:
+            return run(_packing(order, arity, bits))
+        except _PackingOverflow:
+            bits *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -513,68 +598,43 @@ def is_homogeneous(f: Polynomial) -> bool:
 # multivariate division
 # ---------------------------------------------------------------------------
 
-def _support_mask(m: Exponents) -> int:
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
+def _nf_dict(work: dict, entries: list, guard: int, p: int) -> dict:
+    """Full normal form of a packed term dict against monic divisor entries.
 
-
-class _NegatedKeys(dict):
-    """Memo from monomial to its negated order key, filled on first lookup.
-
-    Negation reverses tuple comparison, so ascending negated keys list
-    monomials in descending order and a min-heap of them pops the largest.
+    Consumes ``work``.  Each entry is (lead, quotient, tail) with packed
+    monomials.  ``quotient`` is None, or a dict that receives the packed
+    multiplier of every reduction step by that entry.  Deterministic: the
+    current maximal term is reduced by the first entry whose lead divides
+    it, in entry order.  The maximal term comes off a heap of negated packed
+    monomials; a term whose coefficient cancelled stays in ``work`` as 0 and
+    is skipped when popped.  The result lists its terms in descending order.
+    Raises ``_PackingOverflow`` when a new term outgrows its fields.
     """
-
-    __slots__ = ("key",)
-
-    def __init__(self, order: "MonomialOrder"):
-        super().__init__()
-        self.key = order.key
-
-    def __missing__(self, m: Exponents) -> tuple[int, ...]:
-        v = self[m] = tuple(map(neg, self.key(m)))
-        return v
-
-
-def _nf_dict(work: dict, entries: list, negkeys: _NegatedKeys, p: int) -> dict:
-    """Full normal form of a term dict against monic divisor entries.
-
-    Consumes ``work``.  Each entry is (lead, quotient, mask, deg, tail).
-    ``quotient`` is None, or a dict that receives the multiplier of every
-    reduction step by that entry.  Deterministic: the current maximal term
-    is reduced by the first entry whose lead divides it, in entry order.
-    The maximal term comes off a heap of (negated key, monomial); a term
-    whose coefficient cancelled stays in ``work`` as 0 and is skipped when
-    popped.  The result lists its terms in descending order.
-    """
-    heap = [(negkeys[m], m) for m in work]
+    heap = [-m for m in work]
     heapify(heap)
-    result: dict[Exponents, Scalar] = {}
+    result: dict[int, Scalar] = {}
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        mdeg = sum(m)
-        mmask = _support_mask(m)
-        for lead, quotient, lmask, ldeg, tail in entries:
-            if ldeg > mdeg or lmask & ~mmask or not all(map(le, lead, m)):
+        for lead, quotient, tail in entries:
+            q = m - lead
+            if q & guard:
                 continue
-            q = tuple(map(sub, m, lead))
             if quotient is not None:
                 # the reduced term strictly decreases, so q is never repeated
                 quotient[q] = c
             # work -= c * x^q * (lead + tail); the lead part is the popped
             # term, and every new term is smaller than it
             for tm, tc in tail:
-                nm = tuple(map(add, tm, q))
+                nm = tm + q
                 old = work.get(nm)
                 if old is None:
+                    if nm & guard:
+                        raise _PackingOverflow
                     work[nm] = -c * tc % p if p else -c * tc
-                    heappush(heap, (negkeys[nm], nm))
+                    heappush(heap, -nm)
                 else:
                     work[nm] = (old - c * tc) % p if p else old - c * tc
             break
@@ -599,22 +659,29 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
             raise ValueError("divisor in a different ring")
         if d.is_zero():
             raise ValueError("zero divisor")
-    # reduce by the monic divisors d_i / lc_i; q_i is then the collected
-    # multiplier times 1 / lc_i
-    entries = []
-    scaled = []
-    for d in divisors:
-        lm = d.lead_monomial(order)
-        lcinv = dom.invert(d.coefficient(lm))
-        tail = tuple((m, dom.normalize(c * lcinv)) for m, c in d.terms if m != lm)
-        quotient: dict[Exponents, Scalar] = {}
-        entries.append((lm, quotient, _support_mask(lm), sum(lm), tail))
-        scaled.append((quotient, lcinv))
-    remainder = _nf_dict(f.as_dict(), entries, _NegatedKeys(order),
-                         dom.characteristic)
-    qs = [_from_dict(ring, {q: c * lcinv for q, c in quotient.items()})
-          for quotient, lcinv in scaled]
-    return qs, _from_dict(ring, remainder)
+
+    def run(packing: _Packing):
+        # reduce by the monic divisors d_i / lc_i; q_i is then the collected
+        # multiplier times 1 / lc_i
+        entries = []
+        scaled = []
+        for d in divisors:
+            terms = packing.pack_terms(d.terms)
+            lead = max(terms)
+            lcinv = dom.invert(terms.pop(lead))
+            tail = tuple((m, dom.normalize(c * lcinv))
+                         for m, c in terms.items())
+            quotient: dict[int, Scalar] = {}
+            entries.append((lead, quotient, tail))
+            scaled.append((quotient, lcinv))
+        remainder = _nf_dict(packing.pack_terms(f.terms), entries,
+                             packing.guard, dom.characteristic)
+        qs = [_from_dict(ring, {packing.unpack(q): c * lcinv
+                                for q, c in quotient.items()})
+              for quotient, lcinv in scaled]
+        return qs, _from_dict(ring, packing.unpack_terms(remainder))
+
+    return _packed(order, ring.arity, run)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,150 @@
+"""Seeded fuzz of the command line: small random inputs to every subcommand,
+in process.  Whatever the input, ``main`` must end in a report or a
+classified error (exit 0, 1, 2 or 3), never in an internal error (exit 4)
+or a traceback.  Inputs stay tiny (at most 3 variables, degree at most 3,
+characteristics and primes from 0 to 5) so that the whole run is fast."""
+from __future__ import annotations
+
+import random
+
+from veronese.cli import main
+
+_NAMES = ("x", "y", "z")
+_CASES = 200
+
+
+def _vector(rng, dim):
+    return ",".join(str(rng.randint(0, 3)) for _ in range(dim))
+
+
+def _vectors(rng, dim):
+    return ";".join(_vector(rng, dim) for _ in range(rng.randint(1, 3)))
+
+
+def _prime(rng):
+    """Mostly a prime, so that most cases get past input checking."""
+    return str(rng.choice((2, 3, 5)) if rng.random() < 0.8 else
+               rng.choice((0, 1, 4)))
+
+
+def _primes(rng):
+    return ",".join(_prime(rng) for _ in range(rng.randint(1, 2)))
+
+
+def _monomial(rng, names, deg):
+    factors = []
+    for pos, nm in enumerate(names):
+        e = deg if pos == len(names) - 1 else rng.randint(0, deg)
+        deg -= e
+        if e:
+            factors.append(nm if e == 1 else f"{nm}^{e}")
+    return "*".join(factors) or "1"
+
+
+def _degree(rng):
+    return 0 if rng.random() < 0.1 else rng.randint(1, 3)
+
+
+def _poly(rng, names, deg=None):
+    """Up to three terms; all of degree ``deg`` when it is given."""
+    if rng.random() < 0.05:
+        return rng.choice(("0", "1"))
+    text = ""
+    for k in range(rng.randint(1, 3)):
+        c = rng.randint(1, 3)
+        term = _monomial(rng, names, _degree(rng) if deg is None else deg)
+        body = term if c == 1 else f"{c}*{term}"
+        sign = rng.choice(("-", "")) if not k else rng.choice((" + ", " - "))
+        text += sign + body
+    return text
+
+
+def _polys(rng, names, homogeneous=False):
+    return ", ".join(
+        _poly(rng, names, rng.randint(1, 3) if homogeneous else None)
+        for _ in range(rng.randint(1, 3)))
+
+
+def _ring(rng):
+    return _NAMES[:rng.randint(1, 3)]
+
+
+def _ideal_args(rng, names):
+    homogeneous = rng.random() < 0.5
+    return ["--ring", ",".join(names), "--ideal",
+            _polys(rng, names, homogeneous)]
+
+
+def _argv(rng, command):
+    if command == "veronese-ideal":
+        return [command, "-k", str(_degree(rng)),
+                "-n", str(min(_degree(rng), 2)),
+                "--char", rng.choice(("0", _prime(rng)))]
+    if command == "present":
+        dim = rng.randint(1, 3)
+        argv = [command, "--targets", _vectors(rng, dim),
+                "--primes", _primes(rng)]
+        if rng.random() < 0.3:
+            argv += ["--radical-subset", f"t{rng.randint(1, 3)}"]
+        if rng.random() < 0.3:
+            polys = _polys(rng, ("t1", "t2", "t3")).replace(" ", "")
+            argv += ["--ci", f"t{rng.randint(1, 3)}:{polys}"]
+        if rng.random() < 0.3:
+            argv += ["--fpurity-witness", f"{_vector(rng, dim)};"
+                                          f"{_vector(rng, dim)}"]
+        return argv
+    if command == "height":
+        names = _ring(rng)
+        return [command, *_ideal_args(rng, names),
+                "--char", rng.choice(("0", _prime(rng)))]
+    if command == "ci-check":
+        names = _ring(rng)
+        return [command, *_ideal_args(rng, names),
+                "--invert", rng.choice(names),
+                "--candidates", _polys(rng, names),
+                "--char", rng.choice(("0", _prime(rng)))]
+    if command == "radical-cover":
+        names = _ring(rng)
+        return [command, *_ideal_args(rng, names),
+                "--subset",
+                ",".join(rng.sample(names, rng.randint(1, len(names)))),
+                "--char", rng.choice(("0", _prime(rng)))]
+    if command == "fedder":
+        names = _ring(rng)
+        return [command, *_ideal_args(rng, names), "--p", _prime(rng)]
+    if command == "semigroup":
+        dim = rng.randint(1, 3)
+        return [command, "--generators", _vectors(rng, dim),
+                "--target", _vector(rng, dim)]
+    if command == "cd-certificate":
+        k, n = rng.choice(((0, 1), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
+                           (2, 3), (3, 1), (3, 2)))
+        return [command, "-k", str(k), "-n", str(n), "--primes", _primes(rng)]
+    # char-compare
+    if rng.random() < 0.5:
+        return [command, "--targets", _vectors(rng, rng.randint(1, 3)),
+                "--primes", _primes(rng)]
+    return [command, *_ideal_args(rng, _ring(rng)), "--primes", _primes(rng)]
+
+
+_COMMANDS = ("veronese-ideal", "present", "height", "ci-check",
+             "radical-cover", "fedder", "semigroup", "cd-certificate",
+             "char-compare")
+
+
+def test_random_small_inputs_exit_cleanly(capsys):
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(_CASES):
+        command = rng.choice(_COMMANDS)
+        argv = _argv(rng, command)
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse usage error, e.g. "-x"
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err and "internal error" not in err, \
+            (argv, err)
+        seen.add(command)
+    assert seen == set(_COMMANDS)

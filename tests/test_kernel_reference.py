@@ -1,8 +1,11 @@
-"""The reduction kernel and the flat order keys against reference copies of
-the code they replaced: a division loop that rescans ``max(work)`` on every
-step, and order keys built as nested tuples.  Division quotients,
-remainders and normal forms must agree exactly, and every order must sort
-monomials the same way under both keys."""
+"""The reduction kernel, its packed monomials and the flat order keys
+against reference copies of the code they replaced: a division loop on
+exponent tuples that rescans ``max(work)`` on every step, and order keys
+built as nested tuples.  Division quotients, remainders and normal forms
+must agree exactly; every order must sort monomials the same way under both
+keys and under packing; packing must round-trip and its guard-bit test must
+be divisibility.  Inputs too large for the first packing width must come
+out right through the widening path."""
 from __future__ import annotations
 
 import random
@@ -12,7 +15,8 @@ import pytest
 
 from veronese.groebner import Ideal, buchberger, normal_form
 from veronese.polycore import (
-    Block, GF, GrevLex, Lex, PolyRing, QQ, _from_dict, _support_mask, divide,
+    Block, GF, GrevLex, Lex, PolyRing, QQ, _FIELD_BITS, _from_dict, _packing,
+    divide, monomial_divides,
 )
 
 _ORDERS = [
@@ -40,6 +44,14 @@ def _nested_key(order, m):
     block = tuple(e for i, e in enumerate(m) if i in order.eliminated)
     rest = tuple(e for i, e in enumerate(m) if i not in order.eliminated)
     return (_nested_key(GrevLex(), block), _nested_key(order.inner, rest))
+
+
+def _support_mask(m):
+    mask = 0
+    for i, e in enumerate(m):
+        if e:
+            mask |= 1 << i
+    return mask
 
 
 def _reference_nf(work, entries, keyf, p):
@@ -169,3 +181,49 @@ def test_flat_keys_sort_like_nested_keys(order):
     flat = sorted(monomials, key=order.key)
     assert flat == sorted(monomials, key=lambda m: _nested_key(order, m))
     assert len({order.key(m) for m in monomials}) == len(monomials)
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_packed_monomials_sort_round_trip_and_divide(order):
+    monomials = [m for m in product(range(4), repeat=4) if sum(m) <= 3]
+    random.Random(11).shuffle(monomials)
+    packing = _packing(order, 4, _FIELD_BITS)
+    packed = {m: packing.pack(m) for m in monomials}
+    assert sorted(monomials, key=packed.__getitem__) == \
+        sorted(monomials, key=order.key)
+    assert all(packing.unpack(x) == m for m, x in packed.items())
+    for a, pa in packed.items():
+        for b, pb in packed.items():
+            assert (not (pb - pa) & packing.guard) == monomial_divides(a, b)
+
+
+# ---------------------------------------------------------------------------
+# widening: exponents beyond what the first packing width holds
+# ---------------------------------------------------------------------------
+
+_WIDE = PolyRing(("x", "y"), GF(5))
+
+
+def _polys(text):
+    return {_WIDE.parse(t) for t in text.split(",")}
+
+
+@pytest.mark.parametrize("order, expected", [
+    (Lex(), "y^40001, x - y^40000"),
+    (Block(frozenset({0}), GrevLex()), "y^40001, x - y^40000"),
+    (GrevLex(), "x*y, x^2, y^40000 - x"),
+], ids=str)
+def test_bases_with_exponents_past_the_first_width(order, expected):
+    assert 40000 >= 1 << _FIELD_BITS - 1
+    gens = tuple(_polys("x - y^40000, x*y"))
+    gb = buchberger(Ideal(_WIDE, gens), order)
+    assert set(gb.elements) == _polys(expected)
+
+
+def test_division_remainder_past_the_first_width():
+    f = _WIDE.parse("x^2*y")
+    d = _WIDE.parse("x - y^40000")
+    (q,), r = divide(f, [d], Lex())
+    assert r.total_degree() == 80001
+    assert r == _WIDE.parse("y^80001")
+    assert q * d + r == f
