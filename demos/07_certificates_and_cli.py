@@ -28,7 +28,8 @@ print("first check:           ", json.dumps(d["checks"][0]["name"]))
 
 # Heights do not move between characteristic 0 and small primes.
 cc = char_compare(targets=((2, 0), (1, 1), (0, 2)), primes=(2, 3, 5))
-print("conic heights constant:", cc.constant, "heights:", cc.heights)
+print("conic heights constant:", cc.params["constant"],
+      "heights:", cc.params["heights"])
 
 # The CLI produces the same JSON envelope; exit codes encode the verdict.
 print("\n--- CLI: semigroup membership with a witness ---")

@@ -29,9 +29,8 @@ from .charp import (
     monomial_ideal_member, semigroup_member,
 )
 from .pipeline import (
-    CdCertificate, CharCompareReport, Check, GENERIC_2X3_GENERATORS,
-    GENERIC_2X3_NAMES, PresentationReport, QUARTIC_CURVE_TARGETS,
-    ResourceCapError, VARIABLE_CAP, cd_certificate, char_compare,
+    Check, GENERIC_2X3_GENERATORS, GENERIC_2X3_NAMES, QUARTIC_CURVE_TARGETS,
+    Report, ResourceCapError, VARIABLE_CAP, cd_certificate, char_compare,
     ensure_within_cap, present_monomial_algebra, radical_cover_check,
     render_json,
 )
@@ -54,9 +53,8 @@ __all__ = [
     "lc_top_piece", "veronese_lc_piece",
     "AffineSemigroup", "FpurityReport", "fedder_fpure", "frobenius_power",
     "monomial_ideal_member", "semigroup_member",
-    "CdCertificate", "CharCompareReport", "Check", "GENERIC_2X3_GENERATORS",
-    "GENERIC_2X3_NAMES", "PresentationReport", "QUARTIC_CURVE_TARGETS",
-    "ResourceCapError", "VARIABLE_CAP", "cd_certificate", "char_compare",
+    "Check", "GENERIC_2X3_GENERATORS", "GENERIC_2X3_NAMES",
+    "QUARTIC_CURVE_TARGETS", "Report", "ResourceCapError", "VARIABLE_CAP", "cd_certificate", "char_compare",
     "ensure_within_cap", "present_monomial_algebra", "radical_cover_check",
     "render_json",
     "__version__",

@@ -17,7 +17,7 @@ from .invariants import krull_dim
 from .toric import ci_check, veronese_map
 from .charp import AffineSemigroup, fedder_fpure, semigroup_member
 from .pipeline import (
-    ResourceCapError, _assemble, _check, _ci_result, _cover_result,
+    Report, ResourceCapError, _check, _ci_result, _cover_result,
     _fedder_details, _height_check, _minimal_generator_details, _toric_routes,
     cd_certificate, char_compare, ensure_within_cap, present_monomial_algebra,
     render_json,
@@ -108,11 +108,19 @@ def _parsed_ideal(args: argparse.Namespace, domain: CoeffDomain
     return ring, Ideal(ring, tuple(gens))
 
 
+def _char_ideal(args: argparse.Namespace) -> tuple[PolyRing, Ideal, dict]:
+    """``--ring`` and ``--ideal``/``--ideal-file`` over ``--char``, and the
+    params they give."""
+    char = _parse_char(args.char)
+    ring, ideal = _parsed_ideal(args, _domain(char))
+    return ring, ideal, {"ring": list(ring.names), "characteristic": char}
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns the report dict
+# subcommand handlers: each returns a Report
 # ---------------------------------------------------------------------------
 
-def _cmd_veronese_ideal(args: argparse.Namespace) -> dict:
+def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
     k, n = args.k, args.n
     if k < 1 or n < 1:
         raise ValueError("k and n must both be at least 1")
@@ -128,10 +136,10 @@ def _cmd_veronese_ideal(args: argparse.Namespace) -> dict:
                       mmap.d - k, show_dimension=True),
     ]
     params = {"k": k, "n": n, "d": mmap.d, "characteristic": char}
-    return _assemble("veronese-ideal", params, checks, ())
+    return Report("veronese-ideal", params, checks)
 
 
-def _cmd_present(args: argparse.Namespace) -> dict:
+def _cmd_present(args: argparse.Namespace) -> Report:
     targets = _parse_targets(args.targets)
     primes = _parse_primes(args.primes)
     names = tuple(f"t{i + 1}" for i in range(len(targets)))
@@ -158,54 +166,47 @@ def _cmd_present(args: argparse.Namespace) -> dict:
             raise ValueError(
                 "--fpurity-witness wants two vectors: numerator;generator")
         witness = (pair[0], pair[1])
-    report = present_monomial_algebra(
+    return present_monomial_algebra(
         targets, primes=primes, radical_subset=subset,
         ci_candidates=candidates, fpurity_witness=witness)
-    return report.to_report()
 
 
-def _cmd_height(args: argparse.Namespace) -> dict:
-    char = _parse_char(args.char)
-    ring, ideal = _parsed_ideal(args, _domain(char))
+def _cmd_height(args: argparse.Namespace) -> Report:
+    _, ideal, params = _char_ideal(args)
     dims = krull_dim(ideal)
     checks = [_check("height_computed", True,
                      height=dims.height, dimension=dims.dimension)]
-    params = {"ring": list(ring.names), "characteristic": char}
-    return _assemble("height", params, checks, ())
+    return Report("height", params, checks)
 
 
-def _cmd_ci_check(args: argparse.Namespace) -> dict:
-    char = _parse_char(args.char)
-    ring, ideal = _parsed_ideal(args, _domain(char))
+def _cmd_ci_check(args: argparse.Namespace) -> Report:
+    ring, ideal, params = _char_ideal(args)
     idx = _variable_index(ring.names, args.invert)
     cands = tuple(parse_polynomial_list(args.candidates, ring))
     rep = ci_check(ideal, cands, idx)
     checks = [_ci_result("localized_complete_intersection", rep, ring)]
-    params = {"ring": list(ring.names), "characteristic": char,
-              "invert": ring.names[idx]}
-    return _assemble("ci-check", params, checks, ())
+    params["invert"] = ring.names[idx]
+    return Report("ci-check", params, checks)
 
 
-def _cmd_radical_cover(args: argparse.Namespace) -> dict:
-    char = _parse_char(args.char)
-    ring, ideal = _parsed_ideal(args, _domain(char))
+def _cmd_radical_cover(args: argparse.Namespace) -> Report:
+    ring, ideal, params = _char_ideal(args)
     subset = tuple(_variable_index(ring.names, nm)
                    for nm in _parse_names(args.subset))
     checks = [_cover_result("radical_cover", ideal, subset)]
-    params = {"ring": list(ring.names), "characteristic": char}
-    return _assemble("radical-cover", params, checks, ())
+    return Report("radical-cover", params, checks)
 
 
-def _cmd_fedder(args: argparse.Namespace) -> dict:
+def _cmd_fedder(args: argparse.Namespace) -> Report:
     p = args.p
     ring, ideal = _parsed_ideal(args, GF(p))
     rep = fedder_fpure(ideal, p)
     checks = [_check(f"f_pure_p{p}", rep.f_pure, **_fedder_details(rep))]
     params = {"ring": list(ring.names), "p": p}
-    return _assemble("fedder", params, checks, ())
+    return Report("fedder", params, checks)
 
 
-def _cmd_semigroup(args: argparse.Namespace) -> dict:
+def _cmd_semigroup(args: argparse.Namespace) -> Report:
     sg = AffineSemigroup(_parse_targets(args.generators))
     target = _parse_vector(args.target)
     member, witness = semigroup_member(sg, target)
@@ -214,29 +215,26 @@ def _cmd_semigroup(args: argparse.Namespace) -> dict:
         target=list(target),
         witness=None if witness is None else [list(g) for g in witness])]
     params = {"generators": [list(g) for g in sg.generators]}
-    return _assemble("semigroup", params, checks, ())
+    return Report("semigroup", params, checks)
 
 
-def _cmd_cd_certificate(args: argparse.Namespace) -> dict:
+def _cmd_cd_certificate(args: argparse.Namespace) -> Report:
     primes = _parse_primes(args.primes)
-    return cd_certificate(args.k, args.n, primes).to_report()
+    return cd_certificate(args.k, args.n, primes)
 
 
-def _cmd_char_compare(args: argparse.Namespace) -> dict:
+def _cmd_char_compare(args: argparse.Namespace) -> Report:
     primes = _parse_primes(args.primes)
     if args.targets is not None:
         if args.ring is not None or args.ideal is not None \
                 or args.ideal_file is not None:
             raise ValueError("give either --targets or --ring with an ideal")
-        report = char_compare(_parse_targets(args.targets), primes=primes)
-    else:
-        if args.ring is None:
-            raise ValueError("give either --targets or --ring with an ideal")
-        report = char_compare(
-            ring_names=_parse_names(args.ring),
-            generators=_split_list(_ideal_text(args)),
-            primes=primes)
-    return report.to_report()
+        return char_compare(_parse_targets(args.targets), primes=primes)
+    if args.ring is None:
+        raise ValueError("give either --targets or --ring with an ideal")
+    return char_compare(ring_names=_parse_names(args.ring),
+                        generators=_split_list(_ideal_text(args)),
+                        primes=primes)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +347,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: flags whose polynomial value may start with "-"
+_POLYNOMIAL_FLAGS = ("--ideal", "--candidates", "--ci")
+
+
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """``--ideal X`` -> ``--ideal=X``, as argparse takes an "-x" value for a
+    flag; a dangling flag is left for argparse to refuse."""
+    out: list[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in _POLYNOMIAL_FLAGS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _attach_values(sys.argv[1:] if argv is None else argv))
     start = time.perf_counter()
     try:
         report = args.handler(args)
+        envelope = report.to_report()
         if args.timing:
-            report["elapsed_seconds"] = round(time.perf_counter() - start, 3)
-        text = render_json(report)
+            envelope["elapsed_seconds"] = round(time.perf_counter() - start, 3)
+        text = render_json(envelope)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -371,7 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    return 0 if report["verdict"] else 1
+    return 0 if report.verdict else 1
 
 
 if __name__ == "__main__":

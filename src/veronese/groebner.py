@@ -77,9 +77,6 @@ class GroebnerBasis:
     order: MonomialOrder
     elements: tuple[Polynomial, ...]
 
-    def leads(self) -> tuple[Exponents, ...]:
-        return tuple(g.lead_monomial(self.order) for g in self.elements)
-
 
 # ---------------------------------------------------------------------------
 # engine internals

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb
 
 from .polycore import GrevLex, MonomialOrder
-from .groebner import Ideal, buchberger, initial_ideal
+from .groebner import Ideal, initial_ideal
 
 __all__ = [
     "DimensionResult", "GradedPiece", "dim_monomial", "krull_dim",
@@ -98,10 +98,9 @@ def krull_dim(ideal: Ideal, order: MonomialOrder = _GREVLEX) -> DimensionResult:
     ring = ideal.ring
     if ideal.is_zero():
         return DimensionResult(ring.arity, 0, order)
-    gb = buchberger(ideal, order)
-    if any(g.total_degree() == 0 for g in gb.elements):
-        raise ValueError("unit ideal has no Krull dimension")
     init = initial_ideal(ideal, order)
+    if any(g.total_degree() == 0 for g in init.generators):
+        raise ValueError("unit ideal has no Krull dimension")
     res = dim_monomial(init)
     return DimensionResult(res.dimension, res.height, order)
 

@@ -5,8 +5,9 @@ height comparison across characteristics.
 Every check inside a report is verified mechanically here, in exact
 arithmetic.  Facts consumed from the literature (and the glue between the
 checks) are listed explicitly in ``cited_facts`` so the boundary between
-computed and quoted mathematics stays visible.  All reports share one JSON
-envelope:
+computed and quoted mathematics stays visible.  Every report, from the
+library and from each CLI subcommand, is one ``Report``, and
+``Report.to_report`` writes the one JSON envelope they all share:
 
     {"kind": ..., "params": {...},
      "checks": [{"name": ..., "verdict": ..., "details": {...}}, ...],
@@ -42,10 +43,9 @@ from .charp import (
 )
 
 __all__ = [
-    "Check", "ResourceCapError", "CdCertificate", "PresentationReport",
-    "CharCompareReport", "cd_certificate", "present_monomial_algebra",
-    "radical_cover_check", "char_compare", "render_json", "ensure_within_cap",
-    "VARIABLE_CAP",
+    "Check", "Report", "ResourceCapError", "cd_certificate",
+    "present_monomial_algebra", "radical_cover_check", "char_compare",
+    "render_json", "ensure_within_cap", "VARIABLE_CAP",
     "QUARTIC_CURVE_TARGETS", "GENERIC_2X3_NAMES", "GENERIC_2X3_GENERATORS",
 ]
 
@@ -88,15 +88,29 @@ def _check(name: str, verdict: bool, **details: object) -> Check:
     return Check(name=name, verdict=bool(verdict), details=details)
 
 
-def _assemble(kind: str, params: dict, checks: Sequence[Check],
-              cited_facts: Sequence[str]) -> dict:
-    return {
-        "kind": kind,
-        "params": params,
-        "checks": [c.as_dict() for c in checks],
-        "cited_facts": list(cited_facts),
-        "verdict": all(c.verdict for c in checks),
-    }
+@dataclass(frozen=True)
+class Report:
+    """One report: its kind, its parameters, the computed checks and the
+    quoted facts.  The verdict is the conjunction of the check verdicts."""
+
+    kind: str
+    params: Mapping[str, object]
+    checks: Sequence[Check]
+    cited_facts: Sequence[str] = ()
+
+    @property
+    def verdict(self) -> bool:
+        return all(c.verdict for c in self.checks)
+
+    def to_report(self) -> dict:
+        """The JSON envelope, keys in their fixed order."""
+        return {
+            "kind": self.kind,
+            "params": dict(self.params),
+            "checks": [c.as_dict() for c in self.checks],
+            "cited_facts": list(self.cited_facts),
+            "verdict": self.verdict,
+        }
 
 
 def render_json(report: Mapping[str, object]) -> str:
@@ -268,42 +282,59 @@ def _height_constancy(heights: Mapping[int, int]) -> Check:
                   heights={str(c): h for c, h in heights.items()})
 
 
-def _characteristic_checks(mmap: MonomialMap, char: int, dom: CoeffDomain,
-                           plan: _Plan) -> tuple[Ideal, int, list[Check]]:
-    """The presentation ideal over one characteristic, its height, and the
-    checks: toric routes (with minimal generators in characteristic zero),
-    height, localized-CI charts, radical cover."""
-    label = f"char_{char}"
-    ideal, lattice, agree = _toric_routes(mmap, dom)
-    ring = ideal.ring
-    route_details: dict[str, object] = {
-        "generators": len(ideal.generators),
-        "lattice_generators": len(lattice.generators),
-    }
-    if char == 0:
-        route_details.update(_minimal_generator_details(ideal))
-    checks = [_check(f"toric_routes_agree_{label}", agree, **route_details)]
+def _characteristic_checks(
+        mmap: MonomialMap, doms: Sequence[tuple[int, CoeffDomain]],
+        plan: _Plan) -> tuple[dict[int, Ideal], dict[int, int], list[Check]]:
+    """The presentation ideal and its height over each characteristic, and
+    the checks: per characteristic the toric routes (with minimal generators
+    in characteristic zero), height, localized-CI charts and radical cover,
+    then the height constancy across them."""
+    ideals: dict[int, Ideal] = {}
+    heights: dict[int, int] = {}
+    checks: list[Check] = []
+    for char, dom in doms:
+        label = f"char_{char}"
+        ideal, lattice, agree = _toric_routes(mmap, dom)
+        ring = ideal.ring
+        route_details: dict[str, object] = {
+            "generators": len(ideal.generators),
+            "lattice_generators": len(lattice.generators),
+        }
+        if char == 0:
+            route_details.update(_minimal_generator_details(ideal))
+        checks.append(_check(f"toric_routes_agree_{label}", agree,
+                             **route_details))
 
-    dims = krull_dim(ideal)
-    checks.append(_height_check(f"{plan.height_check}_{label}", dims,
-                                plan.expected_key, plan.expected,
-                                plan.show_dimension))
+        dims = krull_dim(ideal)
+        checks.append(_height_check(f"{plan.height_check}_{label}", dims,
+                                    plan.expected_key, plan.expected,
+                                    plan.show_dimension))
 
-    for chart in plan.charts:
-        if chart.candidates is None:
-            rep = ci_sequence(mmap, chart.variable, dom)
-            rep = ci_check(ideal, rep.candidates, rep.inverted, rep)
-        else:
-            cands = tuple(ring.parse(s) for s in chart.candidates)
-            rep = ci_check(ideal, cands, chart.variable)
-        checks.append(_ci_result(
-            f"localized_ci_{label}_{ring.names[rep.inverted]}", rep, ring,
-            **chart.details))
+        for chart in plan.charts:
+            if chart.candidates is None:
+                rep = ci_sequence(mmap, chart.variable, dom)
+                rep = ci_check(ideal, rep.candidates, rep.inverted, rep)
+            else:
+                cands = tuple(ring.parse(s) for s in chart.candidates)
+                rep = ci_check(ideal, cands, chart.variable)
+            checks.append(_ci_result(
+                f"localized_ci_{label}_{ring.names[rep.inverted]}", rep,
+                ring, **chart.details))
 
-    if plan.cover:
-        checks.append(_cover_result(f"radical_cover_{label}", ideal,
-                                    plan.cover))
-    return ideal, dims.height, checks
+        if plan.cover:
+            checks.append(_cover_result(f"radical_cover_{label}", ideal,
+                                        plan.cover))
+        ideals[char], heights[char] = ideal, dims.height
+    checks.append(_height_constancy(heights))
+    return ideals, heights, checks
+
+
+def _lc_degree_zero(name: str, k: int, n: int) -> Check:
+    """Every degree-zero graded piece of local cohomology of the degree-n
+    Veronese subring in k variables vanishes."""
+    pieces = [veronese_lc_piece(k, n, i, 0).dimension for i in range(k + 1)]
+    return _check(name, all(v == 0 for v in pieces),
+                  cohomological_indices=list(range(k + 1)), dimensions=pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -385,38 +416,12 @@ _CHAR_COMPARE_CITED_FACTS = (_CITED_CD_JUMP,)
 # cohomological-dimension certificate for Veronese ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CdCertificate:
-    """Certificate that cohomological dimension equals height for the
-    presentation ideal of a Veronese map, assembled from per-characteristic
-    checks plus the two closed-form graded computations."""
-
-    k: int
-    n: int
-    d: int
-    height: int
-    characteristics: tuple[int, ...]
-    checks: tuple[Check, ...]
-    cited_facts: tuple[str, ...]
-    verdict: bool
-
-    def to_report(self) -> dict:
-        params = {
-            "k": self.k,
-            "n": self.n,
-            "d": self.d,
-            "height": self.height,
-            "cohomological_dimension": self.height if self.verdict else None,
-            "characteristics": list(self.characteristics),
-        }
-        return _assemble("cd_certificate", params, self.checks, self.cited_facts)
-
-
 def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
-                   ) -> CdCertificate:
-    """Run every desk-checkable ingredient of the equality cd = height for
-    the degree-n Veronese presentation ideal in k ambient variables, over
-    the rationals and over each requested prime field."""
+                   ) -> Report:
+    """Certificate that cohomological dimension equals height for the
+    degree-n Veronese presentation ideal in k ambient variables: every
+    desk-checkable ingredient, over the rationals and over each requested
+    prime field, plus the two closed-form graded computations."""
     if k < 1 or n < 1:
         raise ValueError("k and n must both be at least 1")
     ensure_within_cap(comb(k + n - 1, n))
@@ -429,14 +434,7 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
         charts=tuple(_Chart(j, details={"pure_power_of": f"x{j + 1}"})
                      for j in range(k)),
         cover=_pure_power_indices(mmap))
-    checks: list[Check] = []
-    ideals: dict[int, Ideal] = {}
-    heights: dict[int, int] = {}
-    for char, dom in doms:
-        ideals[char], heights[char], char_checks = _characteristic_checks(
-            mmap, char, dom, plan)
-        checks += char_checks
-    checks.append(_height_constancy(heights))
+    ideals, _, checks = _characteristic_checks(mmap, doms, plan)
 
     if n == 2:
         minors = symmetric_minors_ideal(k, QQ)
@@ -444,52 +442,23 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
             "symmetric_minors_match", ideal_equal(ideals[0], minors),
             minor_count=len(minors.generators)))
 
-    pieces = [veronese_lc_piece(k, n, i, 0).dimension for i in range(k + 1)]
-    checks.append(_check(
-        "lc_degree_zero_vanishes", all(v == 0 for v in pieces),
-        cohomological_indices=list(range(k + 1)), dimensions=pieces))
+    checks.append(_lc_degree_zero("lc_degree_zero_vanishes", k, n))
 
     for char, _ in doms[1:]:
         rep = fedder_fpure(ideals[char], char)
         checks.append(_check(f"f_pure_p{char}", rep.f_pure,
                              **_fedder_details(rep)))
 
-    return CdCertificate(
-        k=k, n=n, d=mmap.d, height=expected,
-        characteristics=tuple(c for c, _ in doms),
-        checks=tuple(checks),
-        cited_facts=_CD_CITED_FACTS,
-        verdict=all(c.verdict for c in checks),
-    )
+    verdict = all(c.verdict for c in checks)
+    params = {"k": k, "n": n, "d": mmap.d, "height": expected,
+              "cohomological_dimension": expected if verdict else None,
+              "characteristics": [c for c, _ in doms]}
+    return Report("cd_certificate", params, checks, _CD_CITED_FACTS)
 
 
 # ---------------------------------------------------------------------------
 # presentation report for a general monomial algebra
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PresentationReport:
-    """Presentation of a monomial algebra with per-characteristic checks,
-    optional localization certificates, radical cover, F-purity data, and,
-    when certifiable, the normalization's degree-zero computation."""
-
-    targets: tuple[tuple[int, ...], ...]
-    characteristics: tuple[int, ...]
-    height: Optional[int]
-    cohomological_dimension: Optional[int]
-    checks: tuple[Check, ...]
-    cited_facts: tuple[str, ...]
-    verdict: bool
-
-    def to_report(self) -> dict:
-        params = {
-            "targets": [list(t) for t in self.targets],
-            "characteristics": list(self.characteristics),
-            "height": self.height,
-            "cohomological_dimension": self.cohomological_dimension,
-        }
-        return _assemble("presentation", params, self.checks, self.cited_facts)
-
 
 def present_monomial_algebra(
         targets: Sequence[Sequence[int]],
@@ -497,9 +466,11 @@ def present_monomial_algebra(
         radical_subset: Optional[Sequence[int]] = None,
         ci_candidates: Optional[Mapping[int, Sequence[str]]] = None,
         fpurity_witness: Optional[tuple[Sequence[int], Sequence[int]]] = None,
-) -> PresentationReport:
+) -> Report:
     """Present the algebra generated by the target monomials and certify
-    everything that can be checked at desk scale.
+    everything that can be checked at desk scale: per-characteristic checks,
+    localization certificates, radical cover, F-purity data, and, when
+    certifiable, the normalization's degree-zero computation.
 
     ``radical_subset`` and the keys of ``ci_candidates`` are 0-based source
     variable indices; candidate polynomials are strings in t1..td, parsed
@@ -530,14 +501,7 @@ def present_monomial_algebra(
         expected_key="lattice_nullity",
         expected=len(integer_kernel(mmap.targets)),
         show_dimension=False, charts=charts, cover=subset)
-    checks: list[Check] = []
-    ideals: dict[int, Ideal] = {}
-    heights: dict[int, int] = {}
-    for char, dom in doms:
-        ideals[char], heights[char], char_checks = _characteristic_checks(
-            mmap, char, dom, plan)
-        checks += char_checks
-    checks.append(_height_constancy(heights))
+    ideals, heights, checks = _characteristic_checks(mmap, doms, plan)
 
     sg = AffineSemigroup(mmap.targets)
 
@@ -567,13 +531,8 @@ def present_monomial_algebra(
                 degree=degree,
                 missing_degree_n_targets=[list(v) for v in missing],
                 member_multiples=multiples))
-            pieces = [veronese_lc_piece(mmap.k, degree, i, 0).dimension
-                      for i in range(mmap.k + 1)]
-            checks.append(_check(
-                "normalization_lc_degree_zero_vanishes",
-                all(v == 0 for v in pieces),
-                cohomological_indices=list(range(mmap.k + 1)),
-                dimensions=pieces))
+            checks.append(_lc_degree_zero(
+                "normalization_lc_degree_zero_vanishes", mmap.k, degree))
 
     if fpurity_witness is not None:
         pair = tuple(fpurity_witness)
@@ -614,52 +573,25 @@ def present_monomial_algebra(
     height = heights[0] if len(set(heights.values())) == 1 else None
     concluded = (verdict and height is not None and bool(charts)
                  and bool(subset) and normalization_certified)
-    return PresentationReport(
-        targets=mmap.targets,
-        characteristics=tuple(c for c, _ in doms),
-        height=height,
-        cohomological_dimension=height if concluded else None,
-        checks=tuple(checks),
-        cited_facts=_PRESENT_CITED_FACTS,
-        verdict=verdict,
-    )
+    params = {"targets": [list(t) for t in mmap.targets],
+              "characteristics": [c for c, _ in doms], "height": height,
+              "cohomological_dimension": height if concluded else None}
+    return Report("presentation", params, checks, _PRESENT_CITED_FACTS)
 
 
 # ---------------------------------------------------------------------------
 # characteristic comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharCompareReport:
-    """Heights of one ideal fixture computed over the rationals and over
-    each prime field, with the constancy flag."""
-
-    description: str
-    characteristics: tuple[int, ...]
-    heights: tuple[int, ...]
-    constant: bool
-    checks: tuple[Check, ...]
-    cited_facts: tuple[str, ...]
-    verdict: bool
-
-    def to_report(self) -> dict:
-        params = {
-            "description": self.description,
-            "characteristics": list(self.characteristics),
-            "heights": list(self.heights),
-            "constant": self.constant,
-        }
-        return _assemble("char_compare", params, self.checks, self.cited_facts)
-
-
 def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
                  *,
                  ring_names: Optional[Sequence[str]] = None,
                  generators: Optional[Sequence[str]] = None,
-                 primes: Sequence[int] = (2, 3, 5)) -> CharCompareReport:
+                 primes: Sequence[int] = (2, 3, 5)) -> Report:
     """Compare heights across characteristics, either of the toric ideal of
     target monomials (both routes cross-checked per characteristic) or of an
-    ideal given by generator strings re-parsed over every field."""
+    ideal given by generator strings re-parsed over every field; the params
+    hold the heights and their constancy flag."""
     doms = _characteristics(primes)
     checks: list[Check] = []
     heights: dict[int, int] = {}
@@ -688,12 +620,8 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
             heights[char] = krull_dim(Ideal(ring, gens)).height
 
     checks.append(_height_constancy(heights))
-    return CharCompareReport(
-        description=description,
-        characteristics=tuple(c for c, _ in doms),
-        heights=tuple(heights.values()),
-        constant=checks[-1].verdict,
-        checks=tuple(checks),
-        cited_facts=_CHAR_COMPARE_CITED_FACTS,
-        verdict=all(c.verdict for c in checks),
-    )
+    params = {"description": description,
+              "characteristics": [c for c, _ in doms],
+              "heights": list(heights.values()),
+              "constant": checks[-1].verdict}
+    return Report("char_compare", params, checks, _CHAR_COMPARE_CITED_FACTS)

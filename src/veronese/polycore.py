@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import isqrt
-from operator import itemgetter, mul, neg
+from operator import mul, neg
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -178,16 +178,6 @@ def _grevlex_key(m: Exponents) -> tuple[int, ...]:
     return (sum(m),) + tuple(map(neg, reversed(m)))
 
 
-def _getter(indices: Sequence[int]):
-    """m -> tuple(m[i] for i in indices), for any number of indices."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        i, = indices
-        return lambda m: (m[i],)
-    return lambda m: ()
-
-
 @dataclass(frozen=True)
 class Lex:
     """Pure lexicographic order, first variable strongest."""
@@ -224,10 +214,6 @@ class Block:
 
     eliminated: frozenset[int]
     inner: "MonomialOrder" = field(default_factory=GrevLex)
-    # arity -> (eliminated exponents reversed, remaining exponents) as two
-    # tuple-valued getters; a cache, so it takes no part in ==, hash or repr
-    _splits: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self) -> None:
         elim = frozenset(self.eliminated)
@@ -237,18 +223,11 @@ class Block:
             raise ValueError("eliminated indices must be nonnegative ints")
         object.__setattr__(self, "eliminated", elim)
 
-    def _split(self, arity: int):
-        elim = self.eliminated
-        block = [i for i in range(arity) if i in elim]
-        rest = [i for i in range(arity) if i not in elim]
-        split = self._splits[arity] = (_getter(block[::-1]), _getter(rest))
-        return split
-
     def key(self, m: Exponents):
-        block_rev, rest = self._splits.get(len(m)) or self._split(len(m))
-        block = block_rev(m)
-        return ((sum(block),) + tuple(map(neg, block))
-                + self.inner.key(rest(m)))
+        elim = self.eliminated
+        block = tuple(e for i, e in enumerate(m) if i in elim)
+        rest = tuple(e for i, e in enumerate(m) if i not in elim)
+        return _grevlex_key(block) + self.inner.key(rest)
 
     def __str__(self) -> str:
         return f"block(eliminate={sorted(self.eliminated)}, inner={self.inner})"

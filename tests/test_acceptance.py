@@ -191,7 +191,7 @@ def test_criterion_7_heights_constant_across_characteristics():
         for k, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
             rep = char_compare(targets=veronese_map(k, n).targets,
                                primes=primes)
-            assert rep.constant is True, (k, n)
+            assert rep.params["constant"] is True, (k, n)
             assert rep.to_report()["verdict"] is True
         for n in (2, 3, 4):
             minors = symmetric_minors_ideal(n)
@@ -199,7 +199,7 @@ def test_criterion_7_heights_constant_across_characteristics():
                 ring_names=minors.ring.names,
                 generators=tuple(str(g) for g in minors.generators),
                 primes=primes)
-            assert rep.constant is True, n
+            assert rep.params["constant"] is True, n
             assert rep.to_report()["verdict"] is True
     _line(7, body)
 

@@ -220,6 +220,25 @@ def test_exit_four_on_internal_error(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: engine bug\n"
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["height", "--ring", "x,y"], "--ideal", "-x*y"),
+    (["ci-check", "--ring", "t1,t2,t3", "--ideal", "t2^2-t1*t3",
+      "--invert", "t1"], "--candidates", "-t2^2+t1*t3"),
+])
+def test_polynomial_value_may_start_with_minus(capsys, argv, flag, value):
+    code, out, err = _run(capsys, *argv, flag, value)
+    assert code == 0 and err == ""
+    code2, out2, _ = _run(capsys, *argv, f"{flag}={value}")
+    assert code2 == 0
+    assert out == out2
+
+
+def test_dangling_polynomial_flag_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["height", "--ring", "x,y", "--ideal"])
+    assert info.value.code == 2
+
+
 def test_argparse_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["present"])                 # --targets is required

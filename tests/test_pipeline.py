@@ -4,15 +4,17 @@ witness pairs, cross-characteristic comparison, and the JSON envelope."""
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from veronese.cli import main
 from veronese.groebner import Ideal, ideal_sum
 from veronese.pipeline import (
     GENERIC_2X3_GENERATORS, GENERIC_2X3_NAMES, QUARTIC_CURVE_TARGETS,
-    ResourceCapError, VARIABLE_CAP, cd_certificate, char_compare,
-    ensure_within_cap, present_monomial_algebra, radical_cover_check,
-    render_json,
+    Check, Report, ResourceCapError, VARIABLE_CAP, cd_certificate,
+    char_compare, ensure_within_cap, present_monomial_algebra,
+    radical_cover_check, render_json,
 )
 from veronese.polycore import PolyRing, QQ
 from veronese.toric import monomial_algebra_map, toric_ideal_lattice, veronese_map
@@ -124,7 +126,8 @@ def test_present_quartic_full_certificate():
     d = rep.to_report()
     assert d["kind"] == "presentation"
     assert d["verdict"] is True
-    assert rep.height == 2 and rep.cohomological_dimension == 2
+    assert (rep.params["height"] == 2
+            and rep.params["cohomological_dimension"] == 2)
     checks = _check_map(d)
     for p in (2, 3, 5):
         w = checks[f"f_purity_consistent_p{p}"]
@@ -149,15 +152,15 @@ def test_present_without_optional_ingredients():
     # the quartic targets are not a full Veronese set
     assert not any(n.startswith("localized_ci") for n in checks)
     # therefore no cohomological-dimension claim either
-    assert rep.cohomological_dimension is None
-    assert rep.height == 2
+    assert rep.params["cohomological_dimension"] is None
+    assert rep.params["height"] == 2
 
 
 def test_present_veronese_targets_derive_everything():
     rep = present_monomial_algebra(veronese_map(2, 3).targets, primes=(2,))
     d = rep.to_report()
     assert d["verdict"] is True
-    assert rep.cohomological_dimension == rep.height == 2
+    assert rep.params["cohomological_dimension"] == rep.params["height"] == 2
     checks = _check_map(d)
     assert "localized_ci_char_0_t1" in checks
     assert "localized_ci_char_0_t4" in checks
@@ -192,7 +195,7 @@ def test_present_invalid_witness_makes_check_fail():
     assert w["verdict"] is False
     assert w["details"]["witness_in_semigroup"] is False
     assert d["verdict"] is False
-    assert rep.cohomological_dimension is None
+    assert rep.params["cohomological_dimension"] is None
 
 
 def test_present_validation_and_cap():
@@ -221,7 +224,7 @@ def test_char_compare_targets_mode():
     checks = _check_map(d)
     hc = checks["height_constant_across_characteristics"]
     assert hc["details"]["heights"] == {"0": 2, "2": 2, "3": 2}
-    assert rep.constant is True
+    assert rep.params["constant"] is True
 
 
 def test_char_compare_fixture_mode():
@@ -229,8 +232,8 @@ def test_char_compare_fixture_mode():
                        generators=GENERIC_2X3_GENERATORS, primes=(2, 5))
     d = rep.to_report()
     assert d["verdict"] is True
-    assert rep.characteristics == (0, 2, 5)
-    assert rep.heights == (2, 2, 2)
+    assert rep.params["characteristics"] == [0, 2, 5]
+    assert rep.params["heights"] == [2, 2, 2]
     # no toric-route checks in fixture mode
     assert not any(n.startswith("toric_routes")
                    for n in _check_map(d))
@@ -279,3 +282,39 @@ def test_cited_facts_accompany_mechanical_checks():
     assert all(isinstance(s, str) and s for s in d["cited_facts"])
     d2 = char_compare(targets=QUARTIC_CURVE_TARGETS, primes=(2,)).to_report()
     assert len(d2["cited_facts"]) == 1
+
+
+def test_report_verdict_envelope_and_frozen():
+    yes = Check("a", True, {})
+    no = Check("b", False, {"x": 1})
+    assert Report("k", {}, (yes, yes)).verdict is True
+    assert Report("k", {}, (yes, no)).verdict is False
+    assert Report("k", {}, ()).verdict is True      # the empty conjunction
+    rep = Report("k", {"p": 1}, (yes, no), ("fact",))
+    d = rep.to_report()
+    assert list(d) == ["kind", "params", "checks", "cited_facts", "verdict"]
+    assert d == {"kind": "k", "params": {"p": 1},
+                 "checks": [yes.as_dict(), no.as_dict()],
+                 "cited_facts": ["fact"], "verdict": False}
+    assert Report("k", {}, (yes,)).to_report()["cited_facts"] == []
+    with pytest.raises(FrozenInstanceError):
+        rep.kind = "other"
+    with pytest.raises(FrozenInstanceError):
+        rep.checks = (yes,)
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["cd-certificate", "-k", "2", "-n", "2", "--primes", "2"],
+     lambda: cd_certificate(2, 2, primes=(2,))),
+    (["present", "--targets", "4,0;3,1;1,3;0,4", "--primes", "2"],
+     lambda: present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(2,))),
+    (["char-compare", "--targets", "2,0;1,1;0,2", "--primes", "2,3"],
+     lambda: char_compare(((2, 0), (1, 1), (0, 2)), primes=(2, 3))),
+], ids=["cd-certificate", "present", "char-compare"])
+def test_library_report_matches_cli(capsys, argv, build):
+    rep = build()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == render_json(rep.to_report())
+    assert code == (0 if rep.verdict else 1)
