@@ -46,12 +46,10 @@ class FpurityReport:
 def fedder_fpure(ideal: Ideal, p: int) -> FpurityReport:
     """Decide F-purity of R/I at the irrelevant maximal ideal via Fedder.
 
-    Requires a homogeneous proper ideal over GF(p); general p-th powers over
-    other domains are rejected, not coerced.
+    Requires a homogeneous proper ideal over GF(p); ``frobenius_power``,
+    called first, rejects an ideal over another domain rather than coerce it.
     """
-    dom = ideal.ring.domain
-    if not isinstance(dom, PrimeField) or dom.p != p:
-        raise ValueError(f"Fedder needs an ideal over GF({p}), not {dom}")
+    bracket = frobenius_power(ideal, p)
     for g in ideal.generators:
         if not is_homogeneous(g):
             raise ValueError(f"non-homogeneous generator: {g}")
@@ -59,7 +57,6 @@ def fedder_fpure(ideal: Ideal, p: int) -> FpurityReport:
         gb = buchberger(ideal, _GREVLEX)
         if any(g.total_degree() == 0 for g in gb.elements):
             raise ValueError("Fedder needs a proper ideal")
-    bracket = frobenius_power(ideal, p)
     col = colon_ideal(bracket, ideal)
     certificate = None
     for g in col.generators:

@@ -8,18 +8,17 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from math import comb
 from typing import Optional, Sequence
 
 from .polycore import CoeffDomain, GF, PolyRing, QQ, parse_polynomial_list
 from .groebner import Ideal
 from .invariants import krull_dim
-from .toric import ci_check, veronese_map
+from .toric import ci_check
 from .charp import AffineSemigroup, fedder_fpure, semigroup_member
 from .pipeline import (
-    Report, ResourceCapError, _check, _ci_result, _cover_result,
-    _fedder_details, _height_check, _minimal_generator_details, _toric_routes,
-    cd_certificate, char_compare, ensure_within_cap, present_monomial_algebra,
+    Report, ResourceCapError, _capped_veronese_map, _check, _ci_result,
+    _cover_result, _fedder_details, _height_check, _minimal_generator_details,
+    _toric_routes, cd_certificate, char_compare, present_monomial_algebra,
     render_json,
 )
 
@@ -52,10 +51,6 @@ def _parse_targets(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_vector(c) for c in chunks)
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
-    return _parse_vector(text)
-
-
 def _parse_char(text: str) -> int:
     try:
         char = int(text)
@@ -64,13 +59,6 @@ def _parse_char(text: str) -> int:
     if char < 0:
         raise ValueError(f"bad characteristic {text!r}")
     return char
-
-
-def _parse_names(text: str) -> tuple[str, ...]:
-    names = tuple(p.strip() for p in text.split(","))
-    if not names or any(not nm for nm in names):
-        raise ValueError(f"bad variable list {text!r}")
-    return names
 
 
 def _domain(char: int) -> CoeffDomain:
@@ -86,8 +74,8 @@ def _variable_index(names: Sequence[str], name: str) -> int:
 
 
 def _split_list(text: str) -> tuple[str, ...]:
-    """Split a comma-separated polynomial list into items; commas never
-    occur inside a polynomial, so a flat split is exact."""
+    """Split a comma-separated list of names or polynomials into items;
+    commas never occur inside a polynomial, so a flat split is exact."""
     items = tuple(p.strip() for p in text.split(","))
     if any(not p for p in items):
         raise ValueError(f"empty entry in list {text!r}")
@@ -103,7 +91,7 @@ def _ideal_text(args: argparse.Namespace) -> str:
 
 def _parsed_ideal(args: argparse.Namespace, domain: CoeffDomain
                   ) -> tuple[PolyRing, Ideal]:
-    ring = PolyRing(_parse_names(args.ring), domain)
+    ring = PolyRing(_split_list(args.ring), domain)
     gens = parse_polynomial_list(_ideal_text(args), ring)
     return ring, Ideal(ring, tuple(gens))
 
@@ -122,13 +110,9 @@ def _char_ideal(args: argparse.Namespace) -> tuple[PolyRing, Ideal, dict]:
 
 def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
     k, n = args.k, args.n
-    if k < 1 or n < 1:
-        raise ValueError("k and n must both be at least 1")
-    ensure_within_cap(comb(k + n - 1, n))
+    mmap = _capped_veronese_map(k, n)
     char = _parse_char(args.char)
-    dom = _domain(char)
-    mmap = veronese_map(k, n)
-    ideal, _, agree = _toric_routes(mmap, dom)
+    ideal, _, agree = _toric_routes(mmap, _domain(char))
     checks = [
         _check("toric_routes_agree", agree,
                **_minimal_generator_details(ideal)),
@@ -141,12 +125,12 @@ def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
 
 def _cmd_present(args: argparse.Namespace) -> Report:
     targets = _parse_targets(args.targets)
-    primes = _parse_primes(args.primes)
+    primes = _parse_vector(args.primes)
     names = tuple(f"t{i + 1}" for i in range(len(targets)))
     subset: Optional[tuple[int, ...]] = None
     if args.radical_subset is not None:
         subset = tuple(_variable_index(names, nm)
-                       for nm in _parse_names(args.radical_subset))
+                       for nm in _split_list(args.radical_subset))
     candidates: Optional[dict[int, tuple[str, ...]]] = None
     if args.ci:
         candidates = {}
@@ -159,13 +143,8 @@ def _cmd_present(args: argparse.Namespace) -> Report:
             if idx in candidates:
                 raise ValueError(f"repeated --ci variable {head.strip()!r}")
             candidates[idx] = _split_list(tail)
-    witness = None
-    if args.fpurity_witness is not None:
-        pair = _parse_targets(args.fpurity_witness)
-        if len(pair) != 2:
-            raise ValueError(
-                "--fpurity-witness wants two vectors: numerator;generator")
-        witness = (pair[0], pair[1])
+    witness = (None if args.fpurity_witness is None
+               else _parse_targets(args.fpurity_witness))
     return present_monomial_algebra(
         targets, primes=primes, radical_subset=subset,
         ci_candidates=candidates, fpurity_witness=witness)
@@ -192,7 +171,7 @@ def _cmd_ci_check(args: argparse.Namespace) -> Report:
 def _cmd_radical_cover(args: argparse.Namespace) -> Report:
     ring, ideal, params = _char_ideal(args)
     subset = tuple(_variable_index(ring.names, nm)
-                   for nm in _parse_names(args.subset))
+                   for nm in _split_list(args.subset))
     checks = [_cover_result("radical_cover", ideal, subset)]
     return Report("radical-cover", params, checks)
 
@@ -219,22 +198,16 @@ def _cmd_semigroup(args: argparse.Namespace) -> Report:
 
 
 def _cmd_cd_certificate(args: argparse.Namespace) -> Report:
-    primes = _parse_primes(args.primes)
-    return cd_certificate(args.k, args.n, primes)
+    return cd_certificate(args.k, args.n, _parse_vector(args.primes))
 
 
 def _cmd_char_compare(args: argparse.Namespace) -> Report:
-    primes = _parse_primes(args.primes)
-    if args.targets is not None:
-        if args.ring is not None or args.ideal is not None \
-                or args.ideal_file is not None:
-            raise ValueError("give either --targets or --ring with an ideal")
-        return char_compare(_parse_targets(args.targets), primes=primes)
-    if args.ring is None:
-        raise ValueError("give either --targets or --ring with an ideal")
-    return char_compare(ring_names=_parse_names(args.ring),
-                        generators=_split_list(_ideal_text(args)),
-                        primes=primes)
+    has_ideal = args.ideal is not None or args.ideal_file is not None
+    return char_compare(
+        None if args.targets is None else _parse_targets(args.targets),
+        ring_names=None if args.ring is None else _split_list(args.ring),
+        generators=_split_list(_ideal_text(args)) if has_ideal else None,
+        primes=_parse_vector(args.primes))
 
 
 # ---------------------------------------------------------------------------

@@ -407,23 +407,10 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     return Ideal(ring, sat.generators)
 
 
-def _nf_power(f: Polynomial, e: int, gb: GroebnerBasis) -> Polynomial:
-    """Normal form of f^e, reducing after every multiplication."""
-    result = f.ring.one
-    base = normal_form(f, gb)
-    while e:
-        if e & 1:
-            result = normal_form(result * base, gb)
-        e >>= 1
-        if e:
-            base = normal_form(base * base, gb)
-    return result
-
-
 def radical_member(f: Polynomial, ideal: Ideal) -> tuple[bool, Union[int, None]]:
     """Is f in the radical?  Uses the Rabinowitsch trick: f is in rad(I) iff
     1 lies in I + (1 - w*f).  On success also returns the least e with
-    f^e in I, found by doubling to an upper bound then binary search.
+    f^e in I (``_least_power_member``).
     """
     if f.ring != ideal.ring:
         raise ValueError("polynomial from a different ring")
@@ -440,24 +427,25 @@ def radical_member(f: Polynomial, ideal: Ideal) -> tuple[bool, Union[int, None]]
 
 
 def _least_power_member(f: Polynomial, gb: GroebnerBasis) -> int:
-    """Least e >= 1 with f^e in the ideal of gb.  The caller must already
-    know some power lies in the ideal; doubling finds an upper bound and a
-    binary search below it finds the least (membership is monotone in e).
+    """Least e >= 1 with f^e in the ideal of gb, in O(log e) normal forms.
+    The caller must already know some power lies in the ideal.  Squaring
+    keeps f, f^2, f^4, ... up to the first f^(2^j) in the ideal; the largest
+    m < 2^j with f^m outside (membership is monotone in the exponent) is then
+    built from them, highest bit first, and e = m + 1.
     """
-    lo, hi = 0, 1
-    g = normal_form(f, gb)
-    while not g.is_zero():
-        lo, hi = hi, hi * 2
-        if hi > 1 << 20:
+    squares = [normal_form(f, gb)]
+    while not squares[-1].is_zero():
+        if len(squares) > 20:            # f^(2^20) is still outside
             raise RuntimeError("radical witness exponent out of range")
-        g = normal_form(g * g, gb)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _nf_power(f, mid, gb).is_zero():
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        squares.append(normal_form(squares[-1] * squares[-1], gb))
+    if len(squares) == 1:
+        return 1
+    m, power = 1 << (len(squares) - 2), squares[-2]
+    for bit in range(len(squares) - 3, -1, -1):
+        candidate = normal_form(power * squares[bit], gb)
+        if not candidate.is_zero():
+            m, power = m + (1 << bit), candidate
+    return m + 1
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:

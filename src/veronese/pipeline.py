@@ -149,10 +149,11 @@ def _radical_cover(ideal: Ideal, subset: tuple[int, ...]
                    ) -> tuple[bool, list[dict]]:
     """Does every ring variable lie in rad(I + (subset variables))?
 
-    For homogeneous input the verdict is a dimension computation: the radical
-    contains every variable exactly when the quotient by I + (subset) is
-    zero-dimensional.  Witness exponents are then found by power reduction
-    against one cached basis.  Non-homogeneous input, and the failing case,
+    For homogeneous input the verdict is read from the grevlex basis of
+    J = I + (subset): the radical contains every variable exactly when R/J
+    is zero-dimensional, that is when every variable has a pure-power lead
+    in that basis.  Witness exponents are then found by power reduction
+    against the same basis.  Non-homogeneous input, and the failing case,
     fall back to one radical-membership run per variable.
     """
     ring = ideal.ring
@@ -168,7 +169,8 @@ def _radical_cover(ideal: Ideal, subset: tuple[int, ...]
         return True, [{"variable": nm, "member": True, "exponent": 1}
                       for nm in ring.names]
     if all(is_homogeneous(g) for g in ideal.generators):
-        if krull_dim(J).dimension == 0:
+        leads = [g.lead_monomial(_GREVLEX) for g in gb.elements]
+        if all(any(m[i] == sum(m) for m in leads) for i in range(ring.arity)):
             details = []
             for i, nm in enumerate(ring.names):
                 e = _least_power_member(ring.variable(i), gb)
@@ -329,6 +331,14 @@ def _characteristic_checks(
     return ideals, heights, checks
 
 
+def _capped_veronese_map(k: int, n: int) -> MonomialMap:
+    """The Veronese map (k, n), refused for k or n < 1 and over the cap."""
+    if k < 1 or n < 1:
+        raise ValueError("k and n must both be at least 1")
+    ensure_within_cap(comb(k + n - 1, n))
+    return veronese_map(k, n)
+
+
 def _lc_degree_zero(name: str, k: int, n: int) -> Check:
     """Every degree-zero graded piece of local cohomology of the degree-n
     Veronese subring in k variables vanishes."""
@@ -422,10 +432,7 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     degree-n Veronese presentation ideal in k ambient variables: every
     desk-checkable ingredient, over the rationals and over each requested
     prime field, plus the two closed-form graded computations."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must both be at least 1")
-    ensure_within_cap(comb(k + n - 1, n))
-    mmap = veronese_map(k, n)
+    mmap = _capped_veronese_map(k, n)
     doms = _characteristics(primes)
     expected = mmap.d - k
     plan = _Plan(
@@ -596,9 +603,10 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
     checks: list[Check] = []
     heights: dict[int, int] = {}
 
-    fixture_mode = ring_names is not None or generators is not None
-    if (targets is None) == (not fixture_mode):
-        raise ValueError("give exactly one of targets or ring_names+generators")
+    given = [x is not None for x in (targets, ring_names, generators)]
+    if given not in ([True, False, False], [False, True, True]):
+        raise ValueError("give either targets (--targets) or ring names with "
+                         "generators (--ring with an ideal)")
     if targets is not None:
         ensure_within_cap(len(targets))
         mmap = monomial_algebra_map(targets)
@@ -609,8 +617,6 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
             checks.append(_check(f"toric_routes_agree_char_{char}", agree))
             heights[char] = krull_dim(ideal).height
     else:
-        if ring_names is None or generators is None:
-            raise ValueError("ring_names and generators go together")
         names = tuple(ring_names)
         ensure_within_cap(len(names))
         description = f"ideal ({', '.join(generators)}) in {', '.join(names)}"

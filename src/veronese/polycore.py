@@ -371,9 +371,6 @@ class PolyRing:
         exps = tuple(1 if i == which else 0 for i in range(self.arity))
         return Polynomial(self, ((exps, self.domain.one),))
 
-    def variables(self) -> tuple["Polynomial", ...]:
-        return tuple(self.variable(i) for i in range(self.arity))
-
     def monomial(self, exps: Sequence[int], coeff: Union[int, Fraction] = 1) -> "Polynomial":
         exps = tuple(exps)
         if len(exps) != self.arity or any((not isinstance(e, int)) or e < 0 for e in exps):
@@ -673,7 +670,11 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
 #   atom   := integer | variable | '(' expr ')'
 #
 # Variables are [a-z][a-z0-9]*, integers are nonnegative literals, whitespace
-# is insignificant.  '^' binds tighter than '*'.
+# is insignificant.  '^' binds tighter than '*'.  Parentheses nest at most
+# _MAX_NESTING deep, well inside the interpreter's recursion limit.
+
+_MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Input text rejected; .position is the 0-based character offset."""
@@ -718,6 +719,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.ring = ring
+        self.depth = 0                   # parentheses open at this point
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -782,8 +784,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", pos)
             return self.ring.variable(val)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", pos)
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a variable, integer or '('", pos)
 

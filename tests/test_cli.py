@@ -202,6 +202,40 @@ def test_exit_two_on_bad_vector(capsys):
     assert code == 2
 
 
+def test_exit_two_on_deeply_nested_parentheses(tmp_path, capsys):
+    src = tmp_path / "deep.txt"
+    src.write_text("(" * 300 + "x" + ")" * 300)
+    code, out, err = _run(capsys, "height", "--ring", "x,y",
+                          "--ideal-file", str(src))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ring", "x,y"],                          # an ideal is missing
+    ["--ideal", "x"],                           # the ring is missing
+    ["--targets", "1,0", "--ring", "x"],
+    ["--targets", "1,0", "--ideal", "x"],
+])
+def test_char_compare_refuses_mixed_or_partial_modes(capsys, argv):
+    code, out, err = _run(capsys, "char-compare", *argv, "--primes", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: give either targets")
+
+
+def test_library_rules_reach_the_cli_as_exit_codes(capsys):
+    code, _, err = _run(capsys, "veronese-ideal", "-k", "0", "-n", "2")
+    assert code == 2 and "at least 1" in err
+    code, _, err = _run(capsys, "veronese-ideal", "-k", "2", "-n", "12")
+    assert code == 3 and "cap" in err
+    code, _, err = _run(capsys, "present", "--targets", "2,0;1,1;0,2",
+                        "--fpurity-witness", "2,0;1,1;0,2")
+    assert code == 2 and "pair" in err
+
+
 def test_exit_three_on_resource_cap(capsys):
     code, out, err = _run(capsys, "cd-certificate", "-k", "2", "-n", "12")
     assert code == 3

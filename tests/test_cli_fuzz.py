@@ -6,6 +6,9 @@ characteristics and primes from 0 to 5) so that the whole run is fast."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
+
+import pytest
 
 from veronese.cli import main
 
@@ -127,6 +130,21 @@ def _argv(rng, command):
     return [command, *_ideal_args(rng, _ring(rng)), "--primes", _primes(rng)]
 
 
+_CHAR_COMPARE_FLAGS = ("--targets", "--ring", "--ideal")
+
+
+def _char_compare_argv(rng, flags):
+    """char-compare with exactly the given mode flags, random values."""
+    names = _ring(rng)
+    values = {"--targets": _vectors(rng, rng.randint(1, 3)),
+              "--ring": ",".join(names),
+              "--ideal": _polys(rng, names, rng.random() < 0.5)}
+    argv = ["char-compare"]
+    for flag in flags:
+        argv += [flag, values[flag]]
+    return argv + ["--primes", _primes(rng)]
+
+
 _COMMANDS = ("veronese-ideal", "present", "height", "ci-check",
              "radical-cover", "fedder", "semigroup", "cd-certificate",
              "char-compare")
@@ -148,3 +166,20 @@ def test_random_small_inputs_exit_cleanly(capsys):
             (argv, err)
         seen.add(command)
     assert seen == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("flags", [
+    flags for size in range(len(_CHAR_COMPARE_FLAGS) + 1)
+    for flags in combinations(_CHAR_COMPARE_FLAGS, size)])
+def test_char_compare_every_mode_flag_subset_exits_cleanly(capsys, flags):
+    """Only ``--targets`` alone and ``--ring`` with ``--ideal`` name a mode;
+    every other subset is bad input."""
+    rng = random.Random(f"char-compare {flags}")
+    valid = flags in (("--targets",), ("--ring", "--ideal"))
+    for _ in range(5):
+        argv = _char_compare_argv(rng, flags)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in ((0, 1, 2, 3) if valid else (2,)), (argv, code, err)
+        assert "Traceback" not in err and "internal error" not in err, \
+            (argv, err)

@@ -8,9 +8,9 @@ import random
 import pytest
 
 from veronese.groebner import (
-    GroebnerBasis, Ideal, buchberger, colon, colon_ideal, eliminate,
-    ideal_equal, ideal_member, ideal_sum, initial_ideal, intersect,
-    normal_form, radical_member, saturate,
+    GroebnerBasis, Ideal, _least_power_member, buchberger, colon,
+    colon_ideal, eliminate, ideal_equal, ideal_member, ideal_sum,
+    initial_ideal, intersect, normal_form, radical_member, saturate,
 )
 from veronese.polycore import Block, GF, GrevLex, Lex, PolyRing, QQ
 
@@ -206,3 +206,56 @@ def test_radical_membership_over_both_characteristics(domain):
     I = _ideal(R, "x^2", "y^3")
     assert radical_member(R.parse("x*y"), I) == (True, 2)
     assert radical_member(R.parse("x + y"), I) == (True, 4)
+
+
+def _least_power_by_ascent(f, gb):
+    """Reference: the first of f, f^2, f^3, ... whose normal form is 0."""
+    e, g = 1, normal_form(f, gb)
+    while not g.is_zero():
+        e, g = e + 1, normal_form(g * f, gb)
+    return e
+
+
+def _random_form(rng, R, degree):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * R.arity
+        for _ in range(degree):
+            exps[rng.randrange(R.arity)] += 1
+        terms.append(R.monomial(exps, rng.choice((1, -1))))
+    return sum(terms[1:], terms[0])
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(2), GF(3), GF(5)])
+def test_least_power_member_matches_ascent(domain):
+    """Seeded m-primary ideals (a pure power of every variable, plus up to
+    two random forms) and forms f without constant term, so that some power
+    of f lies in the ideal; witnesses run up to about 40."""
+    rng = random.Random(f"least power {domain}")
+    R3 = PolyRing(("x", "y", "z"), domain)
+    cases = [(R3.parse("x + y + z"),
+              buchberger(_ideal(R3, "x^14", "y^14", "z^14")))]
+    for _ in range(40):
+        R = PolyRing(("x", "y", "z")[:rng.randint(1, 3)], domain)
+        gens = [R.monomial([rng.randint(1, 14) if j == i else 0
+                            for j in range(R.arity)])
+                for i in range(R.arity)]
+        gens += [_random_form(rng, R, rng.randint(2, 4))
+                 for _ in range(rng.randint(0, 2))]
+        f = _random_form(rng, R, rng.randint(1, 2))
+        cases.append((f, buchberger(Ideal(R, tuple(gens)))))
+    witnesses = []
+    for f, gb in cases:
+        e = _least_power_member(f, gb)
+        assert e == _least_power_by_ascent(f, gb), (f, gb.elements)
+        witnesses.append(e)
+    assert max(witnesses) >= 16          # five or more bits exercised
+
+
+def test_least_power_member_refuses_past_two_to_the_twenty():
+    R = PolyRing(("x",), QQ)
+    x = R.variable(0)
+    assert _least_power_member(x, buchberger(Ideal(R, (x ** (1 << 20),)))) \
+        == 1 << 20
+    with pytest.raises(RuntimeError, match="out of range"):
+        _least_power_member(x, buchberger(Ideal(R, (x ** ((1 << 20) + 1),))))

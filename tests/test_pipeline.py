@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from veronese import groebner, pipeline
 from veronese.cli import main
 from veronese.groebner import Ideal, ideal_sum
 from veronese.pipeline import (
@@ -41,6 +42,30 @@ def test_radical_cover_validates_subset():
         radical_cover_check(I, (5,))
     with pytest.raises(ValueError):
         radical_cover_check(I, ())
+
+
+@pytest.mark.parametrize("ideal, subset", [
+    (toric_ideal_lattice(monomial_algebra_map(((2, 0), (1, 1), (0, 2)))),
+     (0, 2)),                                     # the conic, t1 and t3
+    (toric_ideal_lattice(veronese_map(2, 3)), (0, 3)),   # the pure powers
+])
+def test_zero_dimensional_cover_requests_its_basis_once(monkeypatch, ideal,
+                                                        subset):
+    """The cover decides from the basis of I + (subset) it asked for, and
+    asks for that basis only once, whichever module asks."""
+    ring = ideal.ring
+    J = ideal_sum(ideal, Ideal(ring, tuple(ring.variable(i) for i in subset)))
+    requests = []
+    original = groebner.buchberger
+
+    def counting(ideal_arg, *args, **kwargs):
+        requests.append(ideal_arg)
+        return original(ideal_arg, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(pipeline, "buchberger", counting)
+    assert radical_cover_check(ideal, subset) is True
+    assert requests.count(J) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,20 @@ def test_parse_error_positions(text, position):
     assert info.value.position == position
 
 
+def test_parse_nesting_limit():
+    R = PolyRing(("x", "y"), QQ)
+    deep = "(" * 100 + "x + y" + ")" * 100
+    assert parse_polynomial(deep, R) == R.parse("x + y")
+    # the 101st "(" is refused at its own column, wherever the parser's
+    # recursion would have ended
+    text = "y*" + "(" * 101 + "x" + ")" * 101
+    with pytest.raises(ParseError, match="nested too deeply") as info:
+        parse_polynomial(text, R)
+    assert info.value.position == 2 + 100
+    # depth is what counts, not the number of parentheses
+    assert parse_polynomial(" + ".join(["(x)"] * 150), R) == R.parse("150*x")
+
+
 @pytest.mark.parametrize("domain", [QQ, GF(2), GF(7)])
 def test_str_parse_round_trip_on_grammar_expressible(domain):
     # integer (and residue) coefficients are exactly what the grammar can
