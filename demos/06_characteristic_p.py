@@ -1,12 +1,14 @@
-"""Characteristic p: bracket powers, the colon-ideal splitting test for
-Frobenius purity, and semigroup membership witnesses that explain failures.
+"""Characteristic p: bracket powers, the splitting test for Frobenius purity
+(through the colon ideal, and for toric ideals by linear algebra in one
+multidegree), and semigroup membership witnesses that explain failures.
 
 Run:  python3 demos/06_characteristic_p.py
 """
 from __future__ import annotations
 
 from veronese import (
-    AffineSemigroup, GF, Ideal, PolyRing, fedder_fpure, frobenius_power,
+    AffineSemigroup, GF, Ideal, PolyRing, fedder_fiber, fedder_fpure,
+    frobenius_power,
     monomial_ideal_member, semigroup_member, toric_ideal_lattice,
     veronese_map, monomial_algebra_map,
 )
@@ -24,6 +26,12 @@ print("x*y at p=3 is F-pure: ", rep.f_pure, "certificate:", rep.certificate)
 
 ver = toric_ideal_lattice(veronese_map(2, 3), GF(2))
 print("Veronese (2,3), p=2:  ", fedder_fpure(ver, 2).f_pure)
+
+# For a toric ideal the same verdict comes from one linear system over GF(p)
+# in the multidegree (p-1) * (sum of the targets), with no colon computed.
+fiber = fedder_fiber(ver, veronese_map(2, 3).targets, 2)
+print("  by the fiber route: ", fiber.f_pure, f"({fiber.fiber_size} unknowns,",
+      f"{fiber.constraints} rows, rank {fiber.rank})")
 
 targets = ((4, 0), (3, 1), (1, 3), (0, 4))
 for p in (2, 3, 5):

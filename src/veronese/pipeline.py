@@ -38,8 +38,8 @@ from .toric import (
 )
 from .invariants import DimensionResult, krull_dim, veronese_lc_piece
 from .charp import (
-    AffineSemigroup, FpurityReport, fedder_fpure, monomial_ideal_member,
-    semigroup_member,
+    AffineSemigroup, FpurityReport, fedder_fiber, fedder_fpure,
+    monomial_ideal_member, semigroup_member,
 )
 
 __all__ = [
@@ -154,7 +154,9 @@ def _radical_cover(ideal: Ideal, subset: tuple[int, ...]
     is zero-dimensional, that is when every variable has a pure-power lead
     in that basis.  Witness exponents are then found by power reduction
     against the same basis.  Non-homogeneous input, and the failing case,
-    fall back to one radical-membership run per variable.
+    fall back to one radical-membership run per variable that has a
+    pure-power lead; under any order t_i^e in J forces such a lead, so a
+    variable without one is outside rad(J) and needs no run.
     """
     ring = ideal.ring
     subset = tuple(dict.fromkeys(subset))
@@ -168,18 +170,19 @@ def _radical_cover(ideal: Ideal, subset: tuple[int, ...]
     if any(g.total_degree() == 0 for g in gb.elements):
         return True, [{"variable": nm, "member": True, "exponent": 1}
                       for nm in ring.names]
-    if all(is_homogeneous(g) for g in ideal.generators):
-        leads = [g.lead_monomial(_GREVLEX) for g in gb.elements]
-        if all(any(m[i] == sum(m) for m in leads) for i in range(ring.arity)):
-            details = []
-            for i, nm in enumerate(ring.names):
-                e = _least_power_member(ring.variable(i), gb)
-                details.append({"variable": nm, "member": True, "exponent": e})
-            return True, details
+    leads = [g.lead_monomial(_GREVLEX) for g in gb.elements]
+    powered = [any(m[i] == sum(m) for m in leads) for i in range(ring.arity)]
+    if all(powered) and all(is_homogeneous(g) for g in ideal.generators):
+        details = []
+        for i, nm in enumerate(ring.names):
+            e = _least_power_member(ring.variable(i), gb)
+            details.append({"variable": nm, "member": True, "exponent": e})
+        return True, details
     ok = True
     details = []
     for i, nm in enumerate(ring.names):
-        member, e = radical_member(ring.variable(i), J)
+        member, e = (radical_member(ring.variable(i), J) if powered[i]
+                     else (False, None))
         ok = ok and member
         details.append({"variable": nm, "member": member, "exponent": e})
     return ok, details
@@ -452,9 +455,10 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     checks.append(_lc_degree_zero("lc_degree_zero_vanishes", k, n))
 
     for char, _ in doms[1:]:
-        rep = fedder_fpure(ideals[char], char)
+        rep = fedder_fiber(ideals[char], mmap.targets, char)
         checks.append(_check(f"f_pure_p{char}", rep.f_pure,
-                             **_fedder_details(rep)))
+                             fiber_size=rep.fiber_size,
+                             constraints=rep.constraints, rank=rep.rank))
 
     verdict = all(c.verdict for c in checks)
     params = {"k": k, "n": n, "d": mmap.d, "height": expected,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import isqrt
-from operator import mul, neg
+from operator import add, mul, neg
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -491,7 +491,7 @@ class Polynomial:
         d: dict[Exponents, Scalar] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 d[m] = d.get(m, 0) + c1 * c2
         return _from_dict(self.ring, d)
 

@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import pytest
 
+import random
+
 from veronese.charp import (
-    AffineSemigroup, FpurityReport, fedder_fpure, frobenius_power,
-    monomial_ideal_member, semigroup_member,
+    AffineSemigroup, FpurityReport, fedder_fiber, fedder_fpure,
+    frobenius_power, monomial_ideal_member, semigroup_member,
 )
-from veronese.groebner import Ideal, buchberger, ideal_member
+from veronese.groebner import Ideal, buchberger, ideal_member, normal_form
 from veronese.polycore import GF, PolyRing, QQ
 from veronese.toric import (
-    monomial_algebra_map, toric_ideal_lattice, veronese_map,
+    monomial_algebra_map, toric_ideal_elimination, toric_ideal_lattice,
+    veronese_map,
 )
 
 QUARTIC = ((4, 0), (3, 1), (1, 3), (0, 4))
@@ -110,6 +113,108 @@ def test_fedder_validates_input():
         fedder_fpure(_ideal(R, "x"), 5)           # wrong characteristic
     # the full homogeneous maximal ideal is still legitimate input
     assert fedder_fpure(_ideal(R, "x - y", "x + y"), 3).f_pure is True
+
+
+# ---------------------------------------------------------------------------
+# the splitting test by linear algebra in one multidegree
+# ---------------------------------------------------------------------------
+
+VERONESE_CASES = ((2, 2), (2, 3), (2, 4), (3, 2))
+
+
+def _seeded_curves(seed, count=4):
+    """2-variable equal-degree curves: both pure powers of degree 3-5 and
+    one or two mixed monomials, drawn from the seed."""
+    rng = random.Random(seed)
+    curves = []
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        mixed = sorted(rng.sample(range(1, n), rng.randint(1, min(2, n - 1))))
+        curves.append(((n, 0), *((n - i, i) for i in mixed), (0, n)))
+    return curves
+
+
+def _fiber_against_colon(targets, p):
+    mmap = monomial_algebra_map(targets)
+    I = toric_ideal_elimination(mmap, GF(p))
+    rep = fedder_fiber(I, mmap.targets, p)
+    assert rep.f_pure == fedder_fpure(I, p).f_pure, (targets, p)
+    return rep
+
+
+@pytest.mark.parametrize("k,n", VERONESE_CASES)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fiber_route_agrees_with_colon_on_veronese(k, n, p):
+    rep = _fiber_against_colon(veronese_map(k, n).targets, p)
+    assert rep.f_pure is True
+    # observed on every Veronese case, not a proven (or reported) fact
+    height = len(veronese_map(k, n).targets) - k
+    assert rep.fiber_size == p ** height
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fiber_route_agrees_with_colon_on_quartic_curve(p):
+    rep = _fiber_against_colon(QUARTIC, p)
+    assert rep.f_pure is False and rep.witness is None
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7919])
+def test_fiber_route_agrees_with_colon_on_seeded_curves(seed):
+    for targets in _seeded_curves(seed):
+        for p in (2, 3, 5):
+            _fiber_against_colon(targets, p)
+
+
+@pytest.mark.parametrize("k,n,p", [
+    (2, 3, 2), (2, 4, 3), (3, 2, 5), (3, 2, 3),
+])
+def test_fiber_witness_lies_in_the_colon(k, n, p):
+    mmap = veronese_map(k, n)
+    I = toric_ideal_elimination(mmap, GF(p))
+    u = fedder_fiber(I, mmap.targets, p).witness
+    top = (p - 1,) * mmap.d
+    assert u.coefficient(top) == 1
+    # u sits in the multidegree (p - 1) * sum of the targets
+    degree = {tuple(sum(e * a[j] for e, a in zip(m, mmap.targets))
+                    for j in range(k)) for m, _ in u.terms}
+    assert degree == {tuple((p - 1) * sum(a[j] for a in mmap.targets)
+                            for j in range(k))}
+    # u * I lies in I^[p], by the generic normal form against the basis
+    # Buchberger computes for I^[p] itself
+    bracket = buchberger(frobenius_power(I, p))
+    for g in I.generators:
+        assert normal_form(u * g, bracket).is_zero()
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_frobenius_basis_is_the_reduced_basis_of_the_bracket_power(k, n, p):
+    I = toric_ideal_lattice(veronese_map(k, n), GF(p))
+    G = buchberger(I)
+    frobenius = frobenius_power(Ideal(I.ring, G.elements), p).generators
+    assert frobenius == buchberger(frobenius_power(I, p)).elements
+
+
+def test_fiber_route_validates_input():
+    targets = ((2, 0), (1, 1), (0, 2))
+    R = PolyRing(("t1", "t2", "t3"), GF(3))
+    conic = _ideal(R, "t2^2 - t1*t3")
+    assert fedder_fiber(conic, targets, 3).f_pure is True
+    with pytest.raises(ValueError):
+        fedder_fiber(conic, targets, 2)               # wrong characteristic
+    Q = PolyRing(("t1", "t2", "t3"), QQ)
+    with pytest.raises(ValueError):
+        fedder_fiber(_ideal(Q, "t2^2 - t1*t3"), targets, 3)
+    with pytest.raises(ValueError):
+        fedder_fiber(_ideal(R, "t2^2 + t1*t3"), targets, 3)   # not pure
+    with pytest.raises(ValueError):
+        fedder_fiber(_ideal(R, "t2^2 - t1*t3 + t1^2"), targets, 3)
+    with pytest.raises(ValueError):
+        fedder_fiber(_ideal(R, "t2^2"), targets, 3)            # monomial
+    with pytest.raises(ValueError):
+        fedder_fiber(_ideal(R, "t2^2 - t1^2"), targets, 3)  # not A-graded
+    with pytest.raises(ValueError):
+        fedder_fiber(conic, targets[:2], 3)            # too few targets
 
 
 # ---------------------------------------------------------------------------

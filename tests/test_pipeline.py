@@ -68,6 +68,32 @@ def test_zero_dimensional_cover_requests_its_basis_once(monkeypatch, ideal,
     assert requests.count(J) == 1
 
 
+def test_failing_cover_skips_variables_without_a_pure_power_lead(monkeypatch):
+    """On the quartic curve with subset t1 the basis of I + (t1) has
+    pure-power leads in t1, t2 and t3 but not in t4, so t4 gets no
+    radical-membership run: 7 basis requests, three of them in the
+    Rabinowitsch ring."""
+    R = PolyRing(("t1", "t2", "t3", "t4"), QQ)
+    I = Ideal(R, tuple(R.parse(t) for t in (
+        "t2*t3 - t1*t4", "t2^3 - t1^2*t3", "t3^3 - t2*t4^2",
+        "t1*t3^2 - t2^2*t4")))
+    requests = []
+    original = groebner.buchberger
+
+    def counting(ideal_arg, *args, **kwargs):
+        requests.append(ideal_arg)
+        return original(ideal_arg, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(pipeline, "buchberger", counting)
+    ok, witnesses = pipeline._radical_cover(I, (0,))
+    assert ok is False
+    assert [(w["member"], w["exponent"]) for w in witnesses] == [
+        (True, 1), (True, 3), (True, 4), (False, None)]
+    assert len(requests) == 7
+    assert sum(r.ring.arity == 5 for r in requests) == 3
+
+
 # ---------------------------------------------------------------------------
 # the Veronese certificate
 # ---------------------------------------------------------------------------
@@ -194,18 +220,29 @@ def test_present_veronese_targets_derive_everything():
 
 
 def test_present_consistency_with_cd_certificate():
-    k, n = 2, 4
-    a = _check_map(cd_certificate(k, n, primes=(2,)).to_report())
+    for k, n in ((2, 2), (2, 3), (2, 4), (3, 2)):
+        _assert_present_agrees_with_cd_certificate(k, n)
+
+
+def _assert_present_agrees_with_cd_certificate(k, n):
+    primes = (2, 3, 5)
+    a = _check_map(cd_certificate(k, n, primes=primes).to_report())
     b = _check_map(present_monomial_algebra(
-        veronese_map(k, n).targets, primes=(2,)).to_report())
+        veronese_map(k, n).targets, primes=primes).to_report())
     assert a["height_char_0"]["verdict"] and \
         b["height_matches_lattice_nullity_char_0"]["verdict"]
-    for name in ("localized_ci_char_0_t1", "radical_cover_char_0",
-                 "f_pure_p2"):
+    for name in ("localized_ci_char_0_t1", "radical_cover_char_0"):
         if name in a and name in b:
             assert a[name]["verdict"] == b[name]["verdict"]
     assert a["radical_cover_char_0"]["details"]["subset"] == \
         b["radical_cover_char_0"]["details"]["subset"]
+    # the certificate decides F-purity by the fiber route, the presentation
+    # report by the colon route: the verdicts agree at every prime
+    for p in primes:
+        assert a[f"f_pure_p{p}"]["verdict"] == \
+            b[f"f_purity_recorded_p{p}"]["details"]["f_pure"]
+        assert set(a[f"f_pure_p{p}"]["details"]) == \
+            {"fiber_size", "constraints", "rank"}
 
 
 def test_present_invalid_witness_makes_check_fail():
