@@ -11,10 +11,11 @@ general homogeneous input and is the fiber route's oracle in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .polycore import GrevLex, PrimeField, Polynomial, Exponents, is_homogeneous
+from .polycore import (
+    GrevLex, PrimeField, Polynomial, Exponents, _Record, is_homogeneous,
+)
 from .groebner import (
     GroebnerBasis, Ideal, buchberger, colon_ideal, normal_form,
 )
@@ -43,16 +44,17 @@ def frobenius_power(ideal: Ideal, p: int) -> Ideal:
     return Ideal(ideal.ring, gens)
 
 
-@dataclass(frozen=True)
-class FpurityReport:
+class FpurityReport(_Record):
     """Fedder's criterion: R/I is F-pure iff (I^[p] : I) is not contained in
     the bracket power of the irrelevant maximal ideal.  The certificate is
     the first colon generator with a term all of whose exponents are < p."""
 
-    p: int
-    colon_generators: tuple[Polynomial, ...]
-    certificate: Optional[Polynomial]
-    f_pure: bool
+    __match_args__ = ("p", "colon_generators", "certificate", "f_pure")
+    __slots__ = __match_args__
+
+    def __init__(self, p: int, colon_generators: tuple[Polynomial, ...],
+                 certificate: Optional[Polynomial], f_pure: bool) -> None:
+        super().__init__(p, colon_generators, certificate, f_pure)
 
 
 def fedder_fpure(ideal: Ideal, p: int) -> FpurityReport:
@@ -87,15 +89,14 @@ def fedder_fpure(ideal: Ideal, p: int) -> FpurityReport:
 # affine semigroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineSemigroup:
+class AffineSemigroup(_Record):
     """Submonoid of N^k generated by nonzero nonnegative integer vectors."""
 
-    generators: tuple[Exponents, ...]
+    __match_args__ = ("generators",)
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        gens = tuple(tuple(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+    def __init__(self, generators: Sequence[Sequence[int]]) -> None:
+        gens = tuple(tuple(g) for g in generators)
         if not gens:
             raise ValueError("a semigroup needs at least one generator")
         k = len(gens[0])
@@ -106,6 +107,7 @@ class AffineSemigroup:
                 raise ValueError(f"bad generator {g!r}")
             if all(e == 0 for e in g):
                 raise ValueError("zero generator")
+        super().__init__(gens)
 
     @property
     def arity(self) -> int:
@@ -184,18 +186,19 @@ def monomial_ideal_member(sg: AffineSemigroup, numerator: Sequence[int],
 # Fedder's criterion by linear algebra in one multidegree
 # ---------------------------------------------------------------------------
 
-class FiberReport(NamedTuple):
+class FiberReport(_Record):
     """The fiber route's verdict and the size of its linear system:
     ``fiber_size`` unknowns, ``constraints`` nonzero rows of rank ``rank``.
     ``witness`` is the verified element u of (I^[p] : I) with x^(p-1)
     coefficient 1 when R/I is F-pure, else None."""
 
-    p: int
-    fiber_size: int
-    constraints: int
-    rank: int
-    witness: Optional[Polynomial]
-    f_pure: bool
+    __match_args__ = ("p", "fiber_size", "constraints", "rank", "witness",
+                      "f_pure")
+    __slots__ = __match_args__
+
+    def __init__(self, p: int, fiber_size: int, constraints: int, rank: int,
+                 witness: Optional[Polynomial], f_pure: bool) -> None:
+        super().__init__(p, fiber_size, constraints, rank, witness, f_pure)
 
 
 def _pure_binomial(g: Polynomial, minus_one: int) -> tuple[Exponents, Exponents]:

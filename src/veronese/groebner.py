@@ -22,14 +22,14 @@ selection strategies agree structurally.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .polycore import (
     Block, GrevLex, MonomialOrder, PolyRing, Polynomial, Exponents, Scalar,
-    divide, _Packing, _PackingOverflow, _from_dict, _nf_dict, _packed,
+    divide, _Packing, _PackingOverflow, _Record, _from_dict, _nf_dict,
+    _packed, _setattr,
 )
 
 __all__ = [
@@ -43,23 +43,39 @@ _GREVLEX = GrevLex()
 STRATEGIES = ("normal", "fifo")
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(_Record):
     """Finitely generated ideal; zero generators are dropped on construction.
 
     An empty generator tuple is the zero ideal (elimination and lattice
     kernels produce it naturally).
     """
 
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
+    __match_args__ = ("ring", "generators")
+    __slots__ = __match_args__ + ("_hash",)
 
-    def __post_init__(self) -> None:
-        gens = tuple(g for g in self.generators if not g.is_zero())
+    def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]) -> None:
+        gens = tuple(g for g in generators if not g.is_zero())
         for g in gens:
-            if g.ring != self.ring:
+            if g.ring != ring:
                 raise ValueError("generator from a different ring")
-        object.__setattr__(self, "generators", gens)
+        _setattr(self, "ring", ring)
+        _setattr(self, "generators", gens)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators and (
+            self.ring is other.ring or self.ring == other.ring)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ring, self.generators))
+            _setattr(self, "_hash", h)
+            return h
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -69,13 +85,29 @@ class Ideal:
         return f"({inside})"
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(_Record):
     """Reduced Groebner basis: monic, inter-reduced, canonically sorted."""
 
-    ring: PolyRing
-    order: MonomialOrder
-    elements: tuple[Polynomial, ...]
+    __match_args__ = ("ring", "order", "elements")
+    __slots__ = __match_args__
+
+    def __init__(self, ring: PolyRing, order: MonomialOrder,
+                 elements: tuple[Polynomial, ...]) -> None:
+        _setattr(self, "ring", ring)
+        _setattr(self, "order", order)
+        _setattr(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elements == other.elements
+                and (self.ring is other.ring or self.ring == other.ring)
+                and self.order == other.order)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.order, self.elements))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ here, tied together by graded local duality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .polycore import GrevLex, MonomialOrder
+from .polycore import GrevLex, MonomialOrder, _Record
 from .groebner import Ideal, initial_ideal
 
 __all__ = [
@@ -26,18 +25,27 @@ _GREVLEX = GrevLex()
 _ARITY_CAP = 20
 
 
-@dataclass(frozen=True)
-class DimensionResult:
-    dimension: int            # Krull dimension of R/I
-    height: int               # arity - dimension
-    order: MonomialOrder      # order used for the initial ideal
+class DimensionResult(_Record):
+    """Krull dimension of R/I, its height (arity - dimension), and the
+    order used for the initial ideal."""
+
+    __match_args__ = ("dimension", "height", "order")
+    __slots__ = __match_args__
+
+    def __init__(self, dimension: int, height: int,
+                 order: MonomialOrder) -> None:
+        super().__init__(dimension, height, order)
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    index: int                # cohomological index i
-    degree: int               # internal degree j
-    dimension: int            # vector-space dimension of the piece
+class GradedPiece(_Record):
+    """Cohomological index i, internal degree j, and the vector-space
+    dimension of the piece."""
+
+    __match_args__ = ("index", "degree", "dimension")
+    __slots__ = __match_args__
+
+    def __init__(self, index: int, degree: int, dimension: int) -> None:
+        super().__init__(index, degree, dimension)
 
 
 def _min_cover(supports: tuple[frozenset, ...]) -> int:

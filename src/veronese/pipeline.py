@@ -19,12 +19,13 @@ are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .polycore import CoeffDomain, GF, GrevLex, PolyRing, QQ, is_homogeneous
+from .polycore import (
+    CoeffDomain, GF, GrevLex, PolyRing, QQ, _Record, is_homogeneous,
+)
 from .groebner import (
     Ideal, _least_power_member, buchberger, ideal_equal, ideal_sum,
     radical_member,
@@ -71,13 +72,15 @@ class ResourceCapError(RuntimeError):
     """A request exceeded the source-variable cap; refused outright."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """One named, mechanically verified sub-verdict of a report."""
 
-    name: str
-    verdict: bool
-    details: Mapping[str, object]
+    __match_args__ = ("name", "verdict", "details")
+    __slots__ = __match_args__
+
+    def __init__(self, name: str, verdict: bool,
+                 details: Mapping[str, object]) -> None:
+        super().__init__(name, verdict, details)
 
     def as_dict(self) -> dict:
         return {"name": self.name, "verdict": self.verdict,
@@ -88,15 +91,17 @@ def _check(name: str, verdict: bool, **details: object) -> Check:
     return Check(name=name, verdict=bool(verdict), details=details)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     """One report: its kind, its parameters, the computed checks and the
     quoted facts.  The verdict is the conjunction of the check verdicts."""
 
-    kind: str
-    params: Mapping[str, object]
-    checks: Sequence[Check]
-    cited_facts: Sequence[str] = ()
+    __match_args__ = ("kind", "params", "checks", "cited_facts")
+    __slots__ = __match_args__
+
+    def __init__(self, kind: str, params: Mapping[str, object],
+                 checks: Sequence[Check], cited_facts: Sequence[str] = ()
+                 ) -> None:
+        super().__init__(kind, params, checks, cited_facts)
 
     @property
     def verdict(self) -> bool:
@@ -199,7 +204,7 @@ def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
 # per-characteristic checks
 # ---------------------------------------------------------------------------
 
-class _Chart(NamedTuple):
+class _Chart(_Record):
     """One localized complete-intersection chart, ``variable`` being a
     0-based index.  Without ``candidates`` the sequence is derived by
     ``ci_sequence`` for the pure power of that x-variable; with them, the
@@ -207,24 +212,31 @@ class _Chart(NamedTuple):
     t-variable is inverted.  ``details`` are recorded right after the
     inverted variable."""
 
-    variable: int
-    candidates: Optional[tuple[str, ...]] = None
-    details: Mapping[str, object] = MappingProxyType({})
+    __match_args__ = ("variable", "candidates", "details")
+    __slots__ = __match_args__
+
+    def __init__(self, variable: int,
+                 candidates: Optional[tuple[str, ...]] = None,
+                 details: Mapping[str, object] = MappingProxyType({})) -> None:
+        super().__init__(variable, candidates, details)
 
 
-class _Plan(NamedTuple):
+class _Plan(_Record):
     """What a report checks in every characteristic besides the toric
     routes: the height against ``expected`` (recorded under
     ``expected_key``, with the Krull dimension when ``show_dimension``),
     the charts in order, and the radical cover of ``cover`` when it is
     nonempty."""
 
-    height_check: str
-    expected_key: str
-    expected: int
-    show_dimension: bool
-    charts: tuple[_Chart, ...]
-    cover: tuple[int, ...]
+    __match_args__ = ("height_check", "expected_key", "expected",
+                      "show_dimension", "charts", "cover")
+    __slots__ = __match_args__
+
+    def __init__(self, height_check: str, expected_key: str, expected: int,
+                 show_dimension: bool, charts: tuple[_Chart, ...],
+                 cover: tuple[int, ...]) -> None:
+        super().__init__(height_check, expected_key, expected, show_dimension,
+                         charts, cover)
 
 
 def _toric_routes(mmap: MonomialMap, dom: CoeffDomain

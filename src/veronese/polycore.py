@@ -2,14 +2,17 @@
 
 Everything here is immutable and canonical: a polynomial stores its terms as a
 tuple sorted in descending graded-reverse-lexicographic order, so structural
-equality is mathematical equality.  Coefficients are `fractions.Fraction` over
-the rationals and least nonnegative residues (plain ints) over a prime field.
-No floating point anywhere.
+equality is mathematical equality.  Coefficients are `fractions.Fraction`
+over the rationals and least nonnegative residues (plain ints) over a prime
+field.  No floating point anywhere.
+
+Immutability comes from plain slotted classes (``_Record``), written out
+by hand: assignment and deletion raise ``AttributeError``, and no code is
+generated at import, which keeps the start-up of every CLI report short.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -31,6 +34,77 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# immutable value classes
+# ---------------------------------------------------------------------------
+
+_setattr = object.__setattr__     # sets a field once, inside __init__
+
+
+class _Record:
+    """Base of the immutable value classes.
+
+    ``__match_args__`` names the fields in constructor order and
+    ``__slots__`` holds them.  Equality and hash go by class and field
+    values, assignment and deletion raise ``AttributeError``, and copies and
+    pickles rebuild through the constructor.  The classes that serve as
+    cache keys or are built in bulk write ``__init__``, ``__eq__`` and
+    ``__hash__`` out by hand.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+_EMPTY_HASH = hash(())            # the hash of every value without fields
+
+
+class _Fieldless(_Record):
+    """A value without fields: all instances of one class are equal."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return _EMPTY_HASH
+
+
+# ---------------------------------------------------------------------------
 # coefficient domains
 # ---------------------------------------------------------------------------
 
@@ -47,9 +121,10 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(_Fieldless):
     """The field QQ with Fraction scalars."""
+
+    __slots__ = ()
 
     @property
     def characteristic(self) -> int:
@@ -75,15 +150,26 @@ class Rationals:
         return "QQ"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Record):
     """The field F_p, scalars stored as least nonnegative residues."""
 
-    p: int
+    __match_args__ = ("p",)
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"PrimeField needs a prime, got {self.p!r}")
+    def __init__(self, p: int) -> None:
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ValueError(f"PrimeField needs a prime, got {p!r}")
+        _setattr(self, "p", p)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     @property
     def characteristic(self) -> int:
@@ -178,9 +264,10 @@ def _grevlex_key(m: Exponents) -> tuple[int, ...]:
     return (sum(m),) + tuple(map(neg, reversed(m)))
 
 
-@dataclass(frozen=True)
-class Lex:
+class Lex(_Fieldless):
     """Pure lexicographic order, first variable strongest."""
+
+    __slots__ = ()
 
     def key(self, m: Exponents):
         return m
@@ -189,9 +276,10 @@ class Lex:
         return "lex"
 
 
-@dataclass(frozen=True)
-class GrevLex:
+class GrevLex(_Fieldless):
     """Graded reverse lexicographic order."""
+
+    __slots__ = ()
 
     def key(self, m: Exponents):
         return _grevlex_key(m)
@@ -200,8 +288,7 @@ class GrevLex:
         return "grevlex"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Record):
     """Elimination order: grevlex on the eliminated variables dominates,
     ties broken by the inner order on the remaining variables.
 
@@ -212,16 +299,28 @@ class Block:
     key of the rest.
     """
 
-    eliminated: frozenset[int]
-    inner: "MonomialOrder" = field(default_factory=GrevLex)
+    __match_args__ = ("eliminated", "inner")
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        elim = frozenset(self.eliminated)
+    def __init__(self, eliminated: Iterable[int],
+                 inner: "MonomialOrder" = GrevLex()) -> None:
+        elim = frozenset(eliminated)
         if not elim:
             raise ValueError("Block order needs a nonempty eliminated set")
         if any((not isinstance(i, int)) or i < 0 for i in elim):
             raise ValueError("eliminated indices must be nonnegative ints")
-        object.__setattr__(self, "eliminated", elim)
+        _setattr(self, "eliminated", elim)
+        _setattr(self, "inner", inner)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.eliminated == other.eliminated and self.inner == other.inner
+
+    def __hash__(self) -> int:
+        return hash((self.eliminated, self.inner))
 
     def key(self, m: Exponents):
         elim = self.eliminated
@@ -324,16 +423,14 @@ def _packed(order: "MonomialOrder", arity: int, run):
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(_Record):
     """A polynomial ring: ordered variable names over a coefficient domain."""
 
-    names: tuple[str, ...]
-    domain: CoeffDomain = QQ
+    __match_args__ = ("names", "domain")
+    __slots__ = __match_args__ + ("_hash",)
 
-    def __post_init__(self) -> None:
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: Sequence[str], domain: CoeffDomain = QQ) -> None:
+        names = tuple(names)
         if not names:
             raise ValueError("a ring needs at least one variable")
         for nm in names:
@@ -341,6 +438,23 @@ class PolyRing:
                 raise ValueError(f"bad variable name {nm!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        _setattr(self, "names", names)
+        _setattr(self, "domain", domain)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names and self.domain == other.domain
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.names, self.domain))
+            _setattr(self, "_hash", h)
+            return h
 
     @property
     def arity(self) -> int:
@@ -401,15 +515,35 @@ def _from_dict(ring: PolyRing, d: Mapping[Exponents, Scalar]) -> "Polynomial":
     return Polynomial(ring, tuple(items))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Canonical sparse polynomial; terms grevlex-descending, no zero terms.
 
     Build through PolyRing helpers or arithmetic, not raw construction.
     """
 
-    ring: PolyRing
-    terms: tuple[tuple[Exponents, Scalar], ...]
+    __match_args__ = ("ring", "terms")
+    __slots__ = __match_args__ + ("_hash",)
+
+    def __init__(self, ring: PolyRing,
+                 terms: tuple[tuple[Exponents, Scalar], ...]) -> None:
+        _setattr(self, "ring", ring)
+        _setattr(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms and (
+            self.ring is other.ring or self.ring == other.ring)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ring, self.terms))
+            _setattr(self, "_hash", h)
+            return h
 
     # -- queries ------------------------------------------------------------
 
@@ -488,6 +622,10 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_ring(other)
+        if len(other.terms) == 1:
+            return self._times_term(*other.terms[0])
+        if len(self.terms) == 1:
+            return other._times_term(*self.terms[0])
         d: dict[Exponents, Scalar] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -513,8 +651,16 @@ class Polynomial:
         c = self.ring.domain.normalize(c)
         if c == 0:
             return self.ring.zero
-        d = {m: coeff * c for m, coeff in self.terms}
-        return _from_dict(self.ring, d)
+        return self._times_term((0,) * self.ring.arity, c)
+
+    def _times_term(self, m: Exponents, c: Scalar) -> "Polynomial":
+        """self * c*x^m for a nonzero c, built in order without a sort: a
+        monomial order is kept by multiplying every term by one monomial,
+        and over a field no product of nonzero coefficients vanishes."""
+        p = self.ring.domain.characteristic
+        return Polynomial(self.ring, tuple([
+            (tuple(map(add, t, m)), a * c % p if p else a * c)
+            for t, a in self.terms]))
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):

@@ -8,14 +8,13 @@ routes are independent and are cross-checked by callers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import gcd
 from typing import Optional, Sequence, Union
 
 from .polycore import (
     CoeffDomain, GrevLex, PolyRing, Polynomial, Exponents, QQ,
-    is_homogeneous, homogeneous_degree, _from_dict,
+    is_homogeneous, homogeneous_degree, _Record, _from_dict,
 )
 from .groebner import (
     Ideal, buchberger, eliminate, ideal_member, ideal_sum, normal_form,
@@ -33,15 +32,14 @@ __all__ = [
 _GREVLEX = GrevLex()
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(_Record):
     """t_i -> x^{targets[i]}; all targets nonzero, equal arity."""
 
-    targets: tuple[Exponents, ...]
+    __match_args__ = ("targets",)
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        targets = tuple(tuple(t) for t in self.targets)
-        object.__setattr__(self, "targets", targets)
+    def __init__(self, targets: Sequence[Sequence[int]]) -> None:
+        targets = tuple(tuple(t) for t in targets)
         if not targets:
             raise ValueError("a monomial map needs at least one target")
         k = len(targets[0])
@@ -56,6 +54,7 @@ class MonomialMap:
                 raise ValueError("constant target (zero exponent vector)")
         if len(set(targets)) != len(targets):
             raise ValueError("repeated target")
+        super().__init__(targets)
 
     @property
     def d(self) -> int:
@@ -286,10 +285,11 @@ def minimal_generators(ideal: Ideal) -> list[Polynomial]:
 # complete-intersection certificate after inverting a pure-power variable
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CIReport:
+class CIReport(_Record):
     """Candidate regular sequence generating the ideal once the variable
-    t_{inverted} (mapping to a pure power x_j^n) is inverted.
+    t_{inverted} (mapping to a pure power x_j^n) is inverted; ``inverted``
+    is a 0-based t-variable index, and ``alpha_denominators`` holds the
+    power of t_inverted cleared from each candidate.
 
     Verification fields are None until ci_check fills them:
       * candidates_in_ideal: every candidate lies in the ideal;
@@ -298,15 +298,23 @@ class CIReport:
       * count_matches_height: number of candidates equals the height.
     """
 
-    inverted: int                                  # 0-based t-variable index
-    candidates: tuple[Polynomial, ...]
-    alpha_denominators: tuple[int, ...]            # power of t_inverted cleared
-    claimed_height: int
-    candidates_in_ideal: Optional[bool] = None
-    generates_after_saturation: Optional[bool] = None
-    count_matches_height: Optional[bool] = None
-    verified: Optional[bool] = None
-    note: Optional[str] = None
+    __match_args__ = (
+        "inverted", "candidates", "alpha_denominators", "claimed_height",
+        "candidates_in_ideal", "generates_after_saturation",
+        "count_matches_height", "verified", "note")
+    __slots__ = __match_args__
+
+    def __init__(self, inverted: int, candidates: tuple[Polynomial, ...],
+                 alpha_denominators: tuple[int, ...], claimed_height: int,
+                 candidates_in_ideal: Optional[bool] = None,
+                 generates_after_saturation: Optional[bool] = None,
+                 count_matches_height: Optional[bool] = None,
+                 verified: Optional[bool] = None,
+                 note: Optional[str] = None) -> None:
+        super().__init__(inverted, candidates, alpha_denominators,
+                         claimed_height, candidates_in_ideal,
+                         generates_after_saturation, count_matches_height,
+                         verified, note)
 
 
 def ci_sequence(mmap: MonomialMap, pure_power_index: int,
@@ -416,12 +424,16 @@ def ci_check(ideal: Ideal, candidates: Sequence[Polynomial],
             alpha_denominators=denominators,
             claimed_height=len(candidates),
         )
-    return replace(
-        base,
+    return CIReport(
+        inverted=base.inverted,
+        candidates=base.candidates,
+        alpha_denominators=base.alpha_denominators,
+        claimed_height=base.claimed_height,
         candidates_in_ideal=in_ideal,
         generates_after_saturation=generates,
         count_matches_height=count_ok,
         verified=in_ideal and generates and count_ok,
+        note=base.note,
     )
 
 

@@ -4,7 +4,6 @@ witness pairs, cross-characteristic comparison, and the JSON envelope."""
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -359,10 +358,11 @@ def test_report_verdict_envelope_and_frozen():
                  "checks": [yes.as_dict(), no.as_dict()],
                  "cited_facts": ["fact"], "verdict": False}
     assert Report("k", {}, (yes,)).to_report()["cited_facts"] == []
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         rep.kind = "other"
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         rep.checks = (yes,)
+    assert rep.kind == "k" and rep.checks == (yes, no)
 
 
 @pytest.mark.parametrize("argv, build", [
