@@ -52,10 +52,6 @@ class FpurityReport(_Record):
     __match_args__ = ("p", "colon_generators", "certificate", "f_pure")
     __slots__ = __match_args__
 
-    def __init__(self, p: int, colon_generators: tuple[Polynomial, ...],
-                 certificate: Optional[Polynomial], f_pure: bool) -> None:
-        super().__init__(p, colon_generators, certificate, f_pure)
-
 
 def fedder_fpure(ideal: Ideal, p: int) -> FpurityReport:
     """Decide F-purity of R/I at the irrelevant maximal ideal via Fedder.
@@ -195,10 +191,6 @@ class FiberReport(_Record):
     __match_args__ = ("p", "fiber_size", "constraints", "rank", "witness",
                       "f_pure")
     __slots__ = __match_args__
-
-    def __init__(self, p: int, fiber_size: int, constraints: int, rank: int,
-                 witness: Optional[Polynomial], f_pure: bool) -> None:
-        super().__init__(p, fiber_size, constraints, rank, witness, f_pure)
 
 
 def _pure_binomial(g: Polynomial, minus_one: int) -> tuple[Exponents, Exponents]:

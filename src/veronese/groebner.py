@@ -28,8 +28,8 @@ from typing import Iterable, Sequence, Union
 
 from .polycore import (
     Block, GrevLex, MonomialOrder, PolyRing, Polynomial, Exponents, Scalar,
-    divide, _Packing, _PackingOverflow, _Record, _from_dict, _nf_dict,
-    _packed, _setattr,
+    divide, _CachedHash, _Packing, _PackingOverflow, _Record, _from_dict,
+    _nf_dict, _packed, _setattr,
 )
 
 __all__ = [
@@ -43,7 +43,7 @@ _GREVLEX = GrevLex()
 STRATEGIES = ("normal", "fifo")
 
 
-class Ideal(_Record):
+class Ideal(_CachedHash):
     """Finitely generated ideal; zero generators are dropped on construction.
 
     An empty generator tuple is the zero ideal (elimination and lattice
@@ -51,7 +51,7 @@ class Ideal(_Record):
     """
 
     __match_args__ = ("ring", "generators")
-    __slots__ = __match_args__ + ("_hash",)
+    __slots__ = __match_args__
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]) -> None:
         gens = tuple(g for g in generators if not g.is_zero())
@@ -69,13 +69,7 @@ class Ideal(_Record):
         return self.generators == other.generators and (
             self.ring is other.ring or self.ring == other.ring)
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.ring, self.generators))
-            _setattr(self, "_hash", h)
-            return h
+    __hash__ = _CachedHash.__hash__
 
     def is_zero(self) -> bool:
         return not self.generators

@@ -32,10 +32,6 @@ class DimensionResult(_Record):
     __match_args__ = ("dimension", "height", "order")
     __slots__ = __match_args__
 
-    def __init__(self, dimension: int, height: int,
-                 order: MonomialOrder) -> None:
-        super().__init__(dimension, height, order)
-
 
 class GradedPiece(_Record):
     """Cohomological index i, internal degree j, and the vector-space
@@ -43,9 +39,6 @@ class GradedPiece(_Record):
 
     __match_args__ = ("index", "degree", "dimension")
     __slots__ = __match_args__
-
-    def __init__(self, index: int, degree: int, dimension: int) -> None:
-        super().__init__(index, degree, dimension)
 
 
 def _min_cover(supports: tuple[frozenset, ...]) -> int:

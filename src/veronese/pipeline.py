@@ -78,10 +78,6 @@ class Check(_Record):
     __match_args__ = ("name", "verdict", "details")
     __slots__ = __match_args__
 
-    def __init__(self, name: str, verdict: bool,
-                 details: Mapping[str, object]) -> None:
-        super().__init__(name, verdict, details)
-
     def as_dict(self) -> dict:
         return {"name": self.name, "verdict": self.verdict,
                 "details": dict(self.details)}
@@ -97,11 +93,7 @@ class Report(_Record):
 
     __match_args__ = ("kind", "params", "checks", "cited_facts")
     __slots__ = __match_args__
-
-    def __init__(self, kind: str, params: Mapping[str, object],
-                 checks: Sequence[Check], cited_facts: Sequence[str] = ()
-                 ) -> None:
-        super().__init__(kind, params, checks, cited_facts)
+    _defaults = ((),)
 
     @property
     def verdict(self) -> bool:
@@ -214,11 +206,7 @@ class _Chart(_Record):
 
     __match_args__ = ("variable", "candidates", "details")
     __slots__ = __match_args__
-
-    def __init__(self, variable: int,
-                 candidates: Optional[tuple[str, ...]] = None,
-                 details: Mapping[str, object] = MappingProxyType({})) -> None:
-        super().__init__(variable, candidates, details)
+    _defaults = (None, MappingProxyType({}))
 
 
 class _Plan(_Record):
@@ -231,12 +219,6 @@ class _Plan(_Record):
     __match_args__ = ("height_check", "expected_key", "expected",
                       "show_dimension", "charts", "cover")
     __slots__ = __match_args__
-
-    def __init__(self, height_check: str, expected_key: str, expected: int,
-                 show_dimension: bool, charts: tuple[_Chart, ...],
-                 cover: tuple[int, ...]) -> None:
-        super().__init__(height_check, expected_key, expected, show_dimension,
-                         charts, cover)
 
 
 def _toric_routes(mmap: MonomialMap, dom: CoeffDomain

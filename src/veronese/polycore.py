@@ -44,19 +44,38 @@ class _Record:
     """Base of the immutable value classes.
 
     ``__match_args__`` names the fields in constructor order and
-    ``__slots__`` holds them.  Equality and hash go by class and field
-    values, assignment and deletion raise ``AttributeError``, and copies and
-    pickles rebuild through the constructor.  The classes that serve as
-    cache keys or are built in bulk write ``__init__``, ``__eq__`` and
-    ``__hash__`` out by hand.
+    ``__slots__`` holds them; ``_defaults`` holds the defaults of the last
+    fields.  The constructor takes the fields by position or by keyword.
+    Equality and hash go by class and field values, assignment and deletion
+    raise ``AttributeError``, and copies and pickles rebuild through the
+    constructor.  The classes that serve as cache keys or are built in bulk
+    write ``__init__``, ``__eq__`` and ``__hash__`` out by hand.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__match_args__, values, strict=True):
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{self.__class__.__name__} takes {len(names)} "
+                            f"fields, got {len(args)}")
+        first_default = len(names) - len(self._defaults)
+        for i, name in enumerate(names):
+            if i < len(args):
+                if name in kwargs:
+                    raise TypeError(f"field {name!r} given twice")
+                value = args[i]
+            elif name in kwargs:
+                value = kwargs.pop(name)
+            elif i >= first_default:
+                value = self._defaults[i - first_default]
+            else:
+                raise TypeError(f"missing field {name!r}")
             _setattr(self, name, value)
+        if kwargs:
+            raise TypeError(f"unknown fields {sorted(kwargs)}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -82,6 +101,22 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+class _CachedHash(_Record):
+    """A record whose hash is computed once, on first use.  A subclass that
+    writes ``__eq__`` must name ``__hash__`` again, since defining
+    ``__eq__`` alone clears the inherited hash."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values())
+            _setattr(self, "_hash", h)
+            return h
 
 
 _EMPTY_HASH = hash(())            # the hash of every value without fields
@@ -423,11 +458,11 @@ def _packed(order: "MonomialOrder", arity: int, run):
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 
 
-class PolyRing(_Record):
+class PolyRing(_CachedHash):
     """A polynomial ring: ordered variable names over a coefficient domain."""
 
     __match_args__ = ("names", "domain")
-    __slots__ = __match_args__ + ("_hash",)
+    __slots__ = __match_args__
 
     def __init__(self, names: Sequence[str], domain: CoeffDomain = QQ) -> None:
         names = tuple(names)
@@ -448,13 +483,7 @@ class PolyRing(_Record):
             return NotImplemented
         return self.names == other.names and self.domain == other.domain
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.names, self.domain))
-            _setattr(self, "_hash", h)
-            return h
+    __hash__ = _CachedHash.__hash__
 
     @property
     def arity(self) -> int:
@@ -515,14 +544,14 @@ def _from_dict(ring: PolyRing, d: Mapping[Exponents, Scalar]) -> "Polynomial":
     return Polynomial(ring, tuple(items))
 
 
-class Polynomial(_Record):
+class Polynomial(_CachedHash):
     """Canonical sparse polynomial; terms grevlex-descending, no zero terms.
 
     Build through PolyRing helpers or arithmetic, not raw construction.
     """
 
     __match_args__ = ("ring", "terms")
-    __slots__ = __match_args__ + ("_hash",)
+    __slots__ = __match_args__
 
     def __init__(self, ring: PolyRing,
                  terms: tuple[tuple[Exponents, Scalar], ...]) -> None:
@@ -537,13 +566,7 @@ class Polynomial(_Record):
         return self.terms == other.terms and (
             self.ring is other.ring or self.ring == other.ring)
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.ring, self.terms))
-            _setattr(self, "_hash", h)
-            return h
+    __hash__ = _CachedHash.__hash__
 
     # -- queries ------------------------------------------------------------
 
@@ -622,10 +645,6 @@ class Polynomial(_Record):
         if other is NotImplemented:
             return NotImplemented
         self._check_ring(other)
-        if len(other.terms) == 1:
-            return self._times_term(*other.terms[0])
-        if len(self.terms) == 1:
-            return other._times_term(*self.terms[0])
         d: dict[Exponents, Scalar] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -651,16 +670,8 @@ class Polynomial(_Record):
         c = self.ring.domain.normalize(c)
         if c == 0:
             return self.ring.zero
-        return self._times_term((0,) * self.ring.arity, c)
-
-    def _times_term(self, m: Exponents, c: Scalar) -> "Polynomial":
-        """self * c*x^m for a nonzero c, built in order without a sort: a
-        monomial order is kept by multiplying every term by one monomial,
-        and over a field no product of nonzero coefficients vanishes."""
-        p = self.ring.domain.characteristic
-        return Polynomial(self.ring, tuple([
-            (tuple(map(add, t, m)), a * c % p if p else a * c)
-            for t, a in self.terms]))
+        d = {m: coeff * c for m, coeff in self.terms}
+        return _from_dict(self.ring, d)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):

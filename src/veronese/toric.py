@@ -303,18 +303,7 @@ class CIReport(_Record):
         "candidates_in_ideal", "generates_after_saturation",
         "count_matches_height", "verified", "note")
     __slots__ = __match_args__
-
-    def __init__(self, inverted: int, candidates: tuple[Polynomial, ...],
-                 alpha_denominators: tuple[int, ...], claimed_height: int,
-                 candidates_in_ideal: Optional[bool] = None,
-                 generates_after_saturation: Optional[bool] = None,
-                 count_matches_height: Optional[bool] = None,
-                 verified: Optional[bool] = None,
-                 note: Optional[str] = None) -> None:
-        super().__init__(inverted, candidates, alpha_denominators,
-                         claimed_height, candidates_in_ideal,
-                         generates_after_saturation, count_matches_height,
-                         verified, note)
+    _defaults = (None,) * 5
 
 
 def ci_sequence(mmap: MonomialMap, pure_power_index: int,

@@ -13,7 +13,7 @@ from veronese.polycore import (
     Block, GF, GrevLex, Lex, ParseError, PolyRing, QQ,
     compare_monomials, divide, homogeneous_degree, is_homogeneous,
     monomial_degree, monomial_div, monomial_divides, monomial_lcm,
-    monomial_mul, parse_polynomial, parse_polynomial_list, _from_dict,
+    monomial_mul, parse_polynomial, parse_polynomial_list,
 )
 
 _GREVLEX = GrevLex()
@@ -199,30 +199,6 @@ def test_arithmetic_laws_random(domain):
         assert a * R.zero == R.zero
         assert a ** 3 == a * a * a
         assert -(-a) == a
-
-
-@pytest.mark.parametrize("domain", [QQ, GF(2), GF(5)])
-def test_in_order_products_match_the_sorting_path(domain):
-    """A scalar multiple and a product by one term are built in order,
-    without a sort; they equal what ``_from_dict`` builds by sorting."""
-    rng = random.Random(20261018)
-    R = PolyRing(("x", "y", "z"), domain)
-    for _ in range(80):
-        f = _random_poly(rng, R, max_terms=6)
-        c = domain.normalize(rng.choice([-3, -1, 1, 2, 3, 4]))
-        if c == 0:
-            continue
-        m = tuple(rng.randint(0, 3) for _ in range(R.arity))
-        term = R.monomial(m, c)
-        sorted_scale = _from_dict(R, {t: a * c for t, a in f.terms})
-        sorted_product = _from_dict(
-            R, {tuple(e + k for e, k in zip(t, m)): a * c for t, a in f.terms})
-        assert f.scale(c).terms == sorted_scale.terms
-        assert (f * term).terms == sorted_product.terms
-        assert (term * f).terms == sorted_product.terms
-        for _, a in (f * term).terms:
-            assert type(a) is type(domain.one)
-            assert domain.characteristic == 0 or 0 < a < domain.characteristic
 
 
 def test_integer_coercion_both_sides():

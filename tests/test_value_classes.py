@@ -167,3 +167,19 @@ def test_keyword_construction_and_repr():
     assert (repr(GradedPiece(2, -2, 1))
             == "GradedPiece(index=2, degree=-2, dimension=1)")
     assert repr(_poly()) == "<x^2 + 3*y in GF(5)[x, y]>"
+
+
+def test_record_constructor_takes_positions_keywords_and_defaults():
+    assert (CIReport(0, (), (), 1, note="n")
+            == CIReport(inverted=0, candidates=(), alpha_denominators=(),
+                        claimed_height=1, note="n"))
+    assert CIReport(0, (), (), 1, note="n").verified is None
+    assert _Chart(1, details={"a": 1}).candidates is None
+    assert Check(name="a", verdict=True, details=()) == Check("a", True, ())
+    for build in (lambda: GradedPiece(1, 2, 3, 4),
+                  lambda: GradedPiece(1, 2),
+                  lambda: GradedPiece(1, 2, index=3),
+                  lambda: GradedPiece(1, 2, 3, weight=4),
+                  lambda: Report("k", {})):
+        with pytest.raises(TypeError):
+            build()
