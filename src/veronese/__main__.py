@@ -1,7 +1,5 @@
 """Run the CLI via `python -m veronese`."""
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

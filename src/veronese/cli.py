@@ -6,9 +6,10 @@ without a traceback so that a crash never reads as a verdict."""
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .polycore import CoeffDomain, GF, PolyRing, QQ, parse_polynomial_list
 from .groebner import Ideal
@@ -22,7 +23,7 @@ from .pipeline import (
     render_json,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +230,14 @@ def _add_ideal_flags(sub: argparse.ArgumentParser, required: bool = True) -> Non
                        help="file containing comma-separated generators")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="veronese",
-        description="exact toric presentations and cohomological-dimension "
-                    "certificates for monomial algebras")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("veronese-ideal",
-                          help="both toric routes for a Veronese map")
+def _veronese_ideal_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-k", type=int, required=True, help="ambient variables")
     sub.add_argument("-n", type=int, required=True, help="Veronese degree")
     sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
     sub.set_defaults(handler=_cmd_veronese_ideal)
-    _add_out_flags(sub)
 
-    sub = subs.add_parser("present",
-                          help="presentation report for a monomial algebra")
+
+def _present_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--targets", required=True,
                      help='exponent vectors, e.g. "4,0;3,1;1,3;0,4"')
     sub.add_argument("--primes", default="2,3,5",
@@ -258,66 +250,108 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--fpurity-witness", metavar="VEC;VEC",
                      help='numerator;generator pair, e.g. "6,2;4,0"')
     sub.set_defaults(handler=_cmd_present)
-    _add_out_flags(sub)
 
-    sub = subs.add_parser("height", help="Krull dimension and height")
+
+def _height_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ring", required=True, help='variables, e.g. "u,v,w"')
     _add_ideal_flags(sub)
     sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
     sub.set_defaults(handler=_cmd_height)
-    _add_out_flags(sub)
 
-    sub = subs.add_parser("ci-check",
-                          help="verify a localized complete intersection")
+
+def _ci_check_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ring", required=True)
     _add_ideal_flags(sub)
     sub.add_argument("--invert", required=True, metavar="VAR")
     sub.add_argument("--candidates", required=True, metavar="POLYS")
     sub.add_argument("--char", default="0")
     sub.set_defaults(handler=_cmd_ci_check)
-    _add_out_flags(sub)
 
-    sub = subs.add_parser("radical-cover",
-                          help="is every variable in rad(I + subset)?")
+
+def _radical_cover_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ring", required=True)
     _add_ideal_flags(sub)
     sub.add_argument("--subset", required=True, metavar="VARS")
     sub.add_argument("--char", default="0")
     sub.set_defaults(handler=_cmd_radical_cover)
-    _add_out_flags(sub)
 
-    sub = subs.add_parser("fedder", help="Fedder F-purity test")
+
+def _fedder_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ring", required=True)
     _add_ideal_flags(sub)
     sub.add_argument("--p", type=int, required=True, help="the prime")
     sub.set_defaults(handler=_cmd_fedder)
-    _add_out_flags(sub)
 
-    sub = subs.add_parser("semigroup", help="affine semigroup membership")
+
+def _semigroup_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--generators", required=True,
                      help='generator vectors, e.g. "4,0;3,1;1,3;0,4"')
     sub.add_argument("--target", required=True, help='vector, e.g. "2,2"')
     sub.set_defaults(handler=_cmd_semigroup)
-    _add_out_flags(sub)
 
-    sub = subs.add_parser("cd-certificate",
-                          help="cohomological-dimension certificate")
+
+def _cd_certificate_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-k", type=int, required=True)
     sub.add_argument("-n", type=int, required=True)
     sub.add_argument("--primes", default="2,3,5")
     sub.set_defaults(handler=_cmd_cd_certificate)
-    _add_out_flags(sub)
 
-    sub = subs.add_parser("char-compare",
-                          help="heights across characteristics")
+
+def _char_compare_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--targets", help="toric fixture: exponent vectors")
     sub.add_argument("--ring", help="ideal fixture: variables")
     _add_ideal_flags(sub, required=False)
     sub.add_argument("--primes", default="2,3,5")
     sub.set_defaults(handler=_cmd_char_compare)
-    _add_out_flags(sub)
 
+
+#: subcommand name -> (its line in the top-level help, its flags)
+_SUBCOMMANDS = {
+    "veronese-ideal": ("both toric routes for a Veronese map",
+                       _veronese_ideal_flags),
+    "present": ("presentation report for a monomial algebra", _present_flags),
+    "height": ("Krull dimension and height", _height_flags),
+    "ci-check": ("verify a localized complete intersection", _ci_check_flags),
+    "radical-cover": ("is every variable in rad(I + subset)?",
+                      _radical_cover_flags),
+    "fedder": ("Fedder F-purity test", _fedder_flags),
+    "semigroup": ("affine semigroup membership", _semigroup_flags),
+    "cd-certificate": ("cohomological-dimension certificate",
+                       _cd_certificate_flags),
+    "char-compare": ("heights across characteristics", _char_compare_flags),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="veronese",
+        description="exact toric presentations and cohomological-dimension "
+                    "certificates for monomial algebras")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        add_flags(sub)
+        _add_out_flags(sub)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The full parser's result, building only the invoked subcommand's
+    parser when ``argv`` starts with its name (what ``add_parser`` would
+    build, under the same prog).  Help, no or an unknown subcommand and
+    arguments that subcommand leaves over go to the full parser, so every
+    usage and error line is the full parser's own."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        name = argv[0]
+        _, add_flags = _SUBCOMMANDS[name]
+        sub = argparse.ArgumentParser(prog=f"veronese {name}")
+        add_flags(sub)
+        _add_out_flags(sub)
+        args, extras = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=name))
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 #: flags whose polynomial value may start with "-"
@@ -336,8 +370,7 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(
-        _attach_values(sys.argv[1:] if argv is None else argv))
+    args = _parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     start = time.perf_counter()
     try:
         report = args.handler(args)
@@ -362,5 +395,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0 if report.verdict else 1
 
 
+def run() -> NoReturn:
+    """Process entry of ``python -m veronese``, ``python -m veronese.cli``
+    and the ``veronese`` script: `main`, then exit with its code.  `main`
+    itself never freezes, as tests and library callers run it many times
+    in one process."""
+    code = main()
+    # The process ends here and nothing is freed after this point, so the
+    # interpreter's exit-time collections over every tracked object are
+    # pure cost; frozen objects are never collected again.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
