@@ -7,17 +7,17 @@ the product and ``(b - a) & guard == 0`` tests that a divides b, because a
 field that borrows sets its guard bit.  Reduction (``polycore._nf_dict``)
 pops the maximal term of the working polynomial off a heap of negated packed
 monomials; terms that cancel stay in the working dict as zeros and are
-skipped when popped.  The leads are also kept as exponent tuples, only to
-form lcms, and each lcm is packed once.  S-pairs are pruned by the
-Gebauer-Moller update (Buchberger's coprime and chain criteria) in a linear
-pass: new pairs are scanned in ascending lcm order, so only the next
-candidate can have an lcm dividing the current one (they must be equal); a
-pair is coprime when its packed lcm is the product of its packed leads; each
-lcm(lead_i, lead_t) is reused by the chain criterion.  A run whose
-monomials outgrow the packed fields is repeated with wider fields
-(``polycore._packed``).  Output bases are unpacked, reduced, monic and
-canonically sorted, so two runs with different generator orders or
-selection strategies agree structurally.
+skipped when popped.  S-pairs are pruned by the Gebauer-Moller update
+(Buchberger's coprime and chain criteria) in a linear pass, run on the
+exponent fields of the packed leads, the low bits of each packed int: the
+lcm of two leads is a fieldwise max computed with the guard bits, two
+exponent parts compare as ints in lex order, which refines divisibility, and
+only the pairs that are queued get their lcm packed in the monomial order.
+An element whose lead a later lead divides takes no part in later pairs and
+is left out of the reduced basis.  A run whose monomials outgrow the packed
+fields is repeated with wider fields (``polycore._packed``).  Output bases
+are unpacked, reduced, monic and canonically sorted, so two runs with
+different generator orders or selection strategies agree structurally.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .polycore import (
-    Block, GrevLex, MonomialOrder, PolyRing, Polynomial, Exponents, Scalar,
+    Block, GrevLex, MonomialOrder, PolyRing, Polynomial, Scalar,
     divide, _CachedHash, _Packing, _PackingOverflow, _Record, _from_dict,
     _nf_dict, _packed, _setattr,
 )
@@ -117,8 +117,15 @@ class _Engine:
         self.p = ring.domain.characteristic
         self.packing = packing
         self.guard = packing.guard
+        # the exponent fields are the low ``arity * bits`` bits of a packed
+        # monomial; ``exp_guard`` holds their guard bits
+        bits = packing.mask.bit_length()
+        self.low = (1 << bits * len(packing.shifts)) - 1
+        self.exp_guard = packing.guard & self.low
+        self.top = bits - 1              # shifts a guard bit to its field's 1
         self.entries: list = []          # _nf_dict entries, no quotient
-        self.leads: list[Exponents] = []  # the entries' leads, unpacked
+        self.exps: list[int] = []        # exponent part of each entry's lead
+        self.live: list[bool] = []       # no later lead divides its lead
         self.heap: list = []             # (sortkey, i, j)
         # live pairs (i, j), i < j, with the packed lcm of their leads
         self.alive: dict[tuple[int, int], int] = {}
@@ -135,53 +142,82 @@ class _Engine:
             self._counter += 1
         heapq.heappush(self.heap, (sortkey, i, t))
 
+    def _lcms_with(self, b: int) -> list[int]:
+        """Exponent part of lcm(lead_i, x^b) for every entry i.
+
+        Per field, ``(a | guard) - b`` keeps its guard bit exactly when the
+        field of a is at least that of b, and no field borrows from the
+        next; subtracting the guard bits shifted down to each field's 1
+        turns them into masks of those fields.  The lcm takes a's fields
+        under the mask and b's elsewhere."""
+        g, top = self.exp_guard, self.top
+        return [b ^ ((a ^ b) & ((d := ((a | g) - b) & g) - (d >> top)))
+                for a in self.exps]
+
     def _update_pairs(self, t: int) -> None:
-        """Gebauer-Moller update after inserting basis element t.
+        """Gebauer-Moller update after inserting basis element t, on the
+        exponent parts of the leads.
 
-        New pairs (i, t) are taken in ascending lcm order.  One is dropped
-        when an earlier kept pair or a later one has an lcm dividing its
-        own; a later lcm is no smaller, so it divides only when equal, and
-        equal lcms are adjacent.  Coprime pairs are kept for these tests
-        but never queued (product criterion).  Then an old pair (i, j) is
-        dropped when lead_t divides its lcm and neither lcm(i, t) nor
-        lcm(j, t) equals it (chain criterion).
+        New pairs (i, t), one per live i, are taken in ascending order of
+        the exponent part of their lcm, lex on exponents, so a divisor of
+        an lcm never comes after it.  One is dropped when an earlier kept
+        pair or a later one has an lcm dividing its own; a later lcm divides
+        only when equal, and equal lcms are adjacent.  Coprime pairs (the
+        lcm is the product) are kept for these tests but never queued
+        (product criterion).  Then an old pair (i, j) is dropped when lead_t
+        divides its lcm and neither lcm(i, t) nor lcm(j, t) equals it (chain
+        criterion).  An i whose lead lead_t divides still forms its pair
+        with t, then leaves later pair generation: for any later t',
+        lcm(lead_t, lead_t') divides lcm(lead_i, lead_t'), so (i, t') would
+        be dropped or, coprime, never queued.  Only queued pairs get their
+        lcm packed in the monomial order, ascending, ties by i, the order in
+        which they are pushed.
         """
-        entries = self.entries
-        leads = self.leads
-        guard = self.guard
-        pack = self.packing.pack
-        lead_t = leads[t]
-        plead_t = entries[t][0]
-        lcm_t: list[int] = []            # packed lcm(lead_i, lead_t) by i
-        cand = []
-        for i in range(t):
-            e = tuple([a if a > b else b for a, b in zip(leads[i], lead_t)])
-            lcm = pack(e)
-            lcm_t.append(lcm)
-            cand.append((lcm, i, sum(e), lcm == entries[i][0] + plead_t))
-        cand.sort()                      # ascending lcm, ties by i
+        exps = self.exps
+        live = self.live
+        b = exps[t]
+        lcms = self._lcms_with(b)
+        cand = sorted([(lcms[i], i) for i in range(t) if live[i]])
 
-        kept: list[tuple[int, int, int, bool]] = []
+        g = self.exp_guard
+        kept: list[int] = []             # lcms of kept pairs
+        queued: list[int] = []
         last = len(cand) - 1
-        for idx, (lcm, i, deg, coprime) in enumerate(cand):
-            if not coprime:
-                if idx < last and cand[idx + 1][0] == lcm:
-                    continue
-                if any(not (lcm - klcm) & guard for _, klcm, _, _ in kept):
-                    continue
-            kept.append((i, lcm, deg, coprime))
+        for idx, (lcm, i) in enumerate(cand):
+            if lcm == exps[i] + b:       # coprime
+                kept.append(lcm)
+                continue
+            if idx < last and cand[idx + 1][0] == lcm:
+                continue
+            for k in kept:
+                if not (lcm - k) & g:
+                    break
+            else:
+                kept.append(lcm)
+                queued.append(i)
+        for i in [i for lcm, i in cand if lcm == exps[i]]:
+            live[i] = False              # lead_t divides lead_i
 
         alive = self.alive
+        guard = self.guard
+        low = self.low
+        plead_t = self.entries[t][0]
         dropped = [
             pair for pair, lcm in alive.items()
             if not (lcm - plead_t) & guard
-            and lcm_t[pair[0]] != lcm and lcm_t[pair[1]] != lcm]
+            and (x := lcm & low) != lcms[pair[0]] and x != lcms[pair[1]]]
         for pair in dropped:
             del alive[pair]
 
-        for i, lcm, deg, coprime in kept:
-            if not coprime:              # product criterion drops coprime pairs
-                self._push_pair(i, t, lcm, deg)
+        unpack = self.packing.unpack
+        pack = self.packing.pack
+        pairs = []
+        for i in queued:
+            e = unpack(lcms[i])
+            pairs.append((pack(e), i, sum(e)))
+        pairs.sort()
+        for lcm, i, deg in pairs:
+            self._push_pair(i, t, lcm, deg)
 
     # -- basis growth --------------------------------------------------------
 
@@ -197,7 +233,8 @@ class _Engine:
         else:
             tail = tuple((m, c / lc) for m, c in terms)
         self.entries.append((lead, None, tail))
-        self.leads.append(self.packing.unpack(lead))
+        self.exps.append(lead & self.low)
+        self.live.append(True)
         self._update_pairs(len(self.entries) - 1)
 
     def _spoly(self, i: int, j: int, lcm: int) -> dict:
@@ -244,19 +281,16 @@ class _Engine:
         return self._finalize()
 
     def _finalize(self) -> list[dict]:
-        """The reduced basis as packed term dicts, ascending leads."""
-        entries = self.entries
-        guard = self.guard
-        # equal leads cannot occur (new leads are always reduced), so a
-        # lead divisible by another lead is strictly divisible
-        kept = [entry for i, entry in enumerate(entries)
-                if not any(j != i and not (entry[0] - other[0]) & guard
-                           for j, other in enumerate(entries))]
+        """The reduced basis as packed term dicts, ascending leads, each
+        listing its terms in descending order."""
+        # a new lead is reduced against every earlier lead, so only a later
+        # lead can divide an earlier one, and the live leads are minimal
+        kept = [entry for entry, live in zip(self.entries, self.live) if live]
         out: list[tuple[int, dict]] = []
         for pos, (lead, _, tail) in enumerate(kept):
             others = kept[:pos] + kept[pos + 1:]
-            poly = _nf_dict(dict(tail), others, guard, self.p)
-            poly[lead] = self.dom.one
+            poly = {lead: self.dom.one}
+            poly.update(_nf_dict(dict(tail), others, self.guard, self.p))
             out.append((lead, poly))
         out.sort(key=itemgetter(0))
         return [poly for _, poly in out]
@@ -266,10 +300,13 @@ class _Engine:
 def _buchberger_cached(ideal: Ideal, order: MonomialOrder, strategy: str
                        ) -> GroebnerBasis:
     ring = ideal.ring
+    # the engine lists terms in descending packed order, the order's own
+    in_order = isinstance(order, GrevLex)
 
     def run(packing: _Packing) -> tuple[Polynomial, ...]:
         dicts = _Engine(ring, strategy, packing).run(ideal.generators)
-        return tuple(_from_dict(ring, packing.unpack_terms(d)) for d in dicts)
+        return tuple(_from_dict(ring, packing.unpack_terms(d), in_order)
+                     for d in dicts)
 
     return GroebnerBasis(ring, order, _packed(order, ring.arity, run))
 
@@ -308,7 +345,8 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
                      packing.guard, f.ring.domain.characteristic)
         return packing.unpack_terms(r)
 
-    return _from_dict(f.ring, _packed(gb.order, gb.ring.arity, run))
+    return _from_dict(f.ring, _packed(gb.order, gb.ring.arity, run),
+                      isinstance(gb.order, GrevLex))
 
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:
@@ -362,8 +400,9 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     out = []
     for g in gb.elements:
         if all(all(m[i] == 0 for i in drop) for m, _ in g.terms):
+            # dropping variables absent from every term keeps grevlex order
             d = {tuple(m[i] for i in keep): c for m, c in g.terms}
-            out.append(_from_dict(small, d))
+            out.append(_from_dict(small, d, True))
     return Ideal(small, tuple(out))
 
 

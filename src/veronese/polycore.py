@@ -533,14 +533,18 @@ class PolyRing(_CachedHash):
         return f"{self.domain}[{', '.join(self.names)}]"
 
 
-def _from_dict(ring: PolyRing, d: Mapping[Exponents, Scalar]) -> "Polynomial":
+def _from_dict(ring: PolyRing, d: Mapping[Exponents, Scalar],
+               in_order: bool = False) -> "Polynomial":
+    """The canonical polynomial of a term dict.  A caller whose dict already
+    lists its terms grevlex-descending passes ``in_order`` to skip the sort."""
     dom = ring.domain
     items = []
     for m, c in d.items():
         c = dom.normalize(c)
         if c != 0:
             items.append((m, c))
-    items.sort(key=lambda t: _grevlex_key(t[0]), reverse=True)
+    if not in_order:
+        items.sort(key=lambda t: _grevlex_key(t[0]), reverse=True)
     return Polynomial(ring, tuple(items))
 
 

@@ -5,7 +5,9 @@ built as nested tuples.  Division quotients, remainders and normal forms
 must agree exactly; every order must sort monomials the same way under both
 keys and under packing; packing must round-trip and its guard-bit test must
 be divisibility.  Inputs too large for the first packing width must come
-out right through the widening path."""
+out right through the widening path.  Terms that arrive in grevlex order
+skip the sort of ``_from_dict``; they must build the same polynomials as
+the sorting path."""
 from __future__ import annotations
 
 import random
@@ -13,7 +15,8 @@ from itertools import product
 
 import pytest
 
-from veronese.groebner import Ideal, buchberger, normal_form
+from veronese import groebner
+from veronese.groebner import Ideal, buchberger, eliminate, normal_form
 from veronese.polycore import (
     Block, GF, GrevLex, Lex, PolyRing, QQ, _FIELD_BITS, _from_dict, _packing,
     divide, monomial_divides,
@@ -172,6 +175,56 @@ def test_normal_form_matches_max_rescan_reference(order, dom):
             f = _random_poly(rng, ring, rng.randint(0, 8), 4)
             _, expected = _reference_divide(f, list(gb.elements), order)
             assert normal_form(f, gb) == expected
+
+
+@pytest.fixture
+def sorting_path(monkeypatch):
+    """Calls a function with caches cleared, counting the ``_from_dict``
+    calls of ``groebner`` that skip the sort, or making every one sort."""
+    def call(fn, sort):
+        skipped = []
+
+        def from_dict(ring, d, in_order=False):
+            skipped.append(in_order)
+            return _from_dict(ring, d, in_order and not sort)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_from_dict", from_dict)
+            groebner._buchberger_cached.cache_clear()
+            groebner._gb_entries.cache_clear()
+            try:
+                return fn(), sum(skipped)
+            finally:
+                groebner._buchberger_cached.cache_clear()
+                groebner._gb_entries.cache_clear()
+    return call
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+@pytest.mark.parametrize("dom", _DOMAINS, ids=str)
+def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
+    """Engine output under grevlex, normal forms against a grevlex basis
+    and the restricted terms of an elimination skip the sort; each must be
+    the polynomial the sorting path builds."""
+    rng = random.Random(f"in-order/{order}/{dom}")
+    ring = PolyRing(("a", "b", "c", "d"), dom)
+    for _ in range(4):
+        ideal = Ideal(ring, tuple(_random_binomials(rng, ring)))
+        fs = [_random_poly(rng, ring, rng.randint(0, 8), 4) for _ in range(4)]
+        drop = rng.sample(range(4), rng.randint(1, 3))
+
+        def results():
+            gb = buchberger(ideal, order)
+            return (gb.elements, [normal_form(f, gb) for f in fs],
+                    eliminate(ideal, drop).generators)
+
+        got, skipped = sorting_path(results, sort=False)
+        expected, _ = sorting_path(results, sort=True)
+        assert got == expected
+        basis, _, restricted = got
+        in_order = len(basis) + len(fs) * bool(basis) \
+            if isinstance(order, GrevLex) else 0
+        assert skipped == in_order + len(restricted)
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=str)

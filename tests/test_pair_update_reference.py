@@ -1,0 +1,250 @@
+"""The engine's pair update against a reference copy of the code it
+replaced: a Gebauer-Moller update that keeps every lead as an exponent
+tuple, builds the lcm tuple for each earlier element and packs it, and a
+finalize that rescans every pair of leads for divisibility.  On seeded
+ideals, under every order and both strategies, the queued pairs and the
+live-pair dict after each insertion must be identical, and so must the
+basis.  The guard-bit lcm on exponent parts must be the fieldwise max, and
+broken copies of its masks must be caught."""
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import pytest
+
+from veronese.groebner import STRATEGIES, _Engine
+from veronese.polycore import (
+    GF, PolyRing, QQ, _FIELD_BITS, _nf_dict, _packed, _packing,
+)
+
+from test_kernel_reference import _ORDERS, _random_binomials
+
+
+class _Traced(_Engine):
+    """Logs every queued pair and a copy of the live pairs after each
+    insertion."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def _push_pair(self, i, t, lcm, deg):
+        self.log.append((i, t, lcm, deg))
+        super()._push_pair(i, t, lcm, deg)
+
+    def insert(self, h):
+        super().insert(h)
+        self.log.append(dict(self.alive))
+
+
+class _Reference(_Traced):
+    """The tuple-based update and the rescanning finalize."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.leads = []
+
+    def insert(self, h):
+        terms = iter(h.items())
+        lead, lc = next(terms)
+        if self.p:
+            inv = pow(lc, -1, self.p)
+            tail = tuple((m, c * inv % self.p) for m, c in terms)
+        else:
+            tail = tuple((m, c / lc) for m, c in terms)
+        self.entries.append((lead, None, tail))
+        self.leads.append(self.packing.unpack(lead))
+        self._update_pairs(len(self.entries) - 1)
+        self.log.append(dict(self.alive))
+
+    def _update_pairs(self, t):
+        entries = self.entries
+        leads = self.leads
+        guard = self.guard
+        pack = self.packing.pack
+        lead_t = leads[t]
+        plead_t = entries[t][0]
+        lcm_t = []
+        cand = []
+        for i in range(t):
+            e = tuple([a if a > b else b for a, b in zip(leads[i], lead_t)])
+            lcm = pack(e)
+            lcm_t.append(lcm)
+            cand.append((lcm, i, sum(e), lcm == entries[i][0] + plead_t))
+        cand.sort()
+        kept = []
+        last = len(cand) - 1
+        for idx, (lcm, i, deg, coprime) in enumerate(cand):
+            if not coprime:
+                if idx < last and cand[idx + 1][0] == lcm:
+                    continue
+                if any(not (lcm - klcm) & guard for _, klcm, _, _ in kept):
+                    continue
+            kept.append((i, lcm, deg, coprime))
+        alive = self.alive
+        dropped = [
+            pair for pair, lcm in alive.items()
+            if not (lcm - plead_t) & guard
+            and lcm_t[pair[0]] != lcm and lcm_t[pair[1]] != lcm]
+        for pair in dropped:
+            del alive[pair]
+        for i, lcm, deg, coprime in kept:
+            if not coprime:
+                self._push_pair(i, t, lcm, deg)
+
+    def _finalize(self):
+        entries = self.entries
+        guard = self.guard
+        kept = [entry for i, entry in enumerate(entries)
+                if not any(j != i and not (entry[0] - other[0]) & guard
+                           for j, other in enumerate(entries))]
+        out = []
+        for pos, (lead, _, tail) in enumerate(kept):
+            others = kept[:pos] + kept[pos + 1:]
+            poly = _nf_dict(dict(tail), others, guard, self.p)
+            poly[lead] = self.dom.one
+            out.append((lead, poly))
+        out.sort(key=lambda item: item[0])
+        return [poly for _, poly in out]
+
+
+def _trace(engine_class, ideal_gens, ring, order, strategy):
+    """(field bits, log, basis) of the run that fits its packing."""
+    def run(packing):
+        engine = engine_class(ring, strategy, packing)
+        basis = engine.run(ideal_gens)
+        return packing.mask.bit_length(), engine.log, basis
+    return _packed(order, ring.arity, run)
+
+
+def _assert_same_work(gens, ring, order, strategy, engine_class=_Traced):
+    expected = _trace(_Reference, gens, ring, order, strategy)
+    got = _trace(engine_class, gens, ring, order, strategy)
+    assert got[0] == expected[0]
+    assert got[1] == expected[1]
+    assert got[2] == expected[2]
+    return expected[0]
+
+
+def _seeded_gens(rng, ring):
+    gens = _random_binomials(rng, ring)
+    # one trinomial, so that tails longer than one term occur
+    a, b, c = (ring.monomial(tuple(rng.choice(((1, 1, 0, 0), (0, 1, 1, 0),
+                                                (1, 0, 0, 1), (0, 0, 1, 1),
+                                                (2, 0, 0, 0), (0, 0, 0, 2)))))
+               for _ in range(3))
+    return gens + [a - 2 * b + c]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+@pytest.mark.parametrize("dom", [QQ, GF(2), GF(5)], ids=str)
+def test_update_matches_tuple_reference(dom, order, strategy):
+    rng = random.Random(f"pairs/{order}/{dom}/{strategy}")
+    ring = PolyRing(("a", "b", "c", "d"), dom)
+    for _ in range(6):
+        gens = [g for g in _seeded_gens(rng, ring) if not g.is_zero()]
+        bits = _assert_same_work(gens, ring, order, strategy)
+        assert bits == _FIELD_BITS
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("order", _ORDERS[:3], ids=str)
+def test_update_matches_tuple_reference_through_widening(order, strategy):
+    ring = PolyRing(("x", "y", "z", "w"), GF(5))
+    gens = [ring.parse("x - y^40000"), ring.parse("x*y"),
+            ring.parse("z*w - y^2")]
+    assert _assert_same_work(gens, ring, order, strategy) > 2 * _FIELD_BITS
+
+
+def test_unqueued_lcm_past_the_width_no_longer_widens():
+    """The reference packs the lcm of every pair, so a coprime pair whose
+    lcm outgrows the fields makes it repeat the run with wider fields; the
+    engine packs only queued lcms and finishes at the first width, with the
+    same basis."""
+    ring = PolyRing(("x", "y"), QQ)
+    gens = [ring.parse("x^70 - x*y^60"), ring.parse("y^70")]
+    order = _ORDERS[1]
+    ref_bits, _, ref_basis = _trace(_Reference, gens, ring, order, "normal")
+    bits, _, basis = _trace(_Traced, gens, ring, order, "normal")
+    assert (ref_bits, bits) == (2 * _FIELD_BITS, _FIELD_BITS)
+    unpack = {b: _packing(order, 2, b).unpack for b in (ref_bits, bits)}
+    assert [{unpack[bits](m): c for m, c in d.items()} for d in basis] == \
+        [{unpack[ref_bits](m): c for m, c in d.items()} for d in ref_basis]
+
+
+# ---------------------------------------------------------------------------
+# the guard-bit lcm
+# ---------------------------------------------------------------------------
+
+def _exponent_part(packing, m):
+    return sum(e << s for e, s in zip(m, packing.shifts))
+
+
+def _lcm_mismatches(engine, monomials):
+    """Pairs whose lcm from ``_lcms_with`` is not the tuple max."""
+    packing = engine.packing
+    engine.exps = [_exponent_part(packing, m) for m in monomials]
+    bad = 0
+    for b in monomials:
+        lcms = engine._lcms_with(_exponent_part(packing, b))
+        for a, lcm in zip(monomials, lcms):
+            if lcm != _exponent_part(
+                    packing, tuple(map(max, zip(a, b)))):
+                bad += 1
+    return bad
+
+
+def _small_monomials():
+    return [m for m in product(range(4), repeat=4) if sum(m) <= 3]
+
+
+def _limit_monomials(packing):
+    top = packing.limit - 1
+    return list(product((0, 1, top - 1, top), repeat=4))
+
+
+def _engine(order):
+    ring = PolyRing(("a", "b", "c", "d"), QQ)
+    return _Engine(ring, "normal", _packing(order, 4, _FIELD_BITS))
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_guard_bit_lcm_is_the_fieldwise_max(order):
+    engine = _engine(order)
+    assert _lcm_mismatches(engine, _small_monomials()) == 0
+    assert _lcm_mismatches(engine, _limit_monomials(engine.packing)) == 0
+
+
+def test_lcm_with_the_guard_mask_off_by_one_field_is_caught():
+    engine = _engine(_ORDERS[1])
+    bits = engine.packing.mask.bit_length()
+    for shifted in (engine.exp_guard << bits, engine.exp_guard >> bits):
+        engine.exp_guard = shifted
+        assert _lcm_mismatches(engine, _small_monomials()) > 0
+
+
+class _WideMask(_Traced):
+    """A broken copy whose exponent mask also takes in the order fields."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.low = (1 << self.guard.bit_length()) - 1
+        self.exp_guard = self.guard
+
+
+def test_exponent_mask_over_the_order_fields_is_caught():
+    """The seeded inputs of the reference test under one order and domain
+    tell the broken copy from the reference."""
+    order, dom = _ORDERS[1], GF(5)
+    rng = random.Random(f"pairs/{order}/{dom}/normal")
+    ring = PolyRing(("a", "b", "c", "d"), dom)
+    caught = 0
+    for _ in range(6):
+        gens = [g for g in _seeded_gens(rng, ring) if not g.is_zero()]
+        try:
+            _assert_same_work(gens, ring, order, "normal", _WideMask)
+        except AssertionError:
+            caught += 1
+    assert caught > 0
