@@ -6,7 +6,7 @@ Run:  python3 demos/03_monomial_algebra_presentations.py
 from __future__ import annotations
 
 from veronese import (
-    ideal_equal, integer_kernel, minimal_generators, monomial_algebra_map,
+    MonomialMap, ideal_equal, integer_kernel, minimal_generators,
     toric_ideal_elimination, toric_ideal_lattice, veronese_map,
 )
 
@@ -24,7 +24,7 @@ print("minimal generators:   ",
 # A monomial curve that is NOT a full Veronese: x^4, x^3 y, x y^3, y^4.
 # Its presentation needs four generators even though the height is two.
 targets = ((4, 0), (3, 1), (1, 3), (0, 4))
-q = monomial_algebra_map(targets)
+q = MonomialMap(targets)
 J = toric_ideal_elimination(q)
 print("curve generators:     ", sorted(str(g) for g in J.generators))
 

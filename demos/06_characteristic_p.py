@@ -7,10 +7,9 @@ Run:  python3 demos/06_characteristic_p.py
 from __future__ import annotations
 
 from veronese import (
-    AffineSemigroup, GF, Ideal, PolyRing, fedder_fiber, fedder_fpure,
-    frobenius_power,
-    monomial_ideal_member, semigroup_member, toric_ideal_lattice,
-    veronese_map, monomial_algebra_map,
+    AffineSemigroup, GF, Ideal, MonomialMap, PolyRing, fedder_fiber,
+    fedder_fpure, frobenius_power, monomial_ideal_member, semigroup_member,
+    toric_ideal_lattice, veronese_map,
 )
 
 # Bracket powers raise each generator's exponents p-fold.
@@ -35,7 +34,7 @@ print("  by the fiber route: ", fiber.f_pure, f"({fiber.fiber_size} unknowns,",
 
 targets = ((4, 0), (3, 1), (1, 3), (0, 4))
 for p in (2, 3, 5):
-    curve = toric_ideal_lattice(monomial_algebra_map(targets), GF(p))
+    curve = toric_ideal_lattice(MonomialMap(targets), GF(p))
     print(f"curve algebra, p={p}:   F-pure = {fedder_fpure(curve, p).f_pure}")
 
 # The failure has a combinatorial explanation inside the exponent

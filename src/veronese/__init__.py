@@ -6,8 +6,8 @@ JSON certificates with an explicit computed-versus-cited boundary."""
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, Lex, Block, ParseError, PolyRing, Polynomial,
-    PrimeField, QQ, Rationals, compare_monomials, homogeneous_degree,
-    is_homogeneous, parse_polynomial, parse_polynomial_list,
+    PrimeField, QQ, Rationals, homogeneous_degree, is_homogeneous,
+    parse_polynomial, parse_polynomial_list,
 )
 from .groebner import (
     GroebnerBasis, Ideal, STRATEGIES, buchberger, colon, colon_ideal,
@@ -16,9 +16,8 @@ from .groebner import (
 )
 from .toric import (
     CIReport, MonomialMap, ci_check, ci_sequence, integer_kernel,
-    integer_solve, minimal_generators, monomial_algebra_map,
-    symmetric_minors_ideal, toric_ideal_elimination, toric_ideal_lattice,
-    veronese_map,
+    integer_solve, minimal_generators, symmetric_minors_ideal,
+    toric_ideal_elimination, toric_ideal_lattice, veronese_map,
 )
 from .invariants import (
     DimensionResult, GradedPiece, hilbert_piece, krull_dim, lc_top_piece,
@@ -39,24 +38,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffDomain", "GF", "GrevLex", "Lex", "Block", "ParseError", "PolyRing",
-    "Polynomial", "PrimeField", "QQ", "Rationals", "compare_monomials",
-    "homogeneous_degree", "is_homogeneous", "parse_polynomial",
-    "parse_polynomial_list",
+    "Polynomial", "PrimeField", "QQ", "Rationals", "homogeneous_degree",
+    "is_homogeneous", "parse_polynomial", "parse_polynomial_list",
     "GroebnerBasis", "Ideal", "STRATEGIES", "buchberger", "colon",
     "colon_ideal", "eliminate", "ideal_equal", "ideal_member", "ideal_sum",
     "initial_ideal", "intersect", "normal_form", "radical_member", "saturate",
     "CIReport", "MonomialMap", "ci_check", "ci_sequence", "integer_kernel",
-    "integer_solve", "minimal_generators", "monomial_algebra_map",
-    "symmetric_minors_ideal", "toric_ideal_elimination",
-    "toric_ideal_lattice", "veronese_map",
+    "integer_solve", "minimal_generators", "symmetric_minors_ideal",
+    "toric_ideal_elimination", "toric_ideal_lattice", "veronese_map",
     "DimensionResult", "GradedPiece", "hilbert_piece", "krull_dim",
     "lc_top_piece", "veronese_lc_piece",
     "AffineSemigroup", "FiberReport", "FpurityReport", "fedder_fiber",
     "fedder_fpure", "frobenius_power", "monomial_ideal_member",
     "semigroup_member",
     "Check", "GENERIC_2X3_GENERATORS", "GENERIC_2X3_NAMES",
-    "QUARTIC_CURVE_TARGETS", "Report", "ResourceCapError", "VARIABLE_CAP", "cd_certificate", "char_compare",
-    "ensure_within_cap", "present_monomial_algebra", "radical_cover_check",
-    "render_json",
+    "QUARTIC_CURVE_TARGETS", "Report", "ResourceCapError", "VARIABLE_CAP",
+    "cd_certificate", "char_compare", "ensure_within_cap",
+    "present_monomial_algebra", "radical_cover_check", "render_json",
     "__version__",
 ]

@@ -27,8 +27,8 @@ from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .polycore import (
-    Block, GrevLex, MonomialOrder, PolyRing, Polynomial, Scalar,
-    divide, _CachedHash, _Packing, _PackingOverflow, _Record, _from_dict,
+    Block, GrevLex, MonomialOrder, PolyRing, Polynomial, ResourceCapError,
+    Scalar, divide, _CachedHash, _Packing, _PackingOverflow, _from_dict,
     _nf_dict, _packed, _setattr,
 )
 
@@ -61,16 +61,6 @@ class Ideal(_CachedHash):
         _setattr(self, "ring", ring)
         _setattr(self, "generators", gens)
 
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.generators == other.generators and (
-            self.ring is other.ring or self.ring == other.ring)
-
-    __hash__ = _CachedHash.__hash__
-
     def is_zero(self) -> bool:
         return not self.generators
 
@@ -79,29 +69,12 @@ class Ideal(_CachedHash):
         return f"({inside})"
 
 
-class GroebnerBasis(_Record):
-    """Reduced Groebner basis: monic, inter-reduced, canonically sorted."""
+class GroebnerBasis(_CachedHash):
+    """Reduced Groebner basis of ``elements`` (a tuple of polynomials) in
+    ``ring`` under ``order``: monic, inter-reduced, canonically sorted."""
 
     __match_args__ = ("ring", "order", "elements")
     __slots__ = __match_args__
-
-    def __init__(self, ring: PolyRing, order: MonomialOrder,
-                 elements: tuple[Polynomial, ...]) -> None:
-        _setattr(self, "ring", ring)
-        _setattr(self, "order", order)
-        _setattr(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.elements == other.elements
-                and (self.ring is other.ring or self.ring == other.ring)
-                and self.order == other.order)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.order, self.elements))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +474,7 @@ def _least_power_member(f: Polynomial, gb: GroebnerBasis) -> int:
     squares = [normal_form(f, gb)]
     while not squares[-1].is_zero():
         if len(squares) > 20:            # f^(2^20) is still outside
-            raise RuntimeError("radical witness exponent out of range")
+            raise ResourceCapError("radical witness exponent out of range")
         squares.append(normal_form(squares[-1] * squares[-1], gb))
     if len(squares) == 1:
         return 1

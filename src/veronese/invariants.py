@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .polycore import GrevLex, MonomialOrder, _Record
+from .polycore import GrevLex, MonomialOrder, ResourceCapError, _Record
 from .groebner import Ideal, initial_ideal
 
 __all__ = [
@@ -74,7 +74,8 @@ def dim_monomial(ideal: Ideal) -> DimensionResult:
     """
     ring = ideal.ring
     if ring.arity > _ARITY_CAP:
-        raise ValueError(f"arity {ring.arity} exceeds the cap {_ARITY_CAP}")
+        raise ResourceCapError(
+            f"arity {ring.arity} exceeds the cap {_ARITY_CAP}")
     if ideal.is_zero():
         raise ValueError("dimension of the zero monomial ideal is undefined here")
     supports = []

@@ -24,7 +24,8 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .polycore import (
-    CoeffDomain, GF, GrevLex, PolyRing, QQ, _Record, is_homogeneous,
+    CoeffDomain, GF, GrevLex, PolyRing, QQ, ResourceCapError, _Record,
+    is_homogeneous,
 )
 from .groebner import (
     Ideal, _least_power_member, buchberger, ideal_equal, ideal_sum,
@@ -32,8 +33,7 @@ from .groebner import (
 )
 from .toric import (
     CIReport, MonomialMap, _veronese_targets, ci_check, ci_sequence,
-    integer_kernel,
-    integer_solve, minimal_generators, monomial_algebra_map,
+    integer_kernel, integer_solve, minimal_generators,
     symmetric_minors_ideal, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
 )
@@ -66,10 +66,6 @@ QUARTIC_CURVE_TARGETS: tuple[tuple[int, ...], ...] = ((4, 0), (3, 1), (1, 3), (0
 #: 2x2 minors of a generic 2x3 matrix [[u, v, w], [x, y, z]]
 GENERIC_2X3_NAMES: tuple[str, ...] = ("u", "v", "w", "x", "y", "z")
 GENERIC_2X3_GENERATORS: tuple[str, ...] = ("v*z - w*y", "w*x - u*z", "u*y - v*x")
-
-
-class ResourceCapError(RuntimeError):
-    """A request exceeded the source-variable cap; refused outright."""
 
 
 class Check(_Record):
@@ -209,18 +205,6 @@ class _Chart(_Record):
     _defaults = (None, MappingProxyType({}))
 
 
-class _Plan(_Record):
-    """What a report checks in every characteristic besides the toric
-    routes: the height against ``expected`` (recorded under
-    ``expected_key``, with the Krull dimension when ``show_dimension``),
-    the charts in order, and the radical cover of ``cover`` when it is
-    nonempty."""
-
-    __match_args__ = ("height_check", "expected_key", "expected",
-                      "show_dimension", "charts", "cover")
-    __slots__ = __match_args__
-
-
 def _toric_routes(mmap: MonomialMap, dom: CoeffDomain
                   ) -> tuple[Ideal, Ideal, bool]:
     """The presentation ideal by elimination, the lattice-route ideal, and
@@ -282,12 +266,17 @@ def _height_constancy(heights: Mapping[int, int]) -> Check:
 
 
 def _characteristic_checks(
-        mmap: MonomialMap, doms: Sequence[tuple[int, CoeffDomain]],
-        plan: _Plan) -> tuple[dict[int, Ideal], dict[int, int], list[Check]]:
+        mmap: MonomialMap, doms: Sequence[tuple[int, CoeffDomain]], *,
+        height_check: str, expected_key: str, expected: int,
+        show_dimension: bool, charts: Sequence[_Chart],
+        cover: tuple[int, ...],
+) -> tuple[dict[int, Ideal], dict[int, int], list[Check]]:
     """The presentation ideal and its height over each characteristic, and
     the checks: per characteristic the toric routes (with minimal generators
-    in characteristic zero), height, localized-CI charts and radical cover,
-    then the height constancy across them."""
+    in characteristic zero), the height against ``expected`` (recorded as
+    in ``_height_check``), the localized-CI ``charts`` in order and the
+    radical cover of ``cover`` when it is nonempty, then the height
+    constancy across them."""
     ideals: dict[int, Ideal] = {}
     heights: dict[int, int] = {}
     checks: list[Check] = []
@@ -305,11 +294,10 @@ def _characteristic_checks(
                              **route_details))
 
         dims = krull_dim(ideal)
-        checks.append(_height_check(f"{plan.height_check}_{label}", dims,
-                                    plan.expected_key, plan.expected,
-                                    plan.show_dimension))
+        checks.append(_height_check(f"{height_check}_{label}", dims,
+                                    expected_key, expected, show_dimension))
 
-        for chart in plan.charts:
+        for chart in charts:
             if chart.candidates is None:
                 rep = ci_sequence(mmap, chart.variable, dom)
                 rep = ci_check(ideal, rep.candidates, rep.inverted, rep)
@@ -320,9 +308,9 @@ def _characteristic_checks(
                 f"localized_ci_{label}_{ring.names[rep.inverted]}", rep,
                 ring, **chart.details))
 
-        if plan.cover:
+        if cover:
             checks.append(_cover_result(f"radical_cover_{label}", ideal,
-                                        plan.cover))
+                                        cover))
         ideals[char], heights[char] = ideal, dims.height
     checks.append(_height_constancy(heights))
     return ideals, heights, checks
@@ -432,13 +420,12 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     mmap = _capped_veronese_map(k, n)
     doms = _characteristics(primes)
     expected = mmap.d - k
-    plan = _Plan(
-        height_check="height", expected_key="expected", expected=expected,
-        show_dimension=True,
+    ideals, _, checks = _characteristic_checks(
+        mmap, doms, height_check="height", expected_key="expected",
+        expected=expected, show_dimension=True,
         charts=tuple(_Chart(j, details={"pure_power_of": f"x{j + 1}"})
                      for j in range(k)),
         cover=_pure_power_indices(mmap))
-    ideals, _, checks = _characteristic_checks(mmap, doms, plan)
 
     if n == 2:
         minors = symmetric_minors_ideal(k, QQ)
@@ -486,7 +473,7 @@ def present_monomial_algebra(
     Veronese map, and are skipped otherwise.
     """
     ensure_within_cap(len(targets))
-    mmap = monomial_algebra_map(targets)
+    mmap = MonomialMap(targets)
     doms = _characteristics(primes)
     is_veronese = mmap.veronese_degree() is not None
 
@@ -501,12 +488,11 @@ def present_monomial_algebra(
     else:
         subset = _pure_power_indices(mmap) if is_veronese else ()
 
-    plan = _Plan(
-        height_check="height_matches_lattice_nullity",
+    ideals, heights, checks = _characteristic_checks(
+        mmap, doms, height_check="height_matches_lattice_nullity",
         expected_key="lattice_nullity",
         expected=len(integer_kernel(mmap.targets)),
         show_dimension=False, charts=charts, cover=subset)
-    ideals, heights, checks = _characteristic_checks(mmap, doms, plan)
 
     sg = AffineSemigroup(mmap.targets)
 
@@ -607,7 +593,7 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
                          "generators (--ring with an ideal)")
     if targets is not None:
         ensure_within_cap(len(targets))
-        mmap = monomial_algebra_map(targets)
+        mmap = MonomialMap(targets)
         description = "toric ideal of " + "; ".join(
             ",".join(str(e) for e in t) for t in mmap.targets)
         for char, dom in doms:

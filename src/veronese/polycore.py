@@ -9,6 +9,8 @@ field.  No floating point anywhere.
 Immutability comes from plain slotted classes (``_Record``), written out
 by hand: assignment and deletion raise ``AttributeError``, and no code is
 generated at import, which keeps the start-up of every CLI report short.
+``ResourceCapError`` is the one error every layer raises when a request
+exceeds a deterministic work cap.
 """
 from __future__ import annotations
 
@@ -25,12 +27,15 @@ Scalar = Union[Fraction, int]
 
 __all__ = [
     "Rationals", "PrimeField", "CoeffDomain", "QQ", "GF",
-    "Lex", "GrevLex", "Block", "MonomialOrder", "compare_monomials",
-    "PolyRing", "Polynomial", "ParseError", "parse_polynomial",
-    "parse_polynomial_list", "divide", "homogeneous_degree", "is_homogeneous",
-    "monomial_mul", "monomial_divides", "monomial_div", "monomial_lcm",
-    "monomial_degree",
+    "Lex", "GrevLex", "Block", "MonomialOrder", "PolyRing", "Polynomial",
+    "ParseError", "parse_polynomial", "parse_polynomial_list", "divide",
+    "homogeneous_degree", "is_homogeneous", "ResourceCapError",
 ]
+
+
+class ResourceCapError(RuntimeError):
+    """A request exceeded a deterministic work cap; refused outright, never
+    truncated."""
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +53,14 @@ class _Record:
     fields.  The constructor takes the fields by position or by keyword.
     Equality and hash go by class and field values, assignment and deletion
     raise ``AttributeError``, and copies and pickles rebuild through the
-    constructor.  The classes that serve as cache keys or are built in bulk
-    write ``__init__``, ``__eq__`` and ``__hash__`` out by hand.
+    constructor.
+
+    The generic methods loop over the fields, which costs several times a
+    written-out comparison.  Only the types compared or hashed thousands of
+    times per report write ``__eq__`` and ``__hash__`` out by hand:
+    ``PrimeField``, ``PolyRing``, ``Polynomial`` and ``_Fieldless``.
+    Colder types, cache keys among them (``Ideal``, ``GroebnerBasis``,
+    ``Block``), use these.
     """
 
     __slots__ = ()
@@ -104,9 +115,10 @@ class _Record:
 
 
 class _CachedHash(_Record):
-    """A record whose hash is computed once, on first use.  A subclass that
-    writes ``__eq__`` must name ``__hash__`` again, since defining
-    ``__eq__`` alone clears the inherited hash."""
+    """A record whose hash is computed once, on first use, for values that
+    are hashed again and again (polynomials, rings, ideals and bases as
+    cache keys).  A subclass that writes ``__eq__`` must name ``__hash__``
+    again, since defining ``__eq__`` alone clears the inherited hash."""
 
     __slots__ = ("_hash",)
 
@@ -269,31 +281,6 @@ def GF(p: int) -> PrimeField:
 # ``_PackingOverflow``, and ``_packed`` reruns the whole computation with
 # fields twice as wide.
 
-def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    """Exponent vector of x^a / x^b; requires divisibility."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise ValueError(f"{b} does not divide {a}")
-    return out
-
-
-def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomial_degree(a: Exponents) -> int:
-    return sum(a)
-
-
 def _grevlex_key(m: Exponents) -> tuple[int, ...]:
     # graded, then reverse-lex: later variables count against a monomial
     return (sum(m),) + tuple(map(neg, reversed(m)))
@@ -347,16 +334,6 @@ class Block(_Record):
         _setattr(self, "eliminated", elim)
         _setattr(self, "inner", inner)
 
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.eliminated == other.eliminated and self.inner == other.inner
-
-    def __hash__(self) -> int:
-        return hash((self.eliminated, self.inner))
-
     def key(self, m: Exponents):
         elim = self.eliminated
         block = tuple(e for i, e in enumerate(m) if i in elim)
@@ -368,18 +345,6 @@ class Block(_Record):
 
 
 MonomialOrder = Union[Lex, GrevLex, Block]
-
-
-def compare_monomials(order: MonomialOrder, a: Exponents, b: Exponents) -> int:
-    """-1, 0 or 1 as a <, =, > b under the order."""
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 _FIELD_BITS = 8     # field width of the first packing tried
@@ -577,9 +542,6 @@ class Polynomial(_CachedHash):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_dict(self) -> dict[Exponents, Scalar]:
-        return dict(self.terms)
-
     def total_degree(self) -> Union[int, None]:
         """Largest term degree; None for the zero polynomial."""
         if not self.terms:
@@ -597,16 +559,6 @@ class Polynomial(_CachedHash):
         if not self.terms:
             raise ValueError("zero polynomial has no lead monomial")
         return max((m for m, _ in self.terms), key=order.key)
-
-    def lead_coefficient(self, order: MonomialOrder) -> Scalar:
-        lm = self.lead_monomial(order)
-        return self.coefficient(lm)
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        if not self.terms:
-            return self
-        inv = self.ring.domain.invert(self.lead_coefficient(order))
-        return self.scale(inv)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -669,13 +621,6 @@ class Polynomial(_CachedHash):
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def scale(self, c: Union[int, Fraction]) -> "Polynomial":
-        c = self.ring.domain.normalize(c)
-        if c == 0:
-            return self.ring.zero
-        d = {m: coeff * c for m, coeff in self.terms}
-        return _from_dict(self.ring, d)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):

@@ -23,9 +23,8 @@ from .groebner import (
 from .invariants import krull_dim
 
 __all__ = [
-    "MonomialMap", "veronese_map", "monomial_algebra_map",
-    "toric_ideal_elimination", "toric_ideal_lattice", "minimal_generators",
-    "CIReport", "ci_sequence", "ci_check", "symmetric_minors_ideal",
+    "MonomialMap", "veronese_map", "toric_ideal_elimination",
+    "toric_ideal_lattice", "minimal_generators", "CIReport", "ci_sequence", "ci_check", "symmetric_minors_ideal",
     "integer_kernel", "integer_solve",
 ]
 
@@ -118,10 +117,6 @@ def veronese_map(k: int, n: int) -> MonomialMap:
     if k < 1 or n < 1:
         raise ValueError("veronese_map needs k >= 1 and n >= 1")
     return MonomialMap(_veronese_targets(k, n))
-
-
-def monomial_algebra_map(targets: Sequence[Sequence[int]]) -> MonomialMap:
-    return MonomialMap(tuple(tuple(t) for t in targets))
 
 
 # ---------------------------------------------------------------------------

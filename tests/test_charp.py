@@ -14,7 +14,7 @@ from veronese.charp import (
 from veronese.groebner import Ideal, buchberger, ideal_member, normal_form
 from veronese.polycore import GF, PolyRing, QQ
 from veronese.toric import (
-    monomial_algebra_map, toric_ideal_elimination, toric_ideal_lattice,
+    MonomialMap, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
 )
 
@@ -78,7 +78,7 @@ def test_fermat_cubic_cone_is_not_f_pure_at_two():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_quartic_curve_algebra_is_never_f_pure(p):
-    I = toric_ideal_lattice(monomial_algebra_map(QUARTIC), GF(p))
+    I = toric_ideal_lattice(MonomialMap(QUARTIC), GF(p))
     rep = fedder_fpure(I, p)
     assert rep.f_pure is False
     assert rep.certificate is None
@@ -135,7 +135,7 @@ def _seeded_curves(seed, count=4):
 
 
 def _fiber_against_colon(targets, p):
-    mmap = monomial_algebra_map(targets)
+    mmap = MonomialMap(targets)
     I = toric_ideal_elimination(mmap, GF(p))
     rep = fedder_fiber(I, mmap.targets, p)
     assert rep.f_pure == fedder_fpure(I, p).f_pure, (targets, p)

@@ -242,6 +242,25 @@ def test_exit_three_on_resource_cap(capsys):
     assert "cap" in err
 
 
+def test_exit_three_on_radical_witness_past_two_to_the_twenty(capsys):
+    # the least power of y in (x^e, y) is 1 for either e, so only the
+    # witness for x meets the 2^20 bound of the power search
+    code, out, _ = _run(capsys, "radical-cover", "--ring", "x,y",
+                        "--ideal", "x^1048576", "--subset", "y")
+    assert code == 0 and json.loads(out)["verdict"] is True
+    code, out, err = _run(capsys, "radical-cover", "--ring", "x,y",
+                          "--ideal", "x^1048577", "--subset", "y")
+    assert code == 3 and out == ""
+    assert err == "error: radical witness exponent out of range\n"
+
+
+def test_exit_three_on_height_past_the_arity_cap(capsys):
+    ring = ",".join(f"x{i}" for i in range(1, 22))
+    code, out, err = _run(capsys, "height", "--ring", ring, "--ideal", "x1")
+    assert code == 3 and out == ""
+    assert err == "error: arity 21 exceeds the cap 20\n"
+
+
 def test_exit_four_on_internal_error(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("engine bug")

@@ -49,7 +49,7 @@ def test_reduced_basis_is_canonical():
     # reduced: every element monic, no term divisible by another lead
     leads = [g.lead_monomial(_GREVLEX) for g in base.elements]
     for i, g in enumerate(base.elements):
-        assert g.lead_coefficient(_GREVLEX) == 1
+        assert g.coefficient(g.lead_monomial(_GREVLEX)) == 1
         for m, _ in g.terms:
             for j, lm in enumerate(leads):
                 if i != j:

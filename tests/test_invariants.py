@@ -13,9 +13,9 @@ from veronese.invariants import (
     DimensionResult, GradedPiece, dim_monomial, hilbert_piece, krull_dim,
     lc_top_piece, veronese_lc_piece,
 )
-from veronese.polycore import GF, Lex, PolyRing, QQ
+from veronese.polycore import GF, Lex, PolyRing, QQ, ResourceCapError
 from veronese.toric import (
-    monomial_algebra_map, toric_ideal_elimination, toric_ideal_lattice,
+    MonomialMap, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
 )
 
@@ -65,7 +65,7 @@ def test_dim_monomial_rejects_bad_input():
     with pytest.raises(ValueError):
         dim_monomial(_ideal(R, "x + y"))          # not a monomial ideal
     big = PolyRing(tuple(f"x{i}" for i in range(1, 22)), QQ)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceCapError):
         dim_monomial(Ideal(big, (big.variable(0) * big.variable(1),)))
 
 
@@ -95,7 +95,7 @@ def test_veronese_quotients_have_dimension_k(k, n):
 
 def test_quartic_curve_dimension():
     I = toric_ideal_elimination(
-        monomial_algebra_map(((4, 0), (3, 1), (1, 3), (0, 4))))
+        MonomialMap(((4, 0), (3, 1), (1, 3), (0, 4))))
     res = krull_dim(I)
     assert (res.dimension, res.height) == (2, 2)
 

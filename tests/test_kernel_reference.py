@@ -19,7 +19,7 @@ from veronese import groebner
 from veronese.groebner import Ideal, buchberger, eliminate, normal_form
 from veronese.polycore import (
     Block, GF, GrevLex, Lex, PolyRing, QQ, _FIELD_BITS, _from_dict, _packing,
-    divide, monomial_divides,
+    divide,
 )
 
 _ORDERS = [
@@ -36,6 +36,11 @@ _DOMAINS = [QQ, GF(2), GF(5)]
 # ---------------------------------------------------------------------------
 # reference copies
 # ---------------------------------------------------------------------------
+
+def monomial_divides(a, b):
+    """True when x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
+
 
 def _nested_key(order, m):
     """Order key as nested tuples: grevlex (deg, reversed negated
@@ -102,7 +107,7 @@ def _reference_divide(f, divisors, order):
         quotient = {}
         entries.append((lm, quotient, _support_mask(lm), sum(lm), tail))
         scaled.append((quotient, lcinv))
-    remainder = _reference_nf(f.as_dict(), entries, keyf,
+    remainder = _reference_nf(dict(f.terms), entries, keyf,
                               dom.characteristic)
     qs = [_from_dict(ring, {q: c * lcinv for q, c in quotient.items()})
           for quotient, lcinv in scaled]

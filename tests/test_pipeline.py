@@ -17,7 +17,7 @@ from veronese.pipeline import (
     radical_cover_check, render_json,
 )
 from veronese.polycore import PolyRing, QQ
-from veronese.toric import monomial_algebra_map, toric_ideal_lattice, veronese_map
+from veronese.toric import MonomialMap, toric_ideal_lattice, veronese_map
 
 
 def _check_map(report_dict):
@@ -29,7 +29,7 @@ def _check_map(report_dict):
 # ---------------------------------------------------------------------------
 
 def test_radical_cover_quartic_vertices_suffice():
-    I = toric_ideal_lattice(monomial_algebra_map(QUARTIC_CURVE_TARGETS))
+    I = toric_ideal_lattice(MonomialMap(QUARTIC_CURVE_TARGETS))
     assert radical_cover_check(I, (0, 3)) is True
     assert radical_cover_check(I, (0,)) is False
     assert radical_cover_check(I, (0, 1, 2, 3)) is True
@@ -44,7 +44,7 @@ def test_radical_cover_validates_subset():
 
 
 @pytest.mark.parametrize("ideal, subset", [
-    (toric_ideal_lattice(monomial_algebra_map(((2, 0), (1, 1), (0, 2)))),
+    (toric_ideal_lattice(MonomialMap(((2, 0), (1, 1), (0, 2)))),
      (0, 2)),                                     # the conic, t1 and t3
     (toric_ideal_lattice(veronese_map(2, 3)), (0, 3)),   # the pure powers
 ])

@@ -8,8 +8,8 @@ import pytest
 from veronese.groebner import Ideal, buchberger, ideal_equal, ideal_member
 from veronese.polycore import GF, PolyRing, QQ
 from veronese.toric import (
-    ci_check, ci_sequence, integer_kernel, integer_solve, minimal_generators,
-    monomial_algebra_map, symmetric_minors_ideal, toric_ideal_elimination,
+    MonomialMap, ci_check, ci_sequence, integer_kernel, integer_solve,
+    minimal_generators, symmetric_minors_ideal, toric_ideal_elimination,
     toric_ideal_lattice, veronese_map,
 )
 
@@ -40,19 +40,19 @@ def test_veronese_validates_arguments():
 
 def test_monomial_algebra_map_validation():
     with pytest.raises(ValueError):
-        monomial_algebra_map([])
+        MonomialMap([])
     with pytest.raises(ValueError):
-        monomial_algebra_map([(1, 0), (0, -1)])
+        MonomialMap([(1, 0), (0, -1)])
     with pytest.raises(ValueError):
-        monomial_algebra_map([(1, 0), (0, 1, 0)])
+        MonomialMap([(1, 0), (0, 1, 0)])
     with pytest.raises(ValueError):
-        monomial_algebra_map([(1, 0), (1, 0)])
+        MonomialMap([(1, 0), (1, 0)])
     with pytest.raises(ValueError):
-        monomial_algebra_map([(0, 0)])
+        MonomialMap([(0, 0)])
 
 
 def test_map_substitution():
-    m = monomial_algebra_map(QUARTIC)
+    m = MonomialMap(QUARTIC)
     S = m.source_ring()
     f = S.parse("t2*t3 - t1*t4")
     assert m.substitute(f).is_zero()
@@ -66,7 +66,7 @@ def test_map_substitution():
 # ---------------------------------------------------------------------------
 
 def test_quartic_presentation_frozen_generators():
-    I = toric_ideal_elimination(monomial_algebra_map(QUARTIC))
+    I = toric_ideal_elimination(MonomialMap(QUARTIC))
     assert sorted(str(g) for g in I.generators) == [
         "t1*t3^2 - t2^2*t4", "t2*t3 - t1*t4",
         "t2^3 - t1^2*t3", "t3^3 - t2*t4^2"]
@@ -81,13 +81,13 @@ def test_quartic_presentation_frozen_generators():
     ((2,), (3,)),                            # numerical semigroup <2,3>
 ])
 def test_routes_agree(targets):
-    m = monomial_algebra_map(targets)
+    m = MonomialMap(targets)
     assert ideal_equal(toric_ideal_elimination(m), toric_ideal_lattice(m))
 
 
 @pytest.mark.parametrize("domain", [GF(2), GF(5)])
 def test_routes_agree_in_positive_characteristic(domain):
-    m = monomial_algebra_map(QUARTIC)
+    m = MonomialMap(QUARTIC)
     a = toric_ideal_elimination(m, domain)
     b = toric_ideal_lattice(m, domain)
     assert a.ring.domain is domain
@@ -95,7 +95,7 @@ def test_routes_agree_in_positive_characteristic(domain):
 
 
 def test_numerical_semigroup_cusp():
-    I = toric_ideal_elimination(monomial_algebra_map(((2,), (3,))))
+    I = toric_ideal_elimination(MonomialMap(((2,), (3,))))
     assert ideal_equal(I, Ideal(I.ring, (I.ring.parse("t2^2 - t1^3"),)))
 
 

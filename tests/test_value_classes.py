@@ -13,7 +13,7 @@ import pytest
 from veronese.charp import AffineSemigroup, FiberReport, FpurityReport
 from veronese.groebner import GroebnerBasis, Ideal
 from veronese.invariants import DimensionResult, GradedPiece
-from veronese.pipeline import Check, Report, _Chart, _Plan
+from veronese.pipeline import Check, Report, _Chart
 from veronese.polycore import (
     Block, GF, GrevLex, Lex, PolyRing, PrimeField, QQ, Rationals,
 )
@@ -50,8 +50,6 @@ _BUILDERS = {
     "Check": lambda: Check("a", True, ()),
     "Report": lambda: Report("k", (), (Check("a", True, ()),), ("fact",)),
     "_Chart": lambda: _Chart(0, ("x",), ()),
-    "_Plan": lambda: _Plan("height", "expected", 1, True,
-                           (_Chart(0, None, ()),), (0,)),
 }
 
 

@@ -11,7 +11,7 @@ from veronese import groebner
 from veronese.charp import fedder_fpure
 from veronese.polycore import GF, QQ
 from veronese.toric import (
-    monomial_algebra_map, toric_ideal_elimination, toric_ideal_lattice,
+    MonomialMap, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
 )
 
@@ -46,7 +46,7 @@ def test_veronese_by_elimination(counts, k, n, expected):
 
 
 def test_fedder_on_the_quartic_curve_at_five(counts):
-    ideal = toric_ideal_lattice(monomial_algebra_map(QUARTIC), GF(5))
+    ideal = toric_ideal_lattice(MonomialMap(QUARTIC), GF(5))
     for name in counts:
         counts[name] = 0
     groebner._buchberger_cached.cache_clear()
