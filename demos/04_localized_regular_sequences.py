@@ -13,19 +13,21 @@ m = veronese_map(2, 3)
 I = toric_ideal_lattice(m)
 
 # At the vertex variable t1 (the pure power x1^3) the classical candidates
-# are binomials t1^a t_j - t2^b with denominators recording the a's.
-base = ci_sequence(m, 0)
-print("inverted variable:     index", base.inverted, "=",
-      I.ring.names[base.inverted])
-print("candidates:            ", [str(c) for c in base.candidates])
-print("power denominators:    ", base.alpha_denominators)
-print("claimed height:        ", base.claimed_height)
+# are binomials t1^a t_j - t2^b; ci_sequence derives them with the index of
+# the variable to invert.
+inv, candidates = ci_sequence(m, 0)
 
 # ci_check performs the three mechanical steps:
 #   1. every candidate lies in the ideal,
 #   2. the candidates generate the ideal after saturating at t1,
-#   3. the count equals the height.
-rep = ci_check(I, base.candidates, base.inverted, base)
+#   3. the count equals the height,
+# and records the power of t1 each candidate clears (its denominator).
+rep = ci_check(I, candidates, inv)
+print("inverted variable:     index", rep.inverted, "=",
+      I.ring.names[rep.inverted])
+print("candidates:            ", [str(c) for c in rep.candidates])
+print("power denominators:    ", rep.alpha_denominators)
+print("claimed height:        ", len(rep.candidates))
 print("candidates in ideal:   ", rep.candidates_in_ideal)
 print("generate after sat.:   ", rep.generates_after_saturation)
 print("count matches height:  ", rep.count_matches_height)

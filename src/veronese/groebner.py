@@ -430,19 +430,25 @@ def colon_ideal(ideal: Ideal, other: Ideal) -> Ideal:
     return result
 
 
-def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
-    """Saturation (ideal : f^infinity) via the single auxiliary variable w:
-    eliminate w from ideal + (1 - w*f)."""
+def _rabinowitsch(ideal: Ideal, f: Polynomial, zero_message: str) -> Ideal:
+    """I + (1 - w*f) in the ring extended by one last variable w; a zero f
+    is refused with ``zero_message``."""
     if f.ring != ideal.ring:
         raise ValueError("polynomial from a different ring")
     if f.is_zero():
-        raise ValueError("saturation by zero")
-    ring = ideal.ring
-    ext = _extended_ring(ring)
+        raise ValueError(zero_message)
+    ext = _extended_ring(ideal.ring)
     gens = [_lift(g, ext) for g in ideal.generators]
     gens.append(1 - _lift(f, ext, 1))
-    sat = eliminate(Ideal(ext, tuple(gens)), {ext.arity - 1})
-    return Ideal(ring, sat.generators)
+    return Ideal(ext, tuple(gens))
+
+
+def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
+    """Saturation (ideal : f^infinity) via the single auxiliary variable w:
+    eliminate w from ideal + (1 - w*f)."""
+    ext = _rabinowitsch(ideal, f, "saturation by zero")
+    sat = eliminate(ext, {ext.ring.arity - 1})
+    return Ideal(ideal.ring, sat.generators)
 
 
 def radical_member(f: Polynomial, ideal: Ideal) -> tuple[bool, Union[int, None]]:
@@ -450,16 +456,8 @@ def radical_member(f: Polynomial, ideal: Ideal) -> tuple[bool, Union[int, None]]
     1 lies in I + (1 - w*f).  On success also returns the least e with
     f^e in I (``_least_power_member``).
     """
-    if f.ring != ideal.ring:
-        raise ValueError("polynomial from a different ring")
-    if f.is_zero():
-        raise ValueError("radical membership of the zero polynomial")
-    ring = ideal.ring
-    ext = _extended_ring(ring)
-    gens = [_lift(g, ext) for g in ideal.generators]
-    gens.append(1 - _lift(f, ext, 1))
-    gb_ext = buchberger(Ideal(ext, tuple(gens)), _GREVLEX)
-    if not ideal_member(ext.one, gb_ext):
+    ext = _rabinowitsch(ideal, f, "radical membership of the zero polynomial")
+    if not ideal_member(ext.ring.one, buchberger(ext, _GREVLEX)):
         return (False, None)
     return (True, _least_power_member(f, buchberger(ideal, _GREVLEX)))
 

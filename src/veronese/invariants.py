@@ -66,6 +66,12 @@ def _min_cover(supports: tuple[frozenset, ...]) -> int:
     return solve(frozenset(kept))
 
 
+def _refuse_over_cap(ring) -> None:
+    if ring.arity > _ARITY_CAP:
+        raise ResourceCapError(
+            f"arity {ring.arity} exceeds the cap {_ARITY_CAP}")
+
+
 def dim_monomial(ideal: Ideal) -> DimensionResult:
     """Dimension of R/I for a monomial ideal I (each generator one term).
 
@@ -73,9 +79,7 @@ def dim_monomial(ideal: Ideal) -> DimensionResult:
     which equals arity minus the least hitting set of the supports.
     """
     ring = ideal.ring
-    if ring.arity > _ARITY_CAP:
-        raise ResourceCapError(
-            f"arity {ring.arity} exceeds the cap {_ARITY_CAP}")
+    _refuse_over_cap(ring)
     if ideal.is_zero():
         raise ValueError("dimension of the zero monomial ideal is undefined here")
     supports = []
@@ -95,11 +99,13 @@ def dim_monomial(ideal: Ideal) -> DimensionResult:
 def krull_dim(ideal: Ideal, order: MonomialOrder = _GREVLEX) -> DimensionResult:
     """Krull dimension and height of R/I via the initial ideal.
 
-    The zero ideal has dimension = arity.  The unit ideal is rejected.
+    The zero ideal has dimension = arity.  The unit ideal is rejected, and
+    so is an arity over the cap, before any Groebner work.
     """
     ring = ideal.ring
     if ideal.is_zero():
         return DimensionResult(ring.arity, 0, order)
+    _refuse_over_cap(ring)
     init = initial_ideal(ideal, order)
     if any(g.total_degree() == 0 for g in init.generators):
         raise ValueError("unit ideal has no Krull dimension")

@@ -775,9 +775,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
 #   factor := atom ('^' integer)?
 #   atom   := integer | variable | '(' expr ')'
 #
-# Variables are [a-z][a-z0-9]*, integers are nonnegative literals, whitespace
-# is insignificant.  '^' binds tighter than '*'.  Parentheses nest at most
-# _MAX_NESTING deep, well inside the interpreter's recursion limit.
+# Variables are [a-z][a-z0-9]*, integers are nonnegative literals [0-9]+
+# (both ASCII only), whitespace is insignificant.  '^' binds tighter than
+# '*'.  Parentheses nest at most _MAX_NESTING deep, well inside the
+# interpreter's recursion limit.
 
 _MAX_NESTING = 100
 
@@ -790,33 +791,19 @@ class ParseError(ValueError):
         self.position = position
 
 
-_INT_RE = re.compile(r"\d+")
-_VAR_RE = re.compile(r"[a-z][a-z0-9]*")
+# one ASCII token per match: an integer, a name, an operator, or (last
+# group) any other non-space character, which is refused
+_TOKEN_RE = re.compile(r"([0-9]+)|([a-z][a-z0-9]*)|([-+*^()])|(\S)")
+_TOKEN_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            m = _INT_RE.match(text, pos)
-            tokens.append(("int", m.group(), pos))
-            pos = m.end()
-        elif ch.isalpha() and ch.islower():
-            m = _VAR_RE.match(text, pos)
-            tokens.append(("name", m.group(), pos))
-            pos = m.end()
-        elif ch in "+-*^()":
-            tokens.append(("op", ch, pos))
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 4:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((_TOKEN_KINDS[m.lastindex], m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

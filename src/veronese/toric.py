@@ -281,36 +281,37 @@ def minimal_generators(ideal: Ideal) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 
 class CIReport(_Record):
-    """Candidate regular sequence generating the ideal once the variable
-    t_{inverted} (mapping to a pure power x_j^n) is inverted; ``inverted``
-    is a 0-based t-variable index, and ``alpha_denominators`` holds the
-    power of t_inverted cleared from each candidate.
-
-    Verification fields are None until ci_check fills them:
+    """The localized complete-intersection check of ``candidates`` after
+    inverting the variable t_{inverted} (a 0-based index):
+      * alpha_denominators: the highest power of t_inverted in each
+        candidate, the denominator its fraction clears;
       * candidates_in_ideal: every candidate lies in the ideal;
       * generates_after_saturation: the ideal lies in the saturation of the
         candidate ideal by the inverted variable;
-      * count_matches_height: number of candidates equals the height.
+      * count_matches_height: number of candidates equals the height;
+      * verified: the conjunction of the three.
     """
 
     __match_args__ = (
-        "inverted", "candidates", "alpha_denominators", "claimed_height",
-        "candidates_in_ideal", "generates_after_saturation",
-        "count_matches_height", "verified", "note")
+        "inverted", "candidates", "alpha_denominators", "candidates_in_ideal",
+        "generates_after_saturation", "count_matches_height", "verified")
     __slots__ = __match_args__
-    _defaults = (None,) * 5
 
 
 def ci_sequence(mmap: MonomialMap, pure_power_index: int,
-                domain: CoeffDomain = QQ) -> CIReport:
-    """For a Veronese map and the x-variable j = pure_power_index, emit one
-    cleared binomial per target with x_j-exponent n-c, c >= 2:
+                domain: CoeffDomain = QQ
+                ) -> tuple[int, tuple[Polynomial, ...]]:
+    """For a Veronese map and the x-variable j = pure_power_index, the index
+    of the t-variable mapping to x_j^n and one cleared binomial per target
+    with x_j-exponent n-c, c >= 2:
 
         t_i^(c-1) * t_m  -  product of t_{s(l)} over the non-j letters l,
 
     where t_i maps to x_j^n and t_{s(l)} maps to x_j^(n-1) x_l.  These clear
     the denominators of the fractions expressing each t_m after inverting
     t_i, so they generate the localized ideal; there are exactly d - k.
+    A derivation that breaks that count, or the closed form of its first
+    and last entries, is a fault of this code and raises RuntimeError.
     """
     n = mmap.veronese_degree()
     if n is None:
@@ -331,7 +332,6 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int,
         return index_of[t]
 
     candidates = []
-    denominators = []
     for m, a in enumerate(mmap.targets):
         c = n - a[j]
         if c < 2:
@@ -347,38 +347,25 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int,
         for l in letters:
             rhs[near_pure(l)] += 1
         candidates.append(ring.monomial(tuple(lhs)) - ring.monomial(tuple(rhs)))
-        denominators.append(c - 1)
 
-    note = None
-    if j == 0 and n >= 2 and k >= 2 and candidates:
+    if len(candidates) != d - k:
+        raise RuntimeError(f"derived {len(candidates)} candidates, "
+                           f"expected d - k = {d - k}")
+    if j == 0 and n >= 2 and k >= 2:
         # bookkeeping tripwire: the first and last entries must match the
         # closed-form pattern t1*t_{k+1} - t2^2 and t1^(n-1)*t_d - t_k^n
-        first = [0] * d
-        first[0], first[k] = 1, 1
-        expected_first = ring.monomial(tuple(first)) - ring.monomial(
-            tuple(2 if i == 1 else 0 for i in range(d)))
-        last = [0] * d
-        last[0], last[d - 1] = n - 1, 1
-        expected_last = ring.monomial(tuple(last)) - ring.monomial(
-            tuple(n if i == k - 1 else 0 for i in range(d)))
-        if candidates[0] != expected_first or candidates[-1] != expected_last:
-            note = "derived sequence disagrees with block-index bookkeeping"
-
-    return CIReport(
-        inverted=inv,
-        candidates=tuple(candidates),
-        alpha_denominators=tuple(denominators),
-        claimed_height=d - k,
-        note=note,
-    )
+        t = ring.variable
+        if (candidates[0] != t(0) * t(k) - t(1) ** 2 or candidates[-1]
+                != t(0) ** (n - 1) * t(d - 1) - t(k - 1) ** n):
+            raise RuntimeError(
+                "derived sequence disagrees with block-index bookkeeping")
+    return inv, tuple(candidates)
 
 
 def ci_check(ideal: Ideal, candidates: Sequence[Polynomial],
-             invert_index: int, base: Optional[CIReport] = None) -> CIReport:
-    """Fill the three sub-verdicts: candidates inside the ideal, ideal inside
-    the saturation of the candidates by the inverted variable, and candidate
-    count equal to the height.  verified is their conjunction.
-    """
+             invert_index: int) -> CIReport:
+    """The localized complete-intersection check of ``candidates`` after
+    inverting the variable ``invert_index``, reported as ``CIReport``."""
     ring = ideal.ring
     candidates = tuple(candidates)
     for f in candidates:
@@ -395,29 +382,17 @@ def ci_check(ideal: Ideal, candidates: Sequence[Polynomial],
     gb_sat = buchberger(sat, _GREVLEX)
     generates = all(ideal_member(g, gb_sat) for g in ideal.generators)
 
-    height = krull_dim(ideal).height
-    count_ok = len(candidates) == height
-
-    if base is None:
-        denominators = tuple(
-            max((m[invert_index] for m, _ in f.terms), default=0)
-            for f in candidates)
-        base = CIReport(
-            inverted=invert_index,
-            candidates=candidates,
-            alpha_denominators=denominators,
-            claimed_height=len(candidates),
-        )
+    count_ok = len(candidates) == krull_dim(ideal).height
     return CIReport(
-        inverted=base.inverted,
-        candidates=base.candidates,
-        alpha_denominators=base.alpha_denominators,
-        claimed_height=base.claimed_height,
+        inverted=invert_index,
+        candidates=candidates,
+        alpha_denominators=tuple(
+            max((m[invert_index] for m, _ in f.terms), default=0)
+            for f in candidates),
         candidates_in_ideal=in_ideal,
         generates_after_saturation=generates,
         count_matches_height=count_ok,
         verified=in_ideal and generates and count_ok,
-        note=base.note,
     )
 
 

@@ -89,6 +89,13 @@ def test_radical_cover_subcommand(capsys):
     assert exps == {"t1": 1, "t2": 3, "t3": 3, "t4": 1}
 
 
+def test_radical_cover_reports_each_subset_variable_once(capsys):
+    code, rep = _report(capsys, "radical-cover", "--ring", "x,y",
+                        "--ideal", "x*y", "--subset", "x,y,x")
+    assert code == 0
+    assert rep["checks"][0]["details"]["subset"] == ["x", "y"]
+
+
 def test_radical_cover_failing_subset_exits_one(capsys):
     code, rep = _report(
         capsys, "radical-cover",
@@ -183,6 +190,13 @@ def test_exit_two_on_parse_error(capsys):
     assert "error" in err.lower() or "expected" in err.lower()
 
 
+@pytest.mark.parametrize("text", ["é", "x²", "x + ٣"])
+def test_exit_two_on_non_ascii_polynomial_text(capsys, text):
+    code, out, err = _run(capsys, "height", "--ring", "x,y", "--ideal", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unexpected character") and err.count("\n") == 1
+
+
 def test_exit_two_on_unknown_variable(capsys):
     code, out, err = _run(capsys, "radical-cover", "--ring", "x,y",
                           "--ideal", "x*y", "--subset", "z")
@@ -259,6 +273,19 @@ def test_exit_three_on_height_past_the_arity_cap(capsys):
     code, out, err = _run(capsys, "height", "--ring", ring, "--ideal", "x1")
     assert code == 3 and out == ""
     assert err == "error: arity 21 exceeds the cap 20\n"
+
+
+def test_exit_four_on_a_localized_ci_bookkeeping_fault(capsys, monkeypatch):
+    # the (2,3) Veronese targets out of lex order, passed off as the
+    # Veronese map: the derived charts trip the bookkeeping check, which is
+    # a fault of the program and not a false verdict
+    monkeypatch.setattr("veronese.toric.MonomialMap.veronese_degree",
+                        lambda self: 3)
+    code, out, err = _run(capsys, "present", "--targets", "0,3;1,2;2,1;3,0",
+                          "--primes", "2")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: RuntimeError: derived sequence")
+    assert err.count("\n") == 1
 
 
 def test_exit_four_on_internal_error(capsys, monkeypatch):

@@ -85,6 +85,17 @@ def test_krull_dim_rejects_unit_ideal():
         krull_dim(_ideal(R, "1"))
 
 
+def test_krull_dim_refuses_over_the_arity_cap_before_any_groebner_run(
+        monkeypatch):
+    def no_groebner_run(*args, **kwargs):
+        raise AssertionError("initial_ideal called over the arity cap")
+
+    monkeypatch.setattr("veronese.invariants.initial_ideal", no_groebner_run)
+    big = PolyRing(tuple(f"x{i}" for i in range(1, 22)), QQ)
+    with pytest.raises(ResourceCapError, match="arity 21"):
+        krull_dim(Ideal(big, (big.variable(0) * big.variable(1),)))
+
+
 @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
 def test_veronese_quotients_have_dimension_k(k, n):
     res = krull_dim(toric_ideal_lattice(veronese_map(k, n)))

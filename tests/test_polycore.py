@@ -318,6 +318,10 @@ def test_parse_list_and_offsets():
     ("(x", 2),
     ("", 0),
     ("x + ", 4),
+    # integers and names are ASCII only
+    ("é", 0),
+    ("x²", 1),
+    ("x + ٣", 4),
 ])
 def test_parse_error_positions(text, position):
     R = PolyRing(("x", "y"), QQ)

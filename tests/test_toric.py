@@ -160,13 +160,16 @@ def test_minimal_generators_prune_redundancy():
 
 def test_ci_sequence_twisted_cubic_at_first_vertex():
     m = veronese_map(2, 3)
-    rep = ci_sequence(m, 0)
-    assert rep.inverted == 0
-    assert [str(c) for c in rep.candidates] == [
-        "-t2^2 + t1*t3", "-t2^3 + t1^2*t4"]
+    inv, cands = ci_sequence(m, 0)
+    assert inv == 0
+    assert [str(c) for c in cands] == ["-t2^2 + t1*t3", "-t2^3 + t1^2*t4"]
+    I = toric_ideal_lattice(m)
+    rep = ci_check(I, cands, inv)
     assert rep.alpha_denominators == (1, 2)
-    assert rep.claimed_height == 2
-    assert rep.verified is None           # construction only, not yet checked
+    assert rep.verified is True
+    # checked after inverting t2 instead, the report names t2
+    rep = ci_check(I, cands, 1)
+    assert rep.inverted == 1 and rep.alpha_denominators == (2, 3)
 
 
 def test_ci_sequence_validates_pure_power_index():
@@ -177,14 +180,32 @@ def test_ci_sequence_validates_pure_power_index():
         ci_sequence(m, -1)
 
 
+@pytest.mark.parametrize("targets,j,match", [
+    # the (2,3) Veronese targets out of lex order: the closed form of the
+    # first and last entries no longer matches the derivation
+    (((0, 3), (1, 2), (2, 1), (3, 0)), 0, "bookkeeping"),
+    # one extra target past the pure power: d - k = 3, but only two
+    # candidates are derived
+    (((3, 0), (2, 1), (1, 2), (0, 3), (0, 4)), 1, "candidates"),
+])
+def test_ci_sequence_raises_on_a_bookkeeping_fault(monkeypatch, targets, j,
+                                                   match):
+    # a map that passes for the Veronese map, so that the derivation runs
+    # on targets its index bookkeeping does not hold for
+    monkeypatch.setattr(MonomialMap, "veronese_degree", lambda self: 3)
+    with pytest.raises(RuntimeError, match=match):
+        ci_sequence(MonomialMap(targets), j)
+
+
 @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (2, 4), (3, 2)])
 def test_ci_check_verifies_veronese_vertices(k, n):
     m = veronese_map(k, n)
     I = toric_ideal_lattice(m)
     for j in range(k):
-        base = ci_sequence(m, j)
-        rep = ci_check(I, base.candidates, base.inverted, base)
-        assert rep.verified is True and rep.note is None
+        inv, cands = ci_sequence(m, j)
+        rep = ci_check(I, cands, inv)
+        assert rep.inverted == inv and rep.candidates == cands
+        assert rep.verified is True
         assert rep.candidates_in_ideal is True
         assert rep.generates_after_saturation is True
         assert rep.count_matches_height is True
@@ -199,10 +220,11 @@ def test_ci_check_flags_bad_candidates():
     assert rep.verified is False
     assert rep.candidates_in_ideal is False
     # right ideal, too few elements
-    base = ci_sequence(m, 0)
-    rep2 = ci_check(I, base.candidates[:1], 0, base)
+    inv, cands = ci_sequence(m, 0)
+    rep2 = ci_check(I, cands[:1], inv)
     assert rep2.verified is False
     assert rep2.count_matches_height is False
+    assert rep2.candidates == cands[:1]
 
 
 # ---------------------------------------------------------------------------

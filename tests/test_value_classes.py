@@ -46,7 +46,8 @@ _BUILDERS = {
     "FiberReport": lambda: FiberReport(3, 4, 2, 2, _poly(), True),
     "AffineSemigroup": lambda: AffineSemigroup([[2, 0], [1, 1]]),
     "MonomialMap": lambda: MonomialMap([[2, 0], [1, 1]]),
-    "CIReport": lambda: CIReport(0, (_poly(),), (1,), 1, verified=True),
+    "CIReport": lambda: CIReport(0, (_poly(),), (1,), True, True, True,
+                                 True),
     "Check": lambda: Check("a", True, ()),
     "Report": lambda: Report("k", (), (Check("a", True, ()),), ("fact",)),
     "_Chart": lambda: _Chart(0, ("x",), ()),
@@ -148,9 +149,8 @@ def test_constructor_defaults_and_normalisations():
     assert Ideal(R, (R.zero,)).is_zero()
     assert MonomialMap([[2, 0], [0, 2]]).targets == ((2, 0), (0, 2))
     assert AffineSemigroup([[1]]).generators == ((1,),)
-    rep = CIReport(1, (), (), 0)
-    assert (rep.candidates_in_ideal, rep.generates_after_saturation,
-            rep.count_matches_height, rep.verified, rep.note) == (None,) * 5
+    with pytest.raises(TypeError, match="missing field"):
+        CIReport(1, (), ())                      # built once, no defaults
     assert Report("k", {}, ()).cited_facts == ()
     assert _Chart(2).candidates is None
     assert _Chart(2).details == MappingProxyType({})
@@ -168,10 +168,9 @@ def test_keyword_construction_and_repr():
 
 
 def test_record_constructor_takes_positions_keywords_and_defaults():
-    assert (CIReport(0, (), (), 1, note="n")
-            == CIReport(inverted=0, candidates=(), alpha_denominators=(),
-                        claimed_height=1, note="n"))
-    assert CIReport(0, (), (), 1, note="n").verified is None
+    assert (Report("k", (), (), ("f",))
+            == Report(kind="k", params=(), checks=(), cited_facts=("f",)))
+    assert Report("k", (), checks=()).cited_facts == ()
     assert _Chart(1, details={"a": 1}).candidates is None
     assert Check(name="a", verdict=True, details=()) == Check("a", True, ())
     for build in (lambda: GradedPiece(1, 2, 3, 4),
