@@ -14,15 +14,17 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .polycore import (
-    GrevLex, PrimeField, Polynomial, Exponents, _Record, is_homogeneous,
+    GrevLex, PrimeField, Polynomial, Exponents, ResourceCapError, _Record,
+    is_homogeneous,
 )
 from .groebner import (
     GroebnerBasis, Ideal, buchberger, colon_ideal, normal_form,
+    _pure_difference,
 )
 
 __all__ = [
     "frobenius_power", "FpurityReport", "fedder_fpure",
-    "FiberReport", "fedder_fiber",
+    "FiberReport", "fedder_fiber", "FIBER_CAP",
     "AffineSemigroup", "semigroup_member", "monomial_ideal_member",
 ]
 
@@ -182,6 +184,12 @@ def monomial_ideal_member(sg: AffineSemigroup, numerator: Sequence[int],
 # Fedder's criterion by linear algebra in one multidegree
 # ---------------------------------------------------------------------------
 
+#: most candidate unknowns, and most residues in either half of their
+#: search, that ``fedder_fiber`` takes on: Veronese (3,3) has 78,125 at
+#: p = 5 and would have 823,543 at p = 7
+FIBER_CAP = 100_000
+
+
 class FiberReport(_Record):
     """The fiber route's verdict and the size of its linear system:
     ``fiber_size`` unknowns, ``constraints`` nonzero rows of rank ``rank``.
@@ -193,11 +201,12 @@ class FiberReport(_Record):
     __slots__ = __match_args__
 
 
-def _pure_binomial(g: Polynomial, minus_one: int) -> tuple[Exponents, Exponents]:
-    """(lead, tail) of a pure difference +-(m1 - m2), grevlex lead first."""
-    if len(g.terms) != 2 or sorted(c for _, c in g.terms) != sorted((1, minus_one)):
+def _pure_binomial(g: Polynomial) -> tuple[Exponents, Exponents]:
+    """(lead, tail) of a pure difference c*(m1 - m2), grevlex lead first."""
+    monomials = _pure_difference(g)
+    if monomials is None or len(monomials) != 2:
         raise ValueError(f"not a pure binomial: {g}")
-    return g.terms[0][0], g.terms[1][0]
+    return monomials
 
 
 def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]], p: int
@@ -243,9 +252,12 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]], p: int
 
     The unknowns are enumerated as p q + r: a meet-in-the-middle on
     A r mod p over the two halves of the variables finds the residues r
-    with A r = delta (mod p) and A r <= delta, and q is the standard
-    monomial of multidegree (delta - A r) / p, found through
-    ``semigroup_member``.
+    with A r = delta (mod p); A r <= delta holds for every r with entries
+    below p.  q is the standard monomial of multidegree (delta - A r) / p,
+    found through ``semigroup_member``.  A search whose half holds more
+    than ``FIBER_CAP`` residues, or that finds more than ``FIBER_CAP``
+    candidate residues, raises ``ResourceCapError`` before any unknown is
+    built.
     """
     ring = ideal.ring
     dom = ring.domain
@@ -260,13 +272,12 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]], p: int
     def degree(m: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(e * a[j] for e, a in zip(m, A)) for j in range(k))
 
-    minus_one = dom.normalize(-1)
     for g in ideal.generators:
-        m1, m2 = _pure_binomial(g, minus_one)
+        m1, m2 = _pure_binomial(g)
         if degree(m1) != degree(m2):
             raise ValueError(f"not homogeneous in the target grading: {g}")
     gb = buchberger(ideal, _GREVLEX)
-    rules = [_pure_binomial(g, minus_one) for g in gb.elements]
+    rules = [_pure_binomial(g) for g in gb.elements]
 
     reduced: dict[Exponents, Exponents] = {}
 
@@ -288,27 +299,36 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]], p: int
     delta = tuple((p - 1) * sum(a[j] for a in A) for j in range(k))
 
     def residues(indices: range) -> list:
+        """Every (r, A r) with r over ``indices``, entries below p."""
         out = [((), (0,) * k)]
         for i in indices:
             a = A[i]
-            out = [(r + (e,), w) for r, v in out for e in range(p)
-                   for w in (tuple(x + e * y for x, y in zip(v, a)),)
-                   if all(x <= z for x, z in zip(w, delta))]
+            out = [(r + (e,), tuple(x + e * y for x, y in zip(v, a)))
+                   for r, v in out for e in range(p)]
         return out
 
     half = d // 2
+    if p ** (d - half) > FIBER_CAP:
+        raise ResourceCapError(
+            f"{p ** (d - half)} residues in half of the Fedder search at "
+            f"p = {p} exceed the cap of {FIBER_CAP}")
     by_class: dict[tuple[int, ...], list] = {}
     for r, v in residues(range(half)):
         by_class.setdefault(tuple(x % p for x in v), []).append((r, v))
+    joins = [(r2, v2, by_class.get(
+        tuple((z - x) % p for z, x in zip(delta, v2)), ()))
+        for r2, v2 in residues(range(half, d))]
+    candidates = sum(len(matches) for _, _, matches in joins)
+    if candidates > FIBER_CAP:
+        raise ResourceCapError(
+            f"{candidates} candidate Fedder unknowns at p = {p} exceed the "
+            f"cap of {FIBER_CAP}")
     index = {a: i for i, a in enumerate(A)}
     quotients: dict[tuple[int, ...], Optional[Exponents]] = {}
     fiber: list[tuple[Exponents, Exponents]] = []     # (q, r)
-    for r2, v2 in residues(range(half, d)):
-        for r1, v1 in by_class.get(
-                tuple((z - x) % p for z, x in zip(delta, v2)), ()):
+    for r2, v2, matches in joins:
+        for r1, v1 in matches:
             v = tuple(x + y for x, y in zip(v1, v2))
-            if any(x > z for x, z in zip(v, delta)):
-                continue
             target = tuple((z - x) // p for z, x in zip(delta, v))
             if target not in quotients:
                 found, witness = semigroup_member(sg, target)

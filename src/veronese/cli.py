@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import re
 import sys
 import time
 from typing import NoReturn, Optional, Sequence
@@ -30,15 +31,25 @@ __all__ = ["main", "run"]
 # small input grammars
 # ---------------------------------------------------------------------------
 
+#: an integer as the command line takes it: ASCII digits after an optional
+#: minus sign (``int`` alone also takes other scripts' digits, underscores
+#: and surrounding whitespace)
+_INTEGER_RE = re.compile(r"-?[0-9]+\Z")
+
+
+def _int_flag(text: str) -> int:
+    """The ``type`` of the integer flags, refused in argparse's own words."""
+    if not _INTEGER_RE.match(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_vector(text: str) -> tuple[int, ...]:
     """Comma-separated nonnegative integers: "4,0" -> (4, 0)."""
     parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
+    if not all(_INTEGER_RE.match(p) for p in parts):
         raise ValueError(f"bad integer vector {text!r}")
-    try:
-        vec = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"bad integer vector {text!r}") from None
+    vec = tuple(map(int, parts))
     if any(e < 0 for e in vec):
         raise ValueError(f"negative entry in {text!r}")
     return vec
@@ -53,13 +64,9 @@ def _parse_targets(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _parse_char(text: str) -> int:
-    try:
-        char = int(text)
-    except ValueError:
-        raise ValueError(f"bad characteristic {text!r}") from None
-    if char < 0:
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad characteristic {text!r}")
-    return char
+    return int(text)
 
 
 def _domain(char: int) -> CoeffDomain:
@@ -231,8 +238,10 @@ def _add_ideal_flags(sub: argparse.ArgumentParser, required: bool = True) -> Non
 
 
 def _veronese_ideal_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-k", type=int, required=True, help="ambient variables")
-    sub.add_argument("-n", type=int, required=True, help="Veronese degree")
+    sub.add_argument("-k", type=_int_flag, required=True,
+                     help="ambient variables")
+    sub.add_argument("-n", type=_int_flag, required=True,
+                     help="Veronese degree")
     sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
     sub.set_defaults(handler=_cmd_veronese_ideal)
 
@@ -279,7 +288,7 @@ def _radical_cover_flags(sub: argparse.ArgumentParser) -> None:
 def _fedder_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ring", required=True)
     _add_ideal_flags(sub)
-    sub.add_argument("--p", type=int, required=True, help="the prime")
+    sub.add_argument("--p", type=_int_flag, required=True, help="the prime")
     sub.set_defaults(handler=_cmd_fedder)
 
 
@@ -291,8 +300,8 @@ def _semigroup_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _cd_certificate_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-k", type=int, required=True)
-    sub.add_argument("-n", type=int, required=True)
+    sub.add_argument("-k", type=_int_flag, required=True)
+    sub.add_argument("-n", type=_int_flag, required=True)
     sub.add_argument("--primes", default="2,3,5")
     sub.set_defaults(handler=_cmd_cd_certificate)
 

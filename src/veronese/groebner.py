@@ -18,18 +18,22 @@ is left out of the reduced basis.  A run whose monomials outgrow the packed
 fields is repeated with wider fields (``polycore._packed``).  Output bases
 are unpacked, reduced, monic and canonically sorted, so two runs with
 different generator orders or selection strategies agree structurally.
+
+An ideal whose generators are all monomials or pure differences c*(m1 - m2)
+is served by one run per generator shape over QQ, shared by every
+coefficient field (``_binomial_basis``).
 """
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import (
-    Block, GrevLex, MonomialOrder, PolyRing, Polynomial, ResourceCapError,
-    Scalar, divide, _CachedHash, _Packing, _PackingOverflow, _from_dict,
-    _nf_dict, _packed, _setattr,
+    QQ, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
+    ResourceCapError, Scalar, divide, _CachedHash, _Packing,
+    _PackingOverflow, _from_dict, _grevlex_key, _nf_dict, _packed, _setattr,
 )
 
 __all__ = [
@@ -269,10 +273,70 @@ class _Engine:
         return [poly for _, poly in out]
 
 
+def _pure_difference(g: Polynomial) -> Optional[tuple[Exponents, ...]]:
+    """The monomials of g, grevlex-descending, when g is a monomial or a
+    pure difference c*(m1 - m2) with c a unit (over GF(2) also m1 + m2);
+    None for any other polynomial."""
+    terms = g.terms
+    if len(terms) == 1:
+        return (terms[0][0],)
+    if len(terms) == 2 and not g.ring.domain.normalize(
+            terms[0][1] + terms[1][1]):
+        return (terms[0][0], terms[1][0])
+    return None
+
+
+@lru_cache(maxsize=256)
+def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
+                    strategy: str) -> tuple:
+    """The reduced basis of the ideal whose generators have the monomials
+    ``shape`` (one tuple per generator, from ``_pure_difference``), as
+    elements of (exponents, sign) terms, grevlex-descending, sign +1 or -1.
+
+    The run is over QQ, in a ring of ``arity`` variables, and serves every
+    coefficient field, because it is the same computation there.  Signed
+    monomials and pure differences m1 - m2 are closed under the engine's
+    steps: an S-polynomial of two monic ones is -x^a + x^b; a reduction
+    step by lead - t turns a term c*x^u into c*x^(u - lead + t), and one
+    by a monomial drops it, so the working polynomial keeps at most two
+    terms, of opposite signs, which cancel where they meet, also over
+    GF(2); and making such a remainder monic divides by its lead
+    coefficient, which leaves lead - t or a monomial.  So over
+    any field the run makes the same monomial operations, the same zero
+    reductions, S-polynomials, queued pairs and insertions, and its output
+    is this basis with -1 read in that field.  A shared run that returns
+    an element with more than two terms or a coefficient other than +-1
+    raises ``RuntimeError``."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(arity)), QQ)
+    signs = (QQ.one, QQ.normalize(-1))
+    gens = [Polynomial(ring, tuple(zip(ms, signs))) for ms in shape]
+
+    def run(packing: _Packing) -> tuple:
+        basis = []
+        for d in _Engine(ring, strategy, packing).run(gens):
+            terms = packing.unpack_terms(d)
+            if list(terms.values()) != [1, -1][:len(terms)]:
+                raise RuntimeError("a shared binomial run left the pure "
+                                   "differences; engine bug")
+            basis.append(tuple(sorted(
+                zip(terms, (1, -1)), key=lambda t: _grevlex_key(t[0]),
+                reverse=True)))
+        return tuple(basis)
+
+    return _packed(order, arity, run)
+
+
 @lru_cache(maxsize=256)
 def _buchberger_cached(ideal: Ideal, order: MonomialOrder, strategy: str
                        ) -> GroebnerBasis:
     ring = ideal.ring
+    shape = tuple(map(_pure_difference, ideal.generators))
+    if None not in shape:
+        dom = ring.domain
+        coefficient = {1: dom.one, -1: dom.normalize(-1)}
+        return GroebnerBasis(ring, order, tuple(
+            Polynomial(ring, tuple([(m, coefficient[s]) for m, s in g]))
+            for g in _binomial_basis(ring.arity, shape, order, strategy)))
     # the engine lists terms in descending packed order, the order's own
     in_order = isinstance(order, GrevLex)
 

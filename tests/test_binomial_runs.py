@@ -1,0 +1,160 @@
+"""Shared binomial runs against runs in each domain.
+
+An ideal whose generators are monomials or pure differences c*(m1 - m2) is
+served from one engine run over QQ per generator shape
+(``groebner._binomial_basis``).  The oracle here is the engine run in the
+ideal's own domain, with the shared runs turned off: for every binomial
+request that the golden reports and the perfbench library reports of seeds
+3 and 5 make, the served basis must equal it over QQ, GF(2), GF(3), GF(5)
+and GF(7), and so must the S-polynomials, queued pairs and insertions of
+the two runs.  A shared run whose output leaves the pure differences must
+raise ``RuntimeError`` (exit 4 on the command line)."""
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from test_golden_reports import CASES
+
+import veronese
+from veronese import groebner
+from veronese.cli import main
+from veronese.groebner import Ideal, buchberger, eliminate, intersect
+from veronese.polycore import GF, PolyRing, Polynomial, QQ
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_DOMAINS = [QQ, GF(2), GF(3), GF(5), GF(7)]
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def binomial_requests():
+    """(names, shape, order, strategy) of every binomial ``buchberger``
+    request of the golden cases and the perfbench library reports of seeds
+    3 and 5, recorded where ``buchberger`` asks its cache."""
+    workloads = _perfbench_module("workloads")
+    session = _perfbench_module("session")
+    requests = {}
+    cached = groebner._buchberger_cached
+
+    def record(ideal, order, strategy):
+        shape = tuple(map(groebner._pure_difference, ideal.generators))
+        if None not in shape:
+            requests.setdefault(
+                (ideal.ring.names, shape, order, strategy), None)
+        return cached(ideal, order, strategy)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_buchberger_cached", record)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in CASES.values():
+                main(argv)
+        for generate in workloads.GENERATORS.values():
+            for seed in (3, 5):
+                for spec in generate(seed):
+                    session.library_report(veronese, spec)
+    return list(requests)
+
+
+def _ideal(names, shape, dom) -> Ideal:
+    ring = PolyRing(names, dom)
+    signs = (dom.one, dom.normalize(-1))
+    return Ideal(ring, [Polynomial(ring, tuple(zip(ms, signs)))
+                        for ms in shape])
+
+
+def test_the_reports_make_binomial_requests_of_every_kind(binomial_requests):
+    assert len(binomial_requests) > 100
+    assert {type(order).__name__ for _, _, order, _ in binomial_requests} \
+        == {"GrevLex", "Block"}
+
+
+@pytest.mark.parametrize("dom", _DOMAINS, ids=str)
+def test_served_bases_equal_runs_in_their_own_domain(
+        dom, binomial_requests, engine_counts, groebner_caches, monkeypatch):
+    for names, shape, order, strategy in binomial_requests:
+        ideal = _ideal(names, shape, dom)
+        groebner_caches()
+        served = buchberger(ideal, order, strategy)
+        shared_work = dict(engine_counts)
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_pure_difference", lambda g: None)
+            groebner_caches()
+            own = buchberger(ideal, order, strategy)
+        own_work = {k: v - shared_work[k] for k, v in engine_counts.items()}
+        request = f"{ideal} under {order}"
+        assert served == own, request
+        assert shared_work == own_work, request
+        for name in engine_counts:
+            engine_counts[name] = 0
+
+
+def test_one_run_serves_every_characteristic(engine_counts):
+    bases = [buchberger(_ideal(("x", "y", "z"), (((1, 0, 1), (0, 2, 0)),),
+                               dom)) for dom in _DOMAINS]
+    assert engine_counts["insert"] == 1
+    assert [str(gb.elements[0]) for gb in bases] == [
+        "y^2 - x*z", "y^2 + x*z", "y^2 + 2*x*z", "y^2 + 4*x*z",
+        "y^2 + 6*x*z"]
+
+
+@pytest.mark.parametrize("dom, text, monomials", [
+    (QQ, "x*y", ((1, 1),)),
+    (QQ, "3*x^2", ((2, 0),)),
+    (QQ, "2*x^2 - 2*y", ((2, 0), (0, 1))),
+    (QQ, "-x + y^2", ((0, 2), (1, 0))),
+    (QQ, "x + y", None),
+    (QQ, "x - 2*y", None),
+    (QQ, "x - y + 1", None),
+    (GF(2), "x + y", ((1, 0), (0, 1))),
+    (GF(5), "2*x + 3*y", ((1, 0), (0, 1))),
+    (GF(5), "x + y", None),
+])
+def test_pure_difference_tells_binomials_apart(dom, text, monomials):
+    ring = PolyRing(("x", "y"), dom)
+    assert groebner._pure_difference(ring.parse(text)) == monomials
+
+
+def test_other_requests_run_in_their_own_domain(groebner_caches):
+    ring = PolyRing(("x", "y"), QQ)
+    a = Ideal(ring, (ring.parse("x^2 - y"),))
+    b = Ideal(ring, (ring.parse("x - y"),))
+    intersect(a, b)                      # generators times (1 - w)
+    buchberger(Ideal(ring, (ring.parse("x^2 + y^2"),)))
+    assert groebner._binomial_basis.cache_info().misses == 0
+    eliminate(Ideal(ring, (ring.parse("x^2 - y"),)), {0})
+    assert groebner._binomial_basis.cache_info().misses == 1
+
+
+def test_a_doctored_shared_run_is_an_engine_fault(monkeypatch,
+                                                   groebner_caches):
+    finalize = groebner._Engine._finalize
+
+    def doubled_tails(self):
+        out = finalize(self)
+        for poly in out:
+            for m in list(poly)[1:]:
+                poly[m] *= 2
+        return out
+
+    monkeypatch.setattr(groebner._Engine, "_finalize", doubled_tails)
+    ring = PolyRing(("x", "y", "z"), GF(3))
+    with pytest.raises(RuntimeError, match="pure differences"):
+        buchberger(Ideal(ring, (ring.parse("x*z - y^2"),)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["height", "--ring", "x,y,z", "--ideal", "x*z - y^2"])
+    assert code == 4 and out.getvalue() == ""
+    assert err.getvalue().startswith("internal error: RuntimeError: ")

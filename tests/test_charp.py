@@ -7,12 +7,13 @@ import pytest
 
 import random
 
+from veronese import charp
 from veronese.charp import (
     AffineSemigroup, FpurityReport, fedder_fiber, fedder_fpure,
     frobenius_power, monomial_ideal_member, semigroup_member,
 )
 from veronese.groebner import Ideal, buchberger, ideal_member, normal_form
-from veronese.polycore import GF, PolyRing, QQ
+from veronese.polycore import GF, PolyRing, QQ, ResourceCapError
 from veronese.toric import (
     MonomialMap, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
@@ -215,6 +216,31 @@ def test_fiber_route_validates_input():
         fedder_fiber(_ideal(R, "t2^2 - t1^2"), targets, 3)  # not A-graded
     with pytest.raises(ValueError):
         fedder_fiber(conic, targets[:2], 3)            # too few targets
+    scaled = _ideal(R, "2*t2^2 - 2*t1*t3")             # a unit multiple
+    assert fedder_fiber(scaled, targets, 3).f_pure is True
+
+
+@pytest.mark.parametrize("k, n, cap, refused", [
+    # (2,5) at p = 3: halves of 3^3 residues, 3^4 candidate unknowns
+    (2, 5, 81, None),
+    (2, 5, 80, "81 candidate Fedder unknowns at p = 3 exceed the cap of 80"),
+    # (2,2) at p = 3: a half of 3^2 residues, 3 candidate unknowns
+    (2, 2, 9, None),
+    (2, 2, 8, "9 residues in half of the Fedder search at p = 3 exceed the "
+              "cap of 8"),
+])
+def test_fiber_cap_refuses_before_the_unknowns_are_built(
+        monkeypatch, k, n, cap, refused):
+    mmap = veronese_map(k, n)
+    I = toric_ideal_lattice(mmap, GF(3))
+    monkeypatch.setattr(charp, "FIBER_CAP", cap)
+    if refused is None:
+        assert fedder_fiber(I, mmap.targets, 3).f_pure is True
+        return
+    monkeypatch.setattr(charp, "semigroup_member", None)   # never reached
+    with pytest.raises(ResourceCapError) as exc:
+        fedder_fiber(I, mmap.targets, 3)
+    assert str(exc.value) == refused
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,49 @@ def test_exit_two_on_bad_vector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["semigroup", "--generators", "\u0663,0;1,1", "--target", "1_0,0"],
+     "bad integer vector '\u0663,0'"),
+    (["semigroup", "--generators", "3,0;1,1", "--target", "1_0,0"],
+     "bad integer vector '1_0,0'"),
+    (["cd-certificate", "-k", "2", "-n", "2", "--primes", "2, +3"],
+     "bad integer vector '2, +3'"),
+    (["veronese-ideal", "-k", "2", "-n", "2", "--char", "\u0663"],
+     "bad characteristic '\u0663'"),
+    (["veronese-ideal", "-k", "2", "-n", "2", "--char", " 3"],
+     "bad characteristic ' 3'"),
+])
+def test_exit_two_on_integers_beyond_ascii_digits(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["veronese-ideal", "-k", "\u0662", "-n", "\u0662"],
+     "argument -k: invalid int value: '\u0662'"),
+    (["cd-certificate", "-k", "2", "-n", "2_0"],
+     "argument -n: invalid int value: '2_0'"),
+    (["fedder", "--ring", "x", "--ideal", "x", "--p", "\u0663"],
+     "argument --p: invalid int value: '\u0663'"),
+    (["fedder", "--ring", "x", "--ideal", "x", "--p", "two"],
+     "argument --p: invalid int value: 'two'"),
+])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, line):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"veronese {argv[0]}: error: {line}\n")
+
+
+def test_exit_three_on_the_fedder_fiber_cap(capsys):
+    code, out, err = _run(capsys, "cd-certificate", "-k", "3", "-n", "3",
+                          "--primes", "7")
+    assert (code, out) == (3, "")
+    assert err == ("error: 823543 candidate Fedder unknowns at p = 7 exceed "
+                   "the cap of 100000\n")
+
+
 def test_exit_two_on_deeply_nested_parentheses(tmp_path, capsys):
     src = tmp_path / "deep.txt"
     src.write_text("(" * 300 + "x" + ")" * 300)

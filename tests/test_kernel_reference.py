@@ -6,8 +6,9 @@ must agree exactly; every order must sort monomials the same way under both
 keys and under packing; packing must round-trip and its guard-bit test must
 be divisibility.  Inputs too large for the first packing width must come
 out right through the widening path.  Terms that arrive in grevlex order
-skip the sort of ``_from_dict``; they must build the same polynomials as
-the sorting path."""
+skip the sort of ``_from_dict``, and bases of binomial ideals are built
+from a shared run without it; they must build the same polynomials as the
+sorting path of a run in the ideal's own domain."""
 from __future__ import annotations
 
 import random
@@ -183,9 +184,11 @@ def test_normal_form_matches_max_rescan_reference(order, dom):
 
 
 @pytest.fixture
-def sorting_path(monkeypatch):
-    """Calls a function with caches cleared, counting the ``_from_dict``
-    calls of ``groebner`` that skip the sort, or making every one sort."""
+def sorting_path(monkeypatch, groebner_caches):
+    """Calls a function with the ``groebner`` caches cleared, counting the
+    ``_from_dict`` calls of ``groebner`` that skip the sort.  The sorting
+    path also turns off the shared binomial runs, so that every basis comes
+    from a run in its own domain and every ``_from_dict`` call sorts."""
     def call(fn, sort):
         skipped = []
 
@@ -195,22 +198,32 @@ def sorting_path(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(groebner, "_from_dict", from_dict)
-            groebner._buchberger_cached.cache_clear()
-            groebner._gb_entries.cache_clear()
+            if sort:
+                patch.setattr(groebner, "_pure_difference", lambda g: None)
+            groebner_caches()
             try:
                 return fn(), sum(skipped)
             finally:
-                groebner._buchberger_cached.cache_clear()
-                groebner._gb_entries.cache_clear()
+                groebner_caches()
     return call
+
+
+def _is_binomial(ideal):
+    """Every generator a monomial or c*(m1 - m2), told from its coefficients."""
+    dom = ideal.ring.domain
+    return all(len(g.terms) == 1 or (
+        len(g.terms) == 2 and dom.normalize(g.terms[0][1] + g.terms[1][1]) == 0)
+        for g in ideal.generators)
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=str)
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
 def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
     """Engine output under grevlex, normal forms against a grevlex basis
-    and the restricted terms of an elimination skip the sort; each must be
-    the polynomial the sorting path builds."""
+    and the restricted terms of an elimination skip the sort, and bases of
+    binomial ideals, built from a shared run, take no ``_from_dict`` call;
+    each must be the polynomial that a run in the ideal's own domain with
+    the sorting path builds."""
     rng = random.Random(f"in-order/{order}/{dom}")
     ring = PolyRing(("a", "b", "c", "d"), dom)
     for _ in range(4):
@@ -227,8 +240,11 @@ def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
         expected, _ = sorting_path(results, sort=True)
         assert got == expected
         basis, _, restricted = got
-        in_order = len(basis) + len(fs) * bool(basis) \
-            if isinstance(order, GrevLex) else 0
+        in_order = 0
+        if isinstance(order, GrevLex):
+            in_order = len(fs) * bool(basis)
+            if not _is_binomial(ideal):
+                in_order += len(basis)
         assert skipped == in_order + len(restricted)
 
 
