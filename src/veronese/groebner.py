@@ -20,18 +20,28 @@ are unpacked, reduced, monic and canonically sorted, so two runs with
 different generator orders or selection strategies agree structurally.
 
 An ideal whose generators are all monomials or pure differences c*(m1 - m2)
-is served by one run per generator shape over QQ, shared by every
-coefficient field (``_binomial_basis``).
+is served by one run per generator shape over GF(32003) with int
+coefficients, shared by every coefficient field (``_binomial_basis``).
+
+The "normal" strategy takes the queued pair of smallest lcm degree first,
+counting the degree in the variables that the outer block of an elimination
+order keeps (in every variable under grevlex and lex).  The eliminated
+variables weigh nothing, so the input w*A + (1 - w)*B of an intersection,
+homogeneous in the kept variables but not in w, is worked through degree by
+degree, as in sugar selection.  Under an elimination order with grevlex
+inside, an output element whose lead has no eliminated variable is already
+grevlex-descending and is built without a sort.
 """
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import (
-    QQ, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
+    GF, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
     _PackingOverflow, _from_dict, _grevlex_key, _nf_dict, _packed, _setattr,
 )
@@ -107,6 +117,13 @@ class _Engine:
         # live pairs (i, j), i < j, with the packed lcm of their leads
         self.alive: dict[tuple[int, int], int] = {}
         self._counter = 0
+        # "normal" selects by the lcm degree in the variables an elimination
+        # order keeps (None: in every variable), after sugar selection
+        # (Giovini, Mora, Niesi, Robbiano, Traverso, 1991); see above
+        order = packing.order
+        self.kept = (tuple([i not in order.eliminated
+                            for i in range(ring.arity)])
+                     if isinstance(order, Block) else None)
 
     # -- pair bookkeeping --------------------------------------------------
 
@@ -188,10 +205,11 @@ class _Engine:
 
         unpack = self.packing.unpack
         pack = self.packing.pack
+        kept = self.kept
         pairs = []
         for i in queued:
             e = unpack(lcms[i])
-            pairs.append((pack(e), i, sum(e)))
+            pairs.append((pack(e), i, sum(compress(e, kept) if kept else e)))
         pairs.sort()
         for lcm, i, deg in pairs:
             self._push_pair(i, t, lcm, deg)
@@ -286,6 +304,11 @@ def _pure_difference(g: Polynomial) -> Optional[tuple[Exponents, ...]]:
     return None
 
 
+# the field of the shared binomial runs: any field in which -1 != 1 keeps
+# the signs apart
+_SHARED_PRIME = 32003
+
+
 @lru_cache(maxsize=256)
 def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
                     strategy: str) -> tuple:
@@ -293,7 +316,8 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
     ``shape`` (one tuple per generator, from ``_pure_difference``), as
     elements of (exponents, sign) terms, grevlex-descending, sign +1 or -1.
 
-    The run is over QQ, in a ring of ``arity`` variables, and serves every
+    The run is over GF(32003) (``_SHARED_PRIME``), in a ring of ``arity``
+    variables, with int residues for coefficients, and serves every
     coefficient field, because it is the same computation there.  Signed
     monomials and pure differences m1 - m2 are closed under the engine's
     steps: an S-polynomial of two monic ones is -x^a + x^b; a reduction
@@ -307,15 +331,17 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
     is this basis with -1 read in that field.  A shared run that returns
     an element with more than two terms or a coefficient other than +-1
     raises ``RuntimeError``."""
-    ring = PolyRing(tuple(f"x{i}" for i in range(arity)), QQ)
-    signs = (QQ.one, QQ.normalize(-1))
+    # the field is built here, not at import: its primality test is work
+    ring = PolyRing(tuple(f"x{i}" for i in range(arity)),
+                    GF(_SHARED_PRIME))
+    signs = (1, _SHARED_PRIME - 1)
     gens = [Polynomial(ring, tuple(zip(ms, signs))) for ms in shape]
 
     def run(packing: _Packing) -> tuple:
         basis = []
         for d in _Engine(ring, strategy, packing).run(gens):
             terms = packing.unpack_terms(d)
-            if list(terms.values()) != [1, -1][:len(terms)]:
+            if list(terms.values()) != list(signs[:len(terms)]):
                 raise RuntimeError("a shared binomial run left the pure "
                                    "differences; engine bug")
             basis.append(tuple(sorted(
@@ -324,6 +350,21 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
         return tuple(basis)
 
     return _packed(order, arity, run)
+
+
+def _grevlex_leads(order: MonomialOrder, arity: int):
+    """A test on the lead of a reduced basis element under ``order``: true
+    when its terms, descending in ``order``, are grevlex-descending too.
+    That holds under grevlex, and under an elimination order with grevlex
+    inside when the lead has no eliminated variable: then no term has one
+    (the elimination property), and on such monomials the two orders
+    agree."""
+    if isinstance(order, GrevLex):
+        return lambda lead: True
+    if isinstance(order, Block) and isinstance(order.inner, GrevLex):
+        elim = [i for i in order.eliminated if i < arity]
+        return lambda lead: not any([lead[i] for i in elim])
+    return lambda lead: False
 
 
 @lru_cache(maxsize=256)
@@ -338,12 +379,14 @@ def _buchberger_cached(ideal: Ideal, order: MonomialOrder, strategy: str
             Polynomial(ring, tuple([(m, coefficient[s]) for m, s in g]))
             for g in _binomial_basis(ring.arity, shape, order, strategy)))
     # the engine lists terms in descending packed order, the order's own
-    in_order = isinstance(order, GrevLex)
+    in_order = _grevlex_leads(order, ring.arity)
 
     def run(packing: _Packing) -> tuple[Polynomial, ...]:
-        dicts = _Engine(ring, strategy, packing).run(ideal.generators)
-        return tuple(_from_dict(ring, packing.unpack_terms(d), in_order)
-                     for d in dicts)
+        out = []
+        for d in _Engine(ring, strategy, packing).run(ideal.generators):
+            terms = packing.unpack_terms(d)
+            out.append(_from_dict(ring, terms, in_order(next(iter(terms)))))
+        return tuple(out)
 
     return GroebnerBasis(ring, order, _packed(order, ring.arity, run))
 
@@ -354,7 +397,8 @@ def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX,
 
     The result is unique per (ideal, order): independent of generator order
     and of the S-pair selection strategy ("normal" = smallest lcm degree
-    first, "fifo" = creation order).
+    first, the degree counting only the variables an elimination order
+    keeps; "fifo" = creation order).
     """
     return _buchberger_cached(ideal, order, strategy)
 
@@ -427,18 +471,25 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
         raise ValueError("nothing to eliminate")
     if not drop <= set(range(ring.arity)):
         raise ValueError("eliminated index out of range")
-    keep = [i for i in range(ring.arity) if i not in drop]
-    if not keep:
+    kept = [i not in drop for i in range(ring.arity)]
+    if not any(kept):
         raise ValueError("cannot eliminate every variable")
-    small = PolyRing(tuple(ring.names[i] for i in keep), ring.domain)
+    small = PolyRing(tuple(compress(ring.names, kept)), ring.domain)
     if ideal.is_zero():
         return Ideal(small, ())
     gb = buchberger(ideal, Block(drop, _GREVLEX))
+    dropped = [not k for k in kept]
     out = []
     for g in gb.elements:
-        if all(all(m[i] == 0 for i in drop) for m, _ in g.terms):
-            # dropping variables absent from every term keeps grevlex order
-            d = {tuple(m[i] for i in keep): c for m, c in g.terms}
+        # one pass: restrict each term, and give g up at the first term
+        # with a dropped variable; dropping variables absent from every
+        # term keeps grevlex order
+        d = {}
+        for m, c in g.terms:
+            if any(compress(m, dropped)):
+                break
+            d[tuple(compress(m, kept))] = c
+        else:
             out.append(_from_dict(small, d, True))
     return Ideal(small, tuple(out))
 

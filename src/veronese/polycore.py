@@ -186,6 +186,10 @@ class Rationals(_Fieldless):
         return Fraction(1)
 
     def normalize(self, value: Union[int, Fraction]) -> Fraction:
+        # an exact class test: the metaclass of ``Fraction`` is ABCMeta,
+        # so isinstance tests on it, its constructor's too, are slow
+        if value.__class__ is Fraction:
+            return value
         return Fraction(value)
 
     def invert(self, value: Scalar) -> Fraction:
@@ -231,6 +235,8 @@ class PrimeField(_Record):
         return 1
 
     def normalize(self, value: Union[int, Fraction]) -> int:
+        if value.__class__ is int:       # no ABC instance check
+            return value % self.p
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
@@ -357,9 +363,10 @@ class _PackingOverflow(Exception):
 class _Packing:
     """Packed monomials of one arity under one order, ``bits`` per field."""
 
-    __slots__ = ("units", "guard", "limit", "shifts", "mask")
+    __slots__ = ("order", "units", "guard", "limit", "shifts", "mask")
 
     def __init__(self, order: "MonomialOrder", arity: int, bits: int):
+        self.order = order
         unit = [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
         cols = [order.key(u) for u in unit]
         rows, acc = [], [0] * arity
@@ -500,16 +507,19 @@ class PolyRing(_CachedHash):
 
 def _from_dict(ring: PolyRing, d: Mapping[Exponents, Scalar],
                in_order: bool = False) -> "Polynomial":
-    """The canonical polynomial of a term dict.  A caller whose dict already
-    lists its terms grevlex-descending passes ``in_order`` to skip the sort."""
+    """The canonical polynomial of a term dict.  A caller whose dict is
+    already canonical, its terms grevlex-descending and its coefficients
+    normalized and nonzero, passes ``in_order`` to skip the sort and the
+    normalization."""
+    if in_order:
+        return Polynomial(ring, tuple(d.items()))
     dom = ring.domain
     items = []
     for m, c in d.items():
         c = dom.normalize(c)
         if c != 0:
             items.append((m, c))
-    if not in_order:
-        items.sort(key=lambda t: _grevlex_key(t[0]), reverse=True)
+    items.sort(key=lambda t: _grevlex_key(t[0]), reverse=True)
     return Polynomial(ring, tuple(items))
 
 

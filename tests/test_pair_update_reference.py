@@ -1,7 +1,9 @@
 """The engine's pair update against a reference copy of the code it
 replaced: a Gebauer-Moller update that keeps every lead as an exponent
 tuple, builds the lcm tuple for each earlier element and packs it, and a
-finalize that rescans every pair of leads for divisibility.  On seeded
+finalize that rescans every pair of leads for divisibility.  The reference
+selects pairs by the engine's current degree, the lcm degree in the
+variables an elimination order keeps, computed here from the order.  On seeded
 ideals, under every order and both strategies, the queued pairs and the
 live-pair dict after each insertion must be identical, and so must the
 basis.  The guard-bit lcm on exponent parts must be the fieldwise max, and
@@ -15,7 +17,7 @@ import pytest
 
 from veronese.groebner import STRATEGIES, _Engine
 from veronese.polycore import (
-    GF, PolyRing, QQ, _FIELD_BITS, _nf_dict, _packed, _packing,
+    GF, Block, PolyRing, QQ, _FIELD_BITS, _nf_dict, _packed, _packing,
 )
 
 from test_kernel_reference import _ORDERS, _random_binomials
@@ -63,6 +65,8 @@ class _Reference(_Traced):
         leads = self.leads
         guard = self.guard
         pack = self.packing.pack
+        order = self.packing.order
+        elim = order.eliminated if isinstance(order, Block) else ()
         lead_t = leads[t]
         plead_t = entries[t][0]
         lcm_t = []
@@ -71,7 +75,8 @@ class _Reference(_Traced):
             e = tuple([a if a > b else b for a, b in zip(leads[i], lead_t)])
             lcm = pack(e)
             lcm_t.append(lcm)
-            cand.append((lcm, i, sum(e), lcm == entries[i][0] + plead_t))
+            deg = sum(x for v, x in enumerate(e) if v not in elim)
+            cand.append((lcm, i, deg, lcm == entries[i][0] + plead_t))
         cand.sort()
         kept = []
         last = len(cand) - 1

@@ -19,8 +19,8 @@ QUARTIC = ((4, 0), (3, 1), (1, 3), (0, 4))
 
 
 @pytest.mark.parametrize("k, n, expected", [
-    (2, 3, {"_spoly": 27, "_push_pair": 29, "insert": 12}),
-    (3, 2, {"_spoly": 90, "_push_pair": 107, "insert": 27}),
+    (2, 3, {"_spoly": 20, "_push_pair": 20, "insert": 10}),
+    (3, 2, {"_spoly": 64, "_push_pair": 64, "insert": 20}),
 ])
 def test_veronese_by_elimination(engine_counts, k, n, expected):
     toric_ideal_elimination(veronese_map(k, n), QQ)
@@ -33,4 +33,4 @@ def test_fedder_on_the_quartic_curve_at_five(engine_counts, groebner_caches):
         engine_counts[name] = 0
     groebner_caches()
     assert fedder_fpure(ideal, 5).f_pure is False
-    assert engine_counts == {"_spoly": 351, "_push_pair": 545, "insert": 185}
+    assert engine_counts == {"_spoly": 315, "_push_pair": 432, "insert": 163}
