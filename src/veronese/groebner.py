@@ -31,6 +31,13 @@ homogeneous in the kept variables but not in w, is worked through degree by
 degree, as in sugar selection.  Under an elimination order with grevlex
 inside, an output element whose lead has no eliminated variable is already
 grevlex-descending and is built without a sort.
+
+``colon_ideal`` intersects the pieces (I : g) over the generators g of the
+divisor and skips each g whose piece already contains the running
+intersection Q, which holds when h*g reduces to zero modulo the grevlex
+basis of I for every generator h of Q; then neither that piece nor the
+intersection with it is computed.  With two or more generators the result
+is the reduced grevlex basis of the quotient whichever steps ran.
 """
 from __future__ import annotations
 
@@ -352,7 +359,7 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
     return _packed(order, arity, run)
 
 
-def _grevlex_leads(order: MonomialOrder, arity: int):
+def _grevlex_leads(order: MonomialOrder):
     """A test on the lead of a reduced basis element under ``order``: true
     when its terms, descending in ``order``, are grevlex-descending too.
     That holds under grevlex, and under an elimination order with grevlex
@@ -362,7 +369,7 @@ def _grevlex_leads(order: MonomialOrder, arity: int):
     if isinstance(order, GrevLex):
         return lambda lead: True
     if isinstance(order, Block) and isinstance(order.inner, GrevLex):
-        elim = [i for i in order.eliminated if i < arity]
+        elim = list(order.eliminated)
         return lambda lead: not any([lead[i] for i in elim])
     return lambda lead: False
 
@@ -379,7 +386,7 @@ def _buchberger_cached(ideal: Ideal, order: MonomialOrder, strategy: str
             Polynomial(ring, tuple([(m, coefficient[s]) for m, s in g]))
             for g in _binomial_basis(ring.arity, shape, order, strategy)))
     # the engine lists terms in descending packed order, the order's own
-    in_order = _grevlex_leads(order, ring.arity)
+    in_order = _grevlex_leads(order)
 
     def run(packing: _Packing) -> tuple[Polynomial, ...]:
         out = []
@@ -398,8 +405,16 @@ def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX,
     The result is unique per (ideal, order): independent of generator order
     and of the S-pair selection strategy ("normal" = smallest lcm degree
     first, the degree counting only the variables an elimination order
-    keeps; "fifo" = creation order).
+    keeps; "fifo" = creation order).  A block order whose eliminated
+    indices, at any depth, lie outside the variables it orders raises
+    ``ValueError``.
     """
+    arity, inner = ideal.ring.arity, order
+    while isinstance(inner, Block):
+        if max(inner.eliminated) >= arity:
+            raise ValueError("eliminated index out of range")
+        arity -= len(inner.eliminated)
+        inner = inner.inner
     return _buchberger_cached(ideal, order, strategy)
 
 
@@ -533,16 +548,35 @@ def colon(ideal: Ideal, f: Polynomial) -> Ideal:
 
 
 def colon_ideal(ideal: Ideal, other: Ideal) -> Ideal:
-    """Quotient (ideal : other) = intersection of (ideal : g) over generators."""
+    """Quotient (ideal : other) = intersection of (ideal : g) over generators.
+
+    The running intersection Q starts as (ideal : g1).  Before the piece of
+    a later generator g is computed, Q is tested against it: when h*g
+    reduces to zero modulo the grevlex basis of ``ideal`` for every
+    generator h of Q, then Q lies in (ideal : g), Q meets it in Q, and both
+    the piece and the combining ``intersect`` are skipped.  With one
+    generator the result is (ideal : g1) as ``colon`` returns it; with more
+    it is the reduced grevlex basis of the quotient, as the last
+    ``intersect`` returns it, or built from Q when none ran.
+    """
     if ideal.ring != other.ring:
         raise ValueError("ideals in different rings")
     if other.is_zero():
         return Ideal(ideal.ring, (ideal.ring.one,))
-    result = None
-    for g in other.generators:
-        piece = colon(ideal, g)
-        result = piece if result is None else intersect(result, piece)
-    return result
+    first, *rest = other.generators
+    result = colon(ideal, first)
+    if not rest:
+        return result
+    gb = buchberger(ideal, _GREVLEX)
+    reduced = False                      # does result hold a reduced basis
+    for g in rest:
+        if all(ideal_member(h * g, gb) for h in result.generators):
+            continue
+        result = intersect(result, colon(ideal, g))
+        reduced = True
+    if reduced:
+        return result
+    return Ideal(ideal.ring, buchberger(result, _GREVLEX).elements)
 
 
 def _rabinowitsch(ideal: Ideal, f: Polynomial, zero_message: str) -> Ideal:

@@ -39,3 +39,20 @@ def engine_counts(monkeypatch, groebner_caches):
 
         monkeypatch.setattr(groebner._Engine, name, wrapped)
     return tally
+
+
+@pytest.fixture
+def colon_calls(monkeypatch):
+    """Calls of ``groebner.colon`` and ``groebner.intersect`` made through
+    the module, those inside ``colon`` included, counted by wrapping the
+    module attributes that ``colon_ideal`` calls."""
+    tally = {"colon": 0, "intersect": 0}
+    for name in tally:
+        function = getattr(groebner, name)
+
+        def wrapped(*args, _name=name, _function=function):
+            tally[_name] += 1
+            return _function(*args)
+
+        monkeypatch.setattr(groebner, name, wrapped)
+    return tally

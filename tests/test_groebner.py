@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from veronese import groebner
 from veronese.groebner import (
     GroebnerBasis, Ideal, _least_power_member, buchberger, colon,
     colon_ideal, eliminate, ideal_equal, ideal_member, ideal_sum,
@@ -130,6 +131,26 @@ def test_eliminate_validates_indices():
         eliminate(I, {2})
     with pytest.raises(ValueError):
         eliminate(I, {0, 1})
+
+
+def test_buchberger_refuses_block_orders_outside_the_ring(groebner_caches):
+    """An eliminated index past the variables it orders, in the outer block
+    or in a nested one (which orders the variables the outer keeps), is
+    refused before any cache is consulted, as ``eliminate`` refuses it."""
+    R = PolyRing(("x", "y"), QQ)
+    binomial = _ideal(R, "x^2 - y")
+    general = _ideal(R, "x^2 - y + 1")
+    for order in (Block({5}), Block({2}, Lex()), Block({0}, Block({1})),
+                  Block({0, 1}, Block({0}))):
+        for ideal in (binomial, general):
+            with pytest.raises(ValueError, match="out of range"):
+                buchberger(ideal, order)
+    assert groebner._buchberger_cached.cache_info().misses == 0
+    # the largest indices in range still run
+    assert buchberger(binomial, Block({1})).elements \
+        == (R.parse("y - x^2"),)
+    assert buchberger(general, Block({0}, Block({0}))).elements \
+        == buchberger(general, Lex()).elements
 
 
 # ---------------------------------------------------------------------------

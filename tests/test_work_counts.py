@@ -27,10 +27,16 @@ def test_veronese_by_elimination(engine_counts, k, n, expected):
     assert engine_counts == expected
 
 
-def test_fedder_on_the_quartic_curve_at_five(engine_counts, groebner_caches):
+def test_fedder_on_the_quartic_curve_at_five(engine_counts, groebner_caches,
+                                             colon_calls):
+    """The colon (I^[5] : I) over the four generators of I: the running
+    intersection already lies in the last two pieces, so ``colon_ideal``
+    computes two pieces (each one ``intersect`` inside ``colon``) and one
+    combining ``intersect``."""
     ideal = toric_ideal_lattice(MonomialMap(QUARTIC), GF(5))
     for name in engine_counts:
         engine_counts[name] = 0
     groebner_caches()
     assert fedder_fpure(ideal, 5).f_pure is False
-    assert engine_counts == {"_spoly": 315, "_push_pair": 432, "insert": 163}
+    assert engine_counts == {"_spoly": 162, "_push_pair": 208, "insert": 84}
+    assert colon_calls == {"colon": 2, "intersect": 3}
