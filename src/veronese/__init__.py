@@ -10,9 +10,9 @@ from .polycore import (
     parse_polynomial, parse_polynomial_list,
 )
 from .groebner import (
-    GroebnerBasis, Ideal, STRATEGIES, buchberger, colon, colon_ideal,
-    eliminate, ideal_equal, ideal_member, ideal_sum, initial_ideal,
-    intersect, normal_form, radical_member, saturate,
+    GroebnerBasis, Ideal, buchberger, colon, colon_ideal, eliminate,
+    ideal_equal, ideal_member, ideal_sum, initial_ideal, intersect,
+    normal_form, radical_member, saturate,
 )
 from .toric import (
     CIReport, MonomialMap, ci_check, ci_sequence, integer_kernel,
@@ -40,9 +40,9 @@ __all__ = [
     "CoeffDomain", "GF", "GrevLex", "Lex", "Block", "ParseError", "PolyRing",
     "Polynomial", "PrimeField", "QQ", "Rationals", "homogeneous_degree",
     "is_homogeneous", "parse_polynomial", "parse_polynomial_list",
-    "GroebnerBasis", "Ideal", "STRATEGIES", "buchberger", "colon",
-    "colon_ideal", "eliminate", "ideal_equal", "ideal_member", "ideal_sum",
-    "initial_ideal", "intersect", "normal_form", "radical_member", "saturate",
+    "GroebnerBasis", "Ideal", "buchberger", "colon", "colon_ideal",
+    "eliminate", "ideal_equal", "ideal_member", "ideal_sum", "initial_ideal",
+    "intersect", "normal_form", "radical_member", "saturate",
     "CIReport", "MonomialMap", "ci_check", "ci_sequence", "integer_kernel",
     "integer_solve", "minimal_generators", "symmetric_minors_ideal",
     "toric_ideal_elimination", "toric_ideal_lattice", "veronese_map",

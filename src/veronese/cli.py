@@ -214,7 +214,9 @@ def _cmd_char_compare(args: argparse.Namespace) -> Report:
     return char_compare(
         None if args.targets is None else _parse_targets(args.targets),
         ring_names=None if args.ring is None else _split_list(args.ring),
-        generators=_split_list(_ideal_text(args)) if has_ideal else None,
+        # unstripped pieces, which the library parses rejoined, so that a
+        # parse error reports its column within --ideal
+        generators=_ideal_text(args).split(",") if has_ideal else None,
         primes=_parse_vector(args.primes))
 
 

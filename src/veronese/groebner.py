@@ -17,19 +17,19 @@ An element whose lead a later lead divides takes no part in later pairs and
 is left out of the reduced basis.  A run whose monomials outgrow the packed
 fields is repeated with wider fields (``polycore._packed``).  Output bases
 are unpacked, reduced, monic and canonically sorted, so two runs with
-different generator orders or selection strategies agree structurally.
+different generator orders agree structurally.
 
 An ideal whose generators are all monomials or pure differences c*(m1 - m2)
 is served by one run per generator shape over GF(32003) with int
 coefficients, shared by every coefficient field (``_binomial_basis``).
 
-The "normal" strategy takes the queued pair of smallest lcm degree first,
-counting the degree in the variables that the outer block of an elimination
-order keeps (in every variable under grevlex and lex).  The eliminated
-variables weigh nothing, so the input w*A + (1 - w)*B of an intersection,
-homogeneous in the kept variables but not in w, is worked through degree by
-degree, as in sugar selection.  Under an elimination order with grevlex
-inside, an output element whose lead has no eliminated variable is already
+The engine takes the queued pair of smallest lcm degree first, counting
+the degree in the variables that the outer block of an elimination order
+keeps (in every variable under grevlex and lex).  The eliminated variables
+weigh nothing, so the input w*A + (1 - w)*B of an intersection, homogeneous
+in the kept variables but not in w, is worked through degree by degree, as
+in sugar selection.  Under an elimination order with grevlex inside, an
+output element whose lead has no eliminated variable is already
 grevlex-descending and is built without a sort.
 
 ``colon_ideal`` intersects the pieces (I : g) over the generators g of the
@@ -60,8 +60,6 @@ __all__ = [
 ]
 
 _GREVLEX = GrevLex()
-
-STRATEGIES = ("normal", "fifo")
 
 
 class Ideal(_CachedHash):
@@ -103,10 +101,7 @@ class GroebnerBasis(_CachedHash):
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    def __init__(self, ring: PolyRing, strategy: str, packing: _Packing):
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.strategy = strategy
+    def __init__(self, ring: PolyRing, packing: _Packing):
         self.dom = ring.domain
         self.p = ring.domain.characteristic
         self.packing = packing
@@ -120,13 +115,13 @@ class _Engine:
         self.entries: list = []          # _nf_dict entries, no quotient
         self.exps: list[int] = []        # exponent part of each entry's lead
         self.live: list[bool] = []       # no later lead divides its lead
-        self.heap: list = []             # (sortkey, i, j)
+        self.heap: list = []             # (degree, lcm, i, j)
         # live pairs (i, j), i < j, with the packed lcm of their leads
         self.alive: dict[tuple[int, int], int] = {}
-        self._counter = 0
-        # "normal" selects by the lcm degree in the variables an elimination
-        # order keeps (None: in every variable), after sugar selection
-        # (Giovini, Mora, Niesi, Robbiano, Traverso, 1991); see above
+        # pairs are selected by the lcm degree in the variables an
+        # elimination order keeps (None: in every variable), after sugar
+        # selection (Giovini, Mora, Niesi, Robbiano, Traverso, 1991); see
+        # above
         order = packing.order
         self.kept = (tuple([i not in order.eliminated
                             for i in range(ring.arity)])
@@ -136,12 +131,7 @@ class _Engine:
 
     def _push_pair(self, i: int, t: int, lcm: int, deg: int) -> None:
         self.alive[(i, t)] = lcm
-        if self.strategy == "normal":
-            sortkey = (deg, lcm, i, t)   # smallest lcm first
-        else:                            # fifo
-            sortkey = (self._counter,)
-            self._counter += 1
-        heapq.heappush(self.heap, (sortkey, i, t))
+        heapq.heappush(self.heap, (deg, lcm, i, t))   # smallest lcm first
 
     def _lcms_with(self, b: int) -> list[int]:
         """Exponent part of lcm(lead_i, x^b) for every entry i.
@@ -270,7 +260,7 @@ class _Engine:
             if h:
                 self.insert(h)
         while self.heap:
-            _, i, j = heapq.heappop(self.heap)
+            _, _, i, j = heapq.heappop(self.heap)
             lcm = self.alive.pop((i, j), None)
             if lcm is None:
                 continue
@@ -317,8 +307,7 @@ _SHARED_PRIME = 32003
 
 
 @lru_cache(maxsize=256)
-def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
-                    strategy: str) -> tuple:
+def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
     """The reduced basis of the ideal whose generators have the monomials
     ``shape`` (one tuple per generator, from ``_pure_difference``), as
     elements of (exponents, sign) terms, grevlex-descending, sign +1 or -1.
@@ -346,7 +335,7 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
 
     def run(packing: _Packing) -> tuple:
         basis = []
-        for d in _Engine(ring, strategy, packing).run(gens):
+        for d in _Engine(ring, packing).run(gens):
             terms = packing.unpack_terms(d)
             if list(terms.values()) != list(signs[:len(terms)]):
                 raise RuntimeError("a shared binomial run left the pure "
@@ -375,8 +364,7 @@ def _grevlex_leads(order: MonomialOrder):
 
 
 @lru_cache(maxsize=256)
-def _buchberger_cached(ideal: Ideal, order: MonomialOrder, strategy: str
-                       ) -> GroebnerBasis:
+def _buchberger_cached(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     ring = ideal.ring
     shape = tuple(map(_pure_difference, ideal.generators))
     if None not in shape:
@@ -384,13 +372,13 @@ def _buchberger_cached(ideal: Ideal, order: MonomialOrder, strategy: str
         coefficient = {1: dom.one, -1: dom.normalize(-1)}
         return GroebnerBasis(ring, order, tuple(
             Polynomial(ring, tuple([(m, coefficient[s]) for m, s in g]))
-            for g in _binomial_basis(ring.arity, shape, order, strategy)))
+            for g in _binomial_basis(ring.arity, shape, order)))
     # the engine lists terms in descending packed order, the order's own
     in_order = _grevlex_leads(order)
 
     def run(packing: _Packing) -> tuple[Polynomial, ...]:
         out = []
-        for d in _Engine(ring, strategy, packing).run(ideal.generators):
+        for d in _Engine(ring, packing).run(ideal.generators):
             terms = packing.unpack_terms(d)
             out.append(_from_dict(ring, terms, in_order(next(iter(terms)))))
         return tuple(out)
@@ -398,16 +386,14 @@ def _buchberger_cached(ideal: Ideal, order: MonomialOrder, strategy: str
     return GroebnerBasis(ring, order, _packed(order, ring.arity, run))
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX,
-               strategy: str = "normal") -> GroebnerBasis:
+def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX
+               ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
-    The result is unique per (ideal, order): independent of generator order
-    and of the S-pair selection strategy ("normal" = smallest lcm degree
-    first, the degree counting only the variables an elimination order
-    keeps; "fifo" = creation order).  A block order whose eliminated
-    indices, at any depth, lie outside the variables it orders raises
-    ``ValueError``.
+    The result is unique per (ideal, order), independent of generator order
+    and of the order in which S-pairs are selected.  A block order whose
+    eliminated indices, at any depth, lie outside the variables it orders
+    raises ``ValueError``.
     """
     arity, inner = ideal.ring.arity, order
     while isinstance(inner, Block):
@@ -415,7 +401,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX,
             raise ValueError("eliminated index out of range")
         arity -= len(inner.eliminated)
         inner = inner.inner
-    return _buchberger_cached(ideal, order, strategy)
+    return _buchberger_cached(ideal, order)
 
 
 @lru_cache(maxsize=256)
@@ -453,17 +439,13 @@ def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:
 # ring extension helpers (single auxiliary variable, appended last)
 # ---------------------------------------------------------------------------
 
-def _fresh_name(ring: PolyRing, base: str = "w") -> str:
-    i = 0
-    while True:
-        name = f"{base}{i}"
-        if name not in ring.names:
-            return name
-        i += 1
-
-
 def _extended_ring(ring: PolyRing) -> PolyRing:
-    return PolyRing(ring.names + (_fresh_name(ring),), ring.domain)
+    """The ring with one more variable, named w0, w1, ..., the first name
+    not taken."""
+    i = 0
+    while f"w{i}" in ring.names:
+        i += 1
+    return PolyRing(ring.names + (f"w{i}",), ring.domain)
 
 
 def _lift(f: Polynomial, ext: PolyRing, w_power: int = 0) -> Polynomial:

@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, PolyRing, QQ, ResourceCapError, _Record,
-    is_homogeneous,
+    is_homogeneous, parse_polynomial_list,
 )
 from .groebner import (
     Ideal, _least_power_member, buchberger, ideal_equal, ideal_sum,
@@ -476,6 +476,9 @@ def present_monomial_algebra(
     if ci_candidates is None and is_veronese:
         charts = tuple(_Chart(j) for j in range(mmap.k))
     else:
+        for i in ci_candidates or ():
+            if i not in range(mmap.d):
+                raise ValueError(f"chart variable index {i!r} out of range")
         charts = tuple(_Chart(i, tuple(ci_candidates[i]))
                        for i in sorted(ci_candidates or ()))
 
@@ -578,7 +581,9 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
     """Compare heights across characteristics, either of the toric ideal of
     target monomials (both routes cross-checked per characteristic) or of an
     ideal given by generator strings re-parsed over every field; the params
-    hold the heights and their constancy flag."""
+    hold the heights and their constancy flag.  The generators are parsed as
+    one comma-separated list, so the column of a ``ParseError`` counts in
+    their comma-joined text."""
     doms = _characteristics(primes)
     checks: list[Check] = []
     heights: dict[int, int] = {}
@@ -599,10 +604,12 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
     else:
         names = tuple(ring_names)
         ensure_within_cap(len(names))
-        description = f"ideal ({', '.join(generators)}) in {', '.join(names)}"
+        description = (f"ideal ({', '.join(g.strip() for g in generators)})"
+                       f" in {', '.join(names)}")
+        text = ",".join(generators)
         for char, dom in doms:
             ring = PolyRing(names, dom)
-            gens = tuple(ring.parse(s) for s in generators)
+            gens = parse_polynomial_list(text, ring) if generators else ()
             heights[char] = krull_dim(Ideal(ring, gens)).height
 
     checks.append(_height_constancy(heights))

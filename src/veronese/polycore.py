@@ -794,10 +794,12 @@ _MAX_NESTING = 100
 
 
 class ParseError(ValueError):
-    """Input text rejected; .position is the 0-based character offset."""
+    """Input text rejected; ``message`` says why and ``position`` is the
+    0-based character offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (column {position + 1})")
+        self.message = message
         self.position = position
 
 
@@ -918,7 +920,6 @@ def parse_polynomial_list(text: str, ring: PolyRing) -> list[Polynomial]:
         try:
             out.append(parse_polynomial(piece, ring))
         except ParseError as exc:
-            raise ParseError(str(exc).rsplit(" (column", 1)[0],
-                             offset + exc.position) from None
+            raise ParseError(exc.message, offset + exc.position) from None
         offset += len(piece) + 1
     return out

@@ -1,9 +1,27 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the first-in, first-out engine
+that cross-checks the engine's pair selection."""
 from __future__ import annotations
+
+from itertools import count
 
 import pytest
 
 from veronese import groebner
+
+
+class FifoEngine(groebner._Engine):
+    """The engine with S-pairs taken first in, first out: each pair is
+    queued with its position in the queue where the engine puts its lcm
+    degree, so pairs leave in the order they were queued.  Reduced bases do
+    not depend on the selection rule, so this engine's bases must be the
+    engine's, while its work differs."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.position = count()
+
+    def _push_pair(self, i, t, lcm, deg):
+        super()._push_pair(i, t, lcm, next(self.position))
 
 
 def _clear_groebner_caches() -> None:
@@ -22,6 +40,22 @@ def groebner_caches():
     _clear_groebner_caches()
     yield _clear_groebner_caches
     _clear_groebner_caches()
+
+
+@pytest.fixture
+def fifo(monkeypatch, groebner_caches):
+    """Calls a function with ``FifoEngine`` doing every engine run.  The
+    ``groebner`` caches are cleared before and after the call, because
+    their keys do not tell the two engines apart."""
+    def call(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_Engine", FifoEngine)
+            groebner_caches()
+            try:
+                return fn(*args)
+            finally:
+                groebner_caches()
+    return call
 
 
 @pytest.fixture

@@ -7,8 +7,9 @@ ideal's own domain, with the shared runs turned off: for every binomial
 request that the golden reports and the perfbench library reports of seeds
 3 and 5 make, the served basis must equal it over QQ, GF(2), GF(3), GF(5)
 and GF(7), and so must the S-polynomials, queued pairs and insertions of
-the two runs.  A shared run whose output leaves the pure differences must
-raise ``RuntimeError`` (exit 4 on the command line)."""
+the two runs, with the engine's pair selection and with the first-in,
+first-out one of ``FifoEngine``.  A shared run whose output leaves the pure
+differences must raise ``RuntimeError`` (exit 4 on the command line)."""
 from __future__ import annotations
 
 import contextlib
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FifoEngine
 from test_golden_reports import CASES
 
 import veronese
@@ -40,7 +42,7 @@ def _perfbench_module(name: str):
 
 @pytest.fixture(scope="module")
 def binomial_requests():
-    """(names, shape, order, strategy) of every binomial ``buchberger``
+    """(names, shape, order) of every binomial ``buchberger``
     request of the golden cases and the perfbench library reports of seeds
     3 and 5, recorded where ``buchberger`` asks its cache."""
     workloads = _perfbench_module("workloads")
@@ -48,12 +50,11 @@ def binomial_requests():
     requests = {}
     cached = groebner._buchberger_cached
 
-    def record(ideal, order, strategy):
+    def record(ideal, order):
         shape = tuple(map(groebner._pure_difference, ideal.generators))
         if None not in shape:
-            requests.setdefault(
-                (ideal.ring.names, shape, order, strategy), None)
-        return cached(ideal, order, strategy)
+            requests.setdefault((ideal.ring.names, shape, order), None)
+        return cached(ideal, order)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groebner, "_buchberger_cached", record)
@@ -77,28 +78,41 @@ def _ideal(names, shape, dom) -> Ideal:
 
 def test_the_reports_make_binomial_requests_of_every_kind(binomial_requests):
     assert len(binomial_requests) > 100
-    assert {type(order).__name__ for _, _, order, _ in binomial_requests} \
+    assert {type(order).__name__ for _, _, order in binomial_requests} \
         == {"GrevLex", "Block"}
+
+
+def _counted_run(ideal, order, engine_counts, groebner_caches):
+    """The basis of a run with the caches cleared first, and its work."""
+    for name in engine_counts:
+        engine_counts[name] = 0
+    groebner_caches()
+    return buchberger(ideal, order), dict(engine_counts)
 
 
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
 def test_served_bases_equal_runs_in_their_own_domain(
         dom, binomial_requests, engine_counts, groebner_caches, monkeypatch):
-    for names, shape, order, strategy in binomial_requests:
+    """Also for the first-in, first-out engine, which forms another number
+    of S-polynomials than the engine on some request."""
+    other_work = 0
+    for names, shape, order in binomial_requests:
         ideal = _ideal(names, shape, dom)
-        groebner_caches()
-        served = buchberger(ideal, order, strategy)
-        shared_work = dict(engine_counts)
-        with monkeypatch.context() as patch:
-            patch.setattr(groebner, "_pure_difference", lambda g: None)
-            groebner_caches()
-            own = buchberger(ideal, order, strategy)
-        own_work = {k: v - shared_work[k] for k, v in engine_counts.items()}
         request = f"{ideal} under {order}"
-        assert served == own, request
-        assert shared_work == own_work, request
-        for name in engine_counts:
-            engine_counts[name] = 0
+        spolys = []
+        for engine in (groebner._Engine, FifoEngine):
+            with monkeypatch.context() as patch:
+                patch.setattr(groebner, "_Engine", engine)
+                served, shared_work = _counted_run(
+                    ideal, order, engine_counts, groebner_caches)
+                patch.setattr(groebner, "_pure_difference", lambda g: None)
+                own, own_work = _counted_run(
+                    ideal, order, engine_counts, groebner_caches)
+            assert served == own, request
+            assert shared_work == own_work, request
+            spolys.append(own_work["_spoly"])
+        other_work += spolys[0] != spolys[1]
+    assert other_work > 0
 
 
 def test_one_run_serves_every_characteristic(engine_counts):

@@ -190,6 +190,20 @@ def test_exit_two_on_parse_error(capsys):
     assert "error" in err.lower() or "expected" in err.lower()
 
 
+@pytest.mark.parametrize("text, column", [
+    ("x,y^", 5), (" x ,  y*z +", 12), ("x, ,y", 3), ("x*y, w", 6)])
+def test_char_compare_reports_the_column_within_the_ideal(capsys, text,
+                                                          column):
+    """A parse error in ``--ideal`` names the same column under
+    ``char-compare`` as under ``height``."""
+    ideal = ("--ring", "x,y,z", "--ideal", text)
+    _, _, height_err = _run(capsys, "height", *ideal)
+    code, out, err = _run(capsys, "char-compare", *ideal, "--primes", "2")
+    assert code == 2 and out == ""
+    assert err == height_err
+    assert err.endswith(f" (column {column})\n")
+
+
 @pytest.mark.parametrize("text", ["é", "x²", "x + ٣"])
 def test_exit_two_on_non_ascii_polynomial_text(capsys, text):
     code, out, err = _run(capsys, "height", "--ring", "x,y", "--ideal", text)

@@ -7,7 +7,11 @@ meant to change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and review the diff of ``tests/golden/`` like any other code change.
+and review the diff of ``tests/golden/`` like any other code change.  With
+``--check`` the script writes nothing: it replays every case, names each
+one that differs from its file and exits 1 if any does, 0 otherwise.  Both
+modes need only the standard library, so any interpreter can replay the
+goldens, with or without pytest installed.
 """
 from __future__ import annotations
 
@@ -16,8 +20,6 @@ import io
 import json
 import sys
 from pathlib import Path
-
-import pytest
 
 from veronese.cli import main
 
@@ -85,12 +87,20 @@ def _replay(argv: list[str]) -> tuple[dict, str]:
         err.getvalue()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+def _expected(case: str) -> dict:
+    return json.loads((GOLDEN_DIR / f"{case}.json").read_text("utf-8"))
+
+
+def pytest_generate_tests(metafunc):
+    """One ``test_golden_report`` per case, without importing pytest."""
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", sorted(CASES))
+
+
 def test_golden_report(case):
-    expected = json.loads((GOLDEN_DIR / f"{case}.json").read_text("utf-8"))
     got, err = _replay(CASES[case])
     assert err == ""
-    assert got == expected
+    assert got == _expected(case)
 
 
 def test_every_golden_file_has_a_case():
@@ -108,5 +118,23 @@ def _regenerate() -> None:
         print(f"{case}: exit {got['exit_code']}", file=sys.stderr)
 
 
+def _check() -> int:
+    """Replay every case against its file, writing nothing; 1 when a case
+    differs or has no file, or a file has no case."""
+    stems = {p.stem for p in GOLDEN_DIR.glob("*.json")}
+    bad = sorted(stems - set(CASES))
+    for case, argv in sorted(CASES.items()):
+        if case not in stems or _replay(argv) != (_expected(case), ""):
+            bad.append(case)
+    for name in bad:
+        print(f"mismatch: {name}", file=sys.stderr)
+    print(f"{len(CASES)} cases, {len(bad)} mismatches", file=sys.stderr)
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
+    if sys.argv[1:]:
+        sys.exit("usage: test_golden_reports.py [--check]")
     _regenerate()

@@ -1,6 +1,7 @@
 """Groebner engine: reduced bases frozen against hand-checked values, the
 ideal calculus (intersection, colon, saturation, radical membership), and
-invariance under generator order and selection strategy."""
+invariance under generator order and under the first-in, first-out pair
+selection of ``FifoEngine`` (``tests/conftest.py``)."""
 from __future__ import annotations
 
 import random
@@ -57,12 +58,21 @@ def test_reduced_basis_is_canonical():
                     assert not all(a >= b for a, b in zip(m, lm)) or m == (0,) * 3
 
 
-def test_strategy_invariance():
-    I = _quartic_ideal()
-    assert buchberger(I, strategy="normal").elements == \
-        buchberger(I, strategy="fifo").elements
-    with pytest.raises(ValueError):
-        buchberger(I, strategy="mystery")
+def test_strategy_invariance(fifo, engine_counts):
+    """The first-in, first-out engine gives the same bases; on the second
+    input it forms another number of S-polynomials."""
+    R = PolyRing(("x", "y", "z", "w"), QQ)
+    cases = [(_quartic_ideal(), _GREVLEX),
+             (_ideal(R, "x^2 - y*z", "y^2 - x*z", "z^2 - x*y*w",
+                     "x*w - z^2 + y"), Lex())]
+    spolys = []
+    for ideal, order in cases:
+        before = engine_counts["_spoly"]
+        expected = buchberger(ideal, order).elements
+        normal = engine_counts["_spoly"] - before
+        assert fifo(buchberger, ideal, order).elements == expected
+        spolys.append((normal, engine_counts["_spoly"] - before - normal))
+    assert spolys[1][0] != spolys[1][1]
 
 
 def test_quartic_basis_and_initial_ideal():

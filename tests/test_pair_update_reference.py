@@ -4,10 +4,11 @@ tuple, builds the lcm tuple for each earlier element and packs it, and a
 finalize that rescans every pair of leads for divisibility.  The reference
 selects pairs by the engine's current degree, the lcm degree in the
 variables an elimination order keeps, computed here from the order.  On seeded
-ideals, under every order and both strategies, the queued pairs and the
-live-pair dict after each insertion must be identical, and so must the
-basis.  The guard-bit lcm on exponent parts must be the fieldwise max, and
-broken copies of its masks must be caught."""
+ideals, under every order, with the engine's pair selection and with the
+first-in, first-out one of ``FifoEngine``, the queued pairs, the
+S-polynomials formed and the live-pair dict after each insertion must be
+identical, and so must the basis.  The guard-bit lcm on exponent parts must
+be the fieldwise max, and broken copies of its masks must be caught."""
 from __future__ import annotations
 
 import random
@@ -15,17 +16,20 @@ from itertools import product
 
 import pytest
 
-from veronese.groebner import STRATEGIES, _Engine
+from veronese.groebner import _Engine
 from veronese.polycore import (
     GF, Block, PolyRing, QQ, _FIELD_BITS, _nf_dict, _packed, _packing,
 )
 
-from test_kernel_reference import _ORDERS, _random_binomials
+from conftest import FifoEngine
+from test_kernel_reference import _DOMAINS, _ORDERS, _random_binomials
+
+SELECTIONS = ("normal", "fifo")
 
 
 class _Traced(_Engine):
-    """Logs every queued pair and a copy of the live pairs after each
-    insertion."""
+    """Logs every queued pair, every S-polynomial formed and a copy of the
+    live pairs after each insertion."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -34,6 +38,10 @@ class _Traced(_Engine):
     def _push_pair(self, i, t, lcm, deg):
         self.log.append((i, t, lcm, deg))
         super()._push_pair(i, t, lcm, deg)
+
+    def _spoly(self, i, j, lcm):
+        self.log.append(("spoly", i, j))
+        return super()._spoly(i, j, lcm)
 
     def insert(self, h):
         super().insert(h)
@@ -114,18 +122,24 @@ class _Reference(_Traced):
         return [poly for _, poly in out]
 
 
-def _trace(engine_class, ideal_gens, ring, order, strategy):
-    """(field bits, log, basis) of the run that fits its packing."""
+def _trace(engine_class, ideal_gens, ring, order, selection):
+    """(field bits, log, basis) of the run that fits its packing, with
+    pairs selected as the engine does ("normal") or first in, first out
+    ("fifo")."""
+    if selection == "fifo":
+        engine_class = type(f"_Fifo{engine_class.__name__}",
+                            (engine_class, FifoEngine), {})
+
     def run(packing):
-        engine = engine_class(ring, strategy, packing)
+        engine = engine_class(ring, packing)
         basis = engine.run(ideal_gens)
         return packing.mask.bit_length(), engine.log, basis
     return _packed(order, ring.arity, run)
 
 
-def _assert_same_work(gens, ring, order, strategy, engine_class=_Traced):
-    expected = _trace(_Reference, gens, ring, order, strategy)
-    got = _trace(engine_class, gens, ring, order, strategy)
+def _assert_same_work(gens, ring, order, selection, engine_class=_Traced):
+    expected = _trace(_Reference, gens, ring, order, selection)
+    got = _trace(engine_class, gens, ring, order, selection)
     assert got[0] == expected[0]
     assert got[1] == expected[1]
     assert got[2] == expected[2]
@@ -142,25 +156,44 @@ def _seeded_gens(rng, ring):
     return gens + [a - 2 * b + c]
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("order", _ORDERS, ids=str)
-@pytest.mark.parametrize("dom", [QQ, GF(2), GF(5)], ids=str)
-def test_update_matches_tuple_reference(dom, order, strategy):
-    rng = random.Random(f"pairs/{order}/{dom}/{strategy}")
+def _seeded_inputs(dom, order, selection):
+    rng = random.Random(f"pairs/{order}/{dom}/{selection}")
     ring = PolyRing(("a", "b", "c", "d"), dom)
     for _ in range(6):
-        gens = [g for g in _seeded_gens(rng, ring) if not g.is_zero()]
-        bits = _assert_same_work(gens, ring, order, strategy)
+        yield ring, [g for g in _seeded_gens(rng, ring) if not g.is_zero()]
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+@pytest.mark.parametrize("dom", _DOMAINS, ids=str)
+def test_update_matches_tuple_reference(dom, order, selection):
+    for ring, gens in _seeded_inputs(dom, order, selection):
+        bits = _assert_same_work(gens, ring, order, selection)
         assert bits == _FIELD_BITS
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_fifo_selection_forms_other_s_polynomials():
+    """On the seeded inputs of the fifo cases above, the first-in,
+    first-out engine forms another number of S-polynomials than the engine
+    on some input, so those cases do not replay the normal ones."""
+    other_work = 0
+    for dom, order in product(_DOMAINS, _ORDERS):
+        for ring, gens in _seeded_inputs(dom, order, "fifo"):
+            spolys = [sum(isinstance(entry, tuple) and entry[0] == "spoly"
+                          for entry in _trace(_Traced, gens, ring, order,
+                                              selection)[1])
+                      for selection in SELECTIONS]
+            other_work += spolys[0] != spolys[1]
+    assert other_work > 0
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
 @pytest.mark.parametrize("order", _ORDERS[:3], ids=str)
-def test_update_matches_tuple_reference_through_widening(order, strategy):
+def test_update_matches_tuple_reference_through_widening(order, selection):
     ring = PolyRing(("x", "y", "z", "w"), GF(5))
     gens = [ring.parse("x - y^40000"), ring.parse("x*y"),
             ring.parse("z*w - y^2")]
-    assert _assert_same_work(gens, ring, order, strategy) > 2 * _FIELD_BITS
+    assert _assert_same_work(gens, ring, order, selection) > 2 * _FIELD_BITS
 
 
 def test_unqueued_lcm_past_the_width_no_longer_widens():
@@ -212,7 +245,7 @@ def _limit_monomials(packing):
 
 def _engine(order):
     ring = PolyRing(("a", "b", "c", "d"), QQ)
-    return _Engine(ring, "normal", _packing(order, 4, _FIELD_BITS))
+    return _Engine(ring, _packing(order, 4, _FIELD_BITS))
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=str)

@@ -273,6 +273,16 @@ def test_present_validation_and_cap():
                                  fpurity_witness=((1, 1),))
 
 
+@pytest.mark.parametrize("key", [7, 4, -1])
+def test_present_refuses_a_chart_outside_the_targets(key, engine_counts):
+    """A ``ci_candidates`` key names one of the len(targets) t-variables;
+    any other key is a ``ValueError`` before any engine run."""
+    with pytest.raises(ValueError, match="out of range"):
+        present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(3,),
+                                 ci_candidates={key: ["t1"]})
+    assert engine_counts["insert"] == 0
+
+
 # ---------------------------------------------------------------------------
 # cross-characteristic comparison
 # ---------------------------------------------------------------------------

@@ -307,6 +307,8 @@ def test_parse_list_and_offsets():
     with pytest.raises(ParseError) as info:
         parse_polynomial_list("x, y %", R)
     assert info.value.position == 5
+    assert info.value.message == "unexpected character '%'"
+    assert str(info.value) == "unexpected character '%' (column 6)"
 
 
 @pytest.mark.parametrize("text,position", [

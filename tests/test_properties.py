@@ -1,8 +1,9 @@
 """Seeded randomized properties of the Groebner engine: generators reduce to
-zero, reduced bases are invariant under generator permutation and selection
-strategy, saturation is idempotent under further colons, and radical-
-membership witnesses check out by explicit power membership.  The final test
-asserts the total randomized case count for the run."""
+zero, reduced bases are invariant under generator permutation and under the
+first-in, first-out pair selection of ``FifoEngine``, saturation is
+idempotent under further colons, and radical-membership witnesses check out
+by explicit power membership.  The final test asserts the total randomized
+case count for the run."""
 from __future__ import annotations
 
 import random
@@ -63,20 +64,29 @@ def test_generators_reduce_to_zero_in_their_basis():
     _count(done)
 
 
-def test_reduced_basis_invariant_under_permutation_and_strategy():
+def test_reduced_basis_invariant_under_permutation_and_strategy(
+        fifo, engine_counts):
+    """Every basis also from the first-in, first-out engine, which forms
+    another number of S-polynomials on some of the ideals; each ``fifo``
+    call leaves the caches empty, so ``base`` is always a fresh run."""
     rng = random.Random(202)
-    done = 0
+    done = other_work = 0
     while done < 150:
         I = _random_ideal(rng, _ring(rng, done))
         if I is None or len(I.generators) < 2:
             continue
+        before = engine_counts["_spoly"]
         base = buchberger(I)
+        normal = engine_counts["_spoly"] - before
         shuffled = list(I.generators)
         rng.shuffle(shuffled)
         assert buchberger(Ideal(I.ring, tuple(shuffled))).elements == \
             base.elements
-        assert buchberger(I, strategy="fifo").elements == base.elements
+        before = engine_counts["_spoly"]
+        assert fifo(buchberger, I).elements == base.elements
+        other_work += engine_counts["_spoly"] - before != normal
         done += 1
+    assert other_work > 0
     _count(done)
 
 
