@@ -12,30 +12,31 @@ from veronese import (
     toric_ideal_lattice, veronese_map,
 )
 
-# Bracket powers raise each generator's exponents p-fold.
+# Bracket powers raise each generator's exponents p-fold; p is read from
+# the ring of the ideal, here GF(3).
 R = PolyRing(("x", "y"), GF(3))
 I = Ideal(R, (R.parse("x^2 + 2*y^2"),))
 print("I^[3]:                ",
-      [str(g) for g in frobenius_power(I, 3).generators])
+      [str(g) for g in frobenius_power(I).generators])
 
 # The splitting test: R/I is F-pure iff (I^[p] : I) has a generator with a
 # term whose exponents all stay below p.
-rep = fedder_fpure(Ideal(R, (R.parse("x*y"),)), 3)
+rep = fedder_fpure(Ideal(R, (R.parse("x*y"),)))
 print("x*y at p=3 is F-pure: ", rep.f_pure, "certificate:", rep.certificate)
 
 ver = toric_ideal_lattice(veronese_map(2, 3), GF(2))
-print("Veronese (2,3), p=2:  ", fedder_fpure(ver, 2).f_pure)
+print("Veronese (2,3), p=2:  ", fedder_fpure(ver).f_pure)
 
 # For a toric ideal the same verdict comes from one linear system over GF(p)
 # in the multidegree (p-1) * (sum of the targets), with no colon computed.
-fiber = fedder_fiber(ver, veronese_map(2, 3).targets, 2)
+fiber = fedder_fiber(ver, veronese_map(2, 3).targets)
 print("  by the fiber route: ", fiber.f_pure, f"({fiber.fiber_size} unknowns,",
       f"{fiber.constraints} rows, rank {fiber.rank})")
 
 targets = ((4, 0), (3, 1), (1, 3), (0, 4))
 for p in (2, 3, 5):
     curve = toric_ideal_lattice(MonomialMap(targets), GF(p))
-    print(f"curve algebra, p={p}:   F-pure = {fedder_fpure(curve, p).f_pure}")
+    print(f"curve algebra, p={p}:   F-pure = {fedder_fpure(curve).f_pure}")
 
 # The failure has a combinatorial explanation inside the exponent
 # semigroup: x^(6,2) lies in the ring, x^(4,0) generates a monomial ideal,

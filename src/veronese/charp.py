@@ -31,15 +31,21 @@ __all__ = [
 _GREVLEX = GrevLex()
 
 
-def frobenius_power(ideal: Ideal, p: int) -> Ideal:
-    """Bracket power I^[p] = (g^p : g in generators) over F_p.
+def _characteristic(ideal: Ideal) -> int:
+    """p of an ideal over GF(p); an ideal over QQ raises ``ValueError``."""
+    dom = ideal.ring.domain
+    if not isinstance(dom, PrimeField):
+        raise ValueError(f"ideal must live over a prime field, not {dom}")
+    return dom.p
+
+
+def frobenius_power(ideal: Ideal) -> Ideal:
+    """Bracket power I^[p] = (g^p : g in generators), p read from the ring.
 
     Over F_p the freshman's dream and Fermat give g^p termwise: every
     exponent scales by p and coefficients are fixed.
     """
-    dom = ideal.ring.domain
-    if not isinstance(dom, PrimeField) or dom.p != p:
-        raise ValueError(f"ideal must live over GF({p}), not {dom}")
+    p = _characteristic(ideal)
     gens = tuple(
         Polynomial(ideal.ring, tuple((tuple(e * p for e in m), c) for m, c in g.terms))
         for g in ideal.generators)
@@ -55,13 +61,14 @@ class FpurityReport(_Record):
     __slots__ = __match_args__
 
 
-def fedder_fpure(ideal: Ideal, p: int) -> FpurityReport:
+def fedder_fpure(ideal: Ideal) -> FpurityReport:
     """Decide F-purity of R/I at the irrelevant maximal ideal via Fedder.
 
-    Requires a homogeneous proper ideal over GF(p); ``frobenius_power``,
-    called first, rejects an ideal over another domain rather than coerce it.
+    Requires a homogeneous proper ideal over GF(p), p read from its ring;
+    an ideal over QQ is refused rather than coerced.
     """
-    bracket = frobenius_power(ideal, p)
+    bracket = frobenius_power(ideal)
+    p = ideal.ring.domain.p
     for g in ideal.generators:
         if not is_homogeneous(g):
             raise ValueError(f"non-homogeneous generator: {g}")
@@ -209,10 +216,11 @@ def _pure_binomial(g: Polynomial) -> tuple[Exponents, Exponents]:
     return monomials
 
 
-def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]], p: int
+def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
                  ) -> FiberReport:
     """Decide F-purity of R/I for the toric ideal I of ``targets`` over
-    GF(p), R = F_p[t_1..t_d], deg t_i = a_i, without the colon (I^[p] : I).
+    GF(p), p read from its ring, R = F_p[t_1..t_d], deg t_i = a_i, without
+    the colon (I^[p] : I); an ideal over QQ is refused.
 
     Frobenius basis.  Let G be the reduced grevlex basis of I.  Then
     G^[p] = {g^p} is the reduced basis of I^[p]: g -> g^p is a ring map
@@ -259,10 +267,8 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]], p: int
     candidate residues, raises ``ResourceCapError`` before any unknown is
     built.
     """
+    p = _characteristic(ideal)
     ring = ideal.ring
-    dom = ring.domain
-    if not isinstance(dom, PrimeField) or dom.p != p:
-        raise ValueError(f"ideal must live over GF({p}), not {dom}")
     sg = AffineSemigroup(tuple(tuple(a) for a in targets))
     A = sg.generators
     d, k = ring.arity, sg.arity
@@ -282,17 +288,9 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]], p: int
     reduced: dict[Exponents, Exponents] = {}
 
     def nf(q: Exponents) -> Exponents:
-        """The standard monomial of t^q modulo G, by pure-binomial rewriting."""
+        """The standard monomial of t^q modulo G."""
         if q not in reduced:
-            m = q
-            while True:
-                for lead, tail in rules:
-                    if all(a <= b for a, b in zip(lead, m)):
-                        m = tuple(b - a + c for a, b, c in zip(lead, m, tail))
-                        break
-                else:
-                    break
-            reduced[q] = m
+            reduced[q] = normal_form(ring.monomial(q), gb).terms[0][0]
         return reduced[q]
 
     # the unknowns p q + r, one per residue r that reaches delta
@@ -397,7 +395,7 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]], p: int
             tuple(p * a + b for a, b in zip(q, r)): 1
             for j, (q, r) in enumerate(fiber) if find(j) == x_root})
         frobenius_gb = GroebnerBasis(ring, _GREVLEX, frobenius_power(
-            Ideal(ring, gb.elements), p).generators)
+            Ideal(ring, gb.elements)).generators)
         if witness.coefficient(top) != 1 or not all(
                 normal_form(witness * g, frobenius_gb).is_zero()
                 for g in ideal.generators):

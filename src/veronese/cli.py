@@ -12,7 +12,9 @@ import sys
 import time
 from typing import NoReturn, Optional, Sequence
 
-from .polycore import CoeffDomain, GF, PolyRing, QQ, parse_polynomial_list
+from .polycore import (
+    CoeffDomain, GF, ParseError, PolyRing, QQ, parse_polynomial_list,
+)
 from .groebner import Ideal
 from .invariants import krull_dim
 from .toric import ci_check
@@ -139,8 +141,9 @@ def _cmd_present(args: argparse.Namespace) -> Report:
     if args.radical_subset is not None:
         subset = tuple(_variable_index(names, nm)
                        for nm in _split_list(args.radical_subset))
-    candidates: Optional[dict[int, tuple[str, ...]]] = None
+    candidates: Optional[dict[int, list[str]]] = None
     if args.ci:
+        ring = PolyRing(names)
         candidates = {}
         for entry in args.ci:
             head, sep, tail = entry.partition(":")
@@ -150,7 +153,14 @@ def _cmd_present(args: argparse.Namespace) -> Report:
             idx = _variable_index(names, head.strip())
             if idx in candidates:
                 raise ValueError(f"repeated --ci variable {head.strip()!r}")
-            candidates[idx] = _split_list(tail)
+            # parsed here too, so that a parse error names its column within
+            # this --ci value; the library parses the same text again
+            try:
+                parse_polynomial_list(tail, ring)
+            except ParseError as exc:
+                raise ParseError(exc.message,
+                                 len(head) + len(sep) + exc.position) from None
+            candidates[idx] = tail.split(",")
     witness = (None if args.fpurity_witness is None
                else _parse_targets(args.fpurity_witness))
     return present_monomial_algebra(
@@ -187,7 +197,7 @@ def _cmd_radical_cover(args: argparse.Namespace) -> Report:
 def _cmd_fedder(args: argparse.Namespace) -> Report:
     p = args.p
     ring, ideal = _parsed_ideal(args, GF(p))
-    rep = fedder_fpure(ideal, p)
+    rep = fedder_fpure(ideal)
     checks = [_check(f"f_pure_p{p}", rep.f_pure, **_fedder_details(rep))]
     params = {"ring": list(ring.names), "p": p}
     return Report("fedder", params, checks)

@@ -24,13 +24,14 @@ is served by one run per generator shape over GF(32003) with int
 coefficients, shared by every coefficient field (``_binomial_basis``).
 
 The engine takes the queued pair of smallest lcm degree first, counting
-the degree in the variables that the outer block of an elimination order
-keeps (in every variable under grevlex and lex).  The eliminated variables
-weigh nothing, so the input w*A + (1 - w)*B of an intersection, homogeneous
-in the kept variables but not in w, is worked through degree by degree, as
-in sugar selection.  Under an elimination order with grevlex inside, an
-output element whose lead has no eliminated variable is already
-grevlex-descending and is built without a sort.
+the degree in the variables that an elimination order keeps (in every
+variable under grevlex and lex).  The eliminated variables weigh nothing,
+so the input w*A + (1 - w)*B of an intersection, homogeneous in the kept
+variables but not in w, is worked through degree by degree, as in sugar
+selection.  An elimination order (``Block``) is grevlex on the
+eliminated variables, then grevlex on the rest, so an output element whose
+lead has no eliminated variable is already grevlex-descending and is built
+without a sort.
 
 ``colon_ideal`` intersects the pieces (I : g) over the generators g of the
 divisor and skips each g whose piece already contains the running
@@ -351,13 +352,12 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
 def _grevlex_leads(order: MonomialOrder):
     """A test on the lead of a reduced basis element under ``order``: true
     when its terms, descending in ``order``, are grevlex-descending too.
-    That holds under grevlex, and under an elimination order with grevlex
-    inside when the lead has no eliminated variable: then no term has one
-    (the elimination property), and on such monomials the two orders
-    agree."""
+    That holds under grevlex, and under an elimination order when the lead
+    has no eliminated variable: then no term has one (the elimination
+    property), and on such monomials the two orders agree."""
     if isinstance(order, GrevLex):
         return lambda lead: True
-    if isinstance(order, Block) and isinstance(order.inner, GrevLex):
+    if isinstance(order, Block):
         elim = list(order.eliminated)
         return lambda lead: not any([lead[i] for i in elim])
     return lambda lead: False
@@ -391,16 +391,11 @@ def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX
     """Reduced Groebner basis of the ideal under the given order.
 
     The result is unique per (ideal, order), independent of generator order
-    and of the order in which S-pairs are selected.  A block order whose
-    eliminated indices, at any depth, lie outside the variables it orders
-    raises ``ValueError``.
+    and of the order in which S-pairs are selected.  A block order with an
+    eliminated index outside the ring raises ``ValueError``.
     """
-    arity, inner = ideal.ring.arity, order
-    while isinstance(inner, Block):
-        if max(inner.eliminated) >= arity:
-            raise ValueError("eliminated index out of range")
-        arity -= len(inner.eliminated)
-        inner = inner.inner
+    if isinstance(order, Block) and max(order.eliminated) >= ideal.ring.arity:
+        raise ValueError("eliminated index out of range")
     return _buchberger_cached(ideal, order)
 
 
@@ -474,7 +469,7 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     small = PolyRing(tuple(compress(ring.names, kept)), ring.domain)
     if ideal.is_zero():
         return Ideal(small, ())
-    gb = buchberger(ideal, Block(drop, _GREVLEX))
+    gb = buchberger(ideal, Block(drop))
     dropped = [not k for k in kept]
     out = []
     for g in gb.elements:

@@ -1,18 +1,18 @@
 """Dimension, height, and closed-form graded pieces of top local cohomology.
 
-Krull dimension of R/I is read off the initial ideal: for a monomial ideal
-the dimension is the largest coordinate subspace avoiding every generator's
-support, and passing to lead terms preserves dimension.  The local
-cohomology pieces of a polynomial ring (and of Veronese subrings in their
-own grading) have binomial-coefficient dimensions; both closed forms live
-here, tied together by graded local duality.
+Krull dimension of R/I is read off the grevlex initial ideal: for a
+monomial ideal the dimension is the largest coordinate subspace avoiding
+every generator's support, and passing to lead terms preserves dimension.
+The local cohomology pieces of a polynomial ring (and of Veronese subrings
+in their own grading) have binomial-coefficient dimensions; both closed
+forms live here, tied together by graded local duality.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
 
-from .polycore import GrevLex, MonomialOrder, ResourceCapError, _Record
+from .polycore import ResourceCapError, _Record
 from .groebner import Ideal, initial_ideal
 
 __all__ = [
@@ -20,16 +20,13 @@ __all__ = [
     "hilbert_piece", "lc_top_piece", "veronese_lc_piece",
 ]
 
-_GREVLEX = GrevLex()
-
 _ARITY_CAP = 20
 
 
 class DimensionResult(_Record):
-    """Krull dimension of R/I, its height (arity - dimension), and the
-    order used for the initial ideal."""
+    """Krull dimension of R/I and its height (arity - dimension)."""
 
-    __match_args__ = ("dimension", "height", "order")
+    __match_args__ = ("dimension", "height")
     __slots__ = __match_args__
 
 
@@ -93,24 +90,24 @@ def dim_monomial(ideal: Ideal) -> DimensionResult:
         supports.append(s)
     cover = _min_cover(tuple(supports))
     dim = ring.arity - cover
-    return DimensionResult(dim, ring.arity - dim, _GREVLEX)
+    return DimensionResult(dim, ring.arity - dim)
 
 
-def krull_dim(ideal: Ideal, order: MonomialOrder = _GREVLEX) -> DimensionResult:
-    """Krull dimension and height of R/I via the initial ideal.
+def krull_dim(ideal: Ideal) -> DimensionResult:
+    """Krull dimension and height of R/I via the grevlex initial ideal; any
+    monomial order gives the same dimension.
 
     The zero ideal has dimension = arity.  The unit ideal is rejected, and
     so is an arity over the cap, before any Groebner work.
     """
     ring = ideal.ring
     if ideal.is_zero():
-        return DimensionResult(ring.arity, 0, order)
+        return DimensionResult(ring.arity, 0)
     _refuse_over_cap(ring)
-    init = initial_ideal(ideal, order)
+    init = initial_ideal(ideal)
     if any(g.total_degree() == 0 for g in init.generators):
         raise ValueError("unit ideal has no Krull dimension")
-    res = dim_monomial(init)
-    return DimensionResult(res.dimension, res.height, order)
+    return dim_monomial(init)
 
 
 def hilbert_piece(k: int, m: int) -> int:

@@ -194,9 +194,9 @@ class _Chart(_Record):
     """One localized complete-intersection chart, ``variable`` being a
     0-based index.  Without ``candidates`` the sequence is derived by
     ``ci_sequence`` for the pure power of that x-variable; with them, the
-    candidate strings are parsed in every characteristic and that
-    t-variable is inverted.  ``details`` are recorded right after the
-    inverted variable."""
+    candidate strings are parsed as one comma-separated list in every
+    characteristic and that t-variable is inverted.  ``details`` are
+    recorded right after the inverted variable."""
 
     __match_args__ = ("variable", "candidates", "details")
     __slots__ = __match_args__
@@ -299,7 +299,7 @@ def _characteristic_checks(
                 inv, cands = ci_sequence(mmap, chart.variable, dom)
             else:
                 inv = chart.variable
-                cands = tuple(ring.parse(s) for s in chart.candidates)
+                cands = parse_polynomial_list(",".join(chart.candidates), ring)
             checks.append(_ci_result(
                 f"localized_ci_{label}_{ring.names[inv]}",
                 ci_check(ideal, cands, inv), ring, **chart.details))
@@ -432,7 +432,7 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     checks.append(_lc_degree_zero("lc_degree_zero_vanishes", k, n))
 
     for char, _ in doms[1:]:
-        rep = fedder_fiber(ideals[char], mmap.targets, char)
+        rep = fedder_fiber(ideals[char], mmap.targets)
         checks.append(_check(f"f_pure_p{char}", rep.f_pure,
                              fiber_size=rep.fiber_size,
                              constraints=rep.constraints, rank=rep.rank))
@@ -461,12 +461,13 @@ def present_monomial_algebra(
     certifiable, the normalization's degree-zero computation.
 
     ``radical_subset`` and the keys of ``ci_candidates`` are 0-based source
-    variable indices; candidate polynomials are strings in t1..td, parsed
-    separately over every characteristic.  ``fpurity_witness`` is a pair
-    (numerator vector, generator vector) of semigroup elements whose failed
-    base containment plus successful p-fold containment certifies
-    non-F-purity.  Both default to the pure-power charts when the map is a
-    Veronese map, and are skipped otherwise.
+    variable indices; the candidate polynomials of a chart are strings in
+    t1..td, parsed over every characteristic as one comma-separated list,
+    so the column of a ``ParseError`` counts in their comma-joined text.
+    ``fpurity_witness`` is a pair (numerator vector, generator vector) of
+    semigroup elements whose failed base containment plus successful p-fold
+    containment certifies non-F-purity.  Both default to the pure-power
+    charts when the map is a Veronese map, and are skipped otherwise.
     """
     ensure_within_cap(len(targets))
     mmap = MonomialMap(targets)
@@ -538,7 +539,7 @@ def present_monomial_algebra(
         base_in = monomial_ideal_member(sg, witness_base, witness_gen)
 
     for char, _ in doms[1:]:
-        rep = fedder_fpure(ideals[char], char)
+        rep = fedder_fpure(ideals[char])
         details = {"f_pure": rep.f_pure, **_fedder_details(rep)}
         if fpurity_witness is None:
             checks.append(_check(f"f_purity_recorded_p{char}", True, **details))

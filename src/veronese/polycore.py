@@ -318,36 +318,34 @@ class GrevLex(_Fieldless):
 
 class Block(_Record):
     """Elimination order: grevlex on the eliminated variables dominates,
-    ties broken by the inner order on the remaining variables.
+    ties broken by grevlex on the remaining variables.
 
     Any monomial containing an eliminated variable beats every monomial in
     the remaining variables alone, which is exactly the elimination
     property needed to read off intersection ideals from a basis.  The key
-    is the grevlex key of the eliminated exponents followed by the inner
+    is the grevlex key of the eliminated exponents followed by the grevlex
     key of the rest.
     """
 
-    __match_args__ = ("eliminated", "inner")
+    __match_args__ = ("eliminated",)
     __slots__ = __match_args__
 
-    def __init__(self, eliminated: Iterable[int],
-                 inner: "MonomialOrder" = GrevLex()) -> None:
+    def __init__(self, eliminated: Iterable[int]) -> None:
         elim = frozenset(eliminated)
         if not elim:
             raise ValueError("Block order needs a nonempty eliminated set")
         if any((not isinstance(i, int)) or i < 0 for i in elim):
             raise ValueError("eliminated indices must be nonnegative ints")
         _setattr(self, "eliminated", elim)
-        _setattr(self, "inner", inner)
 
     def key(self, m: Exponents):
         elim = self.eliminated
         block = tuple(e for i, e in enumerate(m) if i in elim)
         rest = tuple(e for i, e in enumerate(m) if i not in elim)
-        return _grevlex_key(block) + self.inner.key(rest)
+        return _grevlex_key(block) + _grevlex_key(rest)
 
     def __str__(self) -> str:
-        return f"block(eliminate={sorted(self.eliminated)}, inner={self.inner})"
+        return f"block(eliminate={sorted(self.eliminated)})"
 
 
 MonomialOrder = Union[Lex, GrevLex, Block]
@@ -486,14 +484,11 @@ class PolyRing(_CachedHash):
         exps = tuple(1 if i == which else 0 for i in range(self.arity))
         return Polynomial(self, ((exps, self.domain.one),))
 
-    def monomial(self, exps: Sequence[int], coeff: Union[int, Fraction] = 1) -> "Polynomial":
+    def monomial(self, exps: Sequence[int]) -> "Polynomial":
         exps = tuple(exps)
         if len(exps) != self.arity or any((not isinstance(e, int)) or e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps!r} for arity {self.arity}")
-        c = self.domain.normalize(coeff)
-        if c == 0:
-            return Polynomial(self, ())
-        return Polynomial(self, ((exps, c),))
+        return Polynomial(self, ((exps, self.domain.one),))
 
     def from_dict(self, mapping: Mapping[Exponents, Union[int, Fraction]]) -> "Polynomial":
         return _from_dict(self, dict(mapping))

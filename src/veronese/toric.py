@@ -86,9 +86,12 @@ class MonomialMap(_Record):
             return n
         return None
 
-    def substitute(self, f: Polynomial, domain: CoeffDomain = QQ) -> Polynomial:
-        """Image of an element of the source ring under the map."""
-        xring = self.target_ring(domain)
+    def substitute(self, f: Polynomial) -> Polynomial:
+        """Image of an element of the source ring under the map, over the
+        field of f; f must have d variables."""
+        if f.ring.arity != self.d:
+            raise ValueError(f"{f.ring.arity} variables for {self.d} targets")
+        xring = self.target_ring(f.ring.domain)
         d: dict[Exponents, object] = {}
         for m, c in f.terms:
             img = [0] * self.k

@@ -33,7 +33,7 @@ def _ideal(ring, *texts):
 def test_frobenius_power_scales_exponents_termwise():
     R = PolyRing(("x", "y"), GF(3))
     I = _ideal(R, "x^2 + 2*y", "x*y - 1")
-    J = frobenius_power(I, 3)
+    J = frobenius_power(I)
     # coefficients are untouched; GF(3) renders -1 as its residue 2
     assert [str(g) for g in J.generators] == ["x^6 + 2*y^3", "x^3*y^3 + 2"]
     # in characteristic p the bracket power is the image of Frobenius
@@ -41,13 +41,14 @@ def test_frobenius_power_scales_exponents_termwise():
         assert f ** 3 == g
 
 
-def test_frobenius_power_validates_characteristic():
-    R = PolyRing(("x",), GF(3))
-    with pytest.raises(ValueError):
-        frobenius_power(_ideal(R, "x"), 2)       # ring has characteristic 3
-    Q = PolyRing(("x",), QQ)
-    with pytest.raises(ValueError):
-        frobenius_power(_ideal(Q, "x"), 3)       # not a prime field at all
+def test_characteristic_p_calls_refuse_ideals_over_the_rationals():
+    """p is read from the ring of the ideal; over QQ there is none."""
+    Q = PolyRing(("t1", "t2", "t3"), QQ)
+    conic = _ideal(Q, "t2^2 - t1*t3")
+    for call in (frobenius_power, fedder_fpure,
+                 lambda I: fedder_fiber(I, ((2, 0), (1, 1), (0, 2)))):
+        with pytest.raises(ValueError, match="prime field"):
+            call(conic)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def test_frobenius_power_validates_characteristic():
 
 def test_monomial_hypersurface_is_f_pure_at_two():
     R = PolyRing(("x", "y"), GF(2))
-    rep = fedder_fpure(_ideal(R, "x*y"), 2)
+    rep = fedder_fpure(_ideal(R, "x*y"))
     assert isinstance(rep, FpurityReport)
     assert rep.f_pure is True
     assert str(rep.certificate) == "x*y"
@@ -67,20 +68,20 @@ def test_monomial_hypersurface_is_f_pure_at_two():
 
 def test_zero_ideal_is_f_pure():
     R = PolyRing(("x",), GF(3))
-    rep = fedder_fpure(Ideal(R, ()), 3)
+    rep = fedder_fpure(Ideal(R, ()))
     assert rep.f_pure is True and str(rep.certificate) == "1"
 
 
 def test_fermat_cubic_cone_is_not_f_pure_at_two():
     R = PolyRing(("x", "y", "z"), GF(2))
-    rep = fedder_fpure(_ideal(R, "x^3 + y^3 + z^3"), 2)
+    rep = fedder_fpure(_ideal(R, "x^3 + y^3 + z^3"))
     assert rep.f_pure is False and rep.certificate is None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_quartic_curve_algebra_is_never_f_pure(p):
     I = toric_ideal_lattice(MonomialMap(QUARTIC), GF(p))
-    rep = fedder_fpure(I, p)
+    rep = fedder_fpure(I)
     assert rep.f_pure is False
     assert rep.certificate is None
     # the verdict is honest: no colon generator has an all-small term
@@ -94,7 +95,7 @@ def test_quartic_curve_algebra_is_never_f_pure(p):
 ])
 def test_veronese_algebras_are_f_pure(k, n, p):
     I = toric_ideal_lattice(veronese_map(k, n), GF(p))
-    rep = fedder_fpure(I, p)
+    rep = fedder_fpure(I)
     assert rep.f_pure is True
     cert = rep.certificate
     assert cert is not None
@@ -107,13 +108,11 @@ def test_veronese_algebras_are_f_pure(k, n, p):
 def test_fedder_validates_input():
     R = PolyRing(("x", "y"), GF(3))
     with pytest.raises(ValueError):
-        fedder_fpure(_ideal(R, "x^2 - y"), 3)     # not homogeneous
+        fedder_fpure(_ideal(R, "x^2 - y"))        # not homogeneous
     with pytest.raises(ValueError):
-        fedder_fpure(_ideal(R, "2"), 3)           # unit ideal
-    with pytest.raises(ValueError):
-        fedder_fpure(_ideal(R, "x"), 5)           # wrong characteristic
+        fedder_fpure(_ideal(R, "2"))              # unit ideal
     # the full homogeneous maximal ideal is still legitimate input
-    assert fedder_fpure(_ideal(R, "x - y", "x + y"), 3).f_pure is True
+    assert fedder_fpure(_ideal(R, "x - y", "x + y")).f_pure is True
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +137,8 @@ def _seeded_curves(seed, count=4):
 def _fiber_against_colon(targets, p):
     mmap = MonomialMap(targets)
     I = toric_ideal_elimination(mmap, GF(p))
-    rep = fedder_fiber(I, mmap.targets, p)
-    assert rep.f_pure == fedder_fpure(I, p).f_pure, (targets, p)
+    rep = fedder_fiber(I, mmap.targets)
+    assert rep.f_pure == fedder_fpure(I).f_pure, (targets, p)
     return rep
 
 
@@ -172,7 +171,7 @@ def test_fiber_route_agrees_with_colon_on_seeded_curves(seed):
 def test_fiber_witness_lies_in_the_colon(k, n, p):
     mmap = veronese_map(k, n)
     I = toric_ideal_elimination(mmap, GF(p))
-    u = fedder_fiber(I, mmap.targets, p).witness
+    u = fedder_fiber(I, mmap.targets).witness
     top = (p - 1,) * mmap.d
     assert u.coefficient(top) == 1
     # u sits in the multidegree (p - 1) * sum of the targets
@@ -182,7 +181,7 @@ def test_fiber_witness_lies_in_the_colon(k, n, p):
                             for j in range(k))}
     # u * I lies in I^[p], by the generic normal form against the basis
     # Buchberger computes for I^[p] itself
-    bracket = buchberger(frobenius_power(I, p))
+    bracket = buchberger(frobenius_power(I))
     for g in I.generators:
         assert normal_form(u * g, bracket).is_zero()
 
@@ -192,32 +191,27 @@ def test_fiber_witness_lies_in_the_colon(k, n, p):
 def test_frobenius_basis_is_the_reduced_basis_of_the_bracket_power(k, n, p):
     I = toric_ideal_lattice(veronese_map(k, n), GF(p))
     G = buchberger(I)
-    frobenius = frobenius_power(Ideal(I.ring, G.elements), p).generators
-    assert frobenius == buchberger(frobenius_power(I, p)).elements
+    frobenius = frobenius_power(Ideal(I.ring, G.elements)).generators
+    assert frobenius == buchberger(frobenius_power(I)).elements
 
 
 def test_fiber_route_validates_input():
     targets = ((2, 0), (1, 1), (0, 2))
     R = PolyRing(("t1", "t2", "t3"), GF(3))
     conic = _ideal(R, "t2^2 - t1*t3")
-    assert fedder_fiber(conic, targets, 3).f_pure is True
+    assert fedder_fiber(conic, targets).f_pure is True
     with pytest.raises(ValueError):
-        fedder_fiber(conic, targets, 2)               # wrong characteristic
-    Q = PolyRing(("t1", "t2", "t3"), QQ)
+        fedder_fiber(_ideal(R, "t2^2 + t1*t3"), targets)      # not pure
     with pytest.raises(ValueError):
-        fedder_fiber(_ideal(Q, "t2^2 - t1*t3"), targets, 3)
+        fedder_fiber(_ideal(R, "t2^2 - t1*t3 + t1^2"), targets)
     with pytest.raises(ValueError):
-        fedder_fiber(_ideal(R, "t2^2 + t1*t3"), targets, 3)   # not pure
+        fedder_fiber(_ideal(R, "t2^2"), targets)               # monomial
     with pytest.raises(ValueError):
-        fedder_fiber(_ideal(R, "t2^2 - t1*t3 + t1^2"), targets, 3)
+        fedder_fiber(_ideal(R, "t2^2 - t1^2"), targets)     # not A-graded
     with pytest.raises(ValueError):
-        fedder_fiber(_ideal(R, "t2^2"), targets, 3)            # monomial
-    with pytest.raises(ValueError):
-        fedder_fiber(_ideal(R, "t2^2 - t1^2"), targets, 3)  # not A-graded
-    with pytest.raises(ValueError):
-        fedder_fiber(conic, targets[:2], 3)            # too few targets
+        fedder_fiber(conic, targets[:2])               # too few targets
     scaled = _ideal(R, "2*t2^2 - 2*t1*t3")             # a unit multiple
-    assert fedder_fiber(scaled, targets, 3).f_pure is True
+    assert fedder_fiber(scaled, targets).f_pure is True
 
 
 @pytest.mark.parametrize("k, n, cap, refused", [
@@ -235,11 +229,11 @@ def test_fiber_cap_refuses_before_the_unknowns_are_built(
     I = toric_ideal_lattice(mmap, GF(3))
     monkeypatch.setattr(charp, "FIBER_CAP", cap)
     if refused is None:
-        assert fedder_fiber(I, mmap.targets, 3).f_pure is True
+        assert fedder_fiber(I, mmap.targets).f_pure is True
         return
     monkeypatch.setattr(charp, "semigroup_member", None)   # never reached
     with pytest.raises(ResourceCapError) as exc:
-        fedder_fiber(I, mmap.targets, 3)
+        fedder_fiber(I, mmap.targets)
     assert str(exc.value) == refused
 
 

@@ -204,6 +204,20 @@ def test_char_compare_reports_the_column_within_the_ideal(capsys, text,
     assert err.endswith(f" (column {column})\n")
 
 
+@pytest.mark.parametrize("ci, column", [
+    ("t1:t2^3-t1^2*t3,t2*t3-t1^", 26), ("t1: t2 , t2*", 13),
+    ("t4:t2,,t3", 7), (" t1 :t2, t5", 10)])
+def test_present_reports_the_column_within_the_ci_value(capsys, ci, column):
+    """A parse error in a ``--ci`` candidate names its column within that
+    ``--ci`` value, variable prefix included, also when another ``--ci``
+    parses."""
+    code, out, err = _run(capsys, "present", "--targets", "4,0;3,1;1,3;0,4",
+                          "--ci", "t2:t3", "--ci", ci)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert err.endswith(f" (column {column})\n")
+
+
 @pytest.mark.parametrize("text", ["é", "x²", "x + ٣"])
 def test_exit_two_on_non_ascii_polynomial_text(capsys, text):
     code, out, err = _run(capsys, "height", "--ring", "x,y", "--ideal", text)

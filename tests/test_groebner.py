@@ -144,14 +144,12 @@ def test_eliminate_validates_indices():
 
 
 def test_buchberger_refuses_block_orders_outside_the_ring(groebner_caches):
-    """An eliminated index past the variables it orders, in the outer block
-    or in a nested one (which orders the variables the outer keeps), is
-    refused before any cache is consulted, as ``eliminate`` refuses it."""
+    """An eliminated index past the ring's variables is refused before any
+    cache is consulted, as ``eliminate`` refuses it."""
     R = PolyRing(("x", "y"), QQ)
     binomial = _ideal(R, "x^2 - y")
     general = _ideal(R, "x^2 - y + 1")
-    for order in (Block({5}), Block({2}, Lex()), Block({0}, Block({1})),
-                  Block({0, 1}, Block({0}))):
+    for order in (Block({5}), Block({2}), Block({0, 2})):
         for ideal in (binomial, general):
             with pytest.raises(ValueError, match="out of range"):
                 buchberger(ideal, order)
@@ -159,7 +157,7 @@ def test_buchberger_refuses_block_orders_outside_the_ring(groebner_caches):
     # the largest indices in range still run
     assert buchberger(binomial, Block({1})).elements \
         == (R.parse("y - x^2"),)
-    assert buchberger(general, Block({0}, Block({0}))).elements \
+    assert buchberger(general, Block({0})).elements \
         == buchberger(general, Lex()).elements
 
 
@@ -253,7 +251,7 @@ def _random_form(rng, R, degree):
         exps = [0] * R.arity
         for _ in range(degree):
             exps[rng.randrange(R.arity)] += 1
-        terms.append(R.monomial(exps, rng.choice((1, -1))))
+        terms.append(rng.choice((1, -1)) * R.monomial(exps))
     return sum(terms[1:], terms[0])
 
 

@@ -26,10 +26,10 @@ from veronese.polycore import (
 _ORDERS = [
     Lex(),
     GrevLex(),
-    Block(frozenset({0, 2}), GrevLex()),
-    Block(frozenset({1, 3}), Lex()),
-    Block(frozenset({3}), GrevLex()),
-    Block(frozenset({0, 3}), Block(frozenset({1}), Lex())),
+    Block(frozenset({0, 2})),
+    Block(frozenset({1, 3})),
+    Block(frozenset({3})),
+    Block(frozenset({0, 3})),
 ]
 _DOMAINS = [QQ, GF(2), GF(5)]
 
@@ -45,14 +45,14 @@ def monomial_divides(a, b):
 
 def _nested_key(order, m):
     """Order key as nested tuples: grevlex (deg, reversed negated
-    exponents), block (grevlex key of the block, inner key of the rest)."""
+    exponents), block (grevlex key of the block, grevlex key of the rest)."""
     if isinstance(order, Lex):
         return m
     if isinstance(order, GrevLex):
         return (sum(m), tuple(-e for e in reversed(m)))
     block = tuple(e for i, e in enumerate(m) if i in order.eliminated)
     rest = tuple(e for i, e in enumerate(m) if i not in order.eliminated)
-    return (_nested_key(GrevLex(), block), _nested_key(order.inner, rest))
+    return (_nested_key(GrevLex(), block), _nested_key(GrevLex(), rest))
 
 
 def _support_mask(m):
@@ -156,7 +156,8 @@ def _random_binomials(rng, ring):
         deg = rng.randint(2, 3)
         a, b = (tuple(_composition(rng, deg, ring.arity)) for _ in range(2))
         if a != b:
-            out.append(ring.monomial(a) - ring.monomial(b, rng.choice((1, 2))))
+            out.append(ring.monomial(a)
+                       - rng.choice((1, 2)) * ring.monomial(b))
     return out
 
 
@@ -218,11 +219,11 @@ def _is_binomial(ideal):
 
 def _in_order_elements(basis, order):
     """How many elements of a basis under ``order`` the engine lists
-    grevlex-descending: all under grevlex; under a block order with grevlex
-    inside, those whose lead has no eliminated variable."""
+    grevlex-descending: all under grevlex; under a block order, those whose
+    lead has no eliminated variable."""
     if isinstance(order, GrevLex):
         return len(basis)
-    if isinstance(order, Block) and isinstance(order.inner, GrevLex):
+    if isinstance(order, Block):
         return sum(not any(g.lead_monomial(order)[i] for i in order.eliminated)
                    for g in basis)
     return 0
@@ -232,7 +233,7 @@ def _in_order_elements(basis, order):
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
 def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
     """Engine output under grevlex, the elements free of the eliminated
-    variables in engine output under a block order with grevlex inside,
+    variables in engine output under a block order,
     normal forms against a grevlex basis and the restricted terms of an
     elimination skip the sort, and bases of binomial ideals, built from a
     shared run, take no ``_from_dict`` call; each must be the polynomial
@@ -258,7 +259,7 @@ def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
             in_order = len(fs) * bool(basis)
         if not _is_binomial(ideal):
             in_order += _in_order_elements(basis, order)
-            elimination = Block(frozenset(drop), GrevLex())
+            elimination = Block(frozenset(drop))
             if elimination != order:    # else the basis comes from the cache
                 in_order += _in_order_elements(
                     buchberger(ideal, elimination).elements, elimination)
@@ -301,7 +302,7 @@ def _polys(text):
 
 @pytest.mark.parametrize("order, expected", [
     (Lex(), "y^40001, x - y^40000"),
-    (Block(frozenset({0}), GrevLex()), "y^40001, x - y^40000"),
+    (Block(frozenset({0})), "y^40001, x - y^40000"),
     (GrevLex(), "x*y, x^2, y^40000 - x"),
 ], ids=str)
 def test_bases_with_exponents_past_the_first_width(order, expected):

@@ -88,9 +88,8 @@ class _Logged(_Engine):
 
 
 @pytest.mark.parametrize("order, degree", [
-    (Block(frozenset({2}), GrevLex()), 3),
-    (Block(frozenset({2}), Lex()), 3),
-    (Block(frozenset({0, 2}), GrevLex()), 1),
+    (Block(frozenset({2})), 3),
+    (Block(frozenset({0, 2})), 1),
     (GrevLex(), 6),
     (Lex(), 6),
 ], ids=str)

@@ -61,6 +61,25 @@ def test_map_substitution():
     assert m.common_degree() == 4 and m.veronese_degree() is None
 
 
+def test_substitution_keeps_the_field_of_its_input():
+    """Over GF(5) the kernel element maps to 0 in GF(5)[x1, x2], not to
+    5*x1^4*x2^4 over QQ."""
+    m = MonomialMap(QUARTIC)
+    S = m.source_ring(GF(5))
+    image = m.substitute(S.parse("t2*t3 - t1*t4"))
+    assert image.is_zero() and image.ring == m.target_ring(GF(5))
+    assert m.substitute(S.parse("t1 + 6*t4")) \
+        == m.target_ring(GF(5)).parse("x1^4 + x2^4")
+
+
+@pytest.mark.parametrize("names", [("t1", "t2", "t3"),
+                                   ("t1", "t2", "t3", "t4", "t5")])
+def test_substitution_refuses_a_ring_of_another_arity(names):
+    R = PolyRing(names, QQ)
+    with pytest.raises(ValueError, match="4"):
+        MonomialMap(QUARTIC).substitute(R.parse("t1*t2"))
+
+
 # ---------------------------------------------------------------------------
 # presentation ideals: two routes, one answer
 # ---------------------------------------------------------------------------

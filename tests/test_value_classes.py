@@ -35,12 +35,12 @@ _BUILDERS = {
     "PrimeField": lambda: PrimeField(5),
     "Lex": Lex,
     "GrevLex": GrevLex,
-    "Block": lambda: Block(frozenset({0}), Lex()),
+    "Block": lambda: Block(frozenset({0})),
     "PolyRing": _ring,
     "Polynomial": _poly,
     "Ideal": lambda: Ideal(_ring(), (_poly(),)),
     "GroebnerBasis": lambda: GroebnerBasis(_ring(), GrevLex(), (_poly(),)),
-    "DimensionResult": lambda: DimensionResult(1, 1, GrevLex()),
+    "DimensionResult": lambda: DimensionResult(1, 1),
     "GradedPiece": lambda: GradedPiece(index=2, degree=-2, dimension=1),
     "FpurityReport": lambda: FpurityReport(3, (_poly(),), _poly(), True),
     "FiberReport": lambda: FiberReport(3, 4, 2, 2, _poly(), True),
@@ -94,7 +94,7 @@ def test_classes_with_equal_field_values_differ():
         (Rationals(), Lex()),
         (MonomialMap([[2, 0], [1, 1]]), AffineSemigroup([[2, 0], [1, 1]])),
         (R.zero, Ideal(R, ())),                    # both are (R, ())
-        (DimensionResult(1, 1, 1), GradedPiece(1, 1, 1)),
+        (DimensionResult(R, ()), Ideal(R, ())),
     ]
     for a, b in pairs:
         assert a != b and b != a
@@ -105,7 +105,7 @@ def test_unequal_fields_compare_unequal():
     assert PrimeField(5) != PrimeField(7)
     assert PolyRing(("x", "y"), QQ) != PolyRing(("x", "y"), GF(5))
     assert PolyRing(("x", "y")) != PolyRing(("y", "x"))
-    assert Block({0}) != Block({1}) and Block({0}) != Block({0}, Lex())
+    assert Block({0}) != Block({1}) and Block({0}) != Block({0, 1})
     R = _ring()
     assert R.parse("x") != R.parse("y")
     assert R.parse("x") != PolyRing(("x", "y"), QQ).parse("x")
@@ -140,7 +140,6 @@ def test_constructor_checks_raise_value_error(build):
 
 
 def test_constructor_defaults_and_normalisations():
-    assert Block({1, 0}).inner == GrevLex()
     assert Block([1, 0]).eliminated == frozenset({0, 1})
     R = PolyRing(["x", "y"])
     assert R.names == ("x", "y") and R.domain == QQ
@@ -159,7 +158,7 @@ def test_constructor_defaults_and_normalisations():
 def test_keyword_construction_and_repr():
     assert PrimeField(p=3) == GF(3)
     assert PolyRing(names=("x",), domain=QQ) == PolyRing(("x",))
-    assert Block(eliminated={0}, inner=Lex()) == Block({0}, Lex())
+    assert Block(eliminated={0}) == Block({0})
     assert repr(PrimeField(5)) == "PrimeField(p=5)"
     assert repr(GrevLex()) == "GrevLex()"
     assert (repr(GradedPiece(2, -2, 1))

@@ -37,6 +37,6 @@ def test_fedder_on_the_quartic_curve_at_five(engine_counts, groebner_caches,
     for name in engine_counts:
         engine_counts[name] = 0
     groebner_caches()
-    assert fedder_fpure(ideal, 5).f_pure is False
+    assert fedder_fpure(ideal).f_pure is False
     assert engine_counts == {"_spoly": 162, "_push_pair": 208, "insert": 84}
     assert colon_calls == {"colon": 2, "intersect": 3}
