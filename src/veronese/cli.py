@@ -126,8 +126,7 @@ def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
     checks = [
         _check("toric_routes_agree", agree,
                **_minimal_generator_details(ideal)),
-        _height_check("height_matches", krull_dim(ideal), "expected",
-                      mmap.d - k, show_dimension=True),
+        _height_check("height_matches", krull_dim(ideal), mmap.d - k),
     ]
     params = {"k": k, "n": n, "d": mmap.d, "characteristic": char}
     return Report("veronese-ideal", params, checks)

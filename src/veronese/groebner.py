@@ -20,8 +20,8 @@ are unpacked, reduced, monic and canonically sorted, so two runs with
 different generator orders agree structurally.
 
 An ideal whose generators are all monomials or pure differences c*(m1 - m2)
-is served by one run per generator shape over GF(32003) with int
-coefficients, shared by every coefficient field (``_binomial_basis``).
+is served by one run per generator shape over GF(32003), shared by every
+field (``_binomial_basis``), whose output becomes a basis as a run's own does.
 
 The engine takes the queued pair of smallest lcm degree first, counting
 the degree in the variables that an elimination order keeps (in every
@@ -51,7 +51,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .polycore import (
     GF, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
-    _PackingOverflow, _from_dict, _grevlex_key, _nf_dict, _packed, _setattr,
+    _PackingOverflow, _from_dict, _nf_dict, _packed, _setattr,
 )
 
 __all__ = [
@@ -309,9 +309,9 @@ _SHARED_PRIME = 32003
 
 @lru_cache(maxsize=256)
 def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
-    """The reduced basis of the ideal whose generators have the monomials
-    ``shape`` (one tuple per generator, from ``_pure_difference``), as
-    elements of (exponents, sign) terms, grevlex-descending, sign +1 or -1.
+    """The reduced basis under ``order`` of the ideal whose generators have
+    the monomials ``shape`` (from ``_pure_difference``), each element its
+    exponents in descending order, the first term +1, a second one -1.
 
     The run is over GF(32003) (``_SHARED_PRIME``), in a ring of ``arity``
     variables, with int residues for coefficients, and serves every
@@ -341,9 +341,7 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
             if list(terms.values()) != list(signs[:len(terms)]):
                 raise RuntimeError("a shared binomial run left the pure "
                                    "differences; engine bug")
-            basis.append(tuple(sorted(
-                zip(terms, (1, -1)), key=lambda t: _grevlex_key(t[0]),
-                reverse=True)))
+            basis.append(tuple(terms))
         return tuple(basis)
 
     return _packed(order, arity, run)
@@ -368,22 +366,18 @@ def _buchberger_cached(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     ring = ideal.ring
     shape = tuple(map(_pure_difference, ideal.generators))
     if None not in shape:
-        dom = ring.domain
-        coefficient = {1: dom.one, -1: dom.normalize(-1)}
-        return GroebnerBasis(ring, order, tuple(
-            Polynomial(ring, tuple([(m, coefficient[s]) for m, s in g]))
-            for g in _binomial_basis(ring.arity, shape, order)))
-    # the engine lists terms in descending packed order, the order's own
+        signs = (ring.domain.one, ring.domain.normalize(-1))
+        basis = [dict(zip(g, signs))
+                 for g in _binomial_basis(ring.arity, shape, order)]
+    else:
+        basis = _packed(order, ring.arity, lambda packing: [
+            packing.unpack_terms(d)
+            for d in _Engine(ring, packing).run(ideal.generators)])
+    # either way the terms come in descending order, the order's own
     in_order = _grevlex_leads(order)
-
-    def run(packing: _Packing) -> tuple[Polynomial, ...]:
-        out = []
-        for d in _Engine(ring, packing).run(ideal.generators):
-            terms = packing.unpack_terms(d)
-            out.append(_from_dict(ring, terms, in_order(next(iter(terms)))))
-        return tuple(out)
-
-    return GroebnerBasis(ring, order, _packed(order, ring.arity, run))
+    return GroebnerBasis(ring, order, tuple(
+        _from_dict(ring, terms, in_order(next(iter(terms))))
+        for terms in basis))
 
 
 def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX
@@ -414,8 +408,6 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Canonical remainder of f modulo the reduced basis."""
     if f.ring != gb.ring:
         raise ValueError("polynomial from a different ring")
-    if not gb.elements:
-        return f
 
     def run(packing: _Packing) -> dict:
         r = _nf_dict(packing.pack_terms(f.terms), _gb_entries(gb, packing),
@@ -467,8 +459,6 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     if not any(kept):
         raise ValueError("cannot eliminate every variable")
     small = PolyRing(tuple(compress(ring.names, kept)), ring.domain)
-    if ideal.is_zero():
-        return Ideal(small, ())
     gb = buchberger(ideal, Block(drop))
     dropped = [not k for k in kept]
     out = []
@@ -497,8 +487,6 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
     ring = a.ring
-    if a.is_zero() or b.is_zero():
-        return Ideal(ring, ())
     ext = _extended_ring(ring)
     w = ext.variable(ext.arity - 1)
     gens = [_lift(f, ext, 1) for f in a.generators]

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 from math import comb
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, PolyRing, QQ, ResourceCapError, _Record,
@@ -159,9 +158,6 @@ def _radical_cover(ideal: Ideal, subset: tuple[int, ...]
             raise ValueError(f"variable index {i} out of range")
     J = ideal_sum(ideal, Ideal(ring, tuple(ring.variable(i) for i in subset)))
     gb = buchberger(J, _GREVLEX)
-    if any(g.total_degree() == 0 for g in gb.elements):
-        return True, [{"variable": nm, "member": True, "exponent": 1}
-                      for nm in ring.names]
     leads = [g.lead_monomial(_GREVLEX) for g in gb.elements]
     powered = [any(m[i] == sum(m) for m in leads) for i in range(ring.arity)]
     if all(powered) and all(is_homogeneous(g) for g in ideal.generators):
@@ -189,19 +185,6 @@ def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # per-characteristic checks
 # ---------------------------------------------------------------------------
-
-class _Chart(_Record):
-    """One localized complete-intersection chart, ``variable`` being a
-    0-based index.  Without ``candidates`` the sequence is derived by
-    ``ci_sequence`` for the pure power of that x-variable; with them, the
-    candidate strings are parsed as one comma-separated list in every
-    characteristic and that t-variable is inverted.  ``details`` are
-    recorded right after the inverted variable."""
-
-    __match_args__ = ("variable", "candidates", "details")
-    __slots__ = __match_args__
-    _defaults = (None, MappingProxyType({}))
-
 
 def _toric_routes(mmap: MonomialMap, dom: CoeffDomain
                   ) -> tuple[Ideal, Ideal, bool]:
@@ -245,15 +228,10 @@ def _fedder_details(rep: FpurityReport) -> dict:
             "colon_generators": len(rep.colon_generators)}
 
 
-def _height_check(name: str, dims: DimensionResult, expected_key: str,
-                  expected: int, show_dimension: bool) -> Check:
-    """The computed height against ``expected``, recorded under
-    ``expected_key``, with the Krull dimension when ``show_dimension``."""
-    details: dict[str, object] = {"height": dims.height,
-                                  expected_key: expected}
-    if show_dimension:
-        details["dimension"] = dims.dimension
-    return _check(name, dims.height == expected, **details)
+def _height_check(name: str, dims: DimensionResult, expected: int) -> Check:
+    """The computed height against ``expected``, with the Krull dimension."""
+    return _check(name, dims.height == expected, height=dims.height,
+                  expected=expected, dimension=dims.dimension)
 
 
 def _height_constancy(heights: Mapping[int, int]) -> Check:
@@ -263,17 +241,15 @@ def _height_constancy(heights: Mapping[int, int]) -> Check:
 
 
 def _characteristic_checks(
-        mmap: MonomialMap, doms: Sequence[tuple[int, CoeffDomain]], *,
-        height_check: str, expected_key: str, expected: int,
-        show_dimension: bool, charts: Sequence[_Chart],
-        cover: tuple[int, ...],
+        mmap: MonomialMap, doms: Sequence[tuple[int, CoeffDomain]],
+        height: Callable, charts: Callable, cover: tuple[int, ...],
 ) -> tuple[dict[int, Ideal], dict[int, int], list[Check]]:
     """The presentation ideal and its height over each characteristic, and
     the checks: per characteristic the toric routes (with minimal generators
-    in characteristic zero), the height against ``expected`` (recorded as
-    in ``_height_check``), the localized-CI ``charts`` in order and the
-    radical cover of ``cover`` when it is nonempty, then the height
-    constancy across them."""
+    in characteristic zero), the caller's ``height(label, dims)``, a
+    localized-CI check for each (inverted t-index, candidates, details)
+    that ``charts(dom, ring)`` yields, and the radical cover of ``cover``
+    when it is nonempty; then the height constancy across them."""
     ideals: dict[int, Ideal] = {}
     heights: dict[int, int] = {}
     checks: list[Check] = []
@@ -291,18 +267,12 @@ def _characteristic_checks(
                              **route_details))
 
         dims = krull_dim(ideal)
-        checks.append(_height_check(f"{height_check}_{label}", dims,
-                                    expected_key, expected, show_dimension))
+        checks.append(height(label, dims))
 
-        for chart in charts:
-            if chart.candidates is None:
-                inv, cands = ci_sequence(mmap, chart.variable, dom)
-            else:
-                inv = chart.variable
-                cands = parse_polynomial_list(",".join(chart.candidates), ring)
+        for inv, cands, details in charts(dom, ring):
             checks.append(_ci_result(
                 f"localized_ci_{label}_{ring.names[inv]}",
-                ci_check(ideal, cands, inv), ring, **chart.details))
+                ci_check(ideal, cands, inv), ring, **details))
 
         if cover:
             checks.append(_cover_result(f"radical_cover_{label}", ideal,
@@ -416,12 +386,15 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     mmap = _capped_veronese_map(k, n)
     doms = _characteristics(primes)
     expected = mmap.d - k
+
+    def charts(dom: CoeffDomain, ring: PolyRing):
+        for j in range(k):
+            yield (*ci_sequence(mmap, j, dom), {"pure_power_of": f"x{j + 1}"})
+
     ideals, _, checks = _characteristic_checks(
-        mmap, doms, height_check="height", expected_key="expected",
-        expected=expected, show_dimension=True,
-        charts=tuple(_Chart(j, details={"pure_power_of": f"x{j + 1}"})
-                     for j in range(k)),
-        cover=_pure_power_indices(mmap))
+        mmap, doms,
+        lambda label, dims: _height_check(f"height_{label}", dims, expected),
+        charts, _pure_power_indices(mmap))
 
     if n == 2:
         minors = symmetric_minors_ideal(k, QQ)
@@ -467,32 +440,47 @@ def present_monomial_algebra(
     ``fpurity_witness`` is a pair (numerator vector, generator vector) of
     semigroup elements whose failed base containment plus successful p-fold
     containment certifies non-F-purity.  Both default to the pure-power
-    charts when the map is a Veronese map, and are skipped otherwise.
+    charts when the map is a Veronese map, and are skipped otherwise.  A
+    toric ideal that is not standard-graded, as for the cusp (2), (3), is
+    refused with ``ValueError`` before any Groebner run.
     """
     ensure_within_cap(len(targets))
     mmap = MonomialMap(targets)
+    kernel = integer_kernel(mmap.targets)
+    for v in kernel:
+        if sum(v):
+            raise ValueError("present needs a standard-graded toric ideal: "
+                             f"kernel vector {v} sums to {sum(v)}, not 0")
     doms = _characteristics(primes)
     is_veronese = mmap.veronese_degree() is not None
 
-    if ci_candidates is None and is_veronese:
-        charts = tuple(_Chart(j) for j in range(mmap.k))
+    derived = ci_candidates is None and is_veronese
+    if derived:
+        def charts(dom: CoeffDomain, ring: PolyRing):
+            for j in range(mmap.k):
+                yield (*ci_sequence(mmap, j, dom), {})
     else:
         for i in ci_candidates or ():
             if i not in range(mmap.d):
                 raise ValueError(f"chart variable index {i!r} out of range")
-        charts = tuple(_Chart(i, tuple(ci_candidates[i]))
-                       for i in sorted(ci_candidates or ()))
+
+        def charts(dom: CoeffDomain, ring: PolyRing):
+            for i in sorted(ci_candidates or ()):
+                text = ",".join(ci_candidates[i])
+                yield i, parse_polynomial_list(text, ring), {}
 
     if radical_subset is not None:
         subset = tuple(int(i) for i in radical_subset)
     else:
         subset = _pure_power_indices(mmap) if is_veronese else ()
 
+    nullity = len(kernel)
     ideals, heights, checks = _characteristic_checks(
-        mmap, doms, height_check="height_matches_lattice_nullity",
-        expected_key="lattice_nullity",
-        expected=len(integer_kernel(mmap.targets)),
-        show_dimension=False, charts=charts, cover=subset)
+        mmap, doms,
+        lambda label, dims: _check(
+            f"height_matches_lattice_nullity_{label}", dims.height == nullity,
+            height=dims.height, lattice_nullity=nullity),
+        charts, subset)
 
     sg = AffineSemigroup(mmap.targets)
 
@@ -562,8 +550,9 @@ def present_monomial_algebra(
 
     verdict = all(c.verdict for c in checks)
     height = heights[0] if len(set(heights.values())) == 1 else None
-    concluded = (verdict and height is not None and bool(charts)
-                 and bool(subset) and normalization_certified)
+    # at least one chart: the k >= 1 derived ones, or some given ones
+    concluded = (verdict and height is not None and normalization_certified
+                 and (derived or bool(ci_candidates)) and bool(subset))
     params = {"targets": [list(t) for t in mmap.targets],
               "characteristics": [c for c, _ in doms], "height": height,
               "cohomological_dimension": height if concluded else None}

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .polycore import (
     CoeffDomain, GrevLex, PolyRing, Polynomial, Exponents, QQ,
     is_homogeneous, homogeneous_degree, _Record, _from_dict,
 )
 from .groebner import (
-    Ideal, buchberger, eliminate, ideal_member, ideal_sum, normal_form,
-    saturate,
+    Ideal, buchberger, eliminate, ideal_member, saturate,
 )
 from .invariants import krull_dim
 

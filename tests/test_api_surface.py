@@ -78,3 +78,37 @@ def test_every_private_definition_is_used_in_the_package():
               for name, stmt in _private_definitions(tree)
               if not readers.get((stem, name), set()) - {id(stmt)}]
     assert not unused, f"private definitions nothing uses: {unused}"
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports, at any depth, that it neither reads nor
+    lists in ``__all__``; ``from __future__`` imports are directives."""
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in _SRC.glob("*.py")))
+def test_every_imported_name_is_read(stem):
+    tree = ast.parse((_SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    unread = _unread_imports(tree)
+    assert not unread, f"{stem} imports names it never reads: {unread}"
+
+
+def test_the_import_check_sees_an_unread_name():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nfrom .x import a, b as c\n"
+                     "__all__ = ['a']\n")
+    assert _unread_imports(tree) == ["c", "os"]

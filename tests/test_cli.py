@@ -96,6 +96,17 @@ def test_radical_cover_reports_each_subset_variable_once(capsys):
     assert rep["checks"][0]["details"]["subset"] == ["x", "y"]
 
 
+@pytest.mark.parametrize("ideal", ["x^2, 3", "x*y - 1"])
+def test_radical_cover_with_one_in_the_sum(capsys, ideal):
+    """Homogeneous and non-homogeneous input whose sum with the subset
+    contains 1: every variable is a member with exponent 1."""
+    code, rep = _report(capsys, "radical-cover", "--ring", "x,y,z",
+                        "--ideal", ideal, "--subset", "x")
+    assert code == 0
+    assert rep["checks"][0]["details"]["witnesses"] == [
+        {"variable": v, "member": True, "exponent": 1} for v in "xyz"]
+
+
 def test_radical_cover_failing_subset_exits_one(capsys):
     code, rep = _report(
         capsys, "radical-cover",

@@ -95,6 +95,22 @@ def test_zero_and_unit_ideals():
     assert [str(g) for g in buchberger(unit).elements] == ["1"]
 
 
+def test_the_zero_ideal_through_the_general_code():
+    """The empty basis leaves every polynomial as it is, and eliminating
+    from or intersecting with the zero ideal gives the zero ideal, in the
+    smaller ring for an elimination."""
+    R = PolyRing(("x", "y", "z"), GF(5))
+    zero = Ideal(R, ())
+    f = R.parse("x^2*y + 3*z^3 - y + 2")
+    for order in (GrevLex(), Lex(), Block({0})):
+        assert normal_form(f, buchberger(zero, order)) == f
+        assert normal_form(R.zero, buchberger(zero, order)) == R.zero
+    assert eliminate(zero, {1}) == Ideal(PolyRing(("x", "z"), GF(5)), ())
+    other = _ideal(R, "x*y - z^2", "x^3")
+    for a, b in ((zero, other), (other, zero), (zero, zero)):
+        assert intersect(a, b) == zero
+
+
 def test_normal_form_and_membership():
     I = _quartic_ideal()
     R = I.ring

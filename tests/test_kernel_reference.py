@@ -209,14 +209,6 @@ def sorting_path(monkeypatch, groebner_caches):
     return call
 
 
-def _is_binomial(ideal):
-    """Every generator a monomial or c*(m1 - m2), told from its coefficients."""
-    dom = ideal.ring.domain
-    return all(len(g.terms) == 1 or (
-        len(g.terms) == 2 and dom.normalize(g.terms[0][1] + g.terms[1][1]) == 0)
-        for g in ideal.generators)
-
-
 def _in_order_elements(basis, order):
     """How many elements of a basis under ``order`` the engine lists
     grevlex-descending: all under grevlex; under a block order, those whose
@@ -233,11 +225,12 @@ def _in_order_elements(basis, order):
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
 def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
     """Engine output under grevlex, the elements free of the eliminated
-    variables in engine output under a block order,
-    normal forms against a grevlex basis and the restricted terms of an
-    elimination skip the sort, and bases of binomial ideals, built from a
-    shared run, take no ``_from_dict`` call; each must be the polynomial
-    that a run in the ideal's own domain with the sorting path builds."""
+    variables in engine output under a block order, whether the basis comes
+    from a shared binomial run or a run in the ideal's own domain,
+    normal forms against a grevlex basis, the empty one included, and the
+    restricted terms of an elimination skip the sort; each must be the
+    polynomial that a run in the ideal's own domain with the sorting path
+    builds."""
     rng = random.Random(f"in-order/{order}/{dom}")
     ring = PolyRing(("a", "b", "c", "d"), dom)
     for _ in range(4):
@@ -254,15 +247,12 @@ def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
         expected, _ = sorting_path(results, sort=True)
         assert got == expected
         basis, _, restricted = got
-        in_order = 0
-        if isinstance(order, GrevLex):
-            in_order = len(fs) * bool(basis)
-        if not _is_binomial(ideal):
-            in_order += _in_order_elements(basis, order)
-            elimination = Block(frozenset(drop))
-            if elimination != order:    # else the basis comes from the cache
-                in_order += _in_order_elements(
-                    buchberger(ideal, elimination).elements, elimination)
+        in_order = len(fs) if isinstance(order, GrevLex) else 0
+        in_order += _in_order_elements(basis, order)
+        elimination = Block(frozenset(drop))
+        if elimination != order:        # else the basis comes from the cache
+            in_order += _in_order_elements(
+                buchberger(ideal, elimination).elements, elimination)
         assert skipped == in_order + len(restricted)
 
 

@@ -283,6 +283,32 @@ def test_present_refuses_a_chart_outside_the_targets(key, engine_counts):
     assert engine_counts["insert"] == 0
 
 
+@pytest.mark.parametrize("targets, vector, total", [
+    ("2;3", "(3, -2)", 1),                 # the cusp
+    ("2,0;1,1;0,3", "(3, -6, 2)", -1),
+])
+def test_present_refuses_a_toric_ideal_that_is_not_standard_graded(
+        targets, vector, total, capsys, monkeypatch, groebner_caches):
+    """Targets with an integer kernel vector of nonzero coordinate sum exit
+    2 with a message naming that vector, before any Groebner request."""
+    requests = []
+    monkeypatch.setattr(groebner, "_buchberger_cached",
+                        lambda *args: requests.append(args))
+    code = main(["present", "--targets", targets, "--primes", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "standard-graded toric ideal" in captured.err
+    assert f"kernel vector {vector} sums to {total}, not 0" in captured.err
+    assert requests == []
+
+
+def test_present_takes_standard_graded_targets_of_unequal_degree():
+    """Kernel vectors summing to 0 are all the grading needs: targets of
+    degrees 1, 2 and 3 with kernel (1, -2, 1) get a report."""
+    rep = present_monomial_algebra(((1, 0), (1, 1), (1, 2)), primes=(2,))
+    assert rep.params["height"] == 1
+
+
 # ---------------------------------------------------------------------------
 # cross-characteristic comparison
 # ---------------------------------------------------------------------------

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import copy
 import pickle
-from types import MappingProxyType
 
 import pytest
 
 from veronese.charp import AffineSemigroup, FiberReport, FpurityReport
 from veronese.groebner import GroebnerBasis, Ideal
 from veronese.invariants import DimensionResult, GradedPiece
-from veronese.pipeline import Check, Report, _Chart
+from veronese.pipeline import Check, Report
 from veronese.polycore import (
     Block, GF, GrevLex, Lex, PolyRing, PrimeField, QQ, Rationals,
 )
@@ -50,7 +49,6 @@ _BUILDERS = {
                                  True),
     "Check": lambda: Check("a", True, ()),
     "Report": lambda: Report("k", (), (Check("a", True, ()),), ("fact",)),
-    "_Chart": lambda: _Chart(0, ("x",), ()),
 }
 
 
@@ -151,8 +149,6 @@ def test_constructor_defaults_and_normalisations():
     with pytest.raises(TypeError, match="missing field"):
         CIReport(1, (), ())                      # built once, no defaults
     assert Report("k", {}, ()).cited_facts == ()
-    assert _Chart(2).candidates is None
-    assert _Chart(2).details == MappingProxyType({})
 
 
 def test_keyword_construction_and_repr():
@@ -170,7 +166,7 @@ def test_record_constructor_takes_positions_keywords_and_defaults():
     assert (Report("k", (), (), ("f",))
             == Report(kind="k", params=(), checks=(), cited_facts=("f",)))
     assert Report("k", (), checks=()).cited_facts == ()
-    assert _Chart(1, details={"a": 1}).candidates is None
+    assert Report("k", params={}, checks=()).cited_facts == ()
     assert Check(name="a", verdict=True, details=()) == Check("a", True, ())
     for build in (lambda: GradedPiece(1, 2, 3, 4),
                   lambda: GradedPiece(1, 2),
