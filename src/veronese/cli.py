@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import re
 import sys
 import time
 from typing import NoReturn, Optional, Sequence
@@ -33,15 +32,17 @@ __all__ = ["main", "run"]
 # small input grammars
 # ---------------------------------------------------------------------------
 
-#: an integer as the command line takes it: ASCII digits after an optional
-#: minus sign (``int`` alone also takes other scripts' digits, underscores
-#: and surrounding whitespace)
-_INTEGER_RE = re.compile(r"-?[0-9]+\Z")
+def _is_integer(text: str) -> bool:
+    """An integer as the command line takes it: ASCII digits after an
+    optional minus sign (``int`` alone also takes other scripts' digits,
+    underscores and surrounding whitespace)."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def _int_flag(text: str) -> int:
     """The ``type`` of the integer flags, refused in argparse's own words."""
-    if not _INTEGER_RE.match(text):
+    if not _is_integer(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
@@ -49,7 +50,7 @@ def _int_flag(text: str) -> int:
 def _parse_vector(text: str) -> tuple[int, ...]:
     """Comma-separated nonnegative integers: "4,0" -> (4, 0)."""
     parts = [p.strip() for p in text.split(",")]
-    if not all(_INTEGER_RE.match(p) for p in parts):
+    if not all(map(_is_integer, parts)):
         raise ValueError(f"bad integer vector {text!r}")
     vec = tuple(map(int, parts))
     if any(e < 0 for e in vec):

@@ -21,7 +21,8 @@ different generator orders agree structurally.
 
 An ideal whose generators are all monomials or pure differences c*(m1 - m2)
 is served by one run per generator shape over GF(32003), shared by every
-field (``_binomial_basis``), whose output becomes a basis as a run's own does.
+field (``_binomial_basis``), which keeps each element's terms sorted as a
+polynomial lists them, so its bases are built in every field without a sort.
 
 The engine takes the queued pair of smallest lcm degree first, counting
 the degree in the variables that an elimination order keeps (in every
@@ -51,7 +52,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .polycore import (
     GF, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
-    _PackingOverflow, _from_dict, _nf_dict, _packed, _setattr,
+    _PackingOverflow, _from_dict, _grevlex_key, _nf_dict, _packed, _setattr,
 )
 
 __all__ = [
@@ -311,7 +312,10 @@ _SHARED_PRIME = 32003
 def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
     """The reduced basis under ``order`` of the ideal whose generators have
     the monomials ``shape`` (from ``_pure_difference``), each element its
-    exponents in descending order, the first term +1, a second one -1.
+    (exponents, sign) pairs grevlex-descending, as a polynomial keeps its
+    terms: the sign is +1 on the lead under ``order`` and -1 on the other
+    term.  The sort is made once per shape and order, here, and not for
+    every field the basis is built in.
 
     The run is over GF(32003) (``_SHARED_PRIME``), in a ring of ``arity``
     variables, with int residues for coefficients, and serves every
@@ -341,7 +345,9 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
             if list(terms.values()) != list(signs[:len(terms)]):
                 raise RuntimeError("a shared binomial run left the pure "
                                    "differences; engine bug")
-            basis.append(tuple(terms))
+            basis.append(tuple(sorted(
+                zip(terms, (1, -1)), key=lambda t: _grevlex_key(t[0]),
+                reverse=True)))
         return tuple(basis)
 
     return _packed(order, arity, run)
@@ -366,14 +372,14 @@ def _buchberger_cached(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     ring = ideal.ring
     shape = tuple(map(_pure_difference, ideal.generators))
     if None not in shape:
-        signs = (ring.domain.one, ring.domain.normalize(-1))
-        basis = [dict(zip(g, signs))
-                 for g in _binomial_basis(ring.arity, shape, order)]
-    else:
-        basis = _packed(order, ring.arity, lambda packing: [
-            packing.unpack_terms(d)
-            for d in _Engine(ring, packing).run(ideal.generators)])
-    # either way the terms come in descending order, the order's own
+        coefficient = {1: ring.domain.one, -1: ring.domain.normalize(-1)}
+        return GroebnerBasis(ring, order, tuple(
+            _from_dict(ring, {m: coefficient[s] for m, s in g}, True)
+            for g in _binomial_basis(ring.arity, shape, order)))
+    basis = _packed(order, ring.arity, lambda packing: [
+        packing.unpack_terms(d)
+        for d in _Engine(ring, packing).run(ideal.generators)])
+    # the terms come in descending order, the order's own
     in_order = _grevlex_leads(order)
     return GroebnerBasis(ring, order, tuple(
         _from_dict(ring, terms, in_order(next(iter(terms))))

@@ -18,8 +18,7 @@ are deterministic: identical inputs give byte-identical JSON.
 """
 from __future__ import annotations
 
-import json
-from math import comb
+from math import comb, isfinite
 from typing import Callable, Mapping, Optional, Sequence
 
 from .polycore import (
@@ -107,8 +106,81 @@ class Report(_Record):
 
 def render_json(report: Mapping[str, object]) -> str:
     """Canonical JSON rendering: fixed insertion order, two-space indent,
-    trailing newline, no timestamps."""
-    return json.dumps(report, indent=2) + "\n"
+    trailing newline, no timestamps.
+
+    The text is byte for byte ``json.dumps(report, indent=2) + "\n"``, for
+    the values a report holds: dicts with str keys, lists, tuples, str,
+    int, bool, None and finite floats.  Any other value, a non-str key
+    included, raises ``TypeError``, and a NaN or infinite float raises
+    ``ValueError``, rather than rendering differently.  Each CLI report
+    runs in a fresh interpreter and renders once, so this small writer
+    spares every report the import of the ``json`` package, which with an
+    indent would run its pure-Python encoder anyway."""
+    return _render(report, "") + "\n"
+
+
+#: the escapes of ``json`` that are not \uXXXX; every other character
+#: outside printable ASCII is written \uXXXX
+_SHORT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f",
+                  "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(c: str) -> str:
+    """One character of a string as ``json`` writes it, ASCII only: lower
+    hex, and a surrogate pair above U+FFFF."""
+    if c in _SHORT_ESCAPES:
+        return _SHORT_ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _string(s: str) -> str:
+    # printable ASCII (no control character, no DEL) needs no escape but
+    # for the quote and the backslash
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_escape, s)) + '"'
+
+
+def _render(value: object, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it when it starts
+    at indent ``pad``."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if kind is dict:
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_string(key)}: {_render(item, inner)}")
+        opening, closing = "{", "}"
+    elif kind is list or kind is tuple:
+        items = [_render(item, inner) for item in value]
+        opening, closing = "[", "]"
+    elif kind is float:
+        if not isfinite(value):
+            raise ValueError(f"float {value!r} is not JSON compliant")
+        return float.__repr__(value)
+    else:
+        raise TypeError(
+            f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    sep = ",\n" + inner
+    return f"{opening}\n{inner}{sep.join(items)}\n{pad}{closing}"
 
 
 def ensure_within_cap(d: int) -> None:

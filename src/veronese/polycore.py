@@ -425,7 +425,11 @@ def _packed(order: "MonomialOrder", arity: int, run):
 # rings and polynomials
 # ---------------------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
+def _is_name(text: str) -> bool:
+    """A variable name: an ASCII lowercase letter, then ASCII lowercase
+    letters and digits."""
+    return (text.isascii() and text.isalnum() and text.islower()
+            and not text[0].isdigit())
 
 
 class PolyRing(_CachedHash):
@@ -439,7 +443,7 @@ class PolyRing(_CachedHash):
         if not names:
             raise ValueError("a ring needs at least one variable")
         for nm in names:
-            if not _NAME_RE.match(nm):
+            if not _is_name(nm):
                 raise ValueError(f"bad variable name {nm!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
@@ -799,14 +803,15 @@ class ParseError(ValueError):
 
 
 # one ASCII token per match: an integer, a name, an operator, or (last
-# group) any other non-space character, which is refused
-_TOKEN_RE = re.compile(r"([0-9]+)|([a-z][a-z0-9]*)|([-+*^()])|(\S)")
+# group) any other non-space character, which is refused; ``re`` compiles
+# it on the first parse and keeps it in its own cache, so import does not
+_TOKEN_PATTERN = r"([0-9]+)|([a-z][a-z0-9]*)|([-+*^()])|(\S)"
 _TOKEN_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in re.finditer(_TOKEN_PATTERN, text):
         if m.lastindex == 4:
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
         tokens.append((_TOKEN_KINDS[m.lastindex], m.group(), m.start()))

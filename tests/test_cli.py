@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from veronese import cli
 from veronese.cli import main
 
 
@@ -288,6 +289,34 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv, line):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(f"veronese {argv[0]}: error: {line}\n")
+
+
+# full-width and superscript digits, a non-ASCII letter, uppercase, an
+# underscore and a leading plus
+_NOT_ASCII_INTEGERS = ["\uff12", "2\u00b2", "\u00e9", "1E3", "1_0", "+2"]
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_INTEGERS + ["2\n"])
+def test_integer_flags_refuse_what_ascii_digits_do_not_spell(capsys, text):
+    with pytest.raises(SystemExit) as info:
+        main(["veronese-ideal", "-k", text, "-n", "2"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument -k: invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_INTEGERS)
+def test_vectors_refuse_what_ascii_digits_do_not_spell(capsys, text):
+    # a vector's entries are stripped of whitespace, a newline included
+    code, out, err = _run(capsys, "cd-certificate", "-k", "2", "-n", "2",
+                          "--primes", f"2,{text}")
+    assert (code, out, err) == (
+        2, "", f"error: bad integer vector {'2,' + text!r}\n")
+
+
+def test_integers_are_ascii_digits_after_an_optional_minus():
+    assert [cli._is_integer(t) for t in ("0", "007", "-12", "-", "", "--1")] \
+        == [True, True, True, False, False, False]
 
 
 def test_exit_three_on_the_fedder_fiber_cap(capsys):

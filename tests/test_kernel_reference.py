@@ -6,8 +6,9 @@ must agree exactly; every order must sort monomials the same way under both
 keys and under packing; packing must round-trip and its guard-bit test must
 be divisibility.  Inputs too large for the first packing width must come
 out right through the widening path.  Terms that arrive in grevlex order
-skip the sort and the normalization of ``_from_dict``, and bases of binomial
-ideals are built from a shared run without it; they must build the same
+skip the sort and the normalization of ``_from_dict``, and every basis of a
+binomial ideal is built from a shared run without it, the run's elements
+sorted once; they must build the same
 polynomials as the sorting path of a run in the ideal's own domain."""
 from __future__ import annotations
 
@@ -209,11 +210,13 @@ def sorting_path(monkeypatch, groebner_caches):
     return call
 
 
-def _in_order_elements(basis, order):
-    """How many elements of a basis under ``order`` the engine lists
-    grevlex-descending: all under grevlex; under a block order, those whose
-    lead has no eliminated variable."""
-    if isinstance(order, GrevLex):
+def _in_order_elements(basis, order, binomial):
+    """How many elements of a basis under ``order`` are built without a
+    sort: all of a binomial ideal's, whose shared run sorts its elements
+    once; else those the engine lists grevlex-descending, all under
+    grevlex, and under a block order those whose lead has no eliminated
+    variable."""
+    if binomial or isinstance(order, GrevLex):
         return len(basis)
     if isinstance(order, Block):
         return sum(not any(g.lead_monomial(order)[i] for i in order.eliminated)
@@ -224,10 +227,11 @@ def _in_order_elements(basis, order):
 @pytest.mark.parametrize("order", _ORDERS, ids=str)
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
 def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
-    """Engine output under grevlex, the elements free of the eliminated
-    variables in engine output under a block order, whether the basis comes
-    from a shared binomial run or a run in the ideal's own domain,
-    normal forms against a grevlex basis, the empty one included, and the
+    """Every element of a basis from a shared binomial run, under every
+    order; engine output under grevlex and the elements free of the
+    eliminated variables in engine output under a block order, when the
+    basis comes from a run in the ideal's own domain; normal forms against
+    a grevlex basis, the empty one included; and the
     restricted terms of an elimination skip the sort; each must be the
     polynomial that a run in the ideal's own domain with the sorting path
     builds."""
@@ -247,12 +251,15 @@ def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
         expected, _ = sorting_path(results, sort=True)
         assert got == expected
         basis, _, restricted = got
+        binomial = None not in map(groebner._pure_difference,
+                                   ideal.generators)
         in_order = len(fs) if isinstance(order, GrevLex) else 0
-        in_order += _in_order_elements(basis, order)
+        in_order += _in_order_elements(basis, order, binomial)
         elimination = Block(frozenset(drop))
         if elimination != order:        # else the basis comes from the cache
             in_order += _in_order_elements(
-                buchberger(ideal, elimination).elements, elimination)
+                buchberger(ideal, elimination).elements, elimination,
+                binomial)
         assert skipped == in_order + len(restricted)
 
 

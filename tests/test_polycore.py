@@ -143,6 +143,20 @@ def test_ring_rejects_bad_names():
             PolyRing(bad, QQ)
 
 
+@pytest.mark.parametrize("name", [
+    "x\uff11", "x\u00b2", "\u00e9", "X", "xY", "x_1", "+x", "x\n",
+])
+def test_ring_refuses_names_beyond_ascii_lowercase(name):
+    """Full-width and superscript digits, a non-ASCII letter, uppercase,
+    an underscore, a leading sign and a trailing newline."""
+    with pytest.raises(ValueError, match="bad variable name"):
+        PolyRing((name,), QQ)
+
+
+def test_ring_takes_ascii_lowercase_names_with_digits():
+    assert PolyRing(("x", "t12", "ab0c"), QQ).names == ("x", "t12", "ab0c")
+
+
 def test_variable_lookup_by_name_and_index():
     R = PolyRing(("x", "y", "z"), QQ)
     assert R.variable(1) == R.variable("y")

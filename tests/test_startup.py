@@ -1,8 +1,10 @@
-"""Start-up hygiene: importing the CLI loads neither ``dataclasses`` nor
-``inspect``, and builds no large prime field.  Each CLI report runs in a
-fresh interpreter, so every module imported and every field built at import
-is paid for by every report; the checks are by module name and by the
-primality tests made, not by timing, so they are deterministic."""
+"""Start-up hygiene: importing the CLI loads neither ``dataclasses``,
+``inspect`` nor ``json``, builds no large prime field and compiles no
+regular expression.  Each CLI report runs in a fresh interpreter, so every
+module imported, every field built and every pattern compiled at import is
+paid for by every report; the checks are by module name, by the primality
+tests made and by the compile calls made, not by timing, so they are
+deterministic."""
 from __future__ import annotations
 
 import json
@@ -12,10 +14,14 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
+# the module list is taken before the probe imports json to print it
 _PROBE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import veronese.cli, json; "
-    "print(json.dumps(sorted(sys.modules)))"
+    "import sys; sys.path.insert(0, sys.argv[1]); import veronese.cli; "
+    "loaded = sorted(sys.modules); import json; print(json.dumps(loaded))"
 )
+
+_JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner",
+                 "_json")
 
 
 def test_cli_import_loads_no_code_generating_modules():
@@ -27,6 +33,8 @@ def test_cli_import_loads_no_code_generating_modules():
     assert "veronese.cli" in loaded and "veronese.pipeline" in loaded
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+    # reports are rendered without the json package
+    assert [name for name in _JSON_MODULES if name in loaded] == []
 
 
 # The package module is made but not run, so that ``veronese.polycore`` is
@@ -64,3 +72,53 @@ def test_cli_import_tests_no_large_prime():
     tested = json.loads(done.stdout)
     assert 7 in tested
     assert [p for p in tested if p > 10**5] == []
+
+
+# ``re.compile`` and ``re._compile``, which the module-level functions of
+# ``re`` call, are wrapped before the package is imported; each call is
+# recorded with the module of the nearest frame outside ``re``.  After the
+# import the probe parses one polynomial, which must be seen compiling.
+_REGEX_PROBE = """
+import json, re, sys
+callers = []
+def wrapped(compile):
+    def recorded(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__", "").split(".")[0] == "re":
+            frame = frame.f_back
+        callers.append(frame.f_globals.get("__name__", ""))
+        return compile(*args, **kwargs)
+    return recorded
+re.compile = wrapped(re.compile)
+re._compile = wrapped(re._compile)
+sys.path.insert(0, sys.argv[1])
+import veronese.cli
+at_import = list(callers)
+veronese.polycore.PolyRing(("x",)).parse("x + 1")
+print(json.dumps([at_import, callers[len(at_import):]]))
+"""
+
+
+def test_cli_import_compiles_no_regular_expression():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _REGEX_PROBE, str(_SRC)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    at_import, after = json.loads(done.stdout)
+    assert [m for m in at_import if m.startswith("veronese")] == []
+    assert "veronese.polycore" in after
+
+
+def test_the_startup_probe_reports_the_cli_import():
+    probe = _SRC.parent / "tools" / "startup_probe.py"
+    done = subprocess.run(
+        [sys.executable, str(probe), "--runs", "2", "--src", str(_SRC)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1].startswith("import veronese.cli: median ")
+    assert lines[2].split() == ["self", "us", "cum", "us", "module"]
+    assert lines[3].split()[2] == "veronese.cli"   # every module is under it
+    loaded = lines[-1].split(": ", 1)[1].split(", ")
+    assert {"veronese.cli", "veronese.polycore", "argparse"} <= set(loaded)
+    assert [name for name in _JSON_MODULES if name in loaded] == []
