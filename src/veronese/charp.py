@@ -24,7 +24,7 @@ from .groebner import (
 
 __all__ = [
     "frobenius_power", "FpurityReport", "fedder_fpure",
-    "FiberReport", "fedder_fiber", "FIBER_CAP",
+    "FiberReport", "fedder_fiber", "FIBER_CAP", "SEMIGROUP_CAP",
     "AffineSemigroup", "semigroup_member", "monomial_ideal_member",
 ]
 
@@ -125,8 +125,10 @@ def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
     generator subtractions, memoizing failed residuals.  Terminates because
     every generator has positive total degree.  The search keeps its own
     stack, one frame per residual on the current path, so deep searches
-    cannot overflow the interpreter's recursion limit.  On success the
-    witness multiset is returned after re-verification by summation.
+    cannot overflow the interpreter's recursion limit; past
+    ``SEMIGROUP_CAP`` pushed frames it raises ``ResourceCapError``.  On
+    success the witness multiset is returned after re-verification by
+    summation.
     """
     target = tuple(target)
     if len(target) != sg.arity:
@@ -140,6 +142,7 @@ def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
     # frame i + 1 is that of frame i minus path[i]
     stack: list[list] = [[target, 0]] if any(target) else []
     found = not stack
+    pushed = 0
     while stack and not found:
         frame = stack[-1]
         res, start = frame
@@ -152,6 +155,10 @@ def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
                 frame[1] = idx + 1
                 path.append(g)
                 if any(child):
+                    pushed += 1
+                    if pushed > SEMIGROUP_CAP:
+                        raise ResourceCapError(f"semigroup search past the "
+                                               f"cap of {SEMIGROUP_CAP} frames")
                     stack.append([child, 0])
                 else:
                     found = True
@@ -195,6 +202,10 @@ def monomial_ideal_member(sg: AffineSemigroup, numerator: Sequence[int],
 #: search, that ``fedder_fiber`` takes on: Veronese (3,3) has 78,125 at
 #: p = 5 and would have 823,543 at p = 7
 FIBER_CAP = 100_000
+
+#: most frames one ``semigroup_member`` search pushes; the largest search
+#: of ``cd_certificate(3, 3, (2, 3))`` pushes 97
+SEMIGROUP_CAP = 1 << 16
 
 
 class FiberReport(_Record):

@@ -16,13 +16,14 @@ only the pairs that are queued get their lcm packed in the monomial order.
 An element whose lead a later lead divides takes no part in later pairs and
 is left out of the reduced basis.  A run whose monomials outgrow the packed
 fields is repeated with wider fields (``polycore._packed``).  Output bases
-are unpacked, reduced, monic and canonically sorted, so two runs with
-different generator orders agree structurally.
+are reduced, monic and canonically sorted, so two runs with different
+generator orders agree structurally.  Every packed result becomes a
+polynomial through ``_Packing.polynomial``, which sorts its terms only
+under an order other than grevlex.
 
 An ideal whose generators are all monomials or pure differences c*(m1 - m2)
 is served by one run per generator shape over GF(32003), shared by every
-field (``_binomial_basis``), which keeps each element's terms sorted as a
-polynomial lists them, so its bases are built in every field without a sort.
+field (``_binomial_basis``): its coefficients 1 and -1 are read in each.
 
 The engine takes the queued pair of smallest lcm degree first, counting
 the degree in the variables that an elimination order keeps (in every
@@ -30,9 +31,8 @@ variable under grevlex and lex).  The eliminated variables weigh nothing,
 so the input w*A + (1 - w)*B of an intersection, homogeneous in the kept
 variables but not in w, is worked through degree by degree, as in sugar
 selection.  An elimination order (``Block``) is grevlex on the
-eliminated variables, then grevlex on the rest, so an output element whose
-lead has no eliminated variable is already grevlex-descending and is built
-without a sort.
+eliminated variables, then grevlex on the rest, so an element free of
+the eliminated variables is grevlex-descending, as ``eliminate`` keeps it.
 
 ``colon_ideal`` intersects the pieces (I : g) over the generators g of the
 divisor and skips each g whose piece already contains the running
@@ -52,7 +52,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .polycore import (
     GF, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
-    _PackingOverflow, _from_dict, _grevlex_key, _nf_dict, _packed, _setattr,
+    _PackingOverflow, _nf_dict, _packed, _setattr,
 )
 
 __all__ = [
@@ -311,60 +311,39 @@ _SHARED_PRIME = 32003
 @lru_cache(maxsize=256)
 def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
     """The reduced basis under ``order`` of the ideal whose generators have
-    the monomials ``shape`` (from ``_pure_difference``), each element its
-    (exponents, sign) pairs grevlex-descending, as a polynomial keeps its
-    terms: the sign is +1 on the lead under ``order`` and -1 on the other
-    term.  The sort is made once per shape and order, here, and not for
-    every field the basis is built in.
+    the monomials ``shape`` (from ``_pure_difference``), as polynomials
+    over GF(32003) (``_SHARED_PRIME``) in x0..x(arity-1), with 1 on each
+    lead and 32002, which is -1, on the other term of a binomial.
 
-    The run is over GF(32003) (``_SHARED_PRIME``), in a ring of ``arity``
-    variables, with int residues for coefficients, and serves every
-    coefficient field, because it is the same computation there.  Signed
-    monomials and pure differences m1 - m2 are closed under the engine's
-    steps: an S-polynomial of two monic ones is -x^a + x^b; a reduction
-    step by lead - t turns a term c*x^u into c*x^(u - lead + t), and one
-    by a monomial drops it, so the working polynomial keeps at most two
-    terms, of opposite signs, which cancel where they meet, also over
-    GF(2); and making such a remainder monic divides by its lead
-    coefficient, which leaves lead - t or a monomial.  So over
-    any field the run makes the same monomial operations, the same zero
-    reductions, S-polynomials, queued pairs and insertions, and its output
-    is this basis with -1 read in that field.  A shared run that returns
-    an element with more than two terms or a coefficient other than +-1
-    raises ``RuntimeError``."""
+    The run serves every coefficient field, because it is the same
+    computation there.  Signed monomials and pure differences m1 - m2 are
+    closed under the engine's steps: an S-polynomial of two monic ones is
+    -x^a + x^b; a reduction step by lead - t turns a term c*x^u into
+    c*x^(u - lead + t), and one by a monomial drops it, so the working
+    polynomial keeps at most two terms, of opposite signs, which cancel
+    where they meet, also over GF(2); and making such a remainder monic
+    divides by its lead coefficient, which leaves lead - t or a monomial.
+    So over any field the run makes the same monomial operations, the same
+    zero reductions, S-polynomials, queued pairs and insertions, and its
+    output is this basis with -1 read in that field.  A shared run that
+    returns an element with more than two terms or a coefficient other
+    than +-1 raises ``RuntimeError``."""
     # the field is built here, not at import: its primality test is work
     ring = PolyRing(tuple(f"x{i}" for i in range(arity)),
                     GF(_SHARED_PRIME))
-    signs = (1, _SHARED_PRIME - 1)
+    signs = [1, _SHARED_PRIME - 1]
     gens = [Polynomial(ring, tuple(zip(ms, signs))) for ms in shape]
 
     def run(packing: _Packing) -> tuple:
         basis = []
         for d in _Engine(ring, packing).run(gens):
-            terms = packing.unpack_terms(d)
-            if list(terms.values()) != list(signs[:len(terms)]):
+            if list(d.values()) != signs[:len(d)]:
                 raise RuntimeError("a shared binomial run left the pure "
                                    "differences; engine bug")
-            basis.append(tuple(sorted(
-                zip(terms, (1, -1)), key=lambda t: _grevlex_key(t[0]),
-                reverse=True)))
+            basis.append(packing.polynomial(ring, d))
         return tuple(basis)
 
     return _packed(order, arity, run)
-
-
-def _grevlex_leads(order: MonomialOrder):
-    """A test on the lead of a reduced basis element under ``order``: true
-    when its terms, descending in ``order``, are grevlex-descending too.
-    That holds under grevlex, and under an elimination order when the lead
-    has no eliminated variable: then no term has one (the elimination
-    property), and on such monomials the two orders agree."""
-    if isinstance(order, GrevLex):
-        return lambda lead: True
-    if isinstance(order, Block):
-        elim = list(order.eliminated)
-        return lambda lead: not any([lead[i] for i in elim])
-    return lambda lead: False
 
 
 @lru_cache(maxsize=256)
@@ -372,18 +351,15 @@ def _buchberger_cached(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
     ring = ideal.ring
     shape = tuple(map(_pure_difference, ideal.generators))
     if None not in shape:
-        coefficient = {1: ring.domain.one, -1: ring.domain.normalize(-1)}
+        coefficient = {1: ring.domain.one,
+                       _SHARED_PRIME - 1: ring.domain.normalize(-1)}
         return GroebnerBasis(ring, order, tuple(
-            _from_dict(ring, {m: coefficient[s] for m, s in g}, True)
+            Polynomial(ring, tuple([(m, coefficient[c]) for m, c in g.terms]))
             for g in _binomial_basis(ring.arity, shape, order)))
-    basis = _packed(order, ring.arity, lambda packing: [
-        packing.unpack_terms(d)
-        for d in _Engine(ring, packing).run(ideal.generators)])
-    # the terms come in descending order, the order's own
-    in_order = _grevlex_leads(order)
-    return GroebnerBasis(ring, order, tuple(
-        _from_dict(ring, terms, in_order(next(iter(terms))))
-        for terms in basis))
+    return GroebnerBasis(ring, order, _packed(
+        order, ring.arity, lambda packing: tuple([
+            packing.polynomial(ring, d)
+            for d in _Engine(ring, packing).run(ideal.generators)])))
 
 
 def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX
@@ -415,13 +391,12 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if f.ring != gb.ring:
         raise ValueError("polynomial from a different ring")
 
-    def run(packing: _Packing) -> dict:
+    def run(packing: _Packing) -> Polynomial:
         r = _nf_dict(packing.pack_terms(f.terms), _gb_entries(gb, packing),
                      packing.guard, f.ring.domain.characteristic)
-        return packing.unpack_terms(r)
+        return packing.polynomial(f.ring, r)
 
-    return _from_dict(f.ring, _packed(gb.order, gb.ring.arity, run),
-                      isinstance(gb.order, GrevLex))
+    return _packed(gb.order, gb.ring.arity, run)
 
 
 def ideal_member(f: Polynomial, gb: GroebnerBasis) -> bool:
@@ -471,14 +446,14 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     for g in gb.elements:
         # one pass: restrict each term, and give g up at the first term
         # with a dropped variable; dropping variables absent from every
-        # term keeps grevlex order
-        d = {}
+        # term keeps the terms distinct and grevlex-descending
+        terms = []
         for m, c in g.terms:
             if any(compress(m, dropped)):
                 break
-            d[tuple(compress(m, kept))] = c
+            terms.append((tuple(compress(m, kept)), c))
         else:
-            out.append(_from_dict(small, d, True))
+            out.append(Polynomial(small, tuple(terms)))
     return Ideal(small, tuple(out))
 
 

@@ -402,6 +402,17 @@ class _Packing:
         unpack = self.unpack
         return {unpack(x): c for x, c in d.items()}
 
+    def polynomial(self, ring: "PolyRing", d: Mapping[int, Scalar]
+                   ) -> "Polynomial":
+        """The polynomial of a packed term dict, terms descending and
+        coefficients normalized and nonzero, as ``_nf_dict`` returns them:
+        taken as it stands under grevlex, the order a polynomial keeps,
+        else sorted by ``_from_dict``."""
+        if isinstance(self.order, GrevLex):
+            return Polynomial(ring, tuple(zip(map(self.unpack, d),
+                                              d.values())))
+        return _from_dict(ring, self.unpack_terms(d))
+
 
 @lru_cache(maxsize=64)
 def _packing(order: "MonomialOrder", arity: int, bits: int) -> _Packing:
@@ -504,14 +515,10 @@ class PolyRing(_CachedHash):
         return f"{self.domain}[{', '.join(self.names)}]"
 
 
-def _from_dict(ring: PolyRing, d: Mapping[Exponents, Scalar],
-               in_order: bool = False) -> "Polynomial":
-    """The canonical polynomial of a term dict.  A caller whose dict is
-    already canonical, its terms grevlex-descending and its coefficients
-    normalized and nonzero, passes ``in_order`` to skip the sort and the
-    normalization."""
-    if in_order:
-        return Polynomial(ring, tuple(d.items()))
+def _from_dict(ring: PolyRing, d: Mapping[Exponents, Scalar]) -> "Polynomial":
+    """The canonical polynomial of a term dict in any order: coefficients
+    normalized in the ring's domain, zero terms dropped, the rest sorted
+    grevlex-descending."""
     dom = ring.domain
     items = []
     for m, c in d.items():
@@ -770,7 +777,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
         qs = [_from_dict(ring, {packing.unpack(q): c * lcinv
                                 for q, c in quotient.items()})
               for quotient, lcinv in scaled]
-        return qs, _from_dict(ring, packing.unpack_terms(remainder))
+        return qs, packing.polynomial(ring, remainder)
 
     return _packed(order, ring.arity, run)
 

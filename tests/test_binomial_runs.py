@@ -1,7 +1,7 @@
 """Shared binomial runs against runs in each domain.
 
 An ideal whose generators are monomials or pure differences c*(m1 - m2) is
-served from one engine run over QQ per generator shape
+served from one engine run over GF(32003) per generator shape
 (``groebner._binomial_basis``).  The oracle here is the engine run in the
 ideal's own domain, with the shared runs turned off: for every binomial
 request that the golden reports and the perfbench library reports of seeds

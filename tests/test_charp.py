@@ -277,6 +277,24 @@ def test_semigroup_holes():
         semigroup_member(sg, (1, 2, 3))
 
 
+def test_semigroup_search_stops_at_the_frame_cap(monkeypatch):
+    # the frame count grows with the square of the target here: (900,900,1)
+    # would push 405,900 frames
+    sg = AffineSemigroup(((2, 0, 0), (0, 2, 0), (1, 1, 0)))
+    with pytest.raises(ResourceCapError) as exc:
+        semigroup_member(sg, (900, 900, 1))
+    assert str(exc.value) == \
+        f"semigroup search past the cap of {charp.SEMIGROUP_CAP} frames"
+    # the decision is the count of frames pushed: a witness of 5,000 steps
+    # pushes 4,999 below the first
+    line = AffineSemigroup(((1,),))
+    monkeypatch.setattr(charp, "SEMIGROUP_CAP", 4999)
+    assert semigroup_member(line, (5000,)) == (True, ((1,),) * 5000)
+    monkeypatch.setattr(charp, "SEMIGROUP_CAP", 4998)
+    with pytest.raises(ResourceCapError):
+        semigroup_member(line, (5000,))
+
+
 def test_numerical_semigroup_two_three():
     sg = AffineSemigroup(((2,), (3,)))
     reachable = [m for m in range(10) if semigroup_member(sg, (m,))[0]]

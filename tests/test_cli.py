@@ -167,6 +167,13 @@ def test_semigroup_deep_searches_do_not_crash(capsys):
     assert json.loads(out)["verdict"] is False
 
 
+def test_semigroup_search_past_the_frame_cap_exits_three(capsys):
+    code, out, err = _run(capsys, "semigroup", "--generators",
+                          "2,0,0;0,2,0;1,1,0", "--target", "900,900,1")
+    assert code == 3 and out == ""
+    assert err == "error: semigroup search past the cap of 65536 frames\n"
+
+
 def test_cd_certificate_subcommand(capsys):
     code, rep = _report(
         capsys, "cd-certificate", "-k", "2", "-n", "2", "--primes", "2")

@@ -5,11 +5,11 @@ built as nested tuples.  Division quotients, remainders and normal forms
 must agree exactly; every order must sort monomials the same way under both
 keys and under packing; packing must round-trip and its guard-bit test must
 be divisibility.  Inputs too large for the first packing width must come
-out right through the widening path.  Terms that arrive in grevlex order
-skip the sort and the normalization of ``_from_dict``, and every basis of a
-binomial ideal is built from a shared run without it, the run's elements
-sorted once; they must build the same
-polynomials as the sorting path of a run in the ideal's own domain."""
+out right through the widening path.  A packed result converted by
+``_Packing.polynomial`` under grevlex is taken as it stands, without the
+sort of ``_from_dict``, and a binomial basis is read from a shared run in
+every field; they must build exactly the polynomials that the sorting path
+of a run in the ideal's own domain builds."""
 from __future__ import annotations
 
 import random
@@ -17,11 +17,11 @@ from itertools import product
 
 import pytest
 
-from veronese import groebner
+from veronese import groebner, polycore
 from veronese.groebner import Ideal, buchberger, eliminate, normal_form
 from veronese.polycore import (
-    Block, GF, GrevLex, Lex, PolyRing, QQ, _FIELD_BITS, _from_dict, _packing,
-    divide,
+    Block, GF, GrevLex, Lex, PolyRing, QQ, _FIELD_BITS, _Packing, _from_dict,
+    _packing, divide,
 )
 
 _ORDERS = [
@@ -187,80 +187,93 @@ def test_normal_form_matches_max_rescan_reference(order, dom):
 
 @pytest.fixture
 def sorting_path(monkeypatch, groebner_caches):
-    """Calls a function with the ``groebner`` caches cleared, counting the
-    ``_from_dict`` calls of ``groebner`` that skip the sort.  The sorting
-    path also turns off the shared binomial runs, so that every basis comes
-    from a run in its own domain and every ``_from_dict`` call sorts."""
-    def call(fn, sort):
-        skipped = []
+    """Calls a function with the ``groebner`` caches cleared and returns
+    its value and, per ``_Packing.polynomial`` conversion, the packing's
+    order and whether the conversion skipped the sort, that is, called no
+    ``_from_dict``.  The sorting path makes every conversion sort and also
+    turns off the shared binomial runs, so that every basis comes from a
+    run in its own domain."""
+    polynomial = _Packing.polynomial
 
-        def from_dict(ring, d, in_order=False):
-            skipped.append(in_order)
-            return _from_dict(ring, d, in_order and not sort)
+    def call(fn, sort):
+        conversions = []
+        sorts = []
+
+        def from_dict(ring, d):
+            sorts.append(ring)
+            return _from_dict(ring, d)
+
+        def converted(self, ring, d):
+            before = len(sorts)
+            if sort:
+                out = from_dict(ring, self.unpack_terms(d))
+            else:
+                out = polynomial(self, ring, d)
+            conversions.append((self.order, len(sorts) == before))
+            return out
 
         with monkeypatch.context() as patch:
-            patch.setattr(groebner, "_from_dict", from_dict)
+            patch.setattr(polycore, "_from_dict", from_dict)
+            patch.setattr(_Packing, "polynomial", converted)
             if sort:
                 patch.setattr(groebner, "_pure_difference", lambda g: None)
             groebner_caches()
             try:
-                return fn(), sum(skipped)
+                return fn(), conversions
             finally:
                 groebner_caches()
     return call
 
 
-def _in_order_elements(basis, order, binomial):
-    """How many elements of a basis under ``order`` are built without a
-    sort: all of a binomial ideal's, whose shared run sorts its elements
-    once; else those the engine lists grevlex-descending, all under
-    grevlex, and under a block order those whose lead has no eliminated
-    variable."""
-    if binomial or isinstance(order, GrevLex):
-        return len(basis)
-    if isinstance(order, Block):
-        return sum(not any(g.lead_monomial(order)[i] for i in order.eliminated)
-                   for g in basis)
-    return 0
+def _exact(polys):
+    """Polynomials as their ring and the repr of their terms, so that
+    equal values of different types, 1 and Fraction(1), differ."""
+    return [(f.ring, repr(f.terms)) for f in polys]
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=str)
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
 def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
-    """Every element of a basis from a shared binomial run, under every
-    order; engine output under grevlex and the elements free of the
-    eliminated variables in engine output under a block order, when the
-    basis comes from a run in the ideal's own domain; normal forms against
-    a grevlex basis, the empty one included; and the
-    restricted terms of an elimination skip the sort; each must be the
-    polynomial that a run in the ideal's own domain with the sorting path
-    builds."""
+    """Bases, from a shared binomial run or a run in the ideal's own
+    domain, normal forms, the remainders of ``divide`` and eliminations
+    must be exactly what the sorting path builds, and every packed result
+    converted under grevlex, and none under lex or a block order, must
+    skip the sort."""
     rng = random.Random(f"in-order/{order}/{dom}")
     ring = PolyRing(("a", "b", "c", "d"), dom)
     for _ in range(4):
         ideal = Ideal(ring, tuple(_random_binomials(rng, ring)))
         fs = [_random_poly(rng, ring, rng.randint(0, 8), 4) for _ in range(4)]
         drop = rng.sample(range(4), rng.randint(1, 3))
+        divisors = list(ideal.generators)
 
         def results():
             gb = buchberger(ideal, order)
-            return (gb.elements, [normal_form(f, gb) for f in fs],
-                    eliminate(ideal, drop).generators)
+            remainders = ([divide(f, divisors, order)[1] for f in fs]
+                          if divisors else [])
+            return [_exact(gb.elements),
+                    _exact(normal_form(f, gb) for f in fs),
+                    _exact(remainders),
+                    _exact(eliminate(ideal, drop).generators)]
 
-        got, skipped = sorting_path(results, sort=False)
-        expected, _ = sorting_path(results, sort=True)
+        got, conversions = sorting_path(results, sort=False)
+        expected, sorted_conversions = sorting_path(results, sort=True)
         assert got == expected
-        basis, _, restricted = got
-        binomial = None not in map(groebner._pure_difference,
-                                   ideal.generators)
-        in_order = len(fs) if isinstance(order, GrevLex) else 0
-        in_order += _in_order_elements(basis, order, binomial)
+        assert not any(skipped for _, skipped in sorted_conversions)
+        assert all(skipped == isinstance(o, GrevLex)
+                   for o, skipped in conversions)
+        # one conversion per basis element, normal form and remainder
+        # under ``order``, and per element of the elimination basis when
+        # its order is another
+        under_order = len(got[0]) + len(fs) + len(got[2])
         elimination = Block(frozenset(drop))
-        if elimination != order:        # else the basis comes from the cache
-            in_order += _in_order_elements(
-                buchberger(ideal, elimination).elements, elimination,
-                binomial)
-        assert skipped == in_order + len(restricted)
+        if elimination == order:        # the basis comes from the cache
+            assert len(conversions) == under_order
+        else:
+            assert len(conversions) == under_order + len(
+                buchberger(ideal, elimination).elements)
+        assert sum(skipped for _, skipped in conversions) == (
+            under_order if isinstance(order, GrevLex) else 0)
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=str)
