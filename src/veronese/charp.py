@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .polycore import (
     GrevLex, PrimeField, Polynomial, Exponents, ResourceCapError, _Record,
-    is_homogeneous,
+    _naturals, is_homogeneous,
 )
 from .groebner import (
     GroebnerBasis, Ideal, buchberger, colon_ideal, normal_form,
@@ -106,11 +106,7 @@ class AffineSemigroup(_Record):
             raise ValueError("a semigroup needs at least one generator")
         k = len(gens[0])
         for g in gens:
-            if len(g) != k:
-                raise ValueError("generators of unequal arity")
-            if any((not isinstance(e, int)) or e < 0 for e in g):
-                raise ValueError(f"bad generator {g!r}")
-            if all(e == 0 for e in g):
+            if not any(_naturals(g, k)):
                 raise ValueError("zero generator")
         super().__init__(gens)
 
@@ -130,11 +126,7 @@ def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
     success the witness multiset is returned after re-verification by
     summation.
     """
-    target = tuple(target)
-    if len(target) != sg.arity:
-        raise ValueError(f"target arity {len(target)} != {sg.arity}")
-    if any((not isinstance(e, int)) or e < 0 for e in target):
-        raise ValueError(f"bad target {target!r}")
+    target = _naturals(target, sg.arity)
     gens = sg.generators
     failed: set[Exponents] = set()
     path: list[Exponents] = []           # generators subtracted so far
@@ -184,11 +176,8 @@ def monomial_ideal_member(sg: AffineSemigroup, numerator: Sequence[int],
                           generator: Sequence[int]) -> bool:
     """Does x^numerator lie in the ideal generated by x^generator inside the
     semigroup ring F[sg]?  True iff numerator - generator stays in sg."""
-    numerator = tuple(numerator)
-    generator = tuple(generator)
-    if len(numerator) != sg.arity or len(generator) != sg.arity:
-        raise ValueError("arity mismatch")
-    residual = tuple(a - b for a, b in zip(numerator, generator))
+    residual = tuple(a - b for a, b in zip(_naturals(numerator, sg.arity),
+                                           _naturals(generator, sg.arity)))
     if any(e < 0 for e in residual):
         return False
     return semigroup_member(sg, residual)[0]

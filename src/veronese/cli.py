@@ -66,14 +66,12 @@ def _parse_targets(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_vector(c) for c in chunks)
 
 
-def _parse_char(text: str) -> int:
+def _parse_char(text: str) -> tuple[int, CoeffDomain]:
+    """``--char``, 0 or a prime, and its field."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad characteristic {text!r}")
-    return int(text)
-
-
-def _domain(char: int) -> CoeffDomain:
-    return QQ if char == 0 else GF(char)
+    char = int(text)
+    return char, QQ if char == 0 else GF(char)
 
 
 def _variable_index(names: Sequence[str], name: str) -> int:
@@ -110,8 +108,8 @@ def _parsed_ideal(args: argparse.Namespace, domain: CoeffDomain
 def _char_ideal(args: argparse.Namespace) -> tuple[PolyRing, Ideal, dict]:
     """``--ring`` and ``--ideal``/``--ideal-file`` over ``--char``, and the
     params they give."""
-    char = _parse_char(args.char)
-    ring, ideal = _parsed_ideal(args, _domain(char))
+    char, dom = _parse_char(args.char)
+    ring, ideal = _parsed_ideal(args, dom)
     return ring, ideal, {"ring": list(ring.names), "characteristic": char}
 
 
@@ -122,8 +120,8 @@ def _char_ideal(args: argparse.Namespace) -> tuple[PolyRing, Ideal, dict]:
 def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
     k, n = args.k, args.n
     mmap = _capped_veronese_map(k, n)
-    char = _parse_char(args.char)
-    ideal, _, agree = _toric_routes(mmap, _domain(char))
+    char, dom = _parse_char(args.char)
+    ideal, _, agree = _toric_routes(mmap, dom)
     checks = [
         _check("toric_routes_agree", agree,
                **_minimal_generator_details(ideal)),
@@ -242,6 +240,9 @@ def _add_out_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_ideal_flags(sub: argparse.ArgumentParser, required: bool = True) -> None:
+    """``--ring`` and one of ``--ideal`` and ``--ideal-file``."""
+    sub.add_argument("--ring", required=required,
+                     help='variables, e.g. "u,v,w"')
     group = sub.add_mutually_exclusive_group(required=required)
     group.add_argument("--ideal", metavar="POLYS",
                        help="comma-separated generators")
@@ -255,7 +256,6 @@ def _veronese_ideal_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-n", type=_int_flag, required=True,
                      help="Veronese degree")
     sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
-    sub.set_defaults(handler=_cmd_veronese_ideal)
 
 
 def _present_flags(sub: argparse.ArgumentParser) -> None:
@@ -270,76 +270,68 @@ def _present_flags(sub: argparse.ArgumentParser) -> None:
                           '"t1:t2^3-t1^2*t3,t2*t3-t1*t4"; repeatable')
     sub.add_argument("--fpurity-witness", metavar="VEC;VEC",
                      help='numerator;generator pair, e.g. "6,2;4,0"')
-    sub.set_defaults(handler=_cmd_present)
 
 
 def _height_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ring", required=True, help='variables, e.g. "u,v,w"')
     _add_ideal_flags(sub)
     sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
-    sub.set_defaults(handler=_cmd_height)
 
 
 def _ci_check_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ring", required=True)
     _add_ideal_flags(sub)
     sub.add_argument("--invert", required=True, metavar="VAR")
     sub.add_argument("--candidates", required=True, metavar="POLYS")
     sub.add_argument("--char", default="0")
-    sub.set_defaults(handler=_cmd_ci_check)
 
 
 def _radical_cover_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ring", required=True)
     _add_ideal_flags(sub)
     sub.add_argument("--subset", required=True, metavar="VARS")
     sub.add_argument("--char", default="0")
-    sub.set_defaults(handler=_cmd_radical_cover)
 
 
 def _fedder_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ring", required=True)
     _add_ideal_flags(sub)
     sub.add_argument("--p", type=_int_flag, required=True, help="the prime")
-    sub.set_defaults(handler=_cmd_fedder)
 
 
 def _semigroup_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--generators", required=True,
                      help='generator vectors, e.g. "4,0;3,1;1,3;0,4"')
     sub.add_argument("--target", required=True, help='vector, e.g. "2,2"')
-    sub.set_defaults(handler=_cmd_semigroup)
 
 
 def _cd_certificate_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-k", type=_int_flag, required=True)
     sub.add_argument("-n", type=_int_flag, required=True)
     sub.add_argument("--primes", default="2,3,5")
-    sub.set_defaults(handler=_cmd_cd_certificate)
 
 
 def _char_compare_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--targets", help="toric fixture: exponent vectors")
-    sub.add_argument("--ring", help="ideal fixture: variables")
     _add_ideal_flags(sub, required=False)
     sub.add_argument("--primes", default="2,3,5")
-    sub.set_defaults(handler=_cmd_char_compare)
 
 
-#: subcommand name -> (its line in the top-level help, its flags)
+#: subcommand name -> (its line in the top-level help, its flags, its
+#: handler)
 _SUBCOMMANDS = {
     "veronese-ideal": ("both toric routes for a Veronese map",
-                       _veronese_ideal_flags),
-    "present": ("presentation report for a monomial algebra", _present_flags),
-    "height": ("Krull dimension and height", _height_flags),
-    "ci-check": ("verify a localized complete intersection", _ci_check_flags),
+                       _veronese_ideal_flags, _cmd_veronese_ideal),
+    "present": ("presentation report for a monomial algebra", _present_flags,
+                _cmd_present),
+    "height": ("Krull dimension and height", _height_flags, _cmd_height),
+    "ci-check": ("verify a localized complete intersection", _ci_check_flags,
+                 _cmd_ci_check),
     "radical-cover": ("is every variable in rad(I + subset)?",
-                      _radical_cover_flags),
-    "fedder": ("Fedder F-purity test", _fedder_flags),
-    "semigroup": ("affine semigroup membership", _semigroup_flags),
+                      _radical_cover_flags, _cmd_radical_cover),
+    "fedder": ("Fedder F-purity test", _fedder_flags, _cmd_fedder),
+    "semigroup": ("affine semigroup membership", _semigroup_flags,
+                  _cmd_semigroup),
     "cd-certificate": ("cohomological-dimension certificate",
-                       _cd_certificate_flags),
-    "char-compare": ("heights across characteristics", _char_compare_flags),
+                       _cd_certificate_flags, _cmd_cd_certificate),
+    "char-compare": ("heights across characteristics", _char_compare_flags,
+                     _cmd_char_compare),
 }
 
 
@@ -349,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact toric presentations and cohomological-dimension "
                     "certificates for monomial algebras")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_flags) in _SUBCOMMANDS.items():
+    for name, (summary, add_flags, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=summary)
         add_flags(sub)
         _add_out_flags(sub)
@@ -364,7 +356,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     usage and error line is the full parser's own."""
     if argv and argv[0] in _SUBCOMMANDS:
         name = argv[0]
-        _, add_flags = _SUBCOMMANDS[name]
+        _, add_flags, _ = _SUBCOMMANDS[name]
         sub = argparse.ArgumentParser(prog=f"veronese {name}")
         add_flags(sub)
         _add_out_flags(sub)
@@ -394,7 +386,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     start = time.perf_counter()
     try:
-        report = args.handler(args)
+        report = _SUBCOMMANDS[args.command][2](args)
         envelope = report.to_report()
         if args.timing:
             envelope["elapsed_seconds"] = round(time.perf_counter() - start, 3)

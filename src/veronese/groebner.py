@@ -52,7 +52,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .polycore import (
     GF, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
-    _PackingOverflow, _nf_dict, _packed, _setattr,
+    _PackingOverflow, _monic, _nf_dict, _packed, _setattr,
 )
 
 __all__ = [
@@ -108,12 +108,6 @@ class _Engine:
         self.p = ring.domain.characteristic
         self.packing = packing
         self.guard = packing.guard
-        # the exponent fields are the low ``arity * bits`` bits of a packed
-        # monomial; ``exp_guard`` holds their guard bits
-        bits = packing.mask.bit_length()
-        self.low = (1 << bits * len(packing.shifts)) - 1
-        self.exp_guard = packing.guard & self.low
-        self.top = bits - 1              # shifts a guard bit to its field's 1
         self.entries: list = []          # _nf_dict entries, no quotient
         self.exps: list[int] = []        # exponent part of each entry's lead
         self.live: list[bool] = []       # no later lead divides its lead
@@ -143,7 +137,7 @@ class _Engine:
         next; subtracting the guard bits shifted down to each field's 1
         turns them into masks of those fields.  The lcm takes a's fields
         under the mask and b's elsewhere."""
-        g, top = self.exp_guard, self.top
+        g, top = self.packing.exp_guard, self.packing.top
         return [b ^ ((a ^ b) & ((d := ((a | g) - b) & g) - (d >> top)))
                 for a in self.exps]
 
@@ -172,7 +166,7 @@ class _Engine:
         lcms = self._lcms_with(b)
         cand = sorted([(lcms[i], i) for i in range(t) if live[i]])
 
-        g = self.exp_guard
+        g = self.packing.exp_guard
         kept: list[int] = []             # lcms of kept pairs
         queued: list[int] = []
         last = len(cand) - 1
@@ -193,7 +187,7 @@ class _Engine:
 
         alive = self.alive
         guard = self.guard
-        low = self.low
+        low = self.packing.low
         plead_t = self.entries[t][0]
         dropped = [
             pair for pair, lcm in alive.items()
@@ -219,15 +213,9 @@ class _Engine:
         """Insert a nonzero, fully reduced packed term dict, terms in
         descending order as ``_nf_dict`` returns them, as a new monic
         element."""
-        terms = iter(h.items())
-        lead, lc = next(terms)
-        if self.p:
-            inv = pow(lc, -1, self.p)
-            tail = tuple((m, c * inv % self.p) for m, c in terms)
-        else:
-            tail = tuple((m, c / lc) for m, c in terms)
+        lead, _, tail = _monic(h, self.dom)
         self.entries.append((lead, None, tail))
-        self.exps.append(lead & self.low)
+        self.exps.append(lead & self.packing.low)
         self.live.append(True)
         self._update_pairs(len(self.entries) - 1)
 
@@ -377,13 +365,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX
 
 @lru_cache(maxsize=256)
 def _gb_entries(gb: GroebnerBasis, packing: _Packing) -> list:
-    entries = []
-    for g in gb.elements:
-        terms = packing.pack_terms(g.terms)
-        lead = max(terms)
-        del terms[lead]                  # elements are monic by construction
-        entries.append((lead, None, tuple(terms.items())))
-    return entries
+    dom = gb.ring.domain
+    return [(lead, None, tail) for lead, _, tail in
+            (_monic(packing.pack_terms(g.terms), dom) for g in gb.elements)]
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

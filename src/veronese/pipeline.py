@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, PolyRing, QQ, ResourceCapError, _Record,
-    is_homogeneous, parse_polynomial_list,
+    _naturals, is_homogeneous, parse_polynomial_list,
 )
 from .groebner import (
     Ideal, _least_power_member, buchberger, ideal_equal, ideal_sum,
@@ -195,7 +195,7 @@ def _characteristics(primes: Sequence[int]) -> list[tuple[int, CoeffDomain]]:
     Primality is validated by the field constructor."""
     if not primes:
         raise ValueError("at least one prime is required")
-    ps = sorted({int(p) for p in primes})
+    ps = sorted(set(_naturals(primes)))
     return [(0, QQ)] + [(p, GF(p)) for p in ps]
 
 
@@ -225,27 +225,23 @@ def _radical_cover(ideal: Ideal, subset: tuple[int, ...]
     ring = ideal.ring
     if not subset:
         raise ValueError("the cover subset must be nonempty")
-    for i in subset:
-        if not 0 <= i < ring.arity:
-            raise ValueError(f"variable index {i} out of range")
+    # ``variable`` refuses an index out of range
     J = ideal_sum(ideal, Ideal(ring, tuple(ring.variable(i) for i in subset)))
     gb = buchberger(J, _GREVLEX)
     leads = [g.lead_monomial(_GREVLEX) for g in gb.elements]
     powered = [any(m[i] == sum(m) for m in leads) for i in range(ring.arity)]
-    if all(powered) and all(is_homogeneous(g) for g in ideal.generators):
-        details = []
-        for i, nm in enumerate(ring.names):
-            e = _least_power_member(ring.variable(i), gb)
-            details.append({"variable": nm, "member": True, "exponent": e})
-        return True, details
-    ok = True
+    read = all(powered) and all(is_homogeneous(g) for g in ideal.generators)
     details = []
     for i, nm in enumerate(ring.names):
-        member, e = (radical_member(ring.variable(i), J) if powered[i]
-                     else (False, None))
-        ok = ok and member
+        t = ring.variable(i)
+        if read:
+            member, e = True, _least_power_member(t, gb)
+        elif powered[i]:
+            member, e = radical_member(t, J)
+        else:
+            member, e = False, None
         details.append({"variable": nm, "member": member, "exponent": e})
-    return ok, details
+    return all(d["member"] for d in details), details
 
 
 def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
@@ -354,6 +350,17 @@ def _characteristic_checks(
     return ideals, heights, checks
 
 
+def _veronese_charts(mmap: MonomialMap, pure_power_of: bool) -> Callable:
+    """The ``charts`` of a Veronese map for ``_characteristic_checks``: per
+    ambient variable x_j the chart of its pure power with the derived
+    candidates, the details naming x_j when ``pure_power_of``."""
+    def charts(dom: CoeffDomain, ring: PolyRing):
+        for j in range(mmap.k):
+            yield (*ci_sequence(mmap, j, dom),
+                   {"pure_power_of": f"x{j + 1}"} if pure_power_of else {})
+    return charts
+
+
 def _capped_veronese_map(k: int, n: int) -> MonomialMap:
     """The Veronese map (k, n), refused for k or n < 1 and over the cap."""
     if k < 1 or n < 1:
@@ -459,14 +466,10 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     doms = _characteristics(primes)
     expected = mmap.d - k
 
-    def charts(dom: CoeffDomain, ring: PolyRing):
-        for j in range(k):
-            yield (*ci_sequence(mmap, j, dom), {"pure_power_of": f"x{j + 1}"})
-
     ideals, _, checks = _characteristic_checks(
         mmap, doms,
         lambda label, dims: _height_check(f"height_{label}", dims, expected),
-        charts, _pure_power_indices(mmap))
+        _veronese_charts(mmap, pure_power_of=True), _pure_power_indices(mmap))
 
     if n == 2:
         minors = symmetric_minors_ideal(k, QQ)
@@ -528,12 +531,10 @@ def present_monomial_algebra(
 
     derived = ci_candidates is None and is_veronese
     if derived:
-        def charts(dom: CoeffDomain, ring: PolyRing):
-            for j in range(mmap.k):
-                yield (*ci_sequence(mmap, j, dom), {})
+        charts = _veronese_charts(mmap, pure_power_of=False)
     else:
         for i in ci_candidates or ():
-            if i not in range(mmap.d):
+            if not isinstance(i, int) or i not in range(mmap.d):
                 raise ValueError(f"chart variable index {i!r} out of range")
 
         def charts(dom: CoeffDomain, ring: PolyRing):
@@ -542,7 +543,7 @@ def present_monomial_algebra(
                 yield i, parse_polynomial_list(text, ring), {}
 
     if radical_subset is not None:
-        subset = tuple(int(i) for i in radical_subset)
+        subset = _naturals(radical_subset)
     else:
         subset = _pure_power_indices(mmap) if is_veronese else ()
 
@@ -589,10 +590,7 @@ def present_monomial_algebra(
         pair = tuple(fpurity_witness)
         if len(pair) != 2:
             raise ValueError("the purity witness must be a pair of vectors")
-        witness_base = tuple(int(e) for e in pair[0])
-        witness_gen = tuple(int(e) for e in pair[1])
-        if len(witness_base) != mmap.k or len(witness_gen) != mmap.k:
-            raise ValueError("witness vectors must match the target arity")
+        witness_base, witness_gen = (_naturals(v, mmap.k) for v in pair)
         valid = (semigroup_member(sg, witness_base)[0]
                  and semigroup_member(sg, witness_gen)[0])
         residual = tuple(a - b for a, b in zip(witness_base, witness_gen))

@@ -30,6 +30,7 @@ __all__ = [
     "Lex", "GrevLex", "Block", "MonomialOrder", "PolyRing", "Polynomial",
     "ParseError", "parse_polynomial", "parse_polynomial_list", "divide",
     "homogeneous_degree", "is_homogeneous", "ResourceCapError",
+    "PRODUCT_CAP",
 ]
 
 
@@ -287,6 +288,19 @@ def GF(p: int) -> PrimeField:
 # ``_PackingOverflow``, and ``_packed`` reruns the whole computation with
 # fields twice as wide.
 
+def _naturals(entries: Iterable[int], arity: Union[int, None] = None
+              ) -> tuple[int, ...]:
+    """``entries`` as a tuple of nonnegative ints, such as an exponent
+    vector, and ``arity`` of them when it is given; anything else, a float
+    among them, raises ``ValueError``."""
+    v = tuple(entries)
+    if (arity is not None and len(v) != arity) or not all(
+            isinstance(e, int) and e >= 0 for e in v):
+        count = "" if arity is None else f"{arity} "
+        raise ValueError(f"expected {count}nonnegative ints, got {v!r}")
+    return v
+
+
 def _grevlex_key(m: Exponents) -> tuple[int, ...]:
     # graded, then reverse-lex: later variables count against a monomial
     return (sum(m),) + tuple(map(neg, reversed(m)))
@@ -361,7 +375,8 @@ class _PackingOverflow(Exception):
 class _Packing:
     """Packed monomials of one arity under one order, ``bits`` per field."""
 
-    __slots__ = ("order", "units", "guard", "limit", "shifts", "mask")
+    __slots__ = ("order", "units", "guard", "limit", "shifts", "mask",
+                 "low", "exp_guard", "top")
 
     def __init__(self, order: "MonomialOrder", arity: int, bits: int):
         self.order = order
@@ -384,6 +399,12 @@ class _Packing:
         self.limit = 1 << bits - 1
         self.shifts = tuple(bits * (arity - 1 - i) for i in range(arity))
         self.mask = (1 << bits) - 1
+        # the exponent fields are the low ``arity * bits`` bits; ``exp_guard``
+        # holds their guard bits, and ``top`` shifts a guard bit to its
+        # field's 1
+        self.low = (1 << bits * arity) - 1
+        self.exp_guard = self.guard & self.low
+        self.top = bits - 1
 
     def pack(self, m: Exponents) -> int:
         if sum(m) >= self.limit:
@@ -500,10 +521,8 @@ class PolyRing(_CachedHash):
         return Polynomial(self, ((exps, self.domain.one),))
 
     def monomial(self, exps: Sequence[int]) -> "Polynomial":
-        exps = tuple(exps)
-        if len(exps) != self.arity or any((not isinstance(e, int)) or e < 0 for e in exps):
-            raise ValueError(f"bad exponent vector {exps!r} for arity {self.arity}")
-        return Polynomial(self, ((exps, self.domain.one),))
+        return Polynomial(self, ((_naturals(exps, self.arity),
+                                  self.domain.one),))
 
     def from_dict(self, mapping: Mapping[Exponents, Union[int, Fraction]]) -> "Polynomial":
         return _from_dict(self, dict(mapping))
@@ -627,16 +646,7 @@ class Polynomial(_CachedHash):
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, e, mul)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -673,6 +683,19 @@ class Polynomial(_CachedHash):
 
     def __repr__(self) -> str:
         return f"<{self} in {self.ring}>"
+
+
+def _power(f: Polynomial, e: int, times) -> Polynomial:
+    """f^e by repeated squaring, each product formed by ``times``."""
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = f.ring.one
+    while e:
+        if e & 1:
+            result = times(result, f)
+        f = times(f, f) if e > 1 else f
+        e >>= 1
+    return result
 
 
 def homogeneous_degree(f: Polynomial) -> Union[int, None]:
@@ -741,6 +764,17 @@ def _nf_dict(work: dict, entries: list, guard: int, p: int) -> dict:
     return result
 
 
+def _monic(terms: dict, dom: CoeffDomain) -> tuple[int, Scalar, tuple]:
+    """A nonzero packed term dict as a monic divisor of ``_nf_dict``: its
+    lead, the inverse of the lead coefficient, and the tail, the other terms
+    times that inverse in the dict's order.  Consumes ``terms``."""
+    lead = max(terms)
+    inv = dom.invert(terms.pop(lead))
+    p = dom.characteristic
+    return lead, inv, tuple([(m, c * inv % p if p else c * inv)
+                             for m, c in terms.items()])
+
+
 def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
            ) -> tuple[list[Polynomial], Polynomial]:
     """Multivariate division: f = sum(q_i * d_i) + r.
@@ -764,11 +798,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
         entries = []
         scaled = []
         for d in divisors:
-            terms = packing.pack_terms(d.terms)
-            lead = max(terms)
-            lcinv = dom.invert(terms.pop(lead))
-            tail = tuple((m, dom.normalize(c * lcinv))
-                         for m, c in terms.items())
+            lead, lcinv, tail = _monic(packing.pack_terms(d.terms), dom)
             quotient: dict[int, Scalar] = {}
             entries.append((lead, quotient, tail))
             scaled.append((quotient, lcinv))
@@ -798,6 +828,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
 
 _MAX_NESTING = 100
 
+#: most term pairs in one product that the parser forms, squarings behind
+#: '^' included; a larger product is refused with ``ResourceCapError``
+PRODUCT_CAP = 1 << 16
+
 
 class ParseError(ValueError):
     """Input text rejected; ``message`` says why and ``position`` is the
@@ -814,6 +848,14 @@ class ParseError(ValueError):
 # it on the first parse and keeps it in its own cache, so import does not
 _TOKEN_PATTERN = r"([0-9]+)|([a-z][a-z0-9]*)|([-+*^()])|(\S)"
 _TOKEN_KINDS = (None, "int", "name", "op")
+
+
+def _capped_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    pairs = len(a.terms) * len(b.terms)
+    if pairs > PRODUCT_CAP:
+        raise ResourceCapError(f"a product of {pairs} term pairs exceeds "
+                               f"the parser's cap of {PRODUCT_CAP}")
+    return a * b
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -871,7 +913,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                result = result * self.factor()
+                result = _capped_product(result, self.factor())
             else:
                 return result
 
@@ -884,7 +926,7 @@ class _Parser:
             if ekind != "int":
                 raise ParseError("exponent must be a nonnegative integer", epos)
             self.take()
-            return base ** int(eval_)
+            return _power(base, int(eval_), _capped_product)
         return base
 
     def atom(self) -> Polynomial:

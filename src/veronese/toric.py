@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .polycore import (
     CoeffDomain, GrevLex, PolyRing, Polynomial, Exponents, QQ,
-    is_homogeneous, homogeneous_degree, _Record, _from_dict,
+    is_homogeneous, homogeneous_degree, _Record, _from_dict, _naturals,
 )
 from .groebner import (
     Ideal, buchberger, eliminate, ideal_member, saturate,
@@ -44,11 +44,7 @@ class MonomialMap(_Record):
         if k == 0:
             raise ValueError("targets must have at least one coordinate")
         for t in targets:
-            if len(t) != k:
-                raise ValueError("targets of unequal arity")
-            if any((not isinstance(e, int)) or e < 0 for e in t):
-                raise ValueError(f"bad exponent vector {t!r}")
-            if all(e == 0 for e in t):
+            if not any(_naturals(t, k)):
                 raise ValueError("constant target (zero exponent vector)")
         if len(set(targets)) != len(targets):
             raise ValueError("repeated target")
@@ -373,9 +369,7 @@ def ci_check(ideal: Ideal, candidates: Sequence[Polynomial],
     for f in candidates:
         if f.ring != ring:
             raise ValueError("candidate from a different ring")
-    if not 0 <= invert_index < ring.arity:
-        raise ValueError(f"variable index {invert_index} out of range")
-    v = ring.variable(invert_index)
+    v = ring.variable(invert_index)     # refuses an index out of range
 
     gb = buchberger(ideal, _GREVLEX)
     in_ideal = all(ideal_member(f, gb) for f in candidates)

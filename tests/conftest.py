@@ -1,12 +1,47 @@
-"""Fixtures shared by the test modules, and the first-in, first-out engine
-that cross-checks the engine's pair selection."""
+"""Fixtures shared by the test modules, the first-in, first-out engine
+that cross-checks the engine's pair selection, and the replay of the
+golden cases and the perfbench library reports."""
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 from itertools import count
+from pathlib import Path
 
 import pytest
 
+import veronese
 from veronese import groebner
+from veronese.cli import main
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def replay_reports() -> None:
+    """Every golden case through ``main`` and every perfbench library
+    report of seeds 3 and 5, output discarded, for tests that record what
+    these reports ask of the library."""
+    from test_golden_reports import CASES
+    workloads = perfbench_module("workloads")
+    session = perfbench_module("session")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for argv in CASES.values():
+            main(argv)
+    for generate in workloads.GENERATORS.values():
+        for seed in (3, 5):
+            for spec in generate(seed):
+                session.library_report(veronese, spec)
 
 
 class FifoEngine(groebner._Engine):

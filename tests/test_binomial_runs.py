@@ -13,31 +13,18 @@ differences must raise ``RuntimeError`` (exit 4 on the command line)."""
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
-from pathlib import Path
 
 import pytest
 
-from conftest import FifoEngine
-from test_golden_reports import CASES
+from conftest import FifoEngine, replay_reports
 
-import veronese
 from veronese import groebner
 from veronese.cli import main
 from veronese.groebner import Ideal, buchberger, eliminate, intersect
 from veronese.polycore import GF, PolyRing, Polynomial, QQ
 
-_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _DOMAINS = [QQ, GF(2), GF(3), GF(5), GF(7)]
-
-
-def _perfbench_module(name: str):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", _PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +32,6 @@ def binomial_requests():
     """(names, shape, order) of every binomial ``buchberger``
     request of the golden cases and the perfbench library reports of seeds
     3 and 5, recorded where ``buchberger`` asks its cache."""
-    workloads = _perfbench_module("workloads")
-    session = _perfbench_module("session")
     requests = {}
     cached = groebner._buchberger_cached
 
@@ -58,14 +43,7 @@ def binomial_requests():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groebner, "_buchberger_cached", record)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            for argv in CASES.values():
-                main(argv)
-        for generate in workloads.GENERATORS.values():
-            for seed in (3, 5):
-                for spec in generate(seed):
-                    session.library_report(veronese, spec)
+        replay_reports()
     return list(requests)
 
 

@@ -386,6 +386,14 @@ def test_exit_three_on_radical_witness_past_two_to_the_twenty(capsys):
     assert err == "error: radical witness exponent out of range\n"
 
 
+def test_exit_three_on_a_parsed_product_past_the_cap(capsys):
+    code, out, err = _run(capsys, "height", "--ring", "x,y",
+                          "--ideal", "(x+y)^2400")
+    assert code == 3 and out == ""
+    assert err == ("error: a product of 66049 term pairs exceeds the "
+                   "parser's cap of 65536\n")
+
+
 def test_exit_three_on_height_past_the_arity_cap(capsys):
     ring = ",".join(f"x{i}" for i in range(1, 22))
     code, out, err = _run(capsys, "height", "--ring", ring, "--ideal", "x1")
@@ -410,7 +418,9 @@ def test_exit_four_on_internal_error(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("engine bug")
 
-    monkeypatch.setattr("veronese.cli._cmd_height", broken)
+    summary, add_flags, _ = cli._SUBCOMMANDS["height"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "height",
+                        (summary, add_flags, broken))
     code, out, err = _run(capsys, "height", "--ring", "x",
                           "--ideal", "x")
     assert code == 4

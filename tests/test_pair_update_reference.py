@@ -18,7 +18,8 @@ import pytest
 
 from veronese.groebner import _Engine
 from veronese.polycore import (
-    GF, Block, PolyRing, QQ, _FIELD_BITS, _nf_dict, _packed, _packing,
+    GF, Block, PolyRing, QQ, _FIELD_BITS, _Packing, _nf_dict, _packed,
+    _packing,
 )
 
 from conftest import FifoEngine
@@ -243,9 +244,9 @@ def _limit_monomials(packing):
     return list(product((0, 1, top - 1, top), repeat=4))
 
 
-def _engine(order):
+def _engine(order, packing=None):
     ring = PolyRing(("a", "b", "c", "d"), QQ)
-    return _Engine(ring, _packing(order, 4, _FIELD_BITS))
+    return _Engine(ring, packing or _packing(order, 4, _FIELD_BITS))
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=str)
@@ -256,20 +257,23 @@ def test_guard_bit_lcm_is_the_fieldwise_max(order):
 
 
 def test_lcm_with_the_guard_mask_off_by_one_field_is_caught():
-    engine = _engine(_ORDERS[1])
-    bits = engine.packing.mask.bit_length()
-    for shifted in (engine.exp_guard << bits, engine.exp_guard >> bits):
-        engine.exp_guard = shifted
+    # broken copies of the packing, outside the cache of ``_packing``
+    order, bits = _ORDERS[1], _FIELD_BITS
+    for shift in (lambda g: g << bits, lambda g: g >> bits):
+        packing = _Packing(order, 4, bits)
+        packing.exp_guard = shift(packing.exp_guard)
+        engine = _engine(order, packing)
         assert _lcm_mismatches(engine, _small_monomials()) > 0
 
 
 class _WideMask(_Traced):
     """A broken copy whose exponent mask also takes in the order fields."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.low = (1 << self.guard.bit_length()) - 1
-        self.exp_guard = self.guard
+    def __init__(self, ring, packing):
+        wide = _Packing(packing.order, ring.arity, packing.mask.bit_length())
+        wide.low = (1 << wide.guard.bit_length()) - 1
+        wide.exp_guard = wide.guard
+        super().__init__(ring, wide)
 
 
 def test_exponent_mask_over_the_order_fields_is_caught():

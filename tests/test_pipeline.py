@@ -7,16 +7,18 @@ import json
 
 import pytest
 
+from conftest import replay_reports
+
 from veronese import groebner, pipeline
 from veronese.cli import main
-from veronese.groebner import Ideal, ideal_sum
+from veronese.groebner import Ideal, ideal_sum, radical_member
 from veronese.pipeline import (
     GENERIC_2X3_GENERATORS, GENERIC_2X3_NAMES, QUARTIC_CURVE_TARGETS,
     Check, Report, ResourceCapError, VARIABLE_CAP, cd_certificate,
     char_compare, ensure_within_cap, present_monomial_algebra,
     radical_cover_check, render_json,
 )
-from veronese.polycore import PolyRing, QQ
+from veronese.polycore import PolyRing, QQ, is_homogeneous
 from veronese.toric import MonomialMap, toric_ideal_lattice, veronese_map
 
 
@@ -91,6 +93,42 @@ def test_failing_cover_skips_variables_without_a_pure_power_lead(monkeypatch):
         (True, 1), (True, 3), (True, 4), (False, None)]
     assert len(requests) == 7
     assert sum(r.ring.arity == 5 for r in requests) == 3
+
+
+@pytest.fixture(scope="module")
+def report_covers():
+    """(ideal, subset) of every radical cover that the golden cases and
+    the perfbench library reports of seeds 3 and 5 take."""
+    covers = {}
+    cover = pipeline._radical_cover
+
+    def record(ideal, subset):
+        covers.setdefault((ideal, subset), None)
+        return cover(ideal, subset)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_radical_cover", record)
+        replay_reports()
+    return list(covers)
+
+
+def test_cover_read_from_one_basis_equals_membership_runs(report_covers):
+    """Membership and exponent of every variable, whether the cover reads
+    them from the basis of I + (subset) or runs ``radical_member``, equal
+    those of a ``radical_member`` run per variable."""
+    read = failed = 0
+    for ideal, subset in report_covers:
+        ring = ideal.ring
+        J = ideal_sum(ideal, Ideal(ring, tuple(map(ring.variable, subset))))
+        ok, witnesses = pipeline._radical_cover(ideal, subset)
+        runs = [radical_member(ring.variable(i), J)
+                for i in range(ring.arity)]
+        assert [(w["member"], w["exponent"]) for w in witnesses] == runs
+        assert ok == all(member for member, _ in runs)
+        homogeneous = all(map(is_homogeneous, ideal.generators))
+        read += ok and homogeneous
+        failed += not ok
+    assert read > 40 and failed > 0
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +311,26 @@ def test_present_validation_and_cap():
                                  fpurity_witness=((1, 1),))
 
 
-@pytest.mark.parametrize("key", [7, 4, -1])
+@pytest.mark.parametrize("build, entry", [
+    (lambda: cd_certificate(2, 2, primes=(2.9,)), "2.9"),
+    (lambda: present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(2,),
+                                      radical_subset=[0.7, 2.2]), "0.7"),
+    (lambda: present_monomial_algebra(
+        QUARTIC_CURVE_TARGETS, primes=(2,),
+        fpurity_witness=((6.9, 2.5), (4.2, 0))), "6.9"),
+], ids=["prime", "cover_index", "witness_entry"])
+def test_library_refuses_non_integer_entries(build, entry):
+    """A float prime, cover index or witness entry is refused, not
+    truncated to p = 2, to t1 and t3, or to the witness ((6, 2), (4, 0))."""
+    with pytest.raises(ValueError, match=entry):
+        build()
+
+
+@pytest.mark.parametrize("key", [7, 4, -1, 0.0])
 def test_present_refuses_a_chart_outside_the_targets(key, engine_counts):
     """A ``ci_candidates`` key names one of the len(targets) t-variables;
-    any other key is a ``ValueError`` before any engine run."""
+    any other key, a float among them, is a ``ValueError`` before any
+    engine run."""
     with pytest.raises(ValueError, match="out of range"):
         present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(3,),
                                  ci_candidates={key: ["t1"]})

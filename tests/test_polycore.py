@@ -4,13 +4,16 @@ input grammar with exact error positions."""
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from veronese import polycore
 from veronese.polycore import (
-    Block, GF, GrevLex, Lex, ParseError, PolyRing, QQ, divide,
+    Block, GF, GrevLex, Lex, ParseError, PolyRing, QQ, ResourceCapError,
+    divide,
     homogeneous_degree, is_homogeneous, parse_polynomial,
     parse_polynomial_list,
 )
@@ -358,6 +361,23 @@ def test_parse_nesting_limit():
     assert info.value.position == 2 + 100
     # depth is what counts, not the number of parentheses
     assert parse_polynomial(" + ".join(["(x)"] * 150), R) == R.parse("150*x")
+
+
+def test_parse_product_cap(monkeypatch):
+    R = PolyRing(("x", "y"), QQ)
+    # squaring (x+y)^128, 129 terms, is the first product past the cap
+    with pytest.raises(ResourceCapError, match="66049 term pairs"):
+        parse_polynomial("(x+y)^2400", R)
+    # 27 squarings of one term, in about a millisecond
+    start = time.perf_counter()
+    f = parse_polynomial("x^100000000+y", R)
+    assert time.perf_counter() - start < 0.5
+    assert f == R.monomial((100000000, 0)) + R.variable("y")
+    monkeypatch.setattr(polycore, "PRODUCT_CAP", 6)
+    assert parse_polynomial("(x+y)*(x+y+1)", R) == R.parse("(x+y)^2+x+y")
+    for text in ("(x+y+1)*(x+y+1)", "(x+y+1)^2", "(x+y+1)^3"):
+        with pytest.raises(ResourceCapError, match="9 term pairs"):
+            parse_polynomial(text, R)
 
 
 @pytest.mark.parametrize("domain", [QQ, GF(2), GF(7)])

@@ -1,0 +1,33 @@
+"""The same-bytes probe ``tools/report_digests.py`` on one seed: one line
+per workload, with the number of its inputs and the sha256 of their library
+reports as this process renders them."""
+from __future__ import annotations
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import perfbench_module
+
+import veronese
+
+_SRC = Path(veronese.__file__).resolve().parent.parent
+_PROBE = _SRC.parent / "tools" / "report_digests.py"
+
+
+def test_the_probe_digests_the_library_reports_of_one_seed():
+    done = subprocess.run(
+        [sys.executable, str(_PROBE), "--src", str(_SRC), "--seeds", "3"],
+        capture_output=True, text=True, timeout=300, check=True)
+    workloads = perfbench_module("workloads")
+    session = perfbench_module("session")
+    expected = []
+    for workload in workloads.WORKLOADS:
+        specs = workloads.GENERATORS[workload](3)
+        body = "".join(session.library_report(veronese, spec)
+                       for spec in specs)
+        expected.append(f"{workload} seed 3: {len(specs)} reports, sha256 "
+                        f"{hashlib.sha256(body.encode('utf-8')).hexdigest()}")
+    assert done.stdout.splitlines() == expected
+    assert done.stderr == ""
