@@ -6,19 +6,22 @@ colon (I^[p] : I) and works for any homogeneous ideal over GF(p).
 ``fedder_fiber`` is for the toric ideal of a set of targets: it never forms
 the colon, but solves one sparse linear system over GF(p) in a single
 multidegree, over the Frobenius basis of I^[p], which needs no Buchberger
-run.  The Veronese certificate uses the fiber route; the colon route serves
-general homogeneous input and is the fiber route's oracle in the tests.
+run, on packed monomials throughout; its solution u is re-checked by
+reducing each product u g, formed as one packed term dict, against that
+basis.  The Veronese certificate uses the fiber route; the colon route
+serves general homogeneous input and is the fiber route's oracle in the
+tests.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 from .polycore import (
-    GrevLex, PrimeField, Polynomial, Exponents, ResourceCapError, _Record,
-    _naturals, is_homogeneous,
+    GrevLex, PrimeField, Polynomial, Exponents, ResourceCapError, _Packing,
+    _PackingOverflow, _Record, _naturals, _nf_dict, _packed, is_homogeneous,
 )
 from .groebner import (
-    GroebnerBasis, Ideal, buchberger, colon_ideal, normal_form,
+    GroebnerBasis, Ideal, buchberger, colon_ideal, _gb_entries,
     _pure_difference,
 )
 
@@ -216,6 +219,23 @@ def _pure_binomial(g: Polynomial) -> tuple[Exponents, Exponents]:
     return monomials
 
 
+def _times(g: Polynomial, support: list, packing: _Packing, p: int
+           ) -> dict:
+    """g u for the u whose terms are the packed monomials ``support``, each
+    with coefficient 1, as one packed term dict over GF(p) without zero
+    terms.  Raises ``_PackingOverflow`` when a product outgrows its
+    fields."""
+    guard = packing.guard
+    product: dict[int, int] = {}
+    get = product.get
+    for m, c in packing.pack_terms(g.terms).items():
+        for x in map(m.__add__, support):
+            if x & guard:
+                raise _PackingOverflow
+            product[x] = (get(x, 0) + c) % p
+    return {x: c for x, c in product.items() if c}
+
+
 def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
                  ) -> FiberReport:
     """Decide F-purity of R/I for the toric ideal I of ``targets`` over
@@ -253,10 +273,15 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
     row is e_s - e_s' or a single +-e_s.  Elimination is then union-find:
     the solutions are constant on the components linked by two-entry rows
     and vanish on those that hold a single-entry row.  When x^(p-1) lies in
-    a free component, u is the sum of that component's monomials; it is
-    re-checked with the generic ``normal_form`` against G^[p], and a failed
-    re-check raises ``RuntimeError``.  A row of any other shape means the
-    ideal is not the toric ideal of the targets and raises ``ValueError``.
+    a free component, u is the sum of that component's monomials.  A row
+    of any other shape means the ideal is not the toric ideal of the
+    targets and raises ``ValueError``.
+
+    The re-check.  u is verified without the rows or the union-find: for
+    every input generator g the product u g is formed as one packed term
+    dict and reduced once by the generic kernel (``polycore._nf_dict``)
+    against G^[p]; a nonzero remainder, or an x^(p-1) coefficient other
+    than 1, raises ``RuntimeError``.
 
     The unknowns are enumerated as p q + r: a meet-in-the-middle on
     A r mod p over the two halves of the variables finds the residues r
@@ -266,6 +291,12 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
     than ``FIBER_CAP`` residues, or that finds more than ``FIBER_CAP``
     candidate residues, raises ``ResourceCapError`` before any unknown is
     built.
+
+    Everything after the enumeration runs on packed monomials
+    (``polycore._packed``): a normal form of G is one ``_nf_dict`` call on
+    one packed monomial, and no ``Polynomial`` is built but the returned
+    u.  A monomial that outgrows the packed fields repeats that part with
+    wider fields from scratch.
     """
     p = _characteristic(ideal)
     ring = ideal.ring
@@ -284,14 +315,6 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
             raise ValueError(f"not homogeneous in the target grading: {g}")
     gb = buchberger(ideal, _GREVLEX)
     rules = [_pure_binomial(g) for g in gb.elements]
-
-    reduced: dict[Exponents, Exponents] = {}
-
-    def nf(q: Exponents) -> Exponents:
-        """The standard monomial of t^q modulo G."""
-        if q not in reduced:
-            reduced[q] = normal_form(ring.monomial(q), gb).terms[0][0]
-        return reduced[q]
 
     # the unknowns p q + r, one per residue r that reaches delta
     delta = tuple((p - 1) * sum(a[j] for a in A) for j in range(k))
@@ -321,86 +344,108 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
         raise ResourceCapError(
             f"{candidates} candidate Fedder unknowns at p = {p} exceed the "
             f"cap of {FIBER_CAP}")
+    # each unknown as (e, r): t^e is some monomial of multidegree
+    # (delta - A r) / p, q its normal form
     index = {a: i for i, a in enumerate(A)}
     quotients: dict[tuple[int, ...], Optional[Exponents]] = {}
-    fiber: list[tuple[Exponents, Exponents]] = []     # (q, r)
+    unknowns: list[tuple[Exponents, Exponents]] = []
     for r2, v2, matches in joins:
         for r1, v1 in matches:
             v = tuple(x + y for x, y in zip(v1, v2))
             target = tuple((z - x) // p for z, x in zip(delta, v))
             if target not in quotients:
                 found, witness = semigroup_member(sg, target)
-                q = None
+                e = None
                 if found:
                     e = [0] * d
                     for a in witness:
                         e[index[a]] += 1
-                    q = nf(tuple(e))
-                quotients[target] = q
-            q = quotients[target]
-            if q is not None:
-                fiber.append((q, r1 + r2))
+                    e = tuple(e)
+                quotients[target] = e
+            e = quotients[target]
+            if e is not None:
+                unknowns.append((e, r1 + r2))
 
-    parent = list(range(len(fiber)))
+    def run(packing: _Packing) -> FiberReport:
+        pack, guard = packing.pack, packing.guard
+        entries = _gb_entries(gb, packing)
+        reduced: dict[Exponents, Exponents] = {}
 
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
+        def nf(q: Exponents) -> Exponents:
+            """The standard monomial of t^q modulo G."""
+            if q not in reduced:
+                (m,) = _nf_dict({pack(q): 1}, entries, guard, p)
+                reduced[q] = packing.unpack(m)
+            return reduced[q]
 
-    def image(q: Exponents, r: Exponents, support: list) -> tuple:
-        """NF(t^(p q + r) m) for m given by its support, as the quotient
-        and residue parts."""
-        q, r = list(q), list(r)
-        for i, e in support:
-            q[i], r[i] = divmod(q[i] * p + r[i] + e, p)
-        return nf(tuple(q)), tuple(r)
+        fiber = [(nf(e), r) for e, r in unknowns]      # (q, r)
+        parent = list(range(len(fiber)))
 
-    # the rows NF(s m1) - NF(s m2) of one generator, keyed by monomial,
-    # hold at most one +1 unknown and one -1 unknown each
-    constraints = 0
-    grounded: set[int] = set()
-    for binomial in rules:
-        m1, m2 = ([(i, e) for i, e in enumerate(m) if e] for m in binomial)
-        rows: dict[tuple, list] = {}
-        for j, (q, r) in enumerate(fiber):
-            plus, minus = image(q, r, m1), image(q, r, m2)
-            if plus == minus:
-                continue
-            for side, key in enumerate((plus, minus)):
-                row = rows.setdefault(key, [None, None])
-                if row[side] is not None:
-                    raise ValueError("the ideal is not the toric ideal of "
-                                     "the targets")
-                row[side] = j
-        constraints += len(rows)
-        for plus, minus in rows.values():
-            if plus is None or minus is None:
-                grounded.add(find(minus if plus is None else plus))
-                continue
-            a, b = find(plus), find(minus)
-            if a != b:
-                parent[b] = a
-                if b in grounded:
-                    grounded.add(a)
-    roots = {find(j) for j in range(len(fiber))}
-    rank = len(fiber) - len(roots - grounded)
+        def find(j: int) -> int:
+            while parent[j] != j:
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            return j
 
-    top = (p - 1,) * d
-    x_root = find(fiber.index(((0,) * d, top)))
-    witness = None
-    if x_root not in grounded:
-        witness = ring.from_dict({
-            tuple(p * a + b for a, b in zip(q, r)): 1
-            for j, (q, r) in enumerate(fiber) if find(j) == x_root})
-        frobenius_gb = GroebnerBasis(ring, _GREVLEX, frobenius_power(
-            Ideal(ring, gb.elements)).generators)
-        if witness.coefficient(top) != 1 or not all(
-                normal_form(witness * g, frobenius_gb).is_zero()
-                for g in ideal.generators):
-            raise RuntimeError("fiber witness failed re-verification; "
-                               "elimination bug")
-    return FiberReport(p=p, fiber_size=len(fiber), constraints=constraints,
-                       rank=rank, witness=witness,
-                       f_pure=witness is not None)
+        def image(q: Exponents, r: Exponents, support: list) -> tuple:
+            """NF(t^(p q + r) m) for m given by its support, as the quotient
+            and residue parts."""
+            q, r = list(q), list(r)
+            for i, e in support:
+                q[i], r[i] = divmod(q[i] * p + r[i] + e, p)
+            return nf(tuple(q)), tuple(r)
+
+        # the rows NF(s m1) - NF(s m2) of one generator, keyed by monomial,
+        # hold at most one +1 unknown and one -1 unknown each
+        constraints = 0
+        grounded: set[int] = set()
+        for binomial in rules:
+            m1, m2 = ([(i, e) for i, e in enumerate(m) if e] for m in binomial)
+            rows: dict[tuple, list] = {}
+            for j, (q, r) in enumerate(fiber):
+                plus, minus = image(q, r, m1), image(q, r, m2)
+                if plus == minus:
+                    continue
+                for side, key in enumerate((plus, minus)):
+                    row = rows.setdefault(key, [None, None])
+                    if row[side] is not None:
+                        raise ValueError("the ideal is not the toric ideal "
+                                         "of the targets")
+                    row[side] = j
+            constraints += len(rows)
+            for plus, minus in rows.values():
+                if plus is None or minus is None:
+                    grounded.add(find(minus if plus is None else plus))
+                    continue
+                a, b = find(plus), find(minus)
+                if a != b:
+                    parent[b] = a
+                    if b in grounded:
+                        grounded.add(a)
+        roots = {find(j) for j in range(len(fiber))}
+        rank = len(fiber) - len(roots - grounded)
+
+        top = (p - 1,) * d
+        x_root = find(fiber.index(((0,) * d, top)))
+        witness = None
+        if x_root not in grounded:
+            # u, its packed support in descending order
+            support = sorted([
+                pack(tuple([p * a + b for a, b in zip(q, r)]))
+                for j, (q, r) in enumerate(fiber) if find(j) == x_root],
+                reverse=True)
+            witness = packing.polynomial(ring, dict.fromkeys(support, 1))
+            frobenius = _gb_entries(GroebnerBasis(
+                ring, _GREVLEX,
+                frobenius_power(Ideal(ring, gb.elements)).generators), packing)
+            if witness.coefficient(top) != 1 or any(
+                    _nf_dict(_times(g, support, packing, p), frobenius,
+                             guard, p)
+                    for g in ideal.generators):
+                raise RuntimeError("fiber witness failed re-verification; "
+                                   "elimination bug")
+        return FiberReport(p=p, fiber_size=len(fiber),
+                           constraints=constraints, rank=rank,
+                           witness=witness, f_pure=witness is not None)
+
+    return _packed(_GREVLEX, d, run)

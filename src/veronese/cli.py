@@ -178,7 +178,7 @@ def _cmd_ci_check(args: argparse.Namespace) -> Report:
     ring, ideal, params = _char_ideal(args)
     idx = _variable_index(ring.names, args.invert)
     cands = tuple(parse_polynomial_list(args.candidates, ring))
-    rep = ci_check(ideal, cands, idx)
+    rep = ci_check(ideal, cands, idx, krull_dim(ideal).height)
     checks = [_ci_result("localized_complete_intersection", rep, ring)]
     params["invert"] = ring.names[idx]
     return Report("ci-check", params, checks)

@@ -340,7 +340,7 @@ def _characteristic_checks(
         for inv, cands, details in charts(dom, ring):
             checks.append(_ci_result(
                 f"localized_ci_{label}_{ring.names[inv]}",
-                ci_check(ideal, cands, inv), ring, **details))
+                ci_check(ideal, cands, inv, dims.height), ring, **details))
 
         if cover:
             checks.append(_cover_result(f"radical_cover_{label}", ideal,
@@ -362,7 +362,11 @@ def _veronese_charts(mmap: MonomialMap, pure_power_of: bool) -> Callable:
 
 
 def _capped_veronese_map(k: int, n: int) -> MonomialMap:
-    """The Veronese map (k, n), refused for k or n < 1 and over the cap."""
+    """The Veronese map (k, n), refused for k or n not an int or < 1 and
+    over the cap."""
+    for name, value in (("k", k), ("n", n)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, not {value!r}")
     if k < 1 or n < 1:
         raise ValueError("k and n must both be at least 1")
     ensure_within_cap(comb(k + n - 1, n))
@@ -536,6 +540,9 @@ def present_monomial_algebra(
         for i in ci_candidates or ():
             if not isinstance(i, int) or i not in range(mmap.d):
                 raise ValueError(f"chart variable index {i!r} out of range")
+            if isinstance(ci_candidates[i], str):
+                raise ValueError(f"the candidates of chart {i} must be a "
+                                 f"list of strings, not one string")
 
         def charts(dom: CoeffDomain, ring: PolyRing):
             for i in sorted(ci_candidates or ()):

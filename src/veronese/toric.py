@@ -19,7 +19,6 @@ from .polycore import (
 from .groebner import (
     Ideal, buchberger, eliminate, ideal_member, saturate,
 )
-from .invariants import krull_dim
 
 __all__ = [
     "MonomialMap", "veronese_map", "toric_ideal_elimination",
@@ -361,9 +360,11 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int,
 
 
 def ci_check(ideal: Ideal, candidates: Sequence[Polynomial],
-             invert_index: int) -> CIReport:
+             invert_index: int, height: int) -> CIReport:
     """The localized complete-intersection check of ``candidates`` after
-    inverting the variable ``invert_index``, reported as ``CIReport``."""
+    inverting the variable ``invert_index``, reported as ``CIReport``;
+    ``height`` is the height of the ideal (``krull_dim(ideal).height``),
+    computed once by the caller for all of its charts."""
     ring = ideal.ring
     candidates = tuple(candidates)
     for f in candidates:
@@ -378,7 +379,7 @@ def ci_check(ideal: Ideal, candidates: Sequence[Polynomial],
     gb_sat = buchberger(sat, _GREVLEX)
     generates = all(ideal_member(g, gb_sat) for g in ideal.generators)
 
-    count_ok = len(candidates) == krull_dim(ideal).height
+    count_ok = len(candidates) == height
     return CIReport(
         inverted=invert_index,
         candidates=candidates,

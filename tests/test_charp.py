@@ -6,14 +6,17 @@ from __future__ import annotations
 import pytest
 
 import random
+from itertools import product
 
 from veronese import charp
 from veronese.charp import (
     AffineSemigroup, FpurityReport, fedder_fiber, fedder_fpure,
     frobenius_power, monomial_ideal_member, semigroup_member,
 )
-from veronese.groebner import Ideal, buchberger, ideal_member, normal_form
-from veronese.polycore import GF, PolyRing, QQ, ResourceCapError
+from veronese.groebner import (
+    GroebnerBasis, Ideal, buchberger, ideal_member, normal_form,
+)
+from veronese.polycore import GF, GrevLex, PolyRing, QQ, ResourceCapError
 from veronese.toric import (
     MonomialMap, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
@@ -165,9 +168,17 @@ def test_fiber_route_agrees_with_colon_on_seeded_curves(seed):
             _fiber_against_colon(targets, p)
 
 
+def _dense_recheck(I, u):
+    """The re-check on ``Polynomial`` objects: u * g reduced by the generic
+    ``normal_form`` against the Frobenius basis {g^p} of I^[p], for every
+    generator g; True when every remainder is zero."""
+    frobenius = GroebnerBasis(I.ring, GrevLex(), frobenius_power(
+        Ideal(I.ring, buchberger(I).elements)).generators)
+    return all(normal_form(u * g, frobenius).is_zero() for g in I.generators)
+
+
 @pytest.mark.parametrize("k,n,p", [
-    (2, 3, 2), (2, 4, 3), (3, 2, 5), (3, 2, 3),
-])
+    (k, n, p) for k, n in VERONESE_CASES for p in (2, 3, 5)])
 def test_fiber_witness_lies_in_the_colon(k, n, p):
     mmap = veronese_map(k, n)
     I = toric_ideal_elimination(mmap, GF(p))
@@ -180,10 +191,85 @@ def test_fiber_witness_lies_in_the_colon(k, n, p):
     assert degree == {tuple((p - 1) * sum(a[j] for a in mmap.targets)
                             for j in range(k))}
     # u * I lies in I^[p], by the generic normal form against the basis
-    # Buchberger computes for I^[p] itself
+    # Buchberger computes for I^[p] itself, and by the re-check on
+    # ``Polynomial`` objects
     bracket = buchberger(frobenius_power(I))
     for g in I.generators:
         assert normal_form(u * g, bracket).is_zero()
+    assert _dense_recheck(I, u)
+
+
+def _tamper_recheck(monkeypatch, change):
+    """Makes the re-check run on the witness support as
+    ``change(support, packing)`` returns it; the witness itself and the rows
+    stay as computed."""
+    times = charp._times
+
+    def tampered(g, support, packing, p):
+        return times(g, change(list(support), packing), packing, p)
+
+    monkeypatch.setattr(charp, "_times", tampered)
+
+
+def _twisted_cubic_witness():
+    mmap = veronese_map(2, 3)
+    I = toric_ideal_lattice(mmap, GF(3))
+    return mmap, I, fedder_fiber(I, mmap.targets).witness
+
+
+def test_recheck_refuses_a_witness_without_one_monomial(monkeypatch):
+    mmap, I, u = _twisted_cubic_witness()
+    dropped = u.terms[-1][0]
+    assert not _dense_recheck(I, u - I.ring.monomial(dropped))
+    _tamper_recheck(monkeypatch, lambda support, packing: [
+        s for s in support if s != packing.pack(dropped)])
+    with pytest.raises(RuntimeError, match="re-verification"):
+        fedder_fiber(I, mmap.targets)
+
+
+def test_recheck_refuses_a_witness_with_a_foreign_monomial(monkeypatch):
+    """A monomial of u's multidegree outside its support, chosen so that
+    the dense re-check refuses u plus it, makes the packed one refuse."""
+    mmap, I, u = _twisted_cubic_witness()
+    support = {m for m, _ in u.terms}
+
+    def degree(m):
+        return tuple(sum(e * a[j] for e, a in zip(m, mmap.targets))
+                     for j in range(2))
+
+    delta = degree(u.terms[0][0])
+    foreign = next(
+        m for m in product(range(3 * 2 + 1), repeat=mmap.d)
+        if degree(m) == delta and m not in support
+        and not _dense_recheck(I, u + I.ring.monomial(m)))
+    _tamper_recheck(monkeypatch, lambda support, packing: [
+        *support, packing.pack(foreign)])
+    with pytest.raises(RuntimeError, match="re-verification"):
+        fedder_fiber(I, mmap.targets)
+
+
+@pytest.mark.parametrize("p", [43, 67])
+def test_fiber_route_reruns_wider_past_8_bits(monkeypatch, p):
+    """An 8-bit field holds degrees up to 127.  The witness of (2,2) has
+    degree 3 (p - 1): at p = 67 that is 198 and overflows when it is
+    packed, at p = 43 it is 126 and its product with a quadric overflows
+    in the re-check.  Either way the first run stops and the whole run is
+    repeated with 16-bit fields."""
+    mmap = veronese_map(2, 2)
+    I = toric_ideal_lattice(mmap, GF(p))
+    limits = []
+    gb_entries = charp._gb_entries
+
+    def spy(gb, packing):
+        limits.append(packing.limit)
+        return gb_entries(gb, packing)
+
+    monkeypatch.setattr(charp, "_gb_entries", spy)
+    rep = fedder_fiber(I, mmap.targets)
+    assert limits[0] == 1 << 7 and limits[-1] == 1 << 15
+    assert rep.f_pure is True and rep.fiber_size == p
+    assert rep.witness.coefficient((p - 1,) * mmap.d) == 1
+    assert _dense_recheck(I, rep.witness)
 
 
 @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2)])

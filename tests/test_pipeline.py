@@ -326,6 +326,24 @@ def test_library_refuses_non_integer_entries(build, entry):
         build()
 
 
+@pytest.mark.parametrize("k, n, name", [(2.0, 2, "k"), (2, 2.5, "n")])
+def test_cd_certificate_refuses_a_float_k_or_n(k, n, name, engine_counts):
+    """A float k or n is a ``ValueError`` naming the argument, before any
+    engine run, not a ``TypeError`` from ``math.comb``."""
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        cd_certificate(k, n, (2,))
+    assert engine_counts["insert"] == 0
+
+
+def test_present_refuses_one_string_as_a_chart_candidate_list(engine_counts):
+    """A chart's candidates are a list of strings; one string is refused
+    with the chart index, not split into its characters."""
+    with pytest.raises(ValueError, match="candidates of chart 0"):
+        present_monomial_algebra(((2, 0), (1, 1), (0, 2)), primes=(2,),
+                                 ci_candidates={0: "t2^2-t1*t3"})
+    assert engine_counts["insert"] == 0
+
+
 @pytest.mark.parametrize("key", [7, 4, -1, 0.0])
 def test_present_refuses_a_chart_outside_the_targets(key, engine_counts):
     """A ``ci_candidates`` key names one of the len(targets) t-variables;

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from veronese.groebner import Ideal, buchberger, ideal_equal, ideal_member
+from veronese.invariants import krull_dim
 from veronese.polycore import GF, PolyRing, QQ
 from veronese.toric import (
     MonomialMap, ci_check, ci_sequence, integer_kernel, integer_solve,
@@ -183,11 +184,12 @@ def test_ci_sequence_twisted_cubic_at_first_vertex():
     assert inv == 0
     assert [str(c) for c in cands] == ["-t2^2 + t1*t3", "-t2^3 + t1^2*t4"]
     I = toric_ideal_lattice(m)
-    rep = ci_check(I, cands, inv)
+    height = krull_dim(I).height
+    rep = ci_check(I, cands, inv, height)
     assert rep.alpha_denominators == (1, 2)
     assert rep.verified is True
     # checked after inverting t2 instead, the report names t2
-    rep = ci_check(I, cands, 1)
+    rep = ci_check(I, cands, 1, height)
     assert rep.inverted == 1 and rep.alpha_denominators == (2, 3)
 
 
@@ -220,9 +222,10 @@ def test_ci_sequence_raises_on_a_bookkeeping_fault(monkeypatch, targets, j,
 def test_ci_check_verifies_veronese_vertices(k, n):
     m = veronese_map(k, n)
     I = toric_ideal_lattice(m)
+    height = krull_dim(I).height
     for j in range(k):
         inv, cands = ci_sequence(m, j)
-        rep = ci_check(I, cands, inv)
+        rep = ci_check(I, cands, inv, height)
         assert rep.inverted == inv and rep.candidates == cands
         assert rep.verified is True
         assert rep.candidates_in_ideal is True
@@ -235,12 +238,13 @@ def test_ci_check_flags_bad_candidates():
     m = veronese_map(2, 3)
     I = toric_ideal_lattice(m)
     S = I.ring
-    rep = ci_check(I, (S.parse("t1"),), 0)
+    height = krull_dim(I).height
+    rep = ci_check(I, (S.parse("t1"),), 0, height)
     assert rep.verified is False
     assert rep.candidates_in_ideal is False
     # right ideal, too few elements
     inv, cands = ci_sequence(m, 0)
-    rep2 = ci_check(I, cands[:1], inv)
+    rep2 = ci_check(I, cands[:1], inv, height)
     assert rep2.verified is False
     assert rep2.count_matches_height is False
     assert rep2.candidates == cands[:1]
