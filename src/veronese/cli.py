@@ -21,7 +21,7 @@ from .charp import AffineSemigroup, fedder_fpure, semigroup_member
 from .pipeline import (
     Report, ResourceCapError, _capped_veronese_map, _check, _ci_result,
     _cover_result, _fedder_details, _height_check, _minimal_generator_details,
-    _toric_routes, cd_certificate, char_compare, present_monomial_algebra,
+    _presentation, cd_certificate, char_compare, present_monomial_algebra,
     render_json,
 )
 
@@ -121,11 +121,11 @@ def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
     k, n = args.k, args.n
     mmap = _capped_veronese_map(k, n)
     char, dom = _parse_char(args.char)
-    ideal, _, agree = _toric_routes(mmap, dom)
+    ideal, _, agree, dims = _presentation(mmap, dom)
     checks = [
         _check("toric_routes_agree", agree,
                **_minimal_generator_details(ideal)),
-        _height_check("height_matches", krull_dim(ideal), mmap.d - k),
+        _height_check("height_matches", dims, mmap.d - k),
     ]
     params = {"k": k, "n": n, "d": mmap.d, "characteristic": char}
     return Report("veronese-ideal", params, checks)

@@ -18,12 +18,13 @@ are deterministic: identical inputs give byte-identical JSON.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, isfinite
 from typing import Callable, Mapping, Optional, Sequence
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, PolyRing, QQ, ResourceCapError, _Record,
-    _naturals, is_homogeneous, parse_polynomial_list,
+    _is_int, _naturals, is_homogeneous, parse_polynomial_list,
 )
 from .groebner import (
     Ideal, _least_power_member, buchberger, ideal_equal, ideal_sum,
@@ -254,13 +255,18 @@ def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
 # per-characteristic checks
 # ---------------------------------------------------------------------------
 
-def _toric_routes(mmap: MonomialMap, dom: CoeffDomain
-                  ) -> tuple[Ideal, Ideal, bool]:
-    """The presentation ideal by elimination, the lattice-route ideal, and
-    whether the two routes agree."""
+@lru_cache(maxsize=256)
+def _presentation(mmap: MonomialMap, dom: CoeffDomain
+                  ) -> tuple[Ideal, Ideal, bool, DimensionResult]:
+    """The presentation ideal by elimination, the lattice-route ideal,
+    whether the two routes agree, and the dimension and height of the
+    ideal.  One unit per (map, field), cached for the process beside the
+    ``groebner`` caches and with their bound, so a report on an algebra
+    already presented over that field derives none of it again; every
+    field is an immutable value, and each report builds its own checks."""
     ideal = toric_ideal_elimination(mmap, dom)
     lattice = toric_ideal_lattice(mmap, dom)
-    return ideal, lattice, ideal_equal(ideal, lattice)
+    return ideal, lattice, ideal_equal(ideal, lattice), krull_dim(ideal)
 
 
 def _minimal_generator_details(ideal: Ideal) -> dict:
@@ -323,7 +329,7 @@ def _characteristic_checks(
     checks: list[Check] = []
     for char, dom in doms:
         label = f"char_{char}"
-        ideal, lattice, agree = _toric_routes(mmap, dom)
+        ideal, lattice, agree, dims = _presentation(mmap, dom)
         ring = ideal.ring
         route_details: dict[str, object] = {
             "generators": len(ideal.generators),
@@ -334,7 +340,6 @@ def _characteristic_checks(
         checks.append(_check(f"toric_routes_agree_{label}", agree,
                              **route_details))
 
-        dims = krull_dim(ideal)
         checks.append(height(label, dims))
 
         for inv, cands, details in charts(dom, ring):
@@ -362,10 +367,10 @@ def _veronese_charts(mmap: MonomialMap, pure_power_of: bool) -> Callable:
 
 
 def _capped_veronese_map(k: int, n: int) -> MonomialMap:
-    """The Veronese map (k, n), refused for k or n not an int or < 1 and
-    over the cap."""
+    """The Veronese map (k, n), refused for k or n not an int (a bool is
+    not one) or < 1 and over the cap."""
     for name, value in (("k", k), ("n", n)):
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an int, not {value!r}")
     if k < 1 or n < 1:
         raise ValueError("k and n must both be at least 1")
@@ -538,7 +543,7 @@ def present_monomial_algebra(
         charts = _veronese_charts(mmap, pure_power_of=False)
     else:
         for i in ci_candidates or ():
-            if not isinstance(i, int) or i not in range(mmap.d):
+            if not _is_int(i) or i not in range(mmap.d):
                 raise ValueError(f"chart variable index {i!r} out of range")
             if isinstance(ci_candidates[i], str):
                 raise ValueError(f"the candidates of chart {i} must be a "
@@ -548,6 +553,12 @@ def present_monomial_algebra(
             for i in sorted(ci_candidates or ()):
                 text = ",".join(ci_candidates[i])
                 yield i, parse_polynomial_list(text, ring), {}
+
+    if fpurity_witness is not None:
+        pair = tuple(fpurity_witness)
+        if len(pair) != 2:
+            raise ValueError("the purity witness must be a pair of vectors")
+        witness_base, witness_gen = (_naturals(v, mmap.k) for v in pair)
 
     if radical_subset is not None:
         subset = _naturals(radical_subset)
@@ -594,10 +605,6 @@ def present_monomial_algebra(
                 "normalization_lc_degree_zero_vanishes", mmap.k, degree))
 
     if fpurity_witness is not None:
-        pair = tuple(fpurity_witness)
-        if len(pair) != 2:
-            raise ValueError("the purity witness must be a pair of vectors")
-        witness_base, witness_gen = (_naturals(v, mmap.k) for v in pair)
         valid = (semigroup_member(sg, witness_base)[0]
                  and semigroup_member(sg, witness_gen)[0])
         residual = tuple(a - b for a, b in zip(witness_base, witness_gen))
@@ -665,9 +672,9 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
         description = "toric ideal of " + "; ".join(
             ",".join(str(e) for e in t) for t in mmap.targets)
         for char, dom in doms:
-            ideal, _, agree = _toric_routes(mmap, dom)
+            _, _, agree, dims = _presentation(mmap, dom)
             checks.append(_check(f"toric_routes_agree_char_{char}", agree))
-            heights[char] = krull_dim(ideal).height
+            heights[char] = dims.height
     else:
         names = tuple(ring_names)
         ensure_within_cap(len(names))

@@ -288,14 +288,20 @@ def GF(p: int) -> PrimeField:
 # ``_PackingOverflow``, and ``_packed`` reruns the whole computation with
 # fields twice as wide.
 
+def _is_int(value: object) -> bool:
+    """An int and not a bool: ``True`` is an int to Python, but no count,
+    exponent or index here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _naturals(entries: Iterable[int], arity: Union[int, None] = None
               ) -> tuple[int, ...]:
     """``entries`` as a tuple of nonnegative ints, such as an exponent
     vector, and ``arity`` of them when it is given; anything else, a float
-    among them, raises ``ValueError``."""
+    or a bool among them, raises ``ValueError``."""
     v = tuple(entries)
     if (arity is not None and len(v) != arity) or not all(
-            isinstance(e, int) and e >= 0 for e in v):
+            _is_int(e) and e >= 0 for e in v):
         count = "" if arity is None else f"{arity} "
         raise ValueError(f"expected {count}nonnegative ints, got {v!r}")
     return v

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import veronese
-from veronese import groebner
+from veronese import groebner, pipeline
 from veronese.cli import main
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -30,8 +30,10 @@ def perfbench_module(name: str):
 def replay_reports() -> None:
     """Every golden case through ``main`` and every perfbench library
     report of seeds 3 and 5, output discarded, for tests that record what
-    these reports ask of the library."""
+    these reports ask of the library.  The caches are cleared first, so
+    that no presentation left by an earlier test spares a request."""
     from test_golden_reports import CASES
+    _clear_groebner_caches()
     workloads = perfbench_module("workloads")
     session = perfbench_module("session")
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -59,19 +61,28 @@ class FifoEngine(groebner._Engine):
         super()._push_pair(i, t, lcm, next(self.position))
 
 
+def _clear_caches(*modules) -> None:
+    """Empty every cache defined in the given modules."""
+    for module in modules:
+        for value in vars(module).values():
+            if (getattr(value, "__module__", None) == module.__name__
+                    and hasattr(value, "cache_clear")):
+                value.cache_clear()
+
+
 def _clear_groebner_caches() -> None:
-    """Empty every cache defined in ``veronese.groebner``, so that the next
-    request does its engine work as in a fresh process."""
-    for value in vars(groebner).values():
-        if (getattr(value, "__module__", None) == groebner.__name__
-                and hasattr(value, "cache_clear")):
-            value.cache_clear()
+    """Empty every cache defined in ``veronese.groebner`` and the
+    presentation cache of ``veronese.pipeline``, whose entries were built
+    from them, so that the next request does its engine work, and the next
+    report its toric routes and height, as in a fresh process."""
+    _clear_caches(groebner, pipeline)
 
 
 @pytest.fixture
 def groebner_caches():
-    """Clears every ``groebner`` cache before and after the test, and gives
-    the test the clearing function for clears of its own."""
+    """Clears every ``groebner`` cache and the presentation cache before
+    and after the test, and gives the test the clearing function for clears
+    of its own."""
     _clear_groebner_caches()
     yield _clear_groebner_caches
     _clear_groebner_caches()

@@ -335,6 +335,35 @@ def test_cd_certificate_refuses_a_float_k_or_n(k, n, name, engine_counts):
     assert engine_counts["insert"] == 0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: cd_certificate(True, 2, (2,)), "^k must be an int, not True"),
+    (lambda: cd_certificate(2, True, (2,)), "^n must be an int, not True"),
+    (lambda: cd_certificate(2, 2, primes=(True,)), "True"),
+    (lambda: present_monomial_algebra([(True, True), (2, 0), (0, 2)],
+                                      primes=(3,)), "True"),
+    (lambda: present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(2,),
+                                      radical_subset=[True]), "True"),
+    (lambda: present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(2,),
+                                      ci_candidates={True: ["t1"]}),
+     "out of range"),
+    (lambda: present_monomial_algebra(
+        QUARTIC_CURVE_TARGETS, primes=(2,),
+        fpurity_witness=((True, 0), (1, 0))), "True"),
+    (lambda: char_compare([(True, 0), (0, 1)]), "True"),
+    (lambda: MonomialMap([(True, 0), (0, 1)]), "True"),
+], ids=["cd_k", "cd_n", "cd_prime", "present_targets", "present_cover",
+        "present_chart", "present_witness", "char_compare_targets",
+        "monomial_map"])
+def test_library_refuses_bools_as_ints(build, message, engine_counts):
+    """``True`` is an int to Python but no exponent, count or index here:
+    it is a ``ValueError`` before any engine run, not the report of 1 with
+    ``true`` in its bytes, and a map with ``True`` never meets its twin with
+    1 in the presentation cache."""
+    with pytest.raises(ValueError, match=message):
+        build()
+    assert engine_counts["insert"] == 0
+
+
 def test_present_refuses_one_string_as_a_chart_candidate_list(engine_counts):
     """A chart's candidates are a list of strings; one string is refused
     with the chart index, not split into its characters."""
