@@ -5,12 +5,12 @@ Fedder's criterion is decided two ways.  ``fedder_fpure`` computes the
 colon (I^[p] : I) and works for any homogeneous ideal over GF(p).
 ``fedder_fiber`` is for the toric ideal of a set of targets: it never forms
 the colon, but solves one sparse linear system over GF(p) in a single
-multidegree, over the Frobenius basis of I^[p], which needs no Buchberger
-run, on packed monomials throughout; its solution u is re-checked by
-reducing each product u g, formed as one packed term dict, against that
-basis.  The Veronese certificate uses the fiber route; the colon route
-serves general homogeneous input and is the fiber route's oracle in the
-tests.
+multidegree, whose rows are keyed by residues mod p, since a toric ring has
+one standard monomial in each multidegree and so no row needs a normal
+form; its solution u is re-checked on packed monomials by reducing each
+product u g against the Frobenius basis of I^[p], which needs no Buchberger
+run.  The Veronese certificate uses the fiber route; the colon route serves
+general homogeneous input and is the fiber route's oracle in the tests.
 """
 from __future__ import annotations
 
@@ -24,10 +24,12 @@ from .groebner import (
     GroebnerBasis, Ideal, buchberger, colon_ideal, _gb_entries,
     _pure_difference,
 )
+from .toric import MonomialMap, toric_ideal_lattice
 
 __all__ = [
     "frobenius_power", "FpurityReport", "fedder_fpure",
     "FiberReport", "fedder_fiber", "FIBER_CAP", "SEMIGROUP_CAP",
+    "FEDDER_PRIME_CAP",
     "AffineSemigroup", "semigroup_member", "monomial_ideal_member",
 ]
 
@@ -68,10 +70,14 @@ def fedder_fpure(ideal: Ideal) -> FpurityReport:
     """Decide F-purity of R/I at the irrelevant maximal ideal via Fedder.
 
     Requires a homogeneous proper ideal over GF(p), p read from its ring;
-    an ideal over QQ is refused rather than coerced.
+    an ideal over QQ is refused rather than coerced, and p above
+    ``FEDDER_PRIME_CAP`` raises ``ResourceCapError`` before any Groebner run.
     """
+    p = _characteristic(ideal)
+    if p > FEDDER_PRIME_CAP:
+        raise ResourceCapError(f"the Fedder colon at p = {p} exceeds the cap "
+                               f"of p = {FEDDER_PRIME_CAP}")
     bracket = frobenius_power(ideal)
-    p = ideal.ring.domain.p
     for g in ideal.generators:
         if not is_homogeneous(g):
             raise ValueError(f"non-homogeneous generator: {g}")
@@ -199,6 +205,11 @@ FIBER_CAP = 100_000
 #: of ``cd_certificate(3, 3, (2, 3))`` pushes 97
 SEMIGROUP_CAP = 1 << 16
 
+#: largest p at which ``fedder_fpure`` forms the colon (I^[p] : I), whose
+#: elements such as f^(p-1) grow with p: ``present`` on the conic takes
+#: 1.3 s at p = 65521 and 4.5 s at p = 262139
+FEDDER_PRIME_CAP = 1 << 16
+
 
 class FiberReport(_Record):
     """The fiber route's verdict and the size of its linear system:
@@ -240,7 +251,8 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
                  ) -> FiberReport:
     """Decide F-purity of R/I for the toric ideal I of ``targets`` over
     GF(p), p read from its ring, R = F_p[t_1..t_d], deg t_i = a_i, without
-    the colon (I^[p] : I); an ideal over QQ is refused.
+    the colon (I^[p] : I); an ideal over QQ is refused, and so are targets
+    that ``MonomialMap`` refuses, a repeated one among them.
 
     Frobenius basis.  Let G be the reduced grevlex basis of I.  Then
     G^[p] = {g^p} is the reduced basis of I^[p]: g -> g^p is a ring map
@@ -253,7 +265,9 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
     modulo G, and rewriting t^(p q + r) by G^[p] rewrites t^q by G and
     keeps r.  A toric ideal has pure binomial basis elements and one
     standard monomial in each multidegree of the semigroup, so the normal
-    form of a monomial is one monomial.
+    form of a monomial is one monomial.  A G other than the reduced basis
+    of ``toric_ideal_lattice`` of the targets means the ideal is not their
+    toric ideal and raises ``ValueError`` before any unknown is built.
 
     Reduction to one multidegree.  By Fedder (1983) R/I is F-pure iff some
     u in (I^[p] : I) has a term outside m^[p], i.e. with every exponent
@@ -263,25 +277,23 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
     nonzero x^(p-1) coefficient and u g in I^[p] for every g in G.  As
     I^[p] lies in m^[p], u may be taken reduced modulo G^[p].  The unknowns
     are therefore the coefficients of the standard monomials p q + r of
-    multidegree delta; each g = m1 - m2 gives, for each unknown s, the
-    rows NF(s m1) - NF(s m2), and R/I is F-pure iff e_(x^(p-1)) is outside
-    their span over F_p.
+    multidegree delta, one per residue r; each g = m1 - m2 gives, for each
+    unknown s, the rows NF(s m1) - NF(s m2), and R/I is F-pure iff
+    e_(x^(p-1)) is outside their span over F_p.
 
-    The linear algebra.  Multiplication by a monomial is injective on
-    R/I^[p], a direct sum of copies of the domain R/I indexed by r, so
-    distinct unknowns s never share NF(s m1), nor NF(s m2): every nonzero
-    row is e_s - e_s' or a single +-e_s.  Elimination is then union-find:
-    the solutions are constant on the components linked by two-entry rows
-    and vanish on those that hold a single-entry row.  When x^(p-1) lies in
-    a free component, u is the sum of that component's monomials.  A row
-    of any other shape means the ideal is not the toric ideal of the
-    targets and raises ``ValueError``.
-
-    The re-check.  u is verified without the rows or the union-find: for
-    every input generator g the product u g is formed as one packed term
-    dict and reduced once by the generic kernel (``polycore._nf_dict``)
-    against G^[p]; a nonzero remainder, or an x^(p-1) coefficient other
-    than 1, raises ``RuntimeError``.
+    The linear algebra.  Rows are keyed by residue: NF(t^(p q + r) m) has
+    the residue (r + m) mod p, and its quotient part is the one standard
+    monomial of the multidegree that residue leaves.  So with
+    v = (m1 - m2) mod p, g's row through the unknown r is e_r - e_(r+v)
+    when r + v is an unknown and e_r when it is not, every unknown that no
+    r + v reaches has the row -e_r, and v = 0 gives no rows.  Elimination
+    is then union-find: the solutions are constant on the components
+    linked by two-entry rows and vanish on those that hold a single-entry
+    row.  A row -e_r grounds nothing more: the unknowns r, r + v, r + 2v,
+    ... are linked until the first whose r + v is not an unknown, which
+    the cycle of v (order p) reaches, and that one holds a row e_r.  When
+    x^(p-1) lies in a free component, u is the sum of that component's
+    monomials.
 
     The unknowns are enumerated as p q + r: a meet-in-the-middle on
     A r mod p over the two halves of the variables finds the residues r
@@ -292,11 +304,15 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
     candidate residues, raises ``ResourceCapError`` before any unknown is
     built.
 
-    Everything after the enumeration runs on packed monomials
-    (``polycore._packed``): a normal form of G is one ``_nf_dict`` call on
-    one packed monomial, and no ``Polynomial`` is built but the returned
-    u.  A monomial that outgrows the packed fields repeats that part with
-    wider fields from scratch.
+    The witness and its re-check.  Only these run on packed monomials
+    (``polycore._packed``), and only when x^(p-1) lies in a free
+    component: q is one ``_nf_dict`` call on one packed monomial.  Then,
+    without the rows or the union-find, u g is formed for every input
+    generator g as one packed term dict and reduced once by ``_nf_dict``
+    against G^[p]; a nonzero remainder, or an x^(p-1) coefficient other
+    than 1, raises ``RuntimeError``.  No ``Polynomial`` is built but the
+    returned u, and a monomial that outgrows the packed fields repeats the
+    part with wider fields from scratch.
     """
     p = _characteristic(ideal)
     ring = ideal.ring
@@ -314,7 +330,10 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
         if degree(m1) != degree(m2):
             raise ValueError(f"not homogeneous in the target grading: {g}")
     gb = buchberger(ideal, _GREVLEX)
-    rules = [_pure_binomial(g) for g in gb.elements]
+    toric = buchberger(toric_ideal_lattice(MonomialMap(A), ring.domain),
+                       _GREVLEX)
+    if [g.terms for g in gb.elements] != [g.terms for g in toric.elements]:
+        raise ValueError("the ideal is not the toric ideal of the targets")
 
     # the unknowns p q + r, one per residue r that reaches delta
     delta = tuple((p - 1) * sum(a[j] for a in A) for j in range(k))
@@ -366,86 +385,64 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
             if e is not None:
                 unknowns.append((e, r1 + r2))
 
-    def run(packing: _Packing) -> FiberReport:
+    # g = m1 - m2 joins the unknowns r and r + v, and grounds r when r + v
+    # is not an unknown
+    position = {r: j for j, (_, r) in enumerate(unknowns)}
+    parent = list(range(len(unknowns)))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    constraints = 0
+    grounded: set[int] = set()
+    for m1, m2 in map(_pure_binomial, gb.elements):
+        v = tuple((a - b) % p for a, b in zip(m1, m2))
+        if not any(v):
+            continue
+        joined = 0
+        for j, (_, r) in enumerate(unknowns):
+            i = position.get(tuple([(a + b) % p for a, b in zip(r, v)]))
+            if i is None:
+                grounded.add(j)
+            else:
+                joined += 1
+                parent[find(i)] = find(j)
+        constraints += 2 * len(unknowns) - joined
+    roots = {find(j) for j in range(len(unknowns))}
+    grounded = {find(j) for j in grounded}
+    rank = len(unknowns) - len(roots - grounded)
+
+    top = (p - 1,) * d
+    x_root = find(position[top])
+
+    def run(packing: _Packing) -> Polynomial:
         pack, guard = packing.pack, packing.guard
         entries = _gb_entries(gb, packing)
         reduced: dict[Exponents, Exponents] = {}
+        support = []          # u's packed terms t^(p q + r), q = NF(t^e)
+        for j, (e, r) in enumerate(unknowns):
+            if find(j) == x_root:
+                if e not in reduced:
+                    (q,) = _nf_dict({pack(e): 1}, entries, guard, p)
+                    reduced[e] = packing.unpack(q)
+                support.append(pack(tuple([
+                    p * a + b for a, b in zip(reduced[e], r)])))
+        support.sort(reverse=True)
+        witness = packing.polynomial(ring, dict.fromkeys(support, 1))
+        frobenius = _gb_entries(GroebnerBasis(
+            ring, _GREVLEX,
+            frobenius_power(Ideal(ring, gb.elements)).generators), packing)
+        if witness.coefficient(top) != 1 or any(
+                _nf_dict(_times(g, support, packing, p), frobenius, guard, p)
+                for g in ideal.generators):
+            raise RuntimeError("fiber witness failed re-verification; "
+                               "elimination bug")
+        return witness
 
-        def nf(q: Exponents) -> Exponents:
-            """The standard monomial of t^q modulo G."""
-            if q not in reduced:
-                (m,) = _nf_dict({pack(q): 1}, entries, guard, p)
-                reduced[q] = packing.unpack(m)
-            return reduced[q]
-
-        fiber = [(nf(e), r) for e, r in unknowns]      # (q, r)
-        parent = list(range(len(fiber)))
-
-        def find(j: int) -> int:
-            while parent[j] != j:
-                parent[j] = parent[parent[j]]
-                j = parent[j]
-            return j
-
-        def image(q: Exponents, r: Exponents, support: list) -> tuple:
-            """NF(t^(p q + r) m) for m given by its support, as the quotient
-            and residue parts."""
-            q, r = list(q), list(r)
-            for i, e in support:
-                q[i], r[i] = divmod(q[i] * p + r[i] + e, p)
-            return nf(tuple(q)), tuple(r)
-
-        # the rows NF(s m1) - NF(s m2) of one generator, keyed by monomial,
-        # hold at most one +1 unknown and one -1 unknown each
-        constraints = 0
-        grounded: set[int] = set()
-        for binomial in rules:
-            m1, m2 = ([(i, e) for i, e in enumerate(m) if e] for m in binomial)
-            rows: dict[tuple, list] = {}
-            for j, (q, r) in enumerate(fiber):
-                plus, minus = image(q, r, m1), image(q, r, m2)
-                if plus == minus:
-                    continue
-                for side, key in enumerate((plus, minus)):
-                    row = rows.setdefault(key, [None, None])
-                    if row[side] is not None:
-                        raise ValueError("the ideal is not the toric ideal "
-                                         "of the targets")
-                    row[side] = j
-            constraints += len(rows)
-            for plus, minus in rows.values():
-                if plus is None or minus is None:
-                    grounded.add(find(minus if plus is None else plus))
-                    continue
-                a, b = find(plus), find(minus)
-                if a != b:
-                    parent[b] = a
-                    if b in grounded:
-                        grounded.add(a)
-        roots = {find(j) for j in range(len(fiber))}
-        rank = len(fiber) - len(roots - grounded)
-
-        top = (p - 1,) * d
-        x_root = find(fiber.index(((0,) * d, top)))
-        witness = None
-        if x_root not in grounded:
-            # u, its packed support in descending order
-            support = sorted([
-                pack(tuple([p * a + b for a, b in zip(q, r)]))
-                for j, (q, r) in enumerate(fiber) if find(j) == x_root],
-                reverse=True)
-            witness = packing.polynomial(ring, dict.fromkeys(support, 1))
-            frobenius = _gb_entries(GroebnerBasis(
-                ring, _GREVLEX,
-                frobenius_power(Ideal(ring, gb.elements)).generators), packing)
-            if witness.coefficient(top) != 1 or any(
-                    _nf_dict(_times(g, support, packing, p), frobenius,
-                             guard, p)
-                    for g in ideal.generators):
-                raise RuntimeError("fiber witness failed re-verification; "
-                                   "elimination bug")
-        return FiberReport(p=p, fiber_size=len(fiber),
-                           constraints=constraints, rank=rank,
-                           witness=witness, f_pure=witness is not None)
-
-    return _packed(_GREVLEX, d, run)
+    witness = None if x_root in grounded else _packed(_GREVLEX, d, run)
+    return FiberReport(p=p, fiber_size=len(unknowns),
+                       constraints=constraints, rank=rank,
+                       witness=witness, f_pure=witness is not None)

@@ -18,7 +18,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import isqrt
 from operator import add, mul, neg
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -30,7 +29,7 @@ __all__ = [
     "Lex", "GrevLex", "Block", "MonomialOrder", "PolyRing", "Polynomial",
     "ParseError", "parse_polynomial", "parse_polynomial_list", "divide",
     "homogeneous_degree", "is_homogeneous", "ResourceCapError",
-    "PRODUCT_CAP",
+    "PRODUCT_CAP", "PRIME_BOUND",
 ]
 
 
@@ -156,15 +155,34 @@ class _Fieldless(_Record):
 # coefficient domains
 # ---------------------------------------------------------------------------
 
+#: ``PrimeField`` takes primes below this bound, where Miller-Rabin with
+#: the first twelve primes as bases is exact (OEIS A014233), and refuses p
+#: at or past it with ``ResourceCapError``
+PRIME_BOUND = 318_665_857_834_031_151_167_461
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Miller-Rabin on the bases ``_MR_BASES``: exact below
+    ``PRIME_BOUND``, a few modular powers at any size."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    for q in range(3, isqrt(p) + 1, 2):
-        if p % q == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -209,6 +227,9 @@ class PrimeField(_Record):
     __slots__ = __match_args__
 
     def __init__(self, p: int) -> None:
+        if isinstance(p, int) and p >= PRIME_BOUND:
+            raise ResourceCapError(f"the prime field needs p below "
+                                   f"{PRIME_BOUND}, got {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"PrimeField needs a prime, got {p!r}")
         _setattr(self, "p", p)

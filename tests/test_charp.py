@@ -6,17 +6,19 @@ from __future__ import annotations
 import pytest
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from veronese import charp
 from veronese.charp import (
-    AffineSemigroup, FpurityReport, fedder_fiber, fedder_fpure,
+    AffineSemigroup, FiberReport, FpurityReport, fedder_fiber, fedder_fpure,
     frobenius_power, monomial_ideal_member, semigroup_member,
 )
 from veronese.groebner import (
     GroebnerBasis, Ideal, buchberger, ideal_member, normal_form,
 )
-from veronese.polycore import GF, GrevLex, PolyRing, QQ, ResourceCapError
+from veronese.polycore import (
+    GF, GrevLex, PolyRing, QQ, ResourceCapError, _from_dict,
+)
 from veronese.toric import (
     MonomialMap, toric_ideal_elimination, toric_ideal_lattice,
     veronese_map,
@@ -168,6 +170,152 @@ def test_fiber_route_agrees_with_colon_on_seeded_curves(seed):
             _fiber_against_colon(targets, p)
 
 
+# ---------------------------------------------------------------------------
+# the rows keyed by normal forms, as a reference
+# ---------------------------------------------------------------------------
+
+def _reference_fiber(ideal, targets):
+    """The fiber system with its rows keyed by normal forms: the unknowns
+    t^(p q + r) found by trying every residue r below p, q = NF(t^e) for a
+    semigroup witness e; for each basis element m1 - m2 and each unknown s
+    the row NF(s m1) - NF(s m2), formed by ``normal_form`` and stored by
+    its two sides, a side hit twice raising ``ValueError``; union-find on
+    the rows; u the sum of the monomials of x^(p-1)'s component when it is
+    free.  No re-check, no caps."""
+    ring = ideal.ring
+    p = ring.domain.p
+    A = tuple(tuple(a) for a in targets)
+    d, k = len(A), len(A[0])
+    sg = AffineSemigroup(A)
+    gb = buchberger(ideal)
+    reduced = {}
+
+    def nf(m):
+        if m not in reduced:
+            ((q, _),) = normal_form(ring.monomial(m), gb).terms
+            reduced[m] = q
+        return reduced[m]
+
+    delta = tuple((p - 1) * sum(a[j] for a in A) for j in range(k))
+    fiber = []                                    # (q, r)
+    for r in product(range(p), repeat=d):
+        rest = [z - sum(e * a[j] for e, a in zip(r, A))
+                for j, z in enumerate(delta)]
+        if any(x % p for x in rest):
+            continue
+        found, witness = semigroup_member(sg, [x // p for x in rest])
+        if found:
+            e = [0] * d
+            for a in witness:
+                e[A.index(a)] += 1
+            fiber.append((nf(tuple(e)), r))
+    parent = list(range(len(fiber)))
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    def image(q, r, m):
+        """NF(t^(p q + r) t^m) as its quotient and residue parts."""
+        q, r = list(q), list(r)
+        for i, e in enumerate(m):
+            q[i], r[i] = divmod(q[i] * p + r[i] + e, p)
+        return nf(tuple(q)), tuple(r)
+
+    constraints, grounded = 0, set()
+    for g in gb.elements:
+        (m1, _), (m2, _) = g.terms
+        rows = {}
+        for j, (q, r) in enumerate(fiber):
+            plus, minus = image(q, r, m1), image(q, r, m2)
+            if plus == minus:
+                continue
+            for side, key in enumerate((plus, minus)):
+                row = rows.setdefault(key, [None, None])
+                if row[side] is not None:
+                    raise ValueError("the ideal is not the toric ideal of "
+                                     "the targets")
+                row[side] = j
+        constraints += len(rows)
+        for plus, minus in rows.values():
+            if plus is None or minus is None:
+                grounded.add(minus if plus is None else plus)
+            else:
+                parent[find(minus)] = find(plus)
+    grounded = {find(j) for j in grounded}
+    free = {find(j) for j in range(len(fiber))} - grounded
+    x_root = find(fiber.index(((0,) * d, (p - 1,) * d)))
+    witness = None
+    if x_root in free:
+        witness = _from_dict(ring, {
+            tuple(p * a + b for a, b in zip(q, r)): 1
+            for j, (q, r) in enumerate(fiber) if find(j) == x_root})
+    return FiberReport(p=p, fiber_size=len(fiber), constraints=constraints,
+                       rank=len(fiber) - len(free), witness=witness,
+                       f_pure=witness is not None)
+
+
+def _oracle_grid():
+    """(targets, p): the Veronese maps, the quartic curve, seeded curves of
+    degree 3-6 and seeded algebras of quadrics in three variables, at
+    p = 2, 3, 5, 7 while the reference's p^d residues stay few."""
+    rng = random.Random(19)
+    algebras = [veronese_map(k, n).targets for k, n in (
+        (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 2))]
+    algebras.append(QUARTIC)
+    for n in (3, 4, 5, 6):
+        mixed = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
+        algebras.append(((n, 0), *((n - i, i) for i in mixed), (0, n)))
+    squares = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    algebras.append(squares + ((1, 1, 0), (0, 1, 1)))
+    for _ in range(2):
+        algebras.append(squares + tuple(rng.sample(
+            [(1, 1, 0), (1, 0, 1), (0, 1, 1)], rng.randint(1, 2))))
+    return [(targets, p) for targets in dict.fromkeys(algebras)
+            for p in (2, 3, 5, 7) if p ** len(targets) <= 60_000]
+
+
+@pytest.mark.parametrize("targets, p", _oracle_grid(), ids=lambda v: (
+    f"p{v}" if isinstance(v, int) else ";".join(
+        ",".join(map(str, a)) for a in v)))
+def test_fiber_route_matches_the_rows_keyed_by_normal_forms(targets, p):
+    """Same report, witness included, on both toric routes' ideals."""
+    mmap = MonomialMap(targets)
+    reference = None
+    for route in (toric_ideal_elimination, toric_ideal_lattice):
+        I = route(mmap, GF(p))
+        if reference is None:
+            reference = _reference_fiber(I, mmap.targets)
+        assert fedder_fiber(I, mmap.targets) == reference
+
+
+def test_fiber_route_pins_veronese_3_3_at_three():
+    """The sizes the rows keyed by normal forms gave."""
+    mmap = veronese_map(3, 3)
+    rep = fedder_fiber(toric_ideal_lattice(mmap, GF(3)), mmap.targets)
+    assert (rep.fiber_size, rep.constraints, rep.rank, rep.f_pure) == (
+        2187, 59049, 2186, True)
+    assert len(rep.witness.terms) == 2187
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_grounded_fiber_needs_no_normal_form(monkeypatch, p):
+    """The quartic curve is not F-pure: x^(p-1)'s component is grounded,
+    so neither the witness nor its re-check runs."""
+    I = toric_ideal_lattice(MonomialMap(QUARTIC), GF(p))
+    calls = []
+    nf_dict = charp._nf_dict
+
+    def counted(*args):
+        calls.append(args)
+        return nf_dict(*args)
+
+    monkeypatch.setattr(charp, "_nf_dict", counted)
+    rep = fedder_fiber(I, QUARTIC)
+    assert rep.f_pure is False and calls == []
+
+
 def _dense_recheck(I, u):
     """The re-check on ``Polynomial`` objects: u * g reduced by the generic
     ``normal_form`` against the Frobenius basis {g^p} of I^[p], for every
@@ -296,8 +444,33 @@ def test_fiber_route_validates_input():
         fedder_fiber(_ideal(R, "t2^2 - t1^2"), targets)     # not A-graded
     with pytest.raises(ValueError):
         fedder_fiber(conic, targets[:2])               # too few targets
+    with pytest.raises(ValueError, match="repeated target"):
+        fedder_fiber(_ideal(R, "t1 - t2"), ((1, 0), (1, 0), (0, 1)))
     scaled = _ideal(R, "2*t2^2 - 2*t1*t3")             # a unit multiple
     assert fedder_fiber(scaled, targets).f_pure is True
+
+
+def test_fiber_route_refuses_an_ideal_short_of_the_toric_ideal():
+    """J lies inside the twisted cubic's ideal over GF(2).  Its rows alone
+    would call R/J not F-pure, where the colon route finds it F-pure; its
+    basis is not the toric one, so it is refused before any unknown."""
+    targets = veronese_map(2, 3).targets
+    R = PolyRing(("t1", "t2", "t3", "t4"), GF(2))
+    J = _ideal(R, "t3^2 + t2*t4", "t2^2 + t1*t3")
+    assert fedder_fpure(J).f_pure is True
+    with pytest.raises(ValueError, match="not the toric ideal"):
+        fedder_fiber(J, targets)
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (3, 2)])
+def test_fiber_route_refuses_every_proper_subset_of_the_basis(k, n):
+    mmap = veronese_map(k, n)
+    I = toric_ideal_lattice(mmap, GF(2))
+    basis = buchberger(I).elements
+    for size in range(len(basis)):
+        for subset in combinations(basis, size):
+            with pytest.raises(ValueError, match="not the toric ideal"):
+                fedder_fiber(Ideal(I.ring, subset), mmap.targets)
 
 
 @pytest.mark.parametrize("k, n, cap, refused", [

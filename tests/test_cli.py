@@ -4,6 +4,7 @@ cap, 4 internal error), file output, and the timing flag."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -172,6 +173,38 @@ def test_semigroup_search_past_the_frame_cap_exits_three(capsys):
                           "2,0,0;0,2,0;1,1,0", "--target", "900,900,1")
     assert code == 3 and out == ""
     assert err == "error: semigroup search past the cap of 65536 frames\n"
+
+
+_MERSENNE_61 = str((1 << 61) - 1)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("height", "--ring", "x,y", "--ideal", "x*y", "--char", _MERSENNE_61),
+     0),
+    (("char-compare", "--targets", "2,0;1,1;0,2", "--primes", _MERSENNE_61),
+     0),
+    # the fiber search's halves hold p^2 residues
+    (("cd-certificate", "-k", "2", "-n", "2", "--primes", _MERSENNE_61), 3),
+])
+def test_a_large_prime_ends_in_a_report_or_a_cap_at_once(capsys, argv,
+                                                          exit_code):
+    """Primality is a few modular powers, not a trial division up to the
+    square root of p."""
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == exit_code, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("present", "--targets", "2,0;1,1;0,2", "--primes", "65537"),
+    ("fedder", "--ring", "x,y", "--ideal", "x*y", "--p", "65537"),
+])
+def test_the_fedder_colon_past_its_prime_cap_exits_three(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == ("error: the Fedder colon at p = 65537 exceeds the cap of "
+                   "p = 65536\n")
 
 
 def test_cd_certificate_subcommand(capsys):

@@ -59,6 +59,34 @@ def test_gf_accepts_primes(p):
     assert GF(p).characteristic == p
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_10_to_the_5():
+    assert [n for n in range(10 ** 5)
+            if polycore._is_prime(n) != _trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n, prime", [
+    # strong pseudoprimes to the bases 2..23 and 2..31 (OEIS A014233)
+    (3215031751, False), (3825123056546413051, False),
+    ((1 << 61) - 1, True), ((1 << 89) - 1, True),
+    # 399165290221 * 798330580441, the first composite the twelve bases
+    # pass: hence the bound
+    (polycore.PRIME_BOUND, True),
+])
+def test_primality_on_large_numbers(n, prime):
+    assert polycore._is_prime(n) is prime
+
+
+def test_gf_refuses_a_prime_at_or_past_the_bound():
+    assert GF((1 << 61) - 1).characteristic == (1 << 61) - 1
+    for p in (polycore.PRIME_BOUND, (1 << 89) - 1):
+        with pytest.raises(ResourceCapError, match="below"):
+            GF(p)
+
+
 # ---------------------------------------------------------------------------
 # monomial orders against brute-force definitions
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ print(json.dumps(tested))
 
 
 def test_cli_import_tests_no_large_prime():
-    """A prime field built at import runs its trial division in every
+    """A prime field built at import runs its primality test in every
     report; only the probe's own GF(7) may be tested."""
     done = subprocess.run(
         [sys.executable, "-S", "-c", _PRIME_PROBE, str(_SRC)],
