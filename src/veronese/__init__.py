@@ -24,8 +24,8 @@ from .invariants import (
     veronese_lc_piece,
 )
 from .charp import (
-    AffineSemigroup, FiberReport, FpurityReport, fedder_fiber, fedder_fpure,
-    frobenius_power, monomial_ideal_member, semigroup_member,
+    FiberReport, FpurityReport, fedder_fiber, fedder_fpure, frobenius_power,
+    monomial_ideal_member, semigroup_member,
 )
 from .pipeline import (
     Check, GENERIC_2X3_GENERATORS, GENERIC_2X3_NAMES, QUARTIC_CURVE_TARGETS,
@@ -48,9 +48,8 @@ __all__ = [
     "toric_ideal_elimination", "toric_ideal_lattice", "veronese_map",
     "DimensionResult", "GradedPiece", "hilbert_piece", "krull_dim",
     "lc_top_piece", "veronese_lc_piece",
-    "AffineSemigroup", "FiberReport", "FpurityReport", "fedder_fiber",
-    "fedder_fpure", "frobenius_power", "monomial_ideal_member",
-    "semigroup_member",
+    "FiberReport", "FpurityReport", "fedder_fiber", "fedder_fpure",
+    "frobenius_power", "monomial_ideal_member", "semigroup_member",
     "Check", "GENERIC_2X3_GENERATORS", "GENERIC_2X3_NAMES",
     "QUARTIC_CURVE_TARGETS", "Report", "ResourceCapError", "VARIABLE_CAP",
     "cd_certificate", "char_compare", "ensure_within_cap",

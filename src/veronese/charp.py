@@ -1,24 +1,27 @@
 """Characteristic-p tools: Frobenius powers, Fedder's F-purity criterion,
-and affine semigroup membership with verified witnesses.
+and membership in the affine semigroup of a monomial map's targets, with
+verified witnesses.
 
 Fedder's criterion is decided two ways.  ``fedder_fpure`` computes the
 colon (I^[p] : I) and works for any homogeneous ideal over GF(p).
-``fedder_fiber`` is for the toric ideal of a set of targets: it never forms
-the colon, but solves one sparse linear system over GF(p) in a single
-multidegree, whose rows are keyed by residues mod p, since a toric ring has
-one standard monomial in each multidegree and so no row needs a normal
-form; its solution u is re-checked on packed monomials by reducing each
-product u g against the Frobenius basis of I^[p], which needs no Buchberger
-run.  The Veronese certificate uses the fiber route; the colon route serves
-general homogeneous input and is the fiber route's oracle in the tests.
+``fedder_fiber`` is for the toric ideal of a monomial map, which it builds
+itself by the lattice route over GF(p): it never forms the colon, but
+solves one sparse linear system over GF(p) in a single multidegree, whose
+rows are keyed by residues mod p, since a toric ring has one standard
+monomial in each multidegree and so no row needs a normal form; its
+solution u is re-checked on packed monomials by reducing each product u g
+against the Frobenius basis of I^[p], which needs no Buchberger run.  The
+Veronese certificate uses the fiber route; the colon route serves general
+homogeneous input and is the fiber route's oracle in the tests.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 from .polycore import (
-    GrevLex, PrimeField, Polynomial, Exponents, ResourceCapError, _Packing,
-    _PackingOverflow, _Record, _naturals, _nf_dict, _packed, is_homogeneous,
+    GF, GrevLex, PrimeField, Polynomial, Exponents, ResourceCapError,
+    _Packing, _PackingOverflow, _Record, _naturals, _nf_dict, _packed,
+    is_homogeneous,
 )
 from .groebner import (
     GroebnerBasis, Ideal, buchberger, colon_ideal, _gb_entries,
@@ -29,8 +32,7 @@ from .toric import MonomialMap, toric_ideal_lattice
 __all__ = [
     "frobenius_power", "FpurityReport", "fedder_fpure",
     "FiberReport", "fedder_fiber", "FIBER_CAP", "SEMIGROUP_CAP",
-    "FEDDER_PRIME_CAP",
-    "AffineSemigroup", "semigroup_member", "monomial_ideal_member",
+    "FEDDER_PRIME_CAP", "semigroup_member", "monomial_ideal_member",
 ]
 
 _GREVLEX = GrevLex()
@@ -100,43 +102,22 @@ def fedder_fpure(ideal: Ideal) -> FpurityReport:
 
 
 # ---------------------------------------------------------------------------
-# affine semigroups
+# the affine semigroup of a monomial map's targets
 # ---------------------------------------------------------------------------
 
-class AffineSemigroup(_Record):
-    """Submonoid of N^k generated by nonzero nonnegative integer vectors."""
-
-    __match_args__ = ("generators",)
-    __slots__ = __match_args__
-
-    def __init__(self, generators: Sequence[Sequence[int]]) -> None:
-        gens = tuple(tuple(g) for g in generators)
-        if not gens:
-            raise ValueError("a semigroup needs at least one generator")
-        k = len(gens[0])
-        for g in gens:
-            if not any(_naturals(g, k)):
-                raise ValueError("zero generator")
-        super().__init__(gens)
-
-    @property
-    def arity(self) -> int:
-        return len(self.generators[0])
-
-
-def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
+def semigroup_member(mmap: MonomialMap, target: Sequence[int]
                      ) -> tuple[bool, Optional[tuple[Exponents, ...]]]:
-    """Decide membership of the target vector by depth-first search over
-    generator subtractions, memoizing failed residuals.  Terminates because
-    every generator has positive total degree.  The search keeps its own
-    stack, one frame per residual on the current path, so deep searches
-    cannot overflow the interpreter's recursion limit; past
-    ``SEMIGROUP_CAP`` pushed frames it raises ``ResourceCapError``.  On
-    success the witness multiset is returned after re-verification by
-    summation.
+    """Decide whether the target vector is a sum of the map's targets by
+    depth-first search over target subtractions, memoizing failed
+    residuals.  Terminates because every target has positive total degree.
+    The search keeps its own stack, one frame per residual on the current
+    path, so deep searches cannot overflow the interpreter's recursion
+    limit; past ``SEMIGROUP_CAP`` pushed frames it raises
+    ``ResourceCapError``.  On success the witness multiset is returned
+    after re-verification by summation.
     """
-    target = _naturals(target, sg.arity)
-    gens = sg.generators
+    target = _naturals(target, mmap.k)
+    gens = mmap.targets
     failed: set[Exponents] = set()
     path: list[Exponents] = []           # generators subtracted so far
     # [residual, index of the next generator to try]; the residual of
@@ -172,7 +153,7 @@ def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
     if not found:
         return (False, None)
     witness = tuple(path)
-    sums = [0] * sg.arity
+    sums = [0] * mmap.k
     for g in witness:
         for i, e in enumerate(g):
             sums[i] += e
@@ -181,15 +162,16 @@ def semigroup_member(sg: AffineSemigroup, target: Sequence[int]
     return (True, witness)
 
 
-def monomial_ideal_member(sg: AffineSemigroup, numerator: Sequence[int],
+def monomial_ideal_member(mmap: MonomialMap, numerator: Sequence[int],
                           generator: Sequence[int]) -> bool:
     """Does x^numerator lie in the ideal generated by x^generator inside the
-    semigroup ring F[sg]?  True iff numerator - generator stays in sg."""
-    residual = tuple(a - b for a, b in zip(_naturals(numerator, sg.arity),
-                                           _naturals(generator, sg.arity)))
+    semigroup ring F[S] of the map's targets?  True iff numerator -
+    generator stays in S."""
+    residual = tuple(a - b for a, b in zip(_naturals(numerator, mmap.k),
+                                           _naturals(generator, mmap.k)))
     if any(e < 0 for e in residual):
         return False
-    return semigroup_member(sg, residual)[0]
+    return semigroup_member(mmap, residual)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +204,6 @@ class FiberReport(_Record):
     __slots__ = __match_args__
 
 
-def _pure_binomial(g: Polynomial) -> tuple[Exponents, Exponents]:
-    """(lead, tail) of a pure difference c*(m1 - m2), grevlex lead first."""
-    monomials = _pure_difference(g)
-    if monomials is None or len(monomials) != 2:
-        raise ValueError(f"not a pure binomial: {g}")
-    return monomials
-
-
 def _times(g: Polynomial, support: list, packing: _Packing, p: int
            ) -> dict:
     """g u for the u whose terms are the packed monomials ``support``, each
@@ -247,12 +221,11 @@ def _times(g: Polynomial, support: list, packing: _Packing, p: int
     return {x: c for x, c in product.items() if c}
 
 
-def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
-                 ) -> FiberReport:
-    """Decide F-purity of R/I for the toric ideal I of ``targets`` over
-    GF(p), p read from its ring, R = F_p[t_1..t_d], deg t_i = a_i, without
-    the colon (I^[p] : I); an ideal over QQ is refused, and so are targets
-    that ``MonomialMap`` refuses, a repeated one among them.
+def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
+    """Decide F-purity of R/I for the toric ideal I of the map's targets
+    a_1..a_d over GF(p), R = F_p[t_1..t_d], deg t_i = a_i, without the
+    colon (I^[p] : I).  I is built here, by ``toric_ideal_lattice`` over
+    GF(p); a p that ``GF`` refuses raises its error.
 
     Frobenius basis.  Let G be the reduced grevlex basis of I.  Then
     G^[p] = {g^p} is the reduced basis of I^[p]: g -> g^p is a ring map
@@ -265,9 +238,7 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
     modulo G, and rewriting t^(p q + r) by G^[p] rewrites t^q by G and
     keeps r.  A toric ideal has pure binomial basis elements and one
     standard monomial in each multidegree of the semigroup, so the normal
-    form of a monomial is one monomial.  A G other than the reduced basis
-    of ``toric_ideal_lattice`` of the targets means the ideal is not their
-    toric ideal and raises ``ValueError`` before any unknown is built.
+    form of a monomial is one monomial.
 
     Reduction to one multidegree.  By Fedder (1983) R/I is F-pure iff some
     u in (I^[p] : I) has a term outside m^[p], i.e. with every exponent
@@ -307,33 +278,16 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
     The witness and its re-check.  Only these run on packed monomials
     (``polycore._packed``), and only when x^(p-1) lies in a free
     component: q is one ``_nf_dict`` call on one packed monomial.  Then,
-    without the rows or the union-find, u g is formed for every input
-    generator g as one packed term dict and reduced once by ``_nf_dict``
-    against G^[p]; a nonzero remainder, or an x^(p-1) coefficient other
-    than 1, raises ``RuntimeError``.  No ``Polynomial`` is built but the
+    without the rows or the union-find, u g is formed for every g in G as
+    one packed term dict and reduced once by ``_nf_dict`` against G^[p]; a
+    nonzero remainder, or an x^(p-1) coefficient other than 1, raises
+    ``RuntimeError``.  No ``Polynomial`` is built but the
     returned u, and a monomial that outgrows the packed fields repeats the
     part with wider fields from scratch.
     """
-    p = _characteristic(ideal)
-    ring = ideal.ring
-    sg = AffineSemigroup(tuple(tuple(a) for a in targets))
-    A = sg.generators
-    d, k = ring.arity, sg.arity
-    if len(A) != d:
-        raise ValueError(f"{len(A)} targets for {d} ring variables")
-
-    def degree(m: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(e * a[j] for e, a in zip(m, A)) for j in range(k))
-
-    for g in ideal.generators:
-        m1, m2 = _pure_binomial(g)
-        if degree(m1) != degree(m2):
-            raise ValueError(f"not homogeneous in the target grading: {g}")
-    gb = buchberger(ideal, _GREVLEX)
-    toric = buchberger(toric_ideal_lattice(MonomialMap(A), ring.domain),
-                       _GREVLEX)
-    if [g.terms for g in gb.elements] != [g.terms for g in toric.elements]:
-        raise ValueError("the ideal is not the toric ideal of the targets")
+    gb = buchberger(toric_ideal_lattice(mmap, GF(p)), _GREVLEX)
+    ring = gb.ring
+    A, d, k = mmap.targets, mmap.d, mmap.k
 
     # the unknowns p q + r, one per residue r that reaches delta
     delta = tuple((p - 1) * sum(a[j] for a in A) for j in range(k))
@@ -373,7 +327,7 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
             v = tuple(x + y for x, y in zip(v1, v2))
             target = tuple((z - x) // p for z, x in zip(delta, v))
             if target not in quotients:
-                found, witness = semigroup_member(sg, target)
+                found, witness = semigroup_member(mmap, target)
                 e = None
                 if found:
                     e = [0] * d
@@ -398,7 +352,7 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
 
     constraints = 0
     grounded: set[int] = set()
-    for m1, m2 in map(_pure_binomial, gb.elements):
+    for m1, m2 in map(_pure_difference, gb.elements):
         v = tuple((a - b) % p for a, b in zip(m1, m2))
         if not any(v):
             continue
@@ -437,7 +391,7 @@ def fedder_fiber(ideal: Ideal, targets: Sequence[Sequence[int]]
             frobenius_power(Ideal(ring, gb.elements)).generators), packing)
         if witness.coefficient(top) != 1 or any(
                 _nf_dict(_times(g, support, packing, p), frobenius, guard, p)
-                for g in ideal.generators):
+                for g in gb.elements):
             raise RuntimeError("fiber witness failed re-verification; "
                                "elimination bug")
         return witness

@@ -16,8 +16,8 @@ from .polycore import (
 )
 from .groebner import Ideal
 from .invariants import krull_dim
-from .toric import ci_check
-from .charp import AffineSemigroup, fedder_fpure, semigroup_member
+from .toric import MonomialMap, ci_check
+from .charp import fedder_fpure, semigroup_member
 from .pipeline import (
     Report, ResourceCapError, _capped_veronese_map, _check, _ci_result,
     _cover_result, _fedder_details, _height_check, _minimal_generator_details,
@@ -202,14 +202,14 @@ def _cmd_fedder(args: argparse.Namespace) -> Report:
 
 
 def _cmd_semigroup(args: argparse.Namespace) -> Report:
-    sg = AffineSemigroup(_parse_targets(args.generators))
+    mmap = MonomialMap(_parse_targets(args.generators))
     target = _parse_vector(args.target)
-    member, witness = semigroup_member(sg, target)
+    member, witness = semigroup_member(mmap, target)
     checks = [_check(
         "target_in_semigroup", member,
         target=list(target),
         witness=None if witness is None else [list(g) for g in witness])]
-    params = {"generators": [list(g) for g in sg.generators]}
+    params = {"generators": [list(g) for g in mmap.targets]}
     return Report("semigroup", params, checks)
 
 

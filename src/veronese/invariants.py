@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .polycore import ResourceCapError, _Record
+from .polycore import ResourceCapError, _Record, _require_ints
 from .groebner import Ideal, initial_ideal
 
 __all__ = [
@@ -112,6 +112,7 @@ def krull_dim(ideal: Ideal) -> DimensionResult:
 
 def hilbert_piece(k: int, m: int) -> int:
     """Dimension of the degree-m piece of a polynomial ring in k variables."""
+    _require_ints(k=k, m=m)
     if k < 1:
         raise ValueError("k must be at least 1")
     if m < 0:
@@ -125,6 +126,7 @@ def lc_top_piece(k: int, j: int) -> GradedPiece:
     j <= -k, with dimension C(-j-1, k-1) (Laurent monomials with all
     exponents negative).
     """
+    _require_ints(k=k, j=j)
     if k < 1:
         raise ValueError("k must be at least 1")
     dim = comb(-j - 1, k - 1) if j <= -k else 0
@@ -137,6 +139,7 @@ def veronese_lc_piece(k: int, n: int, i: int, j: int) -> GradedPiece:
     by n, so the piece is the degree-(j*n) piece of the ambient H^i, and
     only i = k survives.
     """
+    _require_ints(k=k, n=n, i=i, j=j)
     if k < 1 or n < 1:
         raise ValueError("k and n must be at least 1")
     if i < 0:

@@ -24,7 +24,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, PolyRing, QQ, ResourceCapError, _Record,
-    _is_int, _naturals, is_homogeneous, parse_polynomial_list,
+    _is_int, _naturals, _require_ints, is_homogeneous,
+    parse_polynomial_list,
 )
 from .groebner import (
     Ideal, _least_power_member, buchberger, ideal_equal, ideal_sum,
@@ -38,8 +39,8 @@ from .toric import (
 )
 from .invariants import DimensionResult, krull_dim, veronese_lc_piece
 from .charp import (
-    AffineSemigroup, FpurityReport, fedder_fiber, fedder_fpure,
-    monomial_ideal_member, semigroup_member,
+    FpurityReport, fedder_fiber, fedder_fpure, monomial_ideal_member,
+    semigroup_member,
 )
 
 __all__ = [
@@ -289,8 +290,9 @@ def _ci_result(name: str, rep: CIReport, ring: PolyRing,
 
 
 def _cover_result(name: str, ideal: Ideal, subset: Sequence[int]) -> Check:
-    """The radical cover of the subset, each variable taken once."""
-    subset = tuple(dict.fromkeys(subset))
+    """The radical cover of the subset, each variable taken once; checked
+    before the duplicates go, among which True would pass as 1."""
+    subset = tuple(dict.fromkeys(_naturals(subset)))
     ok, witnesses = _radical_cover(ideal, subset)
     return _check(name, ok, subset=[ideal.ring.names[i] for i in subset],
                   witnesses=witnesses)
@@ -369,9 +371,7 @@ def _veronese_charts(mmap: MonomialMap, pure_power_of: bool) -> Callable:
 def _capped_veronese_map(k: int, n: int) -> MonomialMap:
     """The Veronese map (k, n), refused for k or n not an int (a bool is
     not one) or < 1 and over the cap."""
-    for name, value in (("k", k), ("n", n)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an int, not {value!r}")
+    _require_ints(k=k, n=n)
     if k < 1 or n < 1:
         raise ValueError("k and n must both be at least 1")
     ensure_within_cap(comb(k + n - 1, n))
@@ -489,7 +489,7 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     checks.append(_lc_degree_zero("lc_degree_zero_vanishes", k, n))
 
     for char, _ in doms[1:]:
-        rep = fedder_fiber(ideals[char], mmap.targets)
+        rep = fedder_fiber(mmap, char)
         checks.append(_check(f"f_pure_p{char}", rep.f_pure,
                              fiber_size=rep.fiber_size,
                              constraints=rep.constraints, rank=rep.rank))
@@ -573,8 +573,6 @@ def present_monomial_algebra(
             height=dims.height, lattice_nullity=nullity),
         charts, subset)
 
-    sg = AffineSemigroup(mmap.targets)
-
     # normalization certification: common degree, lattice equality, and a
     # bounded multiple search for each missing degree-n monomial.  When it
     # fails, no claim (and no check) is emitted.
@@ -590,7 +588,7 @@ def present_monomial_algebra(
         for v in missing:
             found = None
             for m in range(1, _MULTIPLE_CAP + 1):
-                if semigroup_member(sg, tuple(m * e for e in v))[0]:
+                if semigroup_member(mmap, tuple(m * e for e in v))[0]:
                     found = m
                     break
             multiples.append(found)
@@ -605,10 +603,10 @@ def present_monomial_algebra(
                 "normalization_lc_degree_zero_vanishes", mmap.k, degree))
 
     if fpurity_witness is not None:
-        valid = (semigroup_member(sg, witness_base)[0]
-                 and semigroup_member(sg, witness_gen)[0])
+        valid = (semigroup_member(mmap, witness_base)[0]
+                 and semigroup_member(mmap, witness_gen)[0])
         residual = tuple(a - b for a, b in zip(witness_base, witness_gen))
-        base_in = monomial_ideal_member(sg, witness_base, witness_gen)
+        base_in = monomial_ideal_member(mmap, witness_base, witness_gen)
 
     for char, _ in doms[1:]:
         rep = fedder_fpure(ideals[char])
@@ -617,7 +615,7 @@ def present_monomial_algebra(
             checks.append(_check(f"f_purity_recorded_p{char}", True, **details))
             continue
         pfold_in = monomial_ideal_member(
-            sg, tuple(char * e for e in witness_base),
+            mmap, tuple(char * e for e in witness_base),
             tuple(char * e for e in witness_gen))
         implies_not_f_pure = valid and (not base_in) and pfold_in
         consistent = (not implies_not_f_pure) or (not rep.f_pure)

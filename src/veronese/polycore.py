@@ -315,6 +315,14 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_ints(**values: object) -> None:
+    """Refuse, by name, each value that is not an int (a bool is not one)
+    with ``ValueError``."""
+    for name, value in values.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def _naturals(entries: Iterable[int], arity: Union[int, None] = None
               ) -> tuple[int, ...]:
     """``entries`` as a tuple of nonnegative ints, such as an exponent
@@ -372,12 +380,11 @@ class Block(_Record):
     __slots__ = __match_args__
 
     def __init__(self, eliminated: Iterable[int]) -> None:
-        elim = frozenset(eliminated)
+        # checked before the set is built, in which True and 1 are one
+        elim = _naturals(eliminated)
         if not elim:
             raise ValueError("Block order needs a nonempty eliminated set")
-        if any((not isinstance(i, int)) or i < 0 for i in elim):
-            raise ValueError("eliminated indices must be nonnegative ints")
-        _setattr(self, "eliminated", elim)
+        _setattr(self, "eliminated", frozenset(elim))
 
     def key(self, m: Exponents):
         elim = self.eliminated
@@ -542,6 +549,7 @@ class PolyRing(_CachedHash):
                 which = self.names.index(which)
             except ValueError:
                 raise ValueError(f"unknown variable {which!r}") from None
+        _require_ints(index=which)
         if not 0 <= which < self.arity:
             raise ValueError(f"variable index {which} out of range")
         exps = tuple(1 if i == which else 0 for i in range(self.arity))
@@ -714,7 +722,7 @@ class Polynomial(_CachedHash):
 
 def _power(f: Polynomial, e: int, times) -> Polynomial:
     """f^e by repeated squaring, each product formed by ``times``."""
-    if not isinstance(e, int) or e < 0:
+    if not _is_int(e) or e < 0:
         raise ValueError("exponent must be a nonnegative integer")
     result = f.ring.one
     while e:

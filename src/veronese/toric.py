@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .polycore import (
     CoeffDomain, GrevLex, PolyRing, Polynomial, Exponents, QQ,
     is_homogeneous, homogeneous_degree, _Record, _from_dict, _naturals,
+    _require_ints,
 )
 from .groebner import (
     Ideal, buchberger, eliminate, ideal_member, saturate,
@@ -111,6 +112,7 @@ def _veronese_targets(k: int, n: int) -> tuple[Exponents, ...]:
 
 def veronese_map(k: int, n: int) -> MonomialMap:
     """All degree-n monomials in k variables, lex-descending."""
+    _require_ints(k=k, n=n)
     if k < 1 or n < 1:
         raise ValueError("veronese_map needs k >= 1 and n >= 1")
     return MonomialMap(_veronese_targets(k, n))
@@ -315,6 +317,7 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int,
         raise ValueError("ci_sequence needs a Veronese map")
     k, d = mmap.k, mmap.d
     j = pure_power_index
+    _require_ints(pure_power_index=j)
     if not 0 <= j < k:
         raise ValueError(f"x-variable index {j} out of range")
     ring = mmap.source_ring(domain)
@@ -413,6 +416,7 @@ def symmetric_matrix_entries(n: int) -> list[list[int]]:
 def symmetric_minors_ideal(n: int, domain: CoeffDomain = QQ) -> Ideal:
     """Ideal of 2x2 minors of the generic symmetric n x n matrix, written in
     the C(n+1,2) variables t_m of the quadratic Veronese source ring."""
+    _require_ints(n=n)
     if n < 1:
         raise ValueError("n must be at least 1")
     mmap = veronese_map(n, 2)

@@ -1,23 +1,24 @@
 """Characteristic-p machinery: bracket powers of ideals, the colon-ideal
-splitting test for Frobenius purity, and exact membership search in affine
-semigroups with verified witnesses."""
+splitting test for Frobenius purity, its fiber route on toric ideals, and
+exact membership search in the affine semigroup of a monomial map with
+verified witnesses."""
 from __future__ import annotations
 
 import pytest
 
 import random
-from itertools import combinations, product
+from itertools import product
 
 from veronese import charp
 from veronese.charp import (
-    AffineSemigroup, FiberReport, FpurityReport, fedder_fiber, fedder_fpure,
-    frobenius_power, monomial_ideal_member, semigroup_member,
+    FiberReport, FpurityReport, fedder_fiber, fedder_fpure, frobenius_power,
+    monomial_ideal_member, semigroup_member,
 )
 from veronese.groebner import (
     GroebnerBasis, Ideal, buchberger, ideal_member, normal_form,
 )
 from veronese.polycore import (
-    GF, GrevLex, PolyRing, QQ, ResourceCapError, _from_dict,
+    GF, GrevLex, PRIME_BOUND, PolyRing, QQ, ResourceCapError, _from_dict,
 )
 from veronese.toric import (
     MonomialMap, toric_ideal_elimination, toric_ideal_lattice,
@@ -50,8 +51,7 @@ def test_characteristic_p_calls_refuse_ideals_over_the_rationals():
     """p is read from the ring of the ideal; over QQ there is none."""
     Q = PolyRing(("t1", "t2", "t3"), QQ)
     conic = _ideal(Q, "t2^2 - t1*t3")
-    for call in (frobenius_power, fedder_fpure,
-                 lambda I: fedder_fiber(I, ((2, 0), (1, 1), (0, 2)))):
+    for call in (frobenius_power, fedder_fpure):
         with pytest.raises(ValueError, match="prime field"):
             call(conic)
 
@@ -142,7 +142,7 @@ def _seeded_curves(seed, count=4):
 def _fiber_against_colon(targets, p):
     mmap = MonomialMap(targets)
     I = toric_ideal_elimination(mmap, GF(p))
-    rep = fedder_fiber(I, mmap.targets)
+    rep = fedder_fiber(mmap, p)
     assert rep.f_pure == fedder_fpure(I).f_pure, (targets, p)
     return rep
 
@@ -186,7 +186,7 @@ def _reference_fiber(ideal, targets):
     p = ring.domain.p
     A = tuple(tuple(a) for a in targets)
     d, k = len(A), len(A[0])
-    sg = AffineSemigroup(A)
+    mmap = MonomialMap(A)
     gb = buchberger(ideal)
     reduced = {}
 
@@ -203,7 +203,7 @@ def _reference_fiber(ideal, targets):
                 for j, z in enumerate(delta)]
         if any(x % p for x in rest):
             continue
-        found, witness = semigroup_member(sg, [x // p for x in rest])
+        found, witness = semigroup_member(mmap, [x // p for x in rest])
         if found:
             e = [0] * d
             for a in witness:
@@ -280,20 +280,18 @@ def _oracle_grid():
     f"p{v}" if isinstance(v, int) else ";".join(
         ",".join(map(str, a)) for a in v)))
 def test_fiber_route_matches_the_rows_keyed_by_normal_forms(targets, p):
-    """Same report, witness included, on both toric routes' ideals."""
+    """The fiber route's report, witness included, is the reference's on
+    both toric routes' ideals."""
     mmap = MonomialMap(targets)
-    reference = None
+    rep = fedder_fiber(mmap, p)
     for route in (toric_ideal_elimination, toric_ideal_lattice):
-        I = route(mmap, GF(p))
-        if reference is None:
-            reference = _reference_fiber(I, mmap.targets)
-        assert fedder_fiber(I, mmap.targets) == reference
+        assert rep == _reference_fiber(route(mmap, GF(p)), mmap.targets)
 
 
 def test_fiber_route_pins_veronese_3_3_at_three():
     """The sizes the rows keyed by normal forms gave."""
     mmap = veronese_map(3, 3)
-    rep = fedder_fiber(toric_ideal_lattice(mmap, GF(3)), mmap.targets)
+    rep = fedder_fiber(mmap, 3)
     assert (rep.fiber_size, rep.constraints, rep.rank, rep.f_pure) == (
         2187, 59049, 2186, True)
     assert len(rep.witness.terms) == 2187
@@ -303,7 +301,6 @@ def test_fiber_route_pins_veronese_3_3_at_three():
 def test_a_grounded_fiber_needs_no_normal_form(monkeypatch, p):
     """The quartic curve is not F-pure: x^(p-1)'s component is grounded,
     so neither the witness nor its re-check runs."""
-    I = toric_ideal_lattice(MonomialMap(QUARTIC), GF(p))
     calls = []
     nf_dict = charp._nf_dict
 
@@ -312,7 +309,7 @@ def test_a_grounded_fiber_needs_no_normal_form(monkeypatch, p):
         return nf_dict(*args)
 
     monkeypatch.setattr(charp, "_nf_dict", counted)
-    rep = fedder_fiber(I, QUARTIC)
+    rep = fedder_fiber(MonomialMap(QUARTIC), p)
     assert rep.f_pure is False and calls == []
 
 
@@ -330,7 +327,7 @@ def _dense_recheck(I, u):
 def test_fiber_witness_lies_in_the_colon(k, n, p):
     mmap = veronese_map(k, n)
     I = toric_ideal_elimination(mmap, GF(p))
-    u = fedder_fiber(I, mmap.targets).witness
+    u = fedder_fiber(mmap, p).witness
     top = (p - 1,) * mmap.d
     assert u.coefficient(top) == 1
     # u sits in the multidegree (p - 1) * sum of the targets
@@ -362,7 +359,7 @@ def _tamper_recheck(monkeypatch, change):
 def _twisted_cubic_witness():
     mmap = veronese_map(2, 3)
     I = toric_ideal_lattice(mmap, GF(3))
-    return mmap, I, fedder_fiber(I, mmap.targets).witness
+    return mmap, I, fedder_fiber(mmap, 3).witness
 
 
 def test_recheck_refuses_a_witness_without_one_monomial(monkeypatch):
@@ -372,7 +369,7 @@ def test_recheck_refuses_a_witness_without_one_monomial(monkeypatch):
     _tamper_recheck(monkeypatch, lambda support, packing: [
         s for s in support if s != packing.pack(dropped)])
     with pytest.raises(RuntimeError, match="re-verification"):
-        fedder_fiber(I, mmap.targets)
+        fedder_fiber(mmap, 3)
 
 
 def test_recheck_refuses_a_witness_with_a_foreign_monomial(monkeypatch):
@@ -393,7 +390,7 @@ def test_recheck_refuses_a_witness_with_a_foreign_monomial(monkeypatch):
     _tamper_recheck(monkeypatch, lambda support, packing: [
         *support, packing.pack(foreign)])
     with pytest.raises(RuntimeError, match="re-verification"):
-        fedder_fiber(I, mmap.targets)
+        fedder_fiber(mmap, 3)
 
 
 @pytest.mark.parametrize("p", [43, 67])
@@ -413,7 +410,7 @@ def test_fiber_route_reruns_wider_past_8_bits(monkeypatch, p):
         return gb_entries(gb, packing)
 
     monkeypatch.setattr(charp, "_gb_entries", spy)
-    rep = fedder_fiber(I, mmap.targets)
+    rep = fedder_fiber(mmap, p)
     assert limits[0] == 1 << 7 and limits[-1] == 1 << 15
     assert rep.f_pure is True and rep.fiber_size == p
     assert rep.witness.coefficient((p - 1,) * mmap.d) == 1
@@ -430,47 +427,17 @@ def test_frobenius_basis_is_the_reduced_basis_of_the_bracket_power(k, n, p):
 
 
 def test_fiber_route_validates_input():
-    targets = ((2, 0), (1, 1), (0, 2))
-    R = PolyRing(("t1", "t2", "t3"), GF(3))
-    conic = _ideal(R, "t2^2 - t1*t3")
-    assert fedder_fiber(conic, targets).f_pure is True
-    with pytest.raises(ValueError):
-        fedder_fiber(_ideal(R, "t2^2 + t1*t3"), targets)      # not pure
-    with pytest.raises(ValueError):
-        fedder_fiber(_ideal(R, "t2^2 - t1*t3 + t1^2"), targets)
-    with pytest.raises(ValueError):
-        fedder_fiber(_ideal(R, "t2^2"), targets)               # monomial
-    with pytest.raises(ValueError):
-        fedder_fiber(_ideal(R, "t2^2 - t1^2"), targets)     # not A-graded
-    with pytest.raises(ValueError):
-        fedder_fiber(conic, targets[:2])               # too few targets
+    """The route takes a map and a prime: a composite p, a p past
+    ``PRIME_BOUND`` and a repeated target are refused before any
+    Groebner run."""
+    conic = veronese_map(2, 2)
+    assert fedder_fiber(conic, 3).f_pure is True
+    with pytest.raises(ValueError, match="needs a prime"):
+        fedder_fiber(conic, 4)
+    with pytest.raises(ResourceCapError):
+        fedder_fiber(conic, PRIME_BOUND)
     with pytest.raises(ValueError, match="repeated target"):
-        fedder_fiber(_ideal(R, "t1 - t2"), ((1, 0), (1, 0), (0, 1)))
-    scaled = _ideal(R, "2*t2^2 - 2*t1*t3")             # a unit multiple
-    assert fedder_fiber(scaled, targets).f_pure is True
-
-
-def test_fiber_route_refuses_an_ideal_short_of_the_toric_ideal():
-    """J lies inside the twisted cubic's ideal over GF(2).  Its rows alone
-    would call R/J not F-pure, where the colon route finds it F-pure; its
-    basis is not the toric one, so it is refused before any unknown."""
-    targets = veronese_map(2, 3).targets
-    R = PolyRing(("t1", "t2", "t3", "t4"), GF(2))
-    J = _ideal(R, "t3^2 + t2*t4", "t2^2 + t1*t3")
-    assert fedder_fpure(J).f_pure is True
-    with pytest.raises(ValueError, match="not the toric ideal"):
-        fedder_fiber(J, targets)
-
-
-@pytest.mark.parametrize("k, n", [(2, 3), (3, 2)])
-def test_fiber_route_refuses_every_proper_subset_of_the_basis(k, n):
-    mmap = veronese_map(k, n)
-    I = toric_ideal_lattice(mmap, GF(2))
-    basis = buchberger(I).elements
-    for size in range(len(basis)):
-        for subset in combinations(basis, size):
-            with pytest.raises(ValueError, match="not the toric ideal"):
-                fedder_fiber(Ideal(I.ring, subset), mmap.targets)
+        fedder_fiber(MonomialMap(((1, 0), (1, 0), (0, 1))), 3)
 
 
 @pytest.mark.parametrize("k, n, cap, refused", [
@@ -485,34 +452,22 @@ def test_fiber_route_refuses_every_proper_subset_of_the_basis(k, n):
 def test_fiber_cap_refuses_before_the_unknowns_are_built(
         monkeypatch, k, n, cap, refused):
     mmap = veronese_map(k, n)
-    I = toric_ideal_lattice(mmap, GF(3))
     monkeypatch.setattr(charp, "FIBER_CAP", cap)
     if refused is None:
-        assert fedder_fiber(I, mmap.targets).f_pure is True
+        assert fedder_fiber(mmap, 3).f_pure is True
         return
     monkeypatch.setattr(charp, "semigroup_member", None)   # never reached
     with pytest.raises(ResourceCapError) as exc:
-        fedder_fiber(I, mmap.targets)
+        fedder_fiber(mmap, 3)
     assert str(exc.value) == refused
 
 
 # ---------------------------------------------------------------------------
-# affine semigroups
+# the affine semigroup of a monomial map
 # ---------------------------------------------------------------------------
 
-def test_semigroup_validation():
-    with pytest.raises(ValueError):
-        AffineSemigroup(())
-    with pytest.raises(ValueError):
-        AffineSemigroup(((1, 0), (0, -1)))
-    with pytest.raises(ValueError):
-        AffineSemigroup(((1, 0), (0, 1, 1)))
-    with pytest.raises(ValueError):
-        AffineSemigroup(((0, 0),))
-
-
 def test_semigroup_membership_with_verified_witnesses():
-    sg = AffineSemigroup(QUARTIC)
+    sg = MonomialMap(QUARTIC)
     ok, witness = semigroup_member(sg, (4, 4))
     assert ok and witness == ((4, 0), (0, 4))
     assert tuple(map(sum, zip(*witness))) == (4, 4)
@@ -525,7 +480,7 @@ def test_semigroup_membership_with_verified_witnesses():
 
 
 def test_semigroup_holes():
-    sg = AffineSemigroup(QUARTIC)
+    sg = MonomialMap(QUARTIC)
     assert semigroup_member(sg, (2, 2)) == (False, None)
     assert semigroup_member(sg, (1, 0)) == (False, None)
     # total degree not a multiple of four is unreachable
@@ -539,14 +494,14 @@ def test_semigroup_holes():
 def test_semigroup_search_stops_at_the_frame_cap(monkeypatch):
     # the frame count grows with the square of the target here: (900,900,1)
     # would push 405,900 frames
-    sg = AffineSemigroup(((2, 0, 0), (0, 2, 0), (1, 1, 0)))
+    sg = MonomialMap(((2, 0, 0), (0, 2, 0), (1, 1, 0)))
     with pytest.raises(ResourceCapError) as exc:
         semigroup_member(sg, (900, 900, 1))
     assert str(exc.value) == \
         f"semigroup search past the cap of {charp.SEMIGROUP_CAP} frames"
     # the decision is the count of frames pushed: a witness of 5,000 steps
     # pushes 4,999 below the first
-    line = AffineSemigroup(((1,),))
+    line = MonomialMap(((1,),))
     monkeypatch.setattr(charp, "SEMIGROUP_CAP", 4999)
     assert semigroup_member(line, (5000,)) == (True, ((1,),) * 5000)
     monkeypatch.setattr(charp, "SEMIGROUP_CAP", 4998)
@@ -555,13 +510,13 @@ def test_semigroup_search_stops_at_the_frame_cap(monkeypatch):
 
 
 def test_numerical_semigroup_two_three():
-    sg = AffineSemigroup(((2,), (3,)))
+    sg = MonomialMap(((2,), (3,)))
     reachable = [m for m in range(10) if semigroup_member(sg, (m,))[0]]
     assert reachable == [0, 2, 3, 4, 5, 6, 7, 8, 9]
 
 
 def test_monomial_ideal_membership_pairs():
-    sg = AffineSemigroup(QUARTIC)
+    sg = MonomialMap(QUARTIC)
     # x^(6,2) against the principal ideal on x^(4,0): residual (2,2) is a hole
     assert monomial_ideal_member(sg, (6, 2), (4, 0)) is False
     # p-fold versions land inside for p = 2, 3, 5

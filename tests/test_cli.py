@@ -151,6 +151,15 @@ def test_semigroup_subcommand(capsys):
     assert rep2["verdict"] is False
 
 
+def test_semigroup_refuses_a_repeated_generator(capsys):
+    """The generators are a monomial map's targets, refused as
+    ``present --targets`` refuses them."""
+    code, out, err = _run(capsys, "semigroup", "--generators", "1,0;1,0",
+                          "--target", "2,0")
+    assert code == 2 and out == ""
+    assert err == "error: repeated target\n"
+
+
 def test_semigroup_deep_searches_do_not_crash(capsys):
     # a 5,000-step witness and a 1,500-deep failing search: both beyond
     # the interpreter's default recursion limit

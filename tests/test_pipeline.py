@@ -11,15 +11,24 @@ from conftest import replay_reports
 
 from veronese import groebner, pipeline
 from veronese.cli import main
-from veronese.groebner import Ideal, ideal_sum, radical_member
+from veronese.groebner import Ideal, buchberger, ideal_sum, radical_member
+from veronese.invariants import hilbert_piece, lc_top_piece, veronese_lc_piece
 from veronese.pipeline import (
     GENERIC_2X3_GENERATORS, GENERIC_2X3_NAMES, QUARTIC_CURVE_TARGETS,
     Check, Report, ResourceCapError, VARIABLE_CAP, cd_certificate,
     char_compare, ensure_within_cap, present_monomial_algebra,
     radical_cover_check, render_json,
 )
-from veronese.polycore import PolyRing, QQ, is_homogeneous
-from veronese.toric import MonomialMap, toric_ideal_lattice, veronese_map
+from veronese.polycore import Block, PolyRing, QQ, is_homogeneous
+from veronese.toric import (
+    MonomialMap, ci_check, ci_sequence, symmetric_minors_ideal,
+    toric_ideal_lattice, veronese_map,
+)
+
+
+# the conic's ideal, written out so that building it runs no engine
+_T = PolyRing(("t1", "t2", "t3"))
+_CONIC = Ideal(_T, (_T.parse("t2^2 - t1*t3"),))
 
 
 def _check_map(report_dict):
@@ -351,14 +360,34 @@ def test_cd_certificate_refuses_a_float_k_or_n(k, n, name, engine_counts):
         fpurity_witness=((True, 0), (1, 0))), "True"),
     (lambda: char_compare([(True, 0), (0, 1)]), "True"),
     (lambda: MonomialMap([(True, 0), (0, 1)]), "True"),
+    (lambda: _CONIC.ring.variable(True), "^index must be an int, not True"),
+    (lambda: ci_check(_CONIC, _CONIC.generators, True, 1), "^index must be"),
+    (lambda: radical_cover_check(_CONIC, [True]), "True"),
+    (lambda: radical_cover_check(_CONIC, [1, True]), "True"),
+    (lambda: ci_sequence(veronese_map(2, 2), True),
+     "^pure_power_index must be an int, not True"),
+    (lambda: Block({True}), "True"),
+    (lambda: Block([1, True]), "True"),
+    (lambda: buchberger(_CONIC, Block({True})), "True"),
+    (lambda: veronese_map(2, True), "^n must be an int, not True"),
+    (lambda: symmetric_minors_ideal(True), "^n must be an int, not True"),
+    (lambda: _CONIC.generators[0] ** True, "exponent"),
+    (lambda: hilbert_piece(True, 3), "^k must be an int, not True"),
+    (lambda: lc_top_piece(2, True), "^j must be an int, not True"),
+    (lambda: veronese_lc_piece(True, 2, 1, 0), "^k must be an int, not True"),
 ], ids=["cd_k", "cd_n", "cd_prime", "present_targets", "present_cover",
         "present_chart", "present_witness", "char_compare_targets",
-        "monomial_map"])
+        "monomial_map", "variable", "ci_check_invert", "radical_cover_check",
+        "radical_cover_check_with_its_twin", "ci_sequence", "block",
+        "block_with_its_twin", "block_cache", "veronese_map",
+        "symmetric_minors", "power", "hilbert_piece", "lc_top_piece",
+        "veronese_lc_piece"])
 def test_library_refuses_bools_as_ints(build, message, engine_counts):
     """``True`` is an int to Python but no exponent, count or index here:
     it is a ``ValueError`` before any engine run, not the report of 1 with
-    ``true`` in its bytes, and a map with ``True`` never meets its twin with
-    1 in the presentation cache."""
+    ``true`` in its bytes; a map with ``True`` never meets its twin with 1
+    in the presentation cache, nor a block order with ``True`` its twin in
+    the Groebner cache."""
     with pytest.raises(ValueError, match=message):
         build()
     assert engine_counts["insert"] == 0

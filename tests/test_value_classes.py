@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from veronese.charp import AffineSemigroup, FiberReport, FpurityReport
+from veronese.charp import FiberReport, FpurityReport
 from veronese.groebner import GroebnerBasis, Ideal
 from veronese.invariants import DimensionResult, GradedPiece
 from veronese.pipeline import Check, Report
@@ -43,7 +43,6 @@ _BUILDERS = {
     "GradedPiece": lambda: GradedPiece(index=2, degree=-2, dimension=1),
     "FpurityReport": lambda: FpurityReport(3, (_poly(),), _poly(), True),
     "FiberReport": lambda: FiberReport(3, 4, 2, 2, _poly(), True),
-    "AffineSemigroup": lambda: AffineSemigroup([[2, 0], [1, 1]]),
     "MonomialMap": lambda: MonomialMap([[2, 0], [1, 1]]),
     "CIReport": lambda: CIReport(0, (_poly(),), (1,), True, True, True,
                                  True),
@@ -90,7 +89,6 @@ def test_classes_with_equal_field_values_differ():
     pairs = [
         (Lex(), GrevLex()),
         (Rationals(), Lex()),
-        (MonomialMap([[2, 0], [1, 1]]), AffineSemigroup([[2, 0], [1, 1]])),
         (R.zero, Ideal(R, ())),                    # both are (R, ())
         (DimensionResult(R, ()), Ideal(R, ())),
     ]
@@ -124,14 +122,12 @@ def test_unequal_fields_compare_unequal():
     lambda: MonomialMap([[1, 0], [1]]),
     lambda: MonomialMap([[0, 0]]),
     lambda: MonomialMap([[1, 0], [1, 0]]),
-    lambda: AffineSemigroup(()),
-    lambda: AffineSemigroup([[1, 0], [0]]),
-    lambda: AffineSemigroup([[0, 0]]),
+    lambda: MonomialMap([[1, 0], [0, -1]]),
     lambda: Ideal(_ring(), (PolyRing(("x", "y"), QQ).parse("x"),)),
 ], ids=["prime-4", "prime-1", "no-names", "duplicate-names", "bad-name",
         "empty-block", "negative-block", "empty-map", "ragged-map",
-        "constant-target", "repeated-target", "empty-semigroup",
-        "ragged-semigroup", "zero-generator", "foreign-generator"])
+        "constant-target", "repeated-target", "negative-target",
+        "foreign-generator"])
 def test_constructor_checks_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
@@ -145,7 +141,6 @@ def test_constructor_defaults_and_normalisations():
     assert Ideal(R, [R.zero, R.parse("x"), R.zero]).generators == (R.parse("x"),)
     assert Ideal(R, (R.zero,)).is_zero()
     assert MonomialMap([[2, 0], [0, 2]]).targets == ((2, 0), (0, 2))
-    assert AffineSemigroup([[1]]).generators == ((1,),)
     with pytest.raises(TypeError, match="missing field"):
         CIReport(1, (), ())                      # built once, no defaults
     assert Report("k", {}, ()).cited_facts == ()
