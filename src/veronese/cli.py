@@ -21,8 +21,8 @@ from .charp import fedder_fpure, semigroup_member
 from .pipeline import (
     Report, ResourceCapError, _capped_veronese_map, _check, _ci_result,
     _cover_result, _fedder_details, _height_check, _minimal_generator_details,
-    _presentation, cd_certificate, char_compare, present_monomial_algebra,
-    render_json,
+    _presentation, _specialise, cd_certificate, char_compare,
+    present_monomial_algebra, render_json,
 )
 
 __all__ = ["main", "run"]
@@ -121,10 +121,10 @@ def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
     k, n = args.k, args.n
     mmap = _capped_veronese_map(k, n)
     char, dom = _parse_char(args.char)
-    ideal, _, agree, dims = _presentation(mmap, dom)
+    ideal, _, agree, dims = _presentation(mmap)
     checks = [
         _check("toric_routes_agree", agree,
-               **_minimal_generator_details(ideal)),
+               **_minimal_generator_details(_specialise(ideal, dom))),
         _height_check("height_matches", dims, mmap.d - k),
     ]
     params = {"k": k, "n": n, "d": mmap.d, "characteristic": char}
@@ -179,7 +179,8 @@ def _cmd_ci_check(args: argparse.Namespace) -> Report:
     idx = _variable_index(ring.names, args.invert)
     cands = tuple(parse_polynomial_list(args.candidates, ring))
     rep = ci_check(ideal, cands, idx, krull_dim(ideal).height)
-    checks = [_ci_result("localized_complete_intersection", rep, ring)]
+    checks = [_ci_result("localized_complete_intersection", rep, ring,
+                         rep.candidates)]
     params["invert"] = ring.names[idx]
     return Report("ci-check", params, checks)
 

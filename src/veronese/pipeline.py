@@ -18,13 +18,14 @@ are deterministic: identical inputs give byte-identical JSON.
 """
 from __future__ import annotations
 
+from copy import deepcopy
 from functools import lru_cache
 from math import comb, isfinite
 from typing import Callable, Mapping, Optional, Sequence
 
 from .polycore import (
-    CoeffDomain, GF, GrevLex, PolyRing, QQ, ResourceCapError, _Record,
-    _is_int, _naturals, _require_ints, is_homogeneous,
+    CoeffDomain, GF, GrevLex, PolyRing, Polynomial, QQ, ResourceCapError,
+    _Record, _is_int, _naturals, _require_ints, is_homogeneous,
     parse_polynomial_list,
 )
 from .groebner import (
@@ -257,17 +258,41 @@ def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _presentation(mmap: MonomialMap, dom: CoeffDomain
+def _presentation(mmap: MonomialMap
                   ) -> tuple[Ideal, Ideal, bool, DimensionResult]:
-    """The presentation ideal by elimination, the lattice-route ideal,
-    whether the two routes agree, and the dimension and height of the
-    ideal.  One unit per (map, field), cached for the process beside the
+    """The presentation ideal over QQ by elimination, the lattice-route
+    ideal, whether the two routes agree, and the dimension and height of
+    the ideal.  One unit per map, cached for the process beside the
     ``groebner`` caches and with their bound, so a report on an algebra
-    already presented over that field derives none of it again; every
-    field is an immutable value, and each report builds its own checks."""
-    ideal = toric_ideal_elimination(mmap, dom)
-    lattice = toric_ideal_lattice(mmap, dom)
+    already presented derives none of it again; every field is an
+    immutable value, and each report builds its own checks.
+
+    The unit serves every characteristic.  Both routes are runs on
+    monomials and pure differences, which ``groebner._binomial_basis``
+    makes once for all fields (Eisenbud-Sturmfels, "Binomial ideals",
+    1996), so over GF(p) the ideal is ``_specialise(ideal, GF(p))``, the
+    lattice route has as many generators, the routes agree as they do over
+    QQ, and the initial ideal, hence the height, is the same."""
+    ideal = toric_ideal_elimination(mmap, QQ)
+    lattice = toric_ideal_lattice(mmap, QQ)
     return ideal, lattice, ideal_equal(ideal, lattice), krull_dim(ideal)
+
+
+def _specialise(ideal: Ideal, dom: CoeffDomain) -> Ideal:
+    """A reduced basis over QQ of monomials and monic pure differences,
+    read over ``dom``: its reduced basis there.  Any other element is a
+    fault of the shared runs and raises ``RuntimeError``."""
+    if dom == QQ:
+        return ideal
+    ring = PolyRing(ideal.ring.names, dom)
+    read = {1: dom.one, -1: dom.normalize(-1)}
+    gens = []
+    for g in ideal.generators:
+        if [c for _, c in g.terms] not in ([1], [1, -1]):
+            raise RuntimeError(f"{g} is not a monomial or a monic pure "
+                               f"difference; engine bug")
+        gens.append(Polynomial(ring, tuple([(m, read[c]) for m, c in g.terms])))
+    return Ideal(ring, gens)
 
 
 def _minimal_generator_details(ideal: Ideal) -> dict:
@@ -277,13 +302,14 @@ def _minimal_generator_details(ideal: Ideal) -> dict:
 
 
 def _ci_result(name: str, rep: CIReport, ring: PolyRing,
-               **extra: object) -> Check:
-    """A localized-CI report as a check."""
+               candidates: Sequence[Polynomial], **extra: object) -> Check:
+    """A localized-CI report as a check, with the candidates written over
+    the field of ``ring``."""
     return _check(
         name, rep.verified,
         inverted=ring.names[rep.inverted],
         **extra,
-        candidates=[str(f) for f in rep.candidates],
+        candidates=[str(f) for f in candidates],
         candidates_in_ideal=rep.candidates_in_ideal,
         generates_after_saturation=rep.generates_after_saturation,
         count_matches_height=rep.count_matches_height)
@@ -319,20 +345,33 @@ def _height_constancy(heights: Mapping[int, int]) -> Check:
 def _characteristic_checks(
         mmap: MonomialMap, doms: Sequence[tuple[int, CoeffDomain]],
         height: Callable, charts: Callable, cover: tuple[int, ...],
-) -> tuple[dict[int, Ideal], dict[int, int], list[Check]]:
-    """The presentation ideal and its height over each characteristic, and
-    the checks: per characteristic the toric routes (with minimal generators
+) -> tuple[dict[int, Ideal], int, list[Check]]:
+    """The presentation ideal over each characteristic, its height, and the
+    checks: per characteristic the toric routes (with minimal generators
     in characteristic zero), the caller's ``height(label, dims)``, a
-    localized-CI check for each (inverted t-index, candidates, details)
-    that ``charts(dom, ring)`` yields, and the radical cover of ``cover``
-    when it is nonempty; then the height constancy across them."""
+    localized-CI check for each (inverted t-index, candidates, details,
+    derived) that ``charts(dom, ring)`` yields, and the radical cover of
+    ``cover`` when it is nonempty; then the height constancy across them.
+
+    The routes and the height are computed once, over QQ, and serve every
+    characteristic (``_presentation``).  So is the cover: t_j^e lies in
+    I + (t_i : i in cover) exactly when e*a_j - a_i lies in the semigroup
+    of the targets a for some i in the cover (Eisenbud-Sturmfels,
+    "Binomial ideals", 1996), which no field enters, so its verdict and
+    least exponents are those of every field.  So are the CI verdicts of
+    the derived charts, whose candidates are pure differences with the
+    same monomials in every field; only their candidates are written per
+    field.  A chart that is not derived runs in each field, since its
+    coefficients may vanish mod p.  Each record gets its own details."""
+    ideal, lattice, agree, dims = _presentation(mmap)
     ideals: dict[int, Ideal] = {}
-    heights: dict[int, int] = {}
     checks: list[Check] = []
+    derived_reports: dict[int, CIReport] = {}
+    covered = None
     for char, dom in doms:
         label = f"char_{char}"
-        ideal, lattice, agree, dims = _presentation(mmap, dom)
-        ring = ideal.ring
+        ideals[char] = field_ideal = _specialise(ideal, dom)
+        ring = field_ideal.ring
         route_details: dict[str, object] = {
             "generators": len(ideal.generators),
             "lattice_generators": len(lattice.generators),
@@ -344,17 +383,23 @@ def _characteristic_checks(
 
         checks.append(height(label, dims))
 
-        for inv, cands, details in charts(dom, ring):
+        for inv, cands, details, derived in charts(dom, ring):
+            rep = derived_reports.get(inv) if derived else None
+            if rep is None:
+                rep = ci_check(field_ideal, cands, inv, dims.height)
+                if derived:
+                    derived_reports[inv] = rep
             checks.append(_ci_result(
-                f"localized_ci_{label}_{ring.names[inv]}",
-                ci_check(ideal, cands, inv, dims.height), ring, **details))
+                f"localized_ci_{label}_{ring.names[inv]}", rep, ring, cands,
+                **details))
 
         if cover:
-            checks.append(_cover_result(f"radical_cover_{label}", ideal,
-                                        cover))
-        ideals[char], heights[char] = ideal, dims.height
-    checks.append(_height_constancy(heights))
-    return ideals, heights, checks
+            if covered is None:
+                covered = _cover_result("radical_cover", ideal, cover)
+            checks.append(_check(f"radical_cover_{label}", covered.verdict,
+                                 **deepcopy(covered.details)))
+    checks.append(_height_constancy({char: dims.height for char, _ in doms}))
+    return ideals, dims.height, checks
 
 
 def _veronese_charts(mmap: MonomialMap, pure_power_of: bool) -> Callable:
@@ -364,7 +409,8 @@ def _veronese_charts(mmap: MonomialMap, pure_power_of: bool) -> Callable:
     def charts(dom: CoeffDomain, ring: PolyRing):
         for j in range(mmap.k):
             yield (*ci_sequence(mmap, j, dom),
-                   {"pure_power_of": f"x{j + 1}"} if pure_power_of else {})
+                   {"pure_power_of": f"x{j + 1}"} if pure_power_of else {},
+                   True)
     return charts
 
 
@@ -469,8 +515,12 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
                    ) -> Report:
     """Certificate that cohomological dimension equals height for the
     degree-n Veronese presentation ideal in k ambient variables: every
-    desk-checkable ingredient, over the rationals and over each requested
-    prime field, plus the two closed-form graded computations."""
+    desk-checkable ingredient, plus the two closed-form graded
+    computations.  The toric routes, the height, the localized-CI
+    verdicts and the radical cover are computed once, over the rationals,
+    and recorded for each requested prime field as well, since they read
+    the same there (``_specialise``, ``_characteristic_checks``); the
+    F-purity of each prime field is checked in that field."""
     mmap = _capped_veronese_map(k, n)
     doms = _characteristics(primes)
     expected = mmap.d - k
@@ -552,7 +602,7 @@ def present_monomial_algebra(
         def charts(dom: CoeffDomain, ring: PolyRing):
             for i in sorted(ci_candidates or ()):
                 text = ",".join(ci_candidates[i])
-                yield i, parse_polynomial_list(text, ring), {}
+                yield i, parse_polynomial_list(text, ring), {}, False
 
     if fpurity_witness is not None:
         pair = tuple(fpurity_witness)
@@ -566,7 +616,7 @@ def present_monomial_algebra(
         subset = _pure_power_indices(mmap) if is_veronese else ()
 
     nullity = len(kernel)
-    ideals, heights, checks = _characteristic_checks(
+    ideals, height, checks = _characteristic_checks(
         mmap, doms,
         lambda label, dims: _check(
             f"height_matches_lattice_nullity_{label}", dims.height == nullity,
@@ -631,9 +681,8 @@ def present_monomial_algebra(
             implies_not_f_pure=implies_not_f_pure))
 
     verdict = all(c.verdict for c in checks)
-    height = heights[0] if len(set(heights.values())) == 1 else None
     # at least one chart: the k >= 1 derived ones, or some given ones
-    concluded = (verdict and height is not None and normalization_certified
+    concluded = (verdict and normalization_certified
                  and (derived or bool(ci_candidates)) and bool(subset))
     params = {"targets": [list(t) for t in mmap.targets],
               "characteristics": [c for c, _ in doms], "height": height,
@@ -651,11 +700,13 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
                  generators: Optional[Sequence[str]] = None,
                  primes: Sequence[int] = (2, 3, 5)) -> Report:
     """Compare heights across characteristics, either of the toric ideal of
-    target monomials (both routes cross-checked per characteristic) or of an
-    ideal given by generator strings re-parsed over every field; the params
-    hold the heights and their constancy flag.  The generators are parsed as
-    one comma-separated list, so the column of a ``ParseError`` counts in
-    their comma-joined text."""
+    target monomials (both routes cross-checked once, over QQ, and that
+    agreement and height recorded for every characteristic, since the
+    ideal over GF(p) is the rational one read mod p, ``_specialise``) or
+    of an ideal given by generator strings re-parsed over every field; the
+    params hold the heights and their constancy flag.  The generators are
+    parsed as one comma-separated list, so the column of a ``ParseError``
+    counts in their comma-joined text."""
     doms = _characteristics(primes)
     checks: list[Check] = []
     heights: dict[int, int] = {}
@@ -669,8 +720,8 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
         mmap = MonomialMap(targets)
         description = "toric ideal of " + "; ".join(
             ",".join(str(e) for e in t) for t in mmap.targets)
-        for char, dom in doms:
-            _, _, agree, dims = _presentation(mmap, dom)
+        _, _, agree, dims = _presentation(mmap)
+        for char, _ in doms:
             checks.append(_check(f"toric_routes_agree_char_{char}", agree))
             heights[char] = dims.height
     else:

@@ -14,6 +14,11 @@ import pytest
 import veronese
 from veronese import groebner, pipeline
 from veronese.cli import main
+from veronese.groebner import ideal_equal
+from veronese.invariants import krull_dim
+from veronese.toric import (
+    ci_check, toric_ideal_elimination, toric_ideal_lattice,
+)
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,23 +32,62 @@ def perfbench_module(name: str):
     return module
 
 
-def replay_reports() -> None:
+def per_characteristic_checks(mmap, doms, height, charts, cover):
+    """``pipeline._characteristic_checks`` as it was before one computation
+    served every characteristic, the oracle of the shared one: in each
+    field its own toric routes, height, localized-CI checks and radical
+    cover."""
+    ideals, heights, checks = {}, {}, []
+    for char, dom in doms:
+        label = f"char_{char}"
+        ideal = toric_ideal_elimination(mmap, dom)
+        lattice = toric_ideal_lattice(mmap, dom)
+        dims = krull_dim(ideal)
+        ring = ideal.ring
+        details = {"generators": len(ideal.generators),
+                   "lattice_generators": len(lattice.generators)}
+        if char == 0:
+            details.update(pipeline._minimal_generator_details(ideal))
+        checks.append(pipeline._check(f"toric_routes_agree_{label}",
+                                      ideal_equal(ideal, lattice), **details))
+        checks.append(height(label, dims))
+        for inv, cands, details, _ in charts(dom, ring):
+            rep = ci_check(ideal, cands, inv, dims.height)
+            checks.append(pipeline._ci_result(
+                f"localized_ci_{label}_{ring.names[inv]}", rep, ring,
+                rep.candidates, **details))
+        if cover:
+            checks.append(pipeline._cover_result(f"radical_cover_{label}",
+                                                 ideal, cover))
+        ideals[char], heights[char] = ideal, dims.height
+    checks.append(pipeline._height_constancy(heights))
+    constant = len(set(heights.values())) == 1
+    return ideals, heights[0] if constant else None, checks
+
+
+def replay_reports(per_field: bool = False) -> None:
     """Every golden case through ``main`` and every perfbench library
     report of seeds 3 and 5, output discarded, for tests that record what
     these reports ask of the library.  The caches are cleared first, so
-    that no presentation left by an earlier test spares a request."""
+    that no presentation left by an earlier test spares a request.  With
+    ``per_field`` the checks are built by ``per_characteristic_checks``,
+    so the replay asks for what each field's checks take on their own."""
     from test_golden_reports import CASES
     _clear_groebner_caches()
     workloads = perfbench_module("workloads")
     session = perfbench_module("session")
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        for argv in CASES.values():
-            main(argv)
-    for generate in workloads.GENERATORS.values():
-        for seed in (3, 5):
-            for spec in generate(seed):
-                session.library_report(veronese, spec)
+    with pytest.MonkeyPatch.context() as patch:
+        if per_field:
+            patch.setattr(pipeline, "_characteristic_checks",
+                          per_characteristic_checks)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in CASES.values():
+                main(argv)
+        for generate in workloads.GENERATORS.values():
+            for seed in (3, 5):
+                for spec in generate(seed):
+                    session.library_report(veronese, spec)
 
 
 class FifoEngine(groebner._Engine):

@@ -10,6 +10,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import per_characteristic_checks
+from veronese import pipeline
 from veronese.cli import main
 
 _NAMES = ("x", "y", "z")
@@ -42,6 +44,12 @@ def _monomial(rng, names, deg):
         if e:
             factors.append(nm if e == 1 else f"{nm}^{e}")
     return "*".join(factors) or "1"
+
+
+def _monomial_exponents(rng, dim, deg):
+    """A random exponent vector of length ``dim`` and degree ``deg``."""
+    cuts = sorted(rng.randint(0, deg) for _ in range(dim - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, deg])]
 
 
 def _degree(rng):
@@ -183,3 +191,47 @@ def test_char_compare_every_mode_flag_subset_exits_cleanly(capsys, flags):
         assert code in ((0, 1, 2, 3) if valid else (2,)), (argv, code, err)
         assert "Traceback" not in err and "internal error" not in err, \
             (argv, err)
+
+
+def test_shared_cover_exits_as_the_per_field_checks(capsys, monkeypatch):
+    """``present`` with a radical subset, its checks built once for every
+    characteristic and, by ``per_characteristic_checks``, in each field on
+    its own: the same exit and the same bytes, so no input that reports
+    when each field is checked on its own exits 3 or 4 when they share one
+    computation.  The first input's cover fails: t1 and t3 are outside
+    rad(I + (t2))."""
+    rng = random.Random(20261019)
+    inputs = [["present", "--targets", "1,1,1;1,0,0;0,1,0", "--primes", "2",
+               "--radical-subset", "t2"]]
+    while len(inputs) < 60:
+        # half of them of one degree, whose toric ideals are standard
+        # graded, so that the report reaches its cover
+        argv = _argv(rng, "present")
+        if rng.random() < 0.5:
+            k, n = rng.randint(2, 3), rng.randint(1, 3)
+            degree_n = sorted({tuple(_monomial_exponents(rng, k, n))
+                               for _ in range(6)})
+            argv[2] = ";".join(",".join(map(str, t)) for t in degree_n)
+        d = argv[2].count(";") + 1
+        names = [f"t{i}" for i in rng.sample(range(1, d + 1),
+                                             rng.randint(1, d))]
+        argv += ["--radical-subset", ",".join(names)]
+        inputs.append(argv)
+    codes, covers = set(), []
+    for argv in inputs:
+        runs = []
+        for oracle in (False, True):
+            with monkeypatch.context() as patch:
+                if oracle:
+                    patch.setattr(pipeline, "_characteristic_checks",
+                                  per_characteristic_checks)
+                code = main(argv)
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1], argv
+        code, (out, _) = runs[0]
+        assert code in (0, 1, 2, 3), (argv, runs[0])
+        codes.add(code)
+        if '"radical_cover_char_0"' in out:
+            covers.append('"member": false' not in out)
+    assert {0, 1, 2} <= codes
+    assert sum(covers) > 10 and len(covers) - sum(covers) > 10, covers

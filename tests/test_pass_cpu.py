@@ -1,0 +1,50 @@
+"""The paired CPU probe ``tools/pass_cpu.py``: its summary of per-pair
+ratios, and a smoke run of one pair of the package against itself."""
+from __future__ import annotations
+
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import veronese
+
+_SRC = Path(veronese.__file__).resolve().parent.parent
+_TOOL = _SRC.parent / "tools" / "pass_cpu.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("pass_cpu", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_summary_reads_median_quartiles_and_wins():
+    summary = _tool().summary
+    assert summary([0.8, 0.9, 1.0, 1.1, 0.7]) == (
+        "median ratio 0.900, quartiles 0.800 1.000, wins 3/5")
+    assert summary([1.25]) == (
+        "median ratio 1.250, quartiles 1.250 1.250, wins 0/1")
+
+
+def test_one_pair_of_the_package_against_itself():
+    done = subprocess.run(
+        [sys.executable, str(_TOOL), str(_SRC), str(_SRC), "--pairs", "1",
+         "--workload", "char-sweep", "--clear-caches"],
+        capture_output=True, text=True, timeout=300, check=True)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 and done.stderr == ""
+    assert re.fullmatch(r"pair 1: parent \d+\.\d{4} s, change \d+\.\d{4} s, "
+                        r"ratio \d+\.\d{3}", lines[0])
+    assert re.fullmatch(r"median ratio \d+\.\d{3}, quartiles \d+\.\d{3} "
+                        r"\d+\.\d{3}, wins [01]/1", lines[1])
+
+
+def test_a_tree_without_the_package_is_refused(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(_TOOL), str(_SRC), str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert f"no veronese package under {tmp_path}" in done.stderr

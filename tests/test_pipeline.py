@@ -107,7 +107,10 @@ def test_failing_cover_skips_variables_without_a_pure_power_lead(monkeypatch):
 @pytest.fixture(scope="module")
 def report_covers():
     """(ideal, subset) of every radical cover that the golden cases and
-    the perfbench library reports of seeds 3 and 5 take."""
+    the perfbench library reports of seeds 3 and 5 take in each field,
+    with the checks built in each field on its own: the reports take one
+    cover for all fields, over QQ, which would leave this oracle one ideal
+    per algebra."""
     covers = {}
     cover = pipeline._radical_cover
 
@@ -117,7 +120,7 @@ def report_covers():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "_radical_cover", record)
-        replay_reports()
+        replay_reports(per_field=True)
     return list(covers)
 
 
