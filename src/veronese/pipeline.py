@@ -29,8 +29,8 @@ from .polycore import (
     parse_polynomial_list,
 )
 from .groebner import (
-    Ideal, _least_power_member, buchberger, ideal_equal, ideal_sum,
-    radical_member,
+    Ideal, _least_power_member, _pure_difference, buchberger, ideal_equal,
+    ideal_sum, radical_member,
 )
 from .toric import (
     CIReport, MonomialMap, _veronese_targets, ci_check, ci_sequence,
@@ -278,21 +278,30 @@ def _presentation(mmap: MonomialMap
     return ideal, lattice, ideal_equal(ideal, lattice), krull_dim(ideal)
 
 
+def _read(polys: Sequence[Polynomial], ring: PolyRing
+          ) -> tuple[Polynomial, ...]:
+    """Polynomials over QQ with integer coefficients, read into ``ring``:
+    each coefficient normalized in its field, the vanishing terms dropped
+    and the grevlex order kept.  That is what a parse, or a derivation, in
+    that field gives, since reduction mod p commutes with both."""
+    normalize = ring.domain.normalize
+    return tuple(Polynomial(ring, tuple([(m, r) for m, c in f.terms
+                                         if (r := normalize(c))]))
+                 for f in polys)
+
+
 def _specialise(ideal: Ideal, dom: CoeffDomain) -> Ideal:
     """A reduced basis over QQ of monomials and monic pure differences,
     read over ``dom``: its reduced basis there.  Any other element is a
     fault of the shared runs and raises ``RuntimeError``."""
     if dom == QQ:
         return ideal
-    ring = PolyRing(ideal.ring.names, dom)
-    read = {1: dom.one, -1: dom.normalize(-1)}
-    gens = []
     for g in ideal.generators:
         if [c for _, c in g.terms] not in ([1], [1, -1]):
             raise RuntimeError(f"{g} is not a monomial or a monic pure "
                                f"difference; engine bug")
-        gens.append(Polynomial(ring, tuple([(m, read[c]) for m, c in g.terms])))
-    return Ideal(ring, gens)
+    ring = PolyRing(ideal.ring.names, dom)
+    return Ideal(ring, _read(ideal.generators, ring))
 
 
 def _minimal_generator_details(ideal: Ideal) -> dict:
@@ -344,30 +353,38 @@ def _height_constancy(heights: Mapping[int, int]) -> Check:
 
 def _characteristic_checks(
         mmap: MonomialMap, doms: Sequence[tuple[int, CoeffDomain]],
-        height: Callable, charts: Callable, cover: tuple[int, ...],
+        height: Callable,
+        charts: Sequence[tuple[int, tuple[Polynomial, ...], dict]],
+        cover: tuple[int, ...],
 ) -> tuple[dict[int, Ideal], int, list[Check]]:
     """The presentation ideal over each characteristic, its height, and the
     checks: per characteristic the toric routes (with minimal generators
     in characteristic zero), the caller's ``height(label, dims)``, a
-    localized-CI check for each (inverted t-index, candidates, details,
-    derived) that ``charts(dom, ring)`` yields, and the radical cover of
-    ``cover`` when it is nonempty; then the height constancy across them.
+    localized-CI check for each chart (inverted t-index, candidates over
+    QQ, details), its candidates read into the field (``_read``), and the
+    radical cover of ``cover`` when it is nonempty; then the height
+    constancy across them.
 
     The routes and the height are computed once, over QQ, and serve every
     characteristic (``_presentation``).  So is the cover: t_j^e lies in
     I + (t_i : i in cover) exactly when e*a_j - a_i lies in the semigroup
     of the targets a for some i in the cover (Eisenbud-Sturmfels,
     "Binomial ideals", 1996), which no field enters, so its verdict and
-    least exponents are those of every field.  So are the CI verdicts of
-    the derived charts, whose candidates are pure differences with the
-    same monomials in every field; only their candidates are written per
-    field.  A chart that is not derived runs in each field, since its
-    coefficients may vanish mod p.  Each record gets its own details."""
+    least exponents are those of every field.  So is the CI verdict of a
+    chart whose candidates are all +-m or +-(m1 - m2): on those and the
+    toric ideal every run makes the same monomial steps in every field
+    (``groebner._binomial_basis``).  A chart with any other coefficient is
+    checked in each field, since its coefficients may vanish mod p.  Each
+    record gets its own details."""
     ideal, lattice, agree, dims = _presentation(mmap)
+    # each chart's report over QQ, and whether it serves every field
+    reports = [(ci_check(ideal, cands, inv, dims.height),
+                all(_pure_difference(f) is not None
+                    and f.terms[0][1] in (1, -1) for f in cands))
+               for inv, cands, _ in charts]
+    covered = cover and _cover_result("radical_cover", ideal, cover)
     ideals: dict[int, Ideal] = {}
     checks: list[Check] = []
-    derived_reports: dict[int, CIReport] = {}
-    covered = None
     for char, dom in doms:
         label = f"char_{char}"
         ideals[char] = field_ideal = _specialise(ideal, dom)
@@ -383,35 +400,19 @@ def _characteristic_checks(
 
         checks.append(height(label, dims))
 
-        for inv, cands, details, derived in charts(dom, ring):
-            rep = derived_reports.get(inv) if derived else None
-            if rep is None:
+        for (inv, cands, details), (rep, shared) in zip(charts, reports):
+            cands = _read(cands, ring)
+            if char and not shared:
                 rep = ci_check(field_ideal, cands, inv, dims.height)
-                if derived:
-                    derived_reports[inv] = rep
             checks.append(_ci_result(
                 f"localized_ci_{label}_{ring.names[inv]}", rep, ring, cands,
                 **details))
 
         if cover:
-            if covered is None:
-                covered = _cover_result("radical_cover", ideal, cover)
             checks.append(_check(f"radical_cover_{label}", covered.verdict,
                                  **deepcopy(covered.details)))
     checks.append(_height_constancy({char: dims.height for char, _ in doms}))
     return ideals, dims.height, checks
-
-
-def _veronese_charts(mmap: MonomialMap, pure_power_of: bool) -> Callable:
-    """The ``charts`` of a Veronese map for ``_characteristic_checks``: per
-    ambient variable x_j the chart of its pure power with the derived
-    candidates, the details naming x_j when ``pure_power_of``."""
-    def charts(dom: CoeffDomain, ring: PolyRing):
-        for j in range(mmap.k):
-            yield (*ci_sequence(mmap, j, dom),
-                   {"pure_power_of": f"x{j + 1}"} if pure_power_of else {},
-                   True)
-    return charts
 
 
 def _capped_veronese_map(k: int, n: int) -> MonomialMap:
@@ -528,10 +529,12 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     ideals, _, checks = _characteristic_checks(
         mmap, doms,
         lambda label, dims: _height_check(f"height_{label}", dims, expected),
-        _veronese_charts(mmap, pure_power_of=True), _pure_power_indices(mmap))
+        [(*ci_sequence(mmap, j), {"pure_power_of": f"x{j + 1}"})
+         for j in range(k)],
+        _pure_power_indices(mmap))
 
     if n == 2:
-        minors = symmetric_minors_ideal(k, QQ)
+        minors = symmetric_minors_ideal(k)
         checks.append(_check(
             "symmetric_minors_match", ideal_equal(ideals[0], minors),
             minor_count=len(minors.generators)))
@@ -569,8 +572,10 @@ def present_monomial_algebra(
 
     ``radical_subset`` and the keys of ``ci_candidates`` are 0-based source
     variable indices; the candidate polynomials of a chart are strings in
-    t1..td, parsed over every characteristic as one comma-separated list,
-    so the column of a ``ParseError`` counts in their comma-joined text.
+    t1..td, parsed once over QQ, read into each field, as one
+    comma-separated list, so the column of a ``ParseError`` counts in their
+    comma-joined text.  They are parsed after the other inputs are
+    checked.
     ``fpurity_witness`` is a pair (numerator vector, generator vector) of
     semigroup elements whose failed base containment plus successful p-fold
     containment certifies non-F-purity.  Both default to the pure-power
@@ -588,21 +593,12 @@ def present_monomial_algebra(
     doms = _characteristics(primes)
     is_veronese = mmap.veronese_degree() is not None
 
-    derived = ci_candidates is None and is_veronese
-    if derived:
-        charts = _veronese_charts(mmap, pure_power_of=False)
-    else:
-        for i in ci_candidates or ():
-            if not _is_int(i) or i not in range(mmap.d):
-                raise ValueError(f"chart variable index {i!r} out of range")
-            if isinstance(ci_candidates[i], str):
-                raise ValueError(f"the candidates of chart {i} must be a "
-                                 f"list of strings, not one string")
-
-        def charts(dom: CoeffDomain, ring: PolyRing):
-            for i in sorted(ci_candidates or ()):
-                text = ",".join(ci_candidates[i])
-                yield i, parse_polynomial_list(text, ring), {}, False
+    for i in ci_candidates or ():
+        if not _is_int(i) or i not in range(mmap.d):
+            raise ValueError(f"chart variable index {i!r} out of range")
+        if isinstance(ci_candidates[i], str):
+            raise ValueError(f"the candidates of chart {i} must be a "
+                             f"list of strings, not one string")
 
     if fpurity_witness is not None:
         pair = tuple(fpurity_witness)
@@ -614,6 +610,14 @@ def present_monomial_algebra(
         subset = _naturals(radical_subset)
     else:
         subset = _pure_power_indices(mmap) if is_veronese else ()
+
+    if ci_candidates is None and is_veronese:
+        charts = [(*ci_sequence(mmap, j), {}) for j in range(mmap.k)]
+    else:
+        ring = mmap.source_ring()
+        charts = [(i, tuple(parse_polynomial_list(",".join(ci_candidates[i]),
+                                                  ring)), {})
+                  for i in sorted(ci_candidates or ())]
 
     nullity = len(kernel)
     ideals, height, checks = _characteristic_checks(
@@ -681,9 +685,8 @@ def present_monomial_algebra(
             implies_not_f_pure=implies_not_f_pure))
 
     verdict = all(c.verdict for c in checks)
-    # at least one chart: the k >= 1 derived ones, or some given ones
-    concluded = (verdict and normalization_certified
-                 and (derived or bool(ci_candidates)) and bool(subset))
+    concluded = (verdict and normalization_certified and bool(charts)
+                 and bool(subset))
     params = {"targets": [list(t) for t in mmap.targets],
               "characteristics": [c for c, _ in doms], "height": height,
               "cohomological_dimension": height if concluded else None}
@@ -703,10 +706,11 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
     target monomials (both routes cross-checked once, over QQ, and that
     agreement and height recorded for every characteristic, since the
     ideal over GF(p) is the rational one read mod p, ``_specialise``) or
-    of an ideal given by generator strings re-parsed over every field; the
-    params hold the heights and their constancy flag.  The generators are
-    parsed as one comma-separated list, so the column of a ``ParseError``
-    counts in their comma-joined text."""
+    of an ideal given by generator strings parsed once over QQ, read into
+    each field (``_read``); the params hold the heights and their
+    constancy flag.  The generators are parsed as one comma-separated
+    list, so the column of a ``ParseError`` counts in their comma-joined
+    text."""
     doms = _characteristics(primes)
     checks: list[Check] = []
     heights: dict[int, int] = {}
@@ -729,11 +733,11 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
         ensure_within_cap(len(names))
         description = (f"ideal ({', '.join(g.strip() for g in generators)})"
                        f" in {', '.join(names)}")
-        text = ",".join(generators)
+        gens = (parse_polynomial_list(",".join(generators), PolyRing(names))
+                if generators else ())
         for char, dom in doms:
             ring = PolyRing(names, dom)
-            gens = parse_polynomial_list(text, ring) if generators else ()
-            heights[char] = krull_dim(Ideal(ring, gens)).height
+            heights[char] = krull_dim(Ideal(ring, _read(gens, ring))).height
 
     checks.append(_height_constancy(heights))
     params = {"description": description,

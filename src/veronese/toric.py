@@ -297,8 +297,7 @@ class CIReport(_Record):
     __slots__ = __match_args__
 
 
-def ci_sequence(mmap: MonomialMap, pure_power_index: int,
-                domain: CoeffDomain = QQ
+def ci_sequence(mmap: MonomialMap, pure_power_index: int
                 ) -> tuple[int, tuple[Polynomial, ...]]:
     """For a Veronese map and the x-variable j = pure_power_index, the index
     of the t-variable mapping to x_j^n and one cleared binomial per target
@@ -309,6 +308,9 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int,
     where t_i maps to x_j^n and t_{s(l)} maps to x_j^(n-1) x_l.  These clear
     the denominators of the fractions expressing each t_m after inverting
     t_i, so they generate the localized ideal; there are exactly d - k.
+    The binomials are over QQ; being monic pure differences, they read into
+    a prime field coefficient by coefficient (``pipeline._read``), which
+    gives what the same derivation there would.
     A derivation that breaks that count, or the closed form of its first
     and last entries, is a fault of this code and raises RuntimeError.
     """
@@ -320,7 +322,7 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int,
     _require_ints(pure_power_index=j)
     if not 0 <= j < k:
         raise ValueError(f"x-variable index {j} out of range")
-    ring = mmap.source_ring(domain)
+    ring = mmap.source_ring()
     index_of = {t: i for i, t in enumerate(mmap.targets)}
 
     pure = tuple(n if i == j else 0 for i in range(k))
@@ -413,14 +415,15 @@ def symmetric_matrix_entries(n: int) -> list[list[int]]:
             M[i][j] = index_of[t]
     return M
 
-def symmetric_minors_ideal(n: int, domain: CoeffDomain = QQ) -> Ideal:
+def symmetric_minors_ideal(n: int) -> Ideal:
     """Ideal of 2x2 minors of the generic symmetric n x n matrix, written in
-    the C(n+1,2) variables t_m of the quadratic Veronese source ring."""
+    the C(n+1,2) variables t_m of the quadratic Veronese source ring, over
+    QQ."""
     _require_ints(n=n)
     if n < 1:
         raise ValueError("n must be at least 1")
     mmap = veronese_map(n, 2)
-    ring = mmap.source_ring(domain)
+    ring = mmap.source_ring()
     M = symmetric_matrix_entries(n)
     seen = set()
     gens = []

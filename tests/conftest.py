@@ -36,7 +36,8 @@ def per_characteristic_checks(mmap, doms, height, charts, cover):
     """``pipeline._characteristic_checks`` as it was before one computation
     served every characteristic, the oracle of the shared one: in each
     field its own toric routes, height, localized-CI checks and radical
-    cover."""
+    cover.  Each chart's candidates over QQ are rebuilt in the field from
+    their term dicts, and every chart is checked in every field."""
     ideals, heights, checks = {}, {}, []
     for char, dom in doms:
         label = f"char_{char}"
@@ -51,7 +52,8 @@ def per_characteristic_checks(mmap, doms, height, charts, cover):
         checks.append(pipeline._check(f"toric_routes_agree_{label}",
                                       ideal_equal(ideal, lattice), **details))
         checks.append(height(label, dims))
-        for inv, cands, details, _ in charts(dom, ring):
+        for inv, cands, details in charts:
+            cands = [ring.from_dict(dict(f.terms)) for f in cands]
             rep = ci_check(ideal, cands, inv, dims.height)
             checks.append(pipeline._ci_result(
                 f"localized_ci_{label}_{ring.names[inv]}", rep, ring,

@@ -52,6 +52,34 @@ def _monomial_exponents(rng, dim, deg):
     return [b - a for a, b in zip([0, *cuts], [*cuts, deg])]
 
 
+def _targets(rng, dim):
+    """Targets in ``dim`` variables, half of the time all of one degree:
+    their toric ideals are standard graded, so that ``present`` reaches
+    its checks."""
+    if rng.random() < 0.5:
+        return _vectors(rng, dim)
+    n = rng.randint(1, 3)
+    one_degree = sorted({tuple(_monomial_exponents(rng, dim, n))
+                         for _ in range(6)})
+    return ";".join(",".join(map(str, t)) for t in one_degree)
+
+
+def _chart(rng, d, c):
+    """A ``--ci`` value: one of t1..td and up to three monomials and
+    binomials m1 - m2 of one degree, each times ``c``.  With "" or "-",
+    the shape whose CI verdict every field shares; with "2*" or "3*", one
+    that vanishes in some field, so each field checks it."""
+    names = [f"t{i}" for i in range(1, d + 1)]
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        deg = rng.randint(1, 3)
+        body = _monomial(rng, names, deg)
+        if rng.random() < 0.8:
+            body = f"({body}-{_monomial(rng, names, deg)})"
+        polys.append(c + body)
+    return f"{rng.choice(names)}:{','.join(polys)}"
+
+
 def _degree(rng):
     return 0 if rng.random() < 0.1 else rng.randint(1, 3)
 
@@ -93,13 +121,16 @@ def _argv(rng, command):
                 "--char", rng.choice(("0", _prime(rng)))]
     if command == "present":
         dim = rng.randint(1, 3)
-        argv = [command, "--targets", _vectors(rng, dim),
-                "--primes", _primes(rng)]
+        targets = _targets(rng, dim)
+        # the names of the source ring
+        d = targets.count(";") + 1
+        names = tuple(f"t{i}" for i in range(1, d + 1))
+        argv = [command, "--targets", targets, "--primes", _primes(rng)]
         if rng.random() < 0.3:
-            argv += ["--radical-subset", f"t{rng.randint(1, 3)}"]
+            argv += ["--radical-subset", f"t{rng.randint(1, d)}"]
         if rng.random() < 0.3:
-            polys = _polys(rng, ("t1", "t2", "t3")).replace(" ", "")
-            argv += ["--ci", f"t{rng.randint(1, 3)}:{polys}"]
+            polys = _polys(rng, names).replace(" ", "")
+            argv += ["--ci", f"t{rng.randint(1, d)}:{polys}"]
         if rng.random() < 0.3:
             argv += ["--fpurity-witness", f"{_vector(rng, dim)};"
                                           f"{_vector(rng, dim)}"]
@@ -161,6 +192,7 @@ _COMMANDS = ("veronese-ideal", "present", "height", "ci-check",
 def test_random_small_inputs_exit_cleanly(capsys):
     rng = random.Random(20261018)
     seen = set()
+    present_reports = 0
     for _ in range(_CASES):
         command = rng.choice(_COMMANDS)
         argv = _argv(rng, command)
@@ -173,7 +205,9 @@ def test_random_small_inputs_exit_cleanly(capsys):
         assert "Traceback" not in err and "internal error" not in err, \
             (argv, err)
         seen.add(command)
+        present_reports += command == "present" and code in (0, 1)
     assert seen == set(_COMMANDS)
+    assert present_reports >= 9
 
 
 @pytest.mark.parametrize("flags", [
@@ -194,31 +228,30 @@ def test_char_compare_every_mode_flag_subset_exits_cleanly(capsys, flags):
 
 
 def test_shared_cover_exits_as_the_per_field_checks(capsys, monkeypatch):
-    """``present`` with a radical subset, its checks built once for every
-    characteristic and, by ``per_characteristic_checks``, in each field on
-    its own: the same exit and the same bytes, so no input that reports
-    when each field is checked on its own exits 3 or 4 when they share one
-    computation.  The first input's cover fails: t1 and t3 are outside
-    rad(I + (t2))."""
+    """``present`` with a radical subset, and half of the time a chart,
+    its checks built once for every characteristic and, by
+    ``per_characteristic_checks``, in each field on its own: the same exit
+    and the same bytes, so no input that reports when each field is
+    checked on its own exits 3 or 4 when they share one computation.  The
+    first input's cover fails: t1 and t3 are outside rad(I + (t2))."""
     rng = random.Random(20261019)
-    inputs = [["present", "--targets", "1,1,1;1,0,0;0,1,0", "--primes", "2",
-               "--radical-subset", "t2"]]
-    while len(inputs) < 60:
-        # half of them of one degree, whose toric ideals are standard
-        # graded, so that the report reaches its cover
+    inputs = [(["present", "--targets", "1,1,1;1,0,0;0,1,0", "--primes", "2",
+                "--radical-subset", "t2"], None)]
+    while len(inputs) < 100:
         argv = _argv(rng, "present")
-        if rng.random() < 0.5:
-            k, n = rng.randint(2, 3), rng.randint(1, 3)
-            degree_n = sorted({tuple(_monomial_exponents(rng, k, n))
-                               for _ in range(6)})
-            argv[2] = ";".join(",".join(map(str, t)) for t in degree_n)
         d = argv[2].count(";") + 1
         names = [f"t{i}" for i in rng.sample(range(1, d + 1),
                                              rng.randint(1, d))]
         argv += ["--radical-subset", ",".join(names)]
-        inputs.append(argv)
-    codes, covers = set(), []
-    for argv in inputs:
+        # a chart of binomials with a unit coefficient, whose CI verdict
+        # is shared, or with 2 or 3, checked in each field
+        coefficient = None
+        if "--ci" not in argv and rng.random() < 0.5:
+            coefficient = rng.choice(("", "-", "2*", "3*"))
+            argv += ["--ci", _chart(rng, d, coefficient)]
+        inputs.append((argv, coefficient))
+    codes, covers, charts = set(), [], []
+    for argv, coefficient in inputs:
         runs = []
         for oracle in (False, True):
             with monkeypatch.context() as patch:
@@ -233,5 +266,8 @@ def test_shared_cover_exits_as_the_per_field_checks(capsys, monkeypatch):
         codes.add(code)
         if '"radical_cover_char_0"' in out:
             covers.append('"member": false' not in out)
+        if coefficient is not None and '"localized_ci_char_0_' in out:
+            charts.append(coefficient in ("", "-"))
     assert {0, 1, 2} <= codes
     assert sum(covers) > 10 and len(covers) - sum(covers) > 10, covers
+    assert sum(charts) >= 12 and len(charts) - sum(charts) >= 6, charts

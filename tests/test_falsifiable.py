@@ -66,8 +66,8 @@ def _minors_short_of_one(monkeypatch):
     """The symmetric-minors ideal loses its last generator."""
     minors = pipeline.symmetric_minors_ideal
 
-    def doctored(n, domain):
-        ideal = minors(n, domain)
+    def doctored(n):
+        ideal = minors(n)
         return Ideal(ideal.ring, ideal.generators[:-1])
 
     monkeypatch.setattr(pipeline, "symmetric_minors_ideal", doctored)

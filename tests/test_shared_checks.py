@@ -1,6 +1,7 @@
-"""One computation per algebra: the toric routes, the height, the derived
-localized-CI verdicts and the radical cover of a report are computed once,
-over QQ, and serve every characteristic.
+"""One computation per algebra: the toric routes, the height, the
+localized-CI verdicts of charts of +-1 binomials and monomials, and the
+radical cover of a report are computed once, over QQ, and serve every
+characteristic.
 
 The oracle, ``conftest.per_characteristic_checks``, builds every check in
 each field on its own; the reports it gives must be those of the shared
@@ -8,6 +9,7 @@ computation, byte for byte."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -15,6 +17,7 @@ from conftest import (
     _clear_groebner_caches, perfbench_module, per_characteristic_checks,
 )
 from test_golden_reports import CASES, _replay
+import test_cli_fuzz as fuzz
 
 import veronese
 from veronese import pipeline
@@ -24,8 +27,10 @@ from veronese.pipeline import (
     QUARTIC_CURVE_TARGETS, cd_certificate, char_compare,
     present_monomial_algebra,
 )
-from veronese.polycore import GF, PolyRing, Polynomial, QQ
-from veronese.toric import veronese_map
+from veronese.polycore import (
+    GF, ParseError, PolyRing, Polynomial, QQ, parse_polynomial_list,
+)
+from veronese.toric import ci_sequence, veronese_map
 
 _SEEDS = (3, 5, 7919)
 
@@ -118,10 +123,8 @@ def test_given_candidates_are_checked_in_each_field(monkeypatch):
     assert checks["localized_ci_char_3_t1"]["verdict"] is True
 
 
-def test_derived_charts_are_checked_once(monkeypatch, groebner_caches):
-    """The derived charts of a Veronese certificate are checked over QQ
-    only, whatever primes it names; their candidates are written in each
-    field."""
+def _ci_fields(monkeypatch) -> list:
+    """The field of each ``ci_check`` that ``pipeline`` runs, in order."""
     fields = []
     ci_check = pipeline.ci_check
 
@@ -130,6 +133,16 @@ def test_derived_charts_are_checked_once(monkeypatch, groebner_caches):
         return ci_check(ideal, *args)
 
     monkeypatch.setattr(pipeline, "ci_check", record)
+    return fields
+
+
+def test_unit_binomial_charts_are_checked_once(monkeypatch, groebner_caches):
+    """A chart whose candidates are all +-m or +-(m1 - m2) is checked over
+    QQ only, whatever primes the report names, and its candidates are
+    written in each field; the derived charts of a Veronese certificate
+    are such charts.  A chart with any other coefficient is checked once
+    in each field."""
+    fields = _ci_fields(monkeypatch)
     report = cd_certificate(2, 3, (2, 3, 5)).to_report()
     assert fields == [QQ, QQ]
     checks = {c["name"]: c for c in report["checks"]}
@@ -139,6 +152,39 @@ def test_derived_charts_are_checked_once(monkeypatch, groebner_caches):
         "t2^2 + t1*t3", "t2^3 + t1^2*t4"]
     assert checks["localized_ci_char_5_t1"]["details"]["candidates"] == [
         "4*t2^2 + t1*t3", "4*t2^3 + t1^2*t4"]
+
+    fields.clear()
+    report = present_monomial_algebra(
+        QUARTIC_CURVE_TARGETS, primes=(2, 3, 5), ci_candidates={
+            0: ["t2^3-t1^2*t3", "-t2*t3+t1*t4"],
+            1: ["-t1", "t2*t3-t1*t4"],
+            2: ["t2^3-t1^2*t3", "3*t2*t3-3*t1*t4"],
+            3: ["t3^3-t2*t4^2", "2*t4"]})
+    assert fields == [QQ] * 4 + [GF(2)] * 2 + [GF(3)] * 2 + [GF(5)] * 2
+    checks = {c.name: c for c in report.checks}
+    assert checks["localized_ci_char_3_t3"].details["candidates"] == [
+        "t2^3 + 2*t1^2*t3", "0"]
+    assert checks["localized_ci_char_2_t4"].details["candidates"] == [
+        "t3^3 + t2*t4^2", "0"]
+
+
+@pytest.mark.parametrize("ci", [
+    ["t1:t2^3-t1^2*t3,t2*t3-t1*t4", "t4:t3^3-t2*t4^2,-t2*t3+t1*t4"],
+    ["t1:-t2^3+t1^2*t3,-t1", "t3:t2*t3-t1*t4,t3^3-t2*t4^2"],
+    ["t1:2*t2^3-2*t1^2*t3,t2*t3-t1*t4", "t4:t3^3-t2*t4^2,3*t2*t3-3*t1*t4"],
+    ["t2:5*t2*t3-5*t1*t4,t2^3-t1^2*t3", "t4:t3^3-t2*t4^2,t2*t3+t1*t4"],
+    ["t1:t2^3-t1^2*t3,t2*t3-t1*t4", "t4:2*t3^3-2*t2*t4^2,t2*t3-t1*t4"],
+])
+def test_given_charts_equal_the_per_field_checks(monkeypatch, ci):
+    """Given charts of both shapes, those whose verdict is shared and those
+    checked in each field, give the oracle's bytes at p = 2, 3 and 5."""
+    argv = ["present", "--targets", "4,0;3,1;1,3;0,4", "--primes", "2,3,5",
+            "--radical-subset", "t1,t4"]
+    for chart in ci:
+        argv += ["--ci", chart]
+    shared, per_field = _both_ways(monkeypatch, lambda: _replay(argv))
+    assert shared == per_field
+    assert shared[1] == "" and shared[0]["exit_code"] in (0, 1)
 
 
 def test_a_specialised_ideal_must_be_pure_differences(monkeypatch, capsys):
@@ -186,3 +232,121 @@ def test_the_cover_is_computed_once(monkeypatch, groebner_caches):
     for a, b in zip(covers, covers[1:]):
         assert a.details == b.details
         assert a.details["witnesses"] is not b.details["witnesses"]
+
+
+# ---------------------------------------------------------------------------
+# the reader: built over QQ and read into a field, as if built in the field
+# ---------------------------------------------------------------------------
+
+_FIELDS = (GF(2), GF(3), GF(5))
+
+
+def _ci_binomials(mmap, j, ring):
+    """The chart of x_j of a Veronese map, built in ``ring`` from the
+    closed form: t_i^(c-1)*t_m minus the t_{s(l)} of the non-j letters l
+    of t_m, for each target with x_j-exponent n - c, c >= 2."""
+    n, k = mmap.veronese_degree(), mmap.k
+    index = {a: i for i, a in enumerate(mmap.targets)}
+    t = ring.variable
+    inv = index[tuple(n * (l == j) for l in range(k))]
+    binomials = []
+    for m, a in enumerate(mmap.targets):
+        if n - a[j] < 2:
+            continue
+        rhs = ring.one
+        for l in range(k):
+            if l != j:
+                near = tuple((n - 1) * (i == j) + (i == l) for i in range(k))
+                rhs = rhs * t(index[near]) ** a[l]
+        binomials.append(t(inv) ** (n - a[j] - 1) * t(m) - rhs)
+    return inv, tuple(binomials)
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_derived_charts_read_as_built_in_each_field(k, n):
+    mmap = veronese_map(k, n)
+    for j in range(k):
+        inv, candidates = ci_sequence(mmap, j)
+        assert (inv, candidates) == _ci_binomials(mmap, j, mmap.source_ring())
+        for dom in _FIELDS:
+            ring = mmap.source_ring(dom)
+            assert (inv, pipeline._read(candidates, ring)) == _ci_binomials(
+                mmap, j, ring)
+
+
+def _polynomial_texts():
+    """(ring names, text) of every --ci and --ideal value of the goldens,
+    and of 400 that the fuzz generators draw."""
+    texts = []
+    for argv in CASES.values():
+        flags = list(zip(argv, argv[1:]))
+        for flag, value in flags:
+            if flag == "--ci":
+                d = dict(flags)["--targets"].count(";") + 1
+                names = tuple(f"t{i + 1}" for i in range(d))
+                texts.append((names, value.partition(":")[2]))
+            elif flag == "--ideal":
+                texts.append((tuple(dict(flags)["--ring"].split(",")), value))
+    assert len(texts) == 10
+    rng = random.Random(20261020)
+    for _ in range(200):
+        names = fuzz._ring(rng)
+        texts.append((names, fuzz._polys(rng, names, rng.random() < 0.5)))
+        names = ("t1", "t2", "t3")
+        texts.append((names, fuzz._polys(rng, names).replace(" ", "")))
+    return texts
+
+
+def test_parsed_texts_read_as_parsed_in_each_field():
+    """Parsing over QQ and reading into GF(p) is parsing over GF(p)."""
+    cases = [(names, text, dom) for names, text in _polynomial_texts()
+             for dom in _FIELDS]
+    cases += [(("x",), "2*x", GF(3)), (("t1", "t2"), "3*t1 - 3*t2", GF(3))]
+    dropped = 0                 # read polynomials that lost a term
+    for names, text, dom in cases:
+        ring = PolyRing(names, dom)
+        over_qq = parse_polynomial_list(text, PolyRing(names))
+        read = pipeline._read(over_qq, ring)
+        assert read == tuple(parse_polynomial_list(text, ring)), (text, dom)
+        dropped += sum(len(f.terms) < len(g.terms)
+                       for f, g in zip(read, over_qq))
+    assert read == (ring.zero,)
+    assert dropped > 600
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: char_compare(ring_names=("x", "y"), generators=["x*y", " y^ "]),
+     ("exponent must be a nonnegative integer", 8)),
+    (lambda: char_compare(ring_names=("x", "y"), generators=["x", " z - y"]),
+     ("unknown variable 'z'", 3)),
+    (lambda: char_compare(ring_names=("x", "y"), generators=["x", ""],
+                          primes=(3,)),
+     ("empty polynomial in list", 2)),
+    (lambda: present_monomial_algebra(QUARTIC_CURVE_TARGETS, ci_candidates={
+        0: ["t2*t3-t1*t4", "t2^3 - t1^2*t5"]}),
+     ("unknown variable 't5'", 24)),
+    (lambda: present_monomial_algebra(QUARTIC_CURVE_TARGETS, ci_candidates={
+        3: ["t1", "t2 +* t3"], 0: ["t1"]}),
+     ("expected a variable, integer or '('", 7)),
+])
+def test_parse_errors_name_their_column(call, error):
+    """One parse over QQ gives the message and column that a parse in each
+    field gave, counted in the comma-joined text."""
+    with pytest.raises(ParseError) as caught:
+        call()
+    assert (caught.value.message, caught.value.position) == error
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"fpurity_witness": ((1, 1), (1, 1), (0, 1))},
+     "the purity witness must be a pair of vectors"),
+    ({"radical_subset": (-1,)}, r"expected nonnegative ints, got \(-1,\)"),
+    ({"primes": (4,)}, "PrimeField needs a prime, got 4"),
+])
+def test_bad_candidates_are_parsed_after_the_other_inputs(kwargs, message):
+    """A bad witness, subset or prime is refused before the candidates are
+    parsed, as when each field parsed them in its own checks."""
+    with pytest.raises(ValueError, match=message) as caught:
+        present_monomial_algebra(QUARTIC_CURVE_TARGETS,
+                                 ci_candidates={0: ["t1)"]}, **kwargs)
+    assert not isinstance(caught.value, ParseError)
