@@ -12,7 +12,8 @@ import time
 from typing import NoReturn, Optional, Sequence
 
 from .polycore import (
-    CoeffDomain, GF, ParseError, PolyRing, QQ, parse_polynomial_list,
+    CoeffDomain, GF, ParseError, PolyRing, Polynomial, QQ,
+    parse_polynomial_list,
 )
 from .groebner import Ideal
 from .invariants import krull_dim
@@ -139,7 +140,7 @@ def _cmd_present(args: argparse.Namespace) -> Report:
     if args.radical_subset is not None:
         subset = tuple(_variable_index(names, nm)
                        for nm in _split_list(args.radical_subset))
-    candidates: Optional[dict[int, list[str]]] = None
+    candidates: Optional[dict[int, list[Polynomial]]] = None
     if args.ci:
         ring = PolyRing(names)
         candidates = {}
@@ -151,14 +152,13 @@ def _cmd_present(args: argparse.Namespace) -> Report:
             idx = _variable_index(names, head.strip())
             if idx in candidates:
                 raise ValueError(f"repeated --ci variable {head.strip()!r}")
-            # parsed here too, so that a parse error names its column within
-            # this --ci value; the library parses the same text again
+            # parsed here, so that a parse error names its column within
+            # this --ci value; the library takes the polynomials as they are
             try:
-                parse_polynomial_list(tail, ring)
+                candidates[idx] = parse_polynomial_list(tail, ring)
             except ParseError as exc:
                 raise ParseError(exc.message,
                                  len(head) + len(sep) + exc.position) from None
-            candidates[idx] = tail.split(",")
     witness = (None if args.fpurity_witness is None
                else _parse_targets(args.fpurity_witness))
     return present_monomial_algebra(

@@ -4,22 +4,34 @@ The engine keeps every basis element monic with its tail stored separately.
 Inside a run every monomial is one packed int (``polycore._Packing``, after
 Monagan and Pearce 2011): the int order is the monomial order, ``a + b`` is
 the product and ``(b - a) & guard == 0`` tests that a divides b, because a
-field that borrows sets its guard bit.  Reduction (``polycore._nf_dict``)
+field that borrows sets its guard bit.  Reduction (``polycore._top_reduce``)
 pops the maximal term of the working polynomial off a heap of negated packed
-monomials; terms that cancel stay in the working dict as zeros and are
-skipped when popped.  S-pairs are pruned by the Gebauer-Moller update
-(Buchberger's coprime and chain criteria) in a linear pass, run on the
-exponent fields of the packed leads, the low bits of each packed int: the
-lcm of two leads is a fieldwise max computed with the guard bits, two
-exponent parts compare as ints in lex order, which refines divisibility, and
-only the pairs that are queued get their lcm packed in the monomial order.
-An element whose lead a later lead divides takes no part in later pairs and
-is left out of the reduced basis.  A run whose monomials outgrow the packed
-fields is repeated with wider fields (``polycore._packed``).  Output bases
-are reduced, monic and canonically sorted, so two runs with different
-generator orders agree structurally.  Every packed result becomes a
-polynomial through ``_Packing.polynomial``, which sorts its terms only
-under an order other than grevlex.
+monomials until one is irreducible; terms that cancel stay in the working
+dict as zeros and are skipped when popped.  The engine top-reduces each
+S-polynomial and generator, which fixes the lead of the new element, and
+leaves its tail as it stands; a full normal form (``_nf_dict``) is top
+reduction repeated until nothing is left.  S-pairs are pruned by the
+Gebauer-Moller update (Buchberger's coprime and chain criteria) in a linear
+pass, run on the exponent fields of the packed leads, the low bits of each
+packed int: the lcm of two leads is a fieldwise max computed with the guard
+bits, two exponent parts compare as ints in lex order, which refines
+divisibility, and only the pairs that are queued get their lcm packed in the
+monomial order.  An element whose lead a later lead divides takes no part in
+later pairs and is left out of the run's output, its live elements, a
+minimal basis with unreduced tails.  A run whose monomials outgrow the packed
+fields is repeated with wider fields (``polycore._packed``).
+
+What a run hands back is finished by its consumer (``_reduced_basis``):
+``buchberger`` reduces each tail against the other elements and builds the
+whole reduced basis, monic and sorted by lead, so two runs with different
+generator orders agree structurally; ``_Packing.polynomial`` takes its terms
+as they stand under grevlex and sorts them under another order.
+``eliminate`` reduces and builds only the elements whose lead is free of the
+dropped variables, against each other alone: by the elimination property
+their terms are free of those variables too, so no other element reduces
+them.  Their terms are read from the kept exponent fields straight into the
+smaller ring, in grevlex order, without a sort.  The eliminated ideal is
+cached per (ideal, dropped set), apart from ``buchberger``'s bases.
 
 An ideal whose generators are all monomials or pure differences c*(m1 - m2)
 is served by one run per generator shape over GF(32003), shared by every
@@ -32,7 +44,7 @@ so the input w*A + (1 - w)*B of an intersection, homogeneous in the kept
 variables but not in w, is worked through degree by degree, as in sugar
 selection.  An elimination order (``Block``) is grevlex on the
 eliminated variables, then grevlex on the rest, so an element free of
-the eliminated variables is grevlex-descending, as ``eliminate`` keeps it.
+the eliminated variables is grevlex-descending in the kept ones.
 
 ``colon_ideal`` intersects the pieces (I : g) over the generators g of the
 divisor and skips each g whose piece already contains the running
@@ -52,7 +64,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .polycore import (
     GF, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
-    _PackingOverflow, _monic, _nf_dict, _packed, _setattr,
+    _PackingOverflow, _monic, _nf_dict, _packed, _setattr, _top_reduce,
 )
 
 __all__ = [
@@ -210,9 +222,8 @@ class _Engine:
     # -- basis growth --------------------------------------------------------
 
     def insert(self, h: dict) -> None:
-        """Insert a nonzero, fully reduced packed term dict, terms in
-        descending order as ``_nf_dict`` returns them, as a new monic
-        element."""
+        """Insert a nonzero packed term dict whose lead no entry's lead
+        divides as a new monic element; its tail is left as it stands."""
         lead, _, tail = _monic(h, self.dom)
         self.entries.append((lead, None, tail))
         self.exps.append(lead & self.packing.low)
@@ -243,39 +254,75 @@ class _Engine:
                 d.pop(nm, None)
         return d
 
-    def run(self, gens: Sequence[Polynomial]) -> list[dict]:
+    def _top_insert(self, work: dict) -> None:
+        """Top-reduce a packed term dict against every entry and insert
+        what is left, unless it reduced to zero."""
+        heap = [-m for m in work]
+        heapq.heapify(heap)
+        top = _top_reduce(work, heap, self.entries, self.guard, self.p)
+        if top is not None:
+            h = dict([top])
+            h.update([(m, c) for m, c in work.items() if c])
+            self.insert(h)
+
+    def run(self, gens: Sequence[Polynomial]) -> list:
+        """The live elements of the basis of the generators (``_finalize``)."""
         pack_terms = self.packing.pack_terms
         for g in gens:
-            h = _nf_dict(pack_terms(g.terms), self.entries, self.guard, self.p)
-            if h:
-                self.insert(h)
+            self._top_insert(pack_terms(g.terms))
         while self.heap:
             _, _, i, j = heapq.heappop(self.heap)
             lcm = self.alive.pop((i, j), None)
             if lcm is None:
                 continue
             s = self._spoly(i, j, lcm)
-            if not s:
-                continue
-            h = _nf_dict(s, self.entries, self.guard, self.p)
-            if h:
-                self.insert(h)
+            if s:
+                self._top_insert(s)
         return self._finalize()
 
-    def _finalize(self) -> list[dict]:
-        """The reduced basis as packed term dicts, ascending leads, each
-        listing its terms in descending order."""
-        # a new lead is reduced against every earlier lead, so only a later
+    def _finalize(self) -> list:
+        """The live elements, a minimal basis, as monic (lead, None, tail)
+        entries in ascending order of their leads, tails not reduced."""
+        # a new lead is irreducible by every earlier lead, so only a later
         # lead can divide an earlier one, and the live leads are minimal
-        kept = [entry for entry, live in zip(self.entries, self.live) if live]
-        out: list[tuple[int, dict]] = []
-        for pos, (lead, _, tail) in enumerate(kept):
-            others = kept[:pos] + kept[pos + 1:]
-            poly = {lead: self.dom.one}
-            poly.update(_nf_dict(dict(tail), others, self.guard, self.p))
-            out.append((lead, poly))
-        out.sort(key=itemgetter(0))
-        return [poly for _, poly in out]
+        return sorted(compress(self.entries, self.live), key=itemgetter(0))
+
+
+def _reduced_basis(ring: PolyRing, gens: Sequence[Polynomial],
+                   order: MonomialOrder, out: PolyRing
+                   ) -> tuple[Polynomial, ...]:
+    """The reduced basis under ``order`` of the ideal of ``gens`` in
+    ``ring``, as polynomials of ``out``, ascending leads.
+
+    ``out`` is ``ring``, or, under an elimination order, the ring of the
+    variables that it keeps: then only the elements whose lead is free of
+    the eliminated variables are reduced and built, the reduced basis of the
+    elimination ideal.  Their terms are free of those variables too, so the
+    other elements cannot reduce them, and each is reduced against the kept
+    ones alone.  The live elements of a run form a minimal basis, and
+    reducing each tail against the other elements gives the reduced basis
+    whatever tails they had."""
+    dom = ring.domain
+    p = dom.characteristic
+    kept = (None if out is ring else
+            [i for i in range(ring.arity) if i not in order.eliminated])
+
+    def run(packing: _Packing) -> tuple[Polynomial, ...]:
+        elements = _Engine(ring, packing).run(gens)
+        if kept is not None:
+            dropped = sum(packing.mask << packing.shifts[i]
+                          for i in order.eliminated)
+            elements = [e for e in elements if not e[0] & dropped]
+        basis = []
+        for pos, (lead, _, tail) in enumerate(elements):
+            poly = {lead: dom.one}
+            poly.update(_nf_dict(dict(tail),
+                                 elements[:pos] + elements[pos + 1:],
+                                 packing.guard, p))
+            basis.append(packing.polynomial(out, poly, kept))
+        return tuple(basis)
+
+    return _packed(order, ring.arity, run)
 
 
 def _pure_difference(g: Polynomial) -> Optional[tuple[Exponents, ...]]:
@@ -297,11 +344,15 @@ _SHARED_PRIME = 32003
 
 
 @lru_cache(maxsize=256)
-def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
+def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
+                    eliminated: bool) -> tuple:
     """The reduced basis under ``order`` of the ideal whose generators have
     the monomials ``shape`` (from ``_pure_difference``), as polynomials
     over GF(32003) (``_SHARED_PRIME``) in x0..x(arity-1), with 1 on each
-    lead and 32002, which is -1, on the other term of a binomial.
+    lead and 32002, which is -1, on the other term of a binomial; when
+    ``eliminated``, only the elements free of the variables that the
+    elimination order ``order`` eliminates, in the ring of the others
+    (``_reduced_basis``).
 
     The run serves every coefficient field, because it is the same
     computation there.  Signed monomials and pure differences m1 - m2 are
@@ -319,35 +370,37 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder) -> tuple:
     # the field is built here, not at import: its primality test is work
     ring = PolyRing(tuple(f"x{i}" for i in range(arity)),
                     GF(_SHARED_PRIME))
+    out = _subring(ring, order.eliminated) if eliminated else ring
     signs = [1, _SHARED_PRIME - 1]
     gens = [Polynomial(ring, tuple(zip(ms, signs))) for ms in shape]
+    basis = _reduced_basis(ring, gens, order, out)
+    for g in basis:
+        # the lead is 1 by construction, so this says the other term is -1
+        if sorted([c for _, c in g.terms]) != signs[:len(g.terms)]:
+            raise RuntimeError("a shared binomial run left the pure "
+                               "differences; engine bug")
+    return basis
 
-    def run(packing: _Packing) -> tuple:
-        basis = []
-        for d in _Engine(ring, packing).run(gens):
-            if list(d.values()) != signs[:len(d)]:
-                raise RuntimeError("a shared binomial run left the pure "
-                                   "differences; engine bug")
-            basis.append(packing.polynomial(ring, d))
-        return tuple(basis)
 
-    return _packed(order, arity, run)
+def _basis(ideal: Ideal, order: MonomialOrder, out: PolyRing
+           ) -> tuple[Polynomial, ...]:
+    """``_reduced_basis`` of the ideal, from the shared run of its shape
+    when every generator is a monomial or a pure difference."""
+    ring = ideal.ring
+    shape = tuple(map(_pure_difference, ideal.generators))
+    if None in shape:
+        return _reduced_basis(ring, ideal.generators, order, out)
+    coefficient = {1: ring.domain.one,
+                   _SHARED_PRIME - 1: ring.domain.normalize(-1)}
+    return tuple(
+        Polynomial(out, tuple([(m, coefficient[c]) for m, c in g.terms]))
+        for g in _binomial_basis(ring.arity, shape, order, out is not ring))
 
 
 @lru_cache(maxsize=256)
 def _buchberger_cached(ideal: Ideal, order: MonomialOrder) -> GroebnerBasis:
-    ring = ideal.ring
-    shape = tuple(map(_pure_difference, ideal.generators))
-    if None not in shape:
-        coefficient = {1: ring.domain.one,
-                       _SHARED_PRIME - 1: ring.domain.normalize(-1)}
-        return GroebnerBasis(ring, order, tuple(
-            Polynomial(ring, tuple([(m, coefficient[c]) for m, c in g.terms]))
-            for g in _binomial_basis(ring.arity, shape, order)))
-    return GroebnerBasis(ring, order, _packed(
-        order, ring.arity, lambda packing: tuple([
-            packing.polynomial(ring, d)
-            for d in _Engine(ring, packing).run(ideal.generators)])))
+    return GroebnerBasis(ideal.ring, order,
+                         _basis(ideal, order, ideal.ring))
 
 
 def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX
@@ -412,7 +465,8 @@ def _lift(f: Polynomial, ext: PolyRing, w_power: int = 0) -> Polynomial:
 def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     """Intersection with the subring omitting the dropped variables.
 
-    Returns an ideal of the smaller ring (remaining names, same domain).
+    Returns an ideal of the smaller ring (remaining names, same domain):
+    the reduced grevlex basis of the intersection, ascending leads.
     """
     ring = ideal.ring
     drop = frozenset(drop)
@@ -420,25 +474,21 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
         raise ValueError("nothing to eliminate")
     if not drop <= set(range(ring.arity)):
         raise ValueError("eliminated index out of range")
-    kept = [i not in drop for i in range(ring.arity)]
-    if not any(kept):
+    if len(drop) == ring.arity:
         raise ValueError("cannot eliminate every variable")
-    small = PolyRing(tuple(compress(ring.names, kept)), ring.domain)
-    gb = buchberger(ideal, Block(drop))
-    dropped = [not k for k in kept]
-    out = []
-    for g in gb.elements:
-        # one pass: restrict each term, and give g up at the first term
-        # with a dropped variable; dropping variables absent from every
-        # term keeps the terms distinct and grevlex-descending
-        terms = []
-        for m, c in g.terms:
-            if any(compress(m, dropped)):
-                break
-            terms.append((tuple(compress(m, kept)), c))
-        else:
-            out.append(Polynomial(small, tuple(terms)))
-    return Ideal(small, tuple(out))
+    return _eliminated(ideal, drop)
+
+
+@lru_cache(maxsize=256)
+def _eliminated(ideal: Ideal, drop: frozenset) -> Ideal:
+    small = _subring(ideal.ring, drop)
+    return Ideal(small, _basis(ideal, Block(drop), small))
+
+
+def _subring(ring: PolyRing, drop: Iterable[int]) -> PolyRing:
+    """The ring of the variables not in ``drop``, same names and domain."""
+    return PolyRing(tuple(nm for i, nm in enumerate(ring.names)
+                          if i not in drop), ring.domain)
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:

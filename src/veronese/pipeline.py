@@ -21,7 +21,7 @@ from __future__ import annotations
 from copy import deepcopy
 from functools import lru_cache
 from math import comb, isfinite
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, PolyRing, Polynomial, QQ, ResourceCapError,
@@ -558,11 +558,23 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
 # presentation report for a general monomial algebra
 # ---------------------------------------------------------------------------
 
+def _chart_candidates(candidates: Sequence, ring: PolyRing
+                      ) -> tuple[Polynomial, ...]:
+    """The candidates of one chart: polynomials of ``ring`` as they are, or
+    strings parsed as one comma-separated list."""
+    if candidates and all(isinstance(f, Polynomial) for f in candidates):
+        if any(f.ring != ring for f in candidates):
+            raise ValueError(f"the candidates must be polynomials of {ring}")
+        return tuple(candidates)
+    return tuple(parse_polynomial_list(",".join(candidates), ring))
+
+
 def present_monomial_algebra(
         targets: Sequence[Sequence[int]],
         primes: Sequence[int] = (2, 3, 5),
         radical_subset: Optional[Sequence[int]] = None,
-        ci_candidates: Optional[Mapping[int, Sequence[str]]] = None,
+        ci_candidates: Optional[
+            Mapping[int, Sequence[Union[str, Polynomial]]]] = None,
         fpurity_witness: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> Report:
     """Present the algebra generated by the target monomials and certify
@@ -575,7 +587,8 @@ def present_monomial_algebra(
     t1..td, parsed once over QQ, read into each field, as one
     comma-separated list, so the column of a ``ParseError`` counts in their
     comma-joined text.  They are parsed after the other inputs are
-    checked.
+    checked.  A chart may give polynomials of ``PolyRing(("t1", ...,
+    "td"))`` over QQ instead, already parsed, as the command line does.
     ``fpurity_witness`` is a pair (numerator vector, generator vector) of
     semigroup elements whose failed base containment plus successful p-fold
     containment certifies non-F-purity.  Both default to the pure-power
@@ -615,8 +628,7 @@ def present_monomial_algebra(
         charts = [(*ci_sequence(mmap, j), {}) for j in range(mmap.k)]
     else:
         ring = mmap.source_ring()
-        charts = [(i, tuple(parse_polynomial_list(",".join(ci_candidates[i]),
-                                                  ring)), {})
+        charts = [(i, _chart_candidates(ci_candidates[i], ring), {})
                   for i in sorted(ci_candidates or ())]
 
     nullity = len(kernel)

@@ -453,20 +453,25 @@ class _Packing:
         pack = self.pack
         return {pack(m): c for m, c in terms}
 
-    def unpack_terms(self, d: Mapping[int, Scalar]) -> dict:
-        unpack = self.unpack
-        return {unpack(x): c for x, c in d.items()}
-
-    def polynomial(self, ring: "PolyRing", d: Mapping[int, Scalar]
-                   ) -> "Polynomial":
+    def polynomial(self, ring: "PolyRing", d: Mapping[int, Scalar],
+                   kept: Union[Sequence[int], None] = None) -> "Polynomial":
         """The polynomial of a packed term dict, terms descending and
-        coefficients normalized and nonzero, as ``_nf_dict`` returns them:
-        taken as it stands under grevlex, the order a polynomial keeps,
-        else sorted by ``_from_dict``."""
-        if isinstance(self.order, GrevLex):
-            return Polynomial(ring, tuple(zip(map(self.unpack, d),
-                                              d.values())))
-        return _from_dict(ring, self.unpack_terms(d))
+        coefficients normalized and nonzero, as ``_nf_dict`` returns them.
+        Under grevlex, the order a polynomial keeps, the terms are taken as
+        they stand, and under another order sorted by ``_from_dict``.  With
+        ``kept``, the indices of the variables of ``ring``, only their
+        exponent fields are read and the terms are taken as they stand: the
+        dict must be free of the other variables, as an element of an
+        elimination basis whose lead is free of the eliminated ones is, and
+        an elimination order is grevlex on such monomials."""
+        mask = self.mask
+        shifts = (self.shifts if kept is None
+                  else [self.shifts[i] for i in kept])
+        terms = tuple([(tuple([x >> s & mask for s in shifts]), c)
+                       for x, c in d.items()])
+        if kept is None and not isinstance(self.order, GrevLex):
+            return _from_dict(ring, dict(terms))
+        return Polynomial(ring, terms)
 
 
 @lru_cache(maxsize=64)
@@ -754,21 +759,20 @@ def is_homogeneous(f: Polynomial) -> bool:
 # multivariate division
 # ---------------------------------------------------------------------------
 
-def _nf_dict(work: dict, entries: list, guard: int, p: int) -> dict:
-    """Full normal form of a packed term dict against monic divisor entries.
+def _top_reduce(work: dict, heap: list, entries: list, guard: int,
+                p: int):
+    """Reduce the maximal term of a packed term dict until it is irreducible
+    and return it as (monomial, coefficient), taken out of ``work``; None
+    when ``work`` reduces to zero.
 
-    Consumes ``work``.  Each entry is (lead, quotient, tail) with packed
-    monomials.  ``quotient`` is None, or a dict that receives the packed
-    multiplier of every reduction step by that entry.  Deterministic: the
-    current maximal term is reduced by the first entry whose lead divides
-    it, in entry order.  The maximal term comes off a heap of negated packed
-    monomials; a term whose coefficient cancelled stays in ``work`` as 0 and
-    is skipped when popped.  The result lists its terms in descending order.
-    Raises ``_PackingOverflow`` when a new term outgrows its fields.
+    ``heap`` holds the negated monomials of ``work``.  Each entry is (lead,
+    quotient, tail) with packed monomials.  ``quotient`` is None, or a dict
+    that receives the packed multiplier of every reduction step by that
+    entry.  Deterministic: the current maximal term is reduced by the first
+    entry whose lead divides it, in entry order.  A term whose coefficient
+    cancelled stays in ``work`` as 0 and is skipped when popped.  Raises
+    ``_PackingOverflow`` when a new term outgrows its fields.
     """
-    heap = [-m for m in work]
-    heapify(heap)
-    result: dict[int, Scalar] = {}
     while heap:
         m = -heappop(heap)
         c = work.pop(m)
@@ -795,7 +799,19 @@ def _nf_dict(work: dict, entries: list, guard: int, p: int) -> dict:
                     work[nm] = (old - c * tc) % p if p else old - c * tc
             break
         else:
-            result[m] = c
+            return m, c
+    return None
+
+
+def _nf_dict(work: dict, entries: list, guard: int, p: int) -> dict:
+    """Full normal form of a packed term dict against monic divisor entries,
+    as ``_top_reduce`` repeated until nothing is left: consumes ``work`` and
+    lists the terms of the result in descending order."""
+    heap = [-m for m in work]
+    heapify(heap)
+    result: dict[int, Scalar] = {}
+    while (term := _top_reduce(work, heap, entries, guard, p)) is not None:
+        result[term[0]] = term[1]
     return result
 
 

@@ -8,8 +8,10 @@ request that the golden reports and the perfbench library reports of seeds
 3 and 5 make, the served basis must equal it over QQ, GF(2), GF(3), GF(5)
 and GF(7), and so must the S-polynomials, queued pairs and insertions of
 the two runs, with the engine's pair selection and with the first-in,
-first-out one of ``FifoEngine``.  A shared run whose output leaves the pure
-differences must raise ``RuntimeError`` (exit 4 on the command line)."""
+first-out one of ``FifoEngine``; under an elimination order the elimination
+ideal, which a shared run reduces and builds on its own, must equal it too.
+A shared run whose output leaves the pure differences must raise
+``RuntimeError`` (exit 4 on the command line)."""
 from __future__ import annotations
 
 import contextlib
@@ -22,27 +24,28 @@ from conftest import FifoEngine, replay_reports
 from veronese import groebner
 from veronese.cli import main
 from veronese.groebner import Ideal, buchberger, eliminate, intersect
-from veronese.polycore import GF, PolyRing, Polynomial, QQ
+from veronese.polycore import GF, Block, PolyRing, Polynomial, QQ
 
 _DOMAINS = [QQ, GF(2), GF(3), GF(5), GF(7)]
 
 
 @pytest.fixture(scope="module")
 def binomial_requests():
-    """(names, shape, order) of every binomial ``buchberger``
-    request of the golden cases and the perfbench library reports of seeds
-    3 and 5, recorded where ``buchberger`` asks its cache."""
+    """(names, shape, order) of every binomial request, for a basis or an
+    elimination, of the golden cases and the perfbench library reports of
+    seeds 3 and 5, recorded where the shared run is asked for, behind the
+    caches of ``buchberger`` and ``eliminate``."""
     requests = {}
-    cached = groebner._buchberger_cached
+    basis = groebner._basis
 
-    def record(ideal, order):
+    def record(ideal, order, out):
         shape = tuple(map(groebner._pure_difference, ideal.generators))
         if None not in shape:
             requests.setdefault((ideal.ring.names, shape, order), None)
-        return cached(ideal, order)
+        return basis(ideal, order, out)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(groebner, "_buchberger_cached", record)
+        patch.setattr(groebner, "_basis", record)
         replay_reports()
     return list(requests)
 
@@ -63,11 +66,15 @@ def test_the_reports_make_binomial_requests_of_every_kind(binomial_requests):
 
 
 def _counted_run(ideal, order, engine_counts, groebner_caches):
-    """The basis of a run with the caches cleared first, and its work."""
+    """The basis of a run with the caches cleared first, under a block
+    order also the elimination ideal, and their work."""
     for name in engine_counts:
         engine_counts[name] = 0
     groebner_caches()
-    return buchberger(ideal, order), dict(engine_counts)
+    out = [buchberger(ideal, order)]
+    if isinstance(order, Block):
+        out.append(eliminate(ideal, order.eliminated))
+    return out, dict(engine_counts)
 
 
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
@@ -137,11 +144,8 @@ def test_a_doctored_shared_run_is_an_engine_fault(monkeypatch,
     finalize = groebner._Engine._finalize
 
     def doubled_tails(self):
-        out = finalize(self)
-        for poly in out:
-            for m in list(poly)[1:]:
-                poly[m] *= 2
-        return out
+        return [(lead, quotient, tuple([(m, 2 * c) for m, c in tail]))
+                for lead, quotient, tail in finalize(self)]
 
     monkeypatch.setattr(groebner._Engine, "_finalize", doubled_tails)
     ring = PolyRing(("x", "y", "z"), GF(3))

@@ -56,6 +56,29 @@ def test_present_subcommand_full_flags(capsys):
     assert rep["verdict"] is True
 
 
+def test_present_parses_each_ci_value_once(capsys, monkeypatch):
+    """The command line parses each ``--ci`` value, and the library takes
+    the polynomials as they are: the report is the one the library gives
+    for the same candidates as strings."""
+    from veronese import pipeline
+    texts = []
+    for module in (cli, pipeline):
+        def counted(text, ring, _parse=module.parse_polynomial_list):
+            texts.append(text)
+            return _parse(text, ring)
+        monkeypatch.setattr(module, "parse_polynomial_list", counted)
+    charts = {0: "t2^3-t1^2*t3,t2*t3-t1*t4", 3: "t3^3-t2*t4^2,t2*t3-t1*t4"}
+    code, out, err = _run(capsys, "present", "--targets", "4,0;3,1;1,3;0,4",
+                          "--primes", "2", "--ci", f"t1:{charts[0]}",
+                          "--ci", f"t4:{charts[3]}")
+    assert code == 0 and err == ""
+    assert texts == [charts[0], charts[3]]
+    report = pipeline.present_monomial_algebra(
+        ((4, 0), (3, 1), (1, 3), (0, 4)), primes=(2,),
+        ci_candidates={i: text.split(",") for i, text in charts.items()})
+    assert out == pipeline.render_json(report.to_report())
+
+
 def test_height_subcommand(capsys):
     code, rep = _report(
         capsys, "height",

@@ -6,10 +6,12 @@ must agree exactly; every order must sort monomials the same way under both
 keys and under packing; packing must round-trip and its guard-bit test must
 be divisibility.  Inputs too large for the first packing width must come
 out right through the widening path.  A packed result converted by
-``_Packing.polynomial`` under grevlex is taken as it stands, without the
-sort of ``_from_dict``, and a binomial basis is read from a shared run in
-every field; they must build exactly the polynomials that the sorting path
-of a run in the ideal's own domain builds."""
+``_Packing.polynomial`` under grevlex, or read into the ring of the kept
+variables of an elimination, is taken as it stands, without the sort of
+``_from_dict``; only the elements of an elimination run that lie in the
+elimination ideal are built; and a binomial basis is read from a shared run
+in every field.  They must build exactly the polynomials that the sorting
+path of a run in the ideal's own domain builds."""
 from __future__ import annotations
 
 import random
@@ -189,10 +191,11 @@ def test_normal_form_matches_max_rescan_reference(order, dom):
 def sorting_path(monkeypatch, groebner_caches):
     """Calls a function with the ``groebner`` caches cleared and returns
     its value and, per ``_Packing.polynomial`` conversion, the packing's
-    order and whether the conversion skipped the sort, that is, called no
-    ``_from_dict``.  The sorting path makes every conversion sort and also
-    turns off the shared binomial runs, so that every basis comes from a
-    run in its own domain."""
+    order, whether the conversion skipped the sort, that is, called no
+    ``_from_dict``, and whether it read the kept variables of an
+    elimination.  The sorting path makes every conversion sort, from the
+    whole exponent vectors, and also turns off the shared binomial runs, so
+    that every basis comes from a run in its own domain."""
     polynomial = _Packing.polynomial
 
     def call(fn, sort):
@@ -203,13 +206,17 @@ def sorting_path(monkeypatch, groebner_caches):
             sorts.append(ring)
             return _from_dict(ring, d)
 
-        def converted(self, ring, d):
+        def converted(self, ring, d, kept=None):
             before = len(sorts)
             if sort:
-                out = from_dict(ring, self.unpack_terms(d))
+                out = from_dict(ring, {
+                    tuple(e for i, e in enumerate(self.unpack(x))
+                          if kept is None or i in kept): c
+                    for x, c in d.items()})
             else:
-                out = polynomial(self, ring, d)
-            conversions.append((self.order, len(sorts) == before))
+                out = polynomial(self, ring, d, kept)
+            conversions.append((self.order, len(sorts) == before,
+                                kept is not None))
             return out
 
         with monkeypatch.context() as patch:
@@ -236,9 +243,10 @@ def _exact(polys):
 def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
     """Bases, from a shared binomial run or a run in the ideal's own
     domain, normal forms, the remainders of ``divide`` and eliminations
-    must be exactly what the sorting path builds, and every packed result
-    converted under grevlex, and none under lex or a block order, must
-    skip the sort."""
+    must be exactly what the sorting path builds.  Every packed result
+    converted under grevlex, and none under lex or a block order, must skip
+    the sort; an elimination must convert only the elements it returns,
+    and skip the sort for each."""
     rng = random.Random(f"in-order/{order}/{dom}")
     ring = PolyRing(("a", "b", "c", "d"), dom)
     for _ in range(4):
@@ -259,21 +267,19 @@ def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
         got, conversions = sorting_path(results, sort=False)
         expected, sorted_conversions = sorting_path(results, sort=True)
         assert got == expected
-        assert not any(skipped for _, skipped in sorted_conversions)
-        assert all(skipped == isinstance(o, GrevLex)
-                   for o, skipped in conversions)
+        assert not any(skipped for _, skipped, _ in sorted_conversions)
         # one conversion per basis element, normal form and remainder
-        # under ``order``, and per element of the elimination basis when
-        # its order is another
-        under_order = len(got[0]) + len(fs) + len(got[2])
-        elimination = Block(frozenset(drop))
-        if elimination == order:        # the basis comes from the cache
-            assert len(conversions) == under_order
-        else:
-            assert len(conversions) == under_order + len(
-                buchberger(ideal, elimination).elements)
-        assert sum(skipped for _, skipped in conversions) == (
-            under_order if isinstance(order, GrevLex) else 0)
+        # under ``order``, each skipping the sort under grevlex alone, and
+        # one per element of the elimination ideal, none sorted: the
+        # elements of its run that lie outside it are never built
+        under_order = [(o, skipped) for o, skipped, kept in conversions
+                       if not kept]
+        elimination = [(o, skipped) for o, skipped, kept in conversions
+                       if kept]
+        assert len(under_order) == len(got[0]) + len(fs) + len(got[2])
+        assert all(o == order and skipped == isinstance(order, GrevLex)
+                   for o, skipped in under_order)
+        assert elimination == [(Block(frozenset(drop)), True)] * len(got[3])
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=str)

@@ -7,7 +7,8 @@ variables an elimination order keeps, computed here from the order.  On seeded
 ideals, under every order, with the engine's pair selection and with the
 first-in, first-out one of ``FifoEngine``, the queued pairs, the
 S-polynomials formed and the live-pair dict after each insertion must be
-identical, and so must the basis.  The guard-bit lcm on exponent parts must
+identical, and so must the live elements that the run hands back, their
+tails not reduced.  The guard-bit lcm on exponent parts must
 be the fieldwise max, and broken copies of its masks must be caught."""
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ import pytest
 
 from veronese.groebner import _Engine
 from veronese.polycore import (
-    GF, Block, PolyRing, QQ, _FIELD_BITS, _Packing, _nf_dict, _packed,
-    _packing,
+    GF, Block, PolyRing, QQ, _FIELD_BITS, _Packing, _packed, _packing,
 )
 
 from conftest import FifoEngine
@@ -113,14 +113,7 @@ class _Reference(_Traced):
         kept = [entry for i, entry in enumerate(entries)
                 if not any(j != i and not (entry[0] - other[0]) & guard
                            for j, other in enumerate(entries))]
-        out = []
-        for pos, (lead, _, tail) in enumerate(kept):
-            others = kept[:pos] + kept[pos + 1:]
-            poly = _nf_dict(dict(tail), others, guard, self.p)
-            poly[lead] = self.dom.one
-            out.append((lead, poly))
-        out.sort(key=lambda item: item[0])
-        return [poly for _, poly in out]
+        return sorted(kept, key=lambda entry: entry[0])
 
 
 def _trace(engine_class, ideal_gens, ring, order, selection):
@@ -209,8 +202,11 @@ def test_unqueued_lcm_past_the_width_no_longer_widens():
     bits, _, basis = _trace(_Traced, gens, ring, order, "normal")
     assert (ref_bits, bits) == (2 * _FIELD_BITS, _FIELD_BITS)
     unpack = {b: _packing(order, 2, b).unpack for b in (ref_bits, bits)}
-    assert [{unpack[bits](m): c for m, c in d.items()} for d in basis] == \
-        [{unpack[ref_bits](m): c for m, c in d.items()} for d in ref_basis]
+
+    def unpacked(b, elements):
+        return [(unpack[b](lead), [(unpack[b](m), c) for m, c in tail])
+                for lead, _, tail in elements]
+    assert unpacked(bits, basis) == unpacked(ref_bits, ref_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -425,8 +425,9 @@ def test_present_refuses_a_toric_ideal_that_is_not_standard_graded(
     """Targets with an integer kernel vector of nonzero coordinate sum exit
     2 with a message naming that vector, before any Groebner request."""
     requests = []
-    monkeypatch.setattr(groebner, "_buchberger_cached",
-                        lambda *args: requests.append(args))
+    for name in ("_buchberger_cached", "_eliminated"):
+        monkeypatch.setattr(groebner, name,
+                            lambda *args: requests.append(args))
     code = main(["present", "--targets", targets, "--primes", "2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -350,3 +350,19 @@ def test_bad_candidates_are_parsed_after_the_other_inputs(kwargs, message):
         present_monomial_algebra(QUARTIC_CURVE_TARGETS,
                                  ci_candidates={0: ["t1)"]}, **kwargs)
     assert not isinstance(caught.value, ParseError)
+
+
+def test_parsed_candidates_are_taken_as_they_are():
+    """Candidates given as polynomials of the source ring over QQ give the
+    report of their text; polynomials of another ring are refused."""
+    texts = {0: ["t2^3 - t1^2*t3", "t2*t3 - t1*t4"]}
+    ring = PolyRing(("t1", "t2", "t3", "t4"))
+    parsed = {0: [ring.parse(t) for t in texts[0]]}
+    reports = [present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(2, 3),
+                                        ci_candidates=charts).to_report()
+               for charts in (texts, parsed)]
+    assert reports[0] == reports[1]
+    other = PolyRing(("t1", "t2", "t3", "t4"), GF(2))
+    with pytest.raises(ValueError, match="must be polynomials of"):
+        present_monomial_algebra(QUARTIC_CURVE_TARGETS, ci_candidates={
+            0: [other.parse(t) for t in texts[0]]})
