@@ -4,22 +4,22 @@ The engine keeps every basis element monic with its tail stored separately.
 Inside a run every monomial is one packed int (``polycore._Packing``, after
 Monagan and Pearce 2011): the int order is the monomial order, ``a + b`` is
 the product and ``(b - a) & guard == 0`` tests that a divides b, because a
-field that borrows sets its guard bit.  Reduction (``polycore._top_reduce``)
+field that borrows sets its guard bit.  Reduction (``polycore._nf_dict``)
 pops the maximal term of the working polynomial off a heap of negated packed
-monomials until one is irreducible; terms that cancel stay in the working
-dict as zeros and are skipped when popped.  The engine top-reduces each
-S-polynomial and generator, which fixes the lead of the new element, and
-leaves its tail as it stands; a full normal form (``_nf_dict``) is top
-reduction repeated until nothing is left.  S-pairs are pruned by the
-Gebauer-Moller update (Buchberger's coprime and chain criteria) in a linear
-pass, run on the exponent fields of the packed leads, the low bits of each
-packed int: the lcm of two leads is a fieldwise max computed with the guard
-bits, two exponent parts compare as ints in lex order, which refines
-divisibility, and only the pairs that are queued get their lcm packed in the
-monomial order.  An element whose lead a later lead divides takes no part in
-later pairs and is left out of the run's output, its live elements, a
-minimal basis with unreduced tails.  A run whose monomials outgrow the packed
-fields is repeated with wider fields (``polycore._packed``).
+monomials; terms that cancel stay in the working dict as zeros and are
+skipped when popped.  The engine fully reduces each generator and
+S-polynomial against the elements before it and inserts what is left.
+S-pairs are pruned by the Gebauer-Moller update (Buchberger's coprime and
+chain criteria) in a linear pass, run on the exponent fields of the packed
+leads, the low bits of each packed int: the lcm of two leads is a fieldwise
+max computed with the guard bits, two exponent parts compare as ints in lex
+order, which refines divisibility, and only the pairs that are queued get
+their lcm packed in the monomial order.  An element whose lead a later lead
+divides takes no part in later pairs and is left out of the run's output,
+its live elements: a minimal basis, each tail reduced against the elements
+inserted before it but not yet against later ones.  A run whose monomials
+outgrow the packed fields is repeated with wider fields
+(``polycore._packed``).
 
 What a run hands back is finished by its consumer (``_reduced_basis``):
 ``buchberger`` reduces each tail against the other elements and builds the
@@ -64,7 +64,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .polycore import (
     GF, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
-    _PackingOverflow, _monic, _nf_dict, _packed, _setattr, _top_reduce,
+    _PackingOverflow, _monic, _nf_dict, _packed, _setattr,
 )
 
 __all__ = [
@@ -222,8 +222,9 @@ class _Engine:
     # -- basis growth --------------------------------------------------------
 
     def insert(self, h: dict) -> None:
-        """Insert a nonzero packed term dict whose lead no entry's lead
-        divides as a new monic element; its tail is left as it stands."""
+        """Insert a nonzero, fully reduced packed term dict, terms in
+        descending order as ``_nf_dict`` returns them, as a new monic
+        element."""
         lead, _, tail = _monic(h, self.dom)
         self.entries.append((lead, None, tail))
         self.exps.append(lead & self.packing.low)
@@ -254,36 +255,31 @@ class _Engine:
                 d.pop(nm, None)
         return d
 
-    def _top_insert(self, work: dict) -> None:
-        """Top-reduce a packed term dict against every entry and insert
-        what is left, unless it reduced to zero."""
-        heap = [-m for m in work]
-        heapq.heapify(heap)
-        top = _top_reduce(work, heap, self.entries, self.guard, self.p)
-        if top is not None:
-            h = dict([top])
-            h.update([(m, c) for m, c in work.items() if c])
-            self.insert(h)
-
     def run(self, gens: Sequence[Polynomial]) -> list:
         """The live elements of the basis of the generators (``_finalize``)."""
         pack_terms = self.packing.pack_terms
         for g in gens:
-            self._top_insert(pack_terms(g.terms))
+            h = _nf_dict(pack_terms(g.terms), self.entries, self.guard, self.p)
+            if h:
+                self.insert(h)
         while self.heap:
             _, _, i, j = heapq.heappop(self.heap)
             lcm = self.alive.pop((i, j), None)
             if lcm is None:
                 continue
             s = self._spoly(i, j, lcm)
-            if s:
-                self._top_insert(s)
+            if not s:
+                continue
+            h = _nf_dict(s, self.entries, self.guard, self.p)
+            if h:
+                self.insert(h)
         return self._finalize()
 
     def _finalize(self) -> list:
         """The live elements, a minimal basis, as monic (lead, None, tail)
-        entries in ascending order of their leads, tails not reduced."""
-        # a new lead is irreducible by every earlier lead, so only a later
+        entries in ascending order of their leads, each tail reduced
+        against the elements inserted before it."""
+        # a new lead is reduced against every earlier lead, so only a later
         # lead can divide an earlier one, and the live leads are minimal
         return sorted(compress(self.entries, self.live), key=itemgetter(0))
 

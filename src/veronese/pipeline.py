@@ -558,15 +558,20 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
 # presentation report for a general monomial algebra
 # ---------------------------------------------------------------------------
 
-def _chart_candidates(candidates: Sequence, ring: PolyRing
+def _chart_candidates(i: int, candidates: Sequence, ring: PolyRing
                       ) -> tuple[Polynomial, ...]:
-    """The candidates of one chart: polynomials of ``ring`` as they are, or
-    strings parsed as one comma-separated list."""
-    if candidates and all(isinstance(f, Polynomial) for f in candidates):
-        if any(f.ring != ring for f in candidates):
-            raise ValueError(f"the candidates must be polynomials of {ring}")
-        return tuple(candidates)
-    return tuple(parse_polynomial_list(",".join(candidates), ring))
+    """The candidates of chart ``i``: polynomials of ``ring`` as they are,
+    or strings parsed as one comma-separated list, never a mix of both."""
+    polys = [isinstance(f, Polynomial) for f in candidates]
+    if not any(polys):
+        return tuple(parse_polynomial_list(",".join(candidates), ring))
+    if not all(polys):
+        raise ValueError(f"the candidates of chart {i} mix polynomials "
+                         f"and strings")
+    if any(f.ring != ring for f in candidates):
+        raise ValueError(f"the candidates of chart {i} must be "
+                         f"polynomials of {ring}")
+    return tuple(candidates)
 
 
 def present_monomial_algebra(
@@ -628,7 +633,7 @@ def present_monomial_algebra(
         charts = [(*ci_sequence(mmap, j), {}) for j in range(mmap.k)]
     else:
         ring = mmap.source_ring()
-        charts = [(i, _chart_candidates(ci_candidates[i], ring), {})
+        charts = [(i, _chart_candidates(i, ci_candidates[i], ring), {})
                   for i in sorted(ci_candidates or ())]
 
     nullity = len(kernel)

@@ -759,20 +759,21 @@ def is_homogeneous(f: Polynomial) -> bool:
 # multivariate division
 # ---------------------------------------------------------------------------
 
-def _top_reduce(work: dict, heap: list, entries: list, guard: int,
-                p: int):
-    """Reduce the maximal term of a packed term dict until it is irreducible
-    and return it as (monomial, coefficient), taken out of ``work``; None
-    when ``work`` reduces to zero.
+def _nf_dict(work: dict, entries: list, guard: int, p: int) -> dict:
+    """Full normal form of a packed term dict against monic divisor entries.
 
-    ``heap`` holds the negated monomials of ``work``.  Each entry is (lead,
-    quotient, tail) with packed monomials.  ``quotient`` is None, or a dict
-    that receives the packed multiplier of every reduction step by that
-    entry.  Deterministic: the current maximal term is reduced by the first
-    entry whose lead divides it, in entry order.  A term whose coefficient
-    cancelled stays in ``work`` as 0 and is skipped when popped.  Raises
-    ``_PackingOverflow`` when a new term outgrows its fields.
+    Consumes ``work``.  Each entry is (lead, quotient, tail) with packed
+    monomials.  ``quotient`` is None, or a dict that receives the packed
+    multiplier of every reduction step by that entry.  Deterministic: the
+    current maximal term is reduced by the first entry whose lead divides
+    it, in entry order.  The maximal term comes off a heap of negated packed
+    monomials; a term whose coefficient cancelled stays in ``work`` as 0 and
+    is skipped when popped.  The result lists its terms in descending order.
+    Raises ``_PackingOverflow`` when a new term outgrows its fields.
     """
+    heap = [-m for m in work]
+    heapify(heap)
+    result: dict[int, Scalar] = {}
     while heap:
         m = -heappop(heap)
         c = work.pop(m)
@@ -799,19 +800,7 @@ def _top_reduce(work: dict, heap: list, entries: list, guard: int,
                     work[nm] = (old - c * tc) % p if p else old - c * tc
             break
         else:
-            return m, c
-    return None
-
-
-def _nf_dict(work: dict, entries: list, guard: int, p: int) -> dict:
-    """Full normal form of a packed term dict against monic divisor entries,
-    as ``_top_reduce`` repeated until nothing is left: consumes ``work`` and
-    lists the terms of the result in descending order."""
-    heap = [-m for m in work]
-    heapify(heap)
-    result: dict[int, Scalar] = {}
-    while (term := _top_reduce(work, heap, entries, guard, p)) is not None:
-        result[term[0]] = term[1]
+            result[m] = c
     return result
 
 

@@ -7,9 +7,9 @@ variables an elimination order keeps, computed here from the order.  On seeded
 ideals, under every order, with the engine's pair selection and with the
 first-in, first-out one of ``FifoEngine``, the queued pairs, the
 S-polynomials formed and the live-pair dict after each insertion must be
-identical, and so must the live elements that the run hands back, their
-tails not reduced.  The guard-bit lcm on exponent parts must
-be the fieldwise max, and broken copies of its masks must be caught."""
+identical, and so must the live elements that the run hands back, each
+tail reduced against the elements before it.  The guard-bit lcm on exponent
+parts must be the fieldwise max, and broken copies of its masks must be caught."""
 from __future__ import annotations
 
 import random

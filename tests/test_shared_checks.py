@@ -354,7 +354,9 @@ def test_bad_candidates_are_parsed_after_the_other_inputs(kwargs, message):
 
 def test_parsed_candidates_are_taken_as_they_are():
     """Candidates given as polynomials of the source ring over QQ give the
-    report of their text; polynomials of another ring are refused."""
+    report of their text; polynomials of another ring, and a chart that
+    mixes polynomials and strings, are refused with a ``ValueError`` that
+    names the chart."""
     texts = {0: ["t2^3 - t1^2*t3", "t2*t3 - t1*t4"]}
     ring = PolyRing(("t1", "t2", "t3", "t4"))
     parsed = {0: [ring.parse(t) for t in texts[0]]}
@@ -363,6 +365,11 @@ def test_parsed_candidates_are_taken_as_they_are():
                for charts in (texts, parsed)]
     assert reports[0] == reports[1]
     other = PolyRing(("t1", "t2", "t3", "t4"), GF(2))
-    with pytest.raises(ValueError, match="must be polynomials of"):
+    with pytest.raises(ValueError, match="chart 0 must be polynomials of"):
         present_monomial_algebra(QUARTIC_CURVE_TARGETS, ci_candidates={
             0: [other.parse(t) for t in texts[0]]})
+    for mixed in ([parsed[0][0], texts[0][1]], [texts[0][0], parsed[0][1]]):
+        with pytest.raises(ValueError,
+                           match="candidates of chart 0 mix polynomials"):
+            present_monomial_algebra(QUARTIC_CURVE_TARGETS,
+                                     ci_candidates={0: mixed})
