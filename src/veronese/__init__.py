@@ -16,8 +16,8 @@ from .groebner import (
 )
 from .toric import (
     CIReport, MonomialMap, ci_check, ci_sequence, integer_kernel,
-    integer_solve, minimal_generators, symmetric_minors_ideal,
-    toric_ideal_elimination, toric_ideal_lattice, veronese_map,
+    minimal_generators, symmetric_minors_ideal, toric_ideal_elimination,
+    toric_ideal_lattice, veronese_map,
 )
 from .invariants import (
     DimensionResult, GradedPiece, hilbert_piece, krull_dim, lc_top_piece,
@@ -44,7 +44,7 @@ __all__ = [
     "eliminate", "ideal_equal", "ideal_member", "ideal_sum", "initial_ideal",
     "intersect", "normal_form", "radical_member", "saturate",
     "CIReport", "MonomialMap", "ci_check", "ci_sequence", "integer_kernel",
-    "integer_solve", "minimal_generators", "symmetric_minors_ideal",
+    "minimal_generators", "symmetric_minors_ideal",
     "toric_ideal_elimination", "toric_ideal_lattice", "veronese_map",
     "DimensionResult", "GradedPiece", "hilbert_piece", "krull_dim",
     "lc_top_piece", "veronese_lc_piece",

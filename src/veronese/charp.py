@@ -4,15 +4,16 @@ verified witnesses.
 
 Fedder's criterion is decided two ways.  ``fedder_fpure`` computes the
 colon (I^[p] : I) and works for any homogeneous ideal over GF(p).
-``fedder_fiber`` is for the toric ideal of a monomial map, which it builds
-itself by the lattice route over GF(p): it never forms the colon, but
-solves one sparse linear system over GF(p) in a single multidegree, whose
-rows are keyed by residues mod p, since a toric ring has one standard
-monomial in each multidegree and so no row needs a normal form; its
-solution u is re-checked on packed monomials by reducing each product u g
-against the Frobenius basis of I^[p], which needs no Buchberger run.  The
-Veronese certificate uses the fiber route; the colon route serves general
-homogeneous input and is the fiber route's oracle in the tests.
+``fedder_fiber`` is for the toric ideal of a monomial map, which it reads
+from the map's presentation over QQ (``toric._presentation``) into GF(p):
+it never forms the colon, but solves one sparse linear system over GF(p)
+in a single multidegree, whose rows are keyed by residues mod p, since a
+toric ring has one standard monomial in each multidegree and so no row
+needs a normal form; its solution u is re-checked on packed monomials by
+reducing each product u g against the Frobenius basis of I^[p], which
+needs no Buchberger run.  The Veronese certificate uses the fiber route;
+the colon route serves general homogeneous input and the toric ideals of
+``present``, and is the fiber route's oracle in the tests.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .groebner import (
     GroebnerBasis, Ideal, buchberger, colon_ideal, _gb_entries,
     _pure_difference,
 )
-from .toric import MonomialMap, toric_ideal_lattice
+from .toric import MonomialMap, _presentation, _specialise
 
 __all__ = [
     "frobenius_power", "FpurityReport", "fedder_fpure",
@@ -224,8 +225,9 @@ def _times(g: Polynomial, support: list, packing: _Packing, p: int
 def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
     """Decide F-purity of R/I for the toric ideal I of the map's targets
     a_1..a_d over GF(p), R = F_p[t_1..t_d], deg t_i = a_i, without the
-    colon (I^[p] : I).  I is built here, by ``toric_ideal_lattice`` over
-    GF(p); a p that ``GF`` refuses raises its error.
+    colon (I^[p] : I).  GF(p) is built first, so a p that ``GF`` refuses
+    raises its error before any other work; I is then the map's
+    presentation over QQ read into GF(p) (``toric._specialise``).
 
     Frobenius basis.  Let G be the reduced grevlex basis of I.  Then
     G^[p] = {g^p} is the reduced basis of I^[p]: g -> g^p is a ring map
@@ -285,7 +287,8 @@ def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
     returned u, and a monomial that outgrows the packed fields repeats the
     part with wider fields from scratch.
     """
-    gb = buchberger(toric_ideal_lattice(mmap, GF(p)), _GREVLEX)
+    field = GF(p)         # before the presentation: a refused p costs nothing
+    gb = buchberger(_specialise(_presentation(mmap)[0], field), _GREVLEX)
     ring = gb.ring
     A, d, k = mmap.targets, mmap.d, mmap.k
 

@@ -17,13 +17,12 @@ from .polycore import (
 )
 from .groebner import Ideal
 from .invariants import krull_dim
-from .toric import MonomialMap, ci_check
+from .toric import MonomialMap, _presentation, _specialise, ci_check
 from .charp import fedder_fpure, semigroup_member
 from .pipeline import (
     Report, ResourceCapError, _capped_veronese_map, _check, _ci_result,
     _cover_result, _fedder_details, _height_check, _minimal_generator_details,
-    _presentation, _specialise, cd_certificate, char_compare,
-    present_monomial_algebra, render_json,
+    cd_certificate, char_compare, present_monomial_algebra, render_json,
 )
 
 __all__ = ["main", "run"]

@@ -19,7 +19,6 @@ are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 from copy import deepcopy
-from functools import lru_cache
 from math import comb, isfinite
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -33,10 +32,9 @@ from .groebner import (
     ideal_sum, radical_member,
 )
 from .toric import (
-    CIReport, MonomialMap, _veronese_targets, ci_check, ci_sequence,
-    integer_kernel, integer_solve, minimal_generators,
-    symmetric_minors_ideal, toric_ideal_elimination, toric_ideal_lattice,
-    veronese_map,
+    CIReport, MonomialMap, _lattice_index, _presentation, _read, _specialise,
+    _veronese_targets, ci_check, ci_sequence, integer_kernel,
+    minimal_generators, symmetric_minors_ideal, veronese_map,
 )
 from .invariants import DimensionResult, krull_dim, veronese_lc_piece
 from .charp import (
@@ -257,53 +255,6 @@ def radical_cover_check(ideal: Ideal, subset: Sequence[int]) -> bool:
 # per-characteristic checks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _presentation(mmap: MonomialMap
-                  ) -> tuple[Ideal, Ideal, bool, DimensionResult]:
-    """The presentation ideal over QQ by elimination, the lattice-route
-    ideal, whether the two routes agree, and the dimension and height of
-    the ideal.  One unit per map, cached for the process beside the
-    ``groebner`` caches and with their bound, so a report on an algebra
-    already presented derives none of it again; every field is an
-    immutable value, and each report builds its own checks.
-
-    The unit serves every characteristic.  Both routes are runs on
-    monomials and pure differences, which ``groebner._binomial_basis``
-    makes once for all fields (Eisenbud-Sturmfels, "Binomial ideals",
-    1996), so over GF(p) the ideal is ``_specialise(ideal, GF(p))``, the
-    lattice route has as many generators, the routes agree as they do over
-    QQ, and the initial ideal, hence the height, is the same."""
-    ideal = toric_ideal_elimination(mmap, QQ)
-    lattice = toric_ideal_lattice(mmap, QQ)
-    return ideal, lattice, ideal_equal(ideal, lattice), krull_dim(ideal)
-
-
-def _read(polys: Sequence[Polynomial], ring: PolyRing
-          ) -> tuple[Polynomial, ...]:
-    """Polynomials over QQ with integer coefficients, read into ``ring``:
-    each coefficient normalized in its field, the vanishing terms dropped
-    and the grevlex order kept.  That is what a parse, or a derivation, in
-    that field gives, since reduction mod p commutes with both."""
-    normalize = ring.domain.normalize
-    return tuple(Polynomial(ring, tuple([(m, r) for m, c in f.terms
-                                         if (r := normalize(c))]))
-                 for f in polys)
-
-
-def _specialise(ideal: Ideal, dom: CoeffDomain) -> Ideal:
-    """A reduced basis over QQ of monomials and monic pure differences,
-    read over ``dom``: its reduced basis there.  Any other element is a
-    fault of the shared runs and raises ``RuntimeError``."""
-    if dom == QQ:
-        return ideal
-    for g in ideal.generators:
-        if [c for _, c in g.terms] not in ([1], [1, -1]):
-            raise RuntimeError(f"{g} is not a monomial or a monic pure "
-                               f"difference; engine bug")
-    ring = PolyRing(ideal.ring.names, dom)
-    return Ideal(ring, _read(ideal.generators, ring))
-
-
 def _minimal_generator_details(ideal: Ideal) -> dict:
     mingens = minimal_generators(ideal)
     return {"minimal_generators": [str(g) for g in mingens],
@@ -352,42 +303,41 @@ def _height_constancy(heights: Mapping[int, int]) -> Check:
 
 
 def _characteristic_checks(
-        mmap: MonomialMap, doms: Sequence[tuple[int, CoeffDomain]],
+        presentation: tuple, doms: Sequence[tuple[int, CoeffDomain]],
         height: Callable,
         charts: Sequence[tuple[int, tuple[Polynomial, ...], dict]],
         cover: tuple[int, ...],
-) -> tuple[dict[int, Ideal], int, list[Check]]:
-    """The presentation ideal over each characteristic, its height, and the
-    checks: per characteristic the toric routes (with minimal generators
-    in characteristic zero), the caller's ``height(label, dims)``, a
+) -> list[Check]:
+    """The checks of a map's ``presentation`` (``toric._presentation``):
+    per characteristic the toric routes (with minimal generators in
+    characteristic zero), the caller's ``height(label, dims)``, a
     localized-CI check for each chart (inverted t-index, candidates over
     QQ, details), its candidates read into the field (``_read``), and the
     radical cover of ``cover`` when it is nonempty; then the height
     constancy across them.
 
     The routes and the height are computed once, over QQ, and serve every
-    characteristic (``_presentation``).  So is the cover: t_j^e lies in
-    I + (t_i : i in cover) exactly when e*a_j - a_i lies in the semigroup
-    of the targets a for some i in the cover (Eisenbud-Sturmfels,
-    "Binomial ideals", 1996), which no field enters, so its verdict and
-    least exponents are those of every field.  So is the CI verdict of a
+    characteristic.  So is the cover: t_j^e lies in I + (t_i : i in cover)
+    exactly when e*a_j - a_i lies in the semigroup of the targets a for
+    some i in the cover (Eisenbud-Sturmfels, "Binomial ideals", 1996),
+    which no field enters, so its verdict and least exponents are those of
+    every field.  So is the CI verdict of a
     chart whose candidates are all +-m or +-(m1 - m2): on those and the
     toric ideal every run makes the same monomial steps in every field
     (``groebner._binomial_basis``).  A chart with any other coefficient is
     checked in each field, since its coefficients may vanish mod p.  Each
     record gets its own details."""
-    ideal, lattice, agree, dims = _presentation(mmap)
+    ideal, lattice, agree, dims = presentation
     # each chart's report over QQ, and whether it serves every field
     reports = [(ci_check(ideal, cands, inv, dims.height),
                 all(_pure_difference(f) is not None
                     and f.terms[0][1] in (1, -1) for f in cands))
                for inv, cands, _ in charts]
     covered = cover and _cover_result("radical_cover", ideal, cover)
-    ideals: dict[int, Ideal] = {}
     checks: list[Check] = []
     for char, dom in doms:
         label = f"char_{char}"
-        ideals[char] = field_ideal = _specialise(ideal, dom)
+        field_ideal = _specialise(ideal, dom)
         ring = field_ideal.ring
         route_details: dict[str, object] = {
             "generators": len(ideal.generators),
@@ -412,7 +362,7 @@ def _characteristic_checks(
             checks.append(_check(f"radical_cover_{label}", covered.verdict,
                                  **deepcopy(covered.details)))
     checks.append(_height_constancy({char: dims.height for char, _ in doms}))
-    return ideals, dims.height, checks
+    return checks
 
 
 def _capped_veronese_map(k: int, n: int) -> MonomialMap:
@@ -526,8 +476,9 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     doms = _characteristics(primes)
     expected = mmap.d - k
 
-    ideals, _, checks = _characteristic_checks(
-        mmap, doms,
+    presentation = _presentation(mmap)
+    checks = _characteristic_checks(
+        presentation, doms,
         lambda label, dims: _height_check(f"height_{label}", dims, expected),
         [(*ci_sequence(mmap, j), {"pure_power_of": f"x{j + 1}"})
          for j in range(k)],
@@ -536,7 +487,7 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     if n == 2:
         minors = symmetric_minors_ideal(k)
         checks.append(_check(
-            "symmetric_minors_match", ideal_equal(ideals[0], minors),
+            "symmetric_minors_match", ideal_equal(presentation[0], minors),
             minor_count=len(minors.generators)))
 
     checks.append(_lc_degree_zero("lc_degree_zero_vanishes", k, n))
@@ -637,8 +588,10 @@ def present_monomial_algebra(
                   for i in sorted(ci_candidates or ())]
 
     nullity = len(kernel)
-    ideals, height, checks = _characteristic_checks(
-        mmap, doms,
+    presentation = _presentation(mmap)
+    ideal, _, _, dims = presentation
+    checks = _characteristic_checks(
+        presentation, doms,
         lambda label, dims: _check(
             f"height_matches_lattice_nullity_{label}", dims.height == nullity,
             height=dims.height, lattice_nullity=nullity),
@@ -646,15 +599,16 @@ def present_monomial_algebra(
 
     # normalization certification: common degree, lattice equality, and a
     # bounded multiple search for each missing degree-n monomial.  When it
-    # fails, no claim (and no check) is emitted.
+    # fails, no claim (and no check) is emitted.  The degree-n monomials
+    # span {e : sum(e) = 0 mod n}, of index n in Z^k, which holds every
+    # target, so the targets span it exactly when their lattice has index n.
     degree = mmap.common_degree()
     normalization_certified = False
     if degree is not None:
         ver = _veronese_targets(mmap.k, degree)
         have = set(mmap.targets)
         missing = [v for v in ver if v not in have]
-        lattice_ok = all(integer_solve(mmap.targets, v) is not None
-                         for v in missing)
+        lattice_ok = _lattice_index(mmap.targets) == degree
         multiples: list[Optional[int]] = []
         for v in missing:
             found = None
@@ -679,8 +633,8 @@ def present_monomial_algebra(
         residual = tuple(a - b for a, b in zip(witness_base, witness_gen))
         base_in = monomial_ideal_member(mmap, witness_base, witness_gen)
 
-    for char, _ in doms[1:]:
-        rep = fedder_fpure(ideals[char])
+    for char, dom in doms[1:]:
+        rep = fedder_fpure(_specialise(ideal, dom))
         details = {"f_pure": rep.f_pure, **_fedder_details(rep)}
         if fpurity_witness is None:
             checks.append(_check(f"f_purity_recorded_p{char}", True, **details))
@@ -705,8 +659,8 @@ def present_monomial_algebra(
     concluded = (verdict and normalization_certified and bool(charts)
                  and bool(subset))
     params = {"targets": [list(t) for t in mmap.targets],
-              "characteristics": [c for c, _ in doms], "height": height,
-              "cohomological_dimension": height if concluded else None}
+              "characteristics": [c for c, _ in doms], "height": dims.height,
+              "cohomological_dimension": dims.height if concluded else None}
     return Report("presentation", params, checks, _PRESENT_CITED_FACTS)
 
 

@@ -1,15 +1,19 @@
-"""Toric ideals of monomial maps, two ways, plus complete-intersection
-certificates for localizations at pure-power variables.
+"""Toric ideals of monomial maps, two ways, the presentation that every
+report reads, plus complete-intersection certificates for localizations at
+pure-power variables.
 
 A monomial map sends t_i to the monomial x^{a_i}.  Its toric ideal (the
 kernel of that map) is computed both by eliminating the x-variables from the
 graph ideal and through the integer kernel of the exponent matrix; the two
-routes are independent and are cross-checked by callers.
+routes are independent.  ``_presentation`` runs both once per map, over QQ,
+cross-checks them and computes the height; every field reads that one
+ideal (``_specialise``).
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .polycore import (
@@ -18,13 +22,14 @@ from .polycore import (
     _require_ints,
 )
 from .groebner import (
-    Ideal, buchberger, eliminate, ideal_member, saturate,
+    Ideal, buchberger, eliminate, ideal_equal, ideal_member, saturate,
 )
+from .invariants import DimensionResult, krull_dim
 
 __all__ = [
     "MonomialMap", "veronese_map", "toric_ideal_elimination",
     "toric_ideal_lattice", "minimal_generators", "CIReport", "ci_sequence", "ci_check", "symmetric_minors_ideal",
-    "integer_kernel", "integer_solve",
+    "integer_kernel",
 ]
 
 _GREVLEX = GrevLex()
@@ -194,45 +199,24 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Exponents]:
     return basis
 
 
-def integer_solve(rows: Sequence[Sequence[int]], target: Sequence[int]
-                  ) -> Optional[Exponents]:
-    """Integer vector z with sum z_i rows[i] = target, or None if the target
-    is outside the row lattice.  Forward substitution on the echelon form is
-    complete: each pivot column forces its coefficient, so a divisibility
-    failure or a nonzero residual certifies non-membership."""
-    rows = [tuple(r) for r in rows]
-    target = tuple(target)
-    if not rows:
-        return () if not any(target) else None
-    k = len(rows[0])
-    if len(target) != k:
-        raise ValueError("target arity does not match the rows")
+def _lattice_index(rows: Sequence[Exponents]) -> Optional[int]:
+    """The index in Z^k of the lattice that the rows span, None when their
+    rank is below k.  It is read from the pivots of one echelon form H,
+    after checking U * rows = H and the echelon shape of H: then H's rows
+    lie in the row lattice and span a sublattice of that index, so an
+    index equal to that of a lattice holding every row certifies that the
+    rows span it.  A failed check raises ``RuntimeError``."""
     H, U, r = _integer_row_reduce(rows)
-    resid = list(target)
-    y = [0] * r
-    for i in range(r):
-        c = next(j for j in range(k) if H[i][j] != 0)
-        if resid[c] % H[i][c] != 0:
-            return None
-        y[i] = resid[c] // H[i][c]
-        if y[i]:
-            resid = [a - y[i] * b for a, b in zip(resid, H[i])]
-    if any(resid):
+    k = len(rows[0])
+    if any([sum(u * row[j] for u, row in zip(w, rows)) for j in range(k)] != h
+           for w, h in zip(U, H)):
+        raise RuntimeError("row reduction failed re-verification; engine bug")
+    if r < k:
         return None
-    d = len(rows)
-    z = [0] * d
-    for i in range(r):
-        if y[i]:
-            for j in range(d):
-                z[j] += y[i] * U[i][j]
-    check = [0] * k
-    for i in range(d):
-        if z[i]:
-            for j in range(k):
-                check[j] += z[i] * rows[i][j]
-    if tuple(check) != target:
-        raise RuntimeError("integer solve failed re-verification; engine bug")
-    return tuple(z)
+    if (any(H[i][j] for i in range(len(H)) for j in range(min(i, k)))
+            or not all(H[i][i] for i in range(k))):
+        raise RuntimeError("row reduction left no echelon form; engine bug")
+    return abs(prod(H[i][i] for i in range(k)))
 
 
 def toric_ideal_lattice(mmap: MonomialMap, domain: CoeffDomain = QQ) -> Ideal:
@@ -249,6 +233,61 @@ def toric_ideal_lattice(mmap: MonomialMap, domain: CoeffDomain = QQ) -> Ideal:
         gens.append(ring.monomial(plus) - ring.monomial(minus))
     raw = Ideal(ring, tuple(gens))
     return saturate(raw, ring.monomial((1,) * mmap.d))
+
+
+# ---------------------------------------------------------------------------
+# the presentation: one per map, over QQ, read into every field
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def _presentation(mmap: MonomialMap
+                  ) -> tuple[Ideal, Ideal, bool, DimensionResult]:
+    """The presentation ideal over QQ by elimination, the lattice-route
+    ideal, whether the two routes agree, and the dimension and height of
+    the ideal.  One unit per map, cached for the process beside the
+    ``groebner`` caches and with their bound, so a report on an algebra
+    already presented derives none of it again; every field is an
+    immutable value, and each report builds its own checks.  Its readers:
+    ``pipeline._characteristic_checks`` (routes, height, localized CI,
+    radical cover), the minors check of ``cd_certificate``, the Fedder
+    colon and the height of ``present_monomial_algebra``, ``char_compare``,
+    the ideal of ``charp.fedder_fiber`` and the ``veronese-ideal`` command.
+
+    The unit serves every characteristic.  Both routes are runs on
+    monomials and pure differences, which ``groebner._binomial_basis``
+    makes once for all fields (Eisenbud-Sturmfels, "Binomial ideals",
+    1996), so over GF(p) the ideal is ``_specialise(ideal, GF(p))``, the
+    lattice route has as many generators, the routes agree as they do over
+    QQ, and the initial ideal, hence the height, is the same."""
+    ideal = toric_ideal_elimination(mmap, QQ)
+    lattice = toric_ideal_lattice(mmap, QQ)
+    return ideal, lattice, ideal_equal(ideal, lattice), krull_dim(ideal)
+
+
+def _read(polys: Sequence[Polynomial], ring: PolyRing
+          ) -> tuple[Polynomial, ...]:
+    """Polynomials over QQ with integer coefficients, read into ``ring``:
+    each coefficient normalized in its field, the vanishing terms dropped
+    and the grevlex order kept.  That is what a parse, or a derivation, in
+    that field gives, since reduction mod p commutes with both."""
+    normalize = ring.domain.normalize
+    return tuple(Polynomial(ring, tuple([(m, r) for m, c in f.terms
+                                         if (r := normalize(c))]))
+                 for f in polys)
+
+
+def _specialise(ideal: Ideal, dom: CoeffDomain) -> Ideal:
+    """A reduced basis over QQ of monomials and monic pure differences,
+    read over ``dom``: its reduced basis there.  Any other element is a
+    fault of the shared runs and raises ``RuntimeError``."""
+    if dom == QQ:
+        return ideal
+    for g in ideal.generators:
+        if [c for _, c in g.terms] not in ([1], [1, -1]):
+            raise RuntimeError(f"{g} is not a monomial or a monic pure "
+                               f"difference; engine bug")
+    ring = PolyRing(ideal.ring.names, dom)
+    return Ideal(ring, _read(ideal.generators, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +348,7 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int
     the denominators of the fractions expressing each t_m after inverting
     t_i, so they generate the localized ideal; there are exactly d - k.
     The binomials are over QQ; being monic pure differences, they read into
-    a prime field coefficient by coefficient (``pipeline._read``), which
+    a prime field coefficient by coefficient (``_read``), which
     gives what the same derivation there would.
     A derivation that breaks that count, or the closed form of its first
     and last entries, is a fault of this code and raises RuntimeError.

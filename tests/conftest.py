@@ -6,19 +6,24 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import sys
 from itertools import count
 from pathlib import Path
 
 import pytest
 
 import veronese
-from veronese import groebner, pipeline
+from veronese import groebner, pipeline, toric
 from veronese.cli import main
 from veronese.groebner import ideal_equal
 from veronese.invariants import krull_dim
+from veronese.polycore import QQ
 from veronese.toric import (
     ci_check, toric_ideal_elimination, toric_ideal_lattice,
 )
+
+#: the presentation cache itself, whatever binding a test double replaces
+_PRESENTATION = toric._presentation
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,13 +37,24 @@ def perfbench_module(name: str):
     return module
 
 
+def rebind(patch, function, replacement) -> None:
+    """Rebinds, with ``patch``, every name under which a ``veronese``
+    module holds ``function``, so that a test double reaches every module
+    that calls it, the one that defines it included."""
+    for name, module in sorted(sys.modules.items()):
+        if name == "veronese" or name.startswith("veronese."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    patch.setattr(module, attr, replacement)
+
+
 def per_characteristic_checks(mmap, doms, height, charts, cover):
     """``pipeline._characteristic_checks`` as it was before one computation
     served every characteristic, the oracle of the shared one: in each
     field its own toric routes, height, localized-CI checks and radical
     cover.  Each chart's candidates over QQ are rebuilt in the field from
     their term dicts, and every chart is checked in every field."""
-    ideals, heights, checks = {}, {}, []
+    heights, checks = {}, []
     for char, dom in doms:
         label = f"char_{char}"
         ideal = toric_ideal_elimination(mmap, dom)
@@ -61,10 +77,34 @@ def per_characteristic_checks(mmap, doms, height, charts, cover):
         if cover:
             checks.append(pipeline._cover_result(f"radical_cover_{label}",
                                                  ideal, cover))
-        ideals[char], heights[char] = ideal, dims.height
+        heights[char] = dims.height
     checks.append(pipeline._height_constancy(heights))
-    constant = len(set(heights.values())) == 1
-    return ideals, heights[0] if constant else None, checks
+    return checks
+
+
+def install_per_field(patch) -> None:
+    """Installs the per-field oracle with ``patch``: each field's checks
+    are built on their own (``per_characteristic_checks``), and every
+    reader of the presentation in a field, the Fedder colon of ``present``
+    and the fiber route of ``charp`` included, gets the ideal that the
+    field's own elimination route builds instead of the one read from QQ
+    (``toric._specialise``)."""
+    maps = {}
+
+    def presentation(mmap):
+        unit = _PRESENTATION(mmap)
+        maps[unit[0]] = mmap
+        return unit
+
+    def specialise(ideal, dom):
+        return (ideal if dom == QQ
+                else toric_ideal_elimination(maps[ideal], dom))
+
+    rebind(patch, _PRESENTATION, presentation)
+    rebind(patch, toric._specialise, specialise)
+    patch.setattr(pipeline, "_characteristic_checks",
+                  lambda unit, *rest: per_characteristic_checks(
+                      maps[unit[0]], *rest))
 
 
 def replay_reports(per_field: bool = False) -> None:
@@ -72,16 +112,16 @@ def replay_reports(per_field: bool = False) -> None:
     report of seeds 3 and 5, output discarded, for tests that record what
     these reports ask of the library.  The caches are cleared first, so
     that no presentation left by an earlier test spares a request.  With
-    ``per_field`` the checks are built by ``per_characteristic_checks``,
-    so the replay asks for what each field's checks take on their own."""
+    ``per_field`` the per-field oracle is installed
+    (``install_per_field``), so the replay asks for what each field's
+    checks take on their own."""
     from test_golden_reports import CASES
     _clear_groebner_caches()
     workloads = perfbench_module("workloads")
     session = perfbench_module("session")
     with pytest.MonkeyPatch.context() as patch:
         if per_field:
-            patch.setattr(pipeline, "_characteristic_checks",
-                          per_characteristic_checks)
+            install_per_field(patch)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             for argv in CASES.values():
@@ -118,10 +158,14 @@ def _clear_caches(*modules) -> None:
 
 def _clear_groebner_caches() -> None:
     """Empty every cache defined in ``veronese.groebner`` and the
-    presentation cache of ``veronese.pipeline``, whose entries were built
+    presentation cache ``toric._presentation``, whose entries were built
     from them, so that the next request does its engine work, and the next
-    report its toric routes and height, as in a fresh process."""
-    _clear_caches(groebner, pipeline)
+    report its toric routes and height, as in a fresh process.  The
+    presentation cache is reached through its own function, which a test
+    double may have rebound in ``toric``."""
+    _clear_caches(groebner)
+    _PRESENTATION.cache_clear()
+    assert _PRESENTATION.cache_info().currsize == 0
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 import random
 from itertools import product
 
-from veronese import charp
+from veronese import charp, groebner, toric
 from veronese.charp import (
     FiberReport, FpurityReport, fedder_fiber, fedder_fpure, frobenius_power,
     monomial_ideal_member, semigroup_member,
@@ -426,16 +426,28 @@ def test_frobenius_basis_is_the_reduced_basis_of_the_bracket_power(k, n, p):
     assert frobenius == buchberger(frobenius_power(I)).elements
 
 
-def test_fiber_route_validates_input():
+def test_fiber_route_validates_input(monkeypatch, groebner_caches):
     """The route takes a map and a prime: a composite p, a p past
     ``PRIME_BOUND`` and a repeated target are refused before any
-    Groebner run."""
+    Groebner run; a refused p asks for no presentation and makes no
+    engine request."""
     conic = veronese_map(2, 2)
+    runs = []
+    reduced_basis = groebner._reduced_basis
+
+    def counted(*args):
+        runs.append(args)
+        return reduced_basis(*args)
+
+    monkeypatch.setattr(groebner, "_reduced_basis", counted)
+    for p, error, match in ((4, ValueError, "needs a prime"),
+                            (PRIME_BOUND, ResourceCapError, "needs p below")):
+        with pytest.raises(error, match=match):
+            fedder_fiber(conic, p)
+        assert toric._presentation.cache_info().misses == 0
+        assert runs == []
     assert fedder_fiber(conic, 3).f_pure is True
-    with pytest.raises(ValueError, match="needs a prime"):
-        fedder_fiber(conic, 4)
-    with pytest.raises(ResourceCapError):
-        fedder_fiber(conic, PRIME_BOUND)
+    assert toric._presentation.cache_info().misses == 1 and runs
     with pytest.raises(ValueError, match="repeated target"):
         fedder_fiber(MonomialMap(((1, 0), (1, 0), (0, 1))), 3)
 

@@ -10,8 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import per_characteristic_checks
-from veronese import pipeline
+from conftest import install_per_field
 from veronese.cli import main
 
 _NAMES = ("x", "y", "z")
@@ -229,8 +228,8 @@ def test_char_compare_every_mode_flag_subset_exits_cleanly(capsys, flags):
 
 def test_shared_cover_exits_as_the_per_field_checks(capsys, monkeypatch):
     """``present`` with a radical subset, and half of the time a chart,
-    its checks built once for every characteristic and, by
-    ``per_characteristic_checks``, in each field on its own: the same exit
+    its checks built once for every characteristic and, by the per-field
+    oracle (``install_per_field``), in each field on its own: the same exit
     and the same bytes, so no input that reports when each field is
     checked on its own exits 3 or 4 when they share one computation.  The
     first input's cover fails: t1 and t3 are outside rad(I + (t2))."""
@@ -256,8 +255,7 @@ def test_shared_cover_exits_as_the_per_field_checks(capsys, monkeypatch):
         for oracle in (False, True):
             with monkeypatch.context() as patch:
                 if oracle:
-                    patch.setattr(pipeline, "_characteristic_checks",
-                                  per_characteristic_checks)
+                    install_per_field(patch)
                 code = main(argv)
             runs.append((code, capsys.readouterr()))
         assert runs[0] == runs[1], argv

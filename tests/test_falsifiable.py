@@ -14,7 +14,9 @@ from typing import Callable, NamedTuple, Optional
 
 import pytest
 
-from veronese import pipeline
+from conftest import rebind
+
+from veronese import pipeline, toric
 from veronese.charp import FiberReport
 from veronese.cli import main
 from veronese.groebner import Ideal
@@ -47,30 +49,30 @@ class Family(NamedTuple):
 
 def _no_lattice_route(monkeypatch):
     """The lattice route returns the zero ideal."""
-    monkeypatch.setattr(pipeline, "toric_ideal_lattice",
-                        lambda mmap, dom: Ideal(mmap.source_ring(dom), ()))
+    rebind(monkeypatch, toric.toric_ideal_lattice,
+           lambda mmap, dom: Ideal(mmap.source_ring(dom), ()))
 
 
 def _height_off_by_one(monkeypatch):
     """``krull_dim`` reports one more than the height."""
-    krull_dim = pipeline.krull_dim
+    krull_dim = toric.krull_dim
 
     def doctored(ideal):
         dims = krull_dim(ideal)
         return DimensionResult(dims.dimension - 1, dims.height + 1)
 
-    monkeypatch.setattr(pipeline, "krull_dim", doctored)
+    rebind(monkeypatch, krull_dim, doctored)
 
 
 def _minors_short_of_one(monkeypatch):
     """The symmetric-minors ideal loses its last generator."""
-    minors = pipeline.symmetric_minors_ideal
+    minors = toric.symmetric_minors_ideal
 
     def doctored(n):
         ideal = minors(n)
         return Ideal(ideal.ring, ideal.generators[:-1])
 
-    monkeypatch.setattr(pipeline, "symmetric_minors_ideal", doctored)
+    rebind(monkeypatch, minors, doctored)
 
 
 def _fiber_never_pure(monkeypatch):
@@ -82,7 +84,7 @@ def _fiber_never_pure(monkeypatch):
         return FiberReport(rep.p, rep.fiber_size, rep.constraints, rep.rank,
                            None, False)
 
-    monkeypatch.setattr(pipeline, "fedder_fiber", doctored)
+    rebind(monkeypatch, fiber, doctored)
 
 
 FAMILIES = {

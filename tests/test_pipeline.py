@@ -9,7 +9,8 @@ import pytest
 
 from conftest import replay_reports
 
-from veronese import groebner, pipeline
+from veronese import groebner, pipeline, toric
+from veronese.charp import semigroup_member
 from veronese.cli import main
 from veronese.groebner import Ideal, buchberger, ideal_sum, radical_member
 from veronese.invariants import hilbert_piece, lc_top_piece, veronese_lc_piece
@@ -266,6 +267,40 @@ def test_present_veronese_targets_derive_everything():
     assert "localized_ci_char_0_t4" in checks
     assert "radical_cover_char_0" in checks
     assert checks["normalization_is_veronese"]["verdict"] is True
+
+
+@pytest.mark.parametrize("targets", [((2, 0), (0, 2)),
+                                     ((2, 0, 0), (0, 2, 0), (0, 0, 2))])
+def test_present_certifies_no_normalization_off_the_veronese_lattice(
+        targets):
+    """Every missing degree-2 monomial has its square in the semigroup, but
+    the targets span a lattice of index 2^k, not 2: no normalization check
+    is emitted, and no cohomological dimension claimed."""
+    mmap = MonomialMap(targets)
+    missing = [v for v in veronese_map(mmap.k, 2).targets
+               if v not in targets]
+    assert missing and all(semigroup_member(mmap, tuple(2 * e for e in v))[0]
+                           for v in missing)
+    rep = present_monomial_algebra(targets, primes=(2,))
+    assert not any(c.name.startswith("normalization_") for c in rep.checks)
+    assert rep.params["cohomological_dimension"] is None
+
+
+def test_a_faulty_row_reduction_is_an_internal_error(monkeypatch, capsys):
+    """The lattice index re-checks U * targets = H: an echelon form that
+    fails it ends in exit 4, not in a report."""
+    reduce = toric._integer_row_reduce
+
+    def doctored(rows):
+        H, U, r = reduce(rows)
+        H[0][0] += 1
+        return H, U, r
+
+    monkeypatch.setattr(toric, "_integer_row_reduce", doctored)
+    code = main(["present", "--targets", "4,0;3,1;1,3;0,4", "--primes", "2"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: RuntimeError: row reduction")
 
 
 def test_present_consistency_with_cd_certificate():

@@ -1,20 +1,22 @@
-"""The presentation cache: ``pipeline._presentation`` derives the two toric
+"""The presentation cache: ``toric._presentation`` derives the two toric
 routes and the height once per map in a process, over QQ, for every
-characteristic, and no report's bytes depend on what the process computed
-before it."""
+characteristic and every reader, the fiber route of ``charp`` included, so
+no report builds a toric ideal outside QQ; and no report's bytes depend on
+what the process computed before it."""
 from __future__ import annotations
 
 from collections import Counter
 
 import pytest
 
-from conftest import _clear_caches, perfbench_module
+from conftest import _clear_caches, perfbench_module, rebind
 
 import veronese
 from veronese import charp, groebner, invariants, pipeline, polycore, toric
 from veronese.cli import main
 from veronese.pipeline import (
-    cd_certificate, char_compare, present_monomial_algebra,
+    QUARTIC_CURVE_TARGETS, cd_certificate, char_compare,
+    present_monomial_algebra,
 )
 from veronese.toric import veronese_map
 
@@ -24,11 +26,11 @@ _STAGES = ("toric_ideal_elimination", "toric_ideal_lattice", "krull_dim")
 @pytest.fixture
 def stage_calls(monkeypatch, groebner_caches):
     """(function, characteristic) of every toric-route and height call made
-    through ``pipeline``, with the caches cleared first.  Every one of them
-    is in characteristic zero."""
+    through any module that binds them, with the caches cleared first.
+    Every one of them is in characteristic zero."""
     tally = Counter()
     for name in _STAGES:
-        function = getattr(pipeline, name)
+        function = getattr(veronese, name)
 
         def wrapped(*args, _name=name, _function=function):
             ring = args[0].ring if _name == "krull_dim" else None
@@ -36,7 +38,7 @@ def stage_calls(monkeypatch, groebner_caches):
             tally[_name, dom.characteristic] += 1
             return _function(*args)
 
-        monkeypatch.setattr(pipeline, name, wrapped)
+        rebind(monkeypatch, function, wrapped)
     return tally
 
 
@@ -54,12 +56,13 @@ def _session_pass(before_each=lambda: None) -> list[str]:
 
 def test_a_fresh_session_pass_presents_each_algebra_once(stage_calls):
     """The 35 reports of the seed-3 ``session`` pass ask for one
-    presentation each, on 7 algebras; each call of a route or of the
-    height is one of those 7, over QQ, whatever primes the reports name."""
+    presentation each, on 7 algebras, and their fiber routes 12 more, one
+    per prime of a certificate; each call of a route or of the height is
+    one of those 7, over QQ, whatever primes the reports name."""
     assert len(_session_pass()) == 35
     assert stage_calls == {(name, 0): 7 for name in _STAGES}
-    info = pipeline._presentation.cache_info()
-    assert (info.misses, info.hits) == (7, 28)
+    info = toric._presentation.cache_info()
+    assert (info.misses, info.hits) == (7, 40)
 
 
 def test_a_second_report_on_an_algebra_presents_nothing(stage_calls, capsys):
@@ -74,10 +77,23 @@ def test_a_second_report_on_an_algebra_presents_nothing(stage_calls, capsys):
     capsys.readouterr()
 
 
+def test_no_report_builds_a_toric_ideal_outside_the_rationals(stage_calls):
+    """A certificate at three primes and a presentation report at the same
+    three: one lattice route per algebra, over QQ.  The fiber route reads
+    the QQ presentation into each prime field; it used to build its own
+    by the lattice route over GF(2), GF(3) and GF(5)."""
+    cd_certificate(2, 3, (2, 3, 5))
+    present_monomial_algebra(QUARTIC_CURVE_TARGETS, (2, 3, 5),
+                             radical_subset=(0, 3))
+    lattice = {key: n for key, n in stage_calls.items()
+               if key[0] == "toric_ideal_lattice"}
+    assert lattice == {("toric_ideal_lattice", 0): 2}
+
+
 def test_the_unit_is_one_immutable_value():
     """Every field of the cached unit is a hashable value, so no report can
     change what the next one reads."""
-    unit = pipeline._presentation(veronese_map(2, 2))
+    unit = toric._presentation(veronese_map(2, 2))
     hash(unit)
     ideal, lattice, agree, dims = unit
     assert agree is True and (dims.height, dims.dimension) == (1, 2)
@@ -106,7 +122,9 @@ def test_checks_are_never_shared_between_reports(groebner_caches):
     first = cd_certificate(2, 2, (2, 3))
     expected = pipeline.render_json(first.to_report())
     second = cd_certificate(2, 2, (2, 3))
-    assert pipeline._presentation.cache_info().hits == 1
+    info = toric._presentation.cache_info()
+    # each report reads it once, and its fiber route once per prime
+    assert (info.misses, info.hits) == (1, 5)
     seen = set()
     for check in (*first.checks, *second.checks):
         parts = {id(part) for part in _mutable_parts(check.details)}
@@ -125,6 +143,6 @@ def test_session_bodies_do_not_depend_on_earlier_reports(groebner_caches):
     warm process and each with every cache of the package cleared first,
     are the same bytes."""
     warm = _session_pass()
-    assert pipeline._presentation.cache_info().hits > 0
+    assert toric._presentation.cache_info().hits > 0
     assert _session_pass(lambda: _clear_caches(
         charp, groebner, invariants, pipeline, polycore, toric)) == warm

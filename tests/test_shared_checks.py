@@ -3,9 +3,11 @@ localized-CI verdicts of charts of +-1 binomials and monomials, and the
 radical cover of a report are computed once, over QQ, and serve every
 characteristic.
 
-The oracle, ``conftest.per_characteristic_checks``, builds every check in
-each field on its own; the reports it gives must be those of the shared
-computation, byte for byte."""
+The oracle, ``conftest.install_per_field``, builds every check in each
+field on its own, and gives every other reader of the presentation in a
+field, the Fedder colon and the fiber route included, the ideal built in
+that field; the reports it gives must be those of the shared computation,
+byte for byte."""
 from __future__ import annotations
 
 import json
@@ -14,13 +16,13 @@ import random
 import pytest
 
 from conftest import (
-    _clear_groebner_caches, perfbench_module, per_characteristic_checks,
+    _clear_groebner_caches, install_per_field, perfbench_module, rebind,
 )
 from test_golden_reports import CASES, _replay
 import test_cli_fuzz as fuzz
 
 import veronese
-from veronese import pipeline
+from veronese import pipeline, toric
 from veronese.cli import main
 from veronese.groebner import Ideal
 from veronese.pipeline import (
@@ -35,18 +37,13 @@ from veronese.toric import ci_sequence, veronese_map
 _SEEDS = (3, 5, 7919)
 
 
-def _per_field(monkeypatch):
-    monkeypatch.setattr(pipeline, "_characteristic_checks",
-                        per_characteristic_checks)
-
-
 def _both_ways(monkeypatch, run):
     """``run()`` with the shared checks and with the per-field oracle, the
     caches cleared before each."""
     _clear_groebner_caches()
     shared = run()
     with monkeypatch.context() as patch:
-        _per_field(patch)
+        install_per_field(patch)
         _clear_groebner_caches()
         per_field = run()
     _clear_groebner_caches()
@@ -193,17 +190,17 @@ def test_a_specialised_ideal_must_be_pure_differences(monkeypatch, capsys):
     ring = PolyRing(("t1", "t2", "t3"), QQ)
     for text in ("t2^2 - 2*t1*t3", "t2^2 + t1*t3", "t2^2 - t1*t3 + t1^2"):
         with pytest.raises(RuntimeError, match="pure difference"):
-            pipeline._specialise(Ideal(ring, (ring.parse(text),)), GF(3))
+            toric._specialise(Ideal(ring, (ring.parse(text),)), GF(3))
     conic = Ideal(ring, (ring.parse("t2^2 - t1*t3"), ring.parse("t1^3")))
-    over_gf2 = pipeline._specialise(conic, GF(2))
+    over_gf2 = toric._specialise(conic, GF(2))
     assert [str(g) for g in over_gf2.generators] == ["t2^2 + t1*t3", "t1^3"]
-    assert pipeline._specialise(conic, QQ) is conic
+    assert toric._specialise(conic, QQ) is conic
 
-    presentation = pipeline._presentation
+    presentation = toric._presentation
     doubled = Ideal(ring, (Polynomial(ring, tuple(
         (m, 2 * c) for m, c in ring.parse("t2^2 - t1*t3").terms)),))
-    monkeypatch.setattr(pipeline, "_presentation",
-                        lambda mmap: (doubled, *presentation(mmap)[1:]))
+    rebind(monkeypatch, presentation,
+           lambda mmap: (doubled, *presentation(mmap)[1:]))
     code = main(["cd-certificate", "-k", "2", "-n", "2", "--primes", "2"])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
@@ -270,7 +267,7 @@ def test_derived_charts_read_as_built_in_each_field(k, n):
         assert (inv, candidates) == _ci_binomials(mmap, j, mmap.source_ring())
         for dom in _FIELDS:
             ring = mmap.source_ring(dom)
-            assert (inv, pipeline._read(candidates, ring)) == _ci_binomials(
+            assert (inv, toric._read(candidates, ring)) == _ci_binomials(
                 mmap, j, ring)
 
 
@@ -306,7 +303,7 @@ def test_parsed_texts_read_as_parsed_in_each_field():
     for names, text, dom in cases:
         ring = PolyRing(names, dom)
         over_qq = parse_polynomial_list(text, PolyRing(names))
-        read = pipeline._read(over_qq, ring)
+        read = toric._read(over_qq, ring)
         assert read == tuple(parse_polynomial_list(text, ring)), (text, dom)
         dropped += sum(len(f.terms) < len(g.terms)
                        for f, g in zip(read, over_qq))

@@ -3,15 +3,18 @@ generator sets for the standard fixtures, integer lattice helpers, and the
 localized complete-intersection reports."""
 from __future__ import annotations
 
+import random
+from functools import lru_cache
+
 import pytest
 
 from veronese.groebner import Ideal, buchberger, ideal_equal, ideal_member
 from veronese.invariants import krull_dim
 from veronese.polycore import GF, PolyRing, QQ
 from veronese.toric import (
-    MonomialMap, ci_check, ci_sequence, integer_kernel, integer_solve,
-    minimal_generators, symmetric_minors_ideal, toric_ideal_elimination,
-    toric_ideal_lattice, veronese_map,
+    MonomialMap, _integer_row_reduce, _lattice_index, ci_check, ci_sequence,
+    integer_kernel, minimal_generators, symmetric_minors_ideal,
+    toric_ideal_elimination, toric_ideal_lattice, veronese_map,
 )
 
 QUARTIC = ((4, 0), (3, 1), (1, 3), (0, 4))
@@ -138,18 +141,61 @@ def test_integer_kernel_membership_is_exact():
         assert combo == [0, 0]
 
 
-def test_integer_solve():
-    assert integer_solve(QUARTIC, (2, 2)) == (0, 0, 2, -1)
-    assert integer_solve(QUARTIC, (1, 0)) is None
-    assert integer_solve(QUARTIC, (0, 0)) == (0, 0, 0, 0)
-    assert integer_solve(((2, 0), (0, 2)), (1, 1)) is None
-    # no rows: only the zero target is reachable, by the empty combination
-    assert integer_solve((), (0, 0)) == ()
-    assert integer_solve((), (1, 0)) is None
-    sol = integer_solve(((2, 1), (1, 1)), (5, 3))
-    assert sol is not None
-    assert [sum(c * r[j] for c, r in zip(sol, ((2, 1), (1, 1))))
-            for j in range(2)] == [5, 3]
+@lru_cache(maxsize=1)
+def _echelon(rows):
+    return _integer_row_reduce(rows)
+
+
+def integer_solve(rows, target):
+    """Integer vector z with sum z_i rows[i] = target, or None if the target
+    is outside the row lattice: the reference of ``_lattice_index``.
+    Forward substitution on the echelon form is complete: each pivot column
+    forces its coefficient, so a divisibility failure or a nonzero residual
+    certifies non-membership, and a solution is re-verified.  The echelon
+    form of the last rows is kept, as it is read for each target."""
+    rows = tuple(map(tuple, rows))
+    k = len(rows[0])
+    H, U, r = _echelon(rows)
+    resid = list(target)
+    y = [0] * r
+    for i in range(r):
+        c = next(j for j in range(k) if H[i][j] != 0)
+        if resid[c] % H[i][c] != 0:
+            return None
+        y[i] = resid[c] // H[i][c]
+        resid = [a - y[i] * b for a, b in zip(resid, H[i])]
+    if any(resid):
+        return None
+    z = [sum(y[i] * U[i][j] for i in range(r)) for j in range(len(rows))]
+    assert [sum(c * row[j] for c, row in zip(z, rows))
+            for j in range(k)] == list(target)
+    return tuple(z)
+
+
+def test_lattice_index_reads_the_index_of_the_row_lattice():
+    assert _lattice_index(QUARTIC) == 4
+    assert _lattice_index(((2, 0), (0, 2))) == 4
+    assert _lattice_index(((2, 1), (1, 1))) == 1
+    assert _lattice_index(((1, 1, 0), (0, 1, 1))) is None
+    assert _lattice_index(((3,),)) == 3
+
+
+def test_lattice_index_decides_as_every_missing_monomial_solves():
+    """On seeded subsets of the degree-n monomials in k <= 4 variables,
+    n <= 6, the targets span the lattice of the degree-n monomials (index
+    n) exactly when every missing degree-n monomial is an integer
+    combination of them."""
+    rng = random.Random(20261020)
+    outcomes = []
+    for _ in range(4000):
+        k, n = rng.randint(1, 4), rng.randint(1, 6)
+        monomials = veronese_map(k, n).targets
+        targets = rng.sample(monomials, rng.randint(1, len(monomials)))
+        solvable = all(integer_solve(targets, v) is not None
+                       for v in monomials if v not in targets)
+        assert (_lattice_index(targets) == n) == solvable, (targets, n)
+        outcomes.append(solvable)
+    assert outcomes.count(False) > 500 and outcomes.count(True) > 500
 
 
 # ---------------------------------------------------------------------------
