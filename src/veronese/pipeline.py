@@ -19,6 +19,7 @@ are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 from copy import deepcopy
+from functools import lru_cache
 from math import comb, isfinite
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -275,10 +276,15 @@ def _ci_result(name: str, rep: CIReport, ring: PolyRing,
         count_matches_height=rep.count_matches_height)
 
 
+def _cover_subset(subset: Sequence[int]) -> tuple[int, ...]:
+    """The cover subset, each variable taken once; checked before the
+    duplicates go, among which True would pass as 1."""
+    return tuple(dict.fromkeys(_naturals(subset)))
+
+
 def _cover_result(name: str, ideal: Ideal, subset: Sequence[int]) -> Check:
-    """The radical cover of the subset, each variable taken once; checked
-    before the duplicates go, among which True would pass as 1."""
-    subset = tuple(dict.fromkeys(_naturals(subset)))
+    """The radical cover of the subset, each variable taken once."""
+    subset = _cover_subset(subset)
     ok, witnesses = _radical_cover(ideal, subset)
     return _check(name, ok, subset=[ideal.ring.names[i] for i in subset],
                   witnesses=witnesses)
@@ -302,6 +308,30 @@ def _height_constancy(heights: Mapping[int, int]) -> Check:
                   heights={str(c): h for c, h in heights.items()})
 
 
+@lru_cache(maxsize=256)
+def _field_free_values(
+        ideal: Ideal, height: int,
+        charts: tuple[tuple[int, tuple[Polynomial, ...]], ...],
+        cover: tuple[int, ...],
+) -> tuple[tuple[tuple[CIReport, bool], ...], tuple, dict]:
+    """What no field enters, of the presentation ``ideal`` over QQ of
+    ``height``: each chart's ``ci_check`` over QQ with whether it serves
+    every field, the radical cover of ``cover`` (``()`` when it is empty)
+    and the minimal generator details.  Cached for the process beside
+    ``toric._presentation``, with the ``groebner`` caches' bound, so a
+    report on an algebra, chart set and cover already checked checks none
+    of them again.  The key holds validated ints and polynomials only,
+    never a caller's details; the values are not copies, so each reader
+    copies what it puts into a report."""
+    # each chart's report over QQ, and whether it serves every field
+    reports = tuple((ci_check(ideal, cands, inv, height),
+                     all(_pure_difference(f) is not None
+                         and f.terms[0][1] in (1, -1) for f in cands))
+                    for inv, cands in charts)
+    covered = cover and _radical_cover(ideal, cover)
+    return reports, covered, _minimal_generator_details(ideal)
+
+
 def _characteristic_checks(
         presentation: tuple, doms: Sequence[tuple[int, CoeffDomain]],
         height: Callable,
@@ -316,8 +346,8 @@ def _characteristic_checks(
     radical cover of ``cover`` when it is nonempty; then the height
     constancy across them.
 
-    The routes and the height are computed once, over QQ, and serve every
-    characteristic.  So is the cover: t_j^e lies in I + (t_i : i in cover)
+    The routes and the height are computed once per process per algebra
+    (``toric._presentation``), over QQ, and serve every characteristic.  So is the cover: t_j^e lies in I + (t_i : i in cover)
     exactly when e*a_j - a_i lies in the semigroup of the targets a for
     some i in the cover (Eisenbud-Sturmfels, "Binomial ideals", 1996),
     which no field enters, so its verdict and least exponents are those of
@@ -325,15 +355,16 @@ def _characteristic_checks(
     chart whose candidates are all +-m or +-(m1 - m2): on those and the
     toric ideal every run makes the same monomial steps in every field
     (``groebner._binomial_basis``).  A chart with any other coefficient is
-    checked in each field, since its coefficients may vanish mod p.  Each
-    record gets its own details."""
+    checked in each field, since its coefficients may vanish mod p, in
+    every report.  These field-free values, with the minimal generators,
+    are computed once per process per algebra, chart set and cover
+    (``_field_free_values``).  Each record gets its own details, copied
+    from them."""
     ideal, lattice, agree, dims = presentation
-    # each chart's report over QQ, and whether it serves every field
-    reports = [(ci_check(ideal, cands, inv, dims.height),
-                all(_pure_difference(f) is not None
-                    and f.terms[0][1] in (1, -1) for f in cands))
-               for inv, cands, _ in charts]
-    covered = cover and _cover_result("radical_cover", ideal, cover)
+    cover = _cover_subset(cover)
+    reports, covered, mingens = _field_free_values(
+        ideal, dims.height, tuple((inv, cands) for inv, cands, _ in charts),
+        cover)
     checks: list[Check] = []
     for char, dom in doms:
         label = f"char_{char}"
@@ -344,7 +375,7 @@ def _characteristic_checks(
             "lattice_generators": len(lattice.generators),
         }
         if char == 0:
-            route_details.update(_minimal_generator_details(ideal))
+            route_details.update(deepcopy(mingens))
         checks.append(_check(f"toric_routes_agree_{label}", agree,
                              **route_details))
 
@@ -359,8 +390,11 @@ def _characteristic_checks(
                 **details))
 
         if cover:
-            checks.append(_check(f"radical_cover_{label}", covered.verdict,
-                                 **deepcopy(covered.details)))
+            ok, witnesses = covered
+            checks.append(_check(
+                f"radical_cover_{label}", ok,
+                subset=[ring.names[i] for i in cover],
+                witnesses=deepcopy(witnesses)))
     checks.append(_height_constancy({char: dims.height for char, _ in doms}))
     return checks
 
@@ -373,6 +407,15 @@ def _capped_veronese_map(k: int, n: int) -> MonomialMap:
         raise ValueError("k and n must both be at least 1")
     ensure_within_cap(comb(k + n - 1, n))
     return veronese_map(k, n)
+
+
+@lru_cache(maxsize=256)
+def _veronese_charts(mmap: MonomialMap
+                     ) -> tuple[tuple[int, tuple[Polynomial, ...]], ...]:
+    """The pure-power charts of a Veronese map, ``ci_sequence`` for each
+    x-variable in turn, derived once per map in a process; the map is a
+    validated value, so the key never holds a caller's bool."""
+    return tuple(ci_sequence(mmap, j) for j in range(mmap.k))
 
 
 def _lc_degree_zero(name: str, k: int, n: int) -> Check:
@@ -468,10 +511,11 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     degree-n Veronese presentation ideal in k ambient variables: every
     desk-checkable ingredient, plus the two closed-form graded
     computations.  The toric routes, the height, the localized-CI
-    verdicts and the radical cover are computed once, over the rationals,
-    and recorded for each requested prime field as well, since they read
-    the same there (``_specialise``, ``_characteristic_checks``); the
-    F-purity of each prime field is checked in that field."""
+    verdicts and the radical cover are computed over the rationals once
+    per process per algebra, chart set and cover, and recorded for each
+    requested prime field as well, since they read the same there
+    (``_specialise``, ``_characteristic_checks``); the F-purity of each
+    prime field is checked in that field."""
     mmap = _capped_veronese_map(k, n)
     doms = _characteristics(primes)
     expected = mmap.d - k
@@ -480,8 +524,8 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
     checks = _characteristic_checks(
         presentation, doms,
         lambda label, dims: _height_check(f"height_{label}", dims, expected),
-        [(*ci_sequence(mmap, j), {"pure_power_of": f"x{j + 1}"})
-         for j in range(k)],
+        [(inv, cands, {"pure_power_of": f"x{j + 1}"})
+         for j, (inv, cands) in enumerate(_veronese_charts(mmap))],
         _pure_power_indices(mmap))
 
     if n == 2:
@@ -581,7 +625,7 @@ def present_monomial_algebra(
         subset = _pure_power_indices(mmap) if is_veronese else ()
 
     if ci_candidates is None and is_veronese:
-        charts = [(*ci_sequence(mmap, j), {}) for j in range(mmap.k)]
+        charts = [(inv, cands, {}) for inv, cands in _veronese_charts(mmap)]
     else:
         ring = mmap.source_ring()
         charts = [(i, _chart_candidates(i, ci_candidates[i], ring), {})
@@ -598,17 +642,17 @@ def present_monomial_algebra(
         charts, subset)
 
     # normalization certification: common degree, lattice equality, and a
-    # bounded multiple search for each missing degree-n monomial.  When it
-    # fails, no claim (and no check) is emitted.  The degree-n monomials
-    # span {e : sum(e) = 0 mod n}, of index n in Z^k, which holds every
-    # target, so the targets span it exactly when their lattice has index n.
+    # bounded multiple search for each missing degree-n monomial, run only
+    # on the right lattice.  When it fails, no claim (and no check) is
+    # emitted.  The degree-n monomials span {e : sum(e) = 0 mod n}, of
+    # index n in Z^k, which holds every target, so the targets span it
+    # exactly when their lattice has index n.
     degree = mmap.common_degree()
     normalization_certified = False
-    if degree is not None:
+    if degree is not None and _lattice_index(mmap.targets) == degree:
         ver = _veronese_targets(mmap.k, degree)
         have = set(mmap.targets)
         missing = [v for v in ver if v not in have]
-        lattice_ok = _lattice_index(mmap.targets) == degree
         multiples: list[Optional[int]] = []
         for v in missing:
             found = None
@@ -617,7 +661,7 @@ def present_monomial_algebra(
                     found = m
                     break
             multiples.append(found)
-        if lattice_ok and all(m is not None for m in multiples):
+        if all(m is not None for m in multiples):
             normalization_certified = True
             checks.append(_check(
                 "normalization_is_veronese", True,

@@ -24,6 +24,10 @@ from veronese.toric import (
 
 #: the presentation cache itself, whatever binding a test double replaces
 _PRESENTATION = toric._presentation
+#: the process-wide caches beside the ``groebner`` ones, themselves: the
+#: presentation, the field-free check values and the Veronese charts
+_PRESENTATION_CACHES = (_PRESENTATION, pipeline._field_free_values,
+                        pipeline._veronese_charts)
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -157,22 +161,26 @@ def _clear_caches(*modules) -> None:
 
 
 def _clear_groebner_caches() -> None:
-    """Empty every cache defined in ``veronese.groebner`` and the
-    presentation cache ``toric._presentation``, whose entries were built
-    from them, so that the next request does its engine work, and the next
-    report its toric routes and height, as in a fresh process.  The
-    presentation cache is reached through its own function, which a test
-    double may have rebound in ``toric``."""
+    """Empty every cache defined in ``veronese.groebner``, the presentation
+    cache ``toric._presentation`` and the field-free check values
+    ``pipeline._field_free_values``, whose entries were built from them,
+    and the Veronese charts ``pipeline._veronese_charts``, so that the next
+    request does its engine work, and the next report its toric routes,
+    height, chart derivations, CI checks, radical cover and minimal
+    generators, as in a fresh process.  Each cache is reached through its
+    own function, which a test double may have rebound in its module."""
     _clear_caches(groebner)
-    _PRESENTATION.cache_clear()
-    assert _PRESENTATION.cache_info().currsize == 0
+    for cache in _PRESENTATION_CACHES:
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
 
 
 @pytest.fixture
 def groebner_caches():
-    """Clears every ``groebner`` cache and the presentation cache before
-    and after the test, and gives the test the clearing function for clears
-    of its own."""
+    """Clears every ``groebner`` cache, the presentation cache and the
+    caches beside it (``_clear_groebner_caches``) before and after the
+    test, and gives the test the clearing function for clears of its
+    own."""
     _clear_groebner_caches()
     yield _clear_groebner_caches
     _clear_groebner_caches()

@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import _PRESENTATION_CACHES
+
 import veronese
+from veronese.pipeline import present_monomial_algebra
+from veronese.toric import veronese_map
 
 _SRC = Path(veronese.__file__).resolve().parent.parent
 _TOOL = _SRC.parent / "tools" / "pass_cpu.py"
@@ -27,6 +31,17 @@ def test_the_summary_reads_median_quartiles_and_wins():
         "median ratio 0.900, quartiles 0.800 1.000, wins 3/5")
     assert summary([1.25]) == (
         "median ratio 1.250, quartiles 1.250 1.250, wins 0/1")
+
+
+def test_clearing_the_caches_empties_those_beside_the_presentation():
+    """``--clear-caches`` starts each report as a fresh CLI process does:
+    with no presentation, no field-free check values and no Veronese
+    charts left by the reports before it."""
+    present_monomial_algebra(veronese_map(2, 2).targets, (2,))
+    assert all(cache.cache_info().currsize for cache in _PRESENTATION_CACHES)
+    _tool()._clear_caches()
+    assert [cache.cache_info().currsize
+            for cache in _PRESENTATION_CACHES] == [0, 0, 0]
 
 
 def test_one_pair_of_the_package_against_itself():

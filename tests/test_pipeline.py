@@ -3,6 +3,7 @@ for square-free Veronese presentations, user-supplied monomial algebras with
 witness pairs, cross-characteristic comparison, and the JSON envelope."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -284,6 +285,27 @@ def test_present_certifies_no_normalization_off_the_veronese_lattice(
     rep = present_monomial_algebra(targets, primes=(2,))
     assert not any(c.name.startswith("normalization_") for c in rep.checks)
     assert rep.params["cohomological_dimension"] is None
+
+
+@pytest.mark.parametrize("targets, digest", [
+    (((4, 0), (0, 4), (2, 2)),
+     "df5392b8a0e93406c1ccf0794db04b9b662c4c97fe44c91f56436838506fd004"),
+    (((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)),
+     "35b584238c75bf2d06e9b5f73625aa44adf837d29e3d9a75be645e8292fe3e90"),
+], ids=["index_8_degree_4", "index_9_degree_3"])
+def test_no_multiple_is_searched_off_the_veronese_lattice(
+        monkeypatch, targets, digest):
+    """A lattice index other than the degree decides that no normalization
+    check is emitted, so no multiple of a missing monomial is searched (the
+    search made 4 and 18 ``semigroup_member`` calls here); the body keeps
+    the sha256 it had when the search ran."""
+    calls = []
+    monkeypatch.setattr(pipeline, "semigroup_member",
+                        lambda *args: calls.append(args))
+    body = render_json(present_monomial_algebra(targets, primes=(2,))
+                       .to_report())
+    assert calls == []
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 def test_a_faulty_row_reduction_is_an_internal_error(monkeypatch, capsys):

@@ -1,10 +1,14 @@
 """The presentation cache: ``toric._presentation`` derives the two toric
 routes and the height once per map in a process, over QQ, for every
 characteristic and every reader, the fiber route of ``charp`` included, so
-no report builds a toric ideal outside QQ; and no report's bytes depend on
-what the process computed before it."""
+no report builds a toric ideal outside QQ.  Beside it,
+``pipeline._field_free_values`` checks the charts, the radical cover and
+the minimal generators once per algebra, chart set and cover, and
+``pipeline._veronese_charts`` derives a Veronese map's charts once.  No
+report's bytes depend on what the process computed before it."""
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -42,13 +46,14 @@ def stage_calls(monkeypatch, groebner_caches):
     return tally
 
 
-def _session_pass(before_each=lambda: None) -> list[str]:
+def _session_pass(before_each=lambda: None, order=list) -> list[str]:
     """The bodies of the seed-3 ``session`` library reports, rendered in
-    this process in input order, ``before_each`` called before each."""
+    this process in input order, or in ``order(inputs)``, ``before_each``
+    called before each."""
     specs = perfbench_module("workloads").GENERATORS["session"](3)
     session = perfbench_module("session")
     bodies = []
-    for spec in specs:
+    for spec in order(specs):
         before_each()
         bodies.append(session.library_report(veronese, spec))
     return bodies
@@ -63,6 +68,66 @@ def test_a_fresh_session_pass_presents_each_algebra_once(stage_calls):
     assert stage_calls == {(name, 0): 7 for name in _STAGES}
     info = toric._presentation.cache_info()
     assert (info.misses, info.hits) == (7, 40)
+
+
+#: the functions that ``pipeline`` calls for the checks of a report, and
+#: their calls in a fresh seed-3 ``session`` pass
+_PASS_CALLS = {"ci_sequence": 9, "ci_check": 9, "_radical_cover": 7,
+               "minimal_generators": 7, "fedder_fpure": 16, "fedder_fiber": 12}
+
+
+def test_a_fresh_session_pass_checks_each_algebra_once(monkeypatch,
+                                                       groebner_caches):
+    """The 28 certificates and presentation reports of the seed-3
+    ``session`` pass derive their Veronese charts (36 derivations when each
+    report made its own), check their charts (36), radical covers (28) and
+    minimal generators (28) once per algebra, chart set and cover: 7 of
+    them, each read again 21 times.  The Fedder checks, which depend on
+    the field, run as often as before."""
+    tally = Counter()
+    for name in _PASS_CALLS:
+        function = getattr(pipeline, name)
+
+        def wrapped(*args, _name=name, _function=function):
+            tally[_name] += 1
+            return _function(*args)
+
+        monkeypatch.setattr(pipeline, name, wrapped)
+    assert len(_session_pass()) == 35
+    assert tally == _PASS_CALLS
+    info = pipeline._field_free_values.cache_info()
+    assert (info.misses, info.hits) == (7, 21)
+    info = pipeline._veronese_charts.cache_info()
+    assert (info.misses, info.hits) == (4, 12)
+
+
+def test_other_charts_and_covers_get_their_own_verdicts(groebner_caches):
+    """Reports on one Veronese map with the default charts and cover, with
+    other charts, and with another cover: each is checked on its own, and
+    each body is the one a fresh process renders.  The given charts are a
+    candidate with coefficients that vanish mod 2, checked in each field,
+    and one outside the ideal; the other cover misses t1 and t3."""
+    targets = veronese_map(2, 2).targets
+    requests = [{}, {"ci_candidates": {0: ["2*t1*t3 - 2*t2^2"],
+                                       2: ["t2^2"]}},
+                {"radical_subset": (1,)}]
+
+    def render(request):
+        return pipeline.render_json(present_monomial_algebra(
+            targets, (2, 3), **request).to_report())
+
+    warm = [render(request) for request in requests]
+    assert pipeline._field_free_values.cache_info().misses == 3
+    verdicts = [{c["name"]: c["verdict"] for c in json.loads(body)["checks"]}
+                for body in warm]
+    assert all(verdicts[0].values())
+    assert not verdicts[1]["localized_ci_char_2_t1"]
+    assert verdicts[1]["localized_ci_char_3_t1"]
+    assert not verdicts[1]["localized_ci_char_0_t3"]
+    assert not verdicts[2]["radical_cover_char_0"]
+    for request, body in zip(requests, warm):
+        _clear_caches(charp, groebner, invariants, pipeline, polycore, toric)
+        assert render(request) == body
 
 
 def test_a_second_report_on_an_algebra_presents_nothing(stage_calls, capsys):
@@ -115,27 +180,37 @@ def _mutable_parts(value):
 
 def test_checks_are_never_shared_between_reports(groebner_caches):
     """Each report builds its own checks, and each of its checks its own
-    details, though one computation serves every characteristic: no dict
-    or list inside the details of a check is inside those of another check
-    of the report or of the next report on the same algebra, and changing
-    one report's details leaves the next report as it was."""
-    first = cd_certificate(2, 2, (2, 3))
-    expected = pipeline.render_json(first.to_report())
-    second = cd_certificate(2, 2, (2, 3))
-    info = toric._presentation.cache_info()
-    # each report reads it once, and its fiber route once per prime
-    assert (info.misses, info.hits) == (1, 5)
-    seen = set()
-    for check in (*first.checks, *second.checks):
-        parts = {id(part) for part in _mutable_parts(check.details)}
-        assert not parts & seen, check.name
-        seen |= parts
-    for check in first.checks:
-        for part in list(_mutable_parts(check.details)):
-            part.clear()
-    assert pipeline.render_json(second.to_report()) == expected
-    third = cd_certificate(2, 2, (2, 3))
-    assert pipeline.render_json(third.to_report()) == expected
+    details, though one computation serves every characteristic and every
+    report on the algebra: no dict or list inside the details of a check
+    is inside those of another check of the report or of the next report
+    on the same algebra, and changing one report's details leaves the next
+    report as it was.  So for two certificates, and for two presentation
+    reports on a Veronese map, which have charts and a cover."""
+    conic = veronese_map(2, 2).targets
+    # each certificate reads the presentation once, and its fiber route
+    # once per prime; a presentation report reads it once
+    for make, reads in ((lambda: cd_certificate(2, 2, (2, 3)), (1, 5)),
+                        (lambda: present_monomial_algebra(conic, (2, 3)),
+                         (1, 1))):
+        groebner_caches()
+        first = make()
+        expected = pipeline.render_json(first.to_report())
+        second = make()
+        info = toric._presentation.cache_info()
+        assert (info.misses, info.hits) == reads
+        info = pipeline._field_free_values.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        seen = set()
+        for check in (*first.checks, *second.checks):
+            parts = {id(part) for part in _mutable_parts(check.details)}
+            assert not parts & seen, check.name
+            seen |= parts
+        for check in first.checks:
+            for part in list(_mutable_parts(check.details)):
+                part.clear()
+        assert pipeline.render_json(second.to_report()) == expected
+        third = make()
+        assert pipeline.render_json(third.to_report()) == expected
 
 
 def test_session_bodies_do_not_depend_on_earlier_reports(groebner_caches):
@@ -146,3 +221,15 @@ def test_session_bodies_do_not_depend_on_earlier_reports(groebner_caches):
     assert toric._presentation.cache_info().hits > 0
     assert _session_pass(lambda: _clear_caches(
         charp, groebner, invariants, pipeline, polycore, toric)) == warm
+
+
+def test_session_bodies_do_not_depend_on_the_order_of_reports(
+        groebner_caches):
+    """The seed-3 ``session`` reports rendered in reverse order, each
+    algebra's checks then computed for another report than in input order,
+    give every input the body it gets in input order."""
+    forward = _session_pass()
+    groebner_caches()
+    backward = _session_pass(order=lambda specs: specs[::-1])
+    assert pipeline._field_free_values.cache_info().hits == 21
+    assert backward[::-1] == forward
