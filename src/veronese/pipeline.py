@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from copy import deepcopy
 from functools import lru_cache
-from math import comb, isfinite
+from math import comb, gcd, isfinite
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .polycore import (
@@ -54,9 +54,6 @@ _GREVLEX = GrevLex()
 
 #: hard cap on source variables; larger requests are refused, not truncated
 VARIABLE_CAP = 12
-
-#: bound on the multiple searched when certifying saturation membership
-_MULTIPLE_CAP = 12
 
 # fixtures ------------------------------------------------------------------
 
@@ -207,6 +204,22 @@ def _pure_power_indices(mmap: MonomialMap) -> tuple[int, ...]:
                  if sum(1 for e in t if e) == 1)
 
 
+def _veronese_normalization(mmap: MonomialMap) -> Optional[int]:
+    """n when the normalization of the algebra is the n-th Veronese ring,
+    else None.  For the semigroup S of the targets it is the algebra of
+    the lattice points of cone(S) in ZS (Hochster, "Rings of invariants of
+    tori...", 1972; Bruns-Herzog ch. 6).  For targets of common degree n, cone(S) is the orthant exactly when
+    every pure power n*e_i is a target (distinct targets, so one per
+    variable), and ZS is the lattice {e : sum(e) = 0 mod n} of the
+    degree-n monomials, of index n and holding every target, exactly when
+    the targets span a lattice of index n."""
+    n = mmap.common_degree()
+    if (n is not None and len(_pure_power_indices(mmap)) == mmap.k
+            and _lattice_index(mmap.targets) == n):
+        return n
+    return None
+
+
 # ---------------------------------------------------------------------------
 # radical cover
 # ---------------------------------------------------------------------------
@@ -347,19 +360,19 @@ def _characteristic_checks(
     constancy across them.
 
     The routes and the height are computed once per process per algebra
-    (``toric._presentation``), over QQ, and serve every characteristic.  So is the cover: t_j^e lies in I + (t_i : i in cover)
-    exactly when e*a_j - a_i lies in the semigroup of the targets a for
-    some i in the cover (Eisenbud-Sturmfels, "Binomial ideals", 1996),
-    which no field enters, so its verdict and least exponents are those of
-    every field.  So is the CI verdict of a
-    chart whose candidates are all +-m or +-(m1 - m2): on those and the
-    toric ideal every run makes the same monomial steps in every field
-    (``groebner._binomial_basis``).  A chart with any other coefficient is
-    checked in each field, since its coefficients may vanish mod p, in
-    every report.  These field-free values, with the minimal generators,
-    are computed once per process per algebra, chart set and cover
-    (``_field_free_values``).  Each record gets its own details, copied
-    from them."""
+    (``toric._presentation``), over QQ, and serve every characteristic.
+    So does the cover: t_j^e lies in I + (t_i : i in cover) exactly when
+    e*a_j - a_i lies in the semigroup of the targets a for some i in the
+    cover (Eisenbud-Sturmfels, "Binomial ideals", 1996), which no field
+    enters, so its verdict and least exponents are those of every field.
+    So does the CI verdict of a chart whose candidates are all +-m or
+    +-(m1 - m2): on those and the toric ideal every run makes the same
+    monomial steps in every field (``groebner._binomial_basis``).  A chart
+    with any other coefficient is checked in each field, since its
+    coefficients may vanish mod p, in every report.  These field-free
+    values, with the minimal generators, are computed once per process per
+    algebra, chart set and cover (``_field_free_values``).  Each record
+    gets its own details, copied from them."""
     ideal, lattice, agree, dims = presentation
     cover = _cover_subset(cover)
     reports, covered, mingens = _field_free_values(
@@ -583,18 +596,21 @@ def present_monomial_algebra(
     certifiable, the normalization's degree-zero computation.
 
     ``radical_subset`` and the keys of ``ci_candidates`` are 0-based source
-    variable indices; the candidate polynomials of a chart are strings in
-    t1..td, parsed once over QQ, read into each field, as one
-    comma-separated list, so the column of a ``ParseError`` counts in their
-    comma-joined text.  They are parsed after the other inputs are
-    checked.  A chart may give polynomials of ``PolyRing(("t1", ...,
-    "td"))`` over QQ instead, already parsed, as the command line does.
-    ``fpurity_witness`` is a pair (numerator vector, generator vector) of
-    semigroup elements whose failed base containment plus successful p-fold
-    containment certifies non-F-purity.  Both default to the pure-power
-    charts when the map is a Veronese map, and are skipped otherwise.  A
-    toric ideal that is not standard-graded, as for the cusp (2), (3), is
-    refused with ``ValueError`` before any Groebner run.
+    variable indices.  Both default to the pure-power charts when the map
+    is a Veronese map, and are skipped otherwise.  The candidate
+    polynomials of a chart are strings in t1..td, parsed once over QQ,
+    read into each field, as one comma-separated list, so the column of a
+    ``ParseError`` counts in their comma-joined text.  They are parsed
+    after the other inputs are checked.  A chart may give polynomials of
+    ``PolyRing(("t1", ..., "td"))`` over QQ instead, already parsed, as
+    the command line does.  ``fpurity_witness`` is a pair (numerator
+    vector, generator vector) of semigroup elements whose failed base
+    containment plus successful p-fold containment certifies
+    non-F-purity.  The normalization is certified, with its degree-zero
+    computation, when ``_veronese_normalization`` decides that it is a
+    Veronese ring; otherwise no check of it is emitted.  A toric ideal
+    that is not standard-graded, as for the cusp (2), (3), is refused
+    with ``ValueError`` before any Groebner run.
     """
     ensure_within_cap(len(targets))
     mmap = MonomialMap(targets)
@@ -641,35 +657,25 @@ def present_monomial_algebra(
             height=dims.height, lattice_nullity=nullity),
         charts, subset)
 
-    # normalization certification: common degree, lattice equality, and a
-    # bounded multiple search for each missing degree-n monomial, run only
-    # on the right lattice.  When it fails, no claim (and no check) is
-    # emitted.  The degree-n monomials span {e : sum(e) = 0 mod n}, of
-    # index n in Z^k, which holds every target, so the targets span it
-    # exactly when their lattice has index n.
-    degree = mmap.common_degree()
-    normalization_certified = False
-    if degree is not None and _lattice_index(mmap.targets) == degree:
-        ver = _veronese_targets(mmap.k, degree)
-        have = set(mmap.targets)
-        missing = [v for v in ver if v not in have]
-        multiples: list[Optional[int]] = []
-        for v in missing:
-            found = None
-            for m in range(1, _MULTIPLE_CAP + 1):
-                if semigroup_member(mmap, tuple(m * e for e in v))[0]:
-                    found = m
-                    break
-            multiples.append(found)
-        if all(m is not None for m in multiples):
-            normalization_certified = True
-            checks.append(_check(
-                "normalization_is_veronese", True,
-                degree=degree,
-                missing_degree_n_targets=[list(v) for v in missing],
-                member_multiples=multiples))
-            checks.append(_lc_degree_zero(
-                "normalization_lc_degree_zero_vanishes", mmap.k, degree))
+    # the normalization, when it is the Veronese ring: each missing
+    # degree-n monomial v has m*v in S for m = n / gcd(n, v), since
+    # m*v = sum (m*v_i/n)*(n*e_i); the least such m is recorded, or None,
+    # and a false check, should ``semigroup_member`` miss it
+    degree = _veronese_normalization(mmap)
+    if degree is not None:
+        missing = [v for v in _veronese_targets(mmap.k, degree)
+                   if v not in mmap.targets]
+        multiples = [next((m for m in range(1, degree // gcd(degree, *v) + 1)
+                           if semigroup_member(
+                               mmap, tuple(m * e for e in v))[0]), None)
+                     for v in missing]
+        checks.append(_check(
+            "normalization_is_veronese", None not in multiples,
+            degree=degree,
+            missing_degree_n_targets=[list(v) for v in missing],
+            member_multiples=multiples))
+        checks.append(_lc_degree_zero(
+            "normalization_lc_degree_zero_vanishes", mmap.k, degree))
 
     if fpurity_witness is not None:
         valid = (semigroup_member(mmap, witness_base)[0]
@@ -700,7 +706,7 @@ def present_monomial_algebra(
             implies_not_f_pure=implies_not_f_pure))
 
     verdict = all(c.verdict for c in checks)
-    concluded = (verdict and normalization_certified and bool(charts)
+    concluded = (verdict and degree is not None and bool(charts)
                  and bool(subset))
     params = {"targets": [list(t) for t in mmap.targets],
               "characteristics": [c for c, _ in doms], "height": dims.height,

@@ -28,8 +28,8 @@ from .invariants import DimensionResult, krull_dim
 
 __all__ = [
     "MonomialMap", "veronese_map", "toric_ideal_elimination",
-    "toric_ideal_lattice", "minimal_generators", "CIReport", "ci_sequence", "ci_check", "symmetric_minors_ideal",
-    "integer_kernel",
+    "toric_ideal_lattice", "minimal_generators", "CIReport", "ci_sequence",
+    "ci_check", "symmetric_minors_ideal", "integer_kernel",
 ]
 
 _GREVLEX = GrevLex()

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import rebind
 
-from veronese import pipeline, toric
+from veronese import charp, pipeline, toric
 from veronese.charp import FiberReport
 from veronese.cli import main
 from veronese.groebner import Ideal
@@ -87,6 +87,11 @@ def _fiber_never_pure(monkeypatch):
     rebind(monkeypatch, fiber, doctored)
 
 
+def _no_semigroup_member(monkeypatch):
+    """``semigroup_member`` finds no element in any semigroup."""
+    rebind(monkeypatch, charp.semigroup_member, lambda *args: (False, None))
+
+
 FAMILIES = {
     # inputs that make the check false
     "localized_ci": Family(
@@ -137,12 +142,10 @@ FAMILIES = {
     "cd_certificate_f_pure": Family(
         r"f_pure_p\d+", kind="cd_certificate", doctor=_fiber_never_pure,
         argvs=(_CD_2_2,)),
-    # true by construction
     "normalization_is_veronese": Family(
-        "normalization_is_veronese",
-        allowed="recorded with a literal True, and only once the "
-                "normalization is certified; when it is not, no check is "
-                "emitted"),
+        "normalization_is_veronese", doctor=_no_semigroup_member,
+        argvs=(_QUARTIC,)),
+    # true by construction
     "f_purity_recorded": Family(
         r"f_purity_recorded_p\d+",
         allowed="a record of the colon route's verdict, built with a "

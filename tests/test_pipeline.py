@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+from math import gcd
 
 import pytest
 
@@ -292,13 +294,22 @@ def test_present_certifies_no_normalization_off_the_veronese_lattice(
      "df5392b8a0e93406c1ccf0794db04b9b662c4c97fe44c91f56436838506fd004"),
     (((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)),
      "35b584238c75bf2d06e9b5f73625aa44adf837d29e3d9a75be645e8292fe3e90"),
-], ids=["index_8_degree_4", "index_9_degree_3"])
+    (((5, 1), (4, 2)),
+     "b735ca2489256e2e154e72ddf525b1ad85b663b8941708c51eb716cb2447aa93"),
+    (((11, 1), (10, 2)),
+     "fff7ceb813cbef19d293d0d3ffa9998812d9042c1e84174e006edbb3a088c532"),
+    (((7, 3, 1), (5, 6, 0), (5, 5, 1), (6, 3, 2), (9, 1, 1)),
+     "fbcf983127b1ddbc5eaf3c87c2d5542163d753c05d6b25ae2e4f2091ff104f47"),
+], ids=["index_8_degree_4", "index_9_degree_3", "no_pure_power_degree_6",
+        "no_pure_power_degree_12", "no_pure_power_degree_11"])
 def test_no_multiple_is_searched_off_the_veronese_lattice(
         monkeypatch, targets, digest):
-    """A lattice index other than the degree decides that no normalization
-    check is emitted, so no multiple of a missing monomial is searched (the
-    search made 4 and 18 ``semigroup_member`` calls here); the body keeps
-    the sha256 it had when the search ran."""
+    """A lattice index other than the degree, or a missing pure power n*e_i
+    (on the right lattice), decides that no normalization check is
+    emitted, so no multiple of a missing monomial is searched (a search
+    capped at m = 12 made 4, 18, 60, 132 and 856 ``semigroup_member``
+    calls here, all futile); the body keeps the sha256 it had when the
+    search ran."""
     calls = []
     monkeypatch.setattr(pipeline, "semigroup_member",
                         lambda *args: calls.append(args))
@@ -306,6 +317,69 @@ def test_no_multiple_is_searched_off_the_veronese_lattice(
                        .to_report())
     assert calls == []
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("targets, multiples, digest", [
+    (((16, 0), (0, 16), (1, 15)), [15, 8, 5, 4, 3, 5, 9, 2, 5, 3, 7, 4, 6, 8],
+     "a8df47697386975c710d2f4a4876dab847cb495e6f9ee631a74f075510346676"),
+    (((13, 0), (0, 13), (1, 12)), [12, 6, 4, 3, 5, 2, 7, 3, 4, 5, 7],
+     "53640dbf9b883bf59dc8787c465b51e3bdd69e09bf1437aac3ddb99aea07fe8c"),
+], ids=["past_the_old_cap", "below_the_old_cap"])
+def test_least_multiples_are_searched_up_to_n_over_gcd(
+        targets, multiples, digest):
+    """(15,1) needs m = 15, since 15*(15,1) = 14*(16,0) + (1,15): the search
+    bounded by n / gcd(n, v) finds it, where one capped at m = 12 emitted
+    no check.  The multiples were brute-forced independently; the body
+    below the old cap keeps the sha256 it had under the cap."""
+    rep = present_monomial_algebra(targets, primes=(2,))
+    check = _check_map(rep.to_report())["normalization_is_veronese"]
+    assert check["verdict"] is True
+    assert check["details"]["member_multiples"] == multiples
+    body = render_json(rep.to_report())
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def _searched_multiples(mmap, n):
+    """The rule's reference, which reads no pure power: when the targets
+    span a lattice of index n, the least m <= 2n with m*v in the semigroup
+    of each degree-n monomial v that is not a target; None when the index
+    differs or some v has no such m."""
+    if toric._lattice_index(mmap.targets) != n:
+        return None
+    least = {}
+    for v in veronese_map(mmap.k, n).targets:
+        if v not in mmap.targets:
+            least[v] = next((m for m in range(1, 2 * n + 1)
+                             if semigroup_member(
+                                 mmap, tuple(m * e for e in v))[0]), None)
+            if least[v] is None:
+                return None
+    return least
+
+
+def test_the_normalization_rule_agrees_with_a_search():
+    """On seeded subsets of the degree-n monomials (k <= 4, n <= 6, at
+    most ``VARIABLE_CAP`` of them), the rule says yes exactly when the
+    search does, and then the least multiple of each missing monomial v
+    is at most n / gcd(n, v)."""
+    rng = random.Random(20201)
+    verdicts = []
+    for _ in range(1500):
+        k, n = rng.randint(1, 4), rng.randint(1, 6)
+        monomials = veronese_map(k, n).targets
+        powers = [v for v in monomials if n in v]
+        chosen = powers if rng.random() < 0.5 else []
+        others = [v for v in monomials if v not in chosen]
+        room = min(VARIABLE_CAP - len(chosen), len(others))
+        mmap = MonomialMap(chosen + rng.sample(
+            others, rng.randint(0 if chosen else 1, room)))
+        least = _searched_multiples(mmap, n)
+        assert pipeline._veronese_normalization(mmap) == (
+            None if least is None else n), mmap.targets
+        if least is not None:
+            assert all(m <= n // gcd(n, *v) for v, m in least.items())
+        verdicts.append(least is not None)
+    assert 300 < sum(verdicts) < 1200
 
 
 def test_a_faulty_row_reduction_is_an_internal_error(monkeypatch, capsys):
