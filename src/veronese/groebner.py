@@ -47,11 +47,14 @@ eliminated variables, then grevlex on the rest, so an element free of
 the eliminated variables is grevlex-descending in the kept ones.
 
 ``colon_ideal`` intersects the pieces (I : g) over the generators g of the
-divisor and skips each g whose piece already contains the running
-intersection Q, which holds when h*g reduces to zero modulo the grevlex
-basis of I for every generator h of Q; then neither that piece nor the
-intersection with it is computed.  With two or more generators the result
-is the reduced grevlex basis of the quotient whichever steps ran.
+divisor, those whose grevlex lead is a pure power first, and skips each g
+whose piece already contains the running intersection Q, which holds when
+h*g reduces to zero modulo the grevlex basis of I for every generator h of
+Q; then neither that piece nor the intersection with it is computed.  The
+test forms each h*g on packed monomials and reduces it there.  With two or
+more generators the result is the reduced grevlex basis of the quotient
+whichever steps ran, in whatever order; the order only makes the pieces
+that run small (see ``colon_ideal``).
 """
 from __future__ import annotations
 
@@ -523,30 +526,80 @@ def colon(ideal: Ideal, f: Polynomial) -> Ideal:
     return Ideal(ideal.ring, tuple(gens))
 
 
+def _pure_power_lead(g: Polynomial) -> bool:
+    """Is the grevlex lead of g, its first term, a power of one variable?"""
+    return sum(map(bool, g.terms[0][0])) == 1
+
+
+def _products_in(hs: Sequence[Polynomial], g: Polynomial,
+                 gb: GroebnerBasis) -> bool:
+    """Does h*g lie in the ideal of the grevlex basis gb for every h in hs?
+
+    Each product is formed on packed monomials and reduced by ``_nf_dict``
+    against the packed basis (``_gb_entries``); no ``Polynomial`` is built.
+    A product monomial that outgrows its fields raises
+    ``_PackingOverflow``, and ``_packed`` repeats the test wider."""
+    p = gb.ring.domain.characteristic
+
+    def run(packing: _Packing) -> bool:
+        entries = _gb_entries(gb, packing)
+        guard = packing.guard
+        factor = packing.pack_terms(g.terms).items()
+        for h in hs:
+            d: dict[int, Scalar] = {}
+            for m1, c1 in packing.pack_terms(h.terms).items():
+                for m2, c2 in factor:
+                    m = m1 + m2
+                    if m & guard:
+                        raise _PackingOverflow
+                    c = d.get(m, 0) + c1 * c2
+                    d[m] = c % p if p else c
+            # cancelled terms stay as zeros, which ``_nf_dict`` skips
+            if _nf_dict(d, entries, guard, p):
+                return False
+        return True
+
+    return _packed(gb.order, gb.ring.arity, run)
+
+
 def colon_ideal(ideal: Ideal, other: Ideal) -> Ideal:
     """Quotient (ideal : other) = intersection of (ideal : g) over generators.
 
-    The running intersection Q starts as (ideal : g1).  Before the piece of
-    a later generator g is computed, Q is tested against it: when h*g
-    reduces to zero modulo the grevlex basis of ``ideal`` for every
-    generator h of Q, then Q lies in (ideal : g), Q meets it in Q, and both
-    the piece and the combining ``intersect`` are skipped.  With one
-    generator the result is (ideal : g1) as ``colon`` returns it; with more
-    it is the reduced grevlex basis of the quotient, as the last
+    The generators of ``other`` whose grevlex lead is a pure power come
+    first, in their given order, then the others.  The running intersection
+    Q starts as the piece of the first one.  Before the piece of a later
+    generator g is computed, Q is tested against it: when h*g lies in
+    ``ideal`` for every generator h of Q (``_products_in``), then Q lies in
+    (ideal : g), Q meets it in Q, and both the piece and the combining
+    ``intersect`` are skipped.  The quotient does not depend on the order
+    of the pieces, and the test is exact, so any order gives it; with one
+    generator the result is (ideal : g) as ``colon`` returns it, and with
+    more it is the reduced grevlex basis of the quotient, as the last
     ``intersect`` returns it, or built from Q when none ran.
+
+    The order is chosen for the pieces that run, not for the result.  In a
+    reduced basis, such as the presentation ideal I of Fedder's colon
+    (I^[p] : I), no lead divides another, so the pure-power leads are
+    powers of distinct variables and those generators form a regular
+    sequence; their pieces are small, and their intersection usually lies
+    in every later piece.  On the 25 Fedder inputs of the benchmark's
+    reports as many pieces run as there are pure-power leads, on 23 of them
+    exactly theirs, and the pieces and intersections are smaller than in
+    the given order.
     """
     if ideal.ring != other.ring:
         raise ValueError("ideals in different rings")
     if other.is_zero():
         return Ideal(ideal.ring, (ideal.ring.one,))
-    first, *rest = other.generators
+    first, *rest = sorted(other.generators,
+                          key=lambda g: not _pure_power_lead(g))
     result = colon(ideal, first)
     if not rest:
         return result
     gb = buchberger(ideal, _GREVLEX)
     reduced = False                      # does result hold a reduced basis
     for g in rest:
-        if all(ideal_member(h * g, gb) for h in result.generators):
+        if _products_in(result.generators, g, gb):
             continue
         result = intersect(result, colon(ideal, g))
         reduced = True

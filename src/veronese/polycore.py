@@ -821,9 +821,13 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
 
     Ties go to the first divisor whose lead divides the current lead, so the
     output is deterministic.  No term of r is divisible by any divisor lead.
+    Each quotient receives its terms in descending order, so it is built
+    like the remainder (``_Packing.polynomial``), without a sort under
+    grevlex.
     """
     ring = f.ring
     dom = ring.domain
+    p = dom.characteristic
     if not divisors:
         raise ValueError("need at least one divisor")
     for d in divisors:
@@ -843,9 +847,9 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
             entries.append((lead, quotient, tail))
             scaled.append((quotient, lcinv))
         remainder = _nf_dict(packing.pack_terms(f.terms), entries,
-                             packing.guard, dom.characteristic)
-        qs = [_from_dict(ring, {packing.unpack(q): c * lcinv
-                                for q, c in quotient.items()})
+                             packing.guard, p)
+        qs = [packing.polynomial(ring, {q: c * lcinv % p if p else c * lcinv
+                                        for q, c in quotient.items()})
               for quotient, lcinv in scaled]
         return qs, packing.polynomial(ring, remainder)
 

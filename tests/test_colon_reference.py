@@ -6,18 +6,22 @@ now skips every generator whose colon already contains the running
 intersection; its generators must still be tuple-equal to the
 reference's, over QQ, GF(2), GF(3) and GF(5), on the bracket-power
 inputs of Fedder's criterion that the golden reports and the benchmark's
-``certify`` and ``session`` seeds 3 and 5 ask for, and on small cases
-that take each path of the skip."""
+``certify`` and ``session`` seeds 3 and 5 ask for, whatever the order of
+the divisor's generators, and on small cases that take each path of the
+skip.  The skip's packed test must agree with ``ideal_member``, also
+where its products outgrow the first packing."""
 from __future__ import annotations
 
 import random
 
 import pytest
 
+from veronese import groebner, polycore
 from veronese.groebner import (
-    Ideal, buchberger, colon, colon_ideal, ideal_member, intersect,
+    Ideal, _products_in, buchberger, colon, colon_ideal, ideal_member,
+    intersect,
 )
-from veronese.polycore import GF, PolyRing, Polynomial, QQ
+from veronese.polycore import GF, GrevLex, PolyRing, Polynomial, QQ
 from veronese.toric import MonomialMap, toric_ideal_elimination
 
 from test_kernel_reference import _random_binomials, _random_poly
@@ -97,17 +101,37 @@ def _fedder_inputs(dom):
         yield _bracket(ideal, p), ideal
 
 
-def _agree(ideal: Ideal, other: Ideal, groebner_caches) -> None:
+def _pure_power(g: Polynomial) -> bool:
+    """Is the grevlex lead of g a power of one variable?"""
+    return sum(e > 0 for e in g.lead_monomial(GrevLex())) == 1
+
+
+def _orders(rng, gens):
+    """The generators as given, with the pure-power leads last, and in two
+    seeded shuffles."""
+    yield gens
+    yield tuple(sorted(gens, key=_pure_power))
+    for _ in range(2):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        yield tuple(shuffled)
+
+
+def _agree(ideal: Ideal, other: Ideal, groebner_caches, rng) -> None:
+    """``colon_ideal`` with the divisor's generators in each of
+    ``_orders`` is tuple-equal to the fold over them as given."""
     groebner_caches()
-    got = colon_ideal(ideal, other).generators
-    groebner_caches()
-    assert got == _fold_reference(ideal, other).generators
+    want = _fold_reference(ideal, other).generators
+    for gens in _orders(rng, other.generators):
+        groebner_caches()
+        assert colon_ideal(ideal, Ideal(other.ring, gens)).generators == want
 
 
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
 def test_fedder_colons_match_the_fold(dom, groebner_caches):
+    rng = random.Random(f"fedder/{dom}")
     for bracket, ideal in _fedder_inputs(dom):
-        _agree(bracket, ideal, groebner_caches)
+        _agree(bracket, ideal, groebner_caches, rng)
 
 
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
@@ -118,7 +142,95 @@ def test_seeded_colons_match_the_fold(dom, groebner_caches):
         ideal = Ideal(ring, _random_binomials(rng, ring)
                       + [_random_poly(rng, ring, 3, 2)])
         other = Ideal(ring, _random_binomials(rng, ring))
-        _agree(ideal, other, groebner_caches)
+        _agree(ideal, other, groebner_caches, rng)
+
+
+# the Fedder inputs on which a later pure-power piece is skipped and a
+# generator after them runs in its place: the generators whose pieces run,
+# by position, in the order they run
+_OTHER_PIECES = {
+    (((4, 0), (3, 1), (1, 3), (0, 4)), 2): [1, 0],
+    (((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)), 2): [0, 3, 1],
+}
+
+
+def test_fedder_pieces_are_the_pure_power_leads(monkeypatch,
+                                                groebner_caches):
+    """On the Fedder colons (I^[p] : I) of the benchmark's presentations,
+    over GF(p), the pieces that run are those of the generators of I with a
+    pure-power lead, as many as they are, on all but the two inputs of
+    ``_OTHER_PIECES``."""
+    ran = []
+
+    def piece(ideal, f, _colon=groebner.colon):
+        ran.append(f)
+        return _colon(ideal, f)
+
+    monkeypatch.setattr(groebner, "colon", piece)
+    for targets, p in BENCHMARK_PRESENTATIONS:
+        ideal = toric_ideal_elimination(MonomialMap(targets), GF(p))
+        gens = ideal.generators
+        groebner_caches()
+        ran.clear()
+        colon_ideal(_bracket(ideal, p), ideal)
+        pure = [g for g in gens if _pure_power(g)]
+        other = _OTHER_PIECES.get((targets, p))
+        assert len(ran) == len(pure)
+        assert ran == (pure if other is None else [gens[i] for i in other])
+
+
+@pytest.mark.parametrize("dom", _DOMAINS, ids=str)
+def test_packed_products_match_ideal_member(dom):
+    """``_products_in`` against ``ideal_member`` of each product, on the
+    Fedder inputs: the quotient's generators times the divisor's (all in)
+    and seeded polynomials times them (mostly not)."""
+    rng = random.Random(f"products/{dom}")
+    seen = set()
+    for bracket, ideal in _fedder_inputs(dom):
+        gb = buchberger(bracket)
+        hs = list(colon_ideal(bracket, ideal).generators)
+        hs += [_random_poly(rng, ideal.ring, 3, 3) for _ in range(3)]
+        hs = [h for h in hs if not h.is_zero()]
+        for g in ideal.generators:
+            members = [ideal_member(h * g, gb) for h in hs]
+            for h, member in zip(hs, members):
+                assert _products_in([h], g, gb) is member
+            assert _products_in(hs, g, gb) is all(members)
+            seen.update(members)
+    assert seen == {True, False}
+
+
+def test_packed_products_widen_when_they_overflow(monkeypatch):
+    """Inputs that do not fit 8-bit fields: at p = 251 the bracket power
+    itself, and below x^100 and x^50, which fit while their product does
+    not.  ``_packed`` must widen and repeat the test, and agree with
+    ``ideal_member``."""
+    widths = []
+
+    def packing(order, arity, bits, _packing=polycore._packing):
+        widths.append(bits)
+        return _packing(order, arity, bits)
+
+    monkeypatch.setattr(polycore, "_packing", packing)
+    ring = PolyRing(("x", "y", "z"), GF(251))
+    ideal = _ideal(ring, "x*z - y^2")
+    bracket = _bracket(ideal, 251)
+    gb = buchberger(bracket)
+    hs = colon_ideal(bracket, ideal).generators
+    for g in ideal.generators + (ring.parse("x*y"),):
+        widths.clear()
+        got = _products_in(hs, g, gb)
+        assert widths[:2] == [8, 16]
+        assert got is all(ideal_member(h * g, gb) for h in hs)
+
+    ring = PolyRing(("x", "y"), GF(2))
+    gb = buchberger(_bracket(_ideal(ring, "x"), 2))
+    for h, g, member in (("x^100", "x^50", True), ("y^100", "y^50", False)):
+        h, g = ring.parse(h), ring.parse(g)
+        assert ideal_member(h * g, gb) is member
+        widths.clear()
+        assert _products_in([h], g, gb) is member
+        assert widths == [8, 16]
 
 
 def _ideal(ring, *texts):
@@ -133,9 +245,11 @@ def _ideal(ring, *texts):
     # (J : x) = (x, y^2) does not lie in (J : y) = (x^2, y); their
     # intersection lies in both, so the repeated generators are skipped
     (("x^2", "y^2"), ("x", "y", "x", "y"), 2, 1),
-    # (J : x*y) = (x, y) does not lie in (J : x) = (x, y^2), which shrinks
-    # it; (J : x^2) is the unit ideal and is skipped after that
-    (("x^2", "y^2"), ("x*y", "x", "x^2"), 2, 1),
+    # x^2, the one pure-power lead, is taken first: (J : x^2) = (x, y^3)
+    # does not lie in (J : x*y) = (x^2, y^2), which shrinks it to
+    # (x^2, x*y^2, y^3); that lies in (J : x^2*y) = (x, y^2), which is
+    # skipped
+    (("x^3", "y^3"), ("x*y", "x^2*y", "x^2"), 2, 1),
     # a single generator: the piece as ``colon`` returns it
     (("x^2", "x*y - y^2"), ("x + y",), 1, 0),
     # a zero dividend: every piece is zero, so the first one is all

@@ -242,8 +242,9 @@ def _exact(polys):
 @pytest.mark.parametrize("dom", _DOMAINS, ids=str)
 def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
     """Bases, from a shared binomial run or a run in the ideal's own
-    domain, normal forms, the remainders of ``divide`` and eliminations
-    must be exactly what the sorting path builds.  Every packed result
+    domain, normal forms, the remainders and quotients of ``divide`` and
+    eliminations must be exactly what the sorting path builds.  Every
+    packed result
     converted under grevlex, and none under lex or a block order, must skip
     the sort; an elimination must convert only the elements it returns,
     and skip the sort for each."""
@@ -257,29 +258,31 @@ def test_in_order_paths_match_the_sorting_path(order, dom, sorting_path):
 
         def results():
             gb = buchberger(ideal, order)
-            remainders = ([divide(f, divisors, order)[1] for f in fs]
-                          if divisors else [])
+            divisions = ([divide(f, divisors, order) for f in fs]
+                         if divisors else [])
             return [_exact(gb.elements),
                     _exact(normal_form(f, gb) for f in fs),
-                    _exact(remainders),
+                    _exact(r for _, r in divisions),
+                    _exact(q for qs, _ in divisions for q in qs),
                     _exact(eliminate(ideal, drop).generators)]
 
         got, conversions = sorting_path(results, sort=False)
         expected, sorted_conversions = sorting_path(results, sort=True)
         assert got == expected
         assert not any(skipped for _, skipped, _ in sorted_conversions)
-        # one conversion per basis element, normal form and remainder
-        # under ``order``, each skipping the sort under grevlex alone, and
-        # one per element of the elimination ideal, none sorted: the
-        # elements of its run that lie outside it are never built
+        # one conversion per basis element, normal form, remainder and
+        # quotient under ``order``, each skipping the sort under grevlex
+        # alone, and one per element of the elimination ideal, none sorted:
+        # the elements of its run that lie outside it are never built
         under_order = [(o, skipped) for o, skipped, kept in conversions
                        if not kept]
         elimination = [(o, skipped) for o, skipped, kept in conversions
                        if kept]
-        assert len(under_order) == len(got[0]) + len(fs) + len(got[2])
+        assert len(under_order) == (len(got[0]) + len(fs) + len(got[2])
+                                    + len(got[3]))
         assert all(o == order and skipped == isinstance(order, GrevLex)
                    for o, skipped in under_order)
-        assert elimination == [(Block(frozenset(drop)), True)] * len(got[3])
+        assert elimination == [(Block(frozenset(drop)), True)] * len(got[4])
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=str)
