@@ -9,9 +9,11 @@ from the map's presentation over QQ (``toric._presentation``) into GF(p):
 it never forms the colon, but solves one sparse linear system over GF(p)
 in a single multidegree, whose rows are keyed by residues mod p, since a
 toric ring has one standard monomial in each multidegree and so no row
-needs a normal form; its solution u is re-checked on packed monomials by
-reducing each product u g against the Frobenius basis of I^[p], which
-needs no Buchberger run.  The Veronese certificate uses the fiber route;
+needs a normal form; its solution u is re-checked by the colon route's
+containment test (``groebner._products_in``), each product u g reduced
+against the Frobenius basis of I^[p], which needs no Buchberger run.
+Neither route works on packed monomials itself; both call the kernel's
+entry points.  The Veronese certificate uses the fiber route;
 the colon route serves general homogeneous input and the toric ideals of
 ``present``, and is the fiber route's oracle in the tests.
 """
@@ -21,12 +23,11 @@ from typing import Optional, Sequence
 
 from .polycore import (
     GF, GrevLex, PrimeField, Polynomial, Exponents, ResourceCapError,
-    _Packing, _PackingOverflow, _Record, _naturals, _nf_dict, _packed,
-    is_homogeneous,
+    _Record, _naturals, is_homogeneous,
 )
 from .groebner import (
-    GroebnerBasis, Ideal, buchberger, colon_ideal, _gb_entries,
-    _pure_difference,
+    GroebnerBasis, Ideal, buchberger, colon_ideal, normal_form,
+    _products_in, _pure_difference,
 )
 from .toric import MonomialMap, _presentation, _specialise
 
@@ -205,23 +206,6 @@ class FiberReport(_Record):
     __slots__ = __match_args__
 
 
-def _times(g: Polynomial, support: list, packing: _Packing, p: int
-           ) -> dict:
-    """g u for the u whose terms are the packed monomials ``support``, each
-    with coefficient 1, as one packed term dict over GF(p) without zero
-    terms.  Raises ``_PackingOverflow`` when a product outgrows its
-    fields."""
-    guard = packing.guard
-    product: dict[int, int] = {}
-    get = product.get
-    for m, c in packing.pack_terms(g.terms).items():
-        for x in map(m.__add__, support):
-            if x & guard:
-                raise _PackingOverflow
-            product[x] = (get(x, 0) + c) % p
-    return {x: c for x, c in product.items() if c}
-
-
 def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
     """Decide F-purity of R/I for the toric ideal I of the map's targets
     a_1..a_d over GF(p), R = F_p[t_1..t_d], deg t_i = a_i, without the
@@ -277,15 +261,14 @@ def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
     candidate residues, raises ``ResourceCapError`` before any unknown is
     built.
 
-    The witness and its re-check.  Only these run on packed monomials
-    (``polycore._packed``), and only when x^(p-1) lies in a free
-    component: q is one ``_nf_dict`` call on one packed monomial.  Then,
-    without the rows or the union-find, u g is formed for every g in G as
-    one packed term dict and reduced once by ``_nf_dict`` against G^[p]; a
-    nonzero remainder, or an x^(p-1) coefficient other than 1, raises
-    ``RuntimeError``.  No ``Polynomial`` is built but the
-    returned u, and a monomial that outgrows the packed fields repeats the
-    part with wider fields from scratch.
+    The witness and its re-check.  Only these reduce, and only when
+    x^(p-1) lies in a free component: q is ``normal_form`` of t^e modulo G,
+    once per distinct e, and must be one monomial with coefficient 1, or
+    ``RuntimeError`` is raised.  u is built once, as a polynomial over
+    GF(p).  Then, without the rows or the union-find, u g must lie in
+    I^[p] for every g in G, tested by the colon route's
+    ``groebner._products_in`` against G^[p]; a product outside it, or an
+    x^(p-1) coefficient other than 1, raises ``RuntimeError``.
     """
     field = GF(p)         # before the presentation: a refused p costs nothing
     gb = buchberger(_specialise(_presentation(mmap)[0], field), _GREVLEX)
@@ -374,32 +357,27 @@ def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
 
     top = (p - 1,) * d
     x_root = find(position[top])
-
-    def run(packing: _Packing) -> Polynomial:
-        pack, guard = packing.pack, packing.guard
-        entries = _gb_entries(gb, packing)
+    witness = None
+    if x_root not in grounded:
         reduced: dict[Exponents, Exponents] = {}
-        support = []          # u's packed terms t^(p q + r), q = NF(t^e)
+        terms = {}            # u's terms t^(p q + r), q = NF(t^e)
         for j, (e, r) in enumerate(unknowns):
             if find(j) == x_root:
                 if e not in reduced:
-                    (q,) = _nf_dict({pack(e): 1}, entries, guard, p)
-                    reduced[e] = packing.unpack(q)
-                support.append(pack(tuple([
-                    p * a + b for a, b in zip(reduced[e], r)])))
-        support.sort(reverse=True)
-        witness = packing.polynomial(ring, dict.fromkeys(support, 1))
-        frobenius = _gb_entries(GroebnerBasis(
+                    nf = normal_form(ring.monomial(e), gb).terms
+                    if len(nf) != 1 or nf[0][1] != 1:
+                        raise RuntimeError("a fiber quotient is not one "
+                                           "monomial; presentation bug")
+                    reduced[e] = nf[0][0]
+                terms[tuple([p * a + b for a, b in zip(reduced[e], r)])] = 1
+        witness = ring.from_dict(terms)
+        frobenius = GroebnerBasis(
             ring, _GREVLEX,
-            frobenius_power(Ideal(ring, gb.elements)).generators), packing)
-        if witness.coefficient(top) != 1 or any(
-                _nf_dict(_times(g, support, packing, p), frobenius, guard, p)
-                for g in gb.elements):
+            frobenius_power(Ideal(ring, gb.elements)).generators)
+        if witness.coefficient(top) != 1 or not _products_in(
+                gb.elements, witness, frobenius):
             raise RuntimeError("fiber witness failed re-verification; "
                                "elimination bug")
-        return witness
-
-    witness = None if x_root in grounded else _packed(_GREVLEX, d, run)
     return FiberReport(p=p, fiber_size=len(unknowns),
                        constraints=constraints, rank=rank,
                        witness=witness, f_pure=witness is not None)

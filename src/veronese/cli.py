@@ -250,19 +250,27 @@ def _add_ideal_flags(sub: argparse.ArgumentParser, required: bool = True) -> Non
                        help="file containing comma-separated generators")
 
 
-def _veronese_ideal_flags(sub: argparse.ArgumentParser) -> None:
+def _char_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
+
+
+def _primes_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--primes", default="2,3,5",
+                     help="comma-separated primes (default 2,3,5)")
+
+
+def _veronese_flags(sub: argparse.ArgumentParser) -> None:
+    """``-k`` and ``-n`` of the Veronese map."""
     sub.add_argument("-k", type=_int_flag, required=True,
                      help="ambient variables")
     sub.add_argument("-n", type=_int_flag, required=True,
                      help="Veronese degree")
-    sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
 
 
 def _present_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--targets", required=True,
                      help='exponent vectors, e.g. "4,0;3,1;1,3;0,4"')
-    sub.add_argument("--primes", default="2,3,5",
-                     help="comma-separated primes (default 2,3,5)")
+    _primes_flag(sub)
     sub.add_argument("--radical-subset", metavar="VARS",
                      help='cover variables, e.g. "t1,t4"')
     sub.add_argument("--ci", action="append", metavar="VAR:POLYS",
@@ -272,26 +280,19 @@ def _present_flags(sub: argparse.ArgumentParser) -> None:
                      help='numerator;generator pair, e.g. "6,2;4,0"')
 
 
-def _height_flags(sub: argparse.ArgumentParser) -> None:
-    _add_ideal_flags(sub)
-    sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
-
-
 def _ci_check_flags(sub: argparse.ArgumentParser) -> None:
-    _add_ideal_flags(sub)
-    sub.add_argument("--invert", required=True, metavar="VAR")
-    sub.add_argument("--candidates", required=True, metavar="POLYS")
-    sub.add_argument("--char", default="0")
+    sub.add_argument("--invert", required=True, metavar="VAR",
+                     help="the variable to invert")
+    sub.add_argument("--candidates", required=True, metavar="POLYS",
+                     help="comma-separated candidate generators")
 
 
 def _radical_cover_flags(sub: argparse.ArgumentParser) -> None:
-    _add_ideal_flags(sub)
-    sub.add_argument("--subset", required=True, metavar="VARS")
-    sub.add_argument("--char", default="0")
+    sub.add_argument("--subset", required=True, metavar="VARS",
+                     help='cover variables, e.g. "u,w"')
 
 
 def _fedder_flags(sub: argparse.ArgumentParser) -> None:
-    _add_ideal_flags(sub)
     sub.add_argument("--p", type=_int_flag, required=True, help="the prime")
 
 
@@ -301,37 +302,34 @@ def _semigroup_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target", required=True, help='vector, e.g. "2,2"')
 
 
-def _cd_certificate_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-k", type=_int_flag, required=True)
-    sub.add_argument("-n", type=_int_flag, required=True)
-    sub.add_argument("--primes", default="2,3,5")
-
-
 def _char_compare_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--targets", help="toric fixture: exponent vectors")
     _add_ideal_flags(sub, required=False)
-    sub.add_argument("--primes", default="2,3,5")
 
 
-#: subcommand name -> (its line in the top-level help, its flags, its
-#: handler)
+#: subcommand name -> (its line in the top-level help, the functions that
+#: add its flags, in order, its handler)
 _SUBCOMMANDS = {
     "veronese-ideal": ("both toric routes for a Veronese map",
-                       _veronese_ideal_flags, _cmd_veronese_ideal),
-    "present": ("presentation report for a monomial algebra", _present_flags,
-                _cmd_present),
-    "height": ("Krull dimension and height", _height_flags, _cmd_height),
-    "ci-check": ("verify a localized complete intersection", _ci_check_flags,
+                       (_veronese_flags, _char_flag), _cmd_veronese_ideal),
+    "present": ("presentation report for a monomial algebra",
+                (_present_flags,), _cmd_present),
+    "height": ("Krull dimension and height", (_add_ideal_flags, _char_flag),
+               _cmd_height),
+    "ci-check": ("verify a localized complete intersection",
+                 (_add_ideal_flags, _ci_check_flags, _char_flag),
                  _cmd_ci_check),
     "radical-cover": ("is every variable in rad(I + subset)?",
-                      _radical_cover_flags, _cmd_radical_cover),
-    "fedder": ("Fedder F-purity test", _fedder_flags, _cmd_fedder),
-    "semigroup": ("affine semigroup membership", _semigroup_flags,
+                      (_add_ideal_flags, _radical_cover_flags, _char_flag),
+                      _cmd_radical_cover),
+    "fedder": ("Fedder F-purity test", (_add_ideal_flags, _fedder_flags),
+               _cmd_fedder),
+    "semigroup": ("affine semigroup membership", (_semigroup_flags,),
                   _cmd_semigroup),
     "cd-certificate": ("cohomological-dimension certificate",
-                       _cd_certificate_flags, _cmd_cd_certificate),
-    "char-compare": ("heights across characteristics", _char_compare_flags,
-                     _cmd_char_compare),
+                       (_veronese_flags, _primes_flag), _cmd_cd_certificate),
+    "char-compare": ("heights across characteristics",
+                     (_char_compare_flags, _primes_flag), _cmd_char_compare),
 }
 
 
@@ -343,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (summary, add_flags, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=summary)
-        add_flags(sub)
-        _add_out_flags(sub)
+        for add in (*add_flags, _add_out_flags):
+            add(sub)
     return parser
 
 
@@ -358,8 +356,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         name = argv[0]
         _, add_flags, _ = _SUBCOMMANDS[name]
         sub = argparse.ArgumentParser(prog=f"veronese {name}")
-        add_flags(sub)
-        _add_out_flags(sub)
+        for add in (*add_flags, _add_out_flags):
+            add(sub)
         args, extras = sub.parse_known_args(
             argv[1:], argparse.Namespace(command=name))
         if not extras:

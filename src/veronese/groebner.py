@@ -535,10 +535,15 @@ def _products_in(hs: Sequence[Polynomial], g: Polynomial,
                  gb: GroebnerBasis) -> bool:
     """Does h*g lie in the ideal of the grevlex basis gb for every h in hs?
 
-    Each product is formed on packed monomials and reduced by ``_nf_dict``
-    against the packed basis (``_gb_entries``); no ``Polynomial`` is built.
-    A product monomial that outgrows its fields raises
-    ``_PackingOverflow``, and ``_packed`` repeats the test wider."""
+    Two callers: ``colon_ideal`` tests whether the running intersection
+    lies in the next piece, with hs its generators and g the divisor's
+    generator, and ``charp.fedder_fiber`` re-checks its witness u, with hs
+    the basis G of I, g = u and gb the Frobenius basis G^[p] of I^[p].
+    Each product is formed on packed monomials, its cancelled terms
+    dropped, and reduced by ``_nf_dict`` against the packed basis
+    (``_gb_entries``); no ``Polynomial`` is built.  A product monomial that
+    outgrows its fields raises ``_PackingOverflow``, and ``_packed``
+    repeats the test wider."""
     p = gb.ring.domain.characteristic
 
     def run(packing: _Packing) -> bool:
@@ -554,8 +559,7 @@ def _products_in(hs: Sequence[Polynomial], g: Polynomial,
                         raise _PackingOverflow
                     c = d.get(m, 0) + c1 * c2
                     d[m] = c % p if p else c
-            # cancelled terms stay as zeros, which ``_nf_dict`` skips
-            if _nf_dict(d, entries, guard, p):
+            if _nf_dict({m: c for m, c in d.items() if c}, entries, guard, p):
                 return False
         return True
 

@@ -112,3 +112,39 @@ def test_the_import_check_sees_an_unread_name():
                      "import os.path\nfrom .x import a, b as c\n"
                      "__all__ = ['a']\n")
     assert _unread_imports(tree) == ["c", "os"]
+
+
+#: the packed-monomial kernel: what only ``polycore`` and ``groebner`` know
+_PACKED_KERNEL = frozenset({"_Packing", "_packing", "_packed", "_nf_dict",
+                            "_monic", "_gb_entries", "_PackingOverflow"})
+
+
+def _packed_kernel_names(tree: ast.Module) -> set[str]:
+    """The packed-kernel names a module defines at module level, imports
+    (``from .x import``, at any depth) or reads as an attribute."""
+    names = {name for name, _ in _private_definitions(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names & _PACKED_KERNEL
+
+
+def test_the_packed_kernel_stays_in_polycore_and_groebner():
+    """Every other module calls the kernel's entry points (``normal_form``,
+    ``buchberger``, ``_products_in``, ...), never its packed format."""
+    leaks = {}
+    for path in sorted(_SRC.glob("*.py")):
+        if path.stem not in ("polycore", "groebner"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if names := _packed_kernel_names(tree):
+                leaks[path.stem] = sorted(names)
+    assert not leaks, f"packed-kernel names outside the kernel: {leaks}"
+
+
+def test_the_kernel_check_sees_a_leak():
+    tree = ast.parse("from .polycore import _nf_dict as nf, GF\n"
+                     "def _monic(): pass\nx = groebner._gb_entries\n")
+    assert _packed_kernel_names(tree) == {"_nf_dict", "_monic",
+                                          "_gb_entries"}

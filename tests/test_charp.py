@@ -14,6 +14,7 @@ from veronese.charp import (
     FiberReport, FpurityReport, fedder_fiber, fedder_fpure, frobenius_power,
     monomial_ideal_member, semigroup_member,
 )
+from veronese.cli import main
 from veronese.groebner import (
     GroebnerBasis, Ideal, buchberger, ideal_member, normal_form,
 )
@@ -302,15 +303,33 @@ def test_a_grounded_fiber_needs_no_normal_form(monkeypatch, p):
     """The quartic curve is not F-pure: x^(p-1)'s component is grounded,
     so neither the witness nor its re-check runs."""
     calls = []
-    nf_dict = charp._nf_dict
+    for name in ("normal_form", "_products_in"):
+        def counted(*args, _name=name, _real=getattr(charp, name)):
+            calls.append(_name)
+            return _real(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return nf_dict(*args)
-
-    monkeypatch.setattr(charp, "_nf_dict", counted)
+        monkeypatch.setattr(charp, name, counted)
     rep = fedder_fiber(MonomialMap(QUARTIC), p)
     assert rep.f_pure is False and calls == []
+
+
+def test_a_fiber_quotient_of_more_than_one_term_is_an_internal_error(
+        monkeypatch, capsys):
+    """A quotient NF(t^e) must be one monomial with coefficient 1; a
+    reduction that returns more is a bug, refused as ``RuntimeError``,
+    which the command line reports as exit 4, not as bad input."""
+    real = charp.normal_form
+
+    def doctored(f, gb):
+        r = real(f, gb)
+        return r + r.ring.monomial((7,) + (0,) * (r.ring.arity - 1))
+
+    monkeypatch.setattr(charp, "normal_form", doctored)
+    with pytest.raises(RuntimeError, match="not one monomial"):
+        fedder_fiber(veronese_map(2, 2), 3)
+    assert main(["cd-certificate", "-k", "2", "-n", "2",
+                 "--primes", "3"]) == 4
+    assert "internal error: RuntimeError" in capsys.readouterr().err
 
 
 def _dense_recheck(I, u):
@@ -345,15 +364,14 @@ def test_fiber_witness_lies_in_the_colon(k, n, p):
 
 
 def _tamper_recheck(monkeypatch, change):
-    """Makes the re-check run on the witness support as
-    ``change(support, packing)`` returns it; the witness itself and the rows
-    stay as computed."""
-    times = charp._times
+    """Makes the re-check run on ``change(u)`` in place of the witness u;
+    the witness itself and the rows stay as computed."""
+    products_in = charp._products_in
 
-    def tampered(g, support, packing, p):
-        return times(g, change(list(support), packing), packing, p)
+    def tampered(hs, u, gb):
+        return products_in(hs, change(u), gb)
 
-    monkeypatch.setattr(charp, "_times", tampered)
+    monkeypatch.setattr(charp, "_products_in", tampered)
 
 
 def _twisted_cubic_witness():
@@ -366,8 +384,7 @@ def test_recheck_refuses_a_witness_without_one_monomial(monkeypatch):
     mmap, I, u = _twisted_cubic_witness()
     dropped = u.terms[-1][0]
     assert not _dense_recheck(I, u - I.ring.monomial(dropped))
-    _tamper_recheck(monkeypatch, lambda support, packing: [
-        s for s in support if s != packing.pack(dropped)])
+    _tamper_recheck(monkeypatch, lambda u: u - u.ring.monomial(dropped))
     with pytest.raises(RuntimeError, match="re-verification"):
         fedder_fiber(mmap, 3)
 
@@ -387,8 +404,7 @@ def test_recheck_refuses_a_witness_with_a_foreign_monomial(monkeypatch):
         m for m in product(range(3 * 2 + 1), repeat=mmap.d)
         if degree(m) == delta and m not in support
         and not _dense_recheck(I, u + I.ring.monomial(m)))
-    _tamper_recheck(monkeypatch, lambda support, packing: [
-        *support, packing.pack(foreign)])
+    _tamper_recheck(monkeypatch, lambda u: u + u.ring.monomial(foreign))
     with pytest.raises(RuntimeError, match="re-verification"):
         fedder_fiber(mmap, 3)
 
@@ -398,18 +414,18 @@ def test_fiber_route_reruns_wider_past_8_bits(monkeypatch, p):
     """An 8-bit field holds degrees up to 127.  The witness of (2,2) has
     degree 3 (p - 1): at p = 67 that is 198 and overflows when it is
     packed, at p = 43 it is 126 and its product with a quadric overflows
-    in the re-check.  Either way the first run stops and the whole run is
-    repeated with 16-bit fields."""
+    in the re-check.  Either way the first packing of the re-check stops
+    and the whole re-check is repeated with 16-bit fields."""
     mmap = veronese_map(2, 2)
     I = toric_ideal_lattice(mmap, GF(p))
     limits = []
-    gb_entries = charp._gb_entries
+    gb_entries = groebner._gb_entries
 
     def spy(gb, packing):
         limits.append(packing.limit)
         return gb_entries(gb, packing)
 
-    monkeypatch.setattr(charp, "_gb_entries", spy)
+    monkeypatch.setattr(groebner, "_gb_entries", spy)
     rep = fedder_fiber(mmap, p)
     assert limits[0] == 1 << 7 and limits[-1] == 1 << 15
     assert rep.f_pure is True and rep.fiber_size == p

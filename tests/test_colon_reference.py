@@ -9,7 +9,8 @@ inputs of Fedder's criterion that the golden reports and the benchmark's
 ``certify`` and ``session`` seeds 3 and 5 ask for, whatever the order of
 the divisor's generators, and on small cases that take each path of the
 skip.  The skip's packed test must agree with ``ideal_member``, also
-where its products outgrow the first packing."""
+where its products outgrow the first packing, and also on the inputs of
+its second caller, the fiber route's re-check of its witness."""
 from __future__ import annotations
 
 import random
@@ -17,12 +18,13 @@ import random
 import pytest
 
 from veronese import groebner, polycore
+from veronese.charp import fedder_fiber, frobenius_power
 from veronese.groebner import (
-    Ideal, _products_in, buchberger, colon, colon_ideal, ideal_member,
-    intersect,
+    GroebnerBasis, Ideal, _products_in, buchberger, colon, colon_ideal,
+    ideal_member, intersect,
 )
 from veronese.polycore import GF, GrevLex, PolyRing, Polynomial, QQ
-from veronese.toric import MonomialMap, toric_ideal_elimination
+from veronese.toric import MonomialMap, toric_ideal_elimination, veronese_map
 
 from test_kernel_reference import _random_binomials, _random_poly
 
@@ -231,6 +233,33 @@ def test_packed_products_widen_when_they_overflow(monkeypatch):
         widths.clear()
         assert _products_in([h], g, gb) is member
         assert widths == [8, 16]
+
+
+# the fiber route's re-check: (k, n, p) of the Veronese maps, the last two
+# past the 8-bit fields
+_FIBER_RECHECKS = [(k, n, p) for k, n in ((2, 2), (2, 3), (2, 4), (3, 2))
+                   for p in (2, 3, 5)] + [(2, 2, 43), (2, 2, 67)]
+
+
+@pytest.mark.parametrize("k, n, p", _FIBER_RECHECKS)
+def test_packed_products_match_ideal_member_on_the_fiber_recheck(k, n, p):
+    """``_products_in`` as ``fedder_fiber`` calls it, hs = G the basis of
+    I, g = u its witness, against the Frobenius basis G^[p]: every u g is
+    in I^[p], by ``ideal_member`` too; u with its last monomial dropped
+    has a product outside, as the dense re-check of ``test_charp`` finds."""
+    mmap = veronese_map(k, n)
+    u = fedder_fiber(mmap, p).witness
+    ring = u.ring
+    G = buchberger(toric_ideal_elimination(mmap, GF(p))).elements
+    frobenius = GroebnerBasis(ring, GrevLex(), frobenius_power(
+        Ideal(ring, G)).generators)
+    for witness, member in ((u, True),
+                            (u - ring.monomial(u.terms[-1][0]), False)):
+        members = [ideal_member(h * witness, frobenius) for h in G]
+        assert all(members) is member
+        assert _products_in(G, witness, frobenius) is member
+        for h, one in zip(G, members):
+            assert _products_in([h], witness, frobenius) is one
 
 
 def _ideal(ring, *texts):
