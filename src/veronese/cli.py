@@ -5,14 +5,14 @@ is false, 2 on bad input, 3 when the resource cap refuses the request, and
 without a traceback so that a crash never reads as a verdict."""
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 import time
+from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
 from .polycore import (
-    CoeffDomain, GF, ParseError, PolyRing, Polynomial, QQ,
+    CoeffDomain, GF, ParseError, PolyRing, Polynomial, QQ, _Record,
     parse_polynomial_list,
 )
 from .groebner import Ideal
@@ -38,13 +38,6 @@ def _is_integer(text: str) -> bool:
     underscores and surrounding whitespace)."""
     digits = text[1:] if text.startswith("-") else text
     return digits.isascii() and digits.isdigit()
-
-
-def _int_flag(text: str) -> int:
-    """The ``type`` of the integer flags, refused in argparse's own words."""
-    if not _is_integer(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -91,21 +84,21 @@ def _split_list(text: str) -> tuple[str, ...]:
     return items
 
 
-def _ideal_text(args: argparse.Namespace) -> str:
+def _ideal_text(args: SimpleNamespace) -> str:
     if getattr(args, "ideal", None) is not None:
         return args.ideal
     with open(args.ideal_file, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def _parsed_ideal(args: argparse.Namespace, domain: CoeffDomain
+def _parsed_ideal(args: SimpleNamespace, domain: CoeffDomain
                   ) -> tuple[PolyRing, Ideal]:
     ring = PolyRing(_split_list(args.ring), domain)
     gens = parse_polynomial_list(_ideal_text(args), ring)
     return ring, Ideal(ring, tuple(gens))
 
 
-def _char_ideal(args: argparse.Namespace) -> tuple[PolyRing, Ideal, dict]:
+def _char_ideal(args: SimpleNamespace) -> tuple[PolyRing, Ideal, dict]:
     """``--ring`` and ``--ideal``/``--ideal-file`` over ``--char``, and the
     params they give."""
     char, dom = _parse_char(args.char)
@@ -117,7 +110,7 @@ def _char_ideal(args: argparse.Namespace) -> tuple[PolyRing, Ideal, dict]:
 # subcommand handlers: each returns a Report
 # ---------------------------------------------------------------------------
 
-def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
+def _cmd_veronese_ideal(args: SimpleNamespace) -> Report:
     k, n = args.k, args.n
     mmap = _capped_veronese_map(k, n)
     char, dom = _parse_char(args.char)
@@ -131,7 +124,7 @@ def _cmd_veronese_ideal(args: argparse.Namespace) -> Report:
     return Report("veronese-ideal", params, checks)
 
 
-def _cmd_present(args: argparse.Namespace) -> Report:
+def _cmd_present(args: SimpleNamespace) -> Report:
     targets = _parse_targets(args.targets)
     primes = _parse_vector(args.primes)
     names = tuple(f"t{i + 1}" for i in range(len(targets)))
@@ -165,7 +158,7 @@ def _cmd_present(args: argparse.Namespace) -> Report:
         ci_candidates=candidates, fpurity_witness=witness)
 
 
-def _cmd_height(args: argparse.Namespace) -> Report:
+def _cmd_height(args: SimpleNamespace) -> Report:
     _, ideal, params = _char_ideal(args)
     dims = krull_dim(ideal)
     checks = [_check("height_computed", True,
@@ -173,7 +166,7 @@ def _cmd_height(args: argparse.Namespace) -> Report:
     return Report("height", params, checks)
 
 
-def _cmd_ci_check(args: argparse.Namespace) -> Report:
+def _cmd_ci_check(args: SimpleNamespace) -> Report:
     ring, ideal, params = _char_ideal(args)
     idx = _variable_index(ring.names, args.invert)
     cands = tuple(parse_polynomial_list(args.candidates, ring))
@@ -184,7 +177,7 @@ def _cmd_ci_check(args: argparse.Namespace) -> Report:
     return Report("ci-check", params, checks)
 
 
-def _cmd_radical_cover(args: argparse.Namespace) -> Report:
+def _cmd_radical_cover(args: SimpleNamespace) -> Report:
     ring, ideal, params = _char_ideal(args)
     subset = tuple(_variable_index(ring.names, nm)
                    for nm in _split_list(args.subset))
@@ -192,7 +185,7 @@ def _cmd_radical_cover(args: argparse.Namespace) -> Report:
     return Report("radical-cover", params, checks)
 
 
-def _cmd_fedder(args: argparse.Namespace) -> Report:
+def _cmd_fedder(args: SimpleNamespace) -> Report:
     p = args.p
     ring, ideal = _parsed_ideal(args, GF(p))
     rep = fedder_fpure(ideal)
@@ -201,7 +194,7 @@ def _cmd_fedder(args: argparse.Namespace) -> Report:
     return Report("fedder", params, checks)
 
 
-def _cmd_semigroup(args: argparse.Namespace) -> Report:
+def _cmd_semigroup(args: SimpleNamespace) -> Report:
     mmap = MonomialMap(_parse_targets(args.generators))
     target = _parse_vector(args.target)
     member, witness = semigroup_member(mmap, target)
@@ -213,11 +206,11 @@ def _cmd_semigroup(args: argparse.Namespace) -> Report:
     return Report("semigroup", params, checks)
 
 
-def _cmd_cd_certificate(args: argparse.Namespace) -> Report:
+def _cmd_cd_certificate(args: SimpleNamespace) -> Report:
     return cd_certificate(args.k, args.n, _parse_vector(args.primes))
 
 
-def _cmd_char_compare(args: argparse.Namespace) -> Report:
+def _cmd_char_compare(args: SimpleNamespace) -> Report:
     has_ideal = args.ideal is not None or args.ideal_file is not None
     return char_compare(
         None if args.targets is None else _parse_targets(args.targets),
@@ -229,140 +222,185 @@ def _cmd_char_compare(args: argparse.Namespace) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flags and parsing
 # ---------------------------------------------------------------------------
 
-def _add_out_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", metavar="FILE",
-                     help="write the JSON report here instead of stdout")
-    sub.add_argument("--timing", action="store_true",
-                     help="append elapsed_seconds to the report")
+class _Flag(_Record):
+    """One flag of the command line, defined here only: its option string,
+    help line, kind of value (``text``; ``int``, in the grammar of
+    `_is_integer`; ``append``, a text per use, collected; ``switch``, no
+    value), default, whether it is required (in an exclusive ``group``:
+    whether one of the group is) and the metavar of the help."""
+
+    __match_args__ = ("option", "help", "kind", "default", "required",
+                      "group", "metavar")
+    __slots__ = __match_args__
+    _defaults = ("text", None, False, None, None)
+
+    @property
+    def dest(self) -> str:
+        """The namespace attribute, named as argparse names it."""
+        return self.option.lstrip("-").replace("-", "_")
 
 
-def _add_ideal_flags(sub: argparse.ArgumentParser, required: bool = True) -> None:
+def _ideal_flags(required: bool) -> tuple[_Flag, ...]:
     """``--ring`` and one of ``--ideal`` and ``--ideal-file``."""
-    sub.add_argument("--ring", required=required,
-                     help='variables, e.g. "u,v,w"')
-    group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--ideal", metavar="POLYS",
-                       help="comma-separated generators")
-    group.add_argument("--ideal-file", metavar="FILE",
-                       help="file containing comma-separated generators")
+    return (_Flag("--ring", 'variables, e.g. "u,v,w"', required=required),
+            _Flag("--ideal", "comma-separated generators", required=required,
+                  group="ideal", metavar="POLYS"),
+            _Flag("--ideal-file", "file containing comma-separated generators",
+                  required=required, group="ideal", metavar="FILE"))
 
 
-def _char_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--char", default="0", help="0 or a prime (default 0)")
+_CHAR = _Flag("--char", "0 or a prime (default 0)", default="0")
+_PRIMES = _Flag("--primes", "comma-separated primes (default 2,3,5)",
+                default="2,3,5")
+#: ``-k`` and ``-n`` of the Veronese map
+_VERONESE = (_Flag("-k", "ambient variables", "int", required=True),
+             _Flag("-n", "Veronese degree", "int", required=True))
+#: the flags of every subcommand, after its own
+_OUT = (_Flag("--out", "write the JSON report here instead of stdout",
+              metavar="FILE"),
+        _Flag("--timing", "append elapsed_seconds to the report", "switch",
+              default=False))
 
-
-def _primes_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--primes", default="2,3,5",
-                     help="comma-separated primes (default 2,3,5)")
-
-
-def _veronese_flags(sub: argparse.ArgumentParser) -> None:
-    """``-k`` and ``-n`` of the Veronese map."""
-    sub.add_argument("-k", type=_int_flag, required=True,
-                     help="ambient variables")
-    sub.add_argument("-n", type=_int_flag, required=True,
-                     help="Veronese degree")
-
-
-def _present_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--targets", required=True,
-                     help='exponent vectors, e.g. "4,0;3,1;1,3;0,4"')
-    _primes_flag(sub)
-    sub.add_argument("--radical-subset", metavar="VARS",
-                     help='cover variables, e.g. "t1,t4"')
-    sub.add_argument("--ci", action="append", metavar="VAR:POLYS",
-                     help='candidates per inverted variable, e.g. '
-                          '"t1:t2^3-t1^2*t3,t2*t3-t1*t4"; repeatable')
-    sub.add_argument("--fpurity-witness", metavar="VEC;VEC",
-                     help='numerator;generator pair, e.g. "6,2;4,0"')
-
-
-def _ci_check_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--invert", required=True, metavar="VAR",
-                     help="the variable to invert")
-    sub.add_argument("--candidates", required=True, metavar="POLYS",
-                     help="comma-separated candidate generators")
-
-
-def _radical_cover_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--subset", required=True, metavar="VARS",
-                     help='cover variables, e.g. "u,w"')
-
-
-def _fedder_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=_int_flag, required=True, help="the prime")
-
-
-def _semigroup_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--generators", required=True,
-                     help='generator vectors, e.g. "4,0;3,1;1,3;0,4"')
-    sub.add_argument("--target", required=True, help='vector, e.g. "2,2"')
-
-
-def _char_compare_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--targets", help="toric fixture: exponent vectors")
-    _add_ideal_flags(sub, required=False)
-
-
-#: subcommand name -> (its line in the top-level help, the functions that
-#: add its flags, in order, its handler)
+#: subcommand name -> (its line in the top-level help, its own flags, in
+#: order, its handler)
 _SUBCOMMANDS = {
     "veronese-ideal": ("both toric routes for a Veronese map",
-                       (_veronese_flags, _char_flag), _cmd_veronese_ideal),
-    "present": ("presentation report for a monomial algebra",
-                (_present_flags,), _cmd_present),
-    "height": ("Krull dimension and height", (_add_ideal_flags, _char_flag),
+                       (*_VERONESE, _CHAR), _cmd_veronese_ideal),
+    "present": ("presentation report for a monomial algebra", (
+        _Flag("--targets", 'exponent vectors, e.g. "4,0;3,1;1,3;0,4"',
+              required=True),
+        _PRIMES,
+        _Flag("--radical-subset", 'cover variables, e.g. "t1,t4"',
+              metavar="VARS"),
+        _Flag("--ci", 'candidates per inverted variable, e.g. '
+                      '"t1:t2^3-t1^2*t3,t2*t3-t1*t4"; repeatable', "append",
+              metavar="VAR:POLYS"),
+        _Flag("--fpurity-witness", 'numerator;generator pair, e.g. "6,2;4,0"',
+              metavar="VEC;VEC")), _cmd_present),
+    "height": ("Krull dimension and height", (*_ideal_flags(True), _CHAR),
                _cmd_height),
-    "ci-check": ("verify a localized complete intersection",
-                 (_add_ideal_flags, _ci_check_flags, _char_flag),
-                 _cmd_ci_check),
-    "radical-cover": ("is every variable in rad(I + subset)?",
-                      (_add_ideal_flags, _radical_cover_flags, _char_flag),
-                      _cmd_radical_cover),
-    "fedder": ("Fedder F-purity test", (_add_ideal_flags, _fedder_flags),
-               _cmd_fedder),
-    "semigroup": ("affine semigroup membership", (_semigroup_flags,),
-                  _cmd_semigroup),
+    "ci-check": ("verify a localized complete intersection", (
+        *_ideal_flags(True),
+        _Flag("--invert", "the variable to invert", required=True,
+              metavar="VAR"),
+        _Flag("--candidates", "comma-separated candidate generators",
+              required=True, metavar="POLYS"),
+        _CHAR), _cmd_ci_check),
+    "radical-cover": ("is every variable in rad(I + subset)?", (
+        *_ideal_flags(True),
+        _Flag("--subset", 'cover variables, e.g. "u,w"', required=True,
+              metavar="VARS"),
+        _CHAR), _cmd_radical_cover),
+    "fedder": ("Fedder F-purity test", (
+        *_ideal_flags(True),
+        _Flag("--p", "the prime", "int", required=True)), _cmd_fedder),
+    "semigroup": ("affine semigroup membership", (
+        _Flag("--generators", 'generator vectors, e.g. "4,0;3,1;1,3;0,4"',
+              required=True),
+        _Flag("--target", 'vector, e.g. "2,2"', required=True)),
+        _cmd_semigroup),
     "cd-certificate": ("cohomological-dimension certificate",
-                       (_veronese_flags, _primes_flag), _cmd_cd_certificate),
-    "char-compare": ("heights across characteristics",
-                     (_char_compare_flags, _primes_flag), _cmd_char_compare),
+                       (*_VERONESE, _PRIMES), _cmd_cd_certificate),
+    "char-compare": ("heights across characteristics", (
+        _Flag("--targets", "toric fixture: exponent vectors"),
+        *_ideal_flags(False), _PRIMES), _cmd_char_compare),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The full argparse parser, built from the flag table; it writes every
+    usage, help and error line."""
+    import argparse
+
+    def _int_flag(text: str) -> int:
+        """The ``type`` of the ``int`` flags, refused in argparse's words;
+        argparse names it in the message when ``int`` itself fails, so
+        the name is kept."""
+        if not _is_integer(text):
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return int(text)
+
+    # flag kind -> what ``add_argument`` is given for it
+    kinds = {"text": {}, "int": {"type": _int_flag},
+             "append": {"action": "append"},
+             "switch": {"action": "store_true"}}
     parser = argparse.ArgumentParser(
         prog="veronese",
         description="exact toric presentations and cohomological-dimension "
                     "certificates for monomial algebras")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_flags, _) in _SUBCOMMANDS.items():
+    for name, (summary, flags, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=summary)
-        for add in (*add_flags, _add_out_flags):
-            add(sub)
+        # each exclusive group made before its flags, required as they say
+        groups = {g: sub.add_mutually_exclusive_group(required=required)
+                  for g, required in {f.group: f.required
+                                      for f in flags if f.group}.items()}
+        for flag in (*flags, *_OUT):
+            kwargs = dict(kinds[flag.kind], default=flag.default,
+                          help=flag.help)
+            if flag.metavar:
+                kwargs["metavar"] = flag.metavar
+            if flag.group is None:
+                kwargs["required"] = flag.required
+            groups.get(flag.group, sub).add_argument(flag.option, **kwargs)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The full parser's result, building only the invoked subcommand's
-    parser when ``argv`` starts with its name (what ``add_parser`` would
-    build, under the same prog).  Help, no or an unknown subcommand and
-    arguments that subcommand leaves over go to the full parser, so every
-    usage and error line is the full parser's own."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        name = argv[0]
-        _, add_flags, _ = _SUBCOMMANDS[name]
-        sub = argparse.ArgumentParser(prog=f"veronese {name}")
-        for add in (*add_flags, _add_out_flags):
-            add(sub)
-        args, extras = sub.parse_known_args(
-            argv[1:], argparse.Namespace(command=name))
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The full parser's namespace for a plain command line, built without
+    it, else ``None``.  Plain: a subcommand, then only its exact option
+    strings, each once (``--ci`` any number of times), with a value as
+    ``--opt value``, ``--opt=value`` or ``-k value``, a separate value not
+    starting with "-" and no value "--", ``--timing`` without one; every
+    required flag given, at most one of an exclusive group, and every int
+    in `_is_integer`'s grammar.  Anything else (abbreviations, help, "--",
+    stray words, a missing value, ``-k2``) is the full parser's."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    flags = {f.option: f for f in (*_SUBCOMMANDS[argv[0]][1], *_OUT)}
+    values = {f.dest: f.default for f in flags.values()}
+    given: set[str] = set()
+    rest = iter(argv[1:])
+    for token in rest:
+        option, eq, value = (token.partition("=") if token.startswith("--")
+                             else (token, "", ""))
+        flag = flags.get(option)
+        # argparse before 3.13 drops a value "--" (``--ring=--``)
+        if (flag is None or (option in given and flag.kind != "append")
+                or (eq and flag.kind == "switch") or value == "--"):
+            return None
+        given.add(option)
+        if flag.kind == "switch":
+            value = True
+        elif not eq:
+            value = next(rest, "-")           # a missing value reads as "-"
+            if value.startswith("-"):
+                return None
+        if flag.kind == "int":
+            # int() converts 640 digits under any -X int_max_str_digits
+            if not (_is_integer(value) and len(value) <= 640):
+                return None
+            value = int(value)
+        elif flag.kind == "append":
+            value = [*(values[flag.dest] or ()), value]
+        values[flag.dest] = value
+    for flag in flags.values():           # a flag outside a group is its own
+        count = sum(f.option in given for f in flags.values()
+                    if (f.group or f.option) == (flag.group or flag.option))
+        if count > 1 or (flag.required and not count):
+            return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The full parser's namespace: built directly for a plain command line
+    (`_plain_args`), else by the full parser, which alone writes usage,
+    help and error lines and then exits."""
+    return _plain_args(argv) or SimpleNamespace(
+        **vars(_build_parser().parse_args(argv)))
 
 
 #: flags whose polynomial value may start with "-"
@@ -370,8 +408,10 @@ _POLYNOMIAL_FLAGS = ("--ideal", "--candidates", "--ci")
 
 
 def _attach_values(argv: Sequence[str]) -> list[str]:
-    """``--ideal X`` -> ``--ideal=X``, as argparse takes an "-x" value for a
-    flag; a dangling flag is left for argparse to refuse."""
+    """``--ideal X`` -> ``--ideal=X``, so that both paths take a value that
+    starts with "-" (argparse takes a separate one for a flag, the plain
+    path declines it); a dangling flag is left for the full parser to
+    refuse."""
     out: list[str] = []
     rest = iter(argv)
     for arg in rest:

@@ -18,7 +18,6 @@ are deterministic: identical inputs give byte-identical JSON.
 """
 from __future__ import annotations
 
-from copy import deepcopy
 from functools import lru_cache
 from math import comb, gcd, isfinite
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -388,7 +387,8 @@ def _characteristic_checks(
             "lattice_generators": len(lattice.generators),
         }
         if char == 0:
-            route_details.update(deepcopy(mingens))
+            route_details.update(mingens, minimal_generators=list(
+                mingens["minimal_generators"]))
         checks.append(_check(f"toric_routes_agree_{label}", agree,
                              **route_details))
 
@@ -407,7 +407,7 @@ def _characteristic_checks(
             checks.append(_check(
                 f"radical_cover_{label}", ok,
                 subset=[ring.names[i] for i in cover],
-                witnesses=deepcopy(witnesses)))
+                witnesses=[dict(w) for w in witnesses]))
     checks.append(_height_constancy({char: dims.height for char, _ in doms}))
     return checks
 

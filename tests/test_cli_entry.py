@@ -1,19 +1,22 @@
-"""The CLI process entry and the per-subcommand parser.
+"""The CLI process entry and the plain command-line path.
 
 ``cli.run`` is what ``python -m veronese``, ``python -m veronese.cli`` and
 the ``veronese`` script start: `main`, then ``gc.freeze()`` and exit.  A
 process must print and exit exactly as in-process `main` does, and `main`
 itself must never freeze.
 
-`main` builds only the invoked subcommand's parser.  Every usage, help and
-error line must stay the full parser's, so each case here is compared with
-``_build_parser()`` in the same interpreter: argparse's wording differs
-between Python versions, the two parsers must not."""
+`main` parses a plain command line from the flag table alone and builds no
+argparse parser; every other line goes to the full parser, which writes
+every usage, help and error line.  So each case here, and each of a seeded
+sample of lines drawn from the flag table, is compared with
+``_build_parser()`` in the same interpreter: argparse's wording and parsing
+differ between Python versions, the two paths must not."""
 from __future__ import annotations
 
 import argparse
 import gc
 import os
+import random
 import re
 import subprocess
 import sys
@@ -90,7 +93,7 @@ def test_console_script_starts_the_entry():
 
 
 # ---------------------------------------------------------------------------
-# per-subcommand parser
+# plain path and full parser
 # ---------------------------------------------------------------------------
 
 def _parse_outcome(capsys, parse, argv):
@@ -122,14 +125,19 @@ def _count_parsers(monkeypatch):
     return built
 
 
-def test_one_subcommand_run_builds_one_parser(capsys, monkeypatch):
+def test_a_plain_line_builds_no_parser(capsys, monkeypatch):
+    """A plain line builds no ``ArgumentParser``; a line the plain path
+    declines (an abbreviation, help) builds the full parser once: the
+    top-level parser and one per subcommand."""
     built = _count_parsers(monkeypatch)
     assert main(["height", "--ring", "x,y", "--ideal", "x*y"]) == 0
-    assert built == ["veronese height"]
-    capsys.readouterr()
-    built.clear()
-    cli._build_parser()
-    assert len(built) == 1 + len(cli._SUBCOMMANDS)
+    assert built == []
+    for argv in (["cd-certificate", "-k", "2", "-n", "2", "--prim", "3"],
+                 ["height", "--help"]):
+        built.clear()
+        assert _in_process(capsys, argv)[0] == 0
+        assert built.count("veronese") == 1
+        assert len(built) == 1 + len(cli._SUBCOMMANDS)
 
 
 @pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
@@ -149,6 +157,7 @@ def test_subcommand_parser_matches_the_full_parser(capsys, name, tail):
     ["veronese-ideal", "-k", "2", "-n", "3", "--char", "5", "--timing"],
     ["present", "--targets", "2,0;1,1;0,2", "--ci", "t1:t2", "--ci", "t3:t2"],
     ["height", "--ring", "x,y", "--ideal=-x*y", "--out", "r.json"],
+    ["height", "--ring=--", "--ideal", "x"],
     ["ci-check", "--ring", "x", "--ideal-file", "f", "--invert", "x",
      "--candidates", "x"],
     ["radical-cover", "--ring", "x", "--ideal", "x", "--subset", "x",
@@ -169,3 +178,70 @@ def test_full_argument_lists_parse_as_with_the_full_parser(capsys, argv):
 ])
 def test_top_level_arguments_match_the_full_parser(capsys, argv):
     _assert_parsed_as_full(capsys, argv)
+
+
+#: the odd values every flag may get, besides well-formed ones
+_ODD_VALUES = ("", "-1", "x", "2,3", "\u0663", "--")    # "\u0663" is "٣"
+
+
+def _fuzz_tokens(rng, flag):
+    """One use of ``flag``: its option string exact, abbreviated (such as
+    ``--prim``) or unknown, and its value separate, after "=", glued on
+    (``-k2``) or missing."""
+    option, draw = flag.option, rng.random()
+    if draw < 0.05:
+        option = option[:max(3, len(option) - rng.randint(1, 3))]
+    elif draw < 0.08:
+        option += "x"
+    if flag.kind == "switch":
+        value = rng.choice(_ODD_VALUES)
+        return [option] if rng.random() < 0.9 else [f"{option}={value}"]
+    good = "2" if flag.kind == "int" else rng.choice(("x,y", "2,0;1,1;0,2"))
+    value = good if rng.random() < 0.8 else rng.choice(_ODD_VALUES)
+    draw = rng.random()
+    if draw < 0.7:
+        return [option, value]
+    if draw < 0.94:
+        return [f"{option}={value}"]
+    return [f"{option}{value}"] if draw < 0.97 else [option]
+
+
+def _fuzz_argv(rng):
+    """A command line drawn from the flag table: a subcommand and its
+    flags, some left out (required ones too), none, one or both of an
+    exclusive group, some repeated, with now and then "--", "-h", a stray
+    word or an unknown option put in, and half of the lines through
+    `cli._attach_values`, as `main` passes them."""
+    name = rng.choice(list(cli._SUBCOMMANDS))
+    flags = [*cli._SUBCOMMANDS[name][1], *cli._OUT]
+    group = [f for f in flags if f.group]
+    chosen = [f for f in flags
+              if not f.group and (f.required or rng.random() < 0.3)]
+    chosen += rng.sample(group, rng.choice((0, 1, 1, 1, 1, 2)) if group else 0)
+    rng.shuffle(chosen)
+    if chosen and rng.random() < 0.08:
+        chosen.pop()
+    if chosen and rng.random() < 0.12:
+        chosen.append(rng.choice(chosen))
+    argv = [name]
+    for flag in chosen:
+        argv += _fuzz_tokens(rng, flag)
+    for odd in ("--", "-h", "stray", "--no-such-flag"):
+        if rng.random() < 0.03:
+            argv.insert(rng.randint(0 if odd == "--" else 1, len(argv)), odd)
+    return cli._attach_values(argv) if rng.random() < 0.5 else argv
+
+
+def test_seeded_lines_parse_as_with_the_full_parser(capsys, monkeypatch):
+    """2,400 seeded lines, each parsed by `cli._parse_args` and by the full
+    parser; one full parser serves both (argparse keeps no state between
+    parses), and both plain and declined lines are well represented."""
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: full)
+    rng = random.Random(35)
+    plain = 0
+    for _ in range(2400):
+        argv = _fuzz_argv(rng)
+        plain += cli._plain_args(argv) is not None
+        _assert_parsed_as_full(capsys, argv)
+    assert 600 <= plain <= 1800          # a quarter to three quarters plain

@@ -1,10 +1,11 @@
 """Start-up hygiene: importing the CLI loads neither ``dataclasses``,
-``inspect`` nor ``json``, builds no large prime field and compiles no
-regular expression.  Each CLI report runs in a fresh interpreter, so every
-module imported, every field built and every pattern compiled at import is
-paid for by every report; the checks are by module name, by the primality
-tests made and by the compile calls made, not by timing, so they are
-deterministic."""
+``inspect``, ``json`` nor ``argparse``, builds no large prime field and
+compiles no regular expression, and a report from a plain command line
+loads neither ``argparse`` nor what it imports on first use.  Each CLI
+report runs in a fresh interpreter, so every module imported, every field
+built and every pattern compiled at import is paid for by every report;
+the checks are by module name, by the primality tests made and by the
+compile calls made, not by timing, so they are deterministic."""
 from __future__ import annotations
 
 import json
@@ -33,8 +34,35 @@ def test_cli_import_loads_no_code_generating_modules():
     assert "veronese.cli" in loaded and "veronese.pipeline" in loaded
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+    assert "argparse" not in loaded and "gettext" not in loaded
     # reports are rendered without the json package
     assert [name for name in _JSON_MODULES if name in loaded] == []
+
+
+#: modules a report from a plain command line must not load: the full
+#: parser, what it imports on first use (``gettext`` with ``locale``, and
+#: ``shutil`` for the help formatter's terminal width) and ``copy``
+_FULL_PARSER_MODULES = ("argparse", "gettext", "locale", "shutil", "copy")
+
+# one report through cli.main; the names are taken after it, on stderr
+_REPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from veronese.cli import main
+code = main(["char-compare", "--targets", "2,0;1,1;0,2", "--primes", "2,3"])
+names = sys.argv[2].split(",")
+print(code, *[name for name in names if name in sys.modules], file=sys.stderr)
+"""
+
+
+def test_a_plain_report_loads_no_argument_parser():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _REPORT_PROBE, str(_SRC),
+         ",".join(_FULL_PARSER_MODULES)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert '"kind": "char_compare"' in done.stdout
+    assert done.stderr.split() == ["0"]
 
 
 # The package module is made but not run, so that ``veronese.polycore`` is
@@ -120,5 +148,6 @@ def test_the_startup_probe_reports_the_cli_import():
     assert lines[2].split() == ["self", "us", "cum", "us", "module"]
     assert lines[3].split()[2] == "veronese.cli"   # every module is under it
     loaded = lines[-1].split(": ", 1)[1].split(", ")
-    assert {"veronese.cli", "veronese.polycore", "argparse"} <= set(loaded)
+    assert {"veronese.cli", "veronese.polycore"} <= set(loaded)
+    assert "argparse" not in loaded
     assert [name for name in _JSON_MODULES if name in loaded] == []
