@@ -9,16 +9,22 @@ from the map's presentation over QQ (``toric._presentation``) into GF(p):
 it never forms the colon, but solves one sparse linear system over GF(p)
 in a single multidegree, whose rows are keyed by residues mod p, since a
 toric ring has one standard monomial in each multidegree and so no row
-needs a normal form; its solution u is re-checked by the colon route's
-containment test (``groebner._products_in``), each product u g reduced
-against the Frobenius basis of I^[p], which needs no Buchberger run.
-Neither route works on packed monomials itself; both call the kernel's
-entry points.  The Veronese certificate uses the fiber route;
+needs a normal form.  It works on ints: each residue and each
+multidegree is packed into one int, a row is one addition on those
+codes, the rows' components come from one union-find, and one semigroup
+search, whose memo all its multidegrees share, finds the quotients.  Its
+solution u is re-checked by the colon route's containment test
+(``groebner._products_in``), each product u g reduced against the
+Frobenius basis of I^[p], which needs no Buchberger run.  Neither route
+touches the kernel's packed monomials; both call the kernel's entry
+points.  The Veronese certificate uses the fiber route;
 the colon route serves general homogeneous input and the toric ideals of
 ``present``, and is the fiber route's oracle in the tests.
 """
 from __future__ import annotations
 
+from itertools import chain
+from operator import add, lshift
 from typing import Optional, Sequence
 
 from .polycore import (
@@ -110,58 +116,88 @@ def fedder_fpure(ideal: Ideal) -> FpurityReport:
 def semigroup_member(mmap: MonomialMap, target: Sequence[int]
                      ) -> tuple[bool, Optional[tuple[Exponents, ...]]]:
     """Decide whether the target vector is a sum of the map's targets by
-    depth-first search over target subtractions, memoizing failed
-    residuals.  Terminates because every target has positive total degree.
-    The search keeps its own stack, one frame per residual on the current
-    path, so deep searches cannot overflow the interpreter's recursion
-    limit; past ``SEMIGROUP_CAP`` pushed frames it raises
-    ``ResourceCapError``.  On success the witness multiset is returned
-    after re-verification by summation.
+    depth-first search over target subtractions (``_first_sums``), which
+    memoizes failed residuals.  Terminates because every target has
+    positive total degree.  Past ``SEMIGROUP_CAP`` pushed frames it raises
+    ``ResourceCapError``.  On success the witness multiset, in the order
+    the search subtracted it, is returned after re-verification by
+    summation.
     """
     target = _naturals(target, mmap.k)
-    gens = mmap.targets
-    failed: set[Exponents] = set()
-    path: list[Exponents] = []           # generators subtracted so far
-    # [residual, index of the next generator to try]; the residual of
-    # frame i + 1 is that of frame i minus path[i]
-    stack: list[list] = [[target, 0]] if any(target) else []
-    found = not stack
-    pushed = 0
-    while stack and not found:
-        frame = stack[-1]
-        res, start = frame
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            if all(a <= b for a, b in zip(g, res)):
-                child = tuple(b - a for a, b in zip(g, res))
-                if child in failed:
-                    continue
-                frame[1] = idx + 1
-                path.append(g)
-                if any(child):
-                    pushed += 1
-                    if pushed > SEMIGROUP_CAP:
-                        raise ResourceCapError(f"semigroup search past the "
-                                               f"cap of {SEMIGROUP_CAP} frames")
-                    stack.append([child, 0])
-                else:
-                    found = True
-                break
-        else:
-            failed.add(res)
-            stack.pop()
-            if stack:
-                path.pop()
-    if not found:
+    shifts, _, guard = _fields(max(*target, *chain(*mmap.targets)), mmap.k)
+    res = sum(map(lshift, target, shifts))
+    memo: dict = {0: ()}
+    if not _first_sums([sum(map(lshift, a, shifts)) for a in mmap.targets],
+                       res, memo, guard):
         return (False, None)
-    witness = tuple(path)
+    witness = []
+    while memo[res]:
+        idx, res = memo[res]
+        witness.append(mmap.targets[idx])
     sums = [0] * mmap.k
     for g in witness:
         for i, e in enumerate(g):
             sums[i] += e
     if tuple(sums) != target:
         raise RuntimeError("witness failed re-verification; search bug")
-    return (True, witness)
+    return (True, tuple(witness))
+
+
+def _fields(bound: int, k: int) -> tuple[range, int, int]:
+    """The layout that packs k ints up to ``bound`` into one int, each in
+    a field below a guard bit: the shift of each field, the mask of a
+    field's value bits and the mask of the guard bits.  For packed r and
+    g, (r | guard) - g keeps every guard bit exactly when r is at least g
+    field by field, and then r - g is its other bits."""
+    width = bound.bit_length() + 1
+    shifts = range(0, width * k, width)
+    return shifts, (1 << width - 1) - 1, sum(1 << s + width - 1
+                                             for s in shifts)
+
+
+def _first_sums(gens: list[int], target: int, memo: dict,
+                guard: int) -> bool:
+    """Whether ``target`` is a sum of ``gens``, all packed by ``_fields``
+    with ``guard``, by a depth-first search that tries the generators in
+    order and records what it decides in ``memo``, which later searches
+    share: a residual that is a sum maps to (index, residual) of the first
+    step of its first sum in that order, zero to (), and one that is no
+    sum to None.  A nonzero residual is a sum exactly when some child
+    is, so a shared entry only cuts a search short: it visits residuals that the
+    same search with a fresh memo visits, and ends on the same sum.  The
+    search keeps its own stack, one frame per residual on the current
+    path, so deep searches cannot overflow the interpreter's recursion
+    limit; past ``SEMIGROUP_CAP`` pushed frames it raises
+    ``ResourceCapError``."""
+    if target in memo:
+        return memo[target] is not None
+    stack = [[target, 0]]        # [residual, index of the next generator]
+    pushed = 0
+    while stack:
+        frame = stack[-1]
+        res, start = frame
+        for idx in range(start, len(gens)):
+            child = (res | guard) - gens[idx]
+            if child & guard != guard:
+                continue                 # gens[idx] exceeds res somewhere
+            child ^= guard
+            if memo.get(child, 0) is None:
+                continue
+            frame[1] = idx + 1
+            if child in memo:
+                for res, idx in reversed(stack):
+                    memo[res], child = (idx - 1, child), res
+                return True
+            pushed += 1
+            if pushed > SEMIGROUP_CAP:
+                raise ResourceCapError(f"semigroup search past the "
+                                       f"cap of {SEMIGROUP_CAP} frames")
+            stack.append([child, 0])
+            break
+        else:
+            memo[res] = None
+            stack.pop()
+    return False
 
 
 def monomial_ideal_member(mmap: MonomialMap, numerator: Sequence[int],
@@ -243,23 +279,36 @@ def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
     monomial of the multidegree that residue leaves.  So with
     v = (m1 - m2) mod p, g's row through the unknown r is e_r - e_(r+v)
     when r + v is an unknown and e_r when it is not, every unknown that no
-    r + v reaches has the row -e_r, and v = 0 gives no rows.  Elimination
-    is then union-find: the solutions are constant on the components
-    linked by two-entry rows and vanish on those that hold a single-entry
-    row.  A row -e_r grounds nothing more: the unknowns r, r + v, r + 2v,
-    ... are linked until the first whose r + v is not an unknown, which
-    the cycle of v (order p) reaches, and that one holds a row e_r.  When
-    x^(p-1) lies in a free component, u is the sum of that component's
-    monomials.
+    r + v reaches has the row -e_r, and v = 0 gives no rows.  The
+    solutions are then constant on the components linked by two-entry
+    rows and vanish on those that hold a single-entry row.  A row -e_r
+    grounds nothing more: the unknowns r, r + v, r + 2v, ... are linked
+    until the first whose r + v is not an unknown, which the cycle of v
+    (order p) reaches, and that one holds a row e_r.  Each residue is
+    coded as one int with a field of w = bit_length(p) + 1 bits per
+    variable, so r + v is one addition less p in each field that reaches
+    p, which adding 2^(w-1) - p to every field marks in its top bit; a
+    dict from codes to indices then gives, per g, each unknown's r + v or
+    the ground node.  One union-find over the unknowns and ground, its
+    find written inline, labels the components: a root links below the
+    larger one, so ground stays a root, and the free components are the
+    other roots.  When x^(p-1) lies in a free component, u is the sum of
+    that component's monomials.
 
     The unknowns are enumerated as p q + r: a meet-in-the-middle on
     A r mod p over the two halves of the variables finds the residues r
     with A r = delta (mod p); A r <= delta holds for every r with entries
-    below p.  q is the standard monomial of multidegree (delta - A r) / p,
-    found through ``semigroup_member``.  A search whose half holds more
-    than ``FIBER_CAP`` residues, or that finds more than ``FIBER_CAP``
-    candidate residues, raises ``ResourceCapError`` before any unknown is
-    built.
+    below p, and each A r is packed into one int as well, so
+    (delta - A r) / p is one subtraction and one division.  q is the
+    standard monomial of multidegree (delta - A r) / p.  Whether that
+    multidegree lies in the semigroup, and the exponents e of a sum that
+    reaches it, come from the depth-first search of ``semigroup_member``
+    (``_first_sums``), run once per distinct multidegree with one memo
+    that all of them share: it visits only residuals that a search per
+    multidegree would visit, at most ``SEMIGROUP_CAP`` pushed frames for
+    each.  A search whose half holds more than ``FIBER_CAP`` residues, or
+    that finds more than ``FIBER_CAP`` candidate residues, raises
+    ``ResourceCapError`` before any unknown is built.
 
     The witness and its re-check.  Only these reduce, and only when
     x^(p-1) lies in a free component: q is ``normal_form`` of t^e modulo G,
@@ -275,17 +324,27 @@ def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
     ring = gb.ring
     A, d, k = mmap.targets, mmap.d, mmap.k
 
-    # the unknowns p q + r, one per residue r that reaches delta
+    # the unknowns p q + r, one per residue r that reaches delta; each r
+    # is one int by ``_fields(p, d)``, each multidegree v <= delta one int
+    # by ``_fields(max(delta), k)``, the targets a_i among them
     delta = tuple((p - 1) * sum(a[j] for a in A) for j in range(k))
+    shifts, mask, guard = _fields(max(delta), k)
+    gens = [sum(map(lshift, a, shifts)) for a in A]
+    places, digit, carry = _fields(p, d)
+    ones = sum(1 << s for s in places)
 
-    def residues(indices: range) -> list:
-        """Every (r, A r) with r over ``indices``, entries below p."""
-        out = [((), (0,) * k)]
+    def residues(indices: range) -> tuple[list, list]:
+        """The codes of every r over ``indices``, entries below p, and their
+        A r, in the same order."""
+        codes, vs = [0], [0]
         for i in indices:
-            a = A[i]
-            out = [(r + (e,), tuple(x + e * y for x, y in zip(v, a)))
-                   for r, v in out for e in range(p)]
-        return out
+            codes = [c + (e << places[i]) for c in codes for e in range(p)]
+            vs = [v + e * gens[i] for v in vs for e in range(p)]
+        return codes, vs
+
+    def classes(vs: list) -> list:
+        """Each v mod p, as a tuple."""
+        return list(zip(*[[(v >> s & mask) % p for v in vs] for s in shifts]))
 
     half = d // 2
     if p ** (d - half) > FIBER_CAP:
@@ -293,91 +352,86 @@ def fedder_fiber(mmap: MonomialMap, p: int) -> FiberReport:
             f"{p ** (d - half)} residues in half of the Fedder search at "
             f"p = {p} exceed the cap of {FIBER_CAP}")
     by_class: dict[tuple[int, ...], list] = {}
-    for r, v in residues(range(half)):
-        by_class.setdefault(tuple(x % p for x in v), []).append((r, v))
-    joins = [(r2, v2, by_class.get(
-        tuple((z - x) % p for z, x in zip(delta, v2)), ()))
-        for r2, v2 in residues(range(half, d))]
-    candidates = sum(len(matches) for _, _, matches in joins)
+    codes, vs = residues(range(half))
+    for key, c, v in zip(classes(vs), codes, vs):
+        by_class.setdefault(key, []).append((c, v))
+    codes, vs = residues(range(half, d))
+    top = sum(map(lshift, delta, shifts))
+    rests = [top - v for v in vs]
+    joins = [by_class.get(key, ()) for key in classes(rests)]
+    candidates = sum(map(len, joins))
     if candidates > FIBER_CAP:
         raise ResourceCapError(
             f"{candidates} candidate Fedder unknowns at p = {p} exceed the "
             f"cap of {FIBER_CAP}")
-    # each unknown as (e, r): t^e is some monomial of multidegree
-    # (delta - A r) / p, q its normal form
-    index = {a: i for i, a in enumerate(A)}
-    quotients: dict[tuple[int, ...], Optional[Exponents]] = {}
-    unknowns: list[tuple[Exponents, Exponents]] = []
-    for r2, v2, matches in joins:
-        for r1, v1 in matches:
-            v = tuple(x + y for x, y in zip(v1, v2))
-            target = tuple((z - x) // p for z, x in zip(delta, v))
-            if target not in quotients:
-                found, witness = semigroup_member(mmap, target)
-                e = None
-                if found:
-                    e = [0] * d
-                    for a in witness:
-                        e[index[a]] += 1
-                    e = tuple(e)
-                quotients[target] = e
-            e = quotients[target]
-            if e is not None:
-                unknowns.append((e, r1 + r2))
+    # each candidate as its code and the multidegree (delta - A r) / p of
+    # its quotient; one search, one memo, decides every such multidegree
+    pairs = [(c1 + c2, (rest - v1) // p) for c2, rest, matches in
+             zip(codes, rests, joins) for c1, v1 in matches]
+    memo: dict = {0: ()}
+    member = {t: _first_sums(gens, t, memo, guard)
+              for t in dict.fromkeys(t for _, t in pairs)}
+    unknowns = [(c, t) for c, t in pairs if member[t]]
 
-    # g = m1 - m2 joins the unknowns r and r + v, and grounds r when r + v
-    # is not an unknown
-    position = {r: j for j, (_, r) in enumerate(unknowns)}
-    parent = list(range(len(unknowns)))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    constraints = 0
-    grounded: set[int] = set()
+    # g = m1 - m2 links the unknown r to r + v, v = (m1 - m2) mod p, and
+    # grounds r when r + v is not an unknown: succ holds, per g, the index
+    # of r + v or n for ground.  r + v is one add, less p in each field
+    # that reaches p, which (x + low) & carry marks
+    n = len(unknowns)
+    codes = [c for c, _ in unknowns]
+    position = dict(zip(codes, range(n)))
+    low, step = carry - p * ones, places.step - 1
+    succ, constraints = [], 0
     for m1, m2 in map(_pure_difference, gb.elements):
-        v = tuple((a - b) % p for a, b in zip(m1, m2))
-        if not any(v):
-            continue
-        joined = 0
-        for j, (_, r) in enumerate(unknowns):
-            i = position.get(tuple([(a + b) % p for a, b in zip(r, v)]))
-            if i is None:
-                grounded.add(j)
-            else:
-                joined += 1
-                parent[find(i)] = find(j)
-        constraints += 2 * len(unknowns) - joined
-    roots = {find(j) for j in range(len(unknowns))}
-    grounded = {find(j) for j in grounded}
-    rank = len(unknowns) - len(roots - grounded)
+        v = sum((a - b) % p << s for a, b, s in zip(m1, m2, places))
+        if v:
+            succ.append([position.get((x := c + v) - p * (
+                (x + low & carry) >> step), n) for c in codes])
+            constraints += n + succ[-1].count(n)
+            succ[-1].append(n)
+    # union-find over the unknowns and ground n: a root links below the
+    # larger one, so ground stays a root and every root is its component's
+    # largest index
+    label = list(range(n + 1))
+    for s in succ:
+        for j, i in enumerate(s):
+            while label[i] != i:
+                label[i] = i = label[label[i]]
+            while label[j] != j:
+                label[j] = j = label[label[j]]
+            if i < j:
+                label[i] = j
+            elif j < i:
+                label[j] = i
+    for j in reversed(range(n)):
+        label[j] = label[label[j]]
+    rank = n + 1 - len(set(label))
 
-    top = (p - 1,) * d
-    x_root = find(position[top])
+    x_root = label[position[(p - 1) * ones]]
     witness = None
-    if x_root not in grounded:
-        reduced: dict[Exponents, Exponents] = {}
-        terms = {}            # u's terms t^(p q + r), q = NF(t^e)
-        for j, (e, r) in enumerate(unknowns):
-            if find(j) == x_root:
-                if e not in reduced:
-                    nf = normal_form(ring.monomial(e), gb).terms
-                    if len(nf) != 1 or nf[0][1] != 1:
-                        raise RuntimeError("a fiber quotient is not one "
-                                           "monomial; presentation bug")
-                    reduced[e] = nf[0][0]
-                terms[tuple([p * a + b for a, b in zip(reduced[e], r)])] = 1
-        witness = ring.from_dict(terms)
+    if x_root != n:
+        members = [j for j in range(n) if label[j] == x_root]
+        reduced = {}          # the multidegree of q -> p q, q = NF(t^e)
+        for t in dict.fromkeys(unknowns[j][1] for j in members):
+            e, res = [0] * d, t
+            while memo[res]:
+                i, res = memo[res]
+                e[i] += 1
+            nf = normal_form(ring.monomial(e), gb).terms
+            if len(nf) != 1 or nf[0][1] != 1:
+                raise RuntimeError("a fiber quotient is not one monomial; "
+                                   "presentation bug")
+            reduced[t] = tuple([p * a for a in nf[0][0]])
+        rs = list(zip(*[[c >> s & digit for c in codes] for s in places]))
+        # u's terms t^(p q + r)
+        witness = ring.from_dict({tuple(map(add, reduced[unknowns[j][1]],
+                                            rs[j])): 1 for j in members})
         frobenius = GroebnerBasis(
             ring, _GREVLEX,
             frobenius_power(Ideal(ring, gb.elements)).generators)
-        if witness.coefficient(top) != 1 or not _products_in(
+        if witness.coefficient((p - 1,) * d) != 1 or not _products_in(
                 gb.elements, witness, frobenius):
             raise RuntimeError("fiber witness failed re-verification; "
                                "elimination bug")
-    return FiberReport(p=p, fiber_size=len(unknowns),
-                       constraints=constraints, rank=rank,
-                       witness=witness, f_pure=witness is not None)
+    return FiberReport(p=p, fiber_size=n, constraints=constraints,
+                       rank=rank, witness=witness, f_pure=witness is not None)

@@ -316,11 +316,16 @@ def _build_parser():
     import argparse
 
     def _int_flag(text: str) -> int:
-        """The ``type`` of the ``int`` flags, refused in argparse's words;
-        argparse names it in the message when ``int`` itself fails, so
-        the name is kept."""
+        """The ``type`` of the ``int`` flags, refused in argparse's words:
+        text outside `_is_integer`'s grammar, echoed, and more than 640
+        digits, not echoed, the most ``int`` converts under any ``-X
+        int_max_str_digits``.  So ``int`` itself never fails here, and
+        argparse never names this function in a message."""
         if not _is_integer(text):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if len(text.lstrip("-")) > 640:
+            raise argparse.ArgumentTypeError(
+                "invalid int value: more than 640 digits")
         return int(text)
 
     # flag kind -> what ``add_argument`` is given for it

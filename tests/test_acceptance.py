@@ -111,7 +111,7 @@ def test_criterion_2_veronese_certificate_suite():
     def body():
         start = time.perf_counter()
         # The splitting test of (3,3) at p = 5 has 5^7 = 78,125 unknowns
-        # and dominates: the whole criterion took 18.6-18.8 s under
+        # and dominates: the whole criterion took 9.7-11.5 s under
         # -X dev -W error in two runs on a shared 2-core box
         # (CPython 3.11), inside the 60 s budget.
         primes = (2, 3, 5)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 import random
+import sys
 from itertools import product
 
 from veronese import charp, groebner, toric
@@ -258,13 +259,17 @@ def _reference_fiber(ideal, targets):
 
 
 def _oracle_grid():
-    """(targets, p): the Veronese maps, the quartic curve, seeded curves of
+    """(targets, p): the Veronese maps, the quartic curve, three maps
+    without every pure power (one of them not F-pure), seeded curves of
     degree 3-6 and seeded algebras of quadrics in three variables, at
     p = 2, 3, 5, 7 while the reference's p^d residues stay few."""
     rng = random.Random(19)
     algebras = [veronese_map(k, n).targets for k, n in (
         (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 2))]
     algebras.append(QUARTIC)
+    algebras += [((3, 1), (2, 2), (1, 3)),
+                 ((2, 1, 0), (1, 2, 0), (0, 1, 2), (1, 0, 2), (1, 1, 1)),
+                 ((4, 1), (3, 2), (1, 4))]
     for n in (3, 4, 5, 6):
         mixed = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
         algebras.append(((n, 0), *((n - i, i) for i in mixed), (0, n)))
@@ -296,6 +301,44 @@ def test_fiber_route_pins_veronese_3_3_at_three():
     assert (rep.fiber_size, rep.constraints, rep.rank, rep.f_pure) == (
         2187, 59049, 2186, True)
     assert len(rep.witness.terms) == 2187
+
+
+def _charp_line_events(call):
+    """``call()`` and the number of line events in charp's own code while
+    it runs: a count of work that does not depend on the machine."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename == charp.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, events
+
+
+@pytest.mark.parametrize("p, sizes", [(2, (2, 2, 1, True)),
+                                      (3, (3, 3, 2, True))])
+def test_the_quotient_search_does_not_walk_a_box_the_semigroup_fills(
+        p, sizes):
+    """(100,100,100) and the unit vectors: every point of the box below
+    delta/p, (50,50,50) at p = 2 and (67,67,67) at p = 3, lies in S, so a
+    walk of S up to delta/p meets 51^3 or 68^3 residuals, each costing at
+    least one line of charp.  The depth-first search meets only those on
+    its paths: about 4,000 and 7,000 line events in all of
+    ``fedder_fiber``, against a bound of a fifth of the smaller box."""
+    box = MonomialMap(((100, 100, 100), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    rep, events = _charp_line_events(lambda: fedder_fiber(box, p))
+    assert (rep.fiber_size, rep.constraints, rep.rank, rep.f_pure) == sizes
+    assert events < 51 ** 3 // 5
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -484,7 +527,7 @@ def test_fiber_cap_refuses_before_the_unknowns_are_built(
     if refused is None:
         assert fedder_fiber(mmap, 3).f_pure is True
         return
-    monkeypatch.setattr(charp, "semigroup_member", None)   # never reached
+    monkeypatch.setattr(charp, "_first_sums", None)        # never reached
     with pytest.raises(ResourceCapError) as exc:
         fedder_fiber(mmap, 3)
     assert str(exc.value) == refused

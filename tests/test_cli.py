@@ -386,6 +386,22 @@ def test_vectors_refuse_what_ascii_digits_do_not_spell(capsys, text):
         2, "", f"error: bad integer vector {'2,' + text!r}\n")
 
 
+def test_int_flags_take_640_digits_and_refuse_641(capsys):
+    """640 digits, which ``int`` converts under any ``-X
+    int_max_str_digits``, parse on the plain path and, with a sign that
+    makes the text longer, on the full parser; 641 are refused in one
+    short line that does not echo them."""
+    fedder = ["fedder", "--ring", "x", "--ideal", "x", "--p"]
+    assert cli._parse_args([*fedder, "9" * 640]).p == int("9" * 640)
+    assert cli._parse_args([*fedder, "-" + "9" * 640]).p == -int("9" * 640)
+    with pytest.raises(SystemExit) as info:
+        cli._parse_args([*fedder, "9" * 641])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "veronese fedder: error: argument --p: invalid int value: more than "
+        "640 digits\n")
+
+
 def test_integers_are_ascii_digits_after_an_optional_minus():
     assert [cli._is_integer(t) for t in ("0", "007", "-12", "-", "", "--1")] \
         == [True, True, True, False, False, False]

@@ -92,6 +92,27 @@ def test_console_script_starts_the_entry():
     assert re.search(r'^veronese = "veronese\.cli:run"$', text, re.M)
 
 
+@pytest.mark.parametrize("digits", [700, 5000])
+@pytest.mark.parametrize("setting", [[], ["-X", "int_max_str_digits=640"]])
+@pytest.mark.parametrize("argv", [
+    ["fedder", "--ring", "x", "--ideal", "x", "--p"],
+    ["cd-certificate", "-k", "2", "-n"],
+])
+def test_an_int_of_more_than_640_digits_exits_2_unechoed(setting, argv,
+                                                          digits):
+    """Past 640 digits an int flag is refused by the full parser in one
+    short line, exit 2 whatever ``int_max_str_digits`` is: it names no
+    private function and does not echo the value, as ``int``'s own error
+    did past 4,300 digits."""
+    code, out, err = _process(*setting, "-m", "veronese", *argv,
+                              "9" * digits)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"veronese {argv[0]}: error: argument {argv[-1]}: invalid int "
+        f"value: more than 640 digits")
+    assert len(err) < 300 and "_int_flag" not in err and "9" * 10 not in err
+
+
 # ---------------------------------------------------------------------------
 # plain path and full parser
 # ---------------------------------------------------------------------------
