@@ -12,8 +12,8 @@ from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
 from .polycore import (
-    CoeffDomain, GF, ParseError, PolyRing, Polynomial, QQ, _Record,
-    parse_polynomial_list,
+    CoeffDomain, GF, ParseError, PolyRing, Polynomial, QQ, _MAX_DIGITS,
+    _Record, parse_polynomial_list,
 )
 from .groebner import Ideal
 from .invariants import krull_dim
@@ -41,8 +41,13 @@ def _is_integer(text: str) -> bool:
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
-    """Comma-separated nonnegative integers: "4,0" -> (4, 0)."""
+    """Comma-separated nonnegative integers: "4,0" -> (4, 0).  An integer
+    of more than ``_MAX_DIGITS`` digits is refused first, its digits not
+    echoed."""
     parts = [p.strip() for p in text.split(",")]
+    if any(len(p.lstrip("-")) > _MAX_DIGITS for p in parts if _is_integer(p)):
+        raise ValueError(f"integer of more than {_MAX_DIGITS} digits in a "
+                         f"vector")
     if not all(map(_is_integer, parts)):
         raise ValueError(f"bad integer vector {text!r}")
     vec = tuple(map(int, parts))
@@ -63,6 +68,8 @@ def _parse_char(text: str) -> tuple[int, CoeffDomain]:
     """``--char``, 0 or a prime, and its field."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad characteristic {text!r}")
+    if len(text) > _MAX_DIGITS:
+        raise ValueError(f"characteristic of more than {_MAX_DIGITS} digits")
     char = int(text)
     return char, QQ if char == 0 else GF(char)
 
@@ -317,15 +324,14 @@ def _build_parser():
 
     def _int_flag(text: str) -> int:
         """The ``type`` of the ``int`` flags, refused in argparse's words:
-        text outside `_is_integer`'s grammar, echoed, and more than 640
-        digits, not echoed, the most ``int`` converts under any ``-X
-        int_max_str_digits``.  So ``int`` itself never fails here, and
-        argparse never names this function in a message."""
+        text outside `_is_integer`'s grammar, echoed, and more than
+        ``_MAX_DIGITS`` digits, not echoed.  So ``int`` itself never fails
+        here, and argparse never names this function in a message."""
         if not _is_integer(text):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if len(text.lstrip("-")) > 640:
+        if len(text.lstrip("-")) > _MAX_DIGITS:
             raise argparse.ArgumentTypeError(
-                "invalid int value: more than 640 digits")
+                f"invalid int value: more than {_MAX_DIGITS} digits")
         return int(text)
 
     # flag kind -> what ``add_argument`` is given for it
@@ -385,8 +391,7 @@ def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
             if value.startswith("-"):
                 return None
         if flag.kind == "int":
-            # int() converts 640 digits under any -X int_max_str_digits
-            if not (_is_integer(value) and len(value) <= 640):
+            if not (_is_integer(value) and len(value) <= _MAX_DIGITS):
                 return None
             value = int(value)
         elif flag.kind == "append":

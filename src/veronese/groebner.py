@@ -7,7 +7,11 @@ the product and ``(b - a) & guard == 0`` tests that a divides b, because a
 field that borrows sets its guard bit.  Reduction (``polycore._nf_dict``)
 pops the maximal term of the working polynomial off a heap of negated packed
 monomials; terms that cancel stay in the working dict as zeros and are
-skipped when popped.  The engine fully reduces each generator and
+skipped when popped.  S-polynomials, and the products of the containment
+test below, are summed by one helper, ``_add_shifted``, which adds
+c*x^s*terms into a packed term dict and drops a term that cancels;
+``_nf_dict`` keeps a loop of its own, because it also pushes each new
+monomial onto its heap.  The engine fully reduces each generator and
 S-polynomial against the elements before it and inserts what is left.
 S-pairs are pruned by the Gebauer-Moller update (Buchberger's coprime and
 chain criteria) in a linear pass, run on the exponent fields of the packed
@@ -51,10 +55,10 @@ divisor, those whose grevlex lead is a pure power first, and skips each g
 whose piece already contains the running intersection Q, which holds when
 h*g reduces to zero modulo the grevlex basis of I for every generator h of
 Q; then neither that piece nor the intersection with it is computed.  The
-test forms each h*g on packed monomials and reduces it there.  With two or
-more generators the result is the reduced grevlex basis of the quotient
-whichever steps ran, in whatever order; the order only makes the pieces
-that run small (see ``colon_ideal``).
+test forms each h*g on packed monomials, by ``_add_shifted``, and reduces
+it there.  With two or more generators the result is the reduced grevlex
+basis of the quotient whichever steps ran, in whatever order; the order
+only makes the pieces that run small (see ``colon_ideal``).
 """
 from __future__ import annotations
 
@@ -116,6 +120,26 @@ class GroebnerBasis(_CachedHash):
 # ---------------------------------------------------------------------------
 # engine internals
 # ---------------------------------------------------------------------------
+
+def _add_shifted(d: dict, terms: Iterable[tuple[int, Scalar]], shift: int,
+                 scale: Scalar, guard: int, p: int) -> dict:
+    """Adds scale*x^shift*terms, packed terms, into the packed term dict
+    ``d`` in place and returns it; a term that cancels is dropped, so no
+    zero coefficient is left behind.  Raises ``_PackingOverflow`` when a
+    new monomial outgrows its fields."""
+    for m, c in terms:
+        nm = m + shift
+        if nm & guard:
+            raise _PackingOverflow
+        nv = d.get(nm, 0) + scale * c
+        if p:
+            nv %= p
+        if nv:
+            d[nm] = nv
+        else:
+            d.pop(nm, None)
+    return d
+
 
 class _Engine:
     def __init__(self, ring: PolyRing, packing: _Packing):
@@ -235,28 +259,14 @@ class _Engine:
         self._update_pairs(len(self.entries) - 1)
 
     def _spoly(self, i: int, j: int, lcm: int) -> dict:
+        """The S-polynomial of entries i and j, ``lcm`` the packed lcm of
+        their leads: the monic leads cancel, and what is left,
+        x^(lcm - lead_i)*tail_i - x^(lcm - lead_j)*tail_j, is summed by
+        ``_add_shifted``, without zero coefficients."""
         lead_i, _, tail_i = self.entries[i]
         lead_j, _, tail_j = self.entries[j]
-        qi = lcm - lead_i
-        qj = lcm - lead_j
-        guard = self.guard
-        d: dict[int, Scalar] = {}
-        for m, c in tail_i:
-            nm = m + qi
-            if nm & guard:
-                raise _PackingOverflow
-            d[nm] = c
-        p = self.p
-        for m, c in tail_j:
-            nm = m + qj
-            if nm & guard:
-                raise _PackingOverflow
-            nv = (d.get(nm, 0) - c) % p if p else d.get(nm, 0) - c
-            if nv:
-                d[nm] = nv
-            else:
-                d.pop(nm, None)
-        return d
+        d = _add_shifted({}, tail_i, lcm - lead_i, 1, self.guard, self.p)
+        return _add_shifted(d, tail_j, lcm - lead_j, -1, self.guard, self.p)
 
     def run(self, gens: Sequence[Polynomial]) -> list:
         """The live elements of the basis of the generators (``_finalize``)."""
@@ -539,11 +549,12 @@ def _products_in(hs: Sequence[Polynomial], g: Polynomial,
     lies in the next piece, with hs its generators and g the divisor's
     generator, and ``charp.fedder_fiber`` re-checks its witness u, with hs
     the basis G of I, g = u and gb the Frobenius basis G^[p] of I^[p].
-    Each product is formed on packed monomials, its cancelled terms
-    dropped, and reduced by ``_nf_dict`` against the packed basis
-    (``_gb_entries``); no ``Polynomial`` is built.  A product monomial that
-    outgrows its fields raises ``_PackingOverflow``, and ``_packed``
-    repeats the test wider."""
+    Each product is formed on packed monomials, one ``_add_shifted`` call
+    per term of h, which adds that term times g and drops the terms that
+    cancel, and the dict is reduced as it stands by ``_nf_dict`` against
+    the packed basis (``_gb_entries``); no ``Polynomial`` is built.  A
+    product monomial that outgrows its fields raises ``_PackingOverflow``
+    in ``_add_shifted``, and ``_packed`` repeats the test wider."""
     p = gb.ring.domain.characteristic
 
     def run(packing: _Packing) -> bool:
@@ -552,14 +563,9 @@ def _products_in(hs: Sequence[Polynomial], g: Polynomial,
         factor = packing.pack_terms(g.terms).items()
         for h in hs:
             d: dict[int, Scalar] = {}
-            for m1, c1 in packing.pack_terms(h.terms).items():
-                for m2, c2 in factor:
-                    m = m1 + m2
-                    if m & guard:
-                        raise _PackingOverflow
-                    c = d.get(m, 0) + c1 * c2
-                    d[m] = c % p if p else c
-            if _nf_dict({m: c for m, c in d.items() if c}, entries, guard, p):
+            for m, c in packing.pack_terms(h.terms).items():
+                _add_shifted(d, factor, m, c, guard, p)
+            if _nf_dict(d, entries, guard, p):
                 return False
         return True
 

@@ -866,11 +866,16 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder
 #   atom   := integer | variable | '(' expr ')'
 #
 # Variables are [a-z][a-z0-9]*, integers are nonnegative literals [0-9]+
-# (both ASCII only), whitespace is insignificant.  '^' binds tighter than
-# '*'.  Parentheses nest at most _MAX_NESTING deep, well inside the
-# interpreter's recursion limit.
+# of at most _MAX_DIGITS digits (both ASCII only), whitespace is
+# insignificant.  '^' binds tighter than '*'.  Parentheses nest at most
+# _MAX_NESTING deep, well inside the interpreter's recursion limit.
 
 _MAX_NESTING = 100
+
+#: most digits of an integer read from text, here and by the CLI: ``int``
+#: converts 640 under any ``-X int_max_str_digits``; a longer one is
+#: refused before ``int`` sees it, and its digits are not echoed
+_MAX_DIGITS = 640
 
 #: most term pairs in one product that the parser forms, squarings behind
 #: '^' included; a larger product is refused with ``ResourceCapError``
@@ -907,6 +912,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     for m in re.finditer(_TOKEN_PATTERN, text):
         if m.lastindex == 4:
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastindex == 1 and len(m.group()) > _MAX_DIGITS:
+            raise ParseError(f"integer of more than {_MAX_DIGITS} digits",
+                             m.start())
         tokens.append((_TOKEN_KINDS[m.lastindex], m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens

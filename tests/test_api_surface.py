@@ -116,7 +116,8 @@ def test_the_import_check_sees_an_unread_name():
 
 #: the packed-monomial kernel: what only ``polycore`` and ``groebner`` know
 _PACKED_KERNEL = frozenset({"_Packing", "_packing", "_packed", "_nf_dict",
-                            "_monic", "_gb_entries", "_PackingOverflow"})
+                            "_monic", "_gb_entries", "_PackingOverflow",
+                            "_add_shifted"})
 
 
 def _packed_kernel_names(tree: ast.Module) -> set[str]:

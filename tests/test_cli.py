@@ -10,6 +10,7 @@ import pytest
 
 from veronese import cli
 from veronese.cli import main
+from veronese.polycore import GF
 
 
 def _run(capsys, *argv):
@@ -400,6 +401,45 @@ def test_int_flags_take_640_digits_and_refuse_641(capsys):
     assert capsys.readouterr().err.endswith(
         "veronese fedder: error: argument --p: invalid int value: more than "
         "640 digits\n")
+
+
+#: the flags whose text holds integers, "{}" where one goes, and the line
+#: a long one is refused with: vectors, ``--char`` and polynomials
+_VECTOR = "error: integer of more than 640 digits in a vector\n"
+_LONG_INTEGER_LINES = [
+    (["cd-certificate", "-k", "2", "-n", "2", "--primes", "2,{}"], _VECTOR),
+    (["char-compare", "--targets", "{},0;0,1", "--primes", "2"], _VECTOR),
+    (["char-compare", "--targets", "2,0;0,1", "--primes", "-{}"], _VECTOR),
+    (["semigroup", "--generators", "1,0;0,1", "--target", "{},1"], _VECTOR),
+    (["semigroup", "--generators", "1,0;0,{}", "--target", "1,1"], _VECTOR),
+    (["present", "--targets", "2,0;1,1;0,2", "--fpurity-witness",
+      "{},0;1,1"], _VECTOR),
+    (["height", "--ring", "x", "--ideal", "x", "--char", "{}"],
+     "error: characteristic of more than 640 digits\n"),
+    (["veronese-ideal", "-k", "2", "-n", "2", "--char", "{}"],
+     "error: characteristic of more than 640 digits\n"),
+    (["height", "--ring", "x,y", "--ideal", "x, {}*y"],
+     "error: integer of more than 640 digits (column 4)\n"),
+    (["height", "--ring", "x,y", "--ideal", "x^{}"],
+     "error: integer of more than 640 digits (column 3)\n"),
+    (["present", "--targets", "2,0;1,1;0,2", "--ci", "t1:t2^{}"],
+     "error: integer of more than 640 digits (column 7)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, line", _LONG_INTEGER_LINES)
+def test_every_integer_read_from_text_takes_at_most_640_digits(capsys, argv,
+                                                               line):
+    """Past 640 digits, the most ``int`` converts under any ``-X
+    int_max_str_digits``, an integer in a vector, ``--char`` or a
+    polynomial is refused with exit 2 before ``int`` sees it, in a line
+    that echoes none of its digits."""
+    assert _run(capsys, *[a.format("7" * 641) for a in argv]) == (2, "", line)
+
+
+def test_vectors_and_the_characteristic_read_640_digits():
+    assert cli._parse_vector("1," + "7" * 640) == (1, int("7" * 640))
+    assert cli._parse_char("0" * 639 + "5") == (5, GF(5))
 
 
 def test_integers_are_ascii_digits_after_an_optional_minus():

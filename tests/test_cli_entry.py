@@ -113,6 +113,26 @@ def test_an_int_of_more_than_640_digits_exits_2_unechoed(setting, argv,
     assert len(err) < 300 and "_int_flag" not in err and "9" * 10 not in err
 
 
+@pytest.mark.parametrize("digits", [700, 5000])
+@pytest.mark.parametrize("setting", [[], ["-X", "int_max_str_digits=640"]])
+@pytest.mark.parametrize("argv, line", [
+    (["height", "--ring", "x,y", "--ideal", "{}*x"],
+     "error: integer of more than 640 digits (column 1)"),
+    (["height", "--ring", "x", "--ideal", "x", "--char", "{}"],
+     "error: characteristic of more than 640 digits"),
+    (["semigroup", "--generators", "1,0;0,1", "--target", "{},1"],
+     "error: integer of more than 640 digits in a vector"),
+])
+def test_an_integer_in_text_of_more_than_640_digits_exits_2_unechoed(
+        setting, argv, line, digits):
+    """The same for the integers in a polynomial, ``--char`` and a vector,
+    which the library reads: one line, exit 2, whatever
+    ``int_max_str_digits`` is."""
+    code, out, err = _process(*setting, "-m", "veronese",
+                              *[a.format("9" * digits) for a in argv])
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 # ---------------------------------------------------------------------------
 # plain path and full parser
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ variables of an elimination, is taken as it stands, without the sort of
 ``_from_dict``; only the elements of an elimination run that lie in the
 elimination ideal are built; and a binomial basis is read from a shared run
 in every field.  They must build exactly the polynomials that the sorting
-path of a run in the ideal's own domain builds."""
+path of a run in the ideal's own domain builds.  The S-polynomials and the
+containment products that ``_add_shifted`` sums must be the sums that
+``Polynomial`` arithmetic builds, without zero coefficients, and a sum that
+outgrows the first width must overflow in the helper and come out right
+wider."""
 from __future__ import annotations
 
 import random
@@ -338,3 +342,166 @@ def test_division_remainder_past_the_first_width():
     assert r.total_degree() == 80001
     assert r == _WIDE.parse("y^80001")
     assert q * d + r == f
+
+
+# ---------------------------------------------------------------------------
+# shifted sums: S-polynomials and containment products
+# ---------------------------------------------------------------------------
+
+#: GF(2), where 1 + 1 cancels, and GF(32003), the field of the shared runs
+_SUM_DOMAINS = [QQ, GF(2), GF(3), GF(32003)]
+
+
+def _random_trinomials(rng, ring):
+    """Two to three homogeneous trinomials of degree 2 or 3, none a
+    monomial or a pure difference, so that every run is in the ring's own
+    domain; their bases stay small under every order."""
+    out = []
+    for _ in range(rng.randint(2, 3)):
+        deg = rng.randint(2, 3)
+        g = ring.zero
+        while len(g.terms) < 3:
+            g = ring.from_dict({tuple(_composition(rng, deg, ring.arity)):
+                                rng.randint(1, 4) for _ in range(3)})
+        out.append(g)
+    return out
+
+
+def _unpacked(packing, d):
+    return {packing.unpack(m): c for m, c in d.items()}
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+@pytest.mark.parametrize("dom", _SUM_DOMAINS, ids=str)
+def test_spolynomials_are_the_polynomial_sums(order, dom, monkeypatch,
+                                              groebner_caches):
+    """Every S-polynomial that the engine hands to ``_nf_dict`` holds no
+    zero coefficient and is x^(l - lead_i)*f_i - x^(l - lead_j)*f_j of
+    its monic elements, l the lcm of their leads, as ``Polynomial``
+    arithmetic on exponent tuples builds it."""
+    spoly = groebner._Engine._spoly
+    seen = []
+
+    def recorded(self, i, j, lcm):
+        d = spoly(self, i, j, lcm)
+        seen.append((self.packing, self.entries[i], self.entries[j], lcm,
+                     dict(d)))
+        return d
+
+    monkeypatch.setattr(groebner._Engine, "_spoly", recorded)
+    rng = random.Random(f"spoly/{order}/{dom}")
+    ring = PolyRing(("a", "b", "c", "d"), dom)
+    for _ in range(6):
+        buchberger(Ideal(ring, tuple(_random_trinomials(rng, ring))), order)
+    assert len(seen) > 10
+    merged = 0
+    for packing, (lead_i, _, tail_i), (lead_j, _, tail_j), lcm, d in seen:
+        top = packing.unpack(lcm)
+
+        def shifted(lead, tail):
+            monic = ring.from_dict({packing.unpack(lead): 1,
+                                    **_unpacked(packing, dict(tail))})
+            return ring.monomial(tuple(
+                a - b for a, b in zip(top, packing.unpack(lead)))) * monic
+
+        assert all(d.values())
+        assert _unpacked(packing, d) == dict(
+            (shifted(lead_i, tail_i) - shifted(lead_j, tail_j)).terms)
+        merged += len(d) < len(tail_i) + len(tail_j)
+    # shifted tails meet, and over GF(2) every meeting of two cancels
+    assert merged
+
+
+@pytest.mark.parametrize("dom", _SUM_DOMAINS, ids=str)
+def test_containment_products_are_the_polynomial_products(dom, monkeypatch):
+    """Every product h*g that ``_products_in`` hands to ``_nf_dict`` holds
+    no zero coefficient and equals h*g built by ``Polynomial``
+    arithmetic; the products are tested in the order of hs, up to the
+    first outside the ideal, and the answer is normal-form membership."""
+    nf = groebner._nf_dict
+    handed = []
+
+    def recorded(work, entries, guard, p):
+        handed.append(dict(work))
+        return nf(work, entries, guard, p)
+
+    rng = random.Random(f"products/{dom}")
+    ring = PolyRing(("a", "b", "c", "d"), dom)
+    packing = _packing(GrevLex(), 4, _FIELD_BITS)
+    answers = set()
+    merged = 0
+    for _ in range(12):
+        gb = buchberger(Ideal(ring, tuple(_random_trinomials(rng, ring))))
+        g = _random_poly(rng, ring, rng.randint(2, 8), 1)
+        # multiples of a basis element, so that some products lie inside
+        hs = [_random_poly(rng, ring, rng.randint(1, 6), 1)
+              * rng.choice(gb.elements) ** rng.randint(0, 1)
+              for _ in range(rng.randint(1, 4))]
+        handed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_nf_dict", recorded)
+            got = groebner._products_in(hs, g, gb)
+        inside = [normal_form(h * g, gb).is_zero() for h in hs]
+        assert got == all(inside)
+        assert len(handed) == (len(hs) if got else inside.index(False) + 1)
+        for h, d in zip(hs, handed):
+            assert all(d.values())
+            assert _unpacked(packing, d) == dict((h * g).terms)
+            merged += len(d) < len(h.terms) * len(g.terms)
+        answers.add(got)
+    assert answers == {True, False} and merged
+
+
+def test_sums_past_the_first_width_overflow_in_the_helper(monkeypatch,
+                                                          groebner_caches):
+    """An S-polynomial and a product whose monomials outgrow the 8-bit
+    fields raise ``_PackingOverflow`` in ``_add_shifted``; ``_packed``
+    reruns the whole computation at 16 bits, with the result of a run that
+    starts there."""
+    add = groebner._add_shifted
+    calls = []                           # (guard, raised) per helper call
+
+    def recorded(d, terms, shift, scale, guard, p):
+        try:
+            out = add(d, terms, shift, scale, guard, p)
+        except polycore._PackingOverflow:
+            calls.append((guard, True))
+            raise
+        calls.append((guard, False))
+        return out
+
+    def widened(compute, order, arity):
+        """compute(), whose helper calls at the first width must end in
+        the one overflow, and all succeed at twice the width."""
+        calls.clear()
+        out = compute()
+        narrow, wide = (_packing(order, arity, bits).guard
+                        for bits in (_FIELD_BITS, 2 * _FIELD_BITS))
+        raised = calls.index((narrow, True))
+        assert calls[:raised] == [(narrow, False)] * raised
+        assert calls[raised + 1:] == [(wide, False)] * (len(calls) - raised
+                                                        - 1)
+        assert len(calls) > raised + 1
+        return out
+
+    monkeypatch.setattr(groebner, "_add_shifted", recorded)
+    ring = PolyRing(("x", "y", "z"), GF(5))
+    # the pair's lcm x*z^10 packs; the S-polynomial -2*y + y^120*z^10,
+    # of degree 130, does not
+    ideal = Ideal(ring, (ring.parse("x*z^10 - 2*y"), ring.parse("x - y^120")))
+    gb = widened(lambda: buchberger(ideal, Lex()), Lex(), 3)
+    assert set(gb.elements) == {ring.parse("x - y^120"),
+                                ring.parse("y^120*z^10 - 2*y")}
+    two = PolyRing(("x", "y"), QQ)
+    products = [([two.parse("x^70")], two.parse(g),
+                 buchberger(Ideal(two, (two.parse("x*y"),))))
+                for g in ("y^70 + x*y", "y^70 + x")]
+    # x^70*y^70, of degree 140, does not pack
+    answers = [widened(lambda: groebner._products_in(*args), GrevLex(), 2)
+               for args in products]
+    assert answers == [True, False]
+
+    groebner_caches()
+    monkeypatch.setattr(polycore, "_FIELD_BITS", 2 * _FIELD_BITS)
+    assert buchberger(ideal, Lex()) == gb
+    assert [groebner._products_in(*args) for args in products] == answers

@@ -377,6 +377,28 @@ def test_parse_error_positions(text, position):
     assert info.value.position == position
 
 
+@pytest.mark.parametrize("digits", [641, 700, 5000])
+def test_parse_refuses_an_integer_of_more_than_640_digits(digits):
+    """A literal, coefficient or exponent alike, of 640 digits parses,
+    which ``int`` converts under any ``-X int_max_str_digits``; a longer
+    one is refused at its column before ``int`` sees it, in a message that
+    echoes no digit of it."""
+    R = PolyRing(("x", "y"), QQ)
+    assert R.parse("9" * 640) == R.constant(int("9" * 640))
+    assert R.parse("x^" + "0" * 639 + "7") == R.parse("x^7")
+    long = "9" * digits
+    for text, position in [(long, 0), (f"{long}*x", 0), (f"y + x^{long}", 6),
+                           (f"x^2 - {long}*y", 6)]:
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, R)
+        assert (info.value.message, info.value.position) == (
+            "integer of more than 640 digits", position)
+        assert "9" not in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_polynomial_list(f"x, y^{long}", R)
+    assert info.value.position == 5
+
+
 def test_parse_nesting_limit():
     R = PolyRing(("x", "y"), QQ)
     deep = "(" * 100 + "x + y" + ")" * 100
