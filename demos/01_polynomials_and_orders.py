@@ -9,7 +9,8 @@ from veronese import Block, GF, GrevLex, Lex, PolyRing, QQ
 from veronese.polycore import divide
 
 # A ring is a tuple of variable names plus a coefficient domain.  Rational
-# coefficients are exact fractions; prime fields store least residues.
+# coefficients are exact: an int when integral, a Fraction otherwise, with
+# `fractions` loaded on first need; prime fields store least residues.
 R = PolyRing(("x", "y", "z"), QQ)
 F = PolyRing(("x", "y"), GF(5))
 

@@ -431,6 +431,13 @@ def _veronese_charts(mmap: MonomialMap
     return tuple(ci_sequence(mmap, j) for j in range(mmap.k))
 
 
+@lru_cache(maxsize=256)
+def _symmetric_minors(k: int) -> Ideal:
+    """``symmetric_minors_ideal(k)``, built once per k in a process; k has
+    been validated, so the key never holds a caller's bool."""
+    return symmetric_minors_ideal(k)
+
+
 def _lc_degree_zero(name: str, k: int, n: int) -> Check:
     """Every degree-zero graded piece of local cohomology of the degree-n
     Veronese subring in k variables vanishes."""
@@ -542,7 +549,7 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
         _pure_power_indices(mmap))
 
     if n == 2:
-        minors = symmetric_minors_ideal(k)
+        minors = _symmetric_minors(k)
         checks.append(_check(
             "symmetric_minors_match", ideal_equal(presentation[0], minors),
             minor_count=len(minors.generators)))

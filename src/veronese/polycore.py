@@ -2,9 +2,12 @@
 
 Everything here is immutable and canonical: a polynomial stores its terms as a
 tuple sorted in descending graded-reverse-lexicographic order, so structural
-equality is mathematical equality.  Coefficients are `fractions.Fraction`
-over the rationals and least nonnegative residues (plain ints) over a prime
-field.  No floating point anywhere.
+equality is mathematical equality.  A rational coefficient is a plain int
+when it is integral and a `fractions.Fraction` with a denominator above 1
+otherwise; `fractions` is imported on the first value that needs it, so a
+computation over the integers, as every presentation ideal is, never loads
+it.  A prime-field coefficient is its least nonnegative residue, an int.
+No floating point anywhere.
 
 Immutability comes from plain slotted classes (``_Record``), written out
 by hand: assignment and deletion raise ``AttributeError``, and no code is
@@ -15,14 +18,17 @@ exceeds a deterministic work cap.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, mul, neg
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Exponents = tuple[int, ...]
-Scalar = Union[Fraction, int]
+Scalar = Union[int, "Fraction"]
 
 __all__ = [
     "Rationals", "PrimeField", "CoeffDomain", "QQ", "GF",
@@ -188,7 +194,11 @@ def _is_prime(p: int) -> bool:
 
 
 class Rationals(_Fieldless):
-    """The field QQ with Fraction scalars."""
+    """The field QQ.  A scalar is an int when it is integral and a
+    ``Fraction`` with a denominator above 1 otherwise, so that integral
+    work runs on ints; ``fractions`` is imported on the first value that
+    is neither an int nor a ``Fraction`` already, or on the inverse of a
+    non-unit."""
 
     __slots__ = ()
 
@@ -197,24 +207,34 @@ class Rationals(_Fieldless):
         return 0
 
     @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def normalize(self, value: Union[int, Fraction]) -> Fraction:
+    def normalize(self, value) -> Scalar:
+        """``value`` as its canonical scalar; a value other than an int,
+        a float or a ``Decimal`` among them, is read exactly by
+        ``Fraction(value)``."""
+        if value.__class__ is int:       # no ABC instance check
+            return value
+        from fractions import Fraction
         # an exact class test: the metaclass of ``Fraction`` is ABCMeta,
         # so isinstance tests on it, its constructor's too, are slow
-        if value.__class__ is Fraction:
-            return value
-        return Fraction(value)
+        if value.__class__ is not Fraction:
+            value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
-    def invert(self, value: Scalar) -> Fraction:
+    def invert(self, value: Scalar) -> Scalar:
         if value == 0:
             raise ZeroDivisionError("inverse of zero in QQ")
-        return Fraction(1, 1) / Fraction(value)
+        if value == 1 or value == -1:
+            return self.normalize(value)
+        from fractions import Fraction
+        # the one division of scalars
+        return self.normalize(Fraction(1, 1) / Fraction(value))
 
     def __str__(self) -> str:
         return "QQ"
@@ -256,16 +276,17 @@ class PrimeField(_Record):
     def one(self) -> int:
         return 1
 
-    def normalize(self, value: Union[int, Fraction]) -> int:
+    def normalize(self, value) -> int:
         if value.__class__ is int:       # no ABC instance check
             return value % self.p
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(
-                    f"denominator {value.denominator} vanishes mod {self.p}")
-            return (value.numerator % self.p) * pow(den, -1, self.p) % self.p
-        return value % self.p
+        # any other value is read in QQ first, exactly, as an int or a
+        # Fraction, both of which have a numerator and a denominator
+        value = QQ.normalize(value)
+        den = value.denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError(
+                f"denominator {value.denominator} vanishes mod {self.p}")
+        return (value.numerator % self.p) * pow(den, -1, self.p) % self.p
 
     def invert(self, value: int) -> int:
         v = value % self.p
@@ -463,12 +484,18 @@ class _Packing:
         exponent fields are read and the terms are taken as they stand: the
         dict must be free of the other variables, as an element of an
         elimination basis whose lead is free of the eliminated ones is, and
-        an elimination order is grevlex on such monomials."""
+        an elimination order is grevlex on such monomials.  A ``Fraction``
+        coefficient over QQ that a division left integral becomes its
+        int."""
         mask = self.mask
         shifts = (self.shifts if kept is None
                   else [self.shifts[i] for i in kept])
-        terms = tuple([(tuple([x >> s & mask for s in shifts]), c)
-                       for x, c in d.items()])
+        coeffs = d.values()
+        if not ring.domain.characteristic:
+            coeffs = [c if c.__class__ is int else QQ.normalize(c)
+                      for c in coeffs]
+        terms = tuple(zip([tuple([x >> s & mask for s in shifts])
+                           for x in d], coeffs))
         if kept is None and not isinstance(self.order, GrevLex):
             return _from_dict(ring, dict(terms))
         return Polynomial(ring, terms)
@@ -542,7 +569,7 @@ class PolyRing(_CachedHash):
     def one(self) -> "Polynomial":
         return self.constant(1)
 
-    def constant(self, c: Union[int, Fraction]) -> "Polynomial":
+    def constant(self, c: Scalar) -> "Polynomial":
         c = self.domain.normalize(c)
         if c == 0:
             return Polynomial(self, ())
@@ -564,7 +591,7 @@ class PolyRing(_CachedHash):
         return Polynomial(self, ((_naturals(exps, self.arity),
                                   self.domain.one),))
 
-    def from_dict(self, mapping: Mapping[Exponents, Union[int, Fraction]]) -> "Polynomial":
+    def from_dict(self, mapping: Mapping[Exponents, Scalar]) -> "Polynomial":
         return _from_dict(self, dict(mapping))
 
     def parse(self, text: str) -> "Polynomial":
@@ -691,7 +718,11 @@ class Polynomial(_CachedHash):
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return self.ring.constant(other)
+        # no Fraction exists before ``fractions`` is imported
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(other, fractions.Fraction):
             return self.ring.constant(other)
         return NotImplemented
 
@@ -709,12 +740,15 @@ class Polynomial(_CachedHash):
                 nm if e == 1 else f"{nm}^{e}"
                 for nm, e in zip(names, m) if e > 0
             )
+            scalar = _decimal(mag.numerator)
+            if mag.denominator != 1:
+                scalar += f"/{_decimal(mag.denominator)}"
             if not vars_part:
-                body = str(mag)
+                body = scalar
             elif mag == 1:
                 body = vars_part
             else:
-                body = f"{mag}*{vars_part}"
+                body = f"{scalar}*{vars_part}"
             if i == 0:
                 chunks.append(f"-{body}" if neg else body)
             else:
@@ -723,6 +757,23 @@ class Polynomial(_CachedHash):
 
     def __repr__(self) -> str:
         return f"<{self} in {self.ring}>"
+
+
+#: ``_decimal`` writes an int in pieces of this many digits, fewer than the
+#: least ``-X int_max_str_digits`` (640) that CPython allows
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """A nonnegative int in decimal, written piece by piece, so that no
+    setting of ``int_max_str_digits`` refuses it."""
+    pieces = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        pieces.append(str(low).zfill(_CHUNK_DIGITS))
+    pieces.append(str(n))
+    return "".join(reversed(pieces))
 
 
 def _power(f: Polynomial, e: int, times) -> Polynomial:

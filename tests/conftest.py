@@ -25,9 +25,10 @@ from veronese.toric import (
 #: the presentation cache itself, whatever binding a test double replaces
 _PRESENTATION = toric._presentation
 #: the process-wide caches beside the ``groebner`` ones, themselves: the
-#: presentation, the field-free check values and the Veronese charts
+#: presentation, the field-free check values, the Veronese charts and the
+#: symmetric minors
 _PRESENTATION_CACHES = (_PRESENTATION, pipeline._field_free_values,
-                        pipeline._veronese_charts)
+                        pipeline._veronese_charts, pipeline._symmetric_minors)
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -164,10 +165,11 @@ def _clear_groebner_caches() -> None:
     """Empty every cache defined in ``veronese.groebner``, the presentation
     cache ``toric._presentation`` and the field-free check values
     ``pipeline._field_free_values``, whose entries were built from them,
-    and the Veronese charts ``pipeline._veronese_charts``, so that the next
-    request does its engine work, and the next report its toric routes,
-    height, chart derivations, CI checks, radical cover and minimal
-    generators, as in a fresh process.  Each cache is reached through its
+    the Veronese charts ``pipeline._veronese_charts`` and the symmetric
+    minors ``pipeline._symmetric_minors``, so that the next request does
+    its engine work, and the next report its toric routes, height, chart
+    derivations, CI checks, radical cover, minimal generators and minors,
+    as in a fresh process.  Each cache is reached through its
     own function, which a test double may have rebound in its module."""
     _clear_caches(groebner)
     for cache in _PRESENTATION_CACHES:

@@ -4,13 +4,19 @@ cap, 4 internal error), file output, and the timing flag."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from veronese import cli
 from veronese.cli import main
-from veronese.polycore import GF
+from veronese.polycore import GF, _decimal
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(capsys, *argv):
@@ -440,6 +446,31 @@ def test_every_integer_read_from_text_takes_at_most_640_digits(capsys, argv,
 def test_vectors_and_the_characteristic_read_640_digits():
     assert cli._parse_vector("1," + "7" * 640) == (1, int("7" * 640))
     assert cli._parse_char("0" * 639 + "5") == (5, GF(5))
+
+
+def test_a_long_coefficient_renders_under_any_digit_limit(capsys):
+    """A report that writes an 800-digit coefficient, (7...7 * x + y)^2
+    with a 400-digit literal, exits 0 with the same bytes under ``-X
+    int_max_str_digits=640``, the least setting CPython accepts, as under
+    the default, in fresh processes and in this one, whatever its own
+    setting is."""
+    s = "7" * 400
+    argv = ["ci-check", "--ring", "x,y", "--ideal", f"({s}*x + y)^2",
+            "--invert", "x", "--candidates", f"({s}*x+y)^2"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outs = []
+    for setting in ([], ["-X", "int_max_str_digits=640"]):
+        done = subprocess.run(
+            [sys.executable, *setting, "-m", "veronese", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        outs.append(done.stdout)
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert outs == [out, out]
+    assert f"{_decimal(int(s) ** 2)}*x^2" in out
 
 
 def test_integers_are_ascii_digits_after_an_optional_minus():

@@ -63,7 +63,8 @@ class _Reference(_Traced):
             inv = pow(lc, -1, self.p)
             tail = tuple((m, c * inv % self.p) for m, c in terms)
         else:
-            tail = tuple((m, c / lc) for m, c in terms)
+            inv = QQ.invert(lc)
+            tail = tuple((m, c * inv) for m, c in terms)
         self.entries.append((lead, None, tail))
         self.leads.append(self.packing.unpack(lead))
         self._update_pairs(len(self.entries) - 1)

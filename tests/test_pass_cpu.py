@@ -11,7 +11,7 @@ from pathlib import Path
 from conftest import _PRESENTATION_CACHES
 
 import veronese
-from veronese.pipeline import present_monomial_algebra
+from veronese.pipeline import cd_certificate, present_monomial_algebra
 from veronese.toric import veronese_map
 
 _SRC = Path(veronese.__file__).resolve().parent.parent
@@ -35,13 +35,14 @@ def test_the_summary_reads_median_quartiles_and_wins():
 
 def test_clearing_the_caches_empties_those_beside_the_presentation():
     """``--clear-caches`` starts each report as a fresh CLI process does:
-    with no presentation, no field-free check values and no Veronese
-    charts left by the reports before it."""
+    with no presentation, no field-free check values, no Veronese charts
+    and no symmetric minors left by the reports before it."""
     present_monomial_algebra(veronese_map(2, 2).targets, (2,))
+    cd_certificate(2, 2, (2,))
     assert all(cache.cache_info().currsize for cache in _PRESENTATION_CACHES)
     _tool()._clear_caches()
     assert [cache.cache_info().currsize
-            for cache in _PRESENTATION_CACHES] == [0, 0, 0]
+            for cache in _PRESENTATION_CACHES] == [0, 0, 0, 0]
 
 
 def test_one_pair_of_the_package_against_itself():

@@ -441,6 +441,34 @@ def test_str_parse_round_trip_on_grammar_expressible(domain):
         assert parse_polynomial(str(f), R) == f
 
 
+def _digits(n: int) -> str:
+    """n >= 0 in decimal, one digit at a time: the reference of
+    ``polycore._decimal``, bound by no ``int_max_str_digits``."""
+    out = []
+    while True:
+        n, d = divmod(n, 10)
+        out.append("0123456789"[d])
+        if not n:
+            return "".join(reversed(out))
+
+
+def test_long_ints_are_written_in_pieces_under_any_digit_limit():
+    """Every value, a piece boundary, zeros inside a piece and numbers of
+    thousands of digits among them, is written as its decimal digits in
+    a process under ``-X int_max_str_digits=640`` too; a coefficient of
+    2,000 digits renders, over QQ as an int and as a numerator and a
+    denominator."""
+    chunk = 10 ** 600
+    values = [0, 7, 10 ** 599, chunk - 1, chunk, chunk + 1, 5 * chunk ** 2 + 3,
+              chunk ** 3 - 1, 7 ** 2000]
+    for n in values:
+        assert polycore._decimal(n) == _digits(n)
+    R = PolyRing(("x",), QQ)
+    big = 3 ** 4200                  # 2,004 digits
+    f = R.from_dict({(1,): big, (0,): Fraction(-1, big)})
+    assert str(f) == f"{_digits(big)}*x - 1/{_digits(big)}"
+
+
 def test_fraction_rendering_is_stable():
     R = PolyRing(("x", "y"), QQ)
     f = R.from_dict({(2, 0): Fraction(1, 2), (0, 1): -1, (0, 0): 3})

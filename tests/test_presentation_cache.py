@@ -4,7 +4,8 @@ characteristic and every reader, the fiber route of ``charp`` included, so
 no report builds a toric ideal outside QQ.  Beside it,
 ``pipeline._field_free_values`` checks the charts, the radical cover and
 the minimal generators once per algebra, chart set and cover, and
-``pipeline._veronese_charts`` derives a Veronese map's charts once.  No
+``pipeline._veronese_charts`` derives a Veronese map's charts once, and
+``pipeline._symmetric_minors`` builds the symmetric minors once per k.  No
 report's bytes depend on what the process computed before it."""
 from __future__ import annotations
 
@@ -233,3 +234,22 @@ def test_session_bodies_do_not_depend_on_the_order_of_reports(
     backward = _session_pass(order=lambda specs: specs[::-1])
     assert pipeline._field_free_values.cache_info().hits == 21
     assert backward[::-1] == forward
+
+
+def test_the_symmetric_minors_are_built_once_per_k(monkeypatch,
+                                                   groebner_caches):
+    """Certificates with n = 2 build the minors of their k once in a
+    process, and a repeated certificate renders the same bytes."""
+    calls = Counter()
+    build = pipeline.symmetric_minors_ideal
+
+    def counted(k):
+        calls[k] += 1
+        return build(k)
+
+    monkeypatch.setattr(pipeline, "symmetric_minors_ideal", counted)
+    bodies = [pipeline.render_json(cd_certificate(k, 2, (2,)).to_report())
+              for k in (2, 3, 2, 3)]
+    assert calls == {2: 1, 3: 1}
+    assert bodies[:2] == bodies[2:]
+    assert all('"symmetric_minors_match"' in body for body in bodies)

@@ -1,7 +1,8 @@
 """Start-up hygiene: importing the CLI loads neither ``dataclasses``,
-``inspect``, ``json`` nor ``argparse``, builds no large prime field and
-compiles no regular expression, and a report from a plain command line
-loads neither ``argparse`` nor what it imports on first use.  Each CLI
+``inspect``, ``json``, ``argparse`` nor ``fractions``, builds no large
+prime field and compiles no regular expression, and a report from a plain
+command line loads neither ``argparse`` nor what it imports on first use,
+and, its scalars being integral, not ``fractions`` either.  Each CLI
 report runs in a fresh interpreter, so every module imported, every field
 built and every pattern compiled at import is paid for by every report;
 the checks are by module name, by the primality tests made and by the
@@ -13,6 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from conftest import perfbench_module
+
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the module list is taken before the probe imports json to print it
@@ -23,6 +28,10 @@ _PROBE = (
 
 _JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner",
                  "_json")
+
+#: ``fractions`` and what it imports: a rational scalar is an int until
+#: a value is not integral, and no report of an integral input makes one
+_FRACTION_MODULES = ("fractions", "decimal", "numbers")
 
 
 def test_cli_import_loads_no_code_generating_modules():
@@ -37,6 +46,7 @@ def test_cli_import_loads_no_code_generating_modules():
     assert "argparse" not in loaded and "gettext" not in loaded
     # reports are rendered without the json package
     assert [name for name in _JSON_MODULES if name in loaded] == []
+    assert [name for name in _FRACTION_MODULES if name in loaded] == []
 
 
 #: modules a report from a plain command line must not load: the full
@@ -58,11 +68,45 @@ print(code, *[name for name in names if name in sys.modules], file=sys.stderr)
 def test_a_plain_report_loads_no_argument_parser():
     done = subprocess.run(
         [sys.executable, "-S", "-c", _REPORT_PROBE, str(_SRC),
-         ",".join(_FULL_PARSER_MODULES)],
+         ",".join(_FULL_PARSER_MODULES + _FRACTION_MODULES)],
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert '"kind": "char_compare"' in done.stdout
     assert done.stderr.split() == ["0"]
+
+
+# every command line on stdin, one JSON list each, through cli.main in one
+# process, the reports discarded; then, as JSON on stderr, the number of
+# lines, their exit codes and the names loaded of those given.  Modules
+# stay loaded, so a name loaded by any report is seen after the last.
+_WORKLOAD_PROBE = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+from veronese.cli import main
+lines = [json.loads(line) for line in sys.stdin]
+sys.stdout = io.StringIO()
+codes = sorted({main(argv) for argv in lines})
+names = [name for name in sys.argv[2].split(",") if name in sys.modules]
+print(json.dumps([len(lines), codes, names]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("workload", ["certify", "char-sweep"])
+def test_no_benchmark_cli_report_loads_fractions(workload):
+    """The CLI reports of a benchmark workload, at seeds 1 and 7919, are
+    integral and load none of ``fractions``, ``decimal`` or ``numbers``."""
+    workloads = perfbench_module("workloads")
+    argvs = [workloads.cli_args(spec) for seed in (1, 7919)
+             for spec in workloads.GENERATORS[workload](seed)]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _WORKLOAD_PROBE, str(_SRC),
+         ",".join(_FRACTION_MODULES)],
+        input="".join(json.dumps(argv) + "\n" for argv in argvs),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    count, codes, loaded = json.loads(done.stderr)
+    assert count == len(argvs) == 40 and set(codes) <= {0, 1}
+    assert loaded == []
 
 
 # The package module is made but not run, so that ``veronese.polycore`` is
@@ -151,3 +195,4 @@ def test_the_startup_probe_reports_the_cli_import():
     assert {"veronese.cli", "veronese.polycore"} <= set(loaded)
     assert "argparse" not in loaded
     assert [name for name in _JSON_MODULES if name in loaded] == []
+    assert [name for name in _FRACTION_MODULES if name in loaded] == []
