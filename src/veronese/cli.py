@@ -5,7 +5,8 @@ is false, 2 on bad input, 3 when the resource cap refuses the request, and
 without a traceback so that a crash never reads as a verdict."""
 from __future__ import annotations
 
-import gc
+import atexit
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -444,6 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+            sys.stdout.flush()      # a failed write is exit 2, however buffered
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -458,15 +460,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> NoReturn:
     """Process entry of ``python -m veronese``, ``python -m veronese.cli``
-    and the ``veronese`` script: `main`, then exit with its code.  `main`
-    itself never freezes, as tests and library callers run it many times
-    in one process."""
+    and the ``veronese`` script: `main`, the ``atexit`` callbacks and a
+    flush of stdout and stderr, then ``os._exit`` with `main`'s code.  A
+    stream that cannot be flushed turns exit 0 or 1 into 120, CPython's
+    own status for it; a code of 2 or more, such as a report `main` could
+    not write, stays.  `main` itself never ends the process, as tests and
+    library callers run it many times in one process."""
     code = main()
-    # The process ends here and nothing is freed after this point, so the
-    # interpreter's exit-time collections over every tracked object are
-    # pure cost; frozen objects are never collected again.
-    gc.freeze()
-    sys.exit(code)
+    # Nothing is read after the last byte, so the interpreter's teardown
+    # (module clearing, exit-time collections, freeing every object) is
+    # pure cost; the operating system takes back the memory anyway.
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except OSError:
+            code = 120 if code < 2 else code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """The CLI process entry and the plain command-line path.
 
 ``cli.run`` is what ``python -m veronese``, ``python -m veronese.cli`` and
-the ``veronese`` script start: `main`, then ``gc.freeze()`` and exit.  A
-process must print and exit exactly as in-process `main` does, and `main`
-itself must never freeze.
+the ``veronese`` script start: `main`, the ``atexit`` callbacks and a flush
+of stdout and stderr, then ``os._exit``, with no interpreter teardown.  A
+process must print and exit exactly as in-process `main` does, a report it
+cannot write must exit 2 however stdout is buffered, and `main` itself must
+never end the process.
 
 `main` parses a plain command line from the flag table alone and builds no
 argparse parser; every other line goes to the full parser, which writes
@@ -14,7 +16,7 @@ differ between Python versions, the two paths must not."""
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import os
 import random
 import re
@@ -50,32 +52,109 @@ def _in_process(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _process(*args):
+def _process(*args, unbuffered=False, stdout=subprocess.PIPE):
+    """Exit code, stdout and stderr of a fresh interpreter, with stdout
+    block-buffered (a pipe's default) or, if ``unbuffered``, not."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=_ROOT, timeout=120)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    done = subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          cwd=_ROOT, timeout=120)
     return done.returncode, done.stdout, done.stderr
+
+
+def _closed_pipe_process(*args, unbuffered=False):
+    """`_process` with stdout a pipe whose read end is already closed, so
+    that every write to it fails with a broken pipe."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = _process(*args, unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    return code, err
+
+
+def _script(setup=""):
+    """What the generated ``veronese`` console script runs, after
+    ``setup``: `cli.run` under the script's name."""
+    return ["-c", f"{setup}import sys; from veronese.cli import run; "
+                  "sys.argv[0] = 'veronese'; sys.exit(run())"]
+
+
+#: the three ways a process starts `cli.run`
+_ENTRIES = [
+    pytest.param(["-m", "veronese"], id="veronese"),
+    pytest.param(["-m", "veronese.cli"], id="veronese.cli"),
+    pytest.param(_script(), id="script"),
+]
+
+#: a report that ends in a verdict, for the pipe cases
+_REPORT = ["cd-certificate", "-k", "2", "-n", "2", "--primes", "3"]
 
 
 # ---------------------------------------------------------------------------
 # process entry
 # ---------------------------------------------------------------------------
 
-def test_main_never_freezes_the_collector(capsys):
-    assert gc.get_freeze_count() == 0
-    for _, argv in _BY_EXIT_CODE:
-        _in_process(capsys, argv)
-    assert gc.get_freeze_count() == 0
+def test_main_never_ends_the_process(capsys, monkeypatch):
+    """`main` returns its code, or argparse raises ``SystemExit``; it never
+    runs the ``atexit`` callbacks or calls ``os._exit``, which only
+    `cli.run` does."""
+    ended = []
+    monkeypatch.setattr(os, "_exit", ended.append)
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: ended.append(0))
+    for expected, argv in _BY_EXIT_CODE:
+        assert _in_process(capsys, argv)[0] == expected
+    assert ended == []
 
 
-@pytest.mark.parametrize("module", ["veronese", "veronese.cli"])
+@pytest.mark.parametrize("entry", _ENTRIES)
 @pytest.mark.parametrize("expected, argv", _BY_EXIT_CODE)
-def test_process_prints_and_exits_as_main(capsys, module, expected, argv):
+def test_process_prints_and_exits_as_main(capsys, entry, expected, argv):
     inside = _in_process(capsys, argv)
     assert inside[0] == expected
-    assert _process("-m", module, *argv) == inside
+    assert _process(*entry, *argv) == inside
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_a_report_stdout_cannot_take_exits_2(entry, unbuffered):
+    """A report written to a closed pipe exits 2 with one error line under
+    both buffering modes: `main` flushes it inside its own exit codes, and
+    the bytes left in the buffer do not turn the exit into CPython's 120
+    at the end."""
+    assert _closed_pipe_process(*entry, *_REPORT, unbuffered=unbuffered) \
+        == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("expected, argv", _BY_EXIT_CODE)
+def test_atexit_callbacks_run_after_the_report(capsys, expected, argv):
+    """An ``atexit`` callback registered before `cli.run` still runs: its
+    line follows everything `main` wrote to stderr, and the process exits
+    with `main`'s code."""
+    code, out, err = _in_process(capsys, argv)
+    setup = ("import atexit, sys; atexit.register("
+             "lambda: print('atexit ran', file=sys.stderr)); ")
+    assert _process(*_script(setup), *argv) == (
+        code, out, err + "atexit ran\n")
+
+
+def test_a_stream_that_cannot_be_flushed_at_the_end_exits_120(tmp_path):
+    """A report that went to ``--out`` exits 0, but an ``atexit`` callback
+    left bytes for a closed stdout: the final flush fails, and the process
+    exits 120, CPython's status for a standard stream it cannot flush at
+    exit (without CPython's "Exception ignored" lines)."""
+    setup = ("import atexit, sys; atexit.register("
+             "lambda: sys.stdout.write('late')); ")
+    argv = [*_REPORT, "--out", str(tmp_path / "report.json")]
+    assert _closed_pipe_process(*_script(setup), *argv) == (120, "")
+    assert (tmp_path / "report.json").read_text(encoding="utf-8")
 
 
 def test_out_file_holds_the_bytes_stdout_gets(tmp_path):

@@ -1,5 +1,6 @@
-"""The paired CPU probe ``tools/pass_cpu.py``: its summary of per-pair
-ratios, and a smoke run of one pair of the package against itself."""
+"""The paired CPU probe ``tools/pass_cpu.py``: how a pair times its
+children, its summary of per-pair ratios, and a smoke run of one pair of
+the package against itself."""
 from __future__ import annotations
 
 import importlib.util
@@ -31,6 +32,27 @@ def test_the_summary_reads_median_quartiles_and_wins():
         "median ratio 0.900, quartiles 0.800 1.000, wins 3/5")
     assert summary([1.25]) == (
         "median ratio 1.250, quartiles 1.250 1.250, wins 0/1")
+
+
+def test_a_pair_keeps_the_least_of_interleaved_children():
+    """Each pair times ``CHILDREN`` fresh children per tree, alternating
+    between the trees, the tree ``first`` first in every round, and keeps
+    the least time of each tree."""
+    tool = _tool()
+    assert tool.CHILDREN >= 3
+    for first in (0, 1):
+        calls = []
+        times = iter([5.0, 4.0, 3.0, 6.0] + [7.0] * (2 * tool.CHILDREN))
+
+        def time_child(tree):
+            calls.append(tree)
+            return next(times)
+
+        least = tool.pair_times(time_child, ("parent", "change"), first)
+        order = ["parent", "change"][::1 if first == 0 else -1]
+        assert calls == order * tool.CHILDREN
+        expected = {order[0]: 3.0, order[1]: 4.0}
+        assert least == [expected["parent"], expected["change"]]
 
 
 def test_clearing_the_caches_empties_those_beside_the_presentation():

@@ -8,23 +8,27 @@ Each of PARENT_SRC and CHANGE_SRC is a directory that holds the
 input that ``perfbench/workloads.py`` generates for the workload and seed
 through ``perfbench/session.py``'s ``library_report``, in input order, in
 one fresh interpreter, and measures the CPU time of the whole pass
-(``time.process_time``, import excluded).  A pair is one pass of each tree,
-in alternating order (parent first in even pairs, change first in odd
-ones), after one untimed warm-up pass of each.  ``--clear-caches`` empties
-every cache of the package before each report, as each report of a CLI
-process starts.
+(``time.process_time``, import excluded).  A pair times ``CHILDREN`` such
+fresh children of each tree, interleaved (parent first in each round of
+even pairs, change first in odd ones), after one untimed warm-up pass of
+each, and keeps the least time of each tree: other load on the machine
+only ever slows a child down, so the least of a few is the steadiest
+estimate of a tree's own cost.  ``--clear-caches`` empties every cache of
+the package before each report, as each report of a CLI process starts.
 
 Speed of a shared machine drifts between sittings, and within one sitting
-by more than most changes, while the ratio of two passes run back to back
-stays steady; so the result is the per-pair ratio change / parent.  Prints
-one line per pair, then the median ratio, its quartiles and the number of
-pairs the change won (ratio below 1).  Standard library only; reads
-``perfbench/`` and writes no file, bytecode caches included.
+by more than most changes, while the ratio of passes run back to back
+stays steady; so the result is the per-pair ratio change / parent of the
+least times.  Prints one line per pair, then the median ratio, its
+quartiles and the number of pairs the change won (ratio below 1).
+Standard library only; reads ``perfbench/`` and writes no file, bytecode
+caches included.
 """
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,8 @@ from time import process_time
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PERFBENCH = _ROOT / "perfbench"
+#: fresh children timed per tree in each pair
+CHILDREN = 5
 
 
 def _perfbench_module(name: str):
@@ -79,6 +85,16 @@ def _child(src: Path, args: argparse.Namespace) -> float:
     return float(out.stdout)
 
 
+def pair_times(time_child, trees, first: int) -> list[float]:
+    """The least of ``CHILDREN`` times ``time_child(tree)`` of each of the
+    two trees, run interleaved with tree ``first`` first in each round."""
+    least = [math.inf, math.inf]
+    for _ in range(CHILDREN):
+        for which in (first, 1 - first):
+            least[which] = min(least[which], time_child(trees[which]))
+    return least
+
+
 def summary(ratios: list[float]) -> str:
     """Median, quartiles and wins of the per-pair ratios."""
     median = statistics.median(ratios)
@@ -121,10 +137,8 @@ def main(argv: list[str]) -> int:
         _child(src, args)                # warm-up, untimed
     ratios = []
     for pair in range(args.pairs):
-        seconds = [0.0, 0.0]
-        for which in ((0, 1) if pair % 2 == 0 else (1, 0)):
-            seconds[which] = _child(trees[which], args)
-        parent, change = seconds
+        parent, change = pair_times(lambda src: _child(src, args), trees,
+                                    pair % 2)
         ratios.append(change / parent)
         print(f"pair {pair + 1}: parent {parent:.4f} s, "
               f"change {change:.4f} s, ratio {change / parent:.3f}",
