@@ -9,6 +9,7 @@ import atexit
 import os
 import sys
 import time
+from contextlib import suppress
 from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
@@ -432,9 +433,12 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
-    start = time.perf_counter()
     try:
+        # argparse's usage and help exits pass; an OSError from its own
+        # write (unguarded before CPython 3.11) is exit 2 like any other
+        args = _parse_args(
+            _attach_values(sys.argv[1:] if argv is None else argv))
+        start = time.perf_counter()
         report = _SUBCOMMANDS[args.command][2](args)
         envelope = report.to_report()
         if args.timing:
@@ -447,15 +451,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()      # a failed write is exit 2, however buffered
     except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"error: {exc}"
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    return 0 if report.verdict else 1
+        code, line = 4, f"internal error: {type(exc).__name__}: {exc}"
+    else:
+        return 0 if report.verdict else 1
+    # a stderr that cannot take the line leaves the code as it is
+    with suppress(OSError):
+        print(line, file=sys.stderr)
+    return code
 
 
 def run() -> NoReturn:
@@ -464,9 +470,13 @@ def run() -> NoReturn:
     flush of stdout and stderr, then ``os._exit`` with `main`'s code.  A
     stream that cannot be flushed turns exit 0 or 1 into 120, CPython's
     own status for it; a code of 2 or more, such as a report `main` could
-    not write, stays.  `main` itself never ends the process, as tests and
-    library callers run it many times in one process."""
-    code = main()
+    not write, stays.  argparse's help and usage exits (``SystemExit``)
+    take the same way out.  `main` itself never ends the process, as tests
+    and library callers run it many times in one process."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     # Nothing is read after the last byte, so the interpreter's teardown
     # (module clearing, exit-time collections, freeing every object) is
     # pure cost; the operating system takes back the memory anyway.

@@ -34,12 +34,13 @@ as they stand under grevlex and sorts them under another order.
 dropped variables, against each other alone: by the elimination property
 their terms are free of those variables too, so no other element reduces
 them.  Their terms are read from the kept exponent fields straight into the
-smaller ring, in grevlex order, without a sort.  The eliminated ideal is
-cached per (ideal, dropped set), apart from ``buchberger``'s bases.
+smaller ring, in grevlex order, without a sort.
 
 An ideal whose generators are all monomials or pure differences c*(m1 - m2)
-is served by one run per generator shape over GF(32003), shared by every
-field (``_binomial_basis``): its coefficients 1 and -1 are read in each.
+is served by one run per generator shape, shared by every field
+(``_binomial_basis``): a run over QQ whose coefficients never leave the
+ints 1 and -1, so a run over ZZ, read into each field by
+``polycore._read``.
 
 The engine takes the queued pair of smallest lcm degree first, counting
 the degree in the variables that an elimination order keeps (in every
@@ -69,9 +70,9 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import (
-    GF, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
+    QQ, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
-    _PackingOverflow, _monic, _nf_dict, _packed, _setattr,
+    _PackingOverflow, _monic, _nf_dict, _packed, _read, _setattr,
 )
 
 __all__ = [
@@ -347,21 +348,15 @@ def _pure_difference(g: Polynomial) -> Optional[tuple[Exponents, ...]]:
     return None
 
 
-# the field of the shared binomial runs: any field in which -1 != 1 keeps
-# the signs apart
-_SHARED_PRIME = 32003
-
-
 @lru_cache(maxsize=256)
 def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
                     eliminated: bool) -> tuple:
     """The reduced basis under ``order`` of the ideal whose generators have
     the monomials ``shape`` (from ``_pure_difference``), as polynomials
-    over GF(32003) (``_SHARED_PRIME``) in x0..x(arity-1), with 1 on each
-    lead and 32002, which is -1, on the other term of a binomial; when
-    ``eliminated``, only the elements free of the variables that the
-    elimination order ``order`` eliminates, in the ring of the others
-    (``_reduced_basis``).
+    over QQ in x0..x(arity-1), with the int 1 on each lead and -1 on the
+    other term of a binomial; when ``eliminated``, only the elements free
+    of the variables that the elimination order ``order`` eliminates, in
+    the ring of the others (``_reduced_basis``).
 
     The run serves every coefficient field, because it is the same
     computation there.  Signed monomials and pure differences m1 - m2 are
@@ -371,21 +366,20 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
     polynomial keeps at most two terms, of opposite signs, which cancel
     where they meet, also over GF(2); and making such a remainder monic
     divides by its lead coefficient, which leaves lead - t or a monomial.
-    So over any field the run makes the same monomial operations, the same
-    zero reductions, S-polynomials, queued pairs and insertions, and its
-    output is this basis with -1 read in that field.  A shared run that
-    returns an element with more than two terms or a coefficient other
-    than +-1 raises ``RuntimeError``."""
-    # the field is built here, not at import: its primality test is work
-    ring = PolyRing(tuple(f"x{i}" for i in range(arity)),
-                    GF(_SHARED_PRIME))
+    So no coefficient leaves the ints 1 and -1, the run is one over ZZ
+    with unit leads, and over any field it makes the same monomial
+    operations, the same zero reductions, S-polynomials, queued pairs and
+    insertions: its output is this basis read in that field
+    (``polycore._read``).  A shared run that returns an element with more
+    than two terms or other coefficients raises ``RuntimeError``."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(arity)), QQ)
     out = _subring(ring, order.eliminated) if eliminated else ring
-    signs = [1, _SHARED_PRIME - 1]
-    gens = [Polynomial(ring, tuple(zip(ms, signs))) for ms in shape]
+    gens = [Polynomial(ring, tuple(zip(ms, (1, -1)))) for ms in shape]
     basis = _reduced_basis(ring, gens, order, out)
     for g in basis:
         # the lead is 1 by construction, so this says the other term is -1
-        if sorted([c for _, c in g.terms]) != signs[:len(g.terms)]:
+        if sorted([c for _, c in g.terms], reverse=True) != [1, -1][
+                :len(g.terms)]:
             raise RuntimeError("a shared binomial run left the pure "
                                "differences; engine bug")
     return basis
@@ -393,17 +387,15 @@ def _binomial_basis(arity: int, shape: tuple, order: MonomialOrder,
 
 def _basis(ideal: Ideal, order: MonomialOrder, out: PolyRing
            ) -> tuple[Polynomial, ...]:
-    """``_reduced_basis`` of the ideal, from the shared run of its shape
-    when every generator is a monomial or a pure difference."""
+    """``_reduced_basis`` of the ideal, from the shared run of its shape,
+    read into the field of ``out``, when every generator is a monomial or
+    a pure difference."""
     ring = ideal.ring
     shape = tuple(map(_pure_difference, ideal.generators))
     if None in shape:
         return _reduced_basis(ring, ideal.generators, order, out)
-    coefficient = {1: ring.domain.one,
-                   _SHARED_PRIME - 1: ring.domain.normalize(-1)}
-    return tuple(
-        Polynomial(out, tuple([(m, coefficient[c]) for m, c in g.terms]))
-        for g in _binomial_basis(ring.arity, shape, order, out is not ring))
+    return _read(_binomial_basis(ring.arity, shape, order, out is not ring),
+                 out)
 
 
 @lru_cache(maxsize=256)
@@ -475,7 +467,10 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
     """Intersection with the subring omitting the dropped variables.
 
     Returns an ideal of the smaller ring (remaining names, same domain):
-    the reduced grevlex basis of the intersection, ascending leads.
+    the reduced grevlex basis of the intersection, ascending leads.  It is
+    not cached: an ideal of monomials and pure differences is served by
+    the shared run of its shape (``_binomial_basis``), and other
+    eliminations are seldom asked twice.
     """
     ring = ideal.ring
     drop = frozenset(drop)
@@ -485,12 +480,7 @@ def eliminate(ideal: Ideal, drop: Iterable[int]) -> Ideal:
         raise ValueError("eliminated index out of range")
     if len(drop) == ring.arity:
         raise ValueError("cannot eliminate every variable")
-    return _eliminated(ideal, drop)
-
-
-@lru_cache(maxsize=256)
-def _eliminated(ideal: Ideal, drop: frozenset) -> Ideal:
-    small = _subring(ideal.ring, drop)
+    small = _subring(ring, drop)
     return Ideal(small, _basis(ideal, Block(drop), small))
 
 

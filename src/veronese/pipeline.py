@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, PolyRing, Polynomial, QQ, ResourceCapError,
-    _Record, _is_int, _naturals, _require_ints, is_homogeneous,
+    _Record, _is_int, _naturals, _read, _require_ints, is_homogeneous,
     parse_polynomial_list,
 )
 from .groebner import (
@@ -32,7 +32,7 @@ from .groebner import (
     ideal_sum, radical_member,
 )
 from .toric import (
-    CIReport, MonomialMap, _lattice_index, _presentation, _read, _specialise,
+    CIReport, MonomialMap, _lattice_index, _presentation, _specialise,
     _veronese_targets, ci_check, ci_sequence, integer_kernel,
     minimal_generators, symmetric_minors_ideal, veronese_map,
 )
@@ -367,11 +367,12 @@ def _characteristic_checks(
     So does the CI verdict of a chart whose candidates are all +-m or
     +-(m1 - m2): on those and the toric ideal every run makes the same
     monomial steps in every field (``groebner._binomial_basis``).  A chart
-    with any other coefficient is checked in each field, since its
-    coefficients may vanish mod p, in every report.  These field-free
-    values, with the minimal generators, are computed once per process per
-    algebra, chart set and cover (``_field_free_values``).  Each record
-    gets its own details, copied from them."""
+    with any other coefficient is checked in each field, against the ideal
+    read there (``_specialise``), since its coefficients may vanish mod p,
+    in every report.  These field-free values, with the minimal
+    generators, are computed once per process per algebra, chart set and
+    cover (``_field_free_values``).  Each record gets its own details,
+    copied from them."""
     ideal, lattice, agree, dims = presentation
     cover = _cover_subset(cover)
     reports, covered, mingens = _field_free_values(
@@ -380,8 +381,7 @@ def _characteristic_checks(
     checks: list[Check] = []
     for char, dom in doms:
         label = f"char_{char}"
-        field_ideal = _specialise(ideal, dom)
-        ring = field_ideal.ring
+        ring = PolyRing(ideal.ring.names, dom)
         route_details: dict[str, object] = {
             "generators": len(ideal.generators),
             "lattice_generators": len(lattice.generators),
@@ -394,6 +394,9 @@ def _characteristic_checks(
 
         checks.append(height(label, dims))
 
+        # the ideal is read into this field once, if some chart needs it
+        if char and not all(shared for _, shared in reports):
+            field_ideal = _specialise(ideal, dom)
         for (inv, cands, details), (rep, shared) in zip(charts, reports):
             cands = _read(cands, ring)
             if char and not shared:

@@ -615,6 +615,18 @@ def _from_dict(ring: PolyRing, d: Mapping[Exponents, Scalar]) -> "Polynomial":
     return Polynomial(ring, tuple(items))
 
 
+def _read(polys: Sequence[Polynomial], ring: PolyRing
+          ) -> tuple[Polynomial, ...]:
+    """Polynomials over QQ with integer coefficients, read into ``ring``:
+    each coefficient normalized in its field, the vanishing terms dropped
+    and the grevlex order kept.  That is what a parse, or a derivation, in
+    that field gives, since reduction mod p commutes with both."""
+    normalize = ring.domain.normalize
+    return tuple(Polynomial(ring, tuple([(m, r) for m, c in f.terms
+                                         if (r := normalize(c))]))
+                 for f in polys)
+
+
 class Polynomial(_CachedHash):
     """Canonical sparse polynomial; terms grevlex-descending, no zero terms.
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .polycore import (
     CoeffDomain, GrevLex, PolyRing, Polynomial, Exponents, QQ,
     is_homogeneous, homogeneous_degree, _Record, _from_dict, _naturals,
-    _require_ints,
+    _read, _require_ints,
 )
 from .groebner import (
     Ideal, buchberger, eliminate, ideal_equal, ideal_member, saturate,
@@ -255,25 +255,14 @@ def _presentation(mmap: MonomialMap
 
     The unit serves every characteristic.  Both routes are runs on
     monomials and pure differences, which ``groebner._binomial_basis``
-    makes once for all fields (Eisenbud-Sturmfels, "Binomial ideals",
-    1996), so over GF(p) the ideal is ``_specialise(ideal, GF(p))``, the
-    lattice route has as many generators, the routes agree as they do over
-    QQ, and the initial ideal, hence the height, is the same."""
+    makes once for all fields, as one run over ZZ (Eisenbud-Sturmfels,
+    "Binomial ideals", 1996), so over GF(p) the ideal is
+    ``_specialise(ideal, GF(p))``, the lattice route has as many
+    generators, the routes agree as they do over QQ, and the initial
+    ideal, hence the height, is the same."""
     ideal = toric_ideal_elimination(mmap, QQ)
     lattice = toric_ideal_lattice(mmap, QQ)
     return ideal, lattice, ideal_equal(ideal, lattice), krull_dim(ideal)
-
-
-def _read(polys: Sequence[Polynomial], ring: PolyRing
-          ) -> tuple[Polynomial, ...]:
-    """Polynomials over QQ with integer coefficients, read into ``ring``:
-    each coefficient normalized in its field, the vanishing terms dropped
-    and the grevlex order kept.  That is what a parse, or a derivation, in
-    that field gives, since reduction mod p commutes with both."""
-    normalize = ring.domain.normalize
-    return tuple(Polynomial(ring, tuple([(m, r) for m, c in f.terms
-                                         if (r := normalize(c))]))
-                 for f in polys)
 
 
 def _specialise(ideal: Ideal, dom: CoeffDomain) -> Ideal:
@@ -348,7 +337,7 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int
     the denominators of the fractions expressing each t_m after inverting
     t_i, so they generate the localized ideal; there are exactly d - k.
     The binomials are over QQ; being monic pure differences, they read into
-    a prime field coefficient by coefficient (``_read``), which
+    a prime field coefficient by coefficient (``polycore._read``), which
     gives what the same derivation there would.
     A derivation that breaks that count, or the closed form of its first
     and last entries, is a fault of this code and raises RuntimeError.

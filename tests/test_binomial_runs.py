@@ -1,17 +1,18 @@
 """Shared binomial runs against runs in each domain.
 
 An ideal whose generators are monomials or pure differences c*(m1 - m2) is
-served from one engine run over GF(32003) per generator shape
-(``groebner._binomial_basis``).  The oracle here is the engine run in the
-ideal's own domain, with the shared runs turned off: for every binomial
-request that the golden reports and the perfbench library reports of seeds
-3 and 5 make, the served basis must equal it over QQ, GF(2), GF(3), GF(5)
-and GF(7), and so must the S-polynomials, queued pairs and insertions of
-the two runs, with the engine's pair selection and with the first-in,
-first-out one of ``FifoEngine``; under an elimination order the elimination
-ideal, which a shared run reduces and builds on its own, must equal it too.
-A shared run whose output leaves the pure differences must raise
-``RuntimeError`` (exit 4 on the command line)."""
+served from one engine run per generator shape, over QQ with the ints 1
+and -1, so over ZZ (``groebner._binomial_basis``), read into each field.
+The oracle here is the engine run in the ideal's own domain, with the
+shared runs turned off: for every binomial request that the golden reports
+and the perfbench library reports of seeds 3 and 5 make, the served basis
+must equal it over QQ, GF(2), GF(3), GF(5) and GF(7), and so must the
+S-polynomials, queued pairs and insertions of the two runs, with the
+engine's pair selection and with the first-in, first-out one of
+``FifoEngine``; under an elimination order the elimination ideal, which a
+shared run reduces and builds on its own, must equal it too.  A shared run
+whose output leaves the pure differences must raise ``RuntimeError``
+(exit 4 on the command line)."""
 from __future__ import annotations
 
 import contextlib
@@ -24,7 +25,7 @@ from conftest import FifoEngine, replay_reports
 from veronese import groebner
 from veronese.cli import main
 from veronese.groebner import Ideal, buchberger, eliminate, intersect
-from veronese.polycore import GF, Block, PolyRing, Polynomial, QQ
+from veronese.polycore import GF, Block, GrevLex, PolyRing, Polynomial, QQ
 
 _DOMAINS = [QQ, GF(2), GF(3), GF(5), GF(7)]
 
@@ -137,6 +138,34 @@ def test_other_requests_run_in_their_own_domain(groebner_caches):
     assert groebner._binomial_basis.cache_info().misses == 0
     eliminate(Ideal(ring, (ring.parse("x^2 - y"),)), {0})
     assert groebner._binomial_basis.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("names, texts, order, eliminated", [
+    ("x,y,z,w", "x*z - y^2, x*w - y*z, y*w - z^2", GrevLex(), False),
+    ("x,y,t1,t2,t3", "t1 - x^2, t2 - x*y, t3 - y^2", Block({0, 1}), False),
+    ("x,y,t1,t2,t3", "t1 - x^2, t2 - x*y, t3 - y^2", Block({0, 1}), True),
+], ids=["grevlex", "block", "block-eliminated"])
+def test_a_shared_run_is_a_run_over_the_integers(names, texts, order,
+                                                 eliminated, groebner_caches):
+    """Every element of a shared run lies over QQ with int coefficients,
+    not bools or fractions: 1 on its lead under the run's order, which on
+    the kept variables of an elimination is grevlex, and -1 on the other
+    term, if any.  Under the block order some lead is not the grevlex
+    lead, where the coefficients are stored in the other order."""
+    ring = PolyRing(tuple(names.split(",")), QQ)
+    shape = tuple(groebner._pure_difference(ring.parse(t))
+                  for t in texts.split(","))
+    basis = groebner._binomial_basis(ring.arity, shape, order, eliminated)
+    lead_order = GrevLex() if eliminated else order
+    assert basis
+    for g in basis:
+        assert g.ring.domain == QQ
+        assert all(c.__class__ is int for _, c in g.terms)
+        lead = g.lead_monomial(lead_order)
+        assert sorted([(m != lead, c) for m, c in g.terms]) \
+            in ([(False, 1)], [(False, 1), (True, -1)])
+    assert any(g.terms[0][1] == -1 for g in basis) \
+        == (order == Block({0, 1}) and not eliminated)
 
 
 def test_a_doctored_shared_run_is_an_engine_fault(monkeypatch,

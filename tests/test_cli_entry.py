@@ -52,7 +52,8 @@ def _in_process(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _process(*args, unbuffered=False, stdout=subprocess.PIPE):
+def _process(*args, unbuffered=False, stdout=subprocess.PIPE,
+             stderr=subprocess.PIPE):
     """Exit code, stdout and stderr of a fresh interpreter, with stdout
     block-buffered (a pipe's default) or, if ``unbuffered``, not."""
     env = dict(os.environ)
@@ -62,18 +63,21 @@ def _process(*args, unbuffered=False, stdout=subprocess.PIPE):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     done = subprocess.run([sys.executable, *args], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env,
+                          stderr=stderr, text=True, env=env,
                           cwd=_ROOT, timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 
-def _closed_pipe_process(*args, unbuffered=False):
-    """`_process` with stdout a pipe whose read end is already closed, so
-    that every write to it fails with a broken pipe."""
+def _closed_pipe_process(*args, unbuffered=False, stream="stdout"):
+    """`_process` with ``stream``, stdout or stderr, a pipe whose read end
+    is already closed, so that every write to it fails with a broken pipe;
+    with stderr closed, stdout goes to the null device."""
     read, write = os.pipe()
     os.close(read)
+    streams = ({"stdout": write} if stream == "stdout" else
+               {"stdout": subprocess.DEVNULL, "stderr": write})
     try:
-        code, _, err = _process(*args, unbuffered=unbuffered, stdout=write)
+        code, _, err = _process(*args, unbuffered=unbuffered, **streams)
     finally:
         os.close(write)
     return code, err
@@ -131,6 +135,24 @@ def test_a_report_stdout_cannot_take_exits_2(entry, unbuffered):
     at the end."""
     assert _closed_pipe_process(*entry, *_REPORT, unbuffered=unbuffered) \
         == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["height", "--ring", "x", "--ideal", "x", "--char", "-1"],
+    ["height", "--ring", "x", "--ideal", "x+"],
+    ["cd-certificate", "-k", "2", "-n", "2", "--primes", "4"],
+    ["height", "--ring", "x", "--ideal", "x", "--bogus"],
+], ids=["char", "parse", "prime", "flag"])
+def test_bad_input_with_a_closed_stderr_exits_2(argv, unbuffered):
+    """A bad input exits 2 also when stderr cannot take its error line,
+    under both buffering modes: neither a line `main` prints nor
+    argparse's usage exit may turn the code into 1 ("verdict false") or
+    CPython's 120."""
+    assert _closed_pipe_process("-m", "veronese", *argv,
+                                unbuffered=unbuffered, stream="stderr") \
+        == (2, None)
 
 
 @pytest.mark.parametrize("expected, argv", _BY_EXIT_CODE)

@@ -348,7 +348,7 @@ def test_division_remainder_past_the_first_width():
 # shifted sums: S-polynomials and containment products
 # ---------------------------------------------------------------------------
 
-#: GF(2), where 1 + 1 cancels, and GF(32003), the field of the shared runs
+#: QQ, GF(2), where 1 + 1 cancels, a small prime and a large one
 _SUM_DOMAINS = [QQ, GF(2), GF(3), GF(32003)]
 
 

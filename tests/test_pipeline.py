@@ -554,9 +554,10 @@ def test_present_refuses_a_chart_outside_the_targets(key, engine_counts):
 def test_present_refuses_a_toric_ideal_that_is_not_standard_graded(
         targets, vector, total, capsys, monkeypatch, groebner_caches):
     """Targets with an integer kernel vector of nonzero coordinate sum exit
-    2 with a message naming that vector, before any Groebner request."""
+    2 with a message naming that vector, before any Groebner request: a
+    basis (``_buchberger_cached``) or an elimination (``_basis``)."""
     requests = []
-    for name in ("_buchberger_cached", "_eliminated"):
+    for name in ("_buchberger_cached", "_basis"):
         monkeypatch.setattr(groebner, name,
                             lambda *args: requests.append(args))
     code = main(["present", "--targets", targets, "--primes", "2"])

@@ -22,7 +22,7 @@ from test_golden_reports import CASES, _replay
 import test_cli_fuzz as fuzz
 
 import veronese
-from veronese import pipeline, toric
+from veronese import pipeline, polycore, toric
 from veronese.cli import main
 from veronese.groebner import Ideal
 from veronese.pipeline import (
@@ -267,7 +267,7 @@ def test_derived_charts_read_as_built_in_each_field(k, n):
         assert (inv, candidates) == _ci_binomials(mmap, j, mmap.source_ring())
         for dom in _FIELDS:
             ring = mmap.source_ring(dom)
-            assert (inv, toric._read(candidates, ring)) == _ci_binomials(
+            assert (inv, polycore._read(candidates, ring)) == _ci_binomials(
                 mmap, j, ring)
 
 
@@ -303,7 +303,7 @@ def test_parsed_texts_read_as_parsed_in_each_field():
     for names, text, dom in cases:
         ring = PolyRing(names, dom)
         over_qq = parse_polynomial_list(text, PolyRing(names))
-        read = toric._read(over_qq, ring)
+        read = polycore._read(over_qq, ring)
         assert read == tuple(parse_polynomial_list(text, ring)), (text, dom)
         dropped += sum(len(f.terms) < len(g.terms)
                        for f, g in zip(read, over_qq))
