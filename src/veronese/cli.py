@@ -42,12 +42,19 @@ def _is_integer(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
+def _too_many_digits(text: str) -> bool:
+    """An integer of `_is_integer`'s grammar with more than ``_MAX_DIGITS``
+    digits, a minus sign not counted: the one digit rule of every int the
+    command line reads."""
+    return len(text.removeprefix("-")) > _MAX_DIGITS
+
+
 def _parse_vector(text: str) -> tuple[int, ...]:
     """Comma-separated nonnegative integers: "4,0" -> (4, 0).  An integer
     of more than ``_MAX_DIGITS`` digits is refused first, its digits not
     echoed."""
     parts = [p.strip() for p in text.split(",")]
-    if any(len(p.lstrip("-")) > _MAX_DIGITS for p in parts if _is_integer(p)):
+    if any(_too_many_digits(p) for p in parts if _is_integer(p)):
         raise ValueError(f"integer of more than {_MAX_DIGITS} digits in a "
                          f"vector")
     if not all(map(_is_integer, parts)):
@@ -70,7 +77,7 @@ def _parse_char(text: str) -> tuple[int, CoeffDomain]:
     """``--char``, 0 or a prime, and its field."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad characteristic {text!r}")
-    if len(text) > _MAX_DIGITS:
+    if _too_many_digits(text):
         raise ValueError(f"characteristic of more than {_MAX_DIGITS} digits")
     char = int(text)
     return char, QQ if char == 0 else GF(char)
@@ -331,7 +338,7 @@ def _build_parser():
         here, and argparse never names this function in a message."""
         if not _is_integer(text):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if len(text.lstrip("-")) > _MAX_DIGITS:
+        if _too_many_digits(text):
             raise argparse.ArgumentTypeError(
                 f"invalid int value: more than {_MAX_DIGITS} digits")
         return int(text)
@@ -393,7 +400,7 @@ def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
             if value.startswith("-"):
                 return None
         if flag.kind == "int":
-            if not (_is_integer(value) and len(value) <= _MAX_DIGITS):
+            if not _is_integer(value) or _too_many_digits(value):
                 return None
             value = int(value)
         elif flag.kind == "append":

@@ -72,7 +72,8 @@ from typing import Iterable, Optional, Sequence, Union
 from .polycore import (
     QQ, Block, Exponents, GrevLex, MonomialOrder, PolyRing, Polynomial,
     ResourceCapError, Scalar, divide, _CachedHash, _Packing,
-    _PackingOverflow, _monic, _nf_dict, _packed, _read, _setattr,
+    _PackingOverflow, _check_order, _monic, _nf_dict, _packed, _read,
+    _setattr,
 )
 
 __all__ = [
@@ -410,10 +411,10 @@ def buchberger(ideal: Ideal, order: MonomialOrder = _GREVLEX
 
     The result is unique per (ideal, order), independent of generator order
     and of the order in which S-pairs are selected.  A block order with an
-    eliminated index outside the ring raises ``ValueError``.
+    eliminated index outside the ring raises ``ValueError``, before any
+    cache is consulted.
     """
-    if isinstance(order, Block) and max(order.eliminated) >= ideal.ring.arity:
-        raise ValueError("eliminated index out of range")
+    _check_order(order, ideal.ring.arity)
     return _buchberger_cached(ideal, order)
 
 
@@ -500,14 +501,12 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     """Ideal intersection via w*a + (1-w)*b and elimination of w."""
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
-    ring = a.ring
-    ext = _extended_ring(ring)
+    ext = _extended_ring(a.ring)
     w = ext.variable(ext.arity - 1)
     gens = [_lift(f, ext, 1) for f in a.generators]
     gens += [(1 - w) * _lift(g, ext) for g in b.generators]
-    inter = eliminate(Ideal(ext, tuple(gens)), {ext.arity - 1})
     # the eliminated ring has exactly the original names and domain
-    return Ideal(ring, inter.generators)
+    return eliminate(Ideal(ext, tuple(gens)), {ext.arity - 1})
 
 
 def colon(ideal: Ideal, f: Polynomial) -> Ideal:
@@ -625,8 +624,8 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """Saturation (ideal : f^infinity) via the single auxiliary variable w:
     eliminate w from ideal + (1 - w*f)."""
     ext = _rabinowitsch(ideal, f, "saturation by zero")
-    sat = eliminate(ext, {ext.ring.arity - 1})
-    return Ideal(ideal.ring, sat.generators)
+    # the eliminated ring has exactly the original names and domain
+    return eliminate(ext, {ext.ring.arity - 1})
 
 
 def radical_member(f: Polynomial, ideal: Ideal) -> tuple[bool, Union[int, None]]:

@@ -294,12 +294,20 @@ def _cover_subset(subset: Sequence[int]) -> tuple[int, ...]:
     return tuple(dict.fromkeys(_naturals(subset)))
 
 
+def _cover_check(name: str, names: Sequence[str], subset: tuple[int, ...],
+                 ok: bool, witnesses: list[dict]) -> Check:
+    """The radical cover of ``subset`` in a ring of ``names``, with
+    ``_radical_cover``'s verdict and witnesses, as a check; the witnesses
+    may be cached, so they are copied."""
+    return _check(name, ok, subset=[names[i] for i in subset],
+                  witnesses=[dict(w) for w in witnesses])
+
+
 def _cover_result(name: str, ideal: Ideal, subset: Sequence[int]) -> Check:
     """The radical cover of the subset, each variable taken once."""
     subset = _cover_subset(subset)
-    ok, witnesses = _radical_cover(ideal, subset)
-    return _check(name, ok, subset=[ideal.ring.names[i] for i in subset],
-                  witnesses=witnesses)
+    return _cover_check(name, ideal.ring.names, subset,
+                        *_radical_cover(ideal, subset))
 
 
 def _fedder_details(rep: FpurityReport) -> dict:
@@ -406,11 +414,8 @@ def _characteristic_checks(
                 **details))
 
         if cover:
-            ok, witnesses = covered
-            checks.append(_check(
-                f"radical_cover_{label}", ok,
-                subset=[ring.names[i] for i in cover],
-                witnesses=[dict(w) for w in witnesses]))
+            checks.append(_cover_check(f"radical_cover_{label}", ring.names,
+                                       cover, *covered))
     checks.append(_height_constancy({char: dims.height for char, _ in doms}))
     return checks
 

@@ -420,6 +420,13 @@ class Block(_Record):
 MonomialOrder = Union[Lex, GrevLex, Block]
 
 
+def _check_order(order: MonomialOrder, arity: int) -> None:
+    """Refuse a ``Block`` order that eliminates an index outside a ring of
+    ``arity`` variables, which its key would silently ignore."""
+    if isinstance(order, Block) and max(order.eliminated) >= arity:
+        raise ValueError("eliminated index out of range")
+
+
 _FIELD_BITS = 8     # field width of the first packing tried
 
 
@@ -434,6 +441,7 @@ class _Packing:
                  "low", "exp_guard", "top")
 
     def __init__(self, order: "MonomialOrder", arity: int, bits: int):
+        _check_order(order, arity)
         self.order = order
         unit = [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
         cols = [order.key(u) for u in unit]
@@ -672,6 +680,7 @@ class Polynomial(_CachedHash):
     def lead_monomial(self, order: MonomialOrder) -> Exponents:
         if not self.terms:
             raise ValueError("zero polynomial has no lead monomial")
+        _check_order(order, self.ring.arity)
         return max((m for m, _ in self.terms), key=order.key)
 
     # -- arithmetic ----------------------------------------------------------

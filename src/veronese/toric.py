@@ -12,8 +12,8 @@ ideal (``_specialise``).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import gcd, prod
+from itertools import combinations, combinations_with_replacement
+from math import prod
 from typing import Optional, Sequence
 
 from .polycore import (
@@ -105,13 +105,18 @@ class MonomialMap(_Record):
 
 
 def _veronese_targets(k: int, n: int) -> tuple[Exponents, ...]:
+    """The exponent vectors of the degree-n monomials in k variables,
+    lex-descending.  ``combinations_with_replacement`` yields the sorted
+    index tuples in lex order.  Where two first differ, the earlier holds
+    the smaller index i, which the later holds fewer times, and both hold
+    each index below i equally often; so the earlier exponent vector is
+    the lex-larger, and they come out in order."""
     out = []
     for combo in combinations_with_replacement(range(k), n):
         e = [0] * k
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    out.sort(reverse=True)                # lex-descending exponent vectors
     return tuple(out)
 
 
@@ -135,8 +140,8 @@ def toric_ideal_elimination(mmap: MonomialMap, domain: CoeffDomain = QQ) -> Idea
     gens = []
     for i, a in enumerate(mmap.targets):
         gens.append(big.variable(k + i) - big.monomial(a + (0,) * d))
-    elim = eliminate(Ideal(big, tuple(gens)), set(range(k)))
-    return Ideal(mmap.source_ring(domain), elim.generators)
+    # the eliminated ring is the source ring: names t1..td, same domain
+    return eliminate(Ideal(big, tuple(gens)), set(range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +182,22 @@ def _integer_row_reduce(rows: Sequence[Exponents]
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[Exponents]:
     """Basis of the lattice {u : sum u_i rows[i] = 0}, by exact integer row
-    reduction with unimodular tracking.  Basis vectors come out primitive
-    (coprime entries) and sign-normalized, sorted for determinism.
+    reduction with unimodular tracking: the rows of U past the rank.  U is
+    made by row swaps and integer row subtractions, so it is unimodular,
+    and each of its rows is primitive (coprime entries).  The vectors are
+    sign-normalized (first nonzero entry positive) and sorted for
+    determinism.
     """
     rows = [tuple(r) for r in rows]
-    d = len(rows)
-    if d == 0:
+    if not rows:
         return []
     _, U, r = _integer_row_reduce(rows)
     basis = []
-    for i in range(r, d):
-        v = U[i]
-        g = gcd(*v)
-        if g > 1:
-            v = [e // g for e in v]
-        lead = next((e for e in v if e != 0), 0)
-        if lead < 0:
+    for v in U[r:]:
+        if next(e for e in v if e) < 0:   # a unimodular row is not zero
             v = [-e for e in v]
         basis.append(tuple(v))
-    basis.sort()
-    return basis
+    return sorted(basis)
 
 
 def _lattice_index(rows: Sequence[Exponents]) -> Optional[int]:
@@ -352,30 +353,24 @@ def ci_sequence(mmap: MonomialMap, pure_power_index: int
         raise ValueError(f"x-variable index {j} out of range")
     ring = mmap.source_ring()
     index_of = {t: i for i, t in enumerate(mmap.targets)}
-
-    pure = tuple(n if i == j else 0 for i in range(k))
-    inv = index_of[pure]
-
-    def near_pure(l: int) -> int:
-        # index of the variable mapping to x_j^(n-1) x_l
-        t = tuple((n - 1) * (i == j) + (i == l) for i in range(k))
-        return index_of[t]
+    # near[l]: the index of the variable mapping to x_j^(n-1) x_l, so
+    # near[j] is that of x_j^n
+    near = [index_of[tuple((n - 1) * (i == j) + (i == l) for i in range(k))]
+            for l in range(k)]
+    inv = near[j]
 
     candidates = []
     for m, a in enumerate(mmap.targets):
         c = n - a[j]
         if c < 2:
             continue
-        letters = []
-        for l in range(k):
-            if l != j:
-                letters.extend([l] * a[l])
         lhs = [0] * d
         lhs[inv] = c - 1
         lhs[m] += 1
         rhs = [0] * d
-        for l in letters:
-            rhs[near_pure(l)] += 1
+        for l in range(k):
+            if l != j:
+                rhs[near[l]] += a[l]
         candidates.append(ring.monomial(tuple(lhs)) - ring.monomial(tuple(rhs)))
 
     if len(candidates) != d - k:
@@ -430,40 +425,24 @@ def ci_check(ideal: Ideal, candidates: Sequence[Polynomial],
 # symmetric 2x2 minors (quadratic Veronese as a determinantal ideal)
 # ---------------------------------------------------------------------------
 
-def symmetric_matrix_entries(n: int) -> list[list[int]]:
-    """Index of the t-variable at each entry of the symmetric n x n matrix,
-    under the lex correspondence t_m <-> x_i x_j (i <= j)."""
-    targets = _veronese_targets(n, 2)
-    index_of = {t: i for i, t in enumerate(targets)}
-    M = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            a, b = min(i, j), max(i, j)
-            t = tuple((1 if l == a else 0) + (1 if l == b else 0) for l in range(n))
-            M[i][j] = index_of[t]
-    return M
-
 def symmetric_minors_ideal(n: int) -> Ideal:
     """Ideal of 2x2 minors of the generic symmetric n x n matrix, written in
     the C(n+1,2) variables t_m of the quadratic Veronese source ring, over
-    QQ."""
+    QQ, under the lex correspondence t_m <-> x_i x_j (i <= j).
+
+    The minor on rows R and columns C is the one on rows C and columns R,
+    the same polynomial, since the matrix is symmetric; so each unordered
+    pair {R, C} of index pairs is taken once, R <= C in the order of
+    ``combinations``: C(m+1, 2) minors for m = C(n, 2), none zero and no
+    two equal up to sign."""
     _require_ints(n=n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    mmap = veronese_map(n, 2)
-    ring = mmap.source_ring()
-    M = symmetric_matrix_entries(n)
-    seen = set()
-    gens = []
-    for r1 in range(n):
-        for r2 in range(r1 + 1, n):
-            for c1 in range(n):
-                for c2 in range(c1 + 1, n):
-                    f = (ring.variable(M[r1][c1]) * ring.variable(M[r2][c2])
-                         - ring.variable(M[r1][c2]) * ring.variable(M[r2][c1]))
-                    if f.is_zero() or f.terms in seen:
-                        continue
-                    seen.add(f.terms)
-                    seen.add((-f).terms)
-                    gens.append(f)
-    return Ideal(ring, tuple(gens))
+    ring = veronese_map(n, 2).source_ring()
+    t = {}                                # the matrix: t[i, j] = t[j, i]
+    for m, (i, j) in enumerate(combinations_with_replacement(range(n), 2)):
+        t[i, j] = t[j, i] = ring.variable(m)
+    pairs = list(combinations(range(n), 2))
+    return Ideal(ring, tuple(
+        t[r1, c1] * t[r2, c2] - t[r1, c2] * t[r2, c1]
+        for a, (r1, r2) in enumerate(pairs) for c1, c2 in pairs[a:]))

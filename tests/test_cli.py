@@ -409,6 +409,17 @@ def test_int_flags_take_640_digits_and_refuse_641(capsys):
         "640 digits\n")
 
 
+def test_a_signed_int_of_640_digits_is_a_plain_line():
+    """The plain path counts digits as the full parser does, a minus sign
+    not counted, so ``--p=-`` and 640 digits is a plain line; 641 digits
+    are the full parser's."""
+    fedder = ["fedder", "--ring", "x", "--ideal", "x"]
+    for value in ("-" + "9" * 640, "9" * 640):
+        assert cli._plain_args([*fedder, f"--p={value}"]).p == int(value)
+    assert cli._plain_args([*fedder, "--p", "9" * 640]).p == int("9" * 640)
+    assert cli._plain_args([*fedder, "--p=-" + "9" * 641]) is None
+
+
 #: the flags whose text holds integers, "{}" where one goes, and the line
 #: a long one is refused with: vectors, ``--char`` and polynomials
 _VECTOR = "error: integer of more than 640 digits in a vector\n"

@@ -8,13 +8,13 @@ import random
 
 import pytest
 
-from veronese import groebner
+from veronese import groebner, polycore
 from veronese.groebner import (
     GroebnerBasis, Ideal, _least_power_member, buchberger, colon,
     colon_ideal, eliminate, ideal_equal, ideal_member, ideal_sum,
     initial_ideal, intersect, normal_form, radical_member, saturate,
 )
-from veronese.polycore import Block, GF, GrevLex, Lex, PolyRing, QQ
+from veronese.polycore import Block, GF, GrevLex, Lex, PolyRing, QQ, divide
 
 _GREVLEX = GrevLex()
 
@@ -175,6 +175,28 @@ def test_buchberger_refuses_block_orders_outside_the_ring(groebner_caches):
         == (R.parse("y - x^2"),)
     assert buchberger(general, Block({0})).elements \
         == buchberger(general, Lex()).elements
+
+
+@pytest.mark.parametrize("entry", [
+    lambda f, order: f.lead_monomial(order),
+    lambda f, order: divide(f, [f.ring.variable(0)], order),
+    lambda f, order: buchberger(Ideal(f.ring, (f,)), order),
+    lambda f, order: initial_ideal(Ideal(f.ring, (f,)), order),
+    lambda f, order: polycore._Packing(order, f.ring.arity, 8),
+], ids=["lead_monomial", "divide", "buchberger", "initial_ideal", "packing"])
+def test_every_entry_refuses_a_block_index_past_the_ring(entry):
+    """``Block({4})`` in a ring of four variables, whose key would read as
+    grevlex there, is refused by each entry that takes an order, as
+    ``buchberger`` refuses it; the last index in range still runs.  (An
+    index in range meant for another ring cannot be told apart.)"""
+    R = PolyRing(("a", "b", "c", "d"), QQ)
+    f = R.parse("b*c - a*d")
+    with pytest.raises(ValueError, match="eliminated index out of range"):
+        entry(f, Block({R.arity}))
+    with pytest.raises(ValueError, match="eliminated index out of range"):
+        entry(f, Block({0, R.arity}))
+    entry(f, Block({R.arity - 1}))
+    assert f.lead_monomial(Block({0})) == (1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import permutations, product
+from math import comb, gcd
 
 import pytest
 
@@ -12,7 +14,7 @@ from veronese.groebner import Ideal, buchberger, ideal_equal, ideal_member
 from veronese.invariants import krull_dim
 from veronese.polycore import GF, PolyRing, QQ
 from veronese.toric import (
-    MonomialMap, _integer_row_reduce, _lattice_index, ci_check, ci_sequence,
+    MonomialMap, _integer_row_reduce, _veronese_targets, _lattice_index, ci_check, ci_sequence,
     integer_kernel, minimal_generators, symmetric_minors_ideal,
     toric_ideal_elimination, toric_ideal_lattice, veronese_map,
 )
@@ -34,6 +36,15 @@ def test_veronese_targets_enumerate_all_degree_n_monomials():
     assert m.veronese_degree() == 4 and m.common_degree() == 4
     assert m.source_ring().names == ("t1", "t2", "t3", "t4", "t5")
     assert m.target_ring().names == ("x1", "x2")
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_veronese_targets_are_the_sorted_enumeration(k):
+    """Every degree-n exponent vector in k variables, lex-descending, as a
+    sort of the brute-force enumeration gives them."""
+    for n in range(1, 6):
+        every = [e for e in product(range(n + 1), repeat=k) if sum(e) == n]
+        assert _veronese_targets(k, n) == tuple(sorted(every, reverse=True))
 
 
 def test_veronese_validates_arguments():
@@ -139,6 +150,23 @@ def test_integer_kernel_membership_is_exact():
         combo = [sum(c * r[j] for c, r in zip(v, rows))
                  for j in range(len(rows[0]))]
         assert combo == [0, 0]
+
+
+def test_integer_kernel_vectors_are_primitive_and_sign_normalized():
+    """Over a seeded grid of integer matrices each kernel vector lies in the
+    kernel, has coprime entries and a positive first nonzero entry, and
+    there are as many as the corank."""
+    rng = random.Random(42)
+    for _ in range(600):
+        d, k = rng.randint(1, 7), rng.randint(1, 4)
+        rows = [[rng.randint(-5, 7) for _ in range(k)] for _ in range(d)]
+        kernel = integer_kernel(rows)
+        assert len(kernel) == d - _integer_row_reduce(rows)[2]
+        for v in kernel:
+            assert [sum(c * r[j] for c, r in zip(v, rows))
+                    for j in range(k)] == [0] * k
+            assert gcd(*v) == 1
+            assert next(e for e in v if e) > 0
 
 
 @lru_cache(maxsize=1)
@@ -306,6 +334,34 @@ def test_symmetric_minors_present_the_square_veronese(n):
     ver = toric_ideal_lattice(veronese_map(n, 2))
     assert mins.ring.names == ver.ring.names
     assert ideal_equal(mins, ver)
+
+
+def _up_to_sign(f):
+    return min(f.terms, (-f).terms)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_minors_are_every_minor_once(n):
+    """C(m+1, 2) generators, m = C(n, 2), no two equal up to sign, and up
+    to sign the set of every nonzero 2x2 minor over ordered row and
+    column pairs, with t_m at the entries x_i x_j of the Veronese map."""
+    mins = symmetric_minors_ideal(n)
+    ring = mins.ring
+    index = {t: m for m, t in enumerate(veronese_map(n, 2).targets)}
+
+    def entry(i, j):
+        return ring.variable(index[tuple((l == i) + (l == j)
+                                         for l in range(n))])
+
+    every = set()
+    for (r1, r2), (c1, c2) in product(permutations(range(n), 2), repeat=2):
+        f = entry(r1, c1) * entry(r2, c2) - entry(r1, c2) * entry(r2, c1)
+        if not f.is_zero():
+            every.add(_up_to_sign(f))
+    m = comb(n, 2)
+    assert len(mins.generators) == comb(m + 1, 2)
+    assert len({_up_to_sign(g) for g in mins.generators}) == comb(m + 1, 2)
+    assert {_up_to_sign(g) for g in mins.generators} == every
 
 
 def test_symmetric_minors_smallest_cases():
