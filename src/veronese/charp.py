@@ -24,6 +24,7 @@ the colon route serves general homogeneous input and the toric ideals of
 from __future__ import annotations
 
 from itertools import chain
+from math import gcd
 from operator import add, lshift
 from typing import Optional, Sequence
 
@@ -134,11 +135,7 @@ def semigroup_member(mmap: MonomialMap, target: Sequence[int]
     while memo[res]:
         idx, res = memo[res]
         witness.append(mmap.targets[idx])
-    sums = [0] * mmap.k
-    for g in witness:
-        for i, e in enumerate(g):
-            sums[i] += e
-    if tuple(sums) != target:
+    if tuple(map(sum, zip(*witness, (0,) * mmap.k))) != target:
         raise RuntimeError("witness failed re-verification; search bug")
     return (True, tuple(witness))
 
@@ -210,6 +207,31 @@ def monomial_ideal_member(mmap: MonomialMap, numerator: Sequence[int],
     if any(e < 0 for e in residual):
         return False
     return semigroup_member(mmap, residual)[0]
+
+
+def _least_multiples(mmap: MonomialMap, n: int,
+                     vectors: Sequence[Exponents]) -> list[Optional[int]]:
+    """For each degree-n vector v, the least m up to n / gcd(n, v) with
+    m v in the semigroup of the map's targets, all of degree n, else None.
+    Every search is a ``_first_sums`` run on one memo that all of them
+    share, as the searches of ``fedder_fiber`` do, so past
+    ``SEMIGROUP_CAP`` entries in it the whole set of searches, not each
+    alone, raises ``ResourceCapError``.  An m counts once
+    ``semigroup_member`` confirms it, re-verifying a witness by summation."""
+    shifts, _, guard = _fields(n * n, mmap.k)       # m v <= n n entrywise
+    gens = [sum(map(lshift, a, shifts)) for a in mmap.targets]
+    memo: dict = {0: ()}
+
+    def member(multiple: list[int]) -> bool:
+        found = _first_sums(gens, sum(map(lshift, multiple, shifts)), memo,
+                            guard)
+        if len(memo) > SEMIGROUP_CAP:
+            raise ResourceCapError(f"least-multiple searches past the cap "
+                                   f"of {SEMIGROUP_CAP} residuals")
+        return found and semigroup_member(mmap, multiple)[0]
+
+    return [next((m for m in range(1, n // gcd(n, *v) + 1)
+                  if member([m * e for e in v])), None) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,10 @@ def _parse_targets(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_vector(c) for c in chunks)
 
 
-def _parse_char(text: str) -> tuple[int, CoeffDomain]:
-    """``--char``, 0 or a prime, and its field."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"bad characteristic {text!r}")
-    if _too_many_digits(text):
-        raise ValueError(f"characteristic of more than {_MAX_DIGITS} digits")
-    char = int(text)
-    return char, QQ if char == 0 else GF(char)
+def _field(char: int) -> CoeffDomain:
+    """The field of ``--char``, an int flag: QQ for 0, else ``GF``, which
+    refuses anything but a prime."""
+    return QQ if char == 0 else GF(char)
 
 
 def _variable_index(names: Sequence[str], name: str) -> int:
@@ -117,9 +113,9 @@ def _parsed_ideal(args: SimpleNamespace, domain: CoeffDomain
 def _char_ideal(args: SimpleNamespace) -> tuple[PolyRing, Ideal, dict]:
     """``--ring`` and ``--ideal``/``--ideal-file`` over ``--char``, and the
     params they give."""
-    char, dom = _parse_char(args.char)
-    ring, ideal = _parsed_ideal(args, dom)
-    return ring, ideal, {"ring": list(ring.names), "characteristic": char}
+    ring, ideal = _parsed_ideal(args, _field(args.char))
+    return ring, ideal, {"ring": list(ring.names),
+                         "characteristic": args.char}
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +125,14 @@ def _char_ideal(args: SimpleNamespace) -> tuple[PolyRing, Ideal, dict]:
 def _cmd_veronese_ideal(args: SimpleNamespace) -> Report:
     k, n = args.k, args.n
     mmap = _capped_veronese_map(k, n)
-    char, dom = _parse_char(args.char)
+    dom = _field(args.char)
     ideal, _, agree, dims = _presentation(mmap)
     checks = [
         _check("toric_routes_agree", agree,
                **_minimal_generator_details(_specialise(ideal, dom))),
         _height_check("height_matches", dims, mmap.d - k),
     ]
-    params = {"k": k, "n": n, "d": mmap.d, "characteristic": char}
+    params = {"k": k, "n": n, "d": mmap.d, "characteristic": args.char}
     return Report("veronese-ideal", params, checks)
 
 
@@ -268,7 +264,7 @@ def _ideal_flags(required: bool) -> tuple[_Flag, ...]:
                   required=required, group="ideal", metavar="FILE"))
 
 
-_CHAR = _Flag("--char", "0 or a prime (default 0)", default="0")
+_CHAR = _Flag("--char", "0 or a prime (default 0)", "int", default=0)
 _PRIMES = _Flag("--primes", "comma-separated primes (default 2,3,5)",
                 default="2,3,5")
 #: ``-k`` and ``-n`` of the Veronese map

@@ -19,13 +19,13 @@ are deterministic: identical inputs give byte-identical JSON.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, gcd, isfinite
-from typing import Callable, Mapping, Optional, Sequence, Union
+from math import comb, isfinite
+from typing import Callable, Mapping, Optional, Sequence
 
 from .polycore import (
     CoeffDomain, GF, GrevLex, PolyRing, Polynomial, QQ, ResourceCapError,
-    _Record, _is_int, _naturals, _read, _require_ints, is_homogeneous,
-    parse_polynomial_list,
+    _Record, _decimal, _is_int, _naturals, _read, _require_ints,
+    is_homogeneous, parse_polynomial_list,
 )
 from .groebner import (
     Ideal, _least_power_member, _pure_difference, buchberger, ideal_equal,
@@ -38,8 +38,8 @@ from .toric import (
 )
 from .invariants import DimensionResult, krull_dim, veronese_lc_piece
 from .charp import (
-    FpurityReport, fedder_fiber, fedder_fpure, monomial_ideal_member,
-    semigroup_member,
+    SEMIGROUP_CAP, FpurityReport, _least_multiples, fedder_fiber,
+    fedder_fpure, monomial_ideal_member, semigroup_member,
 )
 
 __all__ = [
@@ -108,12 +108,15 @@ def render_json(report: Mapping[str, object]) -> str:
 
     The text is byte for byte ``json.dumps(report, indent=2) + "\n"``, for
     the values a report holds: dicts with str keys, lists, tuples, str,
-    int, bool, None and finite floats.  Any other value, a non-str key
-    included, raises ``TypeError``, and a NaN or infinite float raises
-    ``ValueError``, rather than rendering differently.  Each CLI report
-    runs in a fresh interpreter and renders once, so this small writer
-    spares every report the import of the ``json`` package, which with an
-    indent would run its pure-Python encoder anyway."""
+    int, bool, None and finite floats.  An int is written by
+    ``polycore._decimal``, so one that ``json`` would refuse under the
+    process's ``int_max_str_digits`` renders all the same.  Any other
+    value, a non-str key included, raises ``TypeError``, and a NaN or
+    infinite float raises ``ValueError``, rather than rendering
+    differently.  Each CLI report runs in a fresh interpreter and renders
+    once, so this small writer spares every report the import of the
+    ``json`` package, which with an indent would run its pure-Python
+    encoder anyway."""
     return _render(report, "") + "\n"
 
 
@@ -152,7 +155,7 @@ def _render(value: object, pad: str) -> str:
     if kind is str:
         return _string(value)
     if kind is int:
-        return int.__repr__(value)
+        return _decimal(value)
     if kind is bool:
         return "true" if value else "false"
     if value is None:
@@ -581,28 +584,11 @@ def cd_certificate(k: int, n: int, primes: Sequence[int] = (2, 3, 5)
 # presentation report for a general monomial algebra
 # ---------------------------------------------------------------------------
 
-def _chart_candidates(i: int, candidates: Sequence, ring: PolyRing
-                      ) -> tuple[Polynomial, ...]:
-    """The candidates of chart ``i``: polynomials of ``ring`` as they are,
-    or strings parsed as one comma-separated list, never a mix of both."""
-    polys = [isinstance(f, Polynomial) for f in candidates]
-    if not any(polys):
-        return tuple(parse_polynomial_list(",".join(candidates), ring))
-    if not all(polys):
-        raise ValueError(f"the candidates of chart {i} mix polynomials "
-                         f"and strings")
-    if any(f.ring != ring for f in candidates):
-        raise ValueError(f"the candidates of chart {i} must be "
-                         f"polynomials of {ring}")
-    return tuple(candidates)
-
-
 def present_monomial_algebra(
         targets: Sequence[Sequence[int]],
         primes: Sequence[int] = (2, 3, 5),
         radical_subset: Optional[Sequence[int]] = None,
-        ci_candidates: Optional[
-            Mapping[int, Sequence[Union[str, Polynomial]]]] = None,
+        ci_candidates: Optional[Mapping[int, Sequence[Polynomial]]] = None,
         fpurity_witness: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> Report:
     """Present the algebra generated by the target monomials and certify
@@ -612,19 +598,20 @@ def present_monomial_algebra(
 
     ``radical_subset`` and the keys of ``ci_candidates`` are 0-based source
     variable indices.  Both default to the pure-power charts when the map
-    is a Veronese map, and are skipped otherwise.  The candidate
-    polynomials of a chart are strings in t1..td, parsed once over QQ,
-    read into each field, as one comma-separated list, so the column of a
-    ``ParseError`` counts in their comma-joined text.  They are parsed
-    after the other inputs are checked.  A chart may give polynomials of
-    ``PolyRing(("t1", ..., "td"))`` over QQ instead, already parsed, as
-    the command line does.  ``fpurity_witness`` is a pair (numerator
-    vector, generator vector) of semigroup elements whose failed base
-    containment plus successful p-fold containment certifies
+    is a Veronese map, and are skipped otherwise.  The candidates of a
+    chart are polynomials of ``PolyRing(("t1", ..., "td"))`` over QQ, read
+    into each field; the command line parses its ``--ci`` text into them.
+    Anything else, a string or a list of strings included, is refused
+    with ``ValueError`` before any Groebner run.  ``fpurity_witness`` is a
+    pair (numerator vector, generator vector) of semigroup elements whose
+    failed base containment plus successful p-fold containment certifies
     non-F-purity.  The normalization is certified, with its degree-zero
     computation, when ``_veronese_normalization`` decides that it is a
-    Veronese ring; otherwise no check of it is emitted.  A toric ideal
-    that is not standard-graded, as for the cusp (2), (3), is refused
+    Veronese ring; otherwise no check of it is emitted.  More degree-n
+    monomials than ``SEMIGROUP_CAP`` are refused before any is listed, and
+    the least-multiple searches share one budget
+    (``charp._least_multiples``), both with ``ResourceCapError``.  A toric
+    ideal that is not standard-graded, as for the cusp (2), (3), is refused
     with ``ValueError`` before any Groebner run.
     """
     ensure_within_cap(len(targets))
@@ -637,12 +624,14 @@ def present_monomial_algebra(
     doms = _characteristics(primes)
     is_veronese = mmap.veronese_degree() is not None
 
+    ring = mmap.source_ring()
     for i in ci_candidates or ():
         if not _is_int(i) or i not in range(mmap.d):
             raise ValueError(f"chart variable index {i!r} out of range")
-        if isinstance(ci_candidates[i], str):
-            raise ValueError(f"the candidates of chart {i} must be a "
-                             f"list of strings, not one string")
+        if not all(isinstance(f, Polynomial) and f.ring == ring
+                   for f in ci_candidates[i]):
+            raise ValueError(f"the candidates of chart {i} must be "
+                             f"polynomials of {ring}")
 
     if fpurity_witness is not None:
         pair = tuple(fpurity_witness)
@@ -650,17 +639,36 @@ def present_monomial_algebra(
             raise ValueError("the purity witness must be a pair of vectors")
         witness_base, witness_gen = (_naturals(v, mmap.k) for v in pair)
 
-    if radical_subset is not None:
-        subset = _naturals(radical_subset)
-    else:
-        subset = _pure_power_indices(mmap) if is_veronese else ()
+    subset = (_naturals(radical_subset) if radical_subset is not None
+              else _pure_power_indices(mmap) if is_veronese else ())
 
     if ci_candidates is None and is_veronese:
         charts = [(inv, cands, {}) for inv, cands in _veronese_charts(mmap)]
     else:
-        ring = mmap.source_ring()
-        charts = [(i, _chart_candidates(i, ci_candidates[i], ring), {})
+        charts = [(i, tuple(ci_candidates[i]), {})
                   for i in sorted(ci_candidates or ())]
+
+    # the normalization, when it is the Veronese ring: each missing
+    # degree-n monomial v has m*v in S for m = n / gcd(n, v), since
+    # m*v = sum (m*v_i/n)*(n*e_i); the least such m is recorded, or None,
+    # and a false check, should the searches miss it.  Decided before any
+    # Groebner run, so that a refusal costs none
+    degree = _veronese_normalization(mmap)
+    normalization = []
+    if degree is not None:
+        if comb(mmap.k + degree - 1, degree) > SEMIGROUP_CAP:
+            raise ResourceCapError("more degree-n monomials than the cap "
+                                   f"of {SEMIGROUP_CAP}")
+        missing = [v for v in _veronese_targets(mmap.k, degree)
+                   if v not in mmap.targets]
+        multiples = _least_multiples(mmap, degree, missing)
+        normalization = [
+            _check("normalization_is_veronese", None not in multiples,
+                   degree=degree,
+                   missing_degree_n_targets=[list(v) for v in missing],
+                   member_multiples=multiples),
+            _lc_degree_zero("normalization_lc_degree_zero_vanishes", mmap.k,
+                            degree)]
 
     nullity = len(kernel)
     presentation = _presentation(mmap)
@@ -670,27 +678,7 @@ def present_monomial_algebra(
         lambda label, dims: _check(
             f"height_matches_lattice_nullity_{label}", dims.height == nullity,
             height=dims.height, lattice_nullity=nullity),
-        charts, subset)
-
-    # the normalization, when it is the Veronese ring: each missing
-    # degree-n monomial v has m*v in S for m = n / gcd(n, v), since
-    # m*v = sum (m*v_i/n)*(n*e_i); the least such m is recorded, or None,
-    # and a false check, should ``semigroup_member`` miss it
-    degree = _veronese_normalization(mmap)
-    if degree is not None:
-        missing = [v for v in _veronese_targets(mmap.k, degree)
-                   if v not in mmap.targets]
-        multiples = [next((m for m in range(1, degree // gcd(degree, *v) + 1)
-                           if semigroup_member(
-                               mmap, tuple(m * e for e in v))[0]), None)
-                     for v in missing]
-        checks.append(_check(
-            "normalization_is_veronese", None not in multiples,
-            degree=degree,
-            missing_degree_n_targets=[list(v) for v in missing],
-            member_multiples=multiples))
-        checks.append(_lc_degree_zero(
-            "normalization_lc_degree_zero_vanishes", mmap.k, degree))
+        charts, subset) + normalization
 
     if fpurity_witness is not None:
         valid = (semigroup_member(mmap, witness_base)[0]
@@ -759,7 +747,7 @@ def char_compare(targets: Optional[Sequence[Sequence[int]]] = None,
         ensure_within_cap(len(targets))
         mmap = MonomialMap(targets)
         description = "toric ideal of " + "; ".join(
-            ",".join(str(e) for e in t) for t in mmap.targets)
+            ",".join(map(_decimal, t)) for t in mmap.targets)
         _, _, agree, dims = _presentation(mmap)
         for char, _ in doms:
             checks.append(_check(f"toric_routes_agree_char_{char}", agree))

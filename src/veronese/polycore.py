@@ -758,7 +758,7 @@ class Polynomial(_CachedHash):
             neg = c < 0
             mag = -c if neg else c
             vars_part = "*".join(
-                nm if e == 1 else f"{nm}^{e}"
+                nm if e == 1 else f"{nm}^{_decimal(e)}"
                 for nm, e in zip(names, m) if e > 0
             )
             scalar = _decimal(mag.numerator)
@@ -787,8 +787,14 @@ _CHUNK = 10 ** _CHUNK_DIGITS
 
 
 def _decimal(n: int) -> str:
-    """A nonnegative int in decimal, written piece by piece, so that no
-    setting of ``int_max_str_digits`` refuses it."""
+    """An int in decimal, written piece by piece past ``_CHUNK``, so that
+    no setting of ``int_max_str_digits`` refuses it: the one writer of
+    every integer in a report, coefficients, exponents and JSON numbers
+    alike."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
     pieces = []
     while n >= _CHUNK:
         n, low = divmod(n, _CHUNK)

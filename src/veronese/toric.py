@@ -78,13 +78,22 @@ class MonomialMap(_Record):
         return None
 
     def veronese_degree(self) -> Optional[int]:
-        """n if the targets are exactly all degree-n monomials, else None."""
+        """n if the targets are exactly all degree-n monomials,
+        lex-descending as ``_veronese_targets`` lists them, else None.  The
+        targets are distinct, so they are all of them exactly when there
+        are C(k+n-1, n) = prod (n+i)/i over 0 < i < k; the partial
+        products only grow, so the count stops once it passes d, and
+        nothing is enumerated."""
         n = self.common_degree()
         if n is None:
             return None
-        if self.targets == _veronese_targets(self.k, n):
-            return n
-        return None
+        count = 1
+        for i in range(1, self.k):
+            count = count * (n + i) // i
+            if count > self.d:
+                return None
+        return n if count == self.d and self.targets == tuple(
+            sorted(self.targets, reverse=True)) else None
 
     def substitute(self, f: Polynomial) -> Polynomial:
         """Image of an element of the source ring under the map, over the
@@ -106,18 +115,14 @@ class MonomialMap(_Record):
 
 def _veronese_targets(k: int, n: int) -> tuple[Exponents, ...]:
     """The exponent vectors of the degree-n monomials in k variables,
-    lex-descending.  ``combinations_with_replacement`` yields the sorted
-    index tuples in lex order.  Where two first differ, the earlier holds
-    the smaller index i, which the later holds fewer times, and both hold
-    each index below i equally often; so the earlier exponent vector is
-    the lex-larger, and they come out in order."""
-    out = []
-    for combo in combinations_with_replacement(range(k), n):
-        e = [0] * k
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return tuple(out)
+    lex-descending: the first exponent runs from n down to 0, each followed
+    by the vectors of degree n minus it in k - 1 variables, lex-descending.
+    Each vector extends exactly one vector of the level below, so the
+    work is linear in the number of vectors for a given k."""
+    if k == 1:
+        return ((n,),)
+    return tuple((e, *rest) for e in range(n, -1, -1)
+                 for rest in _veronese_targets(k - 1, n - e))
 
 
 def veronese_map(k: int, n: int) -> MonomialMap:

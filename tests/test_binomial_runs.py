@@ -59,9 +59,9 @@ def _ideal(names, shape, dom) -> Ideal:
 
 
 def test_the_reports_make_binomial_requests_of_every_kind(binomial_requests):
-    """All 168 of them: a replay that starts with a warm presentation
+    """All 171 of them: a replay that starts with a warm presentation
     cache records fewer, and this oracle would cover less."""
-    assert len(binomial_requests) == 168
+    assert len(binomial_requests) == 171
     assert {type(order).__name__ for _, _, order in binomial_requests} \
         == {"GrevLex", "Block"}
 

@@ -14,7 +14,7 @@ import pytest
 
 from veronese import cli
 from veronese.cli import main
-from veronese.polycore import GF, _decimal
+from veronese.polycore import PolyRing, _decimal
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -65,8 +65,8 @@ def test_present_subcommand_full_flags(capsys):
 
 def test_present_parses_each_ci_value_once(capsys, monkeypatch):
     """The command line parses each ``--ci`` value, and the library takes
-    the polynomials as they are: the report is the one the library gives
-    for the same candidates as strings."""
+    the polynomials as they are, parsing no text: the report is the one
+    the library gives for the same candidates parsed beforehand."""
     from veronese import pipeline
     texts = []
     for module in (cli, pipeline):
@@ -80,9 +80,11 @@ def test_present_parses_each_ci_value_once(capsys, monkeypatch):
                           "--ci", f"t4:{charts[3]}")
     assert code == 0 and err == ""
     assert texts == [charts[0], charts[3]]
+    ring = PolyRing(("t1", "t2", "t3", "t4"))
     report = pipeline.present_monomial_algebra(
         ((4, 0), (3, 1), (1, 3), (0, 4)), primes=(2,),
-        ci_candidates={i: text.split(",") for i, text in charts.items()})
+        ci_candidates={i: [ring.parse(t) for t in text.split(",")]
+                       for i, text in charts.items()})
     assert out == pipeline.render_json(report.to_report())
 
 
@@ -342,10 +344,6 @@ def test_exit_two_on_bad_vector(capsys):
      "bad integer vector '1_0,0'"),
     (["cd-certificate", "-k", "2", "-n", "2", "--primes", "2, +3"],
      "bad integer vector '2, +3'"),
-    (["veronese-ideal", "-k", "2", "-n", "2", "--char", "\u0663"],
-     "bad characteristic '\u0663'"),
-    (["veronese-ideal", "-k", "2", "-n", "2", "--char", " 3"],
-     "bad characteristic ' 3'"),
 ])
 def test_exit_two_on_integers_beyond_ascii_digits(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
@@ -361,6 +359,12 @@ def test_exit_two_on_integers_beyond_ascii_digits(capsys, argv, message):
      "argument --p: invalid int value: '\u0663'"),
     (["fedder", "--ring", "x", "--ideal", "x", "--p", "two"],
      "argument --p: invalid int value: 'two'"),
+    (["veronese-ideal", "-k", "2", "-n", "2", "--char", "\u0663"],
+     "argument --char: invalid int value: '\u0663'"),
+    (["veronese-ideal", "-k", "2", "-n", "2", "--char", " 3"],
+     "argument --char: invalid int value: ' 3'"),
+    (["height", "--ring", "x", "--ideal", "x", "--char", "+3"],
+     "argument --char: invalid int value: '+3'"),
 ])
 def test_integer_flags_take_ascii_digits_only(capsys, argv, line):
     with pytest.raises(SystemExit) as info:
@@ -431,10 +435,6 @@ _LONG_INTEGER_LINES = [
     (["semigroup", "--generators", "1,0;0,{}", "--target", "1,1"], _VECTOR),
     (["present", "--targets", "2,0;1,1;0,2", "--fpurity-witness",
       "{},0;1,1"], _VECTOR),
-    (["height", "--ring", "x", "--ideal", "x", "--char", "{}"],
-     "error: characteristic of more than 640 digits\n"),
-    (["veronese-ideal", "-k", "2", "-n", "2", "--char", "{}"],
-     "error: characteristic of more than 640 digits\n"),
     (["height", "--ring", "x,y", "--ideal", "x, {}*y"],
      "error: integer of more than 640 digits (column 4)\n"),
     (["height", "--ring", "x,y", "--ideal", "x^{}"],
@@ -454,9 +454,34 @@ def test_every_integer_read_from_text_takes_at_most_640_digits(capsys, argv,
     assert _run(capsys, *[a.format("7" * 641) for a in argv]) == (2, "", line)
 
 
+@pytest.mark.parametrize("path", ["plain", "full"])
+@pytest.mark.parametrize("value", ["-1", "1", "4", "+3", "\u0663",
+                                   "9" * 641],
+                         ids=["minus_one", "one", "four", "plus_three",
+                              "arabic_three", "641_digits"])
+def test_a_bad_characteristic_exits_2_on_both_paths(capsys, path, value):
+    """``--char`` is an int flag: text outside the int grammar, or of more
+    than 640 digits, is the parser's refusal, and an int that is neither 0
+    nor a prime the field's, exit 2 either way, whether the line is plain
+    (``--char=V``) or one only the full parser takes (``--cha V``, an
+    abbreviation)."""
+    argv = ["height", "--ring", "x", "--ideal", "x"]
+    argv += [f"--char={value}"] if path == "plain" else ["--cha", value]
+    if path == "full":
+        assert cli._plain_args(argv) is None
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "9" * 10 not in captured.err
+
+
 def test_vectors_and_the_characteristic_read_640_digits():
     assert cli._parse_vector("1," + "7" * 640) == (1, int("7" * 640))
-    assert cli._parse_char("0" * 639 + "5") == (5, GF(5))
+    assert cli._parse_args(["height", "--ring", "x", "--ideal", "x",
+                            "--char", "0" * 639 + "5"]).char == 5
 
 
 def test_a_long_coefficient_renders_under_any_digit_limit(capsys):

@@ -198,6 +198,7 @@ def test_console_script_starts_the_entry():
 @pytest.mark.parametrize("argv", [
     ["fedder", "--ring", "x", "--ideal", "x", "--p"],
     ["cd-certificate", "-k", "2", "-n"],
+    ["height", "--ring", "x", "--ideal", "x", "--char"],
 ])
 def test_an_int_of_more_than_640_digits_exits_2_unechoed(setting, argv,
                                                           digits):
@@ -219,16 +220,14 @@ def test_an_int_of_more_than_640_digits_exits_2_unechoed(setting, argv,
 @pytest.mark.parametrize("argv, line", [
     (["height", "--ring", "x,y", "--ideal", "{}*x"],
      "error: integer of more than 640 digits (column 1)"),
-    (["height", "--ring", "x", "--ideal", "x", "--char", "{}"],
-     "error: characteristic of more than 640 digits"),
     (["semigroup", "--generators", "1,0;0,1", "--target", "{},1"],
      "error: integer of more than 640 digits in a vector"),
 ])
 def test_an_integer_in_text_of_more_than_640_digits_exits_2_unechoed(
         setting, argv, line, digits):
-    """The same for the integers in a polynomial, ``--char`` and a vector,
-    which the library reads: one line, exit 2, whatever
-    ``int_max_str_digits`` is."""
+    """The same for the integers in a polynomial and a vector, which the
+    library reads: one line, exit 2, whatever ``int_max_str_digits``
+    is."""
     code, out, err = _process(*setting, "-m", "veronese",
                               *[a.format("9" * digits) for a in argv])
     assert (code, out, err) == (2, "", line + "\n")

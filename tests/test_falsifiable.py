@@ -108,7 +108,7 @@ FAMILIES = {
         argvs=(["ci-check", "--ring", "x,y,z", "--ideal", "x*z-y^2",
                 "--invert", "x", "--candidates", "y"],)),
     "height_constant_across_characteristics": Family(
-        "height_constant_across_characteristics",
+        "height_constant_across_characteristics", kind="char_compare",
         argvs=(["char-compare", "--ring", "x,y", "--ideal", "2*x",
                 "--primes", "2,3"],)),
     "target_in_semigroup": Family(
@@ -162,6 +162,14 @@ FAMILIES = {
         "normalization_lc_degree_zero_vanishes",
         allowed="the same degree-0 piece for the normalization's Veronese "
                 "ring, 0 for every k, n >= 1"),
+    "cd_certificate_height_constant": Family(
+        "height_constant_across_characteristics", kind="cd_certificate",
+        allowed="built from the one height of the presentation over QQ, "
+                "recorded for every field, so its heights are all equal"),
+    "presentation_height_constant": Family(
+        "height_constant_across_characteristics", kind="presentation",
+        allowed="built from the one height of the presentation over QQ, "
+                "recorded for every field, so its heights are all equal"),
 }
 
 
@@ -186,7 +194,7 @@ def test_every_check_the_goldens_emit_has_one_entry():
         covering.setdefault(families[0], []).append(name)
     # and the table names no family that the goldens do not emit
     assert sorted(covering) == sorted(FAMILIES)
-    assert len(FAMILIES) == 19
+    assert len(FAMILIES) == 21
 
 
 def test_every_entry_is_of_one_kind():

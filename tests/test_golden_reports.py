@@ -69,6 +69,11 @@ CASES: dict[str, list[str]] = {
     "present_twisted_cubic_gap": ["present", "--targets", "3,0;2,1;0,3"],
     "present_three_variable": [
         "present", "--targets", "2,0,0;0,2,0;0,0,1;1,1,0"],
+    # an exponent of 1,280 digits, (x^N)^N with N = 640 nines: the most a
+    # literal may have, squared, so the candidate is written in pieces
+    "ci_check_exponent_past_640_digits": [
+        "ci-check", "--ring", "x,y", "--ideal", "x", "--invert", "y",
+        "--candidates", f"(x^{'9' * 640})^{'9' * 640}"],
     # zero presentation ideals
     "zero_char_compare_targets": ["char-compare", "--targets", "1,0;0,1"],
     "zero_present_independent": ["present", "--targets", "2,1;1,3"],

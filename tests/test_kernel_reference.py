@@ -344,6 +344,31 @@ def test_division_remainder_past_the_first_width():
     assert q * d + r == f
 
 
+def test_a_reduction_step_past_the_first_width_overflows_in_the_kernel(
+        monkeypatch):
+    """x^2 by x - y^100 under lex: the first step writes x*y^100, which
+    packs, and the second y^200, whose field does not, so ``_nf_dict``
+    itself raises ``_PackingOverflow`` once and ``_packed`` reruns the
+    division wider, with the reference's quotient and remainder."""
+    nf = polycore._nf_dict
+    raised = []
+
+    def recorded(*args):
+        try:
+            return nf(*args)
+        except polycore._PackingOverflow:
+            raised.append(args[2])               # the guard of the width
+            raise
+
+    monkeypatch.setattr(polycore, "_nf_dict", recorded)
+    ring = PolyRing(("x", "y"), QQ)
+    f, d = ring.parse("x^2"), ring.parse("x - y^100")
+    got = divide(f, [d], Lex())
+    assert raised == [_packing(Lex(), 2, _FIELD_BITS).guard]
+    assert got == _reference_divide(f, [d], Lex())
+    assert got == ([ring.parse("y^100 + x")], ring.parse("y^200"))
+
+
 # ---------------------------------------------------------------------------
 # shifted sums: S-polynomials and containment products
 # ---------------------------------------------------------------------------

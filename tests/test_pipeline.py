@@ -6,13 +6,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from math import gcd
 
 import pytest
 
 from conftest import replay_reports
 
-from veronese import groebner, pipeline, toric
+from veronese import charp, groebner, pipeline, toric
 from veronese.charp import semigroup_member
 from veronese.cli import main
 from veronese.groebner import Ideal, buchberger, ideal_sum, radical_member
@@ -220,12 +221,19 @@ def test_cd_certificate_resource_cap():
 # user-supplied monomial algebras
 # ---------------------------------------------------------------------------
 
+def _quartic(*texts: str) -> tuple:
+    """Chart candidates: the texts as polynomials of the quartic's source
+    ring, as the library takes them."""
+    ring = PolyRing(("t1", "t2", "t3", "t4"))
+    return tuple(ring.parse(t) for t in texts)
+
+
 def test_present_quartic_full_certificate():
     rep = present_monomial_algebra(
         QUARTIC_CURVE_TARGETS, primes=(2, 3, 5),
         radical_subset=(0, 3),
-        ci_candidates={0: ("t2^3 - t1^2*t3", "t2*t3 - t1*t4"),
-                       3: ("t3^3 - t2*t4^2", "t2*t3 - t1*t4")},
+        ci_candidates={0: _quartic("t2^3 - t1^2*t3", "t2*t3 - t1*t4"),
+                       3: _quartic("t3^3 - t2*t4^2", "t2*t3 - t1*t4")},
         fpurity_witness=((6, 2), (4, 0)))
     d = rep.to_report()
     assert d["kind"] == "presentation"
@@ -311,8 +319,8 @@ def test_no_multiple_is_searched_off_the_veronese_lattice(
     calls here, all futile); the body keeps the sha256 it had when the
     search ran."""
     calls = []
-    monkeypatch.setattr(pipeline, "semigroup_member",
-                        lambda *args: calls.append(args))
+    for name in ("semigroup_member", "_least_multiples"):
+        monkeypatch.setattr(pipeline, name, lambda *args: calls.append(args))
     body = render_json(present_monomial_algebra(targets, primes=(2,))
                        .to_report())
     assert calls == []
@@ -380,6 +388,71 @@ def test_the_normalization_rule_agrees_with_a_search():
             assert all(m <= n // gcd(n, *v) for v, m in least.items())
         verdicts.append(least is not None)
     assert 300 < sum(verdicts) < 1200
+
+
+def _curve(n: int) -> list[tuple[int, int]]:
+    """(n, 0), (1, n - 1), (0, n): the normalization is the n-th Veronese
+    ring, with n - 2 degree-n monomials missing."""
+    return [(n, 0), (1, n - 1), (0, n)]
+
+
+@pytest.mark.parametrize("n", [8, 13, 30])
+def test_one_budget_finds_the_multiples_a_search_per_multiple_finds(n):
+    """The least multiples, searched on one shared memo, are those of a
+    fresh ``semigroup_member`` search per multiple, each confirmed by
+    ``semigroup_member``."""
+    mmap = MonomialMap(_curve(n))
+    check = _check_map(present_monomial_algebra(
+        mmap.targets, primes=(2,)).to_report())["normalization_is_veronese"]
+    least = _searched_multiples(mmap, n)
+    assert check["details"]["member_multiples"] == [
+        least[tuple(v)] for v in check["details"]["missing_degree_n_targets"]]
+
+
+def test_the_shared_budget_bounds_all_searches_together(monkeypatch):
+    """Past ``SEMIGROUP_CAP`` residuals in the one memo, the searches end
+    in ``ResourceCapError``, though each alone stays under the cap."""
+    searches = []
+    first_sums = charp._first_sums
+
+    def counted(gens, target, memo, guard):
+        searches.append(len(memo))
+        return first_sums(gens, target, memo, guard)
+
+    monkeypatch.setattr(charp, "_first_sums", counted)
+    monkeypatch.setattr(charp, "SEMIGROUP_CAP", 40)
+    with pytest.raises(ResourceCapError, match="least-multiple searches "
+                                               "past the cap of 40"):
+        present_monomial_algebra(_curve(13), primes=(2,))
+    assert len(searches) > 1 and searches[-1] <= 40
+
+
+_SEARCHES_CAPPED = "error: least-multiple searches past the cap of 65536 " \
+    "residuals\n"
+
+
+@pytest.mark.parametrize("targets, code, err", [
+    ("10000000000000000000", 0, ""),
+    ("30000,0;0,30000", 0, ""),
+    ("400,0;1,399;0,400", 3, _SEARCHES_CAPPED),
+    ("1600,0;1,1599;0,1600", 3, _SEARCHES_CAPPED),
+    ("3200,0;1,3199;0,3200", 3, _SEARCHES_CAPPED),
+    ("400,0,0;0,400,0;0,0,400;1,399,0;1,0,399", 3,
+     "error: more degree-n monomials than the cap of 65536\n"),
+], ids=["degree_10_19", "two_pure_powers", "curve_400", "curve_1600",
+        "curve_3200", "too_many_monomials"])
+def test_present_on_a_large_degree_is_bounded(capsys, groebner_caches,
+                                              targets, code, err):
+    """``veronese_degree`` counts instead of enumerating, and the
+    normalization check is refused before any Groebner run, past one
+    shared search budget or past ``SEMIGROUP_CAP`` degree-n monomials:
+    a report or exit 3, never an internal error, and well within 20 s (at
+    most 0.3 s each on a 2-core box)."""
+    start = time.perf_counter()
+    got = main(["present", "--targets", targets])
+    out, error = capsys.readouterr()
+    assert time.perf_counter() - start < 20
+    assert (got, error, out == "") == (code, err, code == 3)
 
 
 def test_a_faulty_row_reduction_is_an_internal_error(monkeypatch, capsys):
@@ -524,15 +597,6 @@ def test_library_refuses_bools_as_ints(build, message, engine_counts):
     the Groebner cache."""
     with pytest.raises(ValueError, match=message):
         build()
-    assert engine_counts["insert"] == 0
-
-
-def test_present_refuses_one_string_as_a_chart_candidate_list(engine_counts):
-    """A chart's candidates are a list of strings; one string is refused
-    with the chart index, not split into its characters."""
-    with pytest.raises(ValueError, match="candidates of chart 0"):
-        present_monomial_algebra(((2, 0), (1, 1), (0, 2)), primes=(2,),
-                                 ci_candidates={0: "t2^2-t1*t3"})
     assert engine_counts["insert"] == 0
 
 

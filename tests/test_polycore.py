@@ -469,6 +469,20 @@ def test_long_ints_are_written_in_pieces_under_any_digit_limit():
     assert str(f) == f"{_digits(big)}*x - 1/{_digits(big)}"
 
 
+def test_signs_and_exponents_are_written_in_pieces_too():
+    """``_decimal`` writes a negative int with its sign, and a value below
+    10^600 as ``str`` does; a polynomial's exponents go through it, so an
+    exponent of 5,000 digits renders under any digit limit."""
+    chunk = 10 ** 600
+    for n in [-7, -(chunk - 1), -chunk, -(7 ** 2000), -(chunk ** 2 + 1)]:
+        assert polycore._decimal(n) == "-" + _digits(-n)
+    assert polycore._decimal(-(chunk - 1)) == "-" + "9" * 600
+    R = PolyRing(("x", "y"), QQ)
+    big = 10 ** 5000
+    f = R.monomial((big, 2)) - R.monomial((0, big - 1))
+    assert str(f) == f"x^{_digits(big)}*y^2 - y^{_digits(big - 1)}"
+
+
 def test_fraction_rendering_is_stable():
     R = PolyRing(("x", "y"), QQ)
     f = R.from_dict({(2, 0): Fraction(1, 2), (0, 1): -1, (0, 0): 3})

@@ -23,6 +23,7 @@ from veronese.pipeline import (
     QUARTIC_CURVE_TARGETS, cd_certificate, char_compare,
     present_monomial_algebra,
 )
+from veronese.polycore import PolyRing
 from veronese.toric import veronese_map
 
 _STAGES = ("toric_ideal_elimination", "toric_ideal_lattice", "krull_dim")
@@ -109,8 +110,9 @@ def test_other_charts_and_covers_get_their_own_verdicts(groebner_caches):
     candidate with coefficients that vanish mod 2, checked in each field,
     and one outside the ideal; the other cover misses t1 and t3."""
     targets = veronese_map(2, 2).targets
-    requests = [{}, {"ci_candidates": {0: ["2*t1*t3 - 2*t2^2"],
-                                       2: ["t2^2"]}},
+    ring = PolyRing(("t1", "t2", "t3"))
+    requests = [{}, {"ci_candidates": {0: [ring.parse("2*t1*t3 - 2*t2^2")],
+                                       2: [ring.parse("t2^2")]}},
                 {"radical_subset": (1,)}]
 
     def render(request):

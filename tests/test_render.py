@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from veronese.pipeline import render_json
+from veronese.pipeline import char_compare, render_json
 
 _GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -109,3 +109,19 @@ def test_golden_envelopes_render_again(case):
     assert render_json(golden) == text
     assert golden["stdout"]
     assert render_json(json.loads(golden["stdout"])) == golden["stdout"]
+
+
+def test_integers_of_any_length_render():
+    """Every int of a report is written by ``polycore._decimal``: one of
+    5,000 digits and its negative render as their digits, past the
+    4,300 that ``json`` writes under CPython's default
+    ``int_max_str_digits``, and so does a ``char_compare`` target of more
+    than 4,300 digits, in its description."""
+    sevens = 7 * (10 ** 5000 - 1) // 9
+    assert render_json({"n": sevens, "m": [-sevens, 0, -1]}) == (
+        '{\n  "n": ' + "7" * 5000 + ',\n  "m": [\n    -' + "7" * 5000
+        + ',\n    0,\n    -1\n  ]\n}\n')
+    report = char_compare([(10 ** 5000,)], primes=(2,))
+    assert report.params["description"] == "toric ideal of 1" + "0" * 5000
+    text = render_json(report.to_report())
+    assert '"description": "toric ideal of 1' + "0" * 5000 + '"' in text

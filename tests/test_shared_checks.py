@@ -36,6 +36,16 @@ from veronese.toric import ci_sequence, veronese_map
 
 _SEEDS = (3, 5, 7919)
 
+#: the source ring of ``QUARTIC_CURVE_TARGETS``, which chart candidates
+#: are polynomials of
+_QUARTIC_RING = PolyRing(("t1", "t2", "t3", "t4"))
+
+
+def _quartic_charts(charts: dict) -> dict:
+    """Chart candidate texts parsed into ``_QUARTIC_RING``."""
+    return {i: [_QUARTIC_RING.parse(t) for t in texts]
+            for i, texts in charts.items()}
+
 
 def _both_ways(monkeypatch, run):
     """``run()`` with the shared checks and with the per-field oracle, the
@@ -151,12 +161,12 @@ def test_unit_binomial_charts_are_checked_once(monkeypatch, groebner_caches):
         "4*t2^2 + t1*t3", "4*t2^3 + t1^2*t4"]
 
     fields.clear()
+    charts = _quartic_charts({0: ["t2^3-t1^2*t3", "-t2*t3+t1*t4"],
+                              1: ["-t1", "t2*t3-t1*t4"],
+                              2: ["t2^3-t1^2*t3", "3*t2*t3-3*t1*t4"],
+                              3: ["t3^3-t2*t4^2", "2*t4"]})
     report = present_monomial_algebra(
-        QUARTIC_CURVE_TARGETS, primes=(2, 3, 5), ci_candidates={
-            0: ["t2^3-t1^2*t3", "-t2*t3+t1*t4"],
-            1: ["-t1", "t2*t3-t1*t4"],
-            2: ["t2^3-t1^2*t3", "3*t2*t3-3*t1*t4"],
-            3: ["t3^3-t2*t4^2", "2*t4"]})
+        QUARTIC_CURVE_TARGETS, primes=(2, 3, 5), ci_candidates=charts)
     assert fields == [QQ] * 4 + [GF(2)] * 2 + [GF(3)] * 2 + [GF(5)] * 2
     checks = {c.name: c for c in report.checks}
     assert checks["localized_ci_char_3_t3"].details["candidates"] == [
@@ -284,7 +294,7 @@ def _polynomial_texts():
                 texts.append((names, value.partition(":")[2]))
             elif flag == "--ideal":
                 texts.append((tuple(dict(flags)["--ring"].split(",")), value))
-    assert len(texts) == 10
+    assert len(texts) == 11
     rng = random.Random(20261020)
     for _ in range(200):
         names = fuzz._ring(rng)
@@ -319,12 +329,6 @@ def test_parsed_texts_read_as_parsed_in_each_field():
     (lambda: char_compare(ring_names=("x", "y"), generators=["x", ""],
                           primes=(3,)),
      ("empty polynomial in list", 2)),
-    (lambda: present_monomial_algebra(QUARTIC_CURVE_TARGETS, ci_candidates={
-        0: ["t2*t3-t1*t4", "t2^3 - t1^2*t5"]}),
-     ("unknown variable 't5'", 24)),
-    (lambda: present_monomial_algebra(QUARTIC_CURVE_TARGETS, ci_candidates={
-        3: ["t1", "t2 +* t3"], 0: ["t1"]}),
-     ("expected a variable, integer or '('", 7)),
 ])
 def test_parse_errors_name_their_column(call, error):
     """One parse over QQ gives the message and column that a parse in each
@@ -334,39 +338,23 @@ def test_parse_errors_name_their_column(call, error):
     assert (caught.value.message, caught.value.position) == error
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"fpurity_witness": ((1, 1), (1, 1), (0, 1))},
-     "the purity witness must be a pair of vectors"),
-    ({"radical_subset": (-1,)}, r"expected nonnegative ints, got \(-1,\)"),
-    ({"primes": (4,)}, "PrimeField needs a prime, got 4"),
-])
-def test_bad_candidates_are_parsed_after_the_other_inputs(kwargs, message):
-    """A bad witness, subset or prime is refused before the candidates are
-    parsed, as when each field parsed them in its own checks."""
-    with pytest.raises(ValueError, match=message) as caught:
-        present_monomial_algebra(QUARTIC_CURVE_TARGETS,
-                                 ci_candidates={0: ["t1)"]}, **kwargs)
-    assert not isinstance(caught.value, ParseError)
-
-
-def test_parsed_candidates_are_taken_as_they_are():
-    """Candidates given as polynomials of the source ring over QQ give the
-    report of their text; polynomials of another ring, and a chart that
-    mixes polynomials and strings, are refused with a ``ValueError`` that
-    names the chart."""
-    texts = {0: ["t2^3 - t1^2*t3", "t2*t3 - t1*t4"]}
-    ring = PolyRing(("t1", "t2", "t3", "t4"))
-    parsed = {0: [ring.parse(t) for t in texts[0]]}
-    reports = [present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(2, 3),
-                                        ci_candidates=charts).to_report()
-               for charts in (texts, parsed)]
-    assert reports[0] == reports[1]
-    other = PolyRing(("t1", "t2", "t3", "t4"), GF(2))
-    with pytest.raises(ValueError, match="chart 0 must be polynomials of"):
-        present_monomial_algebra(QUARTIC_CURVE_TARGETS, ci_candidates={
-            0: [other.parse(t) for t in texts[0]]})
-    for mixed in ([parsed[0][0], texts[0][1]], [texts[0][0], parsed[0][1]]):
-        with pytest.raises(ValueError,
-                           match="candidates of chart 0 mix polynomials"):
-            present_monomial_algebra(QUARTIC_CURVE_TARGETS,
-                                     ci_candidates={0: mixed})
+@pytest.mark.parametrize("chart", [
+    "t2^3 - t1^2*t3",
+    ["t2^3 - t1^2*t3", "t2*t3 - t1*t4"],
+    [_QUARTIC_RING.parse("t2^3 - t1^2*t3"), "t2*t3 - t1*t4"],
+    ["t2^3 - t1^2*t3", _QUARTIC_RING.parse("t2*t3 - t1*t4")],
+    [PolyRing(("t1", "t2", "t3", "t4"), GF(2)).parse("t2*t3 - t1*t4")],
+    [PolyRing(("t1", "t2", "t3")).parse("t2*t3")],
+], ids=["one_string", "strings", "polynomial_then_string",
+        "string_then_polynomial", "other_field", "other_ring"])
+def test_chart_candidates_are_polynomials_of_the_source_ring(chart,
+                                                             engine_counts):
+    """``present`` parses no text: a chart's candidates are polynomials of
+    ``PolyRing(("t1", ..., "td"))`` over QQ, and anything else, one string,
+    strings, a mix or polynomials of another ring, is a ``ValueError``
+    that names the chart, before any engine run."""
+    with pytest.raises(ValueError, match="candidates of chart 0 must be "
+                                         "polynomials of QQ"):
+        present_monomial_algebra(QUARTIC_CURVE_TARGETS, primes=(2,),
+                                 ci_candidates={0: chart})
+    assert engine_counts["insert"] == 0

@@ -10,6 +10,7 @@ from math import comb, gcd
 
 import pytest
 
+from veronese import toric
 from veronese.groebner import Ideal, buchberger, ideal_equal, ideal_member
 from veronese.invariants import krull_dim
 from veronese.polycore import GF, PolyRing, QQ
@@ -45,6 +46,24 @@ def test_veronese_targets_are_the_sorted_enumeration(k):
     for n in range(1, 6):
         every = [e for e in product(range(n + 1), repeat=k) if sum(e) == n]
         assert _veronese_targets(k, n) == tuple(sorted(every, reverse=True))
+
+
+def test_veronese_degree_counts_without_enumerating(monkeypatch):
+    """The degree comes from C(k+n-1, n) and the order alone: no degree-n
+    monomial is listed, so a degree of 20 digits or of 30,000 is decided
+    at once; a Veronese map out of its lex-descending order, or one
+    monomial short, is not one."""
+    maps = [veronese_map(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+
+    def refused(k, n):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(toric, "_veronese_targets", refused)
+    assert [m.veronese_degree() for m in maps] == [1, 2, 3] * 3
+    assert MonomialMap([(10 ** 19,)]).veronese_degree() == 10 ** 19
+    assert MonomialMap([(30000, 0), (0, 30000)]).veronese_degree() is None
+    assert MonomialMap(maps[4].targets[::-1]).veronese_degree() is None
+    assert MonomialMap(maps[8].targets[1:]).veronese_degree() is None
 
 
 def test_veronese_validates_arguments():
