@@ -18,7 +18,8 @@ chain criteria) in a linear pass, run on the exponent fields of the packed
 leads, the low bits of each packed int: the lcm of two leads is a fieldwise
 max computed with the guard bits, two exponent parts compare as ints in lex
 order, which refines divisibility, and only the pairs that are queued get
-their lcm packed in the monomial order.  An element whose lead a later lead
+their lcm packed in the monomial order, derived from the exponent part by
+row masks (``_Packing.pack_exponents``).  An element whose lead a later lead
 divides takes no part in later pairs and is left out of the run's output,
 its live elements: a minimal basis, each tail reduced against the elements
 inserted before it but not yet against later ones.  A run whose monomials
@@ -156,13 +157,10 @@ class _Engine:
         # live pairs (i, j), i < j, with the packed lcm of their leads
         self.alive: dict[tuple[int, int], int] = {}
         # pairs are selected by the lcm degree in the variables an
-        # elimination order keeps (None: in every variable), after sugar
-        # selection (Giovini, Mora, Niesi, Robbiano, Traverso, 1991); see
-        # above
-        order = packing.order
-        self.kept = (tuple([i not in order.eliminated
-                            for i in range(ring.arity)])
-                     if isinstance(order, Block) else None)
+        # elimination order keeps, the mask of their exponent fields (None:
+        # in every variable), after sugar selection (Giovini, Mora, Niesi,
+        # Robbiano, Traverso, 1991); see above
+        self.kept = packing.kept
 
     # -- pair bookkeeping --------------------------------------------------
 
@@ -198,8 +196,9 @@ class _Engine:
         with t, then leaves later pair generation: for any later t',
         lcm(lead_t, lead_t') divides lcm(lead_i, lead_t'), so (i, t') would
         be dropped or, coprime, never queued.  Only queued pairs get their
-        lcm packed in the monomial order, ascending, ties by i, the order in
-        which they are pushed.
+        lcm packed in the monomial order, derived from the exponent part by
+        row masks (``_Packing.pack_exponents``), and their selection degree
+        from it by the kept mask; they are pushed ascending, ties by i.
         """
         exps = self.exps
         live = self.live
@@ -208,10 +207,15 @@ class _Engine:
         cand = sorted([(lcms[i], i) for i in range(t) if live[i]])
 
         g = self.packing.exp_guard
+        pack = self.packing.pack_exponents
+        mask = self.packing.mask
+        select = self.kept
         kept: list[int] = []             # lcms of kept pairs
-        queued: list[int] = []
+        queued = []                      # (packed lcm, i, selection degree)
         last = len(cand) - 1
         for idx, (lcm, i) in enumerate(cand):
+            if lcm == exps[i]:
+                live[i] = False          # lead_t divides lead_i
             if lcm == exps[i] + b:       # coprime
                 kept.append(lcm)
                 continue
@@ -222,9 +226,8 @@ class _Engine:
                     break
             else:
                 kept.append(lcm)
-                queued.append(i)
-        for i in [i for lcm, i in cand if lcm == exps[i]]:
-            live[i] = False              # lead_t divides lead_i
+                queued.append((pack(lcm), i, (
+                    lcm if select is None else lcm & select) % mask))
 
         alive = self.alive
         guard = self.guard
@@ -237,15 +240,8 @@ class _Engine:
         for pair in dropped:
             del alive[pair]
 
-        unpack = self.packing.unpack
-        pack = self.packing.pack
-        kept = self.kept
-        pairs = []
-        for i in queued:
-            e = unpack(lcms[i])
-            pairs.append((pack(e), i, sum(compress(e, kept) if kept else e)))
-        pairs.sort()
-        for lcm, i, deg in pairs:
+        queued.sort()
+        for lcm, i, deg in queued:
             self._push_pair(i, t, lcm, deg)
 
     # -- basis growth --------------------------------------------------------
@@ -277,15 +273,17 @@ class _Engine:
             h = _nf_dict(pack_terms(g.terms), self.entries, self.guard, self.p)
             if h:
                 self.insert(h)
-        while self.heap:
-            _, _, i, j = heapq.heappop(self.heap)
-            lcm = self.alive.pop((i, j), None)
-            if lcm is None:
+        heap, alive, entries = self.heap, self.alive, self.entries
+        guard, p = self.guard, self.p
+        heappop = heapq.heappop
+        while heap:
+            _, lcm, i, j = heappop(heap)
+            if alive.pop((i, j), None) is None:
                 continue
             s = self._spoly(i, j, lcm)
             if not s:
                 continue
-            h = _nf_dict(s, self.entries, self.guard, self.p)
+            h = _nf_dict(s, entries, guard, p)
             if h:
                 self.insert(h)
         return self._finalize()
@@ -321,8 +319,7 @@ def _reduced_basis(ring: PolyRing, gens: Sequence[Polynomial],
     def run(packing: _Packing) -> tuple[Polynomial, ...]:
         elements = _Engine(ring, packing).run(gens)
         if kept is not None:
-            dropped = sum(packing.mask << packing.shifts[i]
-                          for i in order.eliminated)
+            dropped = packing.low ^ packing.kept    # the eliminated fields
             elements = [e for e in elements if not e[0] & dropped]
         basis = []
         for pos, (lead, _, tail) in enumerate(elements):

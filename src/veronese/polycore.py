@@ -329,6 +329,14 @@ def GF(p: int) -> PrimeField:
 # total degree.  A created monomial whose guard bits are set raises
 # ``_PackingOverflow``, and ``_packed`` reruns the whole computation with
 # fields twice as wide.
+#
+# The order fields are sums of exponent fields, so they follow from the
+# exponent part, the low ``arity * bits`` bits, by int arithmetic alone:
+# since 2**bits is 1 modulo 2**bits - 1, the exponent fields under a row's
+# mask, taken modulo 2**bits - 1 ("casting out" 2**bits - 1), sum to their
+# exponents' sum exactly while that sum stays below 2**bits - 1.  It does
+# for the exponent part of every lcm of two packed monomials, whose total
+# degree is at most 2 * (limit - 1) = 2**bits - 2.
 
 def _is_int(value: object) -> bool:
     """An int and not a bool: ``True`` is an int to Python, but no count,
@@ -438,7 +446,7 @@ class _Packing:
     """Packed monomials of one arity under one order, ``bits`` per field."""
 
     __slots__ = ("order", "units", "guard", "limit", "shifts", "mask",
-                 "low", "exp_guard", "top")
+                 "low", "exp_guard", "top", "rows", "kept")
 
     def __init__(self, order: "MonomialOrder", arity: int, bits: int):
         _check_order(order, arity)
@@ -462,6 +470,17 @@ class _Packing:
         self.limit = 1 << bits - 1
         self.shifts = tuple(bits * (arity - 1 - i) for i in range(arity))
         self.mask = (1 << bits) - 1
+        # each order row as the mask of its exponent fields and the shift of
+        # its own field (see ``pack_exponents``); ``kept`` masks the exponent
+        # fields of the variables an elimination order keeps, None under
+        # another order
+        self.rows = tuple(
+            (sum(self.mask << s for s, e in zip(self.shifts, row) if e),
+             bits * (top - r))
+            for r, row in enumerate(rows[:-arity]))
+        self.kept = (sum(self.mask << s for i, s in enumerate(self.shifts)
+                         if i not in order.eliminated)
+                     if isinstance(order, Block) else None)
         # the exponent fields are the low ``arity * bits`` bits; ``exp_guard``
         # holds their guard bits, and ``top`` shifts a guard bit to its
         # field's 1
@@ -477,6 +496,20 @@ class _Packing:
     def unpack(self, x: int) -> Exponents:
         mask = self.mask
         return tuple([x >> s & mask for s in self.shifts])
+
+    def pack_exponents(self, x: int) -> int:
+        """``pack(unpack(x))`` for an exponent part ``x`` whose total degree
+        is below 2**bits - 1, as that of an lcm of two packed monomials is:
+        each order field is the sum of the exponent fields under its row's
+        mask, taken modulo 2**bits - 1, and ``x`` itself holds the exponent
+        fields.  Raises ``_PackingOverflow`` where ``pack`` does."""
+        mask = self.mask
+        if x % mask >= self.limit:
+            raise _PackingOverflow
+        packed = x
+        for row, shift in self.rows:
+            packed += (x & row) % mask << shift
+        return packed
 
     def pack_terms(self, terms: Iterable[tuple[Exponents, Scalar]]) -> dict:
         pack = self.pack

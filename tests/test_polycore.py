@@ -1,6 +1,7 @@
 """Polynomial kernel: coefficient domains, monomial orders checked against
-independent brute-force definitions, canonical arithmetic, division, and the
-input grammar with exact error positions."""
+independent brute-force definitions, canonical arithmetic, the order fields
+of a packed monomial built from its exponent part, division, and the input
+grammar with exact error positions."""
 from __future__ import annotations
 
 import random
@@ -15,8 +16,10 @@ from veronese.polycore import (
     Block, GF, GrevLex, Lex, ParseError, PolyRing, QQ, ResourceCapError,
     divide,
     homogeneous_degree, is_homogeneous, parse_polynomial,
-    parse_polynomial_list,
+    parse_polynomial_list, _FIELD_BITS, _Packing, _PackingOverflow, _packing,
 )
+
+from test_kernel_reference import _ORDERS
 
 _GREVLEX = GrevLex()
 _LEX = Lex()
@@ -285,6 +288,102 @@ def test_homogeneity():
     assert is_homogeneous(R.zero)
     assert homogeneous_degree(R.zero) is None
     assert R.zero.total_degree() is None
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: the order fields from the exponent part
+# ---------------------------------------------------------------------------
+
+_WIDTHS = (_FIELD_BITS, 2 * _FIELD_BITS)
+
+
+def _exponent_part(packing, m):
+    return sum(e << s for e, s in zip(m, packing.shifts))
+
+
+def _seeded_lcms(packing, rng):
+    """Exponent tuples of lcms of two monomials that each fit the packing,
+    some of total degree at or past its limit: all pairs of the extreme
+    monomials, then seeded ones."""
+    top = packing.limit - 1
+    extremes = [m for m in product((0, 1, top - 1, top), repeat=4)
+                if sum(m) <= top]
+    lcms = [tuple(map(max, zip(a, b))) for a, b in product(extremes, repeat=2)]
+    for _ in range(400):
+        a, b = ([rng.randint(0, top) for _ in range(4)] for _ in range(2))
+        for m in (a, b):         # scale down into the packing
+            while sum(m) > top:
+                m[rng.randrange(4)] //= 2
+        lcms.append(tuple(map(max, zip(a, b))))
+    return lcms
+
+
+def _packing_mismatches(packing, lcms):
+    """lcms whose packed monomial from the exponent part is not the packed
+    tuple, or that fit the packing one way and not the other."""
+    bad = 0
+    for m in lcms:
+        try:
+            expected = packing.pack(m)
+        except _PackingOverflow:
+            expected = _PackingOverflow
+        try:
+            got = packing.pack_exponents(_exponent_part(packing, m))
+        except _PackingOverflow:
+            got = _PackingOverflow
+        bad += got != expected
+    return bad
+
+
+@pytest.mark.parametrize("bits", _WIDTHS)
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_packing_from_the_exponent_part_is_the_packed_tuple(order, bits):
+    packing = _packing(order, 4, bits)
+    lcms = _seeded_lcms(packing, random.Random(f"rows/{order}/{bits}"))
+    assert any(sum(m) >= packing.limit for m in lcms)
+    assert _packing_mismatches(packing, lcms) == 0
+    small = [m for m in product(range(4), repeat=4) if sum(m) <= 3]
+    assert all(packing.pack_exponents(x & packing.low) == x
+               for x in map(packing.pack, small))
+
+
+@pytest.mark.parametrize("bits", _WIDTHS)
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_kept_mask_sums_the_kept_exponents(order, bits):
+    packing = _packing(order, 4, bits)
+    if not isinstance(order, Block):
+        assert packing.kept is None
+        return
+    kept = [i not in order.eliminated for i in range(4)]
+    for m in _seeded_lcms(packing, random.Random(f"kept/{order}/{bits}")):
+        got = (_exponent_part(packing, m) & packing.kept) % packing.mask
+        assert got == sum(e for e, k in zip(m, kept) if k), m
+
+
+@pytest.mark.parametrize("bits", _WIDTHS)
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_total_degree_below_the_limit_packs_and_at_it_overflows(order, bits):
+    packing = _packing(order, 4, bits)
+    top = packing.limit - 1
+    for m in ((top, 0, 0, 0), (0, 1, top - 2, 1), (1, 0, 0, top - 1)):
+        assert packing.pack_exponents(_exponent_part(packing, m)) == \
+            packing.pack(m)
+    for m in ((top + 1, 0, 0, 0), (1, 0, 0, top), (0, top, top, 0)):
+        with pytest.raises(_PackingOverflow):
+            packing.pack_exponents(_exponent_part(packing, m))
+
+
+def test_row_mask_off_by_one_field_is_caught():
+    """Broken copies of the packing, outside the cache of ``_packing``,
+    whose row masks take in the field next to the right one."""
+    bits = _FIELD_BITS
+    for order in _ORDERS:
+        for shift in (lambda r: r << bits, lambda r: r >> bits):
+            packing = _Packing(order, 4, bits)
+            packing.rows = tuple((shift(row), s) for row, s in packing.rows)
+            lcms = _seeded_lcms(packing,
+                                random.Random(f"rows/{order}/{bits}"))
+            assert _packing_mismatches(packing, lcms) > 0
 
 
 # ---------------------------------------------------------------------------
