@@ -206,10 +206,9 @@ class _Engine:
         lcms = self._lcms_with(b)
         cand = sorted([(lcms[i], i) for i in range(t) if live[i]])
 
-        g = self.packing.exp_guard
-        pack = self.packing.pack_exponents
-        mask = self.packing.mask
-        select = self.kept
+        packing = self.packing
+        g, pack, mask = packing.exp_guard, packing.pack_exponents, packing.mask
+        select = packing.low if self.kept is None else self.kept
         kept: list[int] = []             # lcms of kept pairs
         queued = []                      # (packed lcm, i, selection degree)
         last = len(cand) - 1
@@ -226,12 +225,11 @@ class _Engine:
                     break
             else:
                 kept.append(lcm)
-                queued.append((pack(lcm), i, (
-                    lcm if select is None else lcm & select) % mask))
+                queued.append((pack(lcm), i, (lcm & select) % mask))
 
         alive = self.alive
         guard = self.guard
-        low = self.packing.low
+        low = packing.low
         plead_t = self.entries[t][0]
         dropped = [
             pair for pair, lcm in alive.items()
@@ -273,11 +271,10 @@ class _Engine:
             h = _nf_dict(pack_terms(g.terms), self.entries, self.guard, self.p)
             if h:
                 self.insert(h)
-        heap, alive, entries = self.heap, self.alive, self.entries
-        guard, p = self.guard, self.p
-        heappop = heapq.heappop
+        heap, alive, entries, guard, p = (
+            self.heap, self.alive, self.entries, self.guard, self.p)
         while heap:
-            _, lcm, i, j = heappop(heap)
+            _, lcm, i, j = heapq.heappop(heap)
             if alive.pop((i, j), None) is None:
                 continue
             s = self._spoly(i, j, lcm)

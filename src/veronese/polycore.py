@@ -335,8 +335,12 @@ def GF(p: int) -> PrimeField:
 # since 2**bits is 1 modulo 2**bits - 1, the exponent fields under a row's
 # mask, taken modulo 2**bits - 1 ("casting out" 2**bits - 1), sum to their
 # exponents' sum exactly while that sum stays below 2**bits - 1.  It does
-# for the exponent part of every lcm of two packed monomials, whose total
-# degree is at most 2 * (limit - 1) = 2**bits - 2.
+# for every row of the lcm of two packed monomials, at most the sum of
+# their two fields, 2 * (limit - 1) = 2**bits - 2.  So does the lcm's total
+# degree under lex and grevlex, where it is a row.  An elimination order
+# sums the eliminated and the kept exponents in two rows, and the total
+# degree can reach 4 * (limit - 1); but from 2**bits - 1 on, one of those
+# two rows reaches limit and sets its guard bit.
 
 def _is_int(value: object) -> bool:
     """An int and not a bool: ``True`` is an int to Python, but no count,
@@ -498,17 +502,19 @@ class _Packing:
         return tuple([x >> s & mask for s in self.shifts])
 
     def pack_exponents(self, x: int) -> int:
-        """``pack(unpack(x))`` for an exponent part ``x`` whose total degree
-        is below 2**bits - 1, as that of an lcm of two packed monomials is:
-        each order field is the sum of the exponent fields under its row's
-        mask, taken modulo 2**bits - 1, and ``x`` itself holds the exponent
-        fields.  Raises ``_PackingOverflow`` where ``pack`` does."""
+        """``pack(unpack(x))`` for the exponent part ``x`` of the lcm of two
+        packed monomials: each order field is the sum of the exponent
+        fields under its row's mask, taken modulo 2**bits - 1, and ``x``
+        itself holds the exponent fields.  Raises ``_PackingOverflow``
+        where ``pack`` does: at a total degree from ``limit`` on, which
+        casting out reads exactly below 2**bits - 1 and a set guard bit
+        shows from there on (see above)."""
         mask = self.mask
-        if x % mask >= self.limit:
-            raise _PackingOverflow
         packed = x
         for row, shift in self.rows:
             packed += (x & row) % mask << shift
+        if packed & self.guard or x % mask >= self.limit:
+            raise _PackingOverflow
         return packed
 
     def pack_terms(self, terms: Iterable[tuple[Exponents, Scalar]]) -> dict:

@@ -49,16 +49,17 @@ def _runs(parent, change, workload="session", seed=1, metric="run_rel",
 
 def test_pairs_alternate_which_side_goes_first():
     where = list(bench_pairs.schedule(["certify", "session"], 3, 1, [7919],
-                                      2, 0))
-    assert len(where) == 2 * 2 * (3 + 2)
+                                      0))
+    assert len(where) == 2 * 2 * (3 + 3)
     assert [(w["workload"], w["seed"], w["pair"], w["side"])
             for w in where[:6]] == [
         ("certify", 1, 0, "parent"), ("certify", 1, 0, "change"),
         ("certify", 1, 1, "change"), ("certify", 1, 1, "parent"),
         ("certify", 1, 2, "parent"), ("certify", 1, 2, "change")]
-    assert [(w["seed"], w["pair"], w["side"]) for w in where[6:10]] == [
+    assert [(w["seed"], w["pair"], w["side"]) for w in where[6:12]] == [
         (7919, 0, "parent"), (7919, 0, "change"),
-        (7919, 1, "change"), (7919, 1, "parent")]
+        (7919, 1, "change"), (7919, 1, "parent"),
+        (7919, 2, "parent"), (7919, 2, "change")]
     assert all(w["first"] == ("parent", "change")[w["pair"] % 2]
                for w in where)
 
@@ -112,6 +113,20 @@ def test_metric_summary_reads_like_the_earlier_files():
     assert worse["within_bound"] is False         # +25% past a 20% bound
 
 
+def test_a_bound_narrower_than_the_parent_spread_is_unresolved():
+    parent = [1.0, 1.0, 0.98, 1.0, 1.02]          # IQR 0 of median 1.0
+    steady = bench_pairs.metric_summary(
+        _runs(parent, [1.0, 1.0, 1.0, 1.0, 1.0], metric="ok_frac"),
+        _OK_FRAC)
+    assert steady["within_bound"] is True
+    parent = [1.0, 0.9, 0.95, 1.0, 0.92]          # IQR 0.08, bound 0.01
+    for change, within in (([1.0, 0.9, 0.95, 1.0, 0.92], "unresolved"),
+                           ([1.01, 1.01, 1.02, 1.01, 1.03], True)):
+        summary = bench_pairs.metric_summary(
+            _runs(parent, change, metric="ok_frac"), _OK_FRAC)
+        assert summary["within_bound"] == within
+
+
 def test_a_claim_is_met_only_by_nine_wins_in_ten_past_the_iqr():
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
     better = [p - 0.1 for p in parent]
@@ -135,8 +150,8 @@ def test_a_claim_is_met_only_by_nine_wins_in_ten_past_the_iqr():
 
 
 def _namespace(**kw):
-    args = dict(seed=1, pairs=3, held_out=[7919], held_out_pairs=2,
-                seconds=30, trace=0, claim=("session", "run_rel"))
+    args = dict(seed=1, pairs=3, held_out=[7919], seconds=30, trace=0,
+                claim=("session", "run_rel"), note=None)
     return argparse.Namespace(**{**args, **kw})
 
 
@@ -168,12 +183,12 @@ def _check_like_the_record_tests(bench):
 
 def test_the_file_passes_the_record_checks():
     runs = (_full_runs([1.0, 1.1, 0.9], [0.8, 0.9, 0.7], 1)
-            + _full_runs([1.2, 1.0], [1.0, 1.1], 7919))
+            + _full_runs([1.2, 1.0, 1.1], [1.0, 1.1, 1.0], 7919))
     bench = bench_pairs.bench(runs, _SPEC, _namespace())
     assert [k for k in bench if k.startswith("end_to_end")] == [
         "end_to_end", "end_to_end_held_out_7919"]
     assert bench["end_to_end"]["session"]["pairs"] == 3
-    assert bench["end_to_end_held_out_7919"]["session"]["pairs"] == 2
+    assert bench["end_to_end_held_out_7919"]["session"]["pairs"] == 3
     assert bench["runs"] is runs
     _check_like_the_record_tests(bench)
 
@@ -238,6 +253,13 @@ def test_the_driver_copies_each_result_and_exits_0(tmp_path):
         "exit": 0, "correct": True, "attempted": 4, "failed": 0, "trace": 0}
     assert bench["claim"]["change_wins"] == "2/2"
     assert bench["end_to_end"]["session"]["all_reports_correct"] is True
+
+
+def test_the_note_opens_the_file(tmp_path):
+    parent = _tree(tmp_path / "parent", 0.04)
+    code, bench = _drive(tmp_path, parent, parent, "--note", "self vs self")
+    assert code == 0
+    assert next(iter(bench.items())) == ("note", "self vs self")
 
 
 def test_the_driver_exits_1_when_a_run_is_not_correct(tmp_path):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -301,18 +301,26 @@ def _exponent_part(packing, m):
     return sum(e << s for e, s in zip(m, packing.shifts))
 
 
+def _fits(packing, m):
+    """A monomial that the kernel can create in the packing: no exponent
+    and no summed row of its order key, a field each, reaches the limit.
+    Under an elimination order its total degree can."""
+    return all(f < packing.limit for f in m + tuple(accumulate(
+        packing.order.key(m))))
+
+
 def _seeded_lcms(packing, rng):
     """Exponent tuples of lcms of two monomials that each fit the packing,
     some of total degree at or past its limit: all pairs of the extreme
     monomials, then seeded ones."""
     top = packing.limit - 1
     extremes = [m for m in product((0, 1, top - 1, top), repeat=4)
-                if sum(m) <= top]
+                if _fits(packing, m)]
     lcms = [tuple(map(max, zip(a, b))) for a, b in product(extremes, repeat=2)]
     for _ in range(400):
         a, b = ([rng.randint(0, top) for _ in range(4)] for _ in range(2))
         for m in (a, b):         # scale down into the packing
-            while sum(m) > top:
+            while not _fits(packing, tuple(m)):
                 m[rng.randrange(4)] //= 2
         lcms.append(tuple(map(max, zip(a, b))))
     return lcms
@@ -371,6 +379,31 @@ def test_total_degree_below_the_limit_packs_and_at_it_overflows(order, bits):
     for m in ((top + 1, 0, 0, 0), (1, 0, 0, top), (0, top, top, 0)):
         with pytest.raises(_PackingOverflow):
             packing.pack_exponents(_exponent_part(packing, m))
+
+
+@pytest.mark.parametrize("bits", _WIDTHS)
+def test_elimination_lcm_that_casts_out_to_zero_overflows(bits):
+    """Two monomials that fit an elimination packing with total degree past
+    its limit, whose lcm's total degree, 2**bits - 1, casts out to 0: only
+    the guard bit of the row of the kept exponents shows the overflow."""
+    packing = _packing(Block({0}), 3, bits)
+    top = packing.limit - 1
+    a, b, lcm = (top, 0, 1), (1, top, 0), (top, top, 1)
+    assert _fits(packing, a) and _fits(packing, b) and not _fits(packing, lcm)
+    assert sum(lcm) == packing.mask
+    with pytest.raises(_PackingOverflow):
+        packing.pack(lcm)
+    with pytest.raises(_PackingOverflow):
+        packing.pack_exponents(_exponent_part(packing, lcm))
+
+
+@pytest.mark.parametrize("bits", _WIDTHS)
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_seeded_lcms_reach_past_casting_out_under_elimination(order, bits):
+    packing = _packing(order, 4, bits)
+    lcms = _seeded_lcms(packing, random.Random(f"rows/{order}/{bits}"))
+    wraps = any(sum(m) >= packing.mask for m in lcms)
+    assert wraps == isinstance(order, Block)
 
 
 def test_row_mask_off_by_one_field_is_caught():

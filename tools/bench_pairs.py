@@ -2,16 +2,16 @@
 
     python tools/bench_pairs.py PARENT CHANGE --out FILE
         [--workload W ...] [--pairs 10] [--seed 1]
-        [--held-out 7919] [--held-out-pairs N] [--seconds 30] [--trace 0]
-        [--claim WORKLOAD:METRIC]
+        [--held-out 7919] [--seconds 30] [--trace 0]
+        [--claim WORKLOAD:METRIC] [--note TEXT]
 
 PARENT and CHANGE are the roots of two checkouts.  For each workload, in
 the order given, the driver runs ``--pairs`` pairs at ``--seed`` and then
-``--held-out-pairs`` pairs (default ``--pairs``) at each ``--held-out``
-seed.  A pair is one run of ``perfbench/run.py --workload W --seed S
---seconds N --trace T`` in each tree, started in that tree's root, one at a
-time; the parent goes first in even pairs and the change in odd ones, so
-neither side always meets a machine that has just warmed up.
+as many at each ``--held-out`` seed.  A pair is one run of
+``perfbench/run.py --workload W --seed S --seconds N --trace T`` in each
+tree, started in that tree's root, one at a time; the parent goes first
+in even pairs and the change in odd ones, so neither side always meets a
+machine that has just warmed up.
 
 Each run becomes one record: where it ran (``workload``, ``seed``,
 ``pair``, ``side``, ``first``, ``trace``), its ``exit`` status and wall
@@ -24,7 +24,9 @@ Untraced runs are summarised per workload and metric of ``BENCHMARK.json``
 ``end_to_end``: the median and quartiles of each side
 (``statistics.quantiles(n=4, method="inclusive")``), the change's wins (a
 pair in which the change reads better; ties count for neither side) and
-whether the change's median is within the metric's bound.  The block
+whether the change's median is within the metric's bound: ``"unresolved"``
+when the parent's interquartile range is wider than the bound, relative
+to its median, and not every change run beats every parent run.  The block
 ``end_to_end`` holds the paired seed and ``end_to_end_held_out_<seed>``
 each held-out seed.  ``--claim`` adds a ``claim`` block for one workload
 and metric, with a ``held_out_<seed>`` block per held-out seed; it is met
@@ -32,7 +34,8 @@ when the change wins at least 9 pairs in 10, its median is better than
 the parent's by more than the parent's interquartile range, and its median
 is better at every held-out seed too.  Traced runs are summarised by
 ``traced_counts``: whether every count metric of the change equals the
-parent's in every pair.
+parent's in every pair.  ``--note`` is written as the file's ``note``,
+what the runs measure, so that the file needs no editing by hand.
 
 Exits 0 when every run is correct, 1 when one is not, and 2 when the file
 cannot be written.  Standard library only; writes nothing but ``--out``
@@ -90,12 +93,11 @@ def run_one(tree: Path, where: dict, seconds: int) -> dict:
                   perf_counter() - start)
 
 
-def schedule(workloads, pairs: int, seed: int, held_out, held_out_pairs: int,
-             trace: int):
+def schedule(workloads, pairs: int, seed: int, held_out, trace: int):
     """Where each run goes, in the order the runs are made."""
     for workload in workloads:
-        for s, n in [(seed, pairs)] + [(h, held_out_pairs) for h in held_out]:
-            for pair in range(n):
+        for s in [seed, *held_out]:
+            for pair in range(pairs):
                 first = SIDES[pair % 2]
                 for side in (first, SIDES[1 - SIDES.index(first)]):
                     yield {"workload": workload, "seed": s, "pair": pair,
@@ -158,12 +160,16 @@ def metric_summary(runs: list[dict], spec: dict) -> dict:
     pm, cm = stats["parent_median"], stats["change_median"]
     worse = (cm - pm) if spec["better"] == "lower" else (pm - cm)
     pq1, pq3 = quartiles(parent)
+    bound = spec["bound"] * abs(pm)
+    better = _better(spec)
+    resolved = stats["parent_iqr"] <= bound or all(
+        better(c, p) for c in change for p in parent)
     return {**side,
             "change_wins": f"{stats['wins']}/{len(parent)}",
             "median_change_pct": _pct(cm, pm),
             "parent_iqr": round(stats["parent_iqr"], 5),
             "change_median_within_parent_quartiles": pq1 <= cm <= pq3,
-            "within_bound": worse <= spec["bound"] * abs(pm)}
+            "within_bound": worse <= bound if resolved else "unresolved"}
 
 
 def end_to_end(runs: list[dict], specs: list[dict]) -> dict:
@@ -242,11 +248,14 @@ def bench(runs: list[dict], spec: dict, args: argparse.Namespace) -> dict:
             "in which the change reads better (lower, or higher where "
             "better is higher); ties count for neither side. within_bound: "
             "the change's median is worse than the parent's by no more than "
-            "the BENCHMARK.json bound, relative to the parent's median."),
+            "the BENCHMARK.json bound, relative to the parent's median; "
+            "'unresolved' when the parent's IQR is wider than that bound "
+            "and not every change run beats every parent run."),
         "seeds": {"paired": args.seed, "pairs": args.pairs,
-                  "held_out": args.held_out,
-                  "held_out_pairs": args.held_out_pairs},
+                  "held_out": args.held_out},
     }
+    if args.note:
+        out = {"note": args.note, **out}
     if args.trace:
         counts = [m["name"] for m in spec["per_layer"]
                   if m["unit"] == "count"]
@@ -285,15 +294,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--held-out", type=int, action="append", default=[])
-    parser.add_argument("--held-out-pairs", type=int)
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--claim", type=_claim_arg)
+    parser.add_argument("--note", help="what the runs measure, written as "
+                        "the file's note")
     args = parser.parse_args(argv)
-    if args.held_out_pairs is None:
-        args.held_out_pairs = args.pairs
-    if args.pairs < 1 or args.held_out_pairs < 1:
-        parser.error("--pairs and --held-out-pairs must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     if args.seed in args.held_out:
         parser.error("a held-out seed must differ from --seed")
     if args.claim and args.trace:
@@ -311,7 +319,7 @@ def main(argv: list[str]) -> int:
     trees = dict(zip(SIDES, (args.parent, args.change)))
     runs = []
     for where in schedule(args.workload or WORKLOADS, args.pairs, args.seed,
-                          args.held_out, args.held_out_pairs, args.trace):
+                          args.held_out, args.trace):
         rec = run_one(trees[where["side"]], where, args.seconds)
         runs.append(rec)
         print(f"{rec['workload']} seed {rec['seed']} pair {rec['pair']} "
